@@ -17,8 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .errors import CutoffTooLarge, IndexOutOfRange, NonConvergent
-from .moebius import HalfSpacePoint, MoebiusMap, hyperbolic_distance
+import numpy as np
+
+from .errors import BoundaryPoint, CutoffTooLarge, IndexOutOfRange, NonConvergent
+from .moebius import HalfSpacePoint, MoebiusMap
 from .summation import chunked_sum_complex
 
 GroupWord = Tuple[int, ...]
@@ -170,12 +172,80 @@ class PoincareEstimate:
     method: str
 
 
+#: Parents expanded per block in shell_displacements.  At rank 2 a
+#: block's temporaries stay within a few hundred kilobytes, so memory is
+#: the retained frontier plus the output, whatever the cutoff; larger
+#: blocks run no faster and raise the peak resident size.
+_SHELL_BLOCK = 1024
+
+
+def _det(e: np.ndarray) -> np.ndarray:
+    return e[0] * e[3] - e[1] * e[2]
+
+
+def _drifted(e: np.ndarray, det: np.ndarray, tol: float) -> np.ndarray:
+    """|det - 1| > tol * max(1, scale^2), as in MoebiusMap."""
+    a, b, c, d = np.abs(e)
+    scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return np.abs(det - 1.0) > tol * np.maximum(1.0, scale ** 2)
+
+
+def _renormalize(e: np.ndarray) -> None:
+    """MoebiusMap.normalized and its determinant check, in place.
+
+    ``e`` holds the entries a, b, c, d of a stack of matrices as rows.
+    """
+    det = _det(e)
+    fix = _drifted(e, det, 1e-12)
+    if not fix.any():
+        return
+    det = det[fix]
+    if not det.all():
+        raise ValueError("singular matrix")
+    fixed = e[:, fix] / np.sqrt(det)
+    det = _det(fixed)
+    drift = _drifted(fixed, det, 1e-6)
+    if drift.any():
+        raise ValueError(
+            f"determinant {complex(det[drift][0]):.6g} too far from 1; "
+            "renormalize with MoebiusMap.normalized(...)"
+        )
+    e[:, fix] = fixed
+
+
+def _displacements(e: np.ndarray, base: HalfSpacePoint) -> np.ndarray:
+    """hyperbolic_distance(base, apply_h3(base)) per matrix, entries as rows."""
+    a, b, c, d = e
+    t = base.x
+    u, v = base.y
+    z = complex(u, v)
+    cz_d = c * z + d
+    den = np.abs(cz_d) ** 2 + np.abs(c) ** 2 * t * t
+    num = (a * z + b) * cz_d.conj() + a * c.conj() * t * t
+    x = t / den
+    if (x <= 0).any():
+        raise BoundaryPoint("distance needs interior points (x > 0)")
+    dy2 = (u - num.real / den) ** 2 + (v - num.imag / den) ** 2
+    val = (dy2 + (t + x) ** 2) / (4.0 * t * x)
+    return 2.0 * np.arccosh(np.sqrt(np.maximum(val, 1.0)))
+
+
 def shell_displacements(generators: Sequence[MoebiusMap], L: int,
                         base: HalfSpacePoint = BASE_POINT,
-                        budget: int = DEFAULT_WORD_BUDGET) -> List[List[float]]:
+                        budget: int = DEFAULT_WORD_BUDGET) -> List[np.ndarray]:
     """Orbit displacements d(o, w o) for all reduced words, per length shell.
 
-    Returns shells[k-1] for k = 1..L in a fixed depth-first order.
+    Returns shells[k-1] for k = 1..L, each a 1-D float64 array in the
+    depth-first (lexicographic) order of the words under the integer
+    order on letters.  Shells are expanded breadth-first: each parent
+    word times each letter, one batched product per letter, with the
+    inverse of the parent's last letter masked out; products are
+    renormalized above the same noise floor, and refused on the same
+    determinant drift, as in ``MoebiusMap.__matmul__``, and agree with
+    the scalar product and distance within a few ulps.  Parents are
+    expanded in blocks of ``_SHELL_BLOCK``, and the matrices of the last
+    shell are never kept, so memory is the shell-(L-1) matrices plus the
+    output.
     """
     g = len(generators)
     predicted = sum(_reduced_word_count(g, k) for k in range(1, L + 1))
@@ -183,23 +253,46 @@ def shell_displacements(generators: Sequence[MoebiusMap], L: int,
         raise CutoffTooLarge(
             f"about {predicted} words at L = {L} exceeds the budget {budget}"
         )
-    mats = {}
-    for i, gen in enumerate(generators, start=1):
-        mats[i] = gen
-        mats[-i] = gen.inverse()
-    letters = [s for s in range(-g, g + 1) if s != 0]
-    shells: List[List[float]] = [[] for _ in range(L)]
-
-    def walk(depth: int, last: int, mat: MoebiusMap):
-        for s in letters:
-            if last != 0 and s == -last:
-                continue
-            m = mat @ mats[s]
-            shells[depth].append(hyperbolic_distance(base, m.apply_h3(base)))
-            if depth + 1 < L:
-                walk(depth + 1, s, m)
-
-    walk(0, 0, MoebiusMap.identity())
+    if len(base.y) != 2:
+        raise ValueError("H^3 action needs 2-dimensional boundary points")
+    if base.x <= 0:
+        raise BoundaryPoint("distance needs interior points (x > 0)")
+    # letters -g..-1, 1..g by index; the inverse of letter j is 2g-1-j
+    maps = [gen.inverse() for gen in reversed(generators)] + list(generators)
+    mats = np.array([[[m.a, m.b], [m.c, m.d]] for m in maps], dtype=complex)
+    frontier = np.eye(2, dtype=complex)[None]
+    last = np.array([-1])  # the root's "inverse letter" 2g matches no letter
+    shells: List[np.ndarray] = []
+    for depth in range(L):
+        children = 2 * g - (depth > 0)
+        out = np.empty(len(frontier) * children)
+        keep = depth + 1 < L
+        if keep:
+            next_frontier = np.empty((len(out), 2, 2), dtype=complex)
+            next_last = np.empty(len(out), dtype=np.int32)
+        for start in range(0, len(frontier), _SHELL_BLOCK):
+            block = frontier[start:start + _SHELL_BLOCK]
+            # parents[r, k] is the row of (r, k) entries across the block
+            parents = block.transpose(1, 2, 0)[:, :, None]
+            kids = np.empty((2, 2, len(block), 2 * g), dtype=complex)
+            for j, m in enumerate(mats):
+                # kid[r, col] = p[r, 0] m[0, col] + p[r, 1] m[1, col],
+                # the arithmetic of MoebiusMap.__matmul__
+                kids[..., j] = (parents[:, 0] * m[0, :, None]
+                                + parents[:, 1] * m[1, :, None])
+            inverse = 2 * g - 1 - last[start:start + _SHELL_BLOCK]
+            allowed = inverse[:, None] != np.arange(2 * g)
+            entries = kids.reshape(4, len(block), 2 * g)[:, allowed]
+            _renormalize(entries)
+            lo = start * children
+            hi = lo + entries.shape[1]
+            out[lo:hi] = _displacements(entries, base)
+            if keep:
+                next_frontier.reshape(-1, 4)[lo:hi] = entries.T
+                next_last[lo:hi] = np.nonzero(allowed)[1]
+        shells.append(out)
+        if keep:
+            frontier, last = next_frontier, next_last
     return shells
 
 
@@ -211,11 +304,12 @@ def shell_sum(displacements: Sequence[float], s: float, n: float = 1.0,
     ).real
 
 
-def _log_shell_sum(displacements: Sequence[float], s: float, n: float) -> float:
+def _log_shell_sum(displacements: np.ndarray, s: float, n: float) -> float:
     # log-sum-exp; plain summation underflows for large s
-    exps = [-(s + n) * r for r in displacements]
-    m = max(exps)
-    return m + math.log(sum(math.exp(e - m) for e in exps))
+    exps = -(s + n) * displacements
+    m = exps.max()
+    exps -= m
+    return float(m + math.log(np.exp(exps, out=exps).sum()))
 
 
 def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
@@ -231,6 +325,10 @@ def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
     scheme is reported via the bracket, not guaranteed.  By default a wide
     bracket is returned rather than treated as failure; pass
     ``bracket_tol`` to insist on stabilized growth rates.
+
+    The shells come from ``shell_displacements`` as arrays, and each
+    bisection step takes one numpy log-sum-exp per shell, so the cost is
+    the word expansion plus a few array passes per step.
     """
     if L < 4:
         raise NonConvergent(f"need at least 4 shells, got L = {L}")

@@ -243,6 +243,20 @@ def log_zeta_half(terms: Sequence[ClassTerm], sign: str, lam: complex,
     return ZetaEvaluation(value, tail, _max_cutoff(terms), variant, lam)
 
 
+def _value_scale_tail(value: complex, log_tail: float) -> float:
+    """|value| expm1(log_tail), the log-scale tail bound on the value scale.
+
+    Infinite, as ``shell_tail_bound`` reports no bound, when the log tail
+    is not finite or exceeds the float range of expm1 (about 709.78).
+    """
+    if not math.isfinite(log_tail):
+        return math.inf
+    try:
+        return abs(value) * math.expm1(log_tail)
+    except OverflowError:
+        return math.inf
+
+
 def zeta_odd(terms: Sequence[ClassTerm], lam: complex,
              rank: Optional[int] = None, delta_hat: Optional[float] = None,
              threads: int = 1) -> ZetaEvaluation:
@@ -254,8 +268,7 @@ def zeta_odd(terms: Sequence[ClassTerm], lam: complex,
     zm = log_zeta_half(terms, "-", lam, rank, delta_hat, threads)
     log_value = zp.value - zm.value
     value = cmath.exp(log_value)
-    log_tail = zp.tail_bound + zm.tail_bound
-    tail = abs(value) * math.expm1(log_tail) if math.isfinite(log_tail) else math.inf
+    tail = _value_scale_tail(value, zp.tail_bound + zm.tail_bound)
     return ZetaEvaluation(value, tail, zp.cutoff_L, zp.variant, complex(lam))
 
 
@@ -300,8 +313,7 @@ def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
         inner_tail += box
     value = cmath.exp(log_total)
     outer = shell_tail_bound(terms, rank, lam.real)
-    tail_log = inner_tail + outer
-    tail = abs(value) * math.expm1(tail_log) if math.isfinite(tail_log) else math.inf
+    tail = _value_scale_tail(value, inner_tail + outer)
     return ZetaEvaluation(value, tail, _max_cutoff(terms), "signature", lam)
 
 

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from oddzeta.cli import main
 from oddzeta.config import format_complex, parse_complex
 from oddzeta.sample_groups import ring_group
+from oddzeta.zograf import schottky_from_params
 
 CYCLIC = """\
 [group]
@@ -101,6 +103,25 @@ class TestZetaCommand:
         doc = json.loads((tmp_path / "zeta.json").read_text())
         flags = [ev.get("nonconvergent", False) for ev in doc["evaluations"]]
         assert flags == [True, False, False]
+
+    def test_near_abscissa_tail_overflow_reports_infinite_bound(self, tmp_path):
+        # at the thick chart point the log tail bound at lambda = -0.4 is
+        # finite but beyond expm1's range
+        gens = schottky_from_params(0.06 + 0.05j, 0.07 - 0.03j,
+                                    -0.9 + 0.6j).generators
+        lines = ["[group]"]
+        for i, gen in enumerate(gens, start=1):
+            entries = " ".join(format_complex(z)
+                               for z in (gen.a, gen.b, gen.c, gen.d))
+            lines.append(f"generator{i} = {entries}")
+        lines += ["", "[run]", "word_cutoff = 9", "delta_cutoff = 9",
+                  "", "[grids]", "lambda = -0.4+0i"]
+        cfg = write(tmp_path, "thick.cfg", "\n".join(lines) + "\n")
+        assert main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "zeta.json").read_text()
+        assert '"tail_bound": Infinity' in text
+        (ev,) = json.loads(text)["evaluations"]
+        assert all(math.isfinite(v) for v in ev["value"])
 
 
 class TestEtaCommand:

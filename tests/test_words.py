@@ -1,9 +1,14 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from oddzeta.errors import CutoffTooLarge, IndexOutOfRange, NonConvergent
-from oddzeta.moebius import MoebiusMap, geodesic_invariants
-from oddzeta.sample_groups import sample_group
+from oddzeta.moebius import MoebiusMap, geodesic_invariants, hyperbolic_distance
+from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
+    BASE_POINT,
+    _renormalize,
     canonical_rotation,
     cyclic_reduce,
     enumerate_classes,
@@ -15,8 +20,36 @@ from oddzeta.words import (
     shell_sum,
     word_to_str,
 )
+from oddzeta.zograf import schottky_from_params
 
 CYCLIC_GEN = [MoebiusMap(2.0, 0.0, 0.0, 0.5)]
+
+#: The thick chart point of the benchmark (shifted exponent about -0.476).
+THICK_POINT = (0.06 + 0.05j, 0.07 - 0.03j, -0.9 + 0.6j)
+
+
+def scalar_shell_displacements(generators, L, base=BASE_POINT):
+    """Reference for shell_displacements: a recursive walk over reduced
+    words, one MoebiusMap product and one scalar distance per word."""
+    g = len(generators)
+    mats = {}
+    for i, gen in enumerate(generators, start=1):
+        mats[i] = gen
+        mats[-i] = gen.inverse()
+    letters = [s for s in range(-g, g + 1) if s != 0]
+    shells = [[] for _ in range(L)]
+
+    def walk(depth, last, mat):
+        for s in letters:
+            if last != 0 and s == -last:
+                continue
+            m = mat @ mats[s]
+            shells[depth].append(hyperbolic_distance(base, m.apply_h3(base)))
+            if depth + 1 < L:
+                walk(depth + 1, s, m)
+
+    walk(0, 0, MoebiusMap.identity())
+    return shells
 
 
 def brute_force_classes(g, L):
@@ -180,3 +213,64 @@ class TestPoincareEstimate:
         with pytest.raises(CutoffTooLarge):
             shell_displacements(sample_group("g2_complex_a").generators, 16,
                                 budget=1000)
+
+
+class TestArrayShells:
+    @pytest.mark.parametrize("name, L", [
+        ("g2_complex_a", 7), ("thick", 7), ("ring5", 4),
+    ])
+    def test_matches_scalar_walk(self, name, L):
+        if name == "thick":
+            gens = schottky_from_params(*THICK_POINT).generators
+        elif name == "ring5":
+            gens = ring_group()
+        else:
+            gens = sample_group(name).generators
+        shells = shell_displacements(gens, L)
+        oracle = scalar_shell_displacements(gens, L)
+        assert [len(s) for s in shells] == [len(s) for s in oracle]
+        for got, want in zip(shells, oracle):
+            assert got.dtype == np.float64 and got.ndim == 1
+            want = np.array(want)
+            # element by element, so the depth-first order is checked too
+            ulps = np.spacing(np.maximum(np.abs(want), 1.0))
+            assert np.all(np.abs(got - want) <= 4 * ulps)
+
+    def test_estimate_pinned_to_scalar_walk_values(self):
+        gens = sample_group("g2_complex_a").generators
+        est = estimate_delta(gens, 8)
+        assert abs(est.delta_hat - -0.8257790299954877) < 1e-12
+        assert abs(est.bracket[0] - -0.8257790299954877) < 1e-12
+        assert abs(est.bracket[1] - -0.825779009898838) < 1e-12
+        assert abs(estimate_delta(gens, 10).delta_hat
+                   - -0.8257790283597615) < 1e-12
+
+    def test_memory_ceiling(self):
+        # the recursive scalar walk peaked at 11.0 MiB on this input; an
+        # expansion that is not blocked needs well over 12 MiB
+        gens = sample_group("g2_complex_a").generators
+        tracemalloc.start()
+        try:
+            shell_displacements(gens, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
+
+    def test_renormalize_matches_moebius_normalized(self):
+        raw = [(2.0, 1.0j, 0.5, 3.0), (1.0 + 1e-9, 0.0, 0.0, 1.0),
+               (1.0, 0.0, 0.0, 1.0)]
+        entries = np.array(raw, dtype=complex).T.copy()
+        _renormalize(entries)
+        for got, row in zip(entries.T, raw):
+            m = MoebiusMap.normalized(*row)
+            want = np.array([m.a, m.b, m.c, m.d])
+            # numpy divides through a reciprocal, so allow a few ulps
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(1.0))
+        assert list(entries[:, 2]) == [1.0, 0.0, 0.0, 1.0]
+
+    def test_renormalize_refuses_singular(self):
+        with pytest.raises(ValueError, match="singular"):
+            MoebiusMap.normalized(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="singular"):
+            _renormalize(np.zeros((4, 1), dtype=complex))

@@ -112,6 +112,21 @@ class TestZetaOdd:
         value = zeta_odd(terms, 0.0).value
         assert abs(abs(value) - 1.0) < 1e-14
 
+    def test_tail_above_expm1_range_is_infinite(self, monkeypatch):
+        # a finite log tail past ~709.78 overflows expm1; both zeta routes
+        # must then report no bound, as shell_tail_bound does
+        monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
+                            lambda terms, rank, re_lam: 750.0)
+        base = primitive_term(0.2 * cmath.exp(0.8j))
+        for z in (zeta_odd(power_class_terms(base, 20), 0.3, rank=2),
+                  zeta_odd_signature_product([base], 0.3, 20, rank=2)):
+            assert z.tail_bound == math.inf
+            assert cmath.isfinite(z.value)
+        monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
+                            lambda terms, rank, re_lam: 300.0)
+        z = zeta_odd(power_class_terms(base, 20), 0.3, rank=2)
+        assert math.isfinite(z.tail_bound)
+
     def test_half_zeta_matches_symmetric_power_product(self):
         # Z(sigma_+, lambda) against the independent double product
         # prod_{a,b >= 0} (1 - e^(i theta) q^a conj(q)^b |q|^(lambda+1))
