@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -100,7 +99,6 @@ def _scan_point(config: RunConfig) -> SchottkyPoint:
 def _metadata_lines(config: RunConfig, **extra) -> List[str]:
     items = {
         "config_sha256": config.sha256,
-        "threads": config.threads,
         **extra,
     }
     return [f"# {key}={items[key]}" for key in sorted(items)]
@@ -139,8 +137,7 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
     gens = _group_generators(config)
     est = estimate_delta(gens, config.delta_cutoff)
     terms = terms_from_group(gens, config.word_cutoff, config.variant,
-                             config.spin_sign, eps_class=config.eps_class,
-                             threads=config.threads)
+                             config.spin_sign, eps_class=config.eps_class)
     evaluations = []
     for lam in config.lambda_grid:
         if lam.real <= est.delta_hat:
@@ -148,12 +145,10 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
                 {"lambda": [lam.real, lam.imag], "nonconvergent": True}
             )
         else:
-            ev = zeta_odd(terms, lam, rank=len(gens), delta_hat=est.delta_hat,
-                          threads=config.threads)
+            ev = zeta_odd(terms, lam, rank=len(gens), delta_hat=est.delta_hat)
             evaluations.append(ev.to_json_dict())
     doc = {
         "config_sha256": config.sha256,
-        "threads": config.threads,
         "variant": config.variant,
         "cutoff_L": config.word_cutoff,
         "delta_hat": est.delta_hat,
@@ -171,20 +166,22 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     if est.delta_hat >= 0:
         raise DeltaNotNegative(f"delta_hat = {est.delta_hat:.6g} >= 0")
     terms = terms_from_group(gens, config.word_cutoff, config.variant,
-                             config.spin_sign, eps_class=config.eps_class,
-                             threads=config.threads)
+                             config.spin_sign, eps_class=config.eps_class)
     routes = {
         route: eta(terms, route, delta_hat=est.delta_hat, rank=len(gens),
-                   quad_tol=config.quad_tol, threads=config.threads)
+                   quad_tol=config.quad_tol)
         for route in ("central_value", "lambda_integral", "heat_quadrature")
     }
-    report = check_eta_F_identity(gens, config.word_cutoff,
-                                  config.inner_cutoff,
-                                  delta_cutoff=config.delta_cutoff,
-                                  threads=config.threads)
+    # the identity is stated for the signature variant under "plus"
+    if (config.variant, config.spin_sign) == ("signature", "plus"):
+        identity_terms = terms
+    else:
+        identity_terms = terms_from_group(gens, config.word_cutoff,
+                                          eps_class=config.eps_class)
+    report = check_eta_F_identity(identity_terms, config.inner_cutoff,
+                                  est.delta_hat, len(gens))
     doc = {
         "config_sha256": config.sha256,
-        "threads": config.threads,
         "variant": config.variant,
         "cutoff_L": config.word_cutoff,
         "inner_cutoff": config.inner_cutoff,
@@ -274,12 +271,6 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     return _write_text(out_dir / "kernels.csv", "\n".join(lines) + "\n")
 
 
-def _oracle_fn(name: str):
-    if name == "harmonic":
-        return lambda params, idx: (params[idx] ** 3).real
-    return lambda params, idx: abs(params[idx]) ** 2
-
-
 def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     """Pluriharmonicity scan over the three chart parameters.
 
@@ -289,32 +280,29 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     base = _scan_point(config)
     rows = []
     for idx in range(3):
+        oracles = {
+            "harmonic": pluriharmonicity_scan(
+                base, idx, config.scan_h, config.scan_cutoff,
+                value_fn=lambda params, i=idx: (params[i] ** 3).real,
+            ),
+            "nonharmonic": pluriharmonicity_scan(
+                base, idx, config.scan_h, config.scan_cutoff,
+                value_fn=lambda params, i=idx: abs(params[i]) ** 2,
+            ),
+        }
         if config.scan_oracle == "none":
             rep = pluriharmonicity_scan(base, idx, config.scan_h,
                                         config.scan_cutoff,
-                                        delta_cutoff=config.delta_cutoff,
-                                        threads=config.threads)
+                                        delta_cutoff=config.delta_cutoff)
         else:
-            oracle = _oracle_fn(config.scan_oracle)
-            rep = pluriharmonicity_scan(
-                base, idx, config.scan_h, config.scan_cutoff,
-                value_fn=lambda params, i=idx: oracle(params, i),
-            )
-        harmonic = pluriharmonicity_scan(
-            base, idx, config.scan_h, config.scan_cutoff,
-            value_fn=lambda params, i=idx: (params[i] ** 3).real,
-        ).fd_laplacian
-        nonharmonic = pluriharmonicity_scan(
-            base, idx, config.scan_h, config.scan_cutoff,
-            value_fn=lambda params, i=idx: abs(params[i]) ** 2,
-        ).fd_laplacian
+            rep = oracles[config.scan_oracle]
         rows.append({
             "param_index": idx,
             "h": rep.h,
             "fd_laplacian": rep.fd_laplacian,
             "error_budget": rep.error_budget,
-            "oracle_harmonic": harmonic,
-            "oracle_nonharmonic": nonharmonic,
+            "oracle_harmonic": oracles["harmonic"].fd_laplacian,
+            "oracle_nonharmonic": oracles["nonharmonic"].fd_laplacian,
         })
     lines = _metadata_lines(config, scan_cutoff=config.scan_cutoff,
                             oracle=config.scan_oracle)
@@ -329,7 +317,6 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     _write_text(out_dir / "scan.csv", "\n".join(lines) + "\n")
     doc = {
         "config_sha256": config.sha256,
-        "threads": config.threads,
         "scan_cutoff": config.scan_cutoff,
         "oracle": config.scan_oracle,
         "base_params": [[p.real, p.imag] for p in base.params],
@@ -359,15 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="override [run] threads")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be >= 1")
-            config = replace(config, threads=args.threads)
         out_path = _COMMANDS[args.command](config, Path(args.out))
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

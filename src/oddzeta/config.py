@@ -25,7 +25,7 @@ _COMPLEX_RE = re.compile(
 _KNOWN_KEYS = {
     "group": {"preset"} | {f"generator{i}" for i in range(1, 27)},
     "run": {"word_cutoff", "inner_cutoff", "delta_cutoff", "variant",
-            "spin_sign", "threads"},
+            "spin_sign"},
     "grids": {"lambda", "t", "r"},
     "kernels": {"n", "m", "d"},
     "scan": {"h", "scan_cutoff", "oracle"},
@@ -57,7 +57,6 @@ class RunConfig:
     delta_cutoff: int = 8
     variant: str = "signature"
     spin_sign: str = "plus"
-    threads: int = 1
     lambda_grid: Tuple[complex, ...] = (0.0 + 0.0j,)
     t_grid: Tuple[float, ...] = (0.1, 1.0, 10.0)
     r_grid: Tuple[float, ...] = (0.5, 1.0, 2.0)
@@ -164,7 +163,6 @@ def parse_config(text: str) -> RunConfig:
         ("word_cutoff", int, "word_cutoff"),
         ("inner_cutoff", int, "inner_cutoff"),
         ("delta_cutoff", int, "delta_cutoff"),
-        ("threads", int, "threads"),
     ):
         if key in run:
             values[target] = _typed(run, key, kind, "run")
@@ -231,8 +229,6 @@ def parse_config(text: str) -> RunConfig:
     )
     if config.word_cutoff < 1:
         raise ConfigError("[run] word_cutoff must be >= 1")
-    if config.threads < 1:
-        raise ConfigError("[run] threads must be >= 1")
     if config.inner_cutoff < 1:
         raise ConfigError("[run] inner_cutoff must be >= 1")
     return config

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import BoundaryPoint, CutoffTooLarge, IndexOutOfRange, NonConvergent
 from .moebius import HalfSpacePoint, MoebiusMap
-from .summation import chunked_sum_complex
 
 GroupWord = Tuple[int, ...]
 
@@ -296,12 +295,10 @@ def shell_displacements(generators: Sequence[MoebiusMap], L: int,
     return shells
 
 
-def shell_sum(displacements: Sequence[float], s: float, n: float = 1.0,
-              threads: int = 1) -> float:
-    """S_s(k) = sum over the shell of exp(-(s + n) r), compensated."""
-    return chunked_sum_complex(
-        list(displacements), lambda r: complex(math.exp(-(s + n) * r)), threads
-    ).real
+def shell_sum(displacements: Sequence[float], s: float,
+              n: float = 1.0) -> float:
+    """S_s(k) = sum over the shell of exp(-(s + n) r), correctly rounded."""
+    return math.fsum(math.exp(-(s + n) * r) for r in displacements)
 
 
 def _log_shell_sum(displacements: np.ndarray, s: float, n: float) -> float:

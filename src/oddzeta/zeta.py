@@ -15,8 +15,8 @@ The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
 the continuously tracked argument.
 
-All reductions are compensated and chunked in class order, so values are
-reproducible for every thread count.
+Every sum is correctly rounded (math.fsum, separately on real and
+imaginary parts), so its value does not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput, NotLoxodromic
 from .moebius import GeodesicInvariants, MoebiusMap, classify, geodesic_invariants
 from .quadrature import integrate
-from .summation import chunked_sum_complex, kahan_sum
 from .words import ConjugacyClass, enumerate_classes, evaluate_word, word_to_str
 
 VARIANTS = ("signature", "spinor")
@@ -109,8 +108,8 @@ def class_term(inv: GeodesicInvariants, j: int, variant: str,
 
 def terms_from_group(generators: Sequence[MoebiusMap], L: int,
                      variant: str = "signature", spin_sign: str = "plus",
-                     budget: int = 10_000_000, eps_class: float = 1e-9,
-                     threads: int = 1) -> List[ClassTerm]:
+                     budget: int = 10_000_000,
+                     eps_class: float = 1e-9) -> List[ClassTerm]:
     """Class terms for every conjugacy class of word length <= L.
 
     Deterministic order (length, then lexicographic representative).
@@ -118,15 +117,6 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
     purely loxodromic at this cutoff.
     """
     classes = enumerate_classes(len(generators), L, budget)
-    if threads > 1 and len(classes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda c: _term_for_class(generators, c, variant, spin_sign,
-                                          eps_class),
-                classes,
-            ))
     return [_term_for_class(generators, c, variant, spin_sign, eps_class)
             for c in classes]
 
@@ -216,6 +206,13 @@ def _max_cutoff(terms: Sequence[ClassTerm]) -> int:
 # --- zeta sums ------------------------------------------------------------------
 
 
+def _fsum_complex(values: Iterable[complex]) -> complex:
+    """Correctly rounded sum of complex values, part by part."""
+    values = list(values)
+    return complex(math.fsum(v.real for v in values),
+                   math.fsum(v.imag for v in values))
+
+
 def _check_convergence(lam: complex, delta_hat: Optional[float]):
     if delta_hat is not None and complex(lam).real <= delta_hat:
         raise ConvergenceViolation(
@@ -225,8 +222,7 @@ def _check_convergence(lam: complex, delta_hat: Optional[float]):
 
 def log_zeta_half(terms: Sequence[ClassTerm], sign: str, lam: complex,
                   rank: Optional[int] = None,
-                  delta_hat: Optional[float] = None,
-                  threads: int = 1) -> ZetaEvaluation:
+                  delta_hat: Optional[float] = None) -> ZetaEvaluation:
     """log Z(sigma_sign, lambda) = -sum chi_sign / (j D) e^(-lambda l)."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
@@ -237,7 +233,7 @@ def log_zeta_half(terms: Sequence[ClassTerm], sign: str, lam: complex,
         chi = t.chi_plus if sign == "+" else t.chi_minus
         return chi / (t.j * t.D) * cmath.exp(-lam * t.ell)
 
-    value = -chunked_sum_complex(list(terms), summand, threads)
+    value = -_fsum_complex(summand(t) for t in terms)
     tail = shell_tail_bound(terms, rank, lam.real)
     variant = terms[0].variant if terms else "signature"
     return ZetaEvaluation(value, tail, _max_cutoff(terms), variant, lam)
@@ -258,14 +254,14 @@ def _value_scale_tail(value: complex, log_tail: float) -> float:
 
 
 def zeta_odd(terms: Sequence[ClassTerm], lam: complex,
-             rank: Optional[int] = None, delta_hat: Optional[float] = None,
-             threads: int = 1) -> ZetaEvaluation:
+             rank: Optional[int] = None,
+             delta_hat: Optional[float] = None) -> ZetaEvaluation:
     """Z_odd(lambda) = exp(log Z(sigma_+) - log Z(sigma_-)), truncated.
 
     The tail bound is propagated to the value scale: |Z| expm1(log tail).
     """
-    zp = log_zeta_half(terms, "+", lam, rank, delta_hat, threads)
-    zm = log_zeta_half(terms, "-", lam, rank, delta_hat, threads)
+    zp = log_zeta_half(terms, "+", lam, rank, delta_hat)
+    zm = log_zeta_half(terms, "-", lam, rank, delta_hat)
     log_value = zp.value - zm.value
     value = cmath.exp(log_value)
     tail = _value_scale_tail(value, zp.tail_bound + zm.tail_bound)
@@ -305,8 +301,8 @@ def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
                 w = qk * t.q.conjugate() ** l * scale
                 parts.append(cmath.log(1.0 - phase * w)
                              - cmath.log(1.0 - w / phase))
-        log_total += kahan_sum([p.real for p in parts]) + 1j * kahan_sum(
-            [p.imag for p in parts]
+        log_total += math.fsum(p.real for p in parts) + 1j * math.fsum(
+            p.imag for p in parts
         )
         # (k, l) outside the box, both product factors
         box = 4.0 * aq ** (inner_cutoff + 2 + lam.real) / (1.0 - aq) ** 3
@@ -318,21 +314,18 @@ def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
 
 
 def dlog_zeta_odd(terms: Sequence[ClassTerm], lam: complex,
-                  delta_hat: Optional[float] = None,
-                  threads: int = 1) -> complex:
+                  delta_hat: Optional[float] = None) -> complex:
     """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
-    return chunked_sum_complex(
-        list(terms),
-        lambda t: t.ell * (t.chi_plus - t.chi_minus) / (t.j * t.D)
-        * cmath.exp(-lam * t.ell),
-        threads,
+    return _fsum_complex(
+        t.ell * (t.chi_plus - t.chi_minus) / (t.j * t.D)
+        * cmath.exp(-lam * t.ell)
+        for t in terms
     )
 
 
-def odd_heat_trace(terms: Sequence[ClassTerm], t: float,
-                   threads: int = 1) -> complex:
+def odd_heat_trace(terms: Sequence[ClassTerm], t: float) -> complex:
     """Geodesic heat trace
 
         (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t).
@@ -351,7 +344,7 @@ def odd_heat_trace(terms: Sequence[ClassTerm], t: float,
                 / (term.j * term.D) * math.exp(-arg))
 
     pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
-    return pref * chunked_sum_complex(list(terms), summand, threads)
+    return pref * _fsum_complex(summand(term) for term in terms)
 
 
 # --- eta invariant ---------------------------------------------------------------
@@ -369,8 +362,8 @@ def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
 
 def eta(terms: Sequence[ClassTerm], route: str = "central_value",
         delta_hat: Optional[float] = None, rank: Optional[int] = None,
-        lambda_max: Optional[float] = None, quad_tol: float = 1e-11,
-        threads: int = 1) -> float:
+        lambda_max: Optional[float] = None,
+        quad_tol: float = 1e-11) -> float:
     """Eta invariant from the class data, by one of three routes.
 
     central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch.
@@ -387,22 +380,20 @@ def eta(terms: Sequence[ClassTerm], route: str = "central_value",
     if not terms:
         return 0.0
     if route == "central_value":
-        zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat, threads)
-        zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat, threads)
+        zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat)
+        zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat)
         return (zp.value - zm.value).imag / math.pi
     if route == "lambda_integral":
         lmax = lambda_max if lambda_max is not None else 40.0 / _min_length(terms)
 
         def integrand(lam: float) -> complex:
-            return dlog_zeta_odd(terms, lam, threads=threads)
+            return dlog_zeta_odd(terms, lam)
 
         body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
                             tol_rel=quad_tol, max_panels=4096)
-        tail = chunked_sum_complex(
-            list(terms),
-            lambda t: (t.chi_plus - t.chi_minus) / (t.j * t.D)
-            * math.exp(-lmax * t.ell),
-            threads,
+        tail = _fsum_complex(
+            (t.chi_plus - t.chi_minus) / (t.j * t.D) * math.exp(-lmax * t.ell)
+            for t in terms
         )
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
     if route == "heat_quadrature":
@@ -410,7 +401,7 @@ def eta(terms: Sequence[ClassTerm], route: str = "central_value",
         u_max = max(2.0, 170.0 / ell_min ** 2)
 
         def integrand_u(u: float) -> complex:
-            return u ** -1.5 * odd_heat_trace(terms, 1.0 / u, threads)
+            return u ** -1.5 * odd_heat_trace(terms, 1.0 / u)
 
         # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
         large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,
@@ -424,11 +415,10 @@ def eta(terms: Sequence[ClassTerm], route: str = "central_value",
 
 def eta_central_with_budget(terms: Sequence[ClassTerm],
                             rank: Optional[int] = None,
-                            delta_hat: Optional[float] = None,
-                            threads: int = 1):
+                            delta_hat: Optional[float] = None):
     """(eta, error bound) via the central-value route."""
-    zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat, threads)
-    zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat, threads)
+    zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat)
+    zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat)
     value = (zp.value - zm.value).imag / math.pi
     return value, (zp.tail_bound + zm.tail_bound) / math.pi
 

@@ -23,7 +23,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput, NotLoxodromic
 from .moebius import MoebiusMap, geodesic_invariants
-from .summation import kahan_sum
 from .words import estimate_delta
 from .zeta import (
     ClassTerm,
@@ -110,7 +109,7 @@ def zograf_F(primitive_terms: Sequence[ClassTerm], inner_cutoff: int,
             logs_im.append(val.imag)
             power *= t.q
         inner_tail += aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2
-    log_value = complex(kahan_sum(logs_re), kahan_sum(logs_im))
+    log_value = complex(math.fsum(logs_re), math.fsum(logs_im))
     tail = inner_tail + shell_tail_bound(primitive_terms, rank, 0.0)
     return FEvaluation(cmath.exp(log_value), log_value, tail, inner_cutoff)
 
@@ -135,30 +134,30 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def check_eta_F_identity(generators: Sequence[MoebiusMap], L: int, M: int,
-                         delta_cutoff: Optional[int] = None,
-                         threads: int = 1) -> IdentityReport:
+def check_eta_F_identity(terms: Sequence[ClassTerm], M: int,
+                         delta_hat: float, rank: int) -> IdentityReport:
     """Residual |arg F + (pi/2) eta| mod 2 pi on a concrete group.
 
-    eta comes from the signature central-value route, F from the double
-    product over the same primitive classes; the report also carries the
-    direct comparison of Z_odd(0) with conj(F)/F, which exercises two
-    independent code paths end to end.
+    ``terms`` are the group's signature-variant class terms with the
+    default ("plus") character convention, ``delta_hat`` its exponent
+    estimate and ``rank`` its number of generators.  eta comes from the
+    central-value route, F from the double product over the same
+    primitive classes; the report also carries the direct comparison of
+    Z_odd(0) with conj(F)/F, which exercises two independent code paths
+    end to end.
     """
-    est = estimate_delta(generators, delta_cutoff or max(6, L))
-    if est.delta_hat >= 0:
-        raise DeltaNotNegative(f"delta_hat = {est.delta_hat:.6g} >= 0")
-    rank = len(generators)
-    terms = terms_from_group(generators, L, "signature", threads=threads)
+    if delta_hat >= 0:
+        raise DeltaNotNegative(f"delta_hat = {delta_hat:.6g} >= 0")
+    if any(t.variant != "signature" for t in terms):
+        raise ValueError("the eta-F identity needs signature-variant terms")
     eta_value, eta_budget = eta_central_with_budget(
-        terms, rank=rank, delta_hat=est.delta_hat, threads=threads
+        terms, rank=rank, delta_hat=delta_hat
     )
     primitives = [t for t in terms if t.j == 1]
     f_eval = zograf_F(primitives, M, rank=rank)
     arg_f = f_eval.log_value.imag
     residual = abs(_wrap_angle(arg_f + 0.5 * math.pi * eta_value))
-    z_central = zeta_odd(terms, 0.0, rank=rank, delta_hat=est.delta_hat,
-                         threads=threads)
+    z_central = zeta_odd(terms, 0.0, rank=rank, delta_hat=delta_hat)
     ratio = f_eval.value.conjugate() / f_eval.value
     cross = abs(z_central.value - ratio)
     budget = (0.5 * math.pi * eta_budget + 2.0 * f_eval.tail_bound
@@ -166,8 +165,8 @@ def check_eta_F_identity(generators: Sequence[MoebiusMap], L: int, M: int,
     return IdentityReport(
         residual=residual, eta=eta_value, arg_f=arg_f, f_value=f_eval.value,
         z_central=z_central.value, central_cross_check=cross,
-        delta_hat=est.delta_hat, error_budget=budget, cutoff_L=L,
-        inner_cutoff=M,
+        delta_hat=delta_hat, error_budget=budget,
+        cutoff_L=z_central.cutoff_L, inner_cutoff=M,
     )
 
 
@@ -182,12 +181,11 @@ class PluriharmonicityReport:
 ValueFn = Callable[[Tuple[complex, complex, complex]], float]
 
 
-def _eta_value_fn(L: int, delta_cutoff: int, threads: int):
+def _eta_value_fn(L: int, delta_cutoff: int):
     def value(params: Tuple[complex, complex, complex]):
         try:
             point = schottky_from_params(*params)
-            terms = terms_from_group(point.generators, L, "signature",
-                                     threads=threads)
+            terms = terms_from_group(point.generators, L, "signature")
         except (NotLoxodromic, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
         est = estimate_delta(point.generators, delta_cutoff)
@@ -196,15 +194,14 @@ def _eta_value_fn(L: int, delta_cutoff: int, threads: int):
                 f"delta_hat = {est.delta_hat:.6g} >= 0 at params {params}"
             )
         return eta_central_with_budget(terms, rank=2,
-                                       delta_hat=est.delta_hat,
-                                       threads=threads)
+                                       delta_hat=est.delta_hat)
     return value
 
 
 def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
                           L: int, delta_cutoff: Optional[int] = None,
-                          value_fn: Optional[ValueFn] = None,
-                          threads: int = 1) -> PluriharmonicityReport:
+                          value_fn: Optional[ValueFn] = None
+                          ) -> PluriharmonicityReport:
     """Five-point complex-direction Laplacian of eta in one chart parameter.
 
     fd_laplacian = (f(p+h) + f(p-h) + f(p+ih) + f(p-ih) - 4 f(p)) / h^2
@@ -218,7 +215,7 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
     if h <= 0:
         raise ValueError("h must be positive")
     if value_fn is None:
-        fn = _eta_value_fn(L, delta_cutoff or 6, threads)
+        fn = _eta_value_fn(L, delta_cutoff or 6)
     else:
         fn = lambda params: (value_fn(params), 0.0)
 

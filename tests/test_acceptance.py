@@ -28,7 +28,7 @@ from oddzeta.transport import (
     spinor_transport,
     tau_matrix,
 )
-from oddzeta.words import enumerate_classes
+from oddzeta.words import enumerate_classes, estimate_delta
 from oddzeta.zeta import (
     eta,
     odd_heat_trace,
@@ -74,7 +74,9 @@ def test_criterion_01_eta_factorization_identity(complex_groups):
         for gen in point.generators:
             assert geodesic_invariants(gen).length > 6.0
         t0 = time.perf_counter()
-        rep = check_eta_F_identity(point.generators, L=6, M=40)
+        identity_est = estimate_delta(point.generators, 6)
+        terms = terms_from_group(point.generators, 6, "signature")
+        rep = check_eta_F_identity(terms, 40, identity_est.delta_hat, 2)
         elapsed = time.perf_counter() - t0
         worst_resid = max(worst_resid, rep.residual)
         worst_budget = max(worst_budget, rep.error_budget)

@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+import oddzeta.cli as cli
+import oddzeta.zograf as zograf
 from oddzeta.cli import main
 from oddzeta.config import format_complex, parse_complex
 from oddzeta.sample_groups import ring_group
@@ -30,6 +32,19 @@ delta_cutoff = 6
 
 [grids]
 lambda = 0+0i 0.3+0i 1+0i
+"""
+
+
+COMPLEX_A = """\
+[group]
+preset = g2_complex_a
+
+[run]
+word_cutoff = 4
+delta_cutoff = 6
+
+[grids]
+lambda = 0+0i
 """
 
 
@@ -78,6 +93,20 @@ class TestSpectrum:
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "u.cfg", CYCLIC + "\n[run]\nwrd_cutoff = 3\n")
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_threads_key_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.cfg", CYCLIC.replace(
+            "word_cutoff = 3", "word_cutoff = 3\nthreads = 1"))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "'threads'" in capsys.readouterr().err
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CYCLIC)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", cfg, "--out", str(tmp_path),
+                  "--threads", "4"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 class TestZetaCommand:
@@ -144,6 +173,39 @@ class TestEtaCommand:
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "DeltaNotNegative" in capsys.readouterr().err
 
+    def test_group_data_built_once(self, tmp_path, monkeypatch):
+        calls = {"estimate_delta": 0, "terms_from_group": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, zograf):
+            for name in calls:
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
+        cfg = write(tmp_path, "a.cfg", COMPLEX_A)
+        assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls == {"estimate_delta": 1, "terms_from_group": 1}
+
+    @pytest.mark.parametrize("run_keys", ["variant = spinor",
+                                          "spin_sign = minus"])
+    def test_identity_uses_signature_plus_terms(self, tmp_path, run_keys):
+        docs = {}
+        for name, extra in (("default", ""), ("other", run_keys)):
+            cfg = write(tmp_path, f"{name}.cfg",
+                        COMPLEX_A.replace("[grids]", extra + "\n\n[grids]"))
+            out = tmp_path / name
+            assert main(["eta", "--config", cfg, "--out", str(out)]) == 0
+            docs[name] = json.loads((out / "eta.json").read_text())
+        assert docs["default"]["residual_F_identity"] > 0.0
+        for key in ("residual_F_identity", "identity_error_budget",
+                    "central_cross_check"):
+            assert docs["other"][key] == docs["default"][key]
+        assert docs["other"]["eta_by_route"] != docs["default"]["eta_by_route"]
+
 
 class TestKernelsCommand:
     def test_columns_and_identities(self, tmp_path):
@@ -169,15 +231,19 @@ class TestKernelsCommand:
 
 class TestScanCommand:
     def test_harmonic_oracle_flag(self, tmp_path):
-        cfg = write(tmp_path, "s.cfg", REAL_PAIR.replace(
-            "preset = real_pair", "preset = scan_base")
-            + "\n[scan]\nh = 1e-2\nscan_cutoff = 3\noracle = harmonic\n")
-        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "scan.json").read_text())
-        for row in doc["rows"]:
-            assert abs(row["fd_laplacian"]) < 1e-8
-            assert abs(row["oracle_harmonic"]) < 1e-8
-            assert abs(row["oracle_nonharmonic"] - 4.0) < 1e-6
+        for oracle, laplacian, tol in (("harmonic", 0.0, 1e-8),
+                                       ("nonharmonic", 4.0, 1e-6)):
+            cfg = write(tmp_path, f"{oracle}.cfg", REAL_PAIR.replace(
+                "preset = real_pair", "preset = scan_base")
+                + f"\n[scan]\nh = 1e-2\nscan_cutoff = 3\noracle = {oracle}\n")
+            out = tmp_path / oracle
+            assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+            doc = json.loads((out / "scan.json").read_text())
+            for row in doc["rows"]:
+                assert abs(row["fd_laplacian"] - laplacian) < tol
+                assert row["fd_laplacian"] == row[f"oracle_{oracle}"]
+                assert abs(row["oracle_harmonic"]) < 1e-8
+                assert abs(row["oracle_nonharmonic"] - 4.0) < 1e-6
 
 
 class TestDeterminism:
@@ -190,16 +256,3 @@ class TestDeterminism:
                 assert main([command, "--config", cfg, "--out", str(out)]) == 0
         for name in ("spectrum.csv", "zeta.json", "eta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_thread_count_does_not_change_numbers(self, tmp_path):
-        cfg = write(tmp_path, "t.cfg", REAL_PAIR)
-        out1 = tmp_path / "one"
-        out2 = tmp_path / "two"
-        assert main(["zeta", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["zeta", "--config", cfg, "--out", str(out2),
-                     "--threads", "4"]) == 0
-        doc1 = json.loads((out1 / "zeta.json").read_text())
-        doc2 = json.loads((out2 / "zeta.json").read_text())
-        doc1.pop("threads")
-        doc2.pop("threads")
-        assert doc1 == doc2

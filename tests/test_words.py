@@ -1,4 +1,7 @@
+import math
+import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,10 +207,19 @@ class TestPoincareEstimate:
             values = [shell_sum(shells[k], s) for s in (-0.5, 0.0, 0.7, 1.5)]
             assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_displacement_shells_deterministic_and_thread_safe_sum(self):
-        point = sample_group("g2_complex_c")
-        shells = shell_displacements(point.generators, 4)
-        assert shell_sum(shells[3], 0.3, threads=4) == shell_sum(shells[3], 0.3)
+    def test_shell_sum_correctly_rounded_over_wide_range(self):
+        # terms spread over 24 decades: the sum is the exact rational sum
+        # rounded once, whatever the order of the displacements
+        rng = random.Random(11)
+        displacements = [math.log(rng.uniform(0.01, 1.0))
+                         + rng.randint(-8, 16) * math.log(10.0)
+                         for _ in range(5000)]
+        terms = [math.exp(r) for r in displacements]
+        exact = float(sum(Fraction(x) for x in terms))
+        assert sum(terms) != exact  # plain left-to-right summation misses
+        total = shell_sum(displacements, 0.0, n=-1.0)
+        assert total == math.fsum(terms) == exact
+        assert shell_sum(displacements[::-1], 0.0, n=-1.0) == total
 
     def test_budget_guard(self):
         with pytest.raises(CutoffTooLarge):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from toyterms import invariants_from_q, primitive_term, toy_list
@@ -266,10 +267,20 @@ class TestGroupTerms:
             assert abs(abs(t.chi_plus) - 1.0) < 1e-12
             assert abs(t.chi_plus - t.spin_phase / abs(t.spin_phase)) < 1e-12
 
-    def test_threaded_build_matches(self, complex_groups):
-        point, _, _ = complex_groups["g2_complex_c"]
-        assert (terms_from_group(point.generators, 4)
-                == terms_from_group(point.generators, 4, threads=4))
+    def test_sums_do_not_depend_on_term_order(self, complex_groups):
+        # correctly rounded sums: any permutation gives the same bits
+        _, est, terms = complex_groups["g2_complex_a"]
+        shuffled = list(terms)
+        random.Random(6).shuffle(shuffled)
+        assert shuffled != terms
+        for sign in ("+", "-"):
+            for lam in (0.0, 0.4 - 0.3j):
+                assert (log_zeta_half(shuffled, sign, lam, 2, est.delta_hat)
+                        == log_zeta_half(terms, sign, lam, 2, est.delta_hat))
+        for lam in (0.0, 1.5 + 2.0j):
+            assert dlog_zeta_odd(shuffled, lam) == dlog_zeta_odd(terms, lam)
+        for t in (0.05, 1.0, 30.0):
+            assert odd_heat_trace(shuffled, t) == odd_heat_trace(terms, t)
 
     def test_generator_lift_sign_moves_spinor_characters_only(self, complex_groups):
         # negating one generator changes the spin structure: spinor

@@ -7,7 +7,8 @@ from toyterms import primitive_term, toy_list
 from oddzeta.errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput
 from oddzeta.moebius import geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.zeta import eta, zeta_odd
+from oddzeta.words import estimate_delta
+from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
     check_eta_F_identity,
     pluriharmonicity_scan,
@@ -87,29 +88,41 @@ class TestZografF:
         assert abs(z0 - f.value.conjugate() / f.value) < 1e-10
 
 
+def identity_report(generators, L, M, delta_cutoff=None):
+    """check_eta_F_identity on the group's signature terms at cutoff L."""
+    est = estimate_delta(generators, delta_cutoff or max(6, L))
+    terms = terms_from_group(generators, L, "signature")
+    return check_eta_F_identity(terms, M, est.delta_hat, len(generators))
+
+
 class TestEtaFIdentity:
     def test_real_group_residual_zero(self):
         point = sample_group("real_pair")
-        report = check_eta_F_identity(point.generators, L=5, M=30)
+        report = identity_report(point.generators, L=5, M=30)
         assert report.residual < 1e-14
         assert abs(report.eta) < 1e-14
         assert report.f_value.imag == 0.0
 
     def test_complex_group_identity(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]
-        report = check_eta_F_identity(point.generators, L=6, M=40)
+        report = identity_report(point.generators, L=6, M=40)
         assert report.residual < 1e-9
         assert report.central_cross_check < 1e-12
         assert report.error_budget < 1e-9
 
     def test_delta_guard(self):
         with pytest.raises(DeltaNotNegative):
-            check_eta_F_identity(ring_group(), L=3, M=10, delta_cutoff=5)
+            identity_report(ring_group(), L=3, M=10, delta_cutoff=5)
+
+    def test_refuses_spinor_terms(self, complex_groups):
+        point, est, _ = complex_groups["g2_complex_b"]
+        spinor = terms_from_group(point.generators, 4, "spinor")
+        with pytest.raises(ValueError):
+            check_eta_F_identity(spinor, 20, est.delta_hat, 2)
 
     def test_identity_selects_character_convention(self, complex_groups):
         # with the swapped sigma assignment eta flips sign and the
         # factorization identity misses by pi * |eta|
-        from oddzeta.zeta import terms_from_group
         from oddzeta.zograf import zograf_F as f_eval
         point, est, terms = complex_groups["g2_complex_b"]
         flipped = terms_from_group(point.generators, 6, "signature",
