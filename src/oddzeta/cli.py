@@ -48,12 +48,13 @@ from .kernels import (
     heat_scalar_spinor,
     resolvent_scalar,
 )
-from .moebius import MoebiusMap, classify, geodesic_invariants, normalize_schottky
-from .words import enumerate_classes, estimate_delta, evaluate_word, word_to_str
+from .moebius import MoebiusMap, normalize_schottky
+from .words import class_spectrum, estimate_delta, word_to_str
 from .zeta import eta, terms_from_group, zeta_odd
 from .zograf import (
     SchottkyPoint,
     check_eta_F_identity,
+    eta_on_chart,
     pluriharmonicity_scan,
     point_params,
 )
@@ -111,23 +112,21 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
-    """CSV table of conjugacy classes with their geodesic invariants."""
+    """CSV table of conjugacy classes with their geodesic invariants.
+
+    One row per class in (length, representative) order, from
+    ``words.class_spectrum``: canonical words as integer codes, exact
+    batched word products, and per-class invariants equal to those of
+    ``evaluate_word`` plus ``geodesic_invariants``.
+    """
     gens = _group_generators(config)
-    classes = enumerate_classes(len(gens), config.word_cutoff)
     lines = _metadata_lines(config, cutoff_L=config.word_cutoff)
     lines.append("word,length,j,primitive,ell,theta,q_re,q_im")
-    for cls in classes:
-        m = evaluate_word(gens, cls.representative)
-        kind = classify(m, config.eps_class)
-        if kind != "loxodromic":
-            raise NotLoxodromic(
-                f"word {word_to_str(cls.representative)} is {kind}"
-            )
-        inv = geodesic_invariants(m, config.eps_class)
+    for word, j, inv in class_spectrum(gens, config.word_cutoff,
+                                       config.eps_class):
         lines.append(
-            f"{word_to_str(cls.representative)},{cls.word_length},{cls.j},"
-            f"{int(cls.primitive)},{inv.length!r},{inv.theta!r},"
-            f"{inv.q.real!r},{inv.q.imag!r}"
+            f"{word_to_str(word)},{len(word)},{j},{int(j == 1)},"
+            f"{inv.length!r},{inv.theta!r},{inv.q.real!r},{inv.q.imag!r}"
         )
     return _write_text(out_dir / "spectrum.csv", "\n".join(lines) + "\n")
 
@@ -278,6 +277,8 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     oracle columns) and scan.json with the same content.
     """
     base = _scan_point(config)
+    # one memoized eta for the three parameters: they share the base point
+    eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff or 6)
     rows = []
     for idx in range(3):
         oracles = {
@@ -292,8 +293,7 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
         }
         if config.scan_oracle == "none":
             rep = pluriharmonicity_scan(base, idx, config.scan_h,
-                                        config.scan_cutoff,
-                                        delta_cutoff=config.delta_cutoff)
+                                        config.scan_cutoff, eta_fn=eta_fn)
         else:
             rep = oracles[config.scan_oracle]
         rows.append({

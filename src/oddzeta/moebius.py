@@ -166,10 +166,16 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     documented limitation: there is no exact classification threshold
     in floating point.
     """
-    ident = MoebiusMap.identity()
-    if min(m.max_abs_diff(ident), (-m).max_abs_diff(ident)) < eps_class:
+    return _classify(m.a, m.b, m.c, m.d, eps_class)
+
+
+def _classify(a, b, c, d, eps_class: float) -> str:
+    """classify on the entries of a matrix, with MoebiusMap's arithmetic."""
+    if min(max(abs(a - 1.0), abs(b - 0.0), abs(c - 0.0), abs(d - 1.0)),
+           max(abs(-a - 1.0), abs(-b - 0.0), abs(-c - 0.0),
+               abs(-d - 1.0))) < eps_class:
         return "identity"
-    tr2 = m.trace() ** 2
+    tr2 = (a + d) ** 2
     if abs(tr2 - 4.0) < eps_class:
         return "parabolic"
     if abs(tr2.imag) < eps_class and -eps_class < tr2.real < 4.0:
@@ -177,9 +183,9 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     return "loxodromic"
 
 
-def _expanding_eigenvalue(m: MoebiusMap) -> complex:
-    """Eigenvalue mu with |mu| > 1 of a loxodromic matrix, sign included."""
-    t = m.trace()
+def _expanding_eigenvalue(t: complex) -> complex:
+    """Eigenvalue mu with |mu| > 1 of a loxodromic matrix of trace t, sign
+    included."""
     s = cmath.sqrt(t * t - 4.0)
     # align the root with t to avoid cancellation in t + s
     if (t.conjugate() * s).real < 0:
@@ -194,36 +200,43 @@ def spin_phase(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
     """mu/|mu| of the expanding eigenvalue; negates when m does."""
     if classify(m, eps_class) != "loxodromic":
         raise NotLoxodromic("spin phase defined for loxodromic maps only")
-    mu = _expanding_eigenvalue(m)
+    mu = _expanding_eigenvalue(m.trace())
     return mu / abs(mu)
 
 
 def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> GeodesicInvariants:
     """Multiplier, length, holonomy and fixed points of a loxodromic map."""
-    if classify(m, eps_class) != "loxodromic":
-        raise NotLoxodromic(f"classify() = {classify(m, eps_class)}")
-    mu = _expanding_eigenvalue(m)
+    kind = classify(m, eps_class)
+    if kind != "loxodromic":
+        raise NotLoxodromic(f"classify() = {kind}")
+    return _loxodromic_invariants(m.a, m.b, m.c, m.d)
+
+
+def _loxodromic_invariants(a, b, c, d) -> GeodesicInvariants:
+    """geodesic_invariants on the entries of a matrix already classified
+    loxodromic, with MoebiusMap's arithmetic."""
+    t = a + d
+    mu = _expanding_eigenvalue(t)
     mu_small = 1.0 / mu
-    if m.c == 0:
-        finite = m.b / (m.d - m.a)
-        if abs(m.a) > 1.0:
+    if c == 0:
+        finite = b / (d - a)
+        if abs(a) > 1.0:
             att, rep = INFINITY, finite
         else:
             att, rep = finite, INFINITY
     else:
         # roots of c z^2 + (d - a) z - b: take the large-numerator root
         # directly and recover the other from the product -b/c
-        t = m.trace()
         s = cmath.sqrt(t * t - 4.0)
-        if ((m.a - m.d).conjugate() * s).real < 0:
+        if ((a - d).conjugate() * s).real < 0:
             s = -s
-        root1 = (m.a - m.d + s) / (2.0 * m.c)
+        root1 = (a - d + s) / (2.0 * c)
         if root1 != 0:
-            root2 = (-m.b / m.c) / root1
+            root2 = (-b / c) / root1
         else:
-            root2 = (m.a - m.d - s) / (2.0 * m.c)
+            root2 = (a - d - s) / (2.0 * c)
         # attracting root satisfies c z + d = mu (expanding eigenvector)
-        if abs(m.c * root1 + m.d - mu) <= abs(m.c * root1 + m.d - mu_small):
+        if abs(c * root1 + d - mu) <= abs(c * root1 + d - mu_small):
             att, rep = root1, root2
         else:
             att, rep = root2, root1

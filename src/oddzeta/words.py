@@ -4,7 +4,10 @@ Words are tuples of signed generator indices (+k for the k-th generator,
 -k for its inverse).  Conjugacy classes of nontrivial elements correspond
 to cyclically reduced words up to rotation; the canonical representative
 is the lexicographically minimal rotation under the integer order on
-letters, which makes every enumeration deterministic.
+letters, which makes every enumeration deterministic.  The class spectrum
+is computed on arrays: representatives as integer codes
+(``canonical_words``), their matrices in exact batched products
+(``word_products``), and the two combined in ``class_spectrum``.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -15,12 +18,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundaryPoint, CutoffTooLarge, IndexOutOfRange, NonConvergent
-from .moebius import HalfSpacePoint, MoebiusMap
+from .errors import (
+    BoundaryPoint,
+    CutoffTooLarge,
+    IndexOutOfRange,
+    NonConvergent,
+    NotLoxodromic,
+)
+from .moebius import (
+    EPS_CLASS,
+    GeodesicInvariants,
+    HalfSpacePoint,
+    MoebiusMap,
+    _classify,
+    _loxodromic_invariants,
+)
 
 GroupWord = Tuple[int, ...]
 
@@ -55,24 +71,6 @@ def cyclic_reduce(w: Sequence[int]) -> GroupWord:
     return tuple(w)
 
 
-def canonical_rotation(w: Sequence[int]) -> GroupWord:
-    """Lexicographically minimal rotation; identity on the empty word."""
-    w = tuple(w)
-    if not w:
-        return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
-
-
-def power_index(w: Sequence[int]) -> int:
-    """j such that w is a j-th power of a primitive cyclic word."""
-    w = tuple(w)
-    k = len(w)
-    for p in range(1, k + 1):
-        if k % p == 0 and w == w[p:] + w[:p]:
-            return k // p
-    return 1
-
-
 @dataclass(frozen=True)
 class ConjugacyClass:
     representative: GroupWord
@@ -87,14 +85,35 @@ def _reduced_word_count(g: int, length: int) -> int:
     return 2 * g * (2 * g - 1) ** (length - 1)
 
 
-def enumerate_classes(g: int, L: int,
-                      budget: int = DEFAULT_WORD_BUDGET) -> List[ConjugacyClass]:
-    """All conjugacy classes with cyclically reduced length <= L.
+#: Parents expanded per block in canonical_words, and words multiplied
+#: per block in class_spectrum.  At rank 2 a block's temporaries stay
+#: within a few megabytes.
+_CLASS_BLOCK = 8192
 
-    Output is sorted by (length, representative) and contains exactly one
-    entry per class; gamma and gamma^(-1) appear separately.  The budget
-    caps the retained class count (roughly words-of-length-k / k per
-    shell); rank 2 at L = 16 fits the default.
+
+def canonical_words(g: int, L: int, budget: int = DEFAULT_WORD_BUDGET
+                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Canonical representatives of all classes of length <= L, as codes.
+
+    Returns shells[k-1] = (codes, j) for k = 1..L: int64 arrays with one
+    entry per class of cyclically reduced length k, ascending.  A word's
+    code is its letter indices (0..2g-1 for the letters -g..-1, 1..g, so
+    index 2g-1-i is the inverse of index i) read as base-2g digits, so
+    numeric order is lexicographic order under the integer order on
+    letters, and ``_letter_indices`` recovers the letters.  j is the
+    power index.
+
+    A representative is the minimal rotation of a cyclically reduced
+    word, so it and each of its prefixes are prenecklaces.  The shells
+    grow as the reduced prenecklaces, each extended by every letter that
+    keeps it reduced and a prenecklace (Fredricksen-Kessler-Maiorana:
+    with p the period of the longest Lyndon prefix, the next letter must
+    be >= the letter p places back, and p stays when it is equal, else
+    becomes the new length).  A prenecklace of length k is a necklace
+    when p divides k, and then j = k/p; it is a class when its first and
+    last letters are not inverse.  Parents go through in blocks of
+    ``_CLASS_BLOCK``, and only prenecklaces are kept (at rank 2 about
+    twice as many as classes), never all reduced words of a shell.
     """
     if g < 1 or L < 1:
         raise ValueError("need g >= 1 and L >= 1")
@@ -103,30 +122,65 @@ def enumerate_classes(g: int, L: int,
         raise CutoffTooLarge(
             f"about {predicted} classes at L = {L} exceeds the budget {budget}"
         )
-    letters = [s for s in range(-g, g + 1) if s != 0]
+    base = 2 * g
+    if base ** L > np.iinfo(np.int64).max:
+        raise CutoffTooLarge(
+            f"words of length {L} in {base} letters do not fit int64 codes"
+        )
+    letters = np.arange(base)
+    powers = base ** np.arange(L, dtype=np.int64)
+    codes = letters.astype(np.int64)
+    period = np.ones(base, dtype=np.int64)
+    shells = [(codes, period)]
+    for n in range(2, L + 1):
+        kept_codes, kept_j, grown_codes, grown_period = [], [], [], []
+        for start in range(0, len(codes), _CLASS_BLOCK):
+            parent = codes[start:start + _CLASS_BLOCK, None]
+            p = period[start:start + _CLASS_BLOCK, None]
+            back = parent // powers[p - 1] % base
+            allowed = (letters >= back) & (letters != base - 1 - parent % base)
+            child = (parent * base + letters)[allowed]
+            child_p = np.where(letters == back, p, n)[allowed]
+            cls = ((n % child_p == 0)
+                   & (child // powers[n - 1] != base - 1 - child % base))
+            kept_codes.append(child[cls])
+            kept_j.append(n // child_p[cls])
+            if n < L:
+                grown_codes.append(child)
+                grown_period.append(child_p)
+        shells.append((np.concatenate(kept_codes), np.concatenate(kept_j)))
+        if n < L:
+            codes = np.concatenate(grown_codes)
+            period = np.concatenate(grown_period)
+    return shells
+
+
+def _letter_indices(codes: np.ndarray, k: int, g: int) -> np.ndarray:
+    """(N, k) letter indices of length-k word codes."""
+    base = 2 * g
+    return codes[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64) % base
+
+
+def _signed_letters(indices: np.ndarray, g: int) -> np.ndarray:
+    return indices - g + (indices >= g)
+
+
+def enumerate_classes(g: int, L: int,
+                      budget: int = DEFAULT_WORD_BUDGET) -> List[ConjugacyClass]:
+    """All conjugacy classes with cyclically reduced length <= L.
+
+    Output is sorted by (length, representative) and contains exactly one
+    entry per class; gamma and gamma^(-1) appear separately.  The budget
+    caps the retained class count (roughly words-of-length-k / k per
+    shell); rank 2 at L = 16 fits the default.  The classes come from
+    ``canonical_words``; ``class_spectrum`` walks the same representatives
+    without building these objects.
+    """
     classes: List[ConjugacyClass] = []
-    for length in range(1, L + 1):
-        seen = set()
-        word = [0] * length
-
-        def fill(pos: int):
-            for s in letters:
-                if pos > 0 and s == -word[pos - 1]:
-                    continue
-                word[pos] = s
-                if pos + 1 == length:
-                    if length >= 2 and word[0] == -word[-1]:
-                        continue
-                    rep = canonical_rotation(word)
-                    if rep not in seen:
-                        seen.add(rep)
-                else:
-                    fill(pos + 1)
-
-        fill(0)
-        for rep in sorted(seen):
-            j = power_index(rep)
-            classes.append(ConjugacyClass(rep, j == 1, j, length))
+    for k, (codes, js) in enumerate(canonical_words(g, L, budget), start=1):
+        words = _signed_letters(_letter_indices(codes, k, g), g)
+        classes.extend(ConjugacyClass(tuple(w), j == 1, j, k)
+                       for w, j in zip(words.tolist(), js.tolist()))
     return classes
 
 
@@ -144,6 +198,197 @@ def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> Moebius
         gen = generators[abs(s) - 1]
         result = result @ (gen if s > 0 else gen.inverse())
     return result
+
+
+# --- exact batched word products ---------------------------------------------
+#
+# word_products repeats evaluate_word's arithmetic on whole blocks of
+# words, one letter position at a time, with real and imaginary parts in
+# separate float64 arrays: every complex product, sum, square root and
+# quotient is spelled out in the operations CPython uses, because numpy's
+# own complex loops round differently.  Entries that evaluate_word holds
+# as Python floats (real-typed generators stay real through their
+# products) are tracked, since float and complex arithmetic differ in the
+# sign of zero imaginary parts.
+
+
+def _mul(xr, xi, yr, yi):
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _split_det(re: np.ndarray, im: np.ndarray):
+    """a d - b c of (2, 2, N) matrices."""
+    ad = _mul(re[0, 0], im[0, 0], re[1, 1], im[1, 1])
+    bc = _mul(re[0, 1], im[0, 1], re[1, 0], im[1, 0])
+    return ad[0] - bc[0], ad[1] - bc[1]
+
+
+def _exact_scale_sq(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """max(1, max|entry| ** 2) per matrix, as MoebiusMap computes it."""
+    # float_power is the C pow that Python's ** calls; x * x rounds
+    # differently in about one case in a thousand
+    return np.maximum(
+        1.0, np.float_power(np.hypot(re, im).max(axis=(0, 1)), 2.0))
+
+
+def _above_noise_floor(re, im, det_re, det_im) -> np.ndarray:
+    """Where |det - 1| <= 1e-12 max(1, max|entry|^2) fails, as in
+    MoebiusMap.normalized.
+
+    Squared moduli settle every matrix whose |det - 1|^2 is not within a
+    relative 1e-6 of the squared floor; only those near it pay for hypot
+    and pow (about 20 ns an entry), which decide them exactly.
+    """
+    size = np.maximum(1.0, (re * re + im * im).max(axis=(0, 1)))
+    gap = (det_re - 1.0) ** 2 + det_im ** 2
+    floor = 1e-24 * size * size
+    above = gap > floor * (1.0 + 1e-6)
+    unsure = ~above & ~(gap < floor * (1.0 - 1e-6))
+    if unsure.any():
+        rows = np.flatnonzero(unsure)
+        above[rows] = ~(np.hypot(det_re[rows] - 1.0, det_im[rows])
+                        <= 1e-12 * _exact_scale_sq(re[:, :, rows],
+                                                   im[:, :, rows]))
+    return above
+
+
+def _sqrt(re: np.ndarray, im: np.ndarray):
+    """cmath.sqrt of nonzero finite values."""
+    ax, ay = np.abs(re), np.abs(im)
+    tiny = (ax < np.finfo(float).tiny) & (ay < np.finfo(float).tiny)
+    s = np.empty_like(ax)
+    # subnormal moduli: scale up by 2^53, back down by 2^-27
+    up = np.ldexp(ax[tiny], 53)
+    s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))),
+                       -27)
+    ax8 = ax[~tiny] / 8.0
+    s[~tiny] = 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay[~tiny] / 8.0))
+    d = ay / (2.0 * s)
+    pos = re >= 0.0
+    return np.where(pos, s, d), np.copysign(np.where(pos, d, s), im)
+
+
+def _divide(ar, ai, br, bi):
+    """Python's complex quotient (ar + i ai) / (br + i bi), br + i bi != 0:
+    both parts are divided by the larger part of the divisor."""
+    br, bi = np.broadcast_to(br, ar.shape), np.broadcast_to(bi, ar.shape)
+    qr, qi = np.empty_like(ar), np.empty_like(ar)
+    rows = np.abs(br) >= np.abs(bi)
+    xr, xi, yr, yi = ar[rows], ai[rows], br[rows], bi[rows]
+    ratio = yi / yr
+    denom = yr + yi * ratio
+    qr[rows] = (xr + xi * ratio) / denom
+    qi[rows] = (xi - xr * ratio) / denom
+    rows = ~rows
+    xr, xi, yr, yi = ar[rows], ai[rows], br[rows], bi[rows]
+    ratio = yr / yi
+    denom = yr * ratio + yi
+    qr[rows] = (xr * ratio + xi) / denom
+    qi[rows] = (xi * ratio - xr) / denom
+    return qr, qi
+
+
+def _letter_table(generators: Sequence[MoebiusMap]):
+    """Entries of the letter matrices by letter index, as MoebiusMap holds
+    them (inverses are the adjugates that ``inverse`` builds): real and
+    imaginary parts as (2, 2, 2g) arrays, and which entries are floats."""
+    rows = ([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
+            + [(m.a, m.b, m.c, m.d) for m in generators])
+    table = np.array(rows, dtype=complex).T.reshape(2, 2, -1)
+    real = np.array([[not isinstance(x, complex) for x in r] for r in rows])
+    return table.real.copy(), table.imag.copy(), real.T.reshape(2, 2, -1)
+
+
+def word_products(generators: Sequence[MoebiusMap], words: np.ndarray):
+    """Products of a block of words, bit for bit those of ``evaluate_word``.
+
+    ``words`` is an (N, k) array of letter indices (see
+    ``canonical_words``).  Returns ``(entries, real)``: the entries a, b,
+    c, d of each product as the rows of a (4, N) complex array, and a
+    (4, N) bool array marking the entries that ``evaluate_word`` returns
+    as Python floats.  The products are renormalized above the same
+    noise floor and refused with the same ``ValueError`` on a singular
+    or drifting determinant as ``MoebiusMap.__matmul__``, raised at the
+    earliest letter position where any word fails.
+    """
+    tab_re, tab_im, tab_real = _letter_table(generators)
+    n = len(words)
+    eye = np.eye(2)[:, :, None]
+    re = np.repeat(eye, n, axis=2)
+    im = np.zeros_like(re)
+    real = np.ones(re.shape, dtype=bool)
+    for col in words.T:
+        m_re, m_im, m_real = (np.take(t, col, axis=2)
+                              for t in (tab_re, tab_im, tab_real))
+        # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__;
+        # it is a float when all four factors are
+        x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
+        y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
+        re, im = x[0] + y[0], x[1] + y[1]
+        real = ((real[:, 0, None] & real[:, 1, None])
+                & (m_real[None, 0] & m_real[None, 1]))
+        im[real] = 0.0
+        det_re, det_im = _split_det(re, im)
+        det_im[real.all(axis=(0, 1))] = 0.0
+        fix = _above_noise_floor(re, im, det_re, det_im)
+        if not fix.any():
+            continue
+        det_re, det_im = det_re[fix], det_im[fix]
+        if ((det_re == 0.0) & (det_im == 0.0)).any():
+            raise ValueError("singular matrix")
+        root = _sqrt(det_re, det_im)
+        re[:, :, fix], im[:, :, fix] = _divide(re[:, :, fix], im[:, :, fix],
+                                               *root)
+        real[:, :, fix] = False
+        det_re, det_im = _split_det(re[:, :, fix], im[:, :, fix])
+        drift = (np.hypot(det_re - 1.0, det_im)
+                 > 1e-6 * _exact_scale_sq(re[:, :, fix], im[:, :, fix]))
+        if drift.any():
+            first = np.argmax(drift)
+            det = complex(det_re[first], det_im[first])
+            raise ValueError(
+                f"determinant {det:.6g} too far from 1; "
+                "renormalize with MoebiusMap.normalized(...)"
+            )
+    entries = np.empty((4, n), dtype=complex)
+    entries.real = re.reshape(4, n)
+    entries.imag = im.reshape(4, n)
+    return entries, real.reshape(4, n)
+
+
+def class_spectrum(generators: Sequence[MoebiusMap], L: int,
+                   eps_class: float = EPS_CLASS,
+                   budget: int = DEFAULT_WORD_BUDGET
+                   ) -> Iterator[Tuple[GroupWord, int, GeodesicInvariants]]:
+    """(representative, j, invariants) for every class of length <= L.
+
+    Classes come in ``enumerate_classes`` order, from ``canonical_words``;
+    their matrices come from ``word_products`` in blocks of
+    ``_CLASS_BLOCK`` words, and are classified and reduced to
+    ``GeodesicInvariants`` one by one with the scalar arithmetic of
+    ``classify`` and ``geodesic_invariants``, so every value equals the
+    one evaluate_word followed by those two gives.  Raises NotLoxodromic
+    naming the first class, in that order, that is not loxodromic.  A
+    generator: only one block is held at a time.
+    """
+    g = len(generators)
+    for k, (codes, js) in enumerate(canonical_words(g, L, budget), start=1):
+        for start in range(0, len(codes), _CLASS_BLOCK):
+            indices = _letter_indices(codes[start:start + _CLASS_BLOCK], k, g)
+            entries, real = word_products(generators, indices)
+            columns = [
+                [z.real if f else z for z, f in zip(e.tolist(), r.tolist())]
+                if r.any() else e.tolist()
+                for e, r in zip(entries, real)]
+            words = map(tuple, _signed_letters(indices, g).tolist())
+            for w, j, a, b, c, d in zip(words, js[start:start + _CLASS_BLOCK]
+                                        .tolist(), *columns):
+                kind = _classify(a, b, c, d, eps_class)
+                if kind != "loxodromic":
+                    raise NotLoxodromic(
+                        f"word {word_to_str(w)} is {kind}, not loxodromic"
+                    )
+                yield w, j, _loxodromic_invariants(a, b, c, d)
 
 
 def word_to_str(w: Sequence[int]) -> str:

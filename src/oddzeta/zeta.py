@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence
 
-from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput, NotLoxodromic
-from .moebius import GeodesicInvariants, MoebiusMap, classify, geodesic_invariants
+from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
+from .moebius import GeodesicInvariants, MoebiusMap
 from .quadrature import integrate
-from .words import ConjugacyClass, enumerate_classes, evaluate_word, word_to_str
+from .words import class_spectrum
 
 VARIANTS = ("signature", "spinor")
 
@@ -113,25 +113,15 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
     """Class terms for every conjugacy class of word length <= L.
 
     Deterministic order (length, then lexicographic representative).
+    The classes and their invariants come from ``words.class_spectrum``
+    (canonical words as integer codes, exact batched word products).
     Raises NotLoxodromic naming the offending word if the family is not
     purely loxodromic at this cutoff.
     """
-    classes = enumerate_classes(len(generators), L, budget)
-    return [_term_for_class(generators, c, variant, spin_sign, eps_class)
-            for c in classes]
-
-
-def _term_for_class(generators, cls: ConjugacyClass, variant: str,
-                    spin_sign: str, eps_class: float) -> ClassTerm:
-    m = evaluate_word(generators, cls.representative)
-    kind = classify(m, eps_class)
-    if kind != "loxodromic":
-        raise NotLoxodromic(
-            f"word {word_to_str(cls.representative)} is {kind}, not loxodromic"
-        )
-    inv = geodesic_invariants(m, eps_class)
-    return class_term(inv, cls.j, variant, spin_sign=spin_sign,
-                      word_length=cls.word_length)
+    return [class_term(inv, j, variant, spin_sign=spin_sign,
+                       word_length=len(word))
+            for word, j, inv in class_spectrum(generators, L, eps_class,
+                                               budget)]
 
 
 def power_class_terms(base: ClassTerm, max_power: int,

@@ -17,6 +17,7 @@ of the two generators and the free repelling fixed point of the second
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -181,8 +182,17 @@ class PluriharmonicityReport:
 ValueFn = Callable[[Tuple[complex, complex, complex]], float]
 
 
-def _eta_value_fn(L: int, delta_cutoff: int):
-    def value(params: Tuple[complex, complex, complex]):
+EtaFn = Callable[[Tuple[complex, complex, complex]], Tuple[float, float]]
+
+
+def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
+    """params -> (eta, truncation budget) at a chart point, memoized.
+
+    One function serves several ``pluriharmonicity_scan`` calls, so a
+    point they share, such as the base point, is evaluated once.
+    """
+    @functools.cache
+    def value(params: Tuple[complex, complex, complex]) -> Tuple[float, float]:
         try:
             point = schottky_from_params(*params)
             terms = terms_from_group(point.generators, L, "signature")
@@ -200,7 +210,8 @@ def _eta_value_fn(L: int, delta_cutoff: int):
 
 def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
                           L: int, delta_cutoff: Optional[int] = None,
-                          value_fn: Optional[ValueFn] = None
+                          value_fn: Optional[ValueFn] = None,
+                          eta_fn: Optional[EtaFn] = None
                           ) -> PluriharmonicityReport:
     """Five-point complex-direction Laplacian of eta in one chart parameter.
 
@@ -208,14 +219,16 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
     evaluated at step h; the error budget combines the Richardson h vs h/2
     discretization estimate, the eta truncation bounds divided by h^2 and
     a rounding floor.  ``value_fn`` (params -> float) replaces eta for
-    harness-validation oracles.
+    harness-validation oracles.  ``eta_fn`` is the eta function, by
+    default ``eta_on_chart(L, delta_cutoff or 6)``; pass one to several
+    scans of the same base point to evaluate the base point once.
     """
     if not 0 <= param_index < 3:
         raise ValueError("param_index must be 0, 1 or 2")
     if h <= 0:
         raise ValueError("h must be positive")
     if value_fn is None:
-        fn = _eta_value_fn(L, delta_cutoff or 6)
+        fn = eta_fn or eta_on_chart(L, delta_cutoff or 6)
     else:
         fn = lambda params: (value_fn(params), 0.0)
 

@@ -1,13 +1,17 @@
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from test_words import scalar_class_spectrum
 
 import oddzeta.cli as cli
 import oddzeta.zograf as zograf
 from oddzeta.cli import main
-from oddzeta.config import format_complex, parse_complex
-from oddzeta.sample_groups import ring_group
+from oddzeta.config import format_complex, load_config, parse_complex
+from oddzeta.sample_groups import ring_group, sample_group
+from oddzeta.words import word_to_str
 from oddzeta.zograf import schottky_from_params
 
 CYCLIC = """\
@@ -48,6 +52,22 @@ lambda = 0+0i
 """
 
 
+ELLIPTIC_AB = """\
+[group]
+generator1 = 2+0i 0+0i 0+0i 0.5+0i
+generator2 = -1+0i 1+0i -7+0i 6+0i
+
+[run]
+word_cutoff = 3
+"""
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+#: tracemalloc peak of ``cmd_spectrum`` on g2_complex_a at L = 11 with the
+#: recursive enumeration and the per-class evaluate_word loop
+RECURSIVE_SPECTRUM_PEAK = 15_211_079
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -83,6 +103,38 @@ class TestSpectrum:
         rows = [l for l in body if not l.startswith("#")][1:]
         assert len(rows) == 12
         assert body[0].startswith("# config_sha256=")
+
+    @pytest.mark.parametrize("preset, L", [("g2_complex_a", 8),
+                                           ("real_pair", 6)])
+    def test_rows_match_scalar_reference(self, tmp_path, preset, L):
+        cfg = write(tmp_path, "s.cfg", COMPLEX_A.replace(
+            "g2_complex_a", preset).replace("word_cutoff = 4",
+                                            f"word_cutoff = {L}"))
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "spectrum.csv").read_text().splitlines()
+        rows = [l for l in body if not l.startswith("#")][1:]
+        gens = sample_group(preset).generators
+        assert rows == [
+            f"{word_to_str(w)},{len(w)},{j},{int(j == 1)},{inv.length!r},"
+            f"{inv.theta!r},{inv.q.real!r},{inv.q.imag!r}"
+            for w, j, inv in scalar_class_spectrum(gens, L)]
+
+    def test_memory_peak_below_recursive_loop(self, tmp_path):
+        config = load_config(str(PERFBENCH_CONFIGS / "spectrum.cfg"))
+        assert config.word_cutoff == 11
+        tracemalloc.start()
+        try:
+            cli.cmd_spectrum(config, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= RECURSIVE_SPECTRUM_PEAK
+
+    def test_non_loxodromic_family_exits_3(self, tmp_path, capsys):
+        cfg = write(tmp_path, "e.cfg", ELLIPTIC_AB)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "word BA is elliptic" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
 
     def test_malformed_entry_exits_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", CYCLIC.replace("0.5+0i", "zz"))
@@ -244,6 +296,20 @@ class TestScanCommand:
                 assert row["fd_laplacian"] == row[f"oracle_{oracle}"]
                 assert abs(row["oracle_harmonic"]) < 1e-8
                 assert abs(row["oracle_nonharmonic"] - 4.0) < 1e-6
+
+    def test_base_point_evaluated_once(self, tmp_path, monkeypatch):
+        # three parameters, each the base point and 8 shifted points
+        points = []
+        estimate_delta = zograf.estimate_delta
+
+        def counted(generators, *args, **kwargs):
+            points.append(tuple(generators))
+            return estimate_delta(generators, *args, **kwargs)
+
+        monkeypatch.setattr(zograf, "estimate_delta", counted)
+        cfg = str(PERFBENCH_CONFIGS / "scan.cfg")
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(points) == len(set(points)) == 25
 
 
 class TestDeterminism:

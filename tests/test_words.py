@@ -6,13 +6,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oddzeta.errors import CutoffTooLarge, IndexOutOfRange, NonConvergent
-from oddzeta.moebius import MoebiusMap, geodesic_invariants, hyperbolic_distance
+from oddzeta.errors import (
+    CutoffTooLarge,
+    IndexOutOfRange,
+    NonConvergent,
+    NotLoxodromic,
+)
+from oddzeta.moebius import (
+    MoebiusMap,
+    classify,
+    geodesic_invariants,
+    hyperbolic_distance,
+)
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
     BASE_POINT,
+    ConjugacyClass,
     _renormalize,
-    canonical_rotation,
+    canonical_words,
+    class_spectrum,
     cyclic_reduce,
     enumerate_classes,
     estimate_delta,
@@ -21,6 +33,7 @@ from oddzeta.words import (
     is_cyclically_reduced,
     shell_displacements,
     shell_sum,
+    word_products,
     word_to_str,
 )
 from oddzeta.zograf import schottky_from_params
@@ -29,6 +42,88 @@ CYCLIC_GEN = [MoebiusMap(2.0, 0.0, 0.0, 0.5)]
 
 #: The thick chart point of the benchmark (shifted exponent about -0.476).
 THICK_POINT = (0.06 + 0.05j, 0.07 - 0.03j, -0.9 + 0.6j)
+
+
+def canonical_rotation(w):
+    """Lexicographically minimal rotation; identity on the empty word."""
+    w = tuple(w)
+    if not w:
+        return w
+    return min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def power_index(w):
+    """j such that w is a j-th power of a primitive cyclic word."""
+    w = tuple(w)
+    k = len(w)
+    for p in range(1, k + 1):
+        if k % p == 0 and w == w[p:] + w[:p]:
+            return k // p
+    return 1
+
+
+def recursive_classes(g, L):
+    """Reference for enumerate_classes: every cyclically reduced word of
+    each length by a recursive fill, reduced to its minimal rotation."""
+    letters = [s for s in range(-g, g + 1) if s != 0]
+    classes = []
+    for length in range(1, L + 1):
+        seen = set()
+        word = [0] * length
+
+        def fill(pos):
+            for s in letters:
+                if pos > 0 and s == -word[pos - 1]:
+                    continue
+                word[pos] = s
+                if pos + 1 == length:
+                    if length >= 2 and word[0] == -word[-1]:
+                        continue
+                    seen.add(canonical_rotation(word))
+                else:
+                    fill(pos + 1)
+
+        fill(0)
+        for rep in sorted(seen):
+            j = power_index(rep)
+            classes.append(ConjugacyClass(rep, j == 1, j, length))
+    return classes
+
+
+def scalar_class_spectrum(generators, L, eps_class=1e-9):
+    """Reference for class_spectrum: the recursive enumeration, then
+    evaluate_word, classify and geodesic_invariants class by class."""
+    for cls in recursive_classes(len(generators), L):
+        m = evaluate_word(generators, cls.representative)
+        kind = classify(m, eps_class)
+        if kind != "loxodromic":
+            raise NotLoxodromic(f"word {word_to_str(cls.representative)} "
+                                f"is {kind}, not loxodromic")
+        yield cls.representative, cls.j, geodesic_invariants(m, eps_class)
+
+
+def letter_indices(words, g):
+    """Signed letters to the indices word_products takes (-g..-1, 1..g)."""
+    return np.array([[s + g if s < 0 else s + g - 1 for s in w]
+                     for w in words], dtype=np.int64).reshape(len(words), -1)
+
+
+def bits(x):
+    """Type and repr of a Python number: equal iff bit-identical."""
+    return type(x), repr(x)
+
+
+def unchecked_map(a, b, c, d):
+    """A MoebiusMap that skips the determinant check, for refusal tests."""
+    m = object.__new__(MoebiusMap)
+    for name, value in zip("abcd", (a, b, c, d)):
+        object.__setattr__(m, name, value)
+    return m
+
+
+#: A real-typed family (Python float entries) whose length-2 classes ab
+#: and BA have trace 1, so are elliptic; BA comes first in class order.
+ELLIPTIC_AB = (MoebiusMap(2.0, 0.0, 0.0, 0.5), MoebiusMap(-1.0, 1.0, -7.0, 6.0))
 
 
 def scalar_shell_displacements(generators, L, base=BASE_POINT):
@@ -127,6 +222,127 @@ class TestEnumeration:
         assert a == b
         lengths = [c.word_length for c in a]
         assert lengths == sorted(lengths)
+
+
+def necklace_class_count(g, L):
+    """Classes of cyclically reduced length 1..L in the free group of rank
+    g, by Burnside's lemma over rotations of cyclic words."""
+    def cyclically_reduced(n):
+        return (2 * g - 1) ** n + 1 + (g - 1) * (1 + (-1) ** n)
+
+    return sum(
+        sum(sum(1 for i in range(n // d) if math.gcd(i, n // d) == 1)
+            * cyclically_reduced(d) for d in range(1, n + 1) if n % d == 0)
+        // n
+        for n in range(1, L + 1)
+    )
+
+
+class TestCanonicalWords:
+    @pytest.mark.parametrize("g, L", [(1, 8), (2, 7), (3, 6)])
+    def test_matches_recursive_and_brute_force(self, g, L):
+        # rank 3 has base-6 codes
+        classes = enumerate_classes(g, L)
+        assert classes == recursive_classes(g, L)
+        assert {c.representative: c.j for c in classes} == (
+            brute_force_classes(g, L))
+
+    def test_codes_ascend_and_count_every_class_at_depth(self):
+        shells = canonical_words(2, 14)
+        for codes, js in shells:
+            assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0)
+            assert len(js) == len(codes) and js.min() >= 1
+        assert sum(len(codes) for codes, _ in shells) == 534_444
+        assert necklace_class_count(2, 14) == 534_444
+
+    def test_int64_guard(self):
+        with pytest.raises(CutoffTooLarge, match="int64"):
+            canonical_words(2, 32, budget=10 ** 30)
+        with pytest.raises(CutoffTooLarge, match="int64"):
+            enumerate_classes(3, 25, budget=10 ** 30)
+
+
+def _families():
+    point = sample_group("real_pair")
+    drift = math.sqrt(1.0 + 1e-9)
+    return {
+        "g2_complex_a": (sample_group("g2_complex_a").generators, 9),
+        "thick": (schottky_from_params(*THICK_POINT).generators, 8),
+        "ring5": (ring_group(), 4),
+        # Python float entries: products stay float, so zero imaginary
+        # parts must come out unsigned as they do in float arithmetic
+        "float_real_pair": (tuple(
+            MoebiusMap(*(z.real for z in (m.a, m.b, m.c, m.d)))
+            for m in point.generators), 6),
+        # det = 1 + 1e-9, above the noise floor of short products
+        "det_drift": (tuple(
+            MoebiusMap(m.a * drift, m.b * drift, m.c * drift, m.d * drift)
+            for m in schottky_from_params(*THICK_POINT).generators), 7),
+        "elliptic_ab": (ELLIPTIC_AB, 6),
+    }
+
+
+class TestWordProducts:
+    @pytest.mark.parametrize("name", list(_families()))
+    def test_bit_identical_to_evaluate_word(self, name):
+        gens, L = _families()[name]
+        words = [c.representative for c in enumerate_classes(len(gens), L)]
+        for k in range(1, L + 1):
+            shell = [w for w in words if len(w) == k]
+            entries, real = word_products(gens, letter_indices(shell, len(gens)))
+            for w, column, is_real in zip(shell, entries.T.tolist(),
+                                          real.T.tolist()):
+                got = [z.real if f else z for z, f in zip(column, is_real)]
+                m = evaluate_word(gens, w)
+                assert list(map(bits, got)) == list(map(bits, (m.a, m.b, m.c, m.d)))
+
+    def test_drifting_generators_are_renormalized(self):
+        # the family above exercises the renormalization on the first
+        # product of every word, and the bit-identity test covers it
+        gens, _ = _families()["det_drift"]
+        for s in (-2, -1, 1, 2):
+            gen = gens[abs(s) - 1]
+            assert abs(gen.det() - 1.0) > 9e-10
+            assert abs(evaluate_word(gens, (s,)).det() - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("gen, message", [
+        (unchecked_map(1.0, 1.0, 1.0, 1.0), "singular matrix"),
+        # det = 1e-320 is subnormal: renormalizing leaves it off by 1e-5
+        (unchecked_map(1e-160, 0.0, 0.0, 1e-160), "determinant 1.00001"),
+        (unchecked_map(1e-160 + 0j, 0j, 0j, 1e-160 + 0j), "determinant 1.00001"),
+    ])
+    def test_same_refusals_as_evaluate_word(self, gen, message):
+        gens = (MoebiusMap(2.0, 0.0, 0.0, 0.5), gen)
+        with pytest.raises(ValueError, match=message) as scalar:
+            evaluate_word(gens, (1, 2))
+        with pytest.raises(ValueError) as batched:
+            word_products(gens, letter_indices([(1, 1), (1, 2)], 2))
+        assert str(batched.value) == str(scalar.value)
+
+
+class TestClassSpectrum:
+    @pytest.mark.parametrize("name", ["g2_complex_a", "real_pair", "float"])
+    def test_matches_scalar_reference(self, name):
+        if name == "float":
+            gens = _families()["float_real_pair"][0]
+        else:
+            gens = sample_group(name).generators
+        fields = ("length", "theta", "q", "mu", "attracting", "repelling",
+                  "spin_phase")
+        got = list(class_spectrum(gens, 6))
+        want = list(scalar_class_spectrum(gens, 6))
+        assert [(w, j) for w, j, _ in got] == [(w, j) for w, j, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert ([bits(getattr(a, f)) for f in fields]
+                    == [bits(getattr(b, f)) for f in fields])
+
+    def test_first_non_loxodromic_class_refused(self):
+        with pytest.raises(NotLoxodromic) as reference:
+            list(scalar_class_spectrum(ELLIPTIC_AB, 3))
+        with pytest.raises(NotLoxodromic) as batched:
+            list(class_spectrum(ELLIPTIC_AB, 3))
+        assert str(batched.value) == str(reference.value) == (
+            "word BA is elliptic, not loxodromic")
 
 
 class TestEvaluateWord:

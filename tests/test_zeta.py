@@ -3,9 +3,15 @@ import math
 import random
 
 import pytest
+from test_words import ELLIPTIC_AB, scalar_class_spectrum
 from toyterms import invariants_from_q, primitive_term, toy_list
 
-from oddzeta.errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
+from oddzeta.errors import (
+    ConvergenceViolation,
+    DeltaNotNegative,
+    NonPrimitiveInput,
+    NotLoxodromic,
+)
 from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.quadrature import integrate
 from oddzeta.zeta import (
@@ -259,6 +265,23 @@ class TestGroupTerms:
         lengths = [t.word_length for t in terms]
         assert lengths == sorted(lengths)
         assert all(t.variant == "signature" for t in terms)
+
+    def test_terms_match_scalar_reference(self, complex_groups):
+        point, _, _ = complex_groups["g2_complex_b"]
+        for variant, sign in (("signature", "plus"), ("spinor", "minus")):
+            assert terms_from_group(point.generators, 5, variant, sign) == [
+                class_term(inv, j, variant, spin_sign=sign,
+                           word_length=len(w))
+                for w, j, inv in scalar_class_spectrum(point.generators, 5)]
+
+    def test_first_non_loxodromic_class_refused(self):
+        # ab and its inverse BA are elliptic; BA is first in class order
+        with pytest.raises(NotLoxodromic) as reference:
+            list(scalar_class_spectrum(ELLIPTIC_AB, 3))
+        with pytest.raises(NotLoxodromic) as refused:
+            terms_from_group(ELLIPTIC_AB, 3)
+        assert str(refused.value) == str(reference.value) == (
+            "word BA is elliptic, not loxodromic")
 
     def test_spinor_terms_unit_characters(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]

@@ -11,6 +11,7 @@ from oddzeta.words import estimate_delta
 from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
     check_eta_F_identity,
+    eta_on_chart,
     pluriharmonicity_scan,
     point_params,
     schottky_from_params,
@@ -152,6 +153,14 @@ class TestPluriharmonicityScan:
         for idx in range(3):
             rep = pluriharmonicity_scan(base, idx, 5e-3, L=4, delta_cutoff=5)
             assert abs(rep.fd_laplacian) < rep.error_budget
+
+    def test_shared_eta_gives_the_same_reports(self):
+        base = sample_group("scan_base")
+        shared = eta_on_chart(4, 5)
+        for idx in range(3):
+            assert (pluriharmonicity_scan(base, idx, 5e-3, L=4, eta_fn=shared)
+                    == pluriharmonicity_scan(base, idx, 5e-3, L=4,
+                                             delta_cutoff=5))
 
     def test_leaving_domain_raises(self):
         # q1 + h crosses |q| = 1
