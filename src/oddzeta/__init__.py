@@ -18,9 +18,9 @@ from .moebius import (
     spin_phase,
 )
 from .words import (
-    ConjugacyClass,
     PoincareEstimate,
-    enumerate_classes,
+    Spectrum,
+    class_spectrum,
     estimate_delta,
     evaluate_word,
 )
@@ -44,9 +44,8 @@ from .transport import (
     tau_matrix,
 )
 from .zeta import (
-    ClassTerm,
     ZetaEvaluation,
-    class_term,
+    ZetaTerms,
     dlog_zeta_odd,
     eta,
     log_zeta_half,

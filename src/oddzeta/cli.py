@@ -49,7 +49,7 @@ from .kernels import (
     resolvent_scalar,
 )
 from .moebius import MoebiusMap, normalize_schottky
-from .words import class_spectrum, estimate_delta, word_to_str
+from .words import class_spectrum, estimate_delta, word_strings
 from .zeta import eta, terms_from_group, zeta_odd
 from .zograf import (
     SchottkyPoint,
@@ -111,24 +111,38 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
+#: spectrum.csv rows formatted and written per chunk
+_SPECTRUM_CHUNK = 2048
+
+
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
     """CSV table of conjugacy classes with their geodesic invariants.
 
-    One row per class in (length, representative) order, from
-    ``words.class_spectrum``: canonical words as integer codes, exact
-    batched word products, and per-class invariants equal to those of
-    ``evaluate_word`` plus ``geodesic_invariants``.
+    One row per class in (length, representative) order, from the
+    arrays of ``words.class_spectrum``, whose invariants equal those of
+    ``evaluate_word`` plus ``geodesic_invariants``.  The spectrum is
+    complete (or refused) before the file is opened, and the rows are
+    written ``_SPECTRUM_CHUNK`` at a time.
     """
     gens = _group_generators(config)
+    spectrum = class_spectrum(gens, config.word_cutoff, config.eps_class)
     lines = _metadata_lines(config, cutoff_L=config.word_cutoff)
     lines.append("word,length,j,primitive,ell,theta,q_re,q_im")
-    for word, j, inv in class_spectrum(gens, config.word_cutoff,
-                                       config.eps_class):
-        lines.append(
-            f"{word_to_str(word)},{len(word)},{j},{int(j == 1)},"
-            f"{inv.length!r},{inv.theta!r},{inv.q.real!r},{inv.q.imag!r}"
-        )
-    return _write_text(out_dir / "spectrum.csv", "\n".join(lines) + "\n")
+    path = out_dir / "spectrum.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as out:
+        out.write("\n".join(lines) + "\n")
+        for start in range(0, len(spectrum), _SPECTRUM_CHUNK):
+            part = spectrum.select(slice(start, start + _SPECTRUM_CHUNK))
+            out.write("".join(
+                f"{word},{k},{j},{int(j == 1)},{ell!r},{theta!r},"
+                f"{q_re!r},{q_im!r}\n"
+                for word, k, j, ell, theta, q_re, q_im in zip(
+                    word_strings(part.codes, part.word_length, len(gens)),
+                    part.word_length.tolist(), part.j.tolist(),
+                    part.ell.tolist(), part.theta.tolist(),
+                    part.q.real.tolist(), part.q.imag.tolist())))
+    return path
 
 
 def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:

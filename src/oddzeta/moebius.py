@@ -212,11 +212,22 @@ def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> Geodesic
     return _loxodromic_invariants(m.a, m.b, m.c, m.d)
 
 
+def _multiplier_invariants(t: complex):
+    """(mu, q, length, theta, spin phase) of a loxodromic matrix of trace t."""
+    mu = _expanding_eigenvalue(t)
+    q = mu ** -2
+    length = 2.0 * math.log(abs(mu))
+    theta = -cmath.phase(q)
+    if theta <= -math.pi:
+        theta = math.pi
+    return mu, q, length, theta, mu / abs(mu)
+
+
 def _loxodromic_invariants(a, b, c, d) -> GeodesicInvariants:
     """geodesic_invariants on the entries of a matrix already classified
     loxodromic, with MoebiusMap's arithmetic."""
     t = a + d
-    mu = _expanding_eigenvalue(t)
+    mu, q, length, theta, phase = _multiplier_invariants(t)
     mu_small = 1.0 / mu
     if c == 0:
         finite = b / (d - a)
@@ -240,14 +251,9 @@ def _loxodromic_invariants(a, b, c, d) -> GeodesicInvariants:
             att, rep = root1, root2
         else:
             att, rep = root2, root1
-    q = mu ** -2
-    length = 2.0 * math.log(abs(mu))
-    theta = -cmath.phase(q)
-    if theta <= -math.pi:
-        theta = math.pi
     return GeodesicInvariants(
         length=length, theta=theta, q=q, mu=mu,
-        attracting=att, repelling=rep, spin_phase=mu / abs(mu),
+        attracting=att, repelling=rep, spin_phase=phase,
     )
 
 

@@ -7,7 +7,8 @@ is the lexicographically minimal rotation under the integer order on
 letters, which makes every enumeration deterministic.  The class spectrum
 is computed on arrays: representatives as integer codes
 (``canonical_words``), their matrices in exact batched products
-(``word_products``), and the two combined in ``class_spectrum``.
+(``word_products``), and the two combined in ``class_spectrum``, which
+returns one ``Spectrum`` of 1-D arrays.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -17,8 +18,8 @@ expect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,11 +32,10 @@ from .errors import (
 )
 from .moebius import (
     EPS_CLASS,
-    GeodesicInvariants,
     HalfSpacePoint,
     MoebiusMap,
     _classify,
-    _loxodromic_invariants,
+    _multiplier_invariants,
 )
 
 GroupWord = Tuple[int, ...]
@@ -71,24 +71,20 @@ def cyclic_reduce(w: Sequence[int]) -> GroupWord:
     return tuple(w)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: GroupWord
-    primitive: bool
-    j: int
-    word_length: int
-
-
 def _reduced_word_count(g: int, length: int) -> int:
     if length == 0:
         return 1
     return 2 * g * (2 * g - 1) ** (length - 1)
 
 
-#: Parents expanded per block in canonical_words, and words multiplied
-#: per block in class_spectrum.  At rank 2 a block's temporaries stay
-#: within a few megabytes.
+#: Parents expanded per block in canonical_words.  At rank 2 a block's
+#: temporaries stay within a few megabytes.
 _CLASS_BLOCK = 8192
+
+#: Words multiplied and reduced per block in class_spectrum.  A block's
+#: product temporaries and per-class Python values take about 1 MB,
+#: beside the 72 bytes a class that the returned arrays hold.
+_PRODUCT_BLOCK = 2048
 
 
 def canonical_words(g: int, L: int, budget: int = DEFAULT_WORD_BUDGET
@@ -159,29 +155,6 @@ def _letter_indices(codes: np.ndarray, k: int, g: int) -> np.ndarray:
     """(N, k) letter indices of length-k word codes."""
     base = 2 * g
     return codes[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64) % base
-
-
-def _signed_letters(indices: np.ndarray, g: int) -> np.ndarray:
-    return indices - g + (indices >= g)
-
-
-def enumerate_classes(g: int, L: int,
-                      budget: int = DEFAULT_WORD_BUDGET) -> List[ConjugacyClass]:
-    """All conjugacy classes with cyclically reduced length <= L.
-
-    Output is sorted by (length, representative) and contains exactly one
-    entry per class; gamma and gamma^(-1) appear separately.  The budget
-    caps the retained class count (roughly words-of-length-k / k per
-    shell); rank 2 at L = 16 fits the default.  The classes come from
-    ``canonical_words``; ``class_spectrum`` walks the same representatives
-    without building these objects.
-    """
-    classes: List[ConjugacyClass] = []
-    for k, (codes, js) in enumerate(canonical_words(g, L, budget), start=1):
-        words = _signed_letters(_letter_indices(codes, k, g), g)
-        classes.extend(ConjugacyClass(tuple(w), j == 1, j, k)
-                       for w, j in zip(words.tolist(), js.tolist()))
-    return classes
 
 
 def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> MoebiusMap:
@@ -356,39 +329,104 @@ def word_products(generators: Sequence[MoebiusMap], words: np.ndarray):
     return entries, real.reshape(4, n)
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """The closed-geodesic spectrum up to a word cutoff, as 1-D arrays.
+
+    One entry per conjugacy class, in (length, representative) order:
+    ``codes`` the representative as in ``canonical_words``,
+    ``word_length`` its length, ``j`` its power index, and the geodesic
+    invariants ``ell`` (length), ``theta`` (holonomy), ``q``
+    (multiplier) and ``spin_phase`` of the class, each equal to the
+    field of ``geodesic_invariants(evaluate_word(...))``.  ``codes`` and
+    ``word_length`` are None for hand-built spectra with no words.
+    """
+
+    codes: Optional[np.ndarray]
+    word_length: Optional[np.ndarray]
+    j: np.ndarray
+    ell: np.ndarray
+    theta: np.ndarray
+    q: np.ndarray
+    spin_phase: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.j)
+
+    @property
+    def cutoff(self) -> int:
+        """The largest word length present; 0 without words."""
+        if self.word_length is None or not len(self):
+            return 0
+        return int(self.word_length.max())
+
+    def select(self, rows):
+        """The same kind of object restricted to ``rows`` (a mask, slice
+        or index array) of every array field."""
+        return replace(self, **{
+            f.name: getattr(self, f.name)[rows] for f in fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)})
+
+
 def class_spectrum(generators: Sequence[MoebiusMap], L: int,
                    eps_class: float = EPS_CLASS,
-                   budget: int = DEFAULT_WORD_BUDGET
-                   ) -> Iterator[Tuple[GroupWord, int, GeodesicInvariants]]:
-    """(representative, j, invariants) for every class of length <= L.
+                   budget: int = DEFAULT_WORD_BUDGET) -> Spectrum:
+    """The ``Spectrum`` of every class of length <= L.
 
-    Classes come in ``enumerate_classes`` order, from ``canonical_words``;
-    their matrices come from ``word_products`` in blocks of
-    ``_CLASS_BLOCK`` words, and are classified and reduced to
-    ``GeodesicInvariants`` one by one with the scalar arithmetic of
-    ``classify`` and ``geodesic_invariants``, so every value equals the
-    one evaluate_word followed by those two gives.  Raises NotLoxodromic
-    naming the first class, in that order, that is not loxodromic.  A
-    generator: only one block is held at a time.
+    Classes come from ``canonical_words``; their matrices come from
+    ``word_products`` in blocks of ``_PRODUCT_BLOCK`` words, and each is
+    classified and reduced to its multiplier with the scalar arithmetic
+    of ``classify`` and ``geodesic_invariants`` (fixed points are not
+    computed), so every value equals the one evaluate_word followed by
+    those two gives.  Raises NotLoxodromic naming the first class, in
+    that order, that is not loxodromic.
     """
     g = len(generators)
-    for k, (codes, js) in enumerate(canonical_words(g, L, budget), start=1):
-        for start in range(0, len(codes), _CLASS_BLOCK):
-            indices = _letter_indices(codes[start:start + _CLASS_BLOCK], k, g)
-            entries, real = word_products(generators, indices)
+    shells = canonical_words(g, L, budget)
+    n = sum(len(codes) for codes, _ in shells)
+    ell, theta = np.empty(n), np.empty(n)
+    q, phase = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    lo = 0
+    for k, (codes, _) in enumerate(shells, start=1):
+        for start in range(0, len(codes), _PRODUCT_BLOCK):
+            block = codes[start:start + _PRODUCT_BLOCK]
+            entries, real = word_products(generators,
+                                          _letter_indices(block, k, g))
             columns = [
                 [z.real if f else z for z, f in zip(e.tolist(), r.tolist())]
                 if r.any() else e.tolist()
                 for e, r in zip(entries, real)]
-            words = map(tuple, _signed_letters(indices, g).tolist())
-            for w, j, a, b, c, d in zip(words, js[start:start + _CLASS_BLOCK]
-                                        .tolist(), *columns):
+            rows = []
+            for i, (a, b, c, d) in enumerate(zip(*columns)):
                 kind = _classify(a, b, c, d, eps_class)
                 if kind != "loxodromic":
+                    word = word_strings(block[i:i + 1], np.array([k]), g)[0]
                     raise NotLoxodromic(
-                        f"word {word_to_str(w)} is {kind}, not loxodromic"
-                    )
-                yield w, j, _loxodromic_invariants(a, b, c, d)
+                        f"word {word} is {kind}, not loxodromic")
+                rows.append(_multiplier_invariants(a + d))
+            hi = lo + len(rows)
+            _, q[lo:hi], ell[lo:hi], theta[lo:hi], phase[lo:hi] = zip(*rows)
+            lo = hi
+    return Spectrum(
+        codes=np.concatenate([codes for codes, _ in shells]),
+        word_length=np.concatenate([np.full(len(codes), k) for k, (codes, _)
+                                    in enumerate(shells, start=1)]),
+        j=np.concatenate([js for _, js in shells]),
+        ell=ell, theta=theta, q=q, spin_phase=phase)
+
+
+def word_strings(codes: np.ndarray, word_length: np.ndarray,
+                 g: int) -> List[str]:
+    """``word_to_str`` of each word code (see ``canonical_words``)."""
+    base = 2 * g
+    width = int(word_length.max())
+    # shift[r, p]: the power of the base of letter p, < 0 past the end
+    shift = word_length[:, None] - 1 - np.arange(width)
+    digits = codes[:, None] // base ** np.maximum(shift, 0) % base
+    alphabet = np.array([word_to_str((s,)) for s in range(-g, g + 1) if s])
+    letters = np.where(shift >= 0, alphabet[digits], "")
+    # numpy drops trailing empty characters, so each row is its word
+    return letters.view(f"U{width}").ravel().tolist()
 
 
 def word_to_str(w: Sequence[int]) -> str:

@@ -11,43 +11,46 @@ chi_+- = s^(+-1), s = mu/|mu| the spin phase of the SL(2, C) lift, for the
 spinor variant.  The sums run over all conjugacy classes up to the word
 cutoff; gamma and gamma^(-1) count separately.
 
+The class data is one ``ZetaTerms``: the arrays of a ``words.Spectrum``
+plus the weight D and the character chi = chi_+ per class (chi_- is its
+conjugate).  Every sum is one correctly rounded ``math.fsum`` over an
+array expression (separately on real and imaginary parts), so its value
+does not depend on the order of the terms.
+
 The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
 the continuously tracked argument.
-
-Every sum is correctly rounded (math.fsum, separately on real and
-imaginary parts), so its value does not depend on the order of the terms.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
-from .moebius import GeodesicInvariants, MoebiusMap
+from .moebius import MoebiusMap
 from .quadrature import integrate
-from .words import class_spectrum
+from .words import Spectrum, class_spectrum
 
 VARIANTS = ("signature", "spinor")
 
 
 @dataclass(frozen=True)
-class ClassTerm:
-    """All per-class quantities entering the zeta, eta and heat-trace sums."""
+class ZetaTerms(Spectrum):
+    """All per-class quantities entering the zeta, eta and heat-trace sums.
 
-    ell: float
-    theta: float
-    q: complex
-    j: int
-    D: float
-    chi_plus: complex
-    chi_minus: complex
+    The arrays of the ``Spectrum``, plus the weight ``D`` = |1 - q|^2/|q|
+    and the character ``chi`` = chi_+ of each class, and the ``variant``
+    the characters belong to.
+    """
+
+    D: np.ndarray
+    chi: np.ndarray
     variant: str
-    spin_phase: complex = 1.0 + 0.0j
-    word_length: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -75,41 +78,34 @@ class ZetaEvaluation:
         }
 
 
-def class_term(inv: GeodesicInvariants, j: int, variant: str,
-               spin_phase: Optional[complex] = None, spin_sign: str = "plus",
-               word_length: Optional[int] = None) -> ClassTerm:
-    """Build the zeta summand data for one conjugacy class.
+def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
+                        spin_sign: str = "plus") -> ZetaTerms:
+    """The zeta summand data of a spectrum.
 
     ``spin_sign`` resolves the convention choice of which half-spin (or
-    half-form) character is called sigma_plus; "minus" swaps the pair and
-    negates eta.  The default "plus" is the choice under which the
-    holomorphic-factorization identity closes.
+    half-form) character is called sigma_plus; "minus" swaps the pair
+    (conjugates chi) and negates eta.  The default "plus" is the choice
+    under which the holomorphic-factorization identity closes.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant {variant!r} not in {VARIANTS}")
-    q = inv.q
-    weight = abs(1.0 - q) ** 2 / abs(q)
-    if variant == "signature":
-        chi_plus = cmath.exp(1j * inv.theta)
-    else:
-        sp = inv.spin_phase if spin_phase is None else spin_phase
-        chi_plus = sp / abs(sp)
-    chi_minus = chi_plus.conjugate()  # characters are unit, chi_- = 1/chi_+
-    if spin_sign == "minus":
-        chi_plus, chi_minus = chi_minus, chi_plus
-    elif spin_sign != "plus":
+    if spin_sign not in ("plus", "minus"):
         raise ValueError(f"spin_sign {spin_sign!r} not 'plus' or 'minus'")
-    return ClassTerm(
-        ell=inv.length, theta=inv.theta, q=q, j=j, D=weight,
-        chi_plus=chi_plus, chi_minus=chi_minus, variant=variant,
-        spin_phase=inv.spin_phase, word_length=word_length,
-    )
+    weight = np.array([abs(1.0 - q) ** 2 / abs(q) for q in spectrum.q.tolist()])
+    if variant == "signature":
+        chi = [cmath.exp(1j * theta) for theta in spectrum.theta.tolist()]
+    else:
+        chi = [sp / abs(sp) for sp in spectrum.spin_phase.tolist()]
+    chi = np.array(chi, dtype=complex)
+    if spin_sign == "minus":
+        chi = chi.conj()
+    return ZetaTerms(**vars(spectrum), D=weight, chi=chi, variant=variant)
 
 
 def terms_from_group(generators: Sequence[MoebiusMap], L: int,
                      variant: str = "signature", spin_sign: str = "plus",
                      budget: int = 10_000_000,
-                     eps_class: float = 1e-9) -> List[ClassTerm]:
+                     eps_class: float = 1e-9) -> ZetaTerms:
     """Class terms for every conjugacy class of word length <= L.
 
     Deterministic order (length, then lexicographic representative).
@@ -118,41 +114,14 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
     Raises NotLoxodromic naming the offending word if the family is not
     purely loxodromic at this cutoff.
     """
-    return [class_term(inv, j, variant, spin_sign=spin_sign,
-                       word_length=len(word))
-            for word, j, inv in class_spectrum(generators, L, eps_class,
-                                               budget)]
-
-
-def power_class_terms(base: ClassTerm, max_power: int,
-                      spin_sign: str = "plus") -> List[ClassTerm]:
-    """Terms for gamma, gamma^2, ..., gamma^P of a primitive class.
-
-    Used to close a toy list under powers so that sum-form and
-    product-form evaluations see the same data.
-    """
-    if base.j != 1:
-        raise NonPrimitiveInput("power closure starts from a primitive class")
-    out = []
-    for p in range(1, max_power + 1):
-        q_p = base.q ** p
-        theta_p = -cmath.phase(q_p)
-        if theta_p <= -math.pi:
-            theta_p = math.pi
-        inv = GeodesicInvariants(
-            length=p * base.ell, theta=theta_p, q=q_p, mu=(base.q ** -0.5) ** p,
-            attracting=0.0, repelling=complex(math.inf, 0.0),
-            spin_phase=base.spin_phase ** p,
-        )
-        out.append(class_term(inv, p, base.variant, spin_sign=spin_sign,
-                              word_length=None))
-    return out
+    return terms_from_spectrum(
+        class_spectrum(generators, L, eps_class, budget), variant, spin_sign)
 
 
 # --- truncation-tail model ----------------------------------------------------
 
 
-def shell_tail_bound(terms: Sequence[ClassTerm], rank: Optional[int],
+def shell_tail_bound(terms: Spectrum, rank: Optional[int],
                      re_lam: float, safety: float = 4.0) -> float:
     """Bound on the log-scale mass of all classes beyond the word cutoff.
 
@@ -161,21 +130,15 @@ def shell_tail_bound(terms: Sequence[ClassTerm], rank: Optional[int],
     of the last four enumerated shells; per-class magnitude is bounded by
     e^(-(1+Re lambda) l) / (1 - e^(-l))^2.  A x4 safety factor pads the
     linear-length extrapolation.  Returns 0.0 when shell metadata is
-    missing (toy lists) and inf when the model does not converge.
+    missing (hand-built spectra) and inf when the model does not converge.
     """
-    if rank is None:
+    if rank is None or terms.word_length is None or not len(terms):
         return 0.0
-    lengths: dict[int, float] = {}
-    for t in terms:
-        if t.word_length is None:
-            return 0.0
-        cur = lengths.get(t.word_length)
-        if cur is None or t.ell < cur:
-            lengths[t.word_length] = t.ell
-    if not lengths:
-        return 0.0
-    cutoff = max(lengths)
-    shells = sorted(lengths)[-4:]
+    # np.unique would import numpy.ma on its first call
+    shells = np.flatnonzero(np.bincount(terms.word_length))[-4:].tolist()
+    lengths = {k: float(terms.ell[terms.word_length == k].min())
+               for k in shells}
+    cutoff = shells[-1]
     alpha = (sum(k * lengths[k] for k in shells)
              / sum(k * k for k in shells))
     if alpha <= 0 or 1.0 + re_lam <= 0:
@@ -189,18 +152,13 @@ def shell_tail_bound(terms: Sequence[ClassTerm], rank: Optional[int],
     return safety * first / ((1.0 - ratio) * damping)
 
 
-def _max_cutoff(terms: Sequence[ClassTerm]) -> int:
-    return max((t.word_length or 0) for t in terms) if terms else 0
-
-
 # --- zeta sums ------------------------------------------------------------------
 
 
-def _fsum_complex(values: Iterable[complex]) -> complex:
-    """Correctly rounded sum of complex values, part by part."""
-    values = list(values)
-    return complex(math.fsum(v.real for v in values),
-                   math.fsum(v.imag for v in values))
+def _fsum_complex(values: np.ndarray) -> complex:
+    """Correctly rounded sum of a complex array, part by part."""
+    return complex(math.fsum(values.real.tolist()),
+                   math.fsum(values.imag.tolist()))
 
 
 def _check_convergence(lam: complex, delta_hat: Optional[float]):
@@ -210,7 +168,7 @@ def _check_convergence(lam: complex, delta_hat: Optional[float]):
         )
 
 
-def log_zeta_half(terms: Sequence[ClassTerm], sign: str, lam: complex,
+def log_zeta_half(terms: ZetaTerms, sign: str, lam: complex,
                   rank: Optional[int] = None,
                   delta_hat: Optional[float] = None) -> ZetaEvaluation:
     """log Z(sigma_sign, lambda) = -sum chi_sign / (j D) e^(-lambda l)."""
@@ -218,15 +176,11 @@ def log_zeta_half(terms: Sequence[ClassTerm], sign: str, lam: complex,
         raise ValueError("sign must be '+' or '-'")
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
-
-    def summand(t: ClassTerm) -> complex:
-        chi = t.chi_plus if sign == "+" else t.chi_minus
-        return chi / (t.j * t.D) * cmath.exp(-lam * t.ell)
-
-    value = -_fsum_complex(summand(t) for t in terms)
+    chi = terms.chi if sign == "+" else terms.chi.conj()
+    value = -_fsum_complex(chi / (terms.j * terms.D)
+                           * np.exp(-lam * terms.ell))
     tail = shell_tail_bound(terms, rank, lam.real)
-    variant = terms[0].variant if terms else "signature"
-    return ZetaEvaluation(value, tail, _max_cutoff(terms), variant, lam)
+    return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
 
 
 def _value_scale_tail(value: complex, log_tail: float) -> float:
@@ -243,22 +197,27 @@ def _value_scale_tail(value: complex, log_tail: float) -> float:
         return math.inf
 
 
-def zeta_odd(terms: Sequence[ClassTerm], lam: complex,
-             rank: Optional[int] = None,
-             delta_hat: Optional[float] = None) -> ZetaEvaluation:
-    """Z_odd(lambda) = exp(log Z(sigma_+) - log Z(sigma_-)), truncated.
+def zeta_odd_from_halves(plus: ZetaEvaluation,
+                         minus: ZetaEvaluation) -> ZetaEvaluation:
+    """Z_odd = exp(log Z(sigma_+) - log Z(sigma_-)) from the two half sums.
 
     The tail bound is propagated to the value scale: |Z| expm1(log tail).
     """
-    zp = log_zeta_half(terms, "+", lam, rank, delta_hat)
-    zm = log_zeta_half(terms, "-", lam, rank, delta_hat)
-    log_value = zp.value - zm.value
-    value = cmath.exp(log_value)
-    tail = _value_scale_tail(value, zp.tail_bound + zm.tail_bound)
-    return ZetaEvaluation(value, tail, zp.cutoff_L, zp.variant, complex(lam))
+    value = cmath.exp(plus.value - minus.value)
+    tail = _value_scale_tail(value, plus.tail_bound + minus.tail_bound)
+    return ZetaEvaluation(value, tail, plus.cutoff_L, plus.variant, plus.lam)
 
 
-def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
+def zeta_odd(terms: ZetaTerms, lam: complex,
+             rank: Optional[int] = None,
+             delta_hat: Optional[float] = None) -> ZetaEvaluation:
+    """Z_odd(lambda) = exp(log Z(sigma_+) - log Z(sigma_-)), truncated."""
+    return zeta_odd_from_halves(
+        log_zeta_half(terms, "+", lam, rank, delta_hat),
+        log_zeta_half(terms, "-", lam, rank, delta_hat))
+
+
+def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
                                inner_cutoff: int,
                                rank: Optional[int] = None,
                                delta_hat: Optional[float] = None) -> ZetaEvaluation:
@@ -272,23 +231,24 @@ def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
     """
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
+    powers = terms.j[terms.j != 1]
+    if len(powers):
+        raise NonPrimitiveInput(
+            f"product form needs primitive classes, got j = {powers[0]}"
+        )
+    if terms.variant != "signature":
+        raise ValueError("product form applies to the signature variant")
     log_total = 0.0 + 0.0j
     inner_tail = 0.0
-    for t in terms:
-        if t.j != 1:
-            raise NonPrimitiveInput(
-                f"product form needs primitive classes, got j = {t.j}"
-            )
-        if t.variant != "signature":
-            raise ValueError("product form applies to the signature variant")
-        aq = abs(t.q)
+    for q, theta in zip(terms.q.tolist(), terms.theta.tolist()):
+        aq = abs(q)
         scale = cmath.exp((lam + 1.0) * math.log(aq))
-        phase = cmath.exp(1j * t.theta)
+        phase = cmath.exp(1j * theta)
         parts = []
         for k in range(inner_cutoff + 1):
-            qk = t.q ** k
+            qk = q ** k
             for l in range(inner_cutoff + 1):
-                w = qk * t.q.conjugate() ** l * scale
+                w = qk * q.conjugate() ** l * scale
                 parts.append(cmath.log(1.0 - phase * w)
                              - cmath.log(1.0 - w / phase))
         log_total += math.fsum(p.real for p in parts) + 1j * math.fsum(
@@ -300,48 +260,38 @@ def zeta_odd_signature_product(terms: Sequence[ClassTerm], lam: complex,
     value = cmath.exp(log_total)
     outer = shell_tail_bound(terms, rank, lam.real)
     tail = _value_scale_tail(value, inner_tail + outer)
-    return ZetaEvaluation(value, tail, _max_cutoff(terms), "signature", lam)
+    return ZetaEvaluation(value, tail, terms.cutoff, "signature", lam)
 
 
-def dlog_zeta_odd(terms: Sequence[ClassTerm], lam: complex,
+def dlog_zeta_odd(terms: ZetaTerms, lam: complex,
                   delta_hat: Optional[float] = None) -> complex:
     """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
-    return _fsum_complex(
-        t.ell * (t.chi_plus - t.chi_minus) / (t.j * t.D)
-        * cmath.exp(-lam * t.ell)
-        for t in terms
-    )
+    return 2j * _fsum_complex(terms.ell * terms.chi.imag / (terms.j * terms.D)
+                              * np.exp(-lam * terms.ell))
 
 
-def odd_heat_trace(terms: Sequence[ClassTerm], t: float) -> complex:
+def odd_heat_trace(terms: ZetaTerms, t: float) -> complex:
     """Geodesic heat trace
 
         (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t).
 
-    chi_+ - chi_- is purely imaginary termwise, so the value is real up to
-    rounding for any class list.
+    chi_+ - chi_- = 2i Im chi is purely imaginary termwise, so the value
+    is real for any class list; terms with l^2/4t > 700 count as 0.
     """
     if t <= 0:
         raise ValueError(f"t = {t} must be positive")
-
-    def summand(term: ClassTerm) -> complex:
-        arg = term.ell ** 2 / (4.0 * t)
-        if arg > 700.0:
-            return 0.0 + 0.0j
-        return (term.ell ** 2 * (term.chi_plus - term.chi_minus)
-                / (term.j * term.D) * math.exp(-arg))
-
+    arg = terms.ell ** 2 / (4.0 * t)
+    decay = np.exp(-arg)
+    decay[arg > 700.0] = 0.0
     pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
-    return pref * _fsum_complex(summand(term) for term in terms)
+    return pref * 2j * math.fsum(
+        (terms.ell ** 2 * terms.chi.imag / (terms.j * terms.D)
+         * decay).tolist())
 
 
 # --- eta invariant ---------------------------------------------------------------
-
-
-def _min_length(terms: Sequence[ClassTerm]) -> float:
-    return min(t.ell for t in terms)
 
 
 def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
@@ -350,7 +300,7 @@ def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
     return z.real
 
 
-def eta(terms: Sequence[ClassTerm], route: str = "central_value",
+def eta(terms: ZetaTerms, route: str = "central_value",
         delta_hat: Optional[float] = None, rank: Optional[int] = None,
         lambda_max: Optional[float] = None,
         quad_tol: float = 1e-11) -> float:
@@ -370,24 +320,21 @@ def eta(terms: Sequence[ClassTerm], route: str = "central_value",
     if not terms:
         return 0.0
     if route == "central_value":
-        zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat)
-        zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat)
-        return (zp.value - zm.value).imag / math.pi
+        return eta_central_with_budget(terms, rank, delta_hat)[0]
+    ell_min = float(terms.ell.min())
     if route == "lambda_integral":
-        lmax = lambda_max if lambda_max is not None else 40.0 / _min_length(terms)
+        lmax = lambda_max if lambda_max is not None else 40.0 / ell_min
 
         def integrand(lam: float) -> complex:
             return dlog_zeta_odd(terms, lam)
 
         body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
                             tol_rel=quad_tol, max_panels=4096)
-        tail = _fsum_complex(
-            (t.chi_plus - t.chi_minus) / (t.j * t.D) * math.exp(-lmax * t.ell)
-            for t in terms
-        )
+        tail = 2j * math.fsum(
+            (terms.chi.imag / (terms.j * terms.D)
+             * np.exp(-lmax * terms.ell)).tolist())
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
     if route == "heat_quadrature":
-        ell_min = _min_length(terms)
         u_max = max(2.0, 170.0 / ell_min ** 2)
 
         def integrand_u(u: float) -> complex:
@@ -403,26 +350,16 @@ def eta(terms: Sequence[ClassTerm], route: str = "central_value",
     raise ValueError(f"unknown route {route!r}")
 
 
-def eta_central_with_budget(terms: Sequence[ClassTerm],
+def eta_from_halves(plus: ZetaEvaluation,
+                    minus: ZetaEvaluation) -> Tuple[float, float]:
+    """(eta, error bound) from the half sums log Z(sigma_+-, 0)."""
+    return ((plus.value - minus.value).imag / math.pi,
+            (plus.tail_bound + minus.tail_bound) / math.pi)
+
+
+def eta_central_with_budget(terms: ZetaTerms,
                             rank: Optional[int] = None,
                             delta_hat: Optional[float] = None):
     """(eta, error bound) via the central-value route."""
-    zp = log_zeta_half(terms, "+", 0.0, rank, delta_hat)
-    zm = log_zeta_half(terms, "-", 0.0, rank, delta_hat)
-    value = (zp.value - zm.value).imag / math.pi
-    return value, (zp.tail_bound + zm.tail_bound) / math.pi
-
-
-def conjugated_terms(terms: Sequence[ClassTerm]) -> List[ClassTerm]:
-    """Term list of the complex-conjugated group: q -> conj(q) termwise."""
-    out = []
-    for t in terms:
-        out.append(replace(
-            t,
-            theta=-t.theta if t.theta != math.pi else math.pi,
-            q=t.q.conjugate(),
-            chi_plus=t.chi_minus,
-            chi_minus=t.chi_plus,
-            spin_phase=t.spin_phase.conjugate(),
-        ))
-    return out
+    return eta_from_halves(log_zeta_half(terms, "+", 0.0, rank, delta_hat),
+                           log_zeta_half(terms, "-", 0.0, rank, delta_hat))

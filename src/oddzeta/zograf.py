@@ -20,17 +20,21 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from .errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput, NotLoxodromic
 from .moebius import MoebiusMap, geodesic_invariants
 from .words import estimate_delta
 from .zeta import (
-    ClassTerm,
+    ZetaTerms,
     eta_central_with_budget,
+    eta_from_halves,
+    log_zeta_half,
     shell_tail_bound,
     terms_from_group,
-    zeta_odd,
+    zeta_odd_from_halves,
 )
 
 _MACHINE_FLOOR = 1e-15
@@ -88,7 +92,7 @@ class FEvaluation:
     inner_cutoff: int
 
 
-def zograf_F(primitive_terms: Sequence[ClassTerm], inner_cutoff: int,
+def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int,
              rank: Optional[int] = None) -> FEvaluation:
     """prod over primitive classes of prod_{m=0}^{M} (1 - q^(1+m)).
 
@@ -96,21 +100,19 @@ def zograf_F(primitive_terms: Sequence[ClassTerm], inner_cutoff: int,
     class; the outer (missing shells) bound reuses the zeta shell model.
     Raises NonPrimitiveInput when a j > 1 term sneaks in.
     """
-    logs_re: List[float] = []
-    logs_im: List[float] = []
-    inner_tail = 0.0
-    for t in primitive_terms:
-        if t.j != 1:
-            raise NonPrimitiveInput(f"term with j = {t.j} is not primitive")
-        aq = abs(t.q)
-        power = t.q
-        for _ in range(inner_cutoff + 1):
-            val = cmath.log(1.0 - power)
-            logs_re.append(val.real)
-            logs_im.append(val.imag)
-            power *= t.q
-        inner_tail += aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2
-    log_value = complex(math.fsum(logs_re), math.fsum(logs_im))
+    powers = primitive_terms.j[primitive_terms.j != 1]
+    if len(powers):
+        raise NonPrimitiveInput(f"term with j = {powers[0]} is not primitive")
+    q = primitive_terms.q
+    # q^(1+m) for m = 0..M as running products, one row per class
+    q_powers = np.cumprod(np.repeat(q[:, None], inner_cutoff + 1, axis=1),
+                          axis=1)
+    logs = np.log(1.0 - q_powers)
+    log_value = complex(math.fsum(logs.real.ravel().tolist()),
+                        math.fsum(logs.imag.ravel().tolist()))
+    aq = np.abs(q)
+    inner_tail = math.fsum(
+        (aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2).tolist())
     tail = inner_tail + shell_tail_bound(primitive_terms, rank, 0.0)
     return FEvaluation(cmath.exp(log_value), log_value, tail, inner_cutoff)
 
@@ -135,7 +137,7 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def check_eta_F_identity(terms: Sequence[ClassTerm], M: int,
+def check_eta_F_identity(terms: ZetaTerms, M: int,
                          delta_hat: float, rank: int) -> IdentityReport:
     """Residual |arg F + (pi/2) eta| mod 2 pi on a concrete group.
 
@@ -145,20 +147,19 @@ def check_eta_F_identity(terms: Sequence[ClassTerm], M: int,
     central-value route, F from the double product over the same
     primitive classes; the report also carries the direct comparison of
     Z_odd(0) with conj(F)/F, which exercises two independent code paths
-    end to end.
+    end to end.  eta and Z_odd(0) come from the same pair of half sums.
     """
     if delta_hat >= 0:
         raise DeltaNotNegative(f"delta_hat = {delta_hat:.6g} >= 0")
-    if any(t.variant != "signature" for t in terms):
+    if terms.variant != "signature":
         raise ValueError("the eta-F identity needs signature-variant terms")
-    eta_value, eta_budget = eta_central_with_budget(
-        terms, rank=rank, delta_hat=delta_hat
-    )
-    primitives = [t for t in terms if t.j == 1]
-    f_eval = zograf_F(primitives, M, rank=rank)
+    halves = (log_zeta_half(terms, "+", 0.0, rank, delta_hat),
+              log_zeta_half(terms, "-", 0.0, rank, delta_hat))
+    eta_value, eta_budget = eta_from_halves(*halves)
+    f_eval = zograf_F(terms.select(terms.j == 1), M, rank=rank)
     arg_f = f_eval.log_value.imag
     residual = abs(_wrap_angle(arg_f + 0.5 * math.pi * eta_value))
-    z_central = zeta_odd(terms, 0.0, rank=rank, delta_hat=delta_hat)
+    z_central = zeta_odd_from_halves(*halves)
     ratio = f_eval.value.conjugate() / f_eval.value
     cross = abs(z_central.value - ratio)
     budget = (0.5 * math.pi * eta_budget + 2.0 * f_eval.tail_bound

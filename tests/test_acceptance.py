@@ -10,7 +10,7 @@ import random
 import time
 
 import numpy as np
-from toyterms import primitive_term, toy_list
+from toyterms import power_class_terms, primitive_term, toy_list
 
 from oddzeta.clifford import CliffordElement
 from oddzeta.kernels import (
@@ -28,7 +28,7 @@ from oddzeta.transport import (
     spinor_transport,
     tau_matrix,
 )
-from oddzeta.words import enumerate_classes, estimate_delta
+from oddzeta.words import estimate_delta
 from oddzeta.zeta import (
     eta,
     odd_heat_trace,
@@ -138,7 +138,7 @@ def test_criterion_05_real_group_symmetry(real_group):
     worst_eta = max(abs(eta(terms, route, delta_hat=est.delta_hat, rank=2))
                     for route in ("central_value", "lambda_integral",
                                   "heat_quadrature"))
-    f_eval = zograf_F([t for t in terms if t.j == 1], 50, rank=2)
+    f_eval = zograf_F(terms.select(terms.j == 1), 50, rank=2)
     ok = worst_eta < REAL_ETA_TOL and abs(f_eval.value.imag) < REAL_IMF_TOL
     report(5, ok, f"real generators: |eta| <= {worst_eta:.2e}, "
                   f"|Im F| = {abs(f_eval.value.imag):.2e}")
@@ -197,7 +197,7 @@ def test_criterion_08_heat_trace_asymptotics(complex_groups):
     worst_rel = 0.0
     worst_slope_lo, worst_slope_hi = 0.0, -3.0
     for name, (point, est, terms) in complex_groups.items():
-        c2 = min(t.ell for t in terms) ** 2
+        c2 = terms.ell.min() ** 2
         t1, t2 = 0.05, 0.1
         measured = (math.log(abs(odd_heat_trace(terms, t1)))
                     - math.log(abs(odd_heat_trace(terms, t2))))
@@ -216,10 +216,10 @@ def test_criterion_08_heat_trace_asymptotics(complex_groups):
 
 
 def test_criterion_09_combinatorics():
-    from test_words import brute_force_classes
+    from test_words import brute_force_classes, canonical_classes
 
     t0 = time.perf_counter()
-    mine = {c.representative: c.j for c in enumerate_classes(2, 8)}
+    mine = dict(canonical_classes(2, 8))
     brute = brute_force_classes(2, 8)
     elapsed = time.perf_counter() - t0
     ok = mine == brute and elapsed < COMBINATORICS_RUNTIME_S
@@ -250,13 +250,12 @@ def test_criterion_10_special_functions(complex_groups):
             worst_clam = max(worst_clam, abs(c_lambda(lam) * c_lambda(-lam) - 1))
     # sum form vs double product within combined tail bounds, toy and group
     base = primitive_term(0.25j)
-    from oddzeta.zeta import power_class_terms
     zsum = zeta_odd(power_class_terms(base, 60), 0.0)
-    zprod = zeta_odd_signature_product([base], 0.0, 80)
+    zprod = zeta_odd_signature_product(base, 0.0, 80)
     toy_gap = abs(zsum.value - zprod.value)
     _, est, terms = complex_groups["g2_complex_a"]
     zsum_g = zeta_odd(terms, 0.0, rank=2, delta_hat=est.delta_hat)
-    zprod_g = zeta_odd_signature_product([t for t in terms if t.j == 1], 0.0,
+    zprod_g = zeta_odd_signature_product(terms.select(terms.j == 1), 0.0,
                                          60, rank=2, delta_hat=est.delta_hat)
     group_gap = abs(zsum_g.value - zprod_g.value)
     group_budget = zsum_g.tail_bound + zprod_g.tail_bound

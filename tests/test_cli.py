@@ -63,9 +63,9 @@ word_cutoff = 3
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
-#: tracemalloc peak of ``cmd_spectrum`` on g2_complex_a at L = 11 with the
-#: recursive enumeration and the per-class evaluate_word loop
-RECURSIVE_SPECTRUM_PEAK = 15_211_079
+#: Half the tracemalloc peak (9 248 660 bytes) of ``cmd_spectrum`` on
+#: g2_complex_a at L = 11 when it held every CSV line and their join
+SPECTRUM_PEAK_BOUND = 4_624_330
 
 
 def write(tmp_path, name, text):
@@ -119,7 +119,7 @@ class TestSpectrum:
             f"{inv.theta!r},{inv.q.real!r},{inv.q.imag!r}"
             for w, j, inv in scalar_class_spectrum(gens, L)]
 
-    def test_memory_peak_below_recursive_loop(self, tmp_path):
+    def test_memory_peak_below_half_of_joined_rows(self, tmp_path):
         config = load_config(str(PERFBENCH_CONFIGS / "spectrum.cfg"))
         assert config.word_cutoff == 11
         tracemalloc.start()
@@ -128,7 +128,7 @@ class TestSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= RECURSIVE_SPECTRUM_PEAK
+        assert peak <= SPECTRUM_PEAK_BOUND
 
     def test_non_loxodromic_family_exits_3(self, tmp_path, capsys):
         cfg = write(tmp_path, "e.cfg", ELLIPTIC_AB)

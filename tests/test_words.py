@@ -21,12 +21,11 @@ from oddzeta.moebius import (
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
     BASE_POINT,
-    ConjugacyClass,
+    _letter_indices,
     _renormalize,
     canonical_words,
     class_spectrum,
     cyclic_reduce,
-    enumerate_classes,
     estimate_delta,
     evaluate_word,
     free_reduce,
@@ -34,6 +33,7 @@ from oddzeta.words import (
     shell_displacements,
     shell_sum,
     word_products,
+    word_strings,
     word_to_str,
 )
 from oddzeta.zograf import schottky_from_params
@@ -62,9 +62,24 @@ def power_index(w):
     return 1
 
 
+def decode_words(codes, k, g):
+    """Signed-letter tuples of length-k word codes."""
+    indices = _letter_indices(codes, k, g)
+    return [tuple(w) for w in (indices - g + (indices >= g)).tolist()]
+
+
+def canonical_classes(g, L, budget=10_000_000):
+    """(representative, j) of every class, in order, from canonical_words."""
+    classes = []
+    for k, (codes, js) in enumerate(canonical_words(g, L, budget), start=1):
+        classes.extend(zip(decode_words(codes, k, g), js.tolist()))
+    return classes
+
+
 def recursive_classes(g, L):
-    """Reference for enumerate_classes: every cyclically reduced word of
-    each length by a recursive fill, reduced to its minimal rotation."""
+    """Reference for canonical_words: every cyclically reduced word of
+    each length by a recursive fill, reduced to its minimal rotation;
+    (representative, j) per class."""
     letters = [s for s in range(-g, g + 1) if s != 0]
     classes = []
     for length in range(1, L + 1):
@@ -84,22 +99,20 @@ def recursive_classes(g, L):
                     fill(pos + 1)
 
         fill(0)
-        for rep in sorted(seen):
-            j = power_index(rep)
-            classes.append(ConjugacyClass(rep, j == 1, j, length))
+        classes.extend((rep, power_index(rep)) for rep in sorted(seen))
     return classes
 
 
 def scalar_class_spectrum(generators, L, eps_class=1e-9):
     """Reference for class_spectrum: the recursive enumeration, then
     evaluate_word, classify and geodesic_invariants class by class."""
-    for cls in recursive_classes(len(generators), L):
-        m = evaluate_word(generators, cls.representative)
+    for rep, j in recursive_classes(len(generators), L):
+        m = evaluate_word(generators, rep)
         kind = classify(m, eps_class)
         if kind != "loxodromic":
-            raise NotLoxodromic(f"word {word_to_str(cls.representative)} "
+            raise NotLoxodromic(f"word {word_to_str(rep)} "
                                 f"is {kind}, not loxodromic")
-        yield cls.representative, cls.j, geodesic_invariants(m, eps_class)
+        yield rep, j, geodesic_invariants(m, eps_class)
 
 
 def letter_indices(words, g):
@@ -153,7 +166,7 @@ def scalar_shell_displacements(generators, L, base=BASE_POINT):
 def brute_force_classes(g, L):
     """Group all reduced words of length <= L by cyclic canonical form.
 
-    Independent of enumerate_classes: builds every reduced word, cyclically
+    Independent of canonical_words: builds every reduced word, cyclically
     reduces, and counts self-rotations for the power index.
     """
     letters = [s for s in range(-g, g + 1) if s]
@@ -180,48 +193,53 @@ def brute_force_classes(g, L):
 
 class TestEnumeration:
     def test_rank2_length1(self):
-        classes = enumerate_classes(2, 1)
+        classes = canonical_classes(2, 1)
         assert len(classes) == 4
-        assert all(c.primitive and c.j == 1 for c in classes)
-        assert sorted(word_to_str(c.representative) for c in classes) == [
+        assert all(j == 1 for _, j in classes)
+        assert sorted(word_to_str(w) for w, _ in classes) == [
             "A", "B", "a", "b"
         ]
 
     def test_rank2_length2(self):
-        classes = enumerate_classes(2, 2)
+        classes = canonical_classes(2, 2)
         assert len(classes) == 12
-        squares = {word_to_str(c.representative) for c in classes if c.j == 2}
+        squares = {word_to_str(w) for w, j in classes if j == 2}
         assert squares == {"aa", "AA", "bb", "BB"}
-        mixed = {word_to_str(c.representative)
-                 for c in classes if c.word_length == 2 and c.primitive}
+        mixed = {word_to_str(w) for w, j in classes if len(w) == 2 and j == 1}
         assert mixed == {"ab", "Ab", "Ba", "BA"}
 
     def test_rank1_powers(self):
-        classes = enumerate_classes(1, 3)
-        assert [(word_to_str(c.representative), c.j) for c in classes] == [
+        classes = canonical_classes(1, 3)
+        assert [(word_to_str(w), j) for w, j in classes] == [
             ("A", 1), ("a", 1), ("AA", 2), ("aa", 2), ("AAA", 3), ("aaa", 3)
         ]
 
     def test_representatives_cyclically_reduced(self):
-        for c in enumerate_classes(2, 5):
-            assert is_cyclically_reduced(c.representative)
-            assert c.representative[0] != -c.representative[-1] or len(
-                c.representative) == 1
+        for w, _ in canonical_classes(2, 5):
+            assert is_cyclically_reduced(w)
+            assert w[0] != -w[-1] or len(w) == 1
 
     def test_matches_brute_force_midsize(self):
-        mine = {c.representative: c.j for c in enumerate_classes(2, 6)}
-        assert mine == brute_force_classes(2, 6)
+        assert dict(canonical_classes(2, 6)) == brute_force_classes(2, 6)
 
     def test_budget_guard(self):
         with pytest.raises(CutoffTooLarge):
-            enumerate_classes(2, 16, budget=10_000)
+            canonical_words(2, 16, budget=10_000)
 
     def test_deterministic_order(self):
-        a = enumerate_classes(2, 4)
-        b = enumerate_classes(2, 4)
-        assert a == b
-        lengths = [c.word_length for c in a]
+        a = canonical_classes(2, 4)
+        assert a == canonical_classes(2, 4)
+        lengths = [len(w) for w, _ in a]
         assert lengths == sorted(lengths)
+
+    @pytest.mark.parametrize("g, L", [(1, 4), (2, 5), (3, 3)])
+    def test_word_strings(self, g, L):
+        for k, (codes, _) in enumerate(canonical_words(g, L), start=1):
+            assert word_strings(codes, np.full(len(codes), k), g) == [
+                word_to_str(w) for w in decode_words(codes, k, g)]
+        spectrum = class_spectrum(ring_group(g, 0.01), L)
+        assert word_strings(spectrum.codes, spectrum.word_length, g) == [
+            word_to_str(w) for w, _ in canonical_classes(g, L)]
 
 
 def necklace_class_count(g, L):
@@ -242,10 +260,9 @@ class TestCanonicalWords:
     @pytest.mark.parametrize("g, L", [(1, 8), (2, 7), (3, 6)])
     def test_matches_recursive_and_brute_force(self, g, L):
         # rank 3 has base-6 codes
-        classes = enumerate_classes(g, L)
+        classes = canonical_classes(g, L)
         assert classes == recursive_classes(g, L)
-        assert {c.representative: c.j for c in classes} == (
-            brute_force_classes(g, L))
+        assert dict(classes) == brute_force_classes(g, L)
 
     def test_codes_ascend_and_count_every_class_at_depth(self):
         shells = canonical_words(2, 14)
@@ -259,7 +276,7 @@ class TestCanonicalWords:
         with pytest.raises(CutoffTooLarge, match="int64"):
             canonical_words(2, 32, budget=10 ** 30)
         with pytest.raises(CutoffTooLarge, match="int64"):
-            enumerate_classes(3, 25, budget=10 ** 30)
+            canonical_words(3, 25, budget=10 ** 30)
 
 
 def _families():
@@ -286,7 +303,7 @@ class TestWordProducts:
     @pytest.mark.parametrize("name", list(_families()))
     def test_bit_identical_to_evaluate_word(self, name):
         gens, L = _families()[name]
-        words = [c.representative for c in enumerate_classes(len(gens), L)]
+        words = [w for w, _ in canonical_classes(len(gens), L)]
         for k in range(1, L + 1):
             shell = [w for w in words if len(w) == k]
             entries, real = word_products(gens, letter_indices(shell, len(gens)))
@@ -327,22 +344,35 @@ class TestClassSpectrum:
             gens = _families()["float_real_pair"][0]
         else:
             gens = sample_group(name).generators
-        fields = ("length", "theta", "q", "mu", "attracting", "repelling",
-                  "spin_phase")
-        got = list(class_spectrum(gens, 6))
+        spectrum = class_spectrum(gens, 6)
         want = list(scalar_class_spectrum(gens, 6))
-        assert [(w, j) for w, j, _ in got] == [(w, j) for w, j, _ in want]
-        for (_, _, a), (_, _, b) in zip(got, want):
-            assert ([bits(getattr(a, f)) for f in fields]
-                    == [bits(getattr(b, f)) for f in fields])
+        assert [(w, j) for w, j, _ in want] == canonical_classes(2, 6)
+        assert spectrum.codes.tolist() == np.concatenate(
+            [codes for codes, _ in canonical_words(2, 6)]).tolist()
+        assert spectrum.word_length.tolist() == [len(w) for w, _, _ in want]
+        assert spectrum.j.tolist() == [j for _, j, _ in want]
+        for field, got in (("length", spectrum.ell),
+                           ("theta", spectrum.theta), ("q", spectrum.q),
+                           ("spin_phase", spectrum.spin_phase)):
+            assert (list(map(bits, got.tolist()))
+                    == [bits(getattr(inv, field)) for _, _, inv in want])
 
     def test_first_non_loxodromic_class_refused(self):
         with pytest.raises(NotLoxodromic) as reference:
             list(scalar_class_spectrum(ELLIPTIC_AB, 3))
         with pytest.raises(NotLoxodromic) as batched:
-            list(class_spectrum(ELLIPTIC_AB, 3))
+            class_spectrum(ELLIPTIC_AB, 3)
         assert str(batched.value) == str(reference.value) == (
             "word BA is elliptic, not loxodromic")
+
+    def test_select_keeps_every_field(self):
+        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 4)
+        primitive = spectrum.select(spectrum.j == 1)
+        assert len(primitive) == int((spectrum.j == 1).sum())
+        assert primitive.cutoff == spectrum.cutoff == 4
+        assert primitive.q.tolist() == spectrum.q[spectrum.j == 1].tolist()
+        assert primitive.codes.tolist() == (
+            spectrum.codes[spectrum.j == 1].tolist())
 
 
 class TestEvaluateWord:
@@ -367,8 +397,7 @@ class TestEvaluateWord:
 
     def test_rotations_share_invariants(self):
         point = sample_group("g2_complex_a")
-        for cls in enumerate_classes(2, 4):
-            w = cls.representative
+        for w, _ in canonical_classes(2, 4):
             base = geodesic_invariants(evaluate_word(point.generators, w))
             for i in range(1, len(w)):
                 rotated = geodesic_invariants(

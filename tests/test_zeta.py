@@ -2,9 +2,17 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from test_words import ELLIPTIC_AB, scalar_class_spectrum
-from toyterms import invariants_from_q, primitive_term, toy_list
+from toyterms import (
+    class_terms,
+    conjugated_terms,
+    invariants_from_q,
+    power_class_terms,
+    primitive_term,
+    toy_list,
+)
 
 from oddzeta.errors import (
     ConvergenceViolation,
@@ -15,14 +23,11 @@ from oddzeta.errors import (
 from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.quadrature import integrate
 from oddzeta.zeta import (
-    class_term,
-    conjugated_terms,
     dlog_zeta_odd,
     eta,
     eta_central_with_budget,
     log_zeta_half,
     odd_heat_trace,
-    power_class_terms,
     shell_tail_bound,
     terms_from_group,
     zeta_odd,
@@ -30,58 +35,80 @@ from oddzeta.zeta import (
 )
 
 
+def chi_pair(terms):
+    """(chi_+, chi_-) of a one-class term set."""
+    chi = complex(terms.chi[0])
+    return chi, chi.conjugate()
+
+
+def reference_weight_and_character(inv, variant, spin_sign):
+    """D and chi_+ of one class, as scalar expressions."""
+    chi = (cmath.exp(1j * inv.theta) if variant == "signature"
+           else inv.spin_phase / abs(inv.spin_phase))
+    return (abs(1.0 - inv.q) ** 2 / abs(inv.q),
+            chi if spin_sign == "plus" else chi.conjugate())
+
+
 class TestClassTerm:
     def test_weight_for_real_multiplier(self):
         inv = geodesic_invariants(MoebiusMap(2.0, 0.0, 0.0, 0.5))  # q = 1/4
-        term = class_term(inv, 1, "signature")
-        assert abs(term.D - 2.25) < 1e-15  # (3/4)^2 * 4
-        assert abs(term.chi_plus - term.chi_minus) < 1e-15  # sin 0 = 0
+        term = class_terms([(inv, 1)], "signature")
+        chi_plus, chi_minus = chi_pair(term)
+        assert abs(term.D[0] - 2.25) < 1e-15  # (3/4)^2 * 4
+        assert abs(chi_plus - chi_minus) < 1e-15  # sin 0 = 0
 
     def test_characters_at_theta_pi(self):
         inv = geodesic_invariants(MoebiusMap(2j, 0.0, 0.0, -0.5j))  # q = -1/4
-        sig = class_term(inv, 1, "signature")
-        spin = class_term(inv, 1, "spinor")
-        assert abs(sig.chi_plus - sig.chi_minus) < 1e-14  # 2i sin(pi) = 0
-        assert abs((spin.chi_plus - spin.chi_minus) - 2j) < 1e-14  # 2i sin(pi/2)
+        sig_plus, sig_minus = chi_pair(class_terms([(inv, 1)], "signature"))
+        spin_plus, spin_minus = chi_pair(class_terms([(inv, 1)], "spinor"))
+        assert abs(sig_plus - sig_minus) < 1e-14  # 2i sin(pi) = 0
+        assert abs((spin_plus - spin_minus) - 2j) < 1e-14  # 2i sin(pi/2)
 
     def test_weight_for_complex_multiplier(self):
         q = 0.2 * cmath.exp(1j * math.pi / 3)
         term = primitive_term(q)
-        assert abs(term.D - abs(1 - q) ** 2 / 0.2) < 1e-14
+        assert abs(term.D[0] - abs(1 - q) ** 2 / 0.2) < 1e-14
 
     def test_spin_sign_swap(self):
         inv = invariants_from_q(0.25j)
-        plus = class_term(inv, 1, "spinor", spin_sign="plus")
-        minus = class_term(inv, 1, "spinor", spin_sign="minus")
-        assert plus.chi_plus == minus.chi_minus
-        assert plus.chi_minus == minus.chi_plus
+        plus = chi_pair(class_terms([(inv, 1)], "spinor", spin_sign="plus"))
+        minus = chi_pair(class_terms([(inv, 1)], "spinor", spin_sign="minus"))
+        assert plus[0] == minus[1]
+        assert plus[1] == minus[0]
+
+    def test_refuses_unknown_variant_and_sign(self):
+        inv = invariants_from_q(0.25j)
+        with pytest.raises(ValueError, match="variant"):
+            class_terms([(inv, 1)], "odd")
+        with pytest.raises(ValueError, match="spin_sign"):
+            class_terms([(inv, 1)], spin_sign="both")
 
 
 class TestLogZetaHalf:
     def test_empty_terms(self):
-        ev = log_zeta_half([], "+", 0.0)
+        ev = log_zeta_half(toy_list([]), "+", 0.0)
         assert ev.value == 0.0
         assert cmath.exp(ev.value) == 1.0
 
     def test_single_term_value(self):
         inv = geodesic_invariants(MoebiusMap(2.0, 0.0, 0.0, 0.5))
-        term = class_term(inv, 1, "signature")
-        ev = log_zeta_half([term], "+", 0.0)
+        term = class_terms([(inv, 1)], "signature")
+        ev = log_zeta_half(term, "+", 0.0)
         assert abs(ev.value - (-4.0 / 9.0)) < 1e-15
 
     def test_power_index_divides(self):
         inv = geodesic_invariants(MoebiusMap(2.0, 0.0, 0.0, 0.5))
-        t1 = class_term(inv, 1, "signature")
-        t2 = class_term(inv, 2, "signature")
-        assert abs(2.0 * log_zeta_half([t2], "+", 0.0).value
-                   - log_zeta_half([t1], "+", 0.0).value) < 1e-15
+        t1 = class_terms([(inv, 1)], "signature")
+        t2 = class_terms([(inv, 2)], "signature")
+        assert abs(2.0 * log_zeta_half(t2, "+", 0.0).value
+                   - log_zeta_half(t1, "+", 0.0).value) < 1e-15
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceViolation):
-            log_zeta_half([primitive_term(0.1)], "+", -0.5, delta_hat=-0.3)
+            log_zeta_half(primitive_term(0.1), "+", -0.5, delta_hat=-0.3)
 
     def test_json_shape(self):
-        ev = log_zeta_half([primitive_term(0.1)], "+", 0.25 + 0.5j)
+        ev = log_zeta_half(primitive_term(0.1), "+", 0.25 + 0.5j)
         doc = ev.to_json_dict()
         assert set(doc) == {"variant", "lambda", "value", "tail_bound", "cutoff_L"}
         assert doc["lambda"] == [0.25, 0.5]
@@ -97,7 +124,7 @@ class TestZetaOdd:
         base = primitive_term(0.25j)
         terms = power_class_terms(base, 60)
         zsum = zeta_odd(terms, 0.0)
-        zprod = zeta_odd_signature_product([base], 0.0, 80)
+        zprod = zeta_odd_signature_product(base, 0.0, 80)
         assert abs(zsum.value - zprod.value) < 1e-10
 
     def test_sum_vs_product_at_complex_lambda(self):
@@ -105,7 +132,7 @@ class TestZetaOdd:
         terms = power_class_terms(base, 80)
         lam = 0.3 + 0.1j
         zsum = zeta_odd(terms, lam)
-        zprod = zeta_odd_signature_product([base], lam, 80)
+        zprod = zeta_odd_signature_product(base, lam, 80)
         assert abs(zsum.value - zprod.value) < 1e-10
 
     def test_product_form_rejects_powers(self):
@@ -126,7 +153,7 @@ class TestZetaOdd:
                             lambda terms, rank, re_lam: 750.0)
         base = primitive_term(0.2 * cmath.exp(0.8j))
         for z in (zeta_odd(power_class_terms(base, 20), 0.3, rank=2),
-                  zeta_odd_signature_product([base], 0.3, 20, rank=2)):
+                  zeta_odd_signature_product(base, 0.3, 20, rank=2)):
             assert z.tail_bound == math.inf
             assert cmath.isfinite(z.value)
         monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
@@ -141,17 +168,18 @@ class TestZetaOdd:
         lam = 0.1
         half = cmath.exp(log_zeta_half(power_class_terms(base, 80), "+", lam).value)
         product = 1.0 + 0.0j
-        scale = abs(base.q) ** (lam + 1.0)
+        q, theta = complex(base.q[0]), float(base.theta[0])
+        scale = abs(q) ** (lam + 1.0)
         for a in range(81):
             for b in range(81):
-                w = base.q ** a * base.q.conjugate() ** b * scale
-                product *= 1.0 - cmath.exp(1j * base.theta) * w
+                w = q ** a * q.conjugate() ** b * scale
+                product *= 1.0 - cmath.exp(1j * theta) * w
         assert abs(half - product) < 1e-10
 
 
 class TestDlogZetaOdd:
     def test_empty(self):
-        assert dlog_zeta_odd([], 1.0) == 0.0
+        assert dlog_zeta_odd(toy_list([]), 1.0) == 0.0
 
     def test_real_group_identically_zero(self):
         terms = toy_list([0.3, 0.07])
@@ -174,11 +202,11 @@ class TestOddHeatTrace:
     def test_single_term_closed_form(self):
         # theta = +pi/2, |q| = e^{-1}: trace = -(4 pi) (4 pi t)^{-3/2} e^{-1/4t} / D
         term = primitive_term(-1j * math.exp(-1.0))
-        assert abs(term.theta - 0.5 * math.pi) < 1e-15
+        assert abs(term.theta[0] - 0.5 * math.pi) < 1e-15
         for t in (0.4, 0.7, 2.0):
-            value = odd_heat_trace([term], t)
+            value = odd_heat_trace(term, t)
             expect = -(4.0 * math.pi / (4.0 * math.pi * t) ** 1.5
-                       ) * math.exp(-1.0 / (4 * t)) / term.D
+                       ) * math.exp(-1.0 / (4 * t)) / term.D[0]
             assert abs(value - expect) < 1e-14 * abs(expect)
             assert value.imag == 0.0
 
@@ -197,7 +225,7 @@ class TestOddHeatTrace:
     def test_small_t_gaussian_suppression(self):
         # decay rate is min(l)^2 / 4 per the trace formula exponent
         terms = toy_list([0.25j, 0.1j])
-        c2 = min(t.ell for t in terms) ** 2
+        c2 = terms.ell.min() ** 2
         t1, t2 = 0.05, 0.1
         measured = (math.log(abs(odd_heat_trace(terms, t1)))
                     - math.log(abs(odd_heat_trace(terms, t2))))
@@ -219,8 +247,8 @@ class TestEta:
 
     def test_toy_routes_agree(self):
         terms = toy_list([0.25j], max_power=60)
-        closed = (1j * sum((t.chi_plus - t.chi_minus) / (t.j * t.D)
-                           for t in terms) / math.pi).real
+        closed = (1j * sum(((terms.chi - terms.chi.conj())
+                            / (terms.j * terms.D)).tolist()) / math.pi).real
         values = {route: eta(terms, route)
                   for route in ("central_value", "lambda_integral",
                                 "heat_quadrature")}
@@ -262,17 +290,28 @@ class TestEta:
 class TestGroupTerms:
     def test_signature_terms_sorted_and_tagged(self, complex_groups):
         _, _, terms = complex_groups["g2_complex_a"]
-        lengths = [t.word_length for t in terms]
-        assert lengths == sorted(lengths)
-        assert all(t.variant == "signature" for t in terms)
+        assert np.all(np.diff(terms.word_length) >= 0)
+        assert terms.variant == "signature"
+        assert len(terms) == len(terms.chi) == len(terms.D)
 
     def test_terms_match_scalar_reference(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]
+        reference = list(scalar_class_spectrum(point.generators, 5))
         for variant, sign in (("signature", "plus"), ("spinor", "minus")):
-            assert terms_from_group(point.generators, 5, variant, sign) == [
-                class_term(inv, j, variant, spin_sign=sign,
-                           word_length=len(w))
-                for w, j, inv in scalar_class_spectrum(point.generators, 5)]
+            terms = terms_from_group(point.generators, 5, variant, sign)
+            assert terms.variant == variant
+            assert terms.word_length.tolist() == [len(w) for w, _, _ in reference]
+            assert terms.j.tolist() == [j for _, j, _ in reference]
+            for field, got in (("length", terms.ell), ("theta", terms.theta),
+                               ("q", terms.q),
+                               ("spin_phase", terms.spin_phase)):
+                assert got.tolist() == [getattr(inv, field)
+                                        for _, _, inv in reference]
+            weights, characters = zip(*(
+                reference_weight_and_character(inv, variant, sign)
+                for _, _, inv in reference))
+            assert terms.D.tolist() == list(weights)
+            assert terms.chi.tolist() == list(characters)
 
     def test_first_non_loxodromic_class_refused(self):
         # ab and its inverse BA are elliptic; BA is first in class order
@@ -286,16 +325,17 @@ class TestGroupTerms:
     def test_spinor_terms_unit_characters(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]
         spin_terms = terms_from_group(point.generators, 3, "spinor")
-        for t in spin_terms:
-            assert abs(abs(t.chi_plus) - 1.0) < 1e-12
-            assert abs(t.chi_plus - t.spin_phase / abs(t.spin_phase)) < 1e-12
+        assert np.all(np.abs(np.abs(spin_terms.chi) - 1.0) < 1e-12)
+        assert np.all(np.abs(spin_terms.chi - spin_terms.spin_phase
+                             / np.abs(spin_terms.spin_phase)) < 1e-12)
 
     def test_sums_do_not_depend_on_term_order(self, complex_groups):
         # correctly rounded sums: any permutation gives the same bits
         _, est, terms = complex_groups["g2_complex_a"]
-        shuffled = list(terms)
-        random.Random(6).shuffle(shuffled)
-        assert shuffled != terms
+        order = list(range(len(terms)))
+        random.Random(6).shuffle(order)
+        shuffled = terms.select(np.array(order))
+        assert not np.array_equal(shuffled.ell, terms.ell)
         for sign in ("+", "-"):
             for lam in (0.0, 0.4 - 0.3j):
                 assert (log_zeta_half(shuffled, sign, lam, 2, est.delta_hat)
@@ -313,16 +353,13 @@ class TestGroupTerms:
         flipped = (-point.generators[0], point.generators[1])
         sig_a = terms_from_group(point.generators, 4)
         sig_b = terms_from_group(flipped, 4)
-        assert all(abs(x.chi_plus - y.chi_plus) < 1e-12
-                   for x, y in zip(sig_a, sig_b))
-        spin_a = terms_from_group(point.generators, 4, "spinor")
-        spin_b = terms_from_group(flipped, 4, "spinor")
-        flips = [abs(x.chi_plus + y.chi_plus) < 1e-12 and abs(x.chi_plus) > 0.9
-                 for x, y in zip(spin_a, spin_b)]
-        keeps = [abs(x.chi_plus - y.chi_plus) < 1e-12
-                 for x, y in zip(spin_a, spin_b)]
-        assert any(flips) and any(keeps)
-        assert all(f or k for f, k in zip(flips, keeps))
+        assert np.all(np.abs(sig_a.chi - sig_b.chi) < 1e-12)
+        spin_a = terms_from_group(point.generators, 4, "spinor").chi
+        spin_b = terms_from_group(flipped, 4, "spinor").chi
+        flips = (np.abs(spin_a + spin_b) < 1e-12) & (np.abs(spin_a) > 0.9)
+        keeps = np.abs(spin_a - spin_b) < 1e-12
+        assert flips.any() and keeps.any()
+        assert np.all(flips | keeps)
 
     def test_tail_bound_monotone_in_cutoff(self, real_group):
         point, _, _ = real_group

@@ -2,8 +2,10 @@ import cmath
 import math
 
 import pytest
-from toyterms import primitive_term, toy_list
+from toyterms import power_class_terms, primitive_term, toy_list
 
+import oddzeta.zeta
+import oddzeta.zograf
 from oddzeta.errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput
 from oddzeta.moebius import geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
@@ -46,12 +48,12 @@ class TestSchottkyChart:
 
 class TestZografF:
     def test_empty_product(self):
-        ev = zograf_F([], 10)
+        ev = zograf_F(toy_list([]), 10)
         assert ev.value == 1.0
         assert ev.tail_bound == 0.0
 
     def test_single_small_multiplier(self):
-        ev = zograf_F([primitive_term(0.01)], 10)
+        ev = zograf_F(primitive_term(0.01), 10)
         expect = 1.0
         for m in range(11):
             expect *= 1.0 - 0.01 ** (1 + m)
@@ -59,23 +61,23 @@ class TestZografF:
         assert abs(ev.value - 0.9899000001000099) < 1e-15  # frozen from the loop
 
     def test_real_multipliers_give_real_value(self):
-        ev = zograf_F([primitive_term(q) for q in (0.3, 0.05, 0.12)], 40)
+        ev = zograf_F(toy_list([0.3, 0.05, 0.12], max_power=1), 40)
         assert ev.value.imag == 0.0
 
     def test_rejects_powers(self):
         base = primitive_term(0.2)
-        from oddzeta.zeta import power_class_terms
         with pytest.raises(NonPrimitiveInput):
             zograf_F(power_class_terms(base, 2), 10)
 
     def test_conjugating_multipliers_conjugates_f(self):
         qs = [0.2 * cmath.exp(0.7j), 0.05 * cmath.exp(-1.2j)]
-        forward = zograf_F([primitive_term(q) for q in qs], 50)
-        backward = zograf_F([primitive_term(q.conjugate()) for q in qs], 50)
+        forward = zograf_F(toy_list(qs, max_power=1), 50)
+        backward = zograf_F(toy_list([q.conjugate() for q in qs], max_power=1),
+                            50)
         assert abs(forward.value.conjugate() - backward.value) < 1e-12
 
     def test_inner_tail_bound_validity(self):
-        terms = [primitive_term(0.3 * cmath.exp(0.4j))]
+        terms = primitive_term(0.3 * cmath.exp(0.4j))
         coarse = zograf_F(terms, 20)
         fine = zograf_F(terms, 30)
         assert abs(fine.value - coarse.value) <= coarse.tail_bound
@@ -85,7 +87,7 @@ class TestZografF:
         q = 0.2 * cmath.exp(1j * math.pi / 4)
         sum_terms = toy_list([q, q.conjugate()], max_power=70)
         z0 = zeta_odd(sum_terms, 0.0).value
-        f = zograf_F([primitive_term(q), primitive_term(q.conjugate())], 90)
+        f = zograf_F(toy_list([q, q.conjugate()], max_power=1), 90)
         assert abs(z0 - f.value.conjugate() / f.value) < 1e-10
 
 
@@ -115,6 +117,24 @@ class TestEtaFIdentity:
         with pytest.raises(DeltaNotNegative):
             identity_report(ring_group(), L=3, M=10, delta_cutoff=5)
 
+    def test_central_value_evaluated_once(self, complex_groups, monkeypatch):
+        # eta, its budget and Z_odd(0) all come from one pair of half sums
+        point, est, terms = complex_groups["g2_complex_b"]
+        calls = []
+        for module in (oddzeta.zeta, oddzeta.zograf):
+            original = module.log_zeta_half
+
+            def counted(*args, original=original, **kwargs):
+                calls.append(args[1])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "log_zeta_half", counted)
+        report = check_eta_F_identity(terms, 40, est.delta_hat, 2)
+        assert sorted(calls) == ["+", "-"]
+        monkeypatch.undo()
+        assert report.z_central == zeta_odd(terms, 0.0).value
+        assert report.eta == eta(terms, "central_value")
+
     def test_refuses_spinor_terms(self, complex_groups):
         point, est, _ = complex_groups["g2_complex_b"]
         spinor = terms_from_group(point.generators, 4, "spinor")
@@ -129,7 +149,7 @@ class TestEtaFIdentity:
         flipped = terms_from_group(point.generators, 6, "signature",
                                    spin_sign="minus")
         eta_flipped = eta(flipped, "central_value", delta_hat=est.delta_hat)
-        f = f_eval([t for t in terms if t.j == 1], 40)
+        f = f_eval(terms.select(terms.j == 1), 40)
         residual = abs(f.log_value.imag + 0.5 * math.pi * eta_flipped)
         assert residual > 1e-3  # fails decisively for the wrong choice
 

@@ -2,9 +2,14 @@
 
 import cmath
 import math
+from dataclasses import replace
 
+import numpy as np
+
+from oddzeta.errors import NonPrimitiveInput
 from oddzeta.moebius import GeodesicInvariants
-from oddzeta.zeta import class_term, power_class_terms
+from oddzeta.words import Spectrum
+from oddzeta.zeta import terms_from_spectrum
 
 
 def invariants_from_q(q: complex) -> GeodesicInvariants:
@@ -19,16 +24,69 @@ def invariants_from_q(q: complex) -> GeodesicInvariants:
     )
 
 
+def class_terms(rows, variant: str = "signature", spin_sign: str = "plus"):
+    """Terms of hand-built classes, one per (GeodesicInvariants, j) row,
+    with no words (so no shell tail model)."""
+    rows = list(rows)
+    spectrum = Spectrum(
+        codes=None, word_length=None,
+        j=np.array([j for _, j in rows], dtype=np.int64),
+        ell=np.array([inv.length for inv, _ in rows], dtype=float),
+        theta=np.array([inv.theta for inv, _ in rows], dtype=float),
+        q=np.array([inv.q for inv, _ in rows], dtype=complex),
+        spin_phase=np.array([inv.spin_phase for inv, _ in rows],
+                            dtype=complex),
+    )
+    return terms_from_spectrum(spectrum, variant, spin_sign)
+
+
 def primitive_term(q: complex, variant: str = "signature", spin_sign: str = "plus"):
-    return class_term(invariants_from_q(q), 1, variant, spin_sign=spin_sign)
+    """Terms of the single primitive class with multiplier q."""
+    return class_terms([(invariants_from_q(q), 1)], variant, spin_sign)
+
+
+def _power_rows(base, max_power: int):
+    """(invariants, p) of gamma^p, p = 1..P, for each class of ``base``."""
+    rows = []
+    for q, ell, phase in zip(base.q.tolist(), base.ell.tolist(),
+                             base.spin_phase.tolist()):
+        for p in range(1, max_power + 1):
+            q_p = q ** p
+            theta_p = -cmath.phase(q_p)
+            if theta_p <= -math.pi:
+                theta_p = math.pi
+            rows.append((GeodesicInvariants(
+                length=p * ell, theta=theta_p, q=q_p,
+                mu=(q ** -0.5) ** p, attracting=0.0,
+                repelling=complex(math.inf, 0.0), spin_phase=phase ** p,
+            ), p))
+    return rows
+
+
+def power_class_terms(base, max_power: int, spin_sign: str = "plus"):
+    """Terms for gamma, gamma^2, ..., gamma^P of primitive classes.
+
+    Used to close a toy list under powers so that sum-form and
+    product-form evaluations see the same data.
+    """
+    if (base.j != 1).any():
+        raise NonPrimitiveInput("power closure starts from a primitive class")
+    return class_terms(_power_rows(base, max_power), base.variant, spin_sign)
 
 
 def toy_list(qs, max_power: int = 60, variant: str = "signature",
              spin_sign: str = "plus"):
     """Each q spawns its class and all powers up to max_power."""
-    terms = []
-    for q in qs:
-        terms.extend(power_class_terms(
-            primitive_term(q, variant, spin_sign), max_power, spin_sign
-        ))
-    return terms
+    base = class_terms([(invariants_from_q(q), 1) for q in qs])
+    return class_terms(_power_rows(base, max_power), variant, spin_sign)
+
+
+def conjugated_terms(terms):
+    """Terms of the complex-conjugated group: q -> conj(q) termwise."""
+    return replace(
+        terms,
+        theta=np.where(terms.theta != math.pi, -terms.theta, math.pi),
+        q=terms.q.conj(),
+        chi=terms.chi.conj(),
+        spin_phase=terms.spin_phase.conj(),
+    )
