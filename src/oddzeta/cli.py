@@ -50,7 +50,7 @@ from .kernels import (
 )
 from .moebius import MoebiusMap, normalize_schottky
 from .words import class_spectrum, estimate_delta, word_strings
-from .zeta import eta, terms_from_group, zeta_odd
+from .zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
 from .zograf import (
     SchottkyPoint,
     check_eta_F_identity,
@@ -189,8 +189,7 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     if (config.variant, config.spin_sign) == ("signature", "plus"):
         identity_terms = terms
     else:
-        identity_terms = terms_from_group(gens, config.word_cutoff,
-                                          eps_class=config.eps_class)
+        identity_terms = terms_from_spectrum(terms)
     report = check_eta_F_identity(identity_terms, config.inner_cutoff,
                                   est.delta_hat, len(gens))
     doc = {

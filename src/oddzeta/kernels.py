@@ -5,10 +5,10 @@ factors such as parallel transport and Clifford multiplication live in the
 transport module.  Dimension bookkeeping: the space is H^(d+1); the spinor
 heat scalars use d + 1 = 2n + 1, the signature heat scalars d + 1 = 4m - 1.
 
-The derivative operator (-d/d cosh r)^k is evaluated exactly: through
-Taylor jets in r away from the diagonal, and through an even power-series
-recast in v = cosh r - 1 near r = 0 where the removable singularities
-live.  No finite differences anywhere.
+The derivative operator (-d/d cosh r)^k of the heat scalars is evaluated
+by one path for every r >= 0: Taylor jets in rho = r^2, in which the
+bracket is analytic, so the removable singularity at r = 0 needs no
+special case.  No finite differences anywhere.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from . import jets
 from .errors import AtDiagonal, DivergentIntegral, PoleAt, PoleOfGamma
 from .quadrature import integrate
 from .special import GammaPole, gamma_quotient, hyp2f1, is_nonpositive_integer
 
 _LOG2 = math.log(2.0)
-# series-in-(cosh r - 1) below, jets above: both are near machine accuracy
-# at the crossover for derivative orders up to 5
-_SMALL_R = 0.45
-_SERIES_ORDER_PAD = 12
 
 
 @dataclass(frozen=True)
@@ -126,54 +121,68 @@ def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
     )
 
 
-# --- (-d/d cosh r)^k of r / sinh(r/scale) * exp(-r^2 / 4t) -------------------
+# --- (-d/d cosh r)^k of r / sinh(s r) * exp(-r^2 / 4t) ------------------------
+#
+# In rho = r^2 the bracket is f = exp(-rho/4t) / S_s(rho) with
+# S_s(rho) = sinh(s sqrt(rho)) / sqrt(rho), and d/d cosh r = (1/g) d/drho
+# with g = S_1 / 2 = sinh r / 2r >= 1/2.  Every factor is a Taylor jet at
+# rho = r^2; the same arithmetic serves r = 0 and large r.
 
 
-def _sinhc_series(inv_scale: float, order: int):
-    """Power series in rho = r^2 of sinh(r * inv_scale) / r."""
-    coeffs = []
-    for m_idx in range(order + 1):
-        coeffs.append(inv_scale ** (2 * m_idx + 1) / math.gamma(2 * m_idx + 2))
-    return coeffs
+def _j_div(num, den):
+    """Quotient of two jets (Taylor coefficient lists); den[0] != 0."""
+    out = []
+    for k in range(min(len(num), len(den))):
+        acc = num[k]
+        for i in range(1, k + 1):
+            acc -= den[i] * out[k - i]
+        out.append(acc / den[0])
+    return out
 
 
-def _cosh_derivatives_near_zero(inv_scale: float, t: float, k: int, r: float) -> float:
-    """(-d/d cosh r)^k [ r/sinh(r*inv_scale) e^(-r^2/4t) ] for small r.
+def _j_deriv(a):
+    """d/drho of a jet; shortens it by one order."""
+    return [k * a[k] for k in range(1, len(a))]
 
-    The bracket is an even analytic function of r, hence analytic in
-    v = cosh r - 1; the derivative becomes an honest series derivative.
+
+def _sinhc_jet(s: float, rho: float, order: int):
+    """Taylor jet at rho of S_s(rho) = sum_m s^(2m+1) rho^m / (2m+1)!.
+
+    Coefficient j re-expands that series at rho,
+    sum_i C(i+j, j) s^(2(i+j)+1) rho^i / (2(i+j)+1)!, whose terms are all
+    positive, so no step cancels.  Raises OverflowError where the sum
+    leaves the float range, as sinh(s r) does.
     """
-    order = k + _SERIES_ORDER_PAD
-    sinhc = _sinhc_series(inv_scale, order)
-    f_rho = jets.series_inv(sinhc, order)
-    expo = [(-0.25 / t) ** m_idx / math.gamma(m_idx + 1) for m_idx in range(order + 1)]
-    f_rho = jets.series_mul(f_rho, expo, order)
-    # v(rho) = cosh(sqrt(rho)) - 1 = sum_{m>=1} rho^m / (2m)!
-    v_of_rho = [0.0] + [1.0 / math.gamma(2 * m_idx + 1) for m_idx in range(1, order + 1)]
-    rho_of_v = jets.series_revert(v_of_rho, order)
-    phi = jets.series_compose(f_rho, rho_of_v, order)
-    v0 = 2.0 * math.sinh(0.5 * r) ** 2  # cosh r - 1, cancellation-free
-    return (-1.0) ** k * jets.series_derivative_at(phi, k, v0)
-
-
-def _cosh_derivatives_generic(inv_scale: float, t: float, k: int, r: float) -> float:
-    """Same operator away from r = 0, via Taylor jets at r."""
-    order = 2 * k + 2
-    rj = jets.j_var(r, order)
-    sinh_scaled = jets.j_sinh([c * inv_scale for c in rj])
-    expo = jets.j_exp(jets.j_mul([-0.25 / t * c for c in rj], rj))
-    f = jets.j_mul(jets.j_div(rj, sinh_scaled), expo)
-    sinh_r = jets.j_sinh(rj)
-    for _ in range(k):
-        df = jets.j_deriv(f)
-        f = [-c for c in jets.j_div(df, sinh_r[: len(df)])]
-    return f[0]
+    jet = []
+    lead = s  # s^(2j+1) / (2j+1)!
+    for j in range(order + 1):
+        total, term, i = 0.0, lead, 0
+        while True:
+            total += term
+            i += 1
+            n = 2 * (i + j)
+            term *= (i + j) / i * s * s * rho / (n * (n + 1))
+            if not term > 2.0 ** -60 * total:  # also ends on inf and nan
+                break
+        if not math.isfinite(total):
+            raise OverflowError(
+                f"sinh({s!r} r) is not finite at r^2 = {rho!r}")
+        jet.append(total)
+        lead *= s * s / ((2 * j + 2) * (2 * j + 3))
+    return jet
 
 
 def _neg_dcosh_power(inv_scale: float, t: float, k: int, r: float) -> float:
-    if r < _SMALL_R:
-        return _cosh_derivatives_near_zero(inv_scale, t, k, r)
-    return _cosh_derivatives_generic(inv_scale, t, k, r)
+    """(-d/d cosh r)^k [ r/sinh(r*inv_scale) e^(-r^2/4t) ] at any r >= 0."""
+    rho = r * r
+    g = [0.5 * c for c in _sinhc_jet(1.0, rho, k)]
+    expo = [math.exp(-0.25 * rho / t)]
+    for j in range(1, k + 1):
+        expo.append(expo[-1] * (-0.25 / t) / j)
+    f = _j_div(expo, _sinhc_jet(inv_scale, rho, k))
+    for _ in range(k):
+        f = [-c for c in _j_div(_j_deriv(f), g)]
+    return f[0]
 
 
 def heat_scalar_spinor(p: KernelPoint):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +85,9 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
     ``spin_sign`` resolves the convention choice of which half-spin (or
     half-form) character is called sigma_plus; "minus" swaps the pair
     (conjugates chi) and negates eta.  The default "plus" is the choice
-    under which the holomorphic-factorization identity closes.
+    under which the holomorphic-factorization identity closes.  Only the
+    ``Spectrum`` fields are read, so a ``ZetaTerms`` of any variant gives
+    the terms of another.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant {variant!r} not in {VARIANTS}")
@@ -99,7 +101,9 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
     chi = np.array(chi, dtype=complex)
     if spin_sign == "minus":
         chi = chi.conj()
-    return ZetaTerms(**vars(spectrum), D=weight, chi=chi, variant=variant)
+    arrays = {field.name: getattr(spectrum, field.name)
+              for field in fields(Spectrum)}
+    return ZetaTerms(**arrays, D=weight, chi=chi, variant=variant)
 
 
 def terms_from_group(generators: Sequence[MoebiusMap], L: int,

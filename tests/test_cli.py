@@ -7,6 +7,7 @@ import pytest
 from test_words import scalar_class_spectrum
 
 import oddzeta.cli as cli
+import oddzeta.zeta as zeta
 import oddzeta.zograf as zograf
 from oddzeta.cli import main
 from oddzeta.config import format_complex, load_config, parse_complex
@@ -225,8 +226,13 @@ class TestEtaCommand:
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "DeltaNotNegative" in capsys.readouterr().err
 
-    def test_group_data_built_once(self, tmp_path, monkeypatch):
-        calls = {"estimate_delta": 0, "terms_from_group": 0}
+    @pytest.mark.parametrize("run_keys", [pytest.param("", id="default"),
+                                          "variant = spinor",
+                                          "spin_sign = minus"])
+    def test_group_data_built_once(self, tmp_path, monkeypatch, run_keys):
+        # the identity terms of a spinor or "minus" run come from the
+        # run's own spectrum, not from a second class-spectrum build
+        calls = {"estimate_delta": 0, "class_spectrum": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -234,13 +240,14 @@ class TestEtaCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (cli, zograf):
-            for name in calls:
-                monkeypatch.setattr(module, name,
-                                    counted(name, getattr(module, name)))
-        cfg = write(tmp_path, "a.cfg", COMPLEX_A)
+        for module, name in ((cli, "estimate_delta"), (zograf, "estimate_delta"),
+                             (cli, "class_spectrum"), (zeta, "class_spectrum")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        cfg = write(tmp_path, "a.cfg",
+                    COMPLEX_A.replace("[grids]", run_keys + "\n\n[grids]"))
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls == {"estimate_delta": 1, "terms_from_group": 1}
+        assert calls == {"estimate_delta": 1, "class_spectrum": 1}
 
     @pytest.mark.parametrize("run_keys", ["variant = spinor",
                                           "spin_sign = minus"])
@@ -279,6 +286,14 @@ class TestKernelsCommand:
         poles = [r for r in rows
                  if r["kind"] == "resolvent" and r["lam_re"] == "0.0"]
         assert all(r["note"] == "PoleOfGamma" for r in poles)
+
+    def test_overflow_refused(self, tmp_path, capsys):
+        # sinh r overflows at r = 800: a refusal, never a NaN row
+        cfg = write(tmp_path, "k.cfg", REAL_PAIR + "\n[grids]\nt = 1\nr = 800\n")
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 4
+        assert "OverflowError" in capsys.readouterr().err
+        assert not (out / "kernels.csv").exists()
 
 
 class TestScanCommand:
