@@ -208,78 +208,66 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
                        json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+#: kernels.csv columns: the row kind, where it is evaluated (t, r, lambda),
+#: the heat-kernel parts, the kernel value, the Gaussian quadrature check
+#: and a note naming a refusal
+_KERNEL_COLUMNS = (
+    "kind", "t", "r", "lam_re", "lam_im",
+    "p_plus_im", "p_minus_im", "plus_plus_minus", "p_middle",
+    "value_re", "value_im",
+    "gaussian_quad_re", "gaussian_quad_im", "gaussian_absdiff", "reported_err",
+    "note",
+)
+
+
+def _kernel_row(kind: str, at, heat=(None,) * 4, value=(None,) * 2,
+                gaussian=(None,) * 4, note: Optional[str] = None) -> str:
+    """One kernels.csv line from the ordered cells of ``_KERNEL_COLUMNS``
+    (``at`` is t, r, lam_re, lam_im): None is an empty cell, a number its
+    repr."""
+    cells = [kind, *at, *heat, *value, *gaussian, note]
+    return ",".join("" if c is None else c if isinstance(c, str) else repr(c)
+                    for c in cells)
+
+
 def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     """CSV of kernel scalar values over the (t, r) and (lambda, r) grids."""
     lines = _metadata_lines(config, n=config.kernel_n, m=config.kernel_m,
                             d=config.kernel_d)
-    lines.append(
-        "kind,t,r,lam_re,lam_im,p_plus_im,p_minus_im,plus_plus_minus,"
-        "p_middle,value_re,value_im,gaussian_quad_re,gaussian_quad_im,"
-        "gaussian_absdiff,reported_err,note"
-    )
-
-    def row(kind, t="", r="", lam=None, fields=None, note=""):
-        lam_re = f"{lam.real!r}" if lam is not None else ""
-        lam_im = f"{lam.imag!r}" if lam is not None else ""
-        cells = {name: "" for name in (
-            "p_plus_im", "p_minus_im", "plus_plus_minus", "p_middle",
-            "value_re", "value_im", "gaussian_quad_re", "gaussian_quad_im",
-            "gaussian_absdiff", "reported_err")}
-        cells.update(fields or {})
-        return (f"{kind},{t},{r},{lam_re},{lam_im},{cells['p_plus_im']},"
-                f"{cells['p_minus_im']},{cells['plus_plus_minus']},"
-                f"{cells['p_middle']},{cells['value_re']},{cells['value_im']},"
-                f"{cells['gaussian_quad_re']},{cells['gaussian_quad_im']},"
-                f"{cells['gaussian_absdiff']},{cells['reported_err']},{note}")
-
+    lines.append(",".join(_KERNEL_COLUMNS))
     for t in config.t_grid:
         for r in config.r_grid:
-            pp, pm = heat_scalar_spinor(KernelPoint(r=r, t=t, n=config.kernel_n))
-            lines.append(row("heat_spinor", f"{t!r}", f"{r!r}", fields={
-                "p_plus_im": f"{pp.imag!r}", "p_minus_im": f"{pm.imag!r}",
-                "plus_plus_minus": f"{abs(pp + pm)!r}",
-            }))
-            sp, sm, mid = heat_scalar_signature(
-                KernelPoint(r=r, t=t, n=config.kernel_n), config.kernel_m
-            )
-            lines.append(row("heat_signature", f"{t!r}", f"{r!r}", fields={
-                "p_plus_im": f"{sp.imag!r}", "p_minus_im": f"{sm.imag!r}",
-                "plus_plus_minus": f"{abs(sp + sm)!r}",
-                "p_middle": f"{mid!r}",
-            }))
+            point = KernelPoint(r=r, t=t, n=config.kernel_n)
+            at = (t, r, None, None)
+            pp, pm = heat_scalar_spinor(point)
+            lines.append(_kernel_row(
+                "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
+            sp, sm, mid = heat_scalar_signature(point, config.kernel_m)
+            lines.append(_kernel_row(
+                "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), mid)))
     for lam in config.lambda_grid:
         for r in config.r_grid:
             point = KernelPoint(r=r, lam=lam)
-            try:
-                val = resolvent_scalar(point, config.kernel_d)
-                lines.append(row("resolvent", "", f"{r!r}", lam, {
-                    "value_re": f"{val.real!r}", "value_im": f"{val.imag!r}"}))
-            except (PoleOfGamma, AtDiagonal) as exc:
-                lines.append(row("resolvent", "", f"{r!r}", lam,
-                                 note=type(exc).__name__))
-            try:
-                val = dirac_resolvent_scalar(point, config.kernel_d)
-                lines.append(row("dirac_resolvent", "", f"{r!r}", lam, {
-                    "value_re": f"{val.real!r}", "value_im": f"{val.imag!r}"}))
-            except (PoleOfGamma, AtDiagonal) as exc:
-                lines.append(row("dirac_resolvent", "", f"{r!r}", lam,
-                                 note=type(exc).__name__))
+            at = (None, r, lam.real, lam.imag)
+            for kind, kernel in (("resolvent", resolvent_scalar),
+                                 ("dirac_resolvent", dirac_resolvent_scalar)):
+                try:
+                    val = kernel(point, config.kernel_d)
+                    lines.append(_kernel_row(kind, at,
+                                             value=(val.real, val.imag)))
+                except (PoleOfGamma, AtDiagonal) as exc:
+                    lines.append(_kernel_row(kind, at,
+                                             note=type(exc).__name__))
             try:
                 closed = gaussian_time_integral(lam, r)
                 quad, err = gaussian_time_integral_quadrature(
-                    lam, r, tol=config.quad_tol
-                )
-                lines.append(row("gaussian", "", f"{r!r}", lam, {
-                    "value_re": f"{closed.real!r}",
-                    "value_im": f"{closed.imag!r}",
-                    "gaussian_quad_re": f"{quad.real!r}",
-                    "gaussian_quad_im": f"{quad.imag!r}",
-                    "gaussian_absdiff": f"{abs(closed - quad)!r}",
-                    "reported_err": f"{err!r}",
-                }))
+                    lam, r, tol=config.quad_tol)
+                lines.append(_kernel_row(
+                    "gaussian", at, value=(closed.real, closed.imag),
+                    gaussian=(quad.real, quad.imag, abs(closed - quad), err)))
             except DivergentIntegral:
-                lines.append(row("gaussian", "", f"{r!r}", lam,
-                                 note="DivergentIntegral"))
+                lines.append(_kernel_row("gaussian", at,
+                                         note="DivergentIntegral"))
     return _write_text(out_dir / "kernels.csv", "\n".join(lines) + "\n")
 
 
@@ -291,22 +279,19 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     """
     base = _scan_point(config)
     # one memoized eta for the three parameters: they share the base point
-    eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff or 6)
+    eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff)
     rows = []
     for idx in range(3):
         oracles = {
             "harmonic": pluriharmonicity_scan(
-                base, idx, config.scan_h, config.scan_cutoff,
-                value_fn=lambda params, i=idx: (params[i] ** 3).real,
-            ),
+                base, idx, config.scan_h,
+                lambda params, i=idx: ((params[i] ** 3).real, 0.0)),
             "nonharmonic": pluriharmonicity_scan(
-                base, idx, config.scan_h, config.scan_cutoff,
-                value_fn=lambda params, i=idx: abs(params[i]) ** 2,
-            ),
+                base, idx, config.scan_h,
+                lambda params, i=idx: (abs(params[i]) ** 2, 0.0)),
         }
         if config.scan_oracle == "none":
-            rep = pluriharmonicity_scan(base, idx, config.scan_h,
-                                        config.scan_cutoff, eta_fn=eta_fn)
+            rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)
         else:
             rep = oracles[config.scan_oracle]
         rows.append({

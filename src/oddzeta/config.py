@@ -10,6 +10,7 @@ syntax so they round-trip through CSV unambiguously.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -192,8 +193,9 @@ def parse_config(text: str) -> RunConfig:
             grid = _float_grid(grids, key, "grids")
             if not grid:
                 raise ConfigError(f"[grids] {key}: grid must be nonempty")
-            if any(v <= 0 for v in grid):
-                raise ConfigError(f"[grids] {key}: entries must be positive")
+            if not all(0 < v < math.inf for v in grid):
+                raise ConfigError(
+                    f"[grids] {key}: entries must be positive and finite")
             values[target] = grid
 
     kernels = sections.get("kernels", {})
@@ -217,8 +219,9 @@ def parse_config(text: str) -> RunConfig:
     for key, target in (("eps_class", "eps_class"), ("quad_tol", "quad_tol")):
         if key in tolerances:
             val = _typed(tolerances, key, float, "tolerances")
-            if val <= 0:
-                raise ConfigError(f"[tolerances] {key}: must be positive")
+            if not 0 < val < math.inf:
+                raise ConfigError(
+                    f"[tolerances] {key}: must be positive and finite")
             values[target] = val
 
     config = RunConfig(
@@ -227,10 +230,20 @@ def parse_config(text: str) -> RunConfig:
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         **values,
     )
-    if config.word_cutoff < 1:
-        raise ConfigError("[run] word_cutoff must be >= 1")
-    if config.inner_cutoff < 1:
-        raise ConfigError("[run] inner_cutoff must be >= 1")
+    for where, key, value, least in (
+        ("run", "word_cutoff", config.word_cutoff, 1),
+        ("run", "inner_cutoff", config.inner_cutoff, 1),
+        # estimate_delta compares the growth of 4 shells
+        ("run", "delta_cutoff", config.delta_cutoff, 4),
+        ("scan", "scan_cutoff", config.scan_cutoff, 1),
+        ("kernels", "n", config.kernel_n, 1),
+        ("kernels", "m", config.kernel_m, 1),
+        ("kernels", "d", config.kernel_d, 1),
+    ):
+        if value < least:
+            raise ConfigError(f"[{where}] {key} must be >= {least}")
+    if not 0 < config.scan_h < math.inf:
+        raise ConfigError("[scan] h must be positive and finite")
     return config
 
 

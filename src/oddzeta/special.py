@@ -6,10 +6,12 @@ domain exercised here.  Branch offsets of 2*pi*i in ``log_gamma`` are
 irrelevant to this package: every consumer exponentiates a difference of
 log-gammas.
 
-``hyp2f1`` sums the Gauss series where it converges quickly and otherwise
+``hyp2f1`` sums the Gauss series directly for |z| <= 0.9 and otherwise
 routes through the Pfaff transformation (arguments left of Re z = 1/2) or
 the two-term connection formula in powers of 1 - z (arguments near z = 1,
-which is where the resolvent kernels live, c - a - b nonintegral there).
+which is where the resolvent kernels live at small r, c - a - b
+nonintegral there).  Just above |z| = 1/2 the two connection terms
+cancel, so the direct series is the accurate one there.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         return _series(a, b, c, z)  # terminating polynomial
     if abs(z - 1.0) < 1e-15:
         return _gauss_at_one(a, b, c)
-    if abs(z) <= 0.5:
+    if abs(z) <= 0.9:
         return _series(a, b, c, z)
     if z.real <= 0.5:
         # Pfaff: argument moves to z/(z-1), inside the unit disk here

@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    BoundaryPoint,
     CutoffTooLarge,
     IndexOutOfRange,
     NonConvergent,
@@ -32,7 +31,6 @@ from .errors import (
 )
 from .moebius import (
     EPS_CLASS,
-    HalfSpacePoint,
     MoebiusMap,
     _classify,
     _multiplier_invariants,
@@ -87,8 +85,7 @@ _CLASS_BLOCK = 8192
 _PRODUCT_BLOCK = 2048
 
 
-def canonical_words(g: int, L: int, budget: int = DEFAULT_WORD_BUDGET
-                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+def canonical_words(g: int, L: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Canonical representatives of all classes of length <= L, as codes.
 
     Returns shells[k-1] = (codes, j) for k = 1..L: int64 arrays with one
@@ -110,13 +107,16 @@ def canonical_words(g: int, L: int, budget: int = DEFAULT_WORD_BUDGET
     last letters are not inverse.  Parents go through in blocks of
     ``_CLASS_BLOCK``, and only prenecklaces are kept (at rank 2 about
     twice as many as classes), never all reduced words of a shell.
+    More than ``DEFAULT_WORD_BUDGET`` predicted classes, or codes beyond
+    int64, raise CutoffTooLarge.
     """
     if g < 1 or L < 1:
         raise ValueError("need g >= 1 and L >= 1")
     predicted = sum(_reduced_word_count(g, k) // k for k in range(1, L + 1))
-    if predicted > budget:
+    if predicted > DEFAULT_WORD_BUDGET:
         raise CutoffTooLarge(
-            f"about {predicted} classes at L = {L} exceeds the budget {budget}"
+            f"about {predicted} classes at L = {L} exceeds the budget "
+            f"{DEFAULT_WORD_BUDGET}"
         )
     base = 2 * g
     if base ** L > np.iinfo(np.int64).max:
@@ -369,8 +369,7 @@ class Spectrum:
 
 
 def class_spectrum(generators: Sequence[MoebiusMap], L: int,
-                   eps_class: float = EPS_CLASS,
-                   budget: int = DEFAULT_WORD_BUDGET) -> Spectrum:
+                   eps_class: float = EPS_CLASS) -> Spectrum:
     """The ``Spectrum`` of every class of length <= L.
 
     Classes come from ``canonical_words``; their matrices come from
@@ -382,7 +381,7 @@ def class_spectrum(generators: Sequence[MoebiusMap], L: int,
     that order, that is not loxodromic.
     """
     g = len(generators)
-    shells = canonical_words(g, L, budget)
+    shells = canonical_words(g, L)
     n = sum(len(codes) for codes, _ in shells)
     ell, theta = np.empty(n), np.empty(n)
     q, phase = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
@@ -441,8 +440,6 @@ def word_to_str(w: Sequence[int]) -> str:
 
 # --- Poincare exponent -------------------------------------------------------
 
-BASE_POINT = HalfSpacePoint(1.0, (0.0, 0.0))
-
 
 @dataclass(frozen=True)
 class PoincareEstimate:
@@ -495,27 +492,24 @@ def _renormalize(e: np.ndarray) -> None:
     e[:, fix] = fixed
 
 
-def _displacements(e: np.ndarray, base: HalfSpacePoint) -> np.ndarray:
-    """hyperbolic_distance(base, apply_h3(base)) per matrix, entries as rows."""
-    a, b, c, d = e
-    t = base.x
-    u, v = base.y
-    z = complex(u, v)
-    cz_d = c * z + d
-    den = np.abs(cz_d) ** 2 + np.abs(c) ** 2 * t * t
-    num = (a * z + b) * cz_d.conj() + a * c.conj() * t * t
-    x = t / den
-    if (x <= 0).any():
-        raise BoundaryPoint("distance needs interior points (x > 0)")
-    dy2 = (u - num.real / den) ** 2 + (v - num.imag / den) ** 2
-    val = (dy2 + (t + x) ** 2) / (4.0 * t * x)
-    return 2.0 * np.arccosh(np.sqrt(np.maximum(val, 1.0)))
+def _displacements(e: np.ndarray) -> np.ndarray:
+    """d(o, g o) at o = (1, 0) per matrix, entries as rows.
+
+    2 cosh d = |a|^2 + |b|^2 + |c|^2 + |d|^2 for g in SL(2, C), so
+    cosh^2(d/2) = (sum of |entries|^2 + 2) / 4.
+    """
+    cosh2 = ((e.real ** 2 + e.imag ** 2).sum(axis=0) + 2.0) / 4.0
+    return 2.0 * np.arccosh(np.sqrt(np.maximum(cosh2, 1.0)))
 
 
-def shell_displacements(generators: Sequence[MoebiusMap], L: int,
-                        base: HalfSpacePoint = BASE_POINT,
-                        budget: int = DEFAULT_WORD_BUDGET) -> List[np.ndarray]:
+def shell_displacements(generators: Sequence[MoebiusMap],
+                        L: int) -> List[np.ndarray]:
     """Orbit displacements d(o, w o) for all reduced words, per length shell.
+
+    The base point is o = (1, 0), the point j of the upper half-space,
+    where 2 cosh d(o, g o) = |a|^2 + |b|^2 + |c|^2 + |d|^2 for g in
+    SL(2, C) (the squared Frobenius norm of the matrix; Beardon, The
+    Geometry of Discrete Groups, 4.2), so no point is moved.
 
     Returns shells[k-1] for k = 1..L, each a 1-D float64 array in the
     depth-first (lexicographic) order of the words under the integer
@@ -527,18 +521,16 @@ def shell_displacements(generators: Sequence[MoebiusMap], L: int,
     the scalar product and distance within a few ulps.  Parents are
     expanded in blocks of ``_SHELL_BLOCK``, and the matrices of the last
     shell are never kept, so memory is the shell-(L-1) matrices plus the
-    output.
+    output.  More than ``DEFAULT_WORD_BUDGET`` words raise
+    CutoffTooLarge.
     """
     g = len(generators)
     predicted = sum(_reduced_word_count(g, k) for k in range(1, L + 1))
-    if predicted > budget:
+    if predicted > DEFAULT_WORD_BUDGET:
         raise CutoffTooLarge(
-            f"about {predicted} words at L = {L} exceeds the budget {budget}"
+            f"about {predicted} words at L = {L} exceeds the budget "
+            f"{DEFAULT_WORD_BUDGET}"
         )
-    if len(base.y) != 2:
-        raise ValueError("H^3 action needs 2-dimensional boundary points")
-    if base.x <= 0:
-        raise BoundaryPoint("distance needs interior points (x > 0)")
     # letters -g..-1, 1..g by index; the inverse of letter j is 2g-1-j
     maps = [gen.inverse() for gen in reversed(generators)] + list(generators)
     mats = np.array([[[m.a, m.b], [m.c, m.d]] for m in maps], dtype=complex)
@@ -568,7 +560,7 @@ def shell_displacements(generators: Sequence[MoebiusMap], L: int,
             _renormalize(entries)
             lo = start * children
             hi = lo + entries.shape[1]
-            out[lo:hi] = _displacements(entries, base)
+            out[lo:hi] = _displacements(entries)
             if keep:
                 next_frontier.reshape(-1, 4)[lo:hi] = entries.T
                 next_last[lo:hi] = np.nonzero(allowed)[1]
@@ -584,27 +576,24 @@ def shell_sum(displacements: Sequence[float], s: float,
     return math.fsum(math.exp(-(s + n) * r) for r in displacements)
 
 
-def _log_shell_sum(displacements: np.ndarray, s: float, n: float) -> float:
-    # log-sum-exp; plain summation underflows for large s
-    exps = -(s + n) * displacements
+def _log_shell_sum(displacements: np.ndarray, s: float) -> float:
+    """log S_s(k) for n = 1, by log-sum-exp (plain sums underflow for
+    large s)."""
+    exps = -(s + 1.0) * displacements
     m = exps.max()
     exps -= m
     return float(m + math.log(np.exp(exps, out=exps).sum()))
 
 
-def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
-                   base: HalfSpacePoint = BASE_POINT,
-                   budget: int = DEFAULT_WORD_BUDGET,
-                   bisect_tol: float = 1e-12,
-                   bracket_tol: float = None) -> PoincareEstimate:
+def estimate_delta(generators: Sequence[MoebiusMap],
+                   L: int) -> PoincareEstimate:
     """Shell-bisection estimate of the shifted Poincare exponent.
 
     For each of the last two shell pairs (k, k+1) the shell growth rate
-    log(S_s(k+1)/S_s(k)) crosses zero at some s; the latest crossing is
-    the estimate and the two crossings bracket it.  The accuracy of this
-    scheme is reported via the bracket, not guaranteed.  By default a wide
-    bracket is returned rather than treated as failure; pass
-    ``bracket_tol`` to insist on stabilized growth rates.
+    log(S_s(k+1)/S_s(k)) crosses zero at some s, found by bisection to
+    1e-12; the latest crossing is the estimate and the two crossings
+    bracket it.  The accuracy of this scheme is reported via the
+    bracket, not guaranteed: a wide bracket is returned, not refused.
 
     The shells come from ``shell_displacements`` as arrays, and each
     bisection step takes one numpy log-sum-exp per shell, so the cost is
@@ -612,15 +601,15 @@ def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
     """
     if L < 4:
         raise NonConvergent(f"need at least 4 shells, got L = {L}")
-    shells = shell_displacements(generators, L, base, budget)
+    shells = shell_displacements(generators, L)
 
     def crossing(k: int) -> float:
         # growth rate between shells k+1 and k+2 (1-based), decreasing in s
         def f(s: float) -> float:
-            return (_log_shell_sum(shells[k + 1], s, n)
-                    - _log_shell_sum(shells[k], s, n))
+            return (_log_shell_sum(shells[k + 1], s)
+                    - _log_shell_sum(shells[k], s))
 
-        lo, hi = -n - 3.0, 8.0
+        lo, hi = -4.0, 8.0
         tries = 0
         while f(lo) <= 0.0:
             lo -= 4.0
@@ -633,7 +622,7 @@ def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
             tries += 1
             if tries > 8:
                 raise NonConvergent("growth rate never negative; shells unusable")
-        while hi - lo > bisect_tol:
+        while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:
                 lo = mid
@@ -643,11 +632,7 @@ def estimate_delta(generators: Sequence[MoebiusMap], L: int, n: float = 1.0,
 
     s_prev = crossing(L - 3)
     s_last = crossing(L - 2)
-    low, high = min(s_prev, s_last), max(s_prev, s_last)
-    if bracket_tol is not None and high - low > bracket_tol:
-        raise NonConvergent(
-            f"bracket width {high - low:.3g} exceeds {bracket_tol:.3g}"
-        )
     return PoincareEstimate(
-        delta_hat=s_last, bracket=(low, high), cutoff=L, method="shell-bisection"
+        delta_hat=s_last, bracket=(min(s_prev, s_last), max(s_prev, s_last)),
+        cutoff=L, method="shell-bisection"
     )

@@ -108,7 +108,6 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
 
 def terms_from_group(generators: Sequence[MoebiusMap], L: int,
                      variant: str = "signature", spin_sign: str = "plus",
-                     budget: int = 10_000_000,
                      eps_class: float = 1e-9) -> ZetaTerms:
     """Class terms for every conjugacy class of word length <= L.
 
@@ -119,22 +118,26 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
     purely loxodromic at this cutoff.
     """
     return terms_from_spectrum(
-        class_spectrum(generators, L, eps_class, budget), variant, spin_sign)
+        class_spectrum(generators, L, eps_class), variant, spin_sign)
 
 
 # --- truncation-tail model ----------------------------------------------------
 
+#: Safety factor on the shell model's tail bound
+_TAIL_SAFETY = 4.0
+
 
 def shell_tail_bound(terms: Spectrum, rank: Optional[int],
-                     re_lam: float, safety: float = 4.0) -> float:
+                     re_lam: float) -> float:
     """Bound on the log-scale mass of all classes beyond the word cutoff.
 
     Model: at most 2g(2g-1)^(k-1) classes per omitted shell k, each with
     length at least alpha*k where alpha is fitted on the shortest lengths
     of the last four enumerated shells; per-class magnitude is bounded by
-    e^(-(1+Re lambda) l) / (1 - e^(-l))^2.  A x4 safety factor pads the
-    linear-length extrapolation.  Returns 0.0 when shell metadata is
-    missing (hand-built spectra) and inf when the model does not converge.
+    e^(-(1+Re lambda) l) / (1 - e^(-l))^2.  The factor ``_TAIL_SAFETY``
+    pads the linear-length extrapolation.  Returns 0.0 when shell
+    metadata is missing (hand-built spectra) and inf when the model does
+    not converge.
     """
     if rank is None or terms.word_length is None or not len(terms):
         return 0.0
@@ -153,7 +156,7 @@ def shell_tail_bound(terms: Spectrum, rank: Optional[int],
     first = (2 * rank * (2 * rank - 1) ** cutoff
              * math.exp(-alpha * (1.0 + re_lam) * (cutoff + 1)))
     damping = (1.0 - math.exp(-alpha * (cutoff + 1))) ** 2
-    return safety * first / ((1.0 - ratio) * damping)
+    return _TAIL_SAFETY * first / ((1.0 - ratio) * damping)
 
 
 # --- zeta sums ------------------------------------------------------------------
@@ -306,12 +309,12 @@ def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
 
 def eta(terms: ZetaTerms, route: str = "central_value",
         delta_hat: Optional[float] = None, rank: Optional[int] = None,
-        lambda_max: Optional[float] = None,
         quad_tol: float = 1e-11) -> float:
     """Eta invariant from the class data, by one of three routes.
 
     central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch.
-    lambda_integral: (i/pi) int_0^Lmax dlog Z_odd + termwise analytic tail.
+    lambda_integral: (i/pi) int_0^Lmax dlog Z_odd + termwise analytic tail,
+                     Lmax = 40 / (shortest length).
     heat_quadrature: (1/sqrt(pi)) int_0^inf t^(-1/2) Tr-heat dt, computed
                      through u = 1/t so both halves of the split at t = 1
                      become smooth exponentially decaying integrals.
@@ -327,7 +330,7 @@ def eta(terms: ZetaTerms, route: str = "central_value",
         return eta_central_with_budget(terms, rank, delta_hat)[0]
     ell_min = float(terms.ell.min())
     if route == "lambda_integral":
-        lmax = lambda_max if lambda_max is not None else 40.0 / ell_min
+        lmax = 40.0 / ell_min
 
         def integrand(lam: float) -> complex:
             return dlog_zeta_odd(terms, lam)

@@ -180,9 +180,6 @@ class PluriharmonicityReport:
     error_budget: float
 
 
-ValueFn = Callable[[Tuple[complex, complex, complex]], float]
-
-
 EtaFn = Callable[[Tuple[complex, complex, complex]], Tuple[float, float]]
 
 
@@ -210,28 +207,21 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
 
 
 def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
-                          L: int, delta_cutoff: Optional[int] = None,
-                          value_fn: Optional[ValueFn] = None,
-                          eta_fn: Optional[EtaFn] = None
-                          ) -> PluriharmonicityReport:
-    """Five-point complex-direction Laplacian of eta in one chart parameter.
+                          fn: EtaFn) -> PluriharmonicityReport:
+    """Five-point complex-direction Laplacian of f in one chart parameter.
 
     fd_laplacian = (f(p+h) + f(p-h) + f(p+ih) + f(p-ih) - 4 f(p)) / h^2
     evaluated at step h; the error budget combines the Richardson h vs h/2
-    discretization estimate, the eta truncation bounds divided by h^2 and
-    a rounding floor.  ``value_fn`` (params -> float) replaces eta for
-    harness-validation oracles.  ``eta_fn`` is the eta function, by
-    default ``eta_on_chart(L, delta_cutoff or 6)``; pass one to several
-    scans of the same base point to evaluate the base point once.
+    discretization estimate, the truncation budgets divided by h^2 and a
+    rounding floor.  ``fn`` maps chart params to (f, truncation budget):
+    eta is ``eta_on_chart(L, delta_cutoff)``, whose memo lets several
+    scans of one base point evaluate it once; a harness-validation oracle
+    returns (value, 0.0).
     """
     if not 0 <= param_index < 3:
         raise ValueError("param_index must be 0, 1 or 2")
     if h <= 0:
         raise ValueError("h must be positive")
-    if value_fn is None:
-        fn = eta_fn or eta_on_chart(L, delta_cutoff or 6)
-    else:
-        fn = lambda params: (value_fn(params), 0.0)
 
     def shifted(delta: complex) -> Tuple[complex, complex, complex]:
         params = list(base.params)

@@ -36,7 +36,12 @@ from oddzeta.zeta import (
     zeta_odd,
     zeta_odd_signature_product,
 )
-from oddzeta.zograf import check_eta_F_identity, pluriharmonicity_scan, zograf_F
+from oddzeta.zograf import (
+    check_eta_F_identity,
+    eta_on_chart,
+    pluriharmonicity_scan,
+    zograf_F,
+)
 
 IDENTITY_RESIDUAL_TOL = 1e-3
 IDENTITY_TAIL_BUDGET = 1e-4
@@ -270,14 +275,14 @@ def test_criterion_11_pluriharmonicity():
     base = sample_group("scan_base")
     all_ok = True
     details = []
-    harmonic = pluriharmonicity_scan(base, 0, 1e-2, L=4,
-                                     value_fn=lambda p: (p[0] ** 3).real)
-    nonharmonic = pluriharmonicity_scan(base, 0, 1e-2, L=4,
-                                        value_fn=lambda p: abs(p[0]) ** 2)
+    harmonic = pluriharmonicity_scan(base, 0, 1e-2,
+                                     lambda p: ((p[0] ** 3).real, 0.0))
+    nonharmonic = pluriharmonicity_scan(base, 0, 1e-2,
+                                        lambda p: (abs(p[0]) ** 2, 0.0))
     all_ok &= abs(harmonic.fd_laplacian) < FD_ORACLE_TOL
     all_ok &= abs(nonharmonic.fd_laplacian - 4.0) < 1e-6
     for idx in range(3):
-        rep = pluriharmonicity_scan(base, idx, 5e-3, L=4, delta_cutoff=5)
+        rep = pluriharmonicity_scan(base, idx, 5e-3, eta_on_chart(4, 5))
         all_ok &= abs(rep.fd_laplacian) < rep.error_budget
         details.append(f"p{idx}: |{rep.fd_laplacian:.2e}| < {rep.error_budget:.2e}")
     report(11, bool(all_ok),

@@ -162,6 +162,41 @@ class TestSpectrum:
         assert "--threads" in capsys.readouterr().err
 
 
+#: (section, key line, commands) of values outside the config bounds;
+#: before the bounds they ended in exit 1, 0 (h = inf: NaN rows; eps_class
+#: = nan: a spectrum), 3, 4 or a silent default
+OUT_OF_BOUNDS = [
+    ("kernels", "n = 0", ("kernels",)),
+    ("scan", "h = -0.01", ("scan",)),
+    ("kernels", "d = -3", ("kernels",)),
+    ("scan", "scan_cutoff = 0", ("scan",)),
+    ("run", "delta_cutoff = 3", ("zeta", "eta")),
+    ("run", "delta_cutoff = 0", ("scan",)),
+    ("scan", "h = inf", ("scan",)),
+    ("grids", "r = nan", ("kernels",)),
+    ("tolerances", "eps_class = nan", ("spectrum",)),
+]
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize(
+        "section, line, commands", OUT_OF_BOUNDS,
+        ids=[f"{s}.{line.replace(' ', '')}" for s, line, _ in OUT_OF_BOUNDS])
+    def test_out_of_bounds_exits_2(self, tmp_path, capsys, section, line,
+                                   commands):
+        if section == "run":
+            text = COMPLEX_A.replace("delta_cutoff = 6", line)
+        else:
+            text = COMPLEX_A + f"\n[{section}]\n{line}\n"
+        cfg = write(tmp_path, "b.cfg", text)
+        key = line.split(" = ")[0]
+        for command in commands:
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert f"[{section}] {key}" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestZetaCommand:
     def test_real_group_values_are_one(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", REAL_PAIR)

@@ -157,40 +157,40 @@ class TestEtaFIdentity:
 class TestPluriharmonicityScan:
     def test_harmonic_oracle(self):
         base = sample_group("scan_base")
-        rep = pluriharmonicity_scan(base, 2, 1e-2, L=4,
-                                    value_fn=lambda p: (p[2] ** 3).real)
+        rep = pluriharmonicity_scan(base, 2, 1e-2,
+                                    lambda p: ((p[2] ** 3).real, 0.0))
         assert abs(rep.fd_laplacian) < 1e-8
         assert rep.error_budget > 0.0
 
     def test_nonharmonic_oracle(self):
         base = sample_group("scan_base")
-        rep = pluriharmonicity_scan(base, 1, 1e-2, L=4,
-                                    value_fn=lambda p: abs(p[1]) ** 2)
+        rep = pluriharmonicity_scan(base, 1, 1e-2,
+                                    lambda p: (abs(p[1]) ** 2, 0.0))
         assert abs(rep.fd_laplacian - 4.0) < 1e-7
 
     def test_eta_is_pluriharmonic_at_base_point(self):
         base = sample_group("scan_base")
         for idx in range(3):
-            rep = pluriharmonicity_scan(base, idx, 5e-3, L=4, delta_cutoff=5)
+            rep = pluriharmonicity_scan(base, idx, 5e-3, eta_on_chart(4, 5))
             assert abs(rep.fd_laplacian) < rep.error_budget
 
     def test_shared_eta_gives_the_same_reports(self):
         base = sample_group("scan_base")
         shared = eta_on_chart(4, 5)
         for idx in range(3):
-            assert (pluriharmonicity_scan(base, idx, 5e-3, L=4, eta_fn=shared)
-                    == pluriharmonicity_scan(base, idx, 5e-3, L=4,
-                                             delta_cutoff=5))
+            assert (pluriharmonicity_scan(base, idx, 5e-3, shared)
+                    == pluriharmonicity_scan(base, idx, 5e-3,
+                                             eta_on_chart(4, 5)))
 
     def test_leaving_domain_raises(self):
         # q1 + h crosses |q| = 1
         base = schottky_from_params(0.995, 0.0012, -1.0 + 0.5j)
         with pytest.raises(LeftSchottkyDomain):
-            pluriharmonicity_scan(base, 0, 1e-2, L=3, delta_cutoff=4)
+            pluriharmonicity_scan(base, 0, 1e-2, eta_on_chart(3, 4))
 
     def test_parameter_index_validation(self):
         base = sample_group("scan_base")
         with pytest.raises(ValueError):
-            pluriharmonicity_scan(base, 3, 1e-2, L=3)
+            pluriharmonicity_scan(base, 3, 1e-2, eta_on_chart(3, 6))
         with pytest.raises(ValueError):
-            pluriharmonicity_scan(base, 0, -1e-2, L=3)
+            pluriharmonicity_scan(base, 0, -1e-2, eta_on_chart(3, 6))
