@@ -49,6 +49,7 @@ from .zeta import (
     dlog_zeta_odd,
     eta,
     log_zeta_half,
+    log_zeta_odd,
     odd_heat_trace,
     terms_from_group,
     zeta_odd,

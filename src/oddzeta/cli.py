@@ -158,7 +158,7 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
                 {"lambda": [lam.real, lam.imag], "nonconvergent": True}
             )
         else:
-            ev = zeta_odd(terms, lam, rank=len(gens), delta_hat=est.delta_hat)
+            ev = zeta_odd(terms, lam, delta_hat=est.delta_hat)
             evaluations.append(ev.to_json_dict())
     doc = {
         "config_sha256": config.sha256,
@@ -181,7 +181,7 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     terms = terms_from_group(gens, config.word_cutoff, config.variant,
                              config.spin_sign, eps_class=config.eps_class)
     routes = {
-        route: eta(terms, route, delta_hat=est.delta_hat, rank=len(gens),
+        route: eta(terms, route, delta_hat=est.delta_hat,
                    quad_tol=config.quad_tol)
         for route in ("central_value", "lambda_integral", "heat_quadrature")
     }
@@ -191,7 +191,7 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     else:
         identity_terms = terms_from_spectrum(terms)
     report = check_eta_F_identity(identity_terms, config.inner_cutoff,
-                                  est.delta_hat, len(gens))
+                                  est.delta_hat)
     doc = {
         "config_sha256": config.sha256,
         "variant": config.variant,

@@ -7,11 +7,12 @@ irrelevant to this package: every consumer exponentiates a difference of
 log-gammas.
 
 ``hyp2f1`` sums the Gauss series directly for |z| <= 0.9 and otherwise
-routes through the Pfaff transformation (arguments left of Re z = 1/2) or
-the two-term connection formula in powers of 1 - z (arguments near z = 1,
-which is where the resolvent kernels live at small r, c - a - b
-nonintegral there).  Just above |z| = 1/2 the two connection terms
-cancel, so the direct series is the accurate one there.
+takes whichever of the Pfaff transformation, a series in z/(z - 1), and
+the two-term connection formula in powers of 1 - z has the smaller
+argument (the connection formula near z = 1, which is where the
+resolvent kernels live at small r, c - a - b nonintegral there).  Just
+above |z| = 1/2 the two connection terms cancel, so the direct series is
+the accurate one there.
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
         return _gauss_at_one(a, b, c)
     if abs(z) <= 0.9:
         return _series(a, b, c, z)
-    if z.real <= 0.5:
-        # Pfaff: argument moves to z/(z-1), inside the unit disk here
-        w = z / (z - 1.0)
+    w = z / (z - 1.0)
+    if abs(w) <= abs(1.0 - z):
+        # Pfaff; on Re z = 1/2, |w| = 1 and the 1 - z series is the one
+        # that converges
         return (1.0 - z) ** (-a) * _series(a, c - b, c, w)
     s = c - a - b
     if abs(s - round(s.real)) < 1e-8 and abs(s.imag) < 1e-8:

@@ -338,10 +338,13 @@ class Spectrum:
     ``word_length`` its length, ``j`` its power index, and the geodesic
     invariants ``ell`` (length), ``theta`` (holonomy), ``q``
     (multiplier) and ``spin_phase`` of the class, each equal to the
-    field of ``geodesic_invariants(evaluate_word(...))``.  ``codes`` and
-    ``word_length`` are None for hand-built spectra with no words.
+    field of ``geodesic_invariants(evaluate_word(...))``.  ``rank`` is
+    the number of generators, which the truncation-tail model needs.
+    ``rank``, ``codes`` and ``word_length`` are None for hand-built
+    spectra with no words.
     """
 
+    rank: Optional[int]
     codes: Optional[np.ndarray]
     word_length: Optional[np.ndarray]
     j: np.ndarray
@@ -407,6 +410,7 @@ def class_spectrum(generators: Sequence[MoebiusMap], L: int,
             _, q[lo:hi], ell[lo:hi], theta[lo:hi], phase[lo:hi] = zip(*rows)
             lo = hi
     return Spectrum(
+        rank=g,
         codes=np.concatenate([codes for codes, _ in shells]),
         word_length=np.concatenate([np.full(len(codes), k) for k, (codes, _)
                                     in enumerate(shells, start=1)]),
@@ -568,12 +572,6 @@ def shell_displacements(generators: Sequence[MoebiusMap],
         if keep:
             frontier, last = next_frontier, next_last
     return shells
-
-
-def shell_sum(displacements: Sequence[float], s: float,
-              n: float = 1.0) -> float:
-    """S_s(k) = sum over the shell of exp(-(s + n) r), correctly rounded."""
-    return math.fsum(math.exp(-(s + n) * r) for r in displacements)
 
 
 def _log_shell_sum(displacements: np.ndarray, s: float) -> float:

@@ -11,11 +11,17 @@ chi_+- = s^(+-1), s = mu/|mu| the spin phase of the SL(2, C) lift, for the
 spinor variant.  The sums run over all conjugacy classes up to the word
 cutoff; gamma and gamma^(-1) count separately.
 
-The class data is one ``ZetaTerms``: the arrays of a ``words.Spectrum``
-plus the weight D and the character chi = chi_+ per class (chi_- is its
-conjugate).  Every sum is one correctly rounded ``math.fsum`` over an
-array expression (separately on real and imaginary parts), so its value
-does not depend on the order of the terms.
+Z_odd = Z(sigma_+)/Z(sigma_-) is one sum: chi_- = conj(chi_+) and j, D
+are real, so
+
+    log Z_odd(lambda) = -2i sum a e^(-lambda l),   a = Im(chi_+ / (j D)),
+
+and Z_odd, its log-derivative, the heat trace and every eta route read
+this one odd weight a per class.  The class data is one ``ZetaTerms``:
+the arrays and rank of a ``words.Spectrum`` plus the weight D and the
+character chi = chi_+ per class.  Every sum is one correctly rounded
+``_fsum`` over an array expression, so its value does not depend on the
+order of the terms.
 
 The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
@@ -26,8 +32,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -127,19 +133,18 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
 _TAIL_SAFETY = 4.0
 
 
-def shell_tail_bound(terms: Spectrum, rank: Optional[int],
-                     re_lam: float) -> float:
+def shell_tail_bound(terms: Spectrum, re_lam: float) -> float:
     """Bound on the log-scale mass of all classes beyond the word cutoff.
 
-    Model: at most 2g(2g-1)^(k-1) classes per omitted shell k, each with
-    length at least alpha*k where alpha is fitted on the shortest lengths
-    of the last four enumerated shells; per-class magnitude is bounded by
-    e^(-(1+Re lambda) l) / (1 - e^(-l))^2.  The factor ``_TAIL_SAFETY``
-    pads the linear-length extrapolation.  Returns 0.0 when shell
-    metadata is missing (hand-built spectra) and inf when the model does
-    not converge.
+    Model: at most 2g(2g-1)^(k-1) classes per omitted shell k, g the
+    spectrum's ``rank``, each with length at least alpha*k where alpha is
+    fitted on the shortest lengths of the last four enumerated shells;
+    per-class magnitude is bounded by e^(-(1+Re lambda) l) / (1 -
+    e^(-l))^2.  The factor ``_TAIL_SAFETY`` pads the linear-length
+    extrapolation.  Returns 0.0 when the rank or shell metadata is
+    missing (hand-built spectra) and inf when the model does not converge.
     """
-    if rank is None or terms.word_length is None or not len(terms):
+    if terms.rank is None or terms.word_length is None or not len(terms):
         return 0.0
     # np.unique would import numpy.ma on its first call
     shells = np.flatnonzero(np.bincount(terms.word_length))[-4:].tolist()
@@ -150,6 +155,7 @@ def shell_tail_bound(terms: Spectrum, rank: Optional[int],
              / sum(k * k for k in shells))
     if alpha <= 0 or 1.0 + re_lam <= 0:
         return math.inf
+    rank = terms.rank
     ratio = (2 * rank - 1) * math.exp(-alpha * (1.0 + re_lam))
     if ratio >= 1.0:
         return math.inf
@@ -162,10 +168,20 @@ def shell_tail_bound(terms: Spectrum, rank: Optional[int],
 # --- zeta sums ------------------------------------------------------------------
 
 
-def _fsum_complex(values: np.ndarray) -> complex:
-    """Correctly rounded sum of a complex array, part by part."""
+def _fsum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of a real or complex array, part by part.
+
+    The imaginary part is summed only when it is not all zero; fsum of
+    zeros is 0.0 whatever their signs, so the result is the same.
+    """
+    imag = values.imag
     return complex(math.fsum(values.real.tolist()),
-                   math.fsum(values.imag.tolist()))
+                   math.fsum(imag.tolist()) if imag.any() else 0.0)
+
+
+def _odd_weight(terms: ZetaTerms) -> np.ndarray:
+    """a = Im(chi_+ / (j D)) per class: (chi_+ - chi_-) / (j D) = 2i a."""
+    return (terms.chi / (terms.j * terms.D)).imag
 
 
 def _check_convergence(lam: complex, delta_hat: Optional[float]):
@@ -176,7 +192,6 @@ def _check_convergence(lam: complex, delta_hat: Optional[float]):
 
 
 def log_zeta_half(terms: ZetaTerms, sign: str, lam: complex,
-                  rank: Optional[int] = None,
                   delta_hat: Optional[float] = None) -> ZetaEvaluation:
     """log Z(sigma_sign, lambda) = -sum chi_sign / (j D) e^(-lambda l)."""
     if sign not in ("+", "-"):
@@ -184,9 +199,22 @@ def log_zeta_half(terms: ZetaTerms, sign: str, lam: complex,
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
     chi = terms.chi if sign == "+" else terms.chi.conj()
-    value = -_fsum_complex(chi / (terms.j * terms.D)
-                           * np.exp(-lam * terms.ell))
-    tail = shell_tail_bound(terms, rank, lam.real)
+    value = -_fsum(chi / (terms.j * terms.D) * np.exp(-lam * terms.ell))
+    tail = shell_tail_bound(terms, lam.real)
+    return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
+
+
+def log_zeta_odd(terms: ZetaTerms, lam: complex,
+                 delta_hat: Optional[float] = None) -> ZetaEvaluation:
+    """log Z_odd(lambda) = -2i sum a e^(-lambda l), a = Im(chi_+ / (j D)).
+
+    Equal to log Z(sigma_+) - log Z(sigma_-) as one sum; its tail bound
+    is the two halves' bounds added.
+    """
+    lam = complex(lam)
+    _check_convergence(lam, delta_hat)
+    value = -2j * _fsum(_odd_weight(terms) * np.exp(-lam * terms.ell))
+    tail = 2.0 * shell_tail_bound(terms, lam.real)
     return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
 
 
@@ -204,29 +232,20 @@ def _value_scale_tail(value: complex, log_tail: float) -> float:
         return math.inf
 
 
-def zeta_odd_from_halves(plus: ZetaEvaluation,
-                         minus: ZetaEvaluation) -> ZetaEvaluation:
-    """Z_odd = exp(log Z(sigma_+) - log Z(sigma_-)) from the two half sums.
+def zeta_odd(terms: ZetaTerms, lam: complex,
+             delta_hat: Optional[float] = None) -> ZetaEvaluation:
+    """Z_odd(lambda) = exp(log Z_odd(lambda)), truncated.
 
     The tail bound is propagated to the value scale: |Z| expm1(log tail).
     """
-    value = cmath.exp(plus.value - minus.value)
-    tail = _value_scale_tail(value, plus.tail_bound + minus.tail_bound)
-    return ZetaEvaluation(value, tail, plus.cutoff_L, plus.variant, plus.lam)
-
-
-def zeta_odd(terms: ZetaTerms, lam: complex,
-             rank: Optional[int] = None,
-             delta_hat: Optional[float] = None) -> ZetaEvaluation:
-    """Z_odd(lambda) = exp(log Z(sigma_+) - log Z(sigma_-)), truncated."""
-    return zeta_odd_from_halves(
-        log_zeta_half(terms, "+", lam, rank, delta_hat),
-        log_zeta_half(terms, "-", lam, rank, delta_hat))
+    log_odd = log_zeta_odd(terms, lam, delta_hat)
+    value = cmath.exp(log_odd.value)
+    return replace(log_odd, value=value,
+                   tail_bound=_value_scale_tail(value, log_odd.tail_bound))
 
 
 def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
                                inner_cutoff: int,
-                               rank: Optional[int] = None,
                                delta_hat: Optional[float] = None) -> ZetaEvaluation:
     """Independent route to Z_odd for the signature variant.
 
@@ -265,7 +284,7 @@ def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
         box = 4.0 * aq ** (inner_cutoff + 2 + lam.real) / (1.0 - aq) ** 3
         inner_tail += box
     value = cmath.exp(log_total)
-    outer = shell_tail_bound(terms, rank, lam.real)
+    outer = shell_tail_bound(terms, lam.real)
     tail = _value_scale_tail(value, inner_tail + outer)
     return ZetaEvaluation(value, tail, terms.cutoff, "signature", lam)
 
@@ -275,8 +294,7 @@ def dlog_zeta_odd(terms: ZetaTerms, lam: complex,
     """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
     lam = complex(lam)
     _check_convergence(lam, delta_hat)
-    return 2j * _fsum_complex(terms.ell * terms.chi.imag / (terms.j * terms.D)
-                              * np.exp(-lam * terms.ell))
+    return 2j * _fsum(terms.ell * _odd_weight(terms) * np.exp(-lam * terms.ell))
 
 
 def odd_heat_trace(terms: ZetaTerms, t: float) -> complex:
@@ -284,8 +302,8 @@ def odd_heat_trace(terms: ZetaTerms, t: float) -> complex:
 
         (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t).
 
-    chi_+ - chi_- = 2i Im chi is purely imaginary termwise, so the value
-    is real for any class list; terms with l^2/4t > 700 count as 0.
+    (chi_+ - chi_-)/(j D) = 2i a is purely imaginary termwise, so the
+    value is real for any class list; terms with l^2/4t > 700 count as 0.
     """
     if t <= 0:
         raise ValueError(f"t = {t} must be positive")
@@ -293,9 +311,7 @@ def odd_heat_trace(terms: ZetaTerms, t: float) -> complex:
     decay = np.exp(-arg)
     decay[arg > 700.0] = 0.0
     pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
-    return pref * 2j * math.fsum(
-        (terms.ell ** 2 * terms.chi.imag / (terms.j * terms.D)
-         * decay).tolist())
+    return pref * 2j * _fsum(terms.ell ** 2 * _odd_weight(terms) * decay)
 
 
 # --- eta invariant ---------------------------------------------------------------
@@ -308,11 +324,11 @@ def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
 
 
 def eta(terms: ZetaTerms, route: str = "central_value",
-        delta_hat: Optional[float] = None, rank: Optional[int] = None,
-        quad_tol: float = 1e-11) -> float:
+        delta_hat: Optional[float] = None, quad_tol: float = 1e-11) -> float:
     """Eta invariant from the class data, by one of three routes.
 
-    central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch.
+    central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch,
+                     from one ``log_zeta_odd``.
     lambda_integral: (i/pi) int_0^Lmax dlog Z_odd + termwise analytic tail,
                      Lmax = 40 / (shortest length).
     heat_quadrature: (1/sqrt(pi)) int_0^inf t^(-1/2) Tr-heat dt, computed
@@ -327,7 +343,7 @@ def eta(terms: ZetaTerms, route: str = "central_value",
     if not terms:
         return 0.0
     if route == "central_value":
-        return eta_central_with_budget(terms, rank, delta_hat)[0]
+        return log_zeta_odd(terms, 0.0, delta_hat).value.imag / math.pi
     ell_min = float(terms.ell.min())
     if route == "lambda_integral":
         lmax = 40.0 / ell_min
@@ -337,9 +353,7 @@ def eta(terms: ZetaTerms, route: str = "central_value",
 
         body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
                             tol_rel=quad_tol, max_panels=4096)
-        tail = 2j * math.fsum(
-            (terms.chi.imag / (terms.j * terms.D)
-             * np.exp(-lmax * terms.ell)).tolist())
+        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
     if route == "heat_quadrature":
         u_max = max(2.0, 170.0 / ell_min ** 2)
@@ -355,18 +369,3 @@ def eta(terms: ZetaTerms, route: str = "central_value",
         return _require_real((large_t + small_t) / math.sqrt(math.pi),
                              "heat-quadrature eta")
     raise ValueError(f"unknown route {route!r}")
-
-
-def eta_from_halves(plus: ZetaEvaluation,
-                    minus: ZetaEvaluation) -> Tuple[float, float]:
-    """(eta, error bound) from the half sums log Z(sigma_+-, 0)."""
-    return ((plus.value - minus.value).imag / math.pi,
-            (plus.tail_bound + minus.tail_bound) / math.pi)
-
-
-def eta_central_with_budget(terms: ZetaTerms,
-                            rank: Optional[int] = None,
-                            delta_hat: Optional[float] = None):
-    """(eta, error bound) via the central-value route."""
-    return eta_from_halves(log_zeta_half(terms, "+", 0.0, rank, delta_hat),
-                           log_zeta_half(terms, "-", 0.0, rank, delta_hat))

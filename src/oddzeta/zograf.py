@@ -20,7 +20,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -29,12 +29,10 @@ from .moebius import MoebiusMap, geodesic_invariants
 from .words import estimate_delta
 from .zeta import (
     ZetaTerms,
-    eta_central_with_budget,
-    eta_from_halves,
-    log_zeta_half,
+    _fsum,
+    log_zeta_odd,
     shell_tail_bound,
     terms_from_group,
-    zeta_odd_from_halves,
 )
 
 _MACHINE_FLOOR = 1e-15
@@ -92,8 +90,7 @@ class FEvaluation:
     inner_cutoff: int
 
 
-def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int,
-             rank: Optional[int] = None) -> FEvaluation:
+def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int) -> FEvaluation:
     """prod over primitive classes of prod_{m=0}^{M} (1 - q^(1+m)).
 
     The inner tail is bounded by sum_{m>M} |q|^(1+m) / (1 - |q|) per
@@ -108,12 +105,10 @@ def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int,
     q_powers = np.cumprod(np.repeat(q[:, None], inner_cutoff + 1, axis=1),
                           axis=1)
     logs = np.log(1.0 - q_powers)
-    log_value = complex(math.fsum(logs.real.ravel().tolist()),
-                        math.fsum(logs.imag.ravel().tolist()))
+    log_value = _fsum(logs.ravel())
     aq = np.abs(q)
-    inner_tail = math.fsum(
-        (aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2).tolist())
-    tail = inner_tail + shell_tail_bound(primitive_terms, rank, 0.0)
+    inner_tail = _fsum(aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2).real
+    tail = inner_tail + shell_tail_bound(primitive_terms, 0.0)
     return FEvaluation(cmath.exp(log_value), log_value, tail, inner_cutoff)
 
 
@@ -138,37 +133,38 @@ def _wrap_angle(x: float) -> float:
 
 
 def check_eta_F_identity(terms: ZetaTerms, M: int,
-                         delta_hat: float, rank: int) -> IdentityReport:
+                         delta_hat: float) -> IdentityReport:
     """Residual |arg F + (pi/2) eta| mod 2 pi on a concrete group.
 
     ``terms`` are the group's signature-variant class terms with the
-    default ("plus") character convention, ``delta_hat`` its exponent
-    estimate and ``rank`` its number of generators.  eta comes from the
-    central-value route, F from the double product over the same
-    primitive classes; the report also carries the direct comparison of
-    Z_odd(0) with conj(F)/F, which exercises two independent code paths
-    end to end.  eta and Z_odd(0) come from the same pair of half sums.
+    default ("plus") character convention and ``delta_hat`` its exponent
+    estimate.  eta comes from the central-value route, F from the double
+    product over the same primitive classes; the report also carries the
+    direct comparison of Z_odd(0) with conj(F)/F, which exercises two
+    independent code paths end to end.  eta, its budget and Z_odd(0) come
+    from one odd sum, log Z_odd(0) = -2i sum Im(chi_+ / (j D)): eta is its
+    imaginary part over pi, Z_odd(0) its exponential.
     """
     if delta_hat >= 0:
         raise DeltaNotNegative(f"delta_hat = {delta_hat:.6g} >= 0")
     if terms.variant != "signature":
         raise ValueError("the eta-F identity needs signature-variant terms")
-    halves = (log_zeta_half(terms, "+", 0.0, rank, delta_hat),
-              log_zeta_half(terms, "-", 0.0, rank, delta_hat))
-    eta_value, eta_budget = eta_from_halves(*halves)
-    f_eval = zograf_F(terms.select(terms.j == 1), M, rank=rank)
+    log_odd = log_zeta_odd(terms, 0.0, delta_hat)
+    eta_value = log_odd.value.imag / math.pi
+    eta_budget = log_odd.tail_bound / math.pi
+    f_eval = zograf_F(terms.select(terms.j == 1), M)
     arg_f = f_eval.log_value.imag
     residual = abs(_wrap_angle(arg_f + 0.5 * math.pi * eta_value))
-    z_central = zeta_odd_from_halves(*halves)
+    z_central = cmath.exp(log_odd.value)
     ratio = f_eval.value.conjugate() / f_eval.value
-    cross = abs(z_central.value - ratio)
+    cross = abs(z_central - ratio)
     budget = (0.5 * math.pi * eta_budget + 2.0 * f_eval.tail_bound
               + _MACHINE_FLOOR)
     return IdentityReport(
         residual=residual, eta=eta_value, arg_f=arg_f, f_value=f_eval.value,
-        z_central=z_central.value, central_cross_check=cross,
+        z_central=z_central, central_cross_check=cross,
         delta_hat=delta_hat, error_budget=budget,
-        cutoff_L=z_central.cutoff_L, inner_cutoff=M,
+        cutoff_L=log_odd.cutoff_L, inner_cutoff=M,
     )
 
 
@@ -201,8 +197,8 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
             raise LeftSchottkyDomain(
                 f"delta_hat = {est.delta_hat:.6g} >= 0 at params {params}"
             )
-        return eta_central_with_budget(terms, rank=2,
-                                       delta_hat=est.delta_hat)
+        log_odd = log_zeta_odd(terms, 0.0, est.delta_hat)
+        return log_odd.value.imag / math.pi, log_odd.tail_bound / math.pi
     return value
 
 

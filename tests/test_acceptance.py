@@ -81,7 +81,7 @@ def test_criterion_01_eta_factorization_identity(complex_groups):
         t0 = time.perf_counter()
         identity_est = estimate_delta(point.generators, 6)
         terms = terms_from_group(point.generators, 6, "signature")
-        rep = check_eta_F_identity(terms, 40, identity_est.delta_hat, 2)
+        rep = check_eta_F_identity(terms, 40, identity_est.delta_hat)
         elapsed = time.perf_counter() - t0
         worst_resid = max(worst_resid, rep.residual)
         worst_budget = max(worst_budget, rep.error_budget)
@@ -98,9 +98,8 @@ def test_criterion_02_central_value_identity(complex_groups):
     for name, (point, est, sig_terms) in complex_groups.items():
         for terms in (sig_terms,
                       terms_from_group(point.generators, 6, "spinor")):
-            eta_int = eta(terms, "lambda_integral", delta_hat=est.delta_hat,
-                          rank=2)
-            z0 = zeta_odd(terms, 0.0, rank=2, delta_hat=est.delta_hat).value
+            eta_int = eta(terms, "lambda_integral", delta_hat=est.delta_hat)
+            z0 = zeta_odd(terms, 0.0, delta_hat=est.delta_hat).value
             worst = max(worst, abs(cmath.exp(1j * math.pi * eta_int) - z0))
     ok = worst < CENTRAL_VALUE_TOL
     report(2, ok, f"|e^(i pi eta) - Z_odd(0)| <= {worst:.2e} "
@@ -110,7 +109,7 @@ def test_criterion_02_central_value_identity(complex_groups):
 def test_criterion_03_route_agreement(complex_groups):
     worst_group = 0.0
     for name, (point, est, terms) in complex_groups.items():
-        values = [eta(terms, route, delta_hat=est.delta_hat, rank=2)
+        values = [eta(terms, route, delta_hat=est.delta_hat)
                   for route in ("central_value", "lambda_integral",
                                 "heat_quadrature")]
         for i in range(3):
@@ -132,7 +131,7 @@ def test_criterion_04_unitarity_of_central_value(complex_groups):
     worst = 0.0
     for name, (point, est, terms) in complex_groups.items():
         assert est.delta_hat < 0
-        z0 = zeta_odd(terms, 0.0, rank=2, delta_hat=est.delta_hat).value
+        z0 = zeta_odd(terms, 0.0, delta_hat=est.delta_hat).value
         worst = max(worst, abs(abs(z0) - 1.0))
     ok = worst < UNITARITY_TOL
     report(4, ok, f"||Z_odd(0)| - 1| <= {worst:.2e} on all groups")
@@ -140,10 +139,10 @@ def test_criterion_04_unitarity_of_central_value(complex_groups):
 
 def test_criterion_05_real_group_symmetry(real_group):
     point, est, terms = real_group
-    worst_eta = max(abs(eta(terms, route, delta_hat=est.delta_hat, rank=2))
+    worst_eta = max(abs(eta(terms, route, delta_hat=est.delta_hat))
                     for route in ("central_value", "lambda_integral",
                                   "heat_quadrature"))
-    f_eval = zograf_F(terms.select(terms.j == 1), 50, rank=2)
+    f_eval = zograf_F(terms.select(terms.j == 1), 50)
     ok = worst_eta < REAL_ETA_TOL and abs(f_eval.value.imag) < REAL_IMF_TOL
     report(5, ok, f"real generators: |eta| <= {worst_eta:.2e}, "
                   f"|Im F| = {abs(f_eval.value.imag):.2e}")
@@ -259,9 +258,9 @@ def test_criterion_10_special_functions(complex_groups):
     zprod = zeta_odd_signature_product(base, 0.0, 80)
     toy_gap = abs(zsum.value - zprod.value)
     _, est, terms = complex_groups["g2_complex_a"]
-    zsum_g = zeta_odd(terms, 0.0, rank=2, delta_hat=est.delta_hat)
+    zsum_g = zeta_odd(terms, 0.0, delta_hat=est.delta_hat)
     zprod_g = zeta_odd_signature_product(terms.select(terms.j == 1), 0.0,
-                                         60, rank=2, delta_hat=est.delta_hat)
+                                         60, delta_hat=est.delta_hat)
     group_gap = abs(zsum_g.value - zprod_g.value)
     group_budget = zsum_g.tail_bound + zprod_g.tail_bound
     ok = (worst_contig < F1_TOL and gauss < F1_TOL and worst_clam < CLAMBDA_TOL

@@ -88,3 +88,20 @@ def test_hyp2f1_resolvent_arguments():
                 err = abs(mp.mpc(hyp2f1(a, b, c, z)) - ref) / abs(ref)
                 worst = max(worst, float(err))
     assert worst <= 1e-12
+
+
+def test_hyp2f1_across_re_half():
+    # |z| > 0.9 on both sides of Re z = 1/2, where the Pfaff argument
+    # z/(z - 1) lies on the unit circle; first the point 0.5 + 0.8i
+    a, b, c = 1.3 + 0.2j, 0.7, 2.1
+    points = [0.5 + 0.8j]
+    for x in (0.4, 0.45, 0.5, 0.55, 0.6):
+        for modulus in (0.91, 0.94, 0.97, 0.99):
+            y = math.sqrt(modulus ** 2 - x ** 2)
+            points += [complex(x, y), complex(x, -y)]
+    worst = 0.0
+    for z in points:
+        ref = mp.hyp2f1(mp.mpc(a), mp.mpf(b), mp.mpf(c), mp.mpc(z))
+        err = abs(mp.mpc(hyp2f1(a, b, c, z)) - ref) / abs(ref)
+        worst = max(worst, float(err))
+    assert worst <= 1e-13

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddzeta.moebius import MoebiusMap, normalize_schottky
-from oddzeta.words import class_spectrum
-from oddzeta.zeta import eta, terms_from_group
-from oddzeta.zograf import schottky_from_params, zograf_F
+from oddzeta.words import class_spectrum, estimate_delta
+from oddzeta.zeta import eta, log_zeta_half, log_zeta_odd, terms_from_group
+from oddzeta.zograf import check_eta_F_identity, schottky_from_params, zograf_F
 
 L = 5
 M = 30
@@ -67,6 +67,27 @@ def test_spin_sign_minus_negates_spinor_eta(params):
     plus = eta(terms_from_group(gens, L, "spinor", "plus"), "central_value")
     minus = eta(terms_from_group(gens, L, "spinor", "minus"), "central_value")
     assert abs(plus + minus) <= 1e-15
+
+
+@PROPERTY
+@given(chart_points())
+def test_identity_residual_within_budget(params):
+    gens = schottky_from_params(*params).generators
+    est = estimate_delta(gens, 6)
+    report = check_eta_F_identity(terms_from_group(gens, L), M, est.delta_hat)
+    assert report.residual <= report.error_budget
+    assert report.central_cross_check <= report.error_budget
+
+
+@PROPERTY
+@given(chart_points())
+def test_odd_sum_is_the_half_sum_difference(params):
+    terms = terms_from_group(schottky_from_params(*params).generators, L)
+    for lam in (0.0, 0.3 + 0.2j):
+        odd = log_zeta_odd(terms, lam).value
+        halves = (log_zeta_half(terms, "+", lam).value
+                  - log_zeta_half(terms, "-", lam).value)
+        assert abs(odd - halves) <= 4.0 * math.ulp(max(abs(odd), 1.0))
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from oddzeta.errors import (
 )
 from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.quadrature import integrate
+from oddzeta.sample_groups import ring_group
 from oddzeta.zeta import (
+    _fsum,
     dlog_zeta_odd,
     eta,
-    eta_central_with_budget,
     log_zeta_half,
+    log_zeta_odd,
     odd_heat_trace,
     shell_tail_bound,
     terms_from_group,
@@ -150,15 +153,15 @@ class TestZetaOdd:
         # a finite log tail past ~709.78 overflows expm1; both zeta routes
         # must then report no bound, as shell_tail_bound does
         monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
-                            lambda terms, rank, re_lam: 750.0)
+                            lambda terms, re_lam: 750.0)
         base = primitive_term(0.2 * cmath.exp(0.8j))
-        for z in (zeta_odd(power_class_terms(base, 20), 0.3, rank=2),
-                  zeta_odd_signature_product(base, 0.3, 20, rank=2)):
+        for z in (zeta_odd(power_class_terms(base, 20), 0.3),
+                  zeta_odd_signature_product(base, 0.3, 20)):
             assert z.tail_bound == math.inf
             assert cmath.isfinite(z.value)
         monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
-                            lambda terms, rank, re_lam: 300.0)
-        z = zeta_odd(power_class_terms(base, 20), 0.3, rank=2)
+                            lambda terms, re_lam: 300.0)
+        z = zeta_odd(power_class_terms(base, 20), 0.3)
         assert math.isfinite(z.tail_bound)
 
     def test_half_zeta_matches_symmetric_power_product(self):
@@ -338,8 +341,11 @@ class TestGroupTerms:
         assert not np.array_equal(shuffled.ell, terms.ell)
         for sign in ("+", "-"):
             for lam in (0.0, 0.4 - 0.3j):
-                assert (log_zeta_half(shuffled, sign, lam, 2, est.delta_hat)
-                        == log_zeta_half(terms, sign, lam, 2, est.delta_hat))
+                assert (log_zeta_half(shuffled, sign, lam, est.delta_hat)
+                        == log_zeta_half(terms, sign, lam, est.delta_hat))
+        for lam in (0.0, 0.4 - 0.3j):
+            assert (log_zeta_odd(shuffled, lam, est.delta_hat)
+                    == log_zeta_odd(terms, lam, est.delta_hat))
         for lam in (0.0, 1.5 + 2.0j):
             assert dlog_zeta_odd(shuffled, lam) == dlog_zeta_odd(terms, lam)
         for t in (0.05, 1.0, 30.0):
@@ -366,13 +372,61 @@ class TestGroupTerms:
         bounds = []
         for cutoff in (4, 5, 6):
             terms = terms_from_group(point.generators, cutoff)
-            bounds.append(shell_tail_bound(terms, 2, 0.0))
+            bounds.append(shell_tail_bound(terms, 0.0))
         assert bounds[0] >= bounds[1] >= bounds[2]
         assert bounds[2] > 0.0
 
     def test_budget_with_metadata(self, complex_groups):
         point, est, terms = complex_groups["g2_complex_a"]
-        value, budget = eta_central_with_budget(terms, rank=2,
-                                                delta_hat=est.delta_hat)
-        assert budget > 0.0
-        assert abs(value - eta(terms, "central_value")) < 1e-15
+        log_odd = log_zeta_odd(terms, 0.0, delta_hat=est.delta_hat)
+        assert log_odd.tail_bound > 0.0
+        assert abs(log_odd.value.imag / math.pi
+                   - eta(terms, "central_value")) < 1e-15
+
+    def test_odd_tail_is_both_halves(self, complex_groups):
+        _, est, terms = complex_groups["g2_complex_a"]
+        for lam in (0.0, 0.3 + 0.2j):
+            halves = [log_zeta_half(terms, sign, lam, est.delta_hat).tail_bound
+                      for sign in ("+", "-")]
+            assert (log_zeta_odd(terms, lam, est.delta_hat).tail_bound
+                    == halves[0] + halves[1] > 0.0)
+
+    # bounds of the shell model with the rank given as len(generators);
+    # ring_group() has rank 5, and rank 2 would give 11.5 at re_lam = 0.5
+    @pytest.mark.parametrize("family,L,re_lam,bound", [
+        ("g2_complex_a", 6, 0.0, 2.889760363272307e-15),
+        ("g2_complex_a", 6, 0.5, 1.4246151948744302e-24),
+        ("ring", 3, 0.0, math.inf),
+        ("ring", 3, 0.5, math.inf),
+        ("ring", 3, 2.0, 2.1759715271257103),
+    ])
+    def test_tail_bound_reads_rank_from_spectrum(self, complex_groups, family,
+                                                 L, re_lam, bound):
+        if family == "ring":
+            gens = ring_group()
+        else:
+            gens = complex_groups[family][0].generators
+        assert shell_tail_bound(terms_from_group(gens, L), re_lam) == bound
+
+
+class TestFsum:
+    def test_correctly_rounded_over_wide_range(self):
+        # terms spread over 24 decades: the sum is the exact rational sum
+        # rounded once, whatever the order of the terms
+        rng = random.Random(11)
+        terms = np.exp([math.log(rng.uniform(0.01, 1.0))
+                        + rng.randint(-8, 16) * math.log(10.0)
+                        for _ in range(5000)])
+        exact = float(sum(Fraction(x) for x in terms.tolist()))
+        assert sum(terms.tolist()) != exact  # left-to-right summation misses
+        total = _fsum(terms)
+        assert total == complex(math.fsum(terms.tolist()), 0.0)
+        assert total.real == exact
+        assert _fsum(terms[::-1]) == total
+
+    def test_zero_imaginary_parts_give_plus_zero(self):
+        values = np.array([1.5 - 0.0j, -0.25 + 0.0j, 2.0 - 0.0j])
+        total = _fsum(values)
+        assert total == complex(math.fsum([1.5, -0.25, 2.0]), 0.0)
+        assert math.copysign(1.0, total.imag) == 1.0
+        assert _fsum(np.array([1.0 + 2.0j, 0.5 - 3.0j])) == 1.5 - 1.0j

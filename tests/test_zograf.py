@@ -95,7 +95,7 @@ def identity_report(generators, L, M, delta_cutoff=None):
     """check_eta_F_identity on the group's signature terms at cutoff L."""
     est = estimate_delta(generators, delta_cutoff or max(6, L))
     terms = terms_from_group(generators, L, "signature")
-    return check_eta_F_identity(terms, M, est.delta_hat, len(generators))
+    return check_eta_F_identity(terms, M, est.delta_hat)
 
 
 class TestEtaFIdentity:
@@ -118,19 +118,19 @@ class TestEtaFIdentity:
             identity_report(ring_group(), L=3, M=10, delta_cutoff=5)
 
     def test_central_value_evaluated_once(self, complex_groups, monkeypatch):
-        # eta, its budget and Z_odd(0) all come from one pair of half sums
+        # eta, its budget and Z_odd(0) all come from one odd sum at 0
         point, est, terms = complex_groups["g2_complex_b"]
         calls = []
         for module in (oddzeta.zeta, oddzeta.zograf):
-            original = module.log_zeta_half
+            original = module.log_zeta_odd
 
             def counted(*args, original=original, **kwargs):
                 calls.append(args[1])
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(module, "log_zeta_half", counted)
-        report = check_eta_F_identity(terms, 40, est.delta_hat, 2)
-        assert sorted(calls) == ["+", "-"]
+            monkeypatch.setattr(module, "log_zeta_odd", counted)
+        report = check_eta_F_identity(terms, 40, est.delta_hat)
+        assert calls == [0.0]
         monkeypatch.undo()
         assert report.z_central == zeta_odd(terms, 0.0).value
         assert report.eta == eta(terms, "central_value")
@@ -139,7 +139,7 @@ class TestEtaFIdentity:
         point, est, _ = complex_groups["g2_complex_b"]
         spinor = terms_from_group(point.generators, 4, "spinor")
         with pytest.raises(ValueError):
-            check_eta_F_identity(spinor, 20, est.delta_hat, 2)
+            check_eta_F_identity(spinor, 20, est.delta_hat)
 
     def test_identity_selects_character_convention(self, complex_groups):
         # with the swapped sigma assignment eta flips sign and the

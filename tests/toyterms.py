@@ -26,10 +26,10 @@ def invariants_from_q(q: complex) -> GeodesicInvariants:
 
 def class_terms(rows, variant: str = "signature", spin_sign: str = "plus"):
     """Terms of hand-built classes, one per (GeodesicInvariants, j) row,
-    with no words (so no shell tail model)."""
+    with no words or rank (so no shell tail model)."""
     rows = list(rows)
     spectrum = Spectrum(
-        codes=None, word_length=None,
+        rank=None, codes=None, word_length=None,
         j=np.array([j for _, j in rows], dtype=np.int64),
         ell=np.array([inv.length for inv, _ in rows], dtype=float),
         theta=np.array([inv.theta for inv, _ in rows], dtype=float),
