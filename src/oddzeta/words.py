@@ -5,10 +5,13 @@ Words are tuples of signed generator indices (+k for the k-th generator,
 to cyclically reduced words up to rotation; the canonical representative
 is the lexicographically minimal rotation under the integer order on
 letters, which makes every enumeration deterministic.  The class spectrum
-is computed on arrays: representatives as integer codes
-(``canonical_words``), their matrices in exact batched products
-(``word_products``), and the two combined in ``class_spectrum``, which
-returns one ``Spectrum`` of 1-D arrays.
+is computed on arrays in one walk of the prenecklace tree
+(``_prenecklaces``, which ``canonical_words`` also reads): each
+prenecklace, held as an integer code, carries its matrix, its parent's
+times one letter in an exact batched product (``word_products``); the
+class matrices are classified and reduced to their invariants in blocks
+(``class_invariants``), and ``class_spectrum`` returns one ``Spectrum``
+of 1-D arrays.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -17,6 +20,7 @@ expect.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
@@ -29,12 +33,7 @@ from .errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from .moebius import (
-    EPS_CLASS,
-    MoebiusMap,
-    _classify,
-    _multiplier_invariants,
-)
+from .moebius import EPS_CLASS, MoebiusMap
 
 GroupWord = Tuple[int, ...]
 
@@ -75,40 +74,43 @@ def _reduced_word_count(g: int, length: int) -> int:
     return 2 * g * (2 * g - 1) ** (length - 1)
 
 
-#: Parents expanded per block in canonical_words.  At rank 2 a block's
-#: temporaries stay within a few megabytes.
-_CLASS_BLOCK = 8192
+#: Prenecklaces expanded (and their children multiplied) per block of
+#: the walk.  At rank 2 a block's product temporaries take under a
+#: megabyte, and a shell's products are held in chunks of this many
+#: parents' children.
+_PRODUCT_BLOCK = 1024
 
-#: Words multiplied and reduced per block in class_spectrum.  A block's
-#: product temporaries and per-class Python values take about 1 MB,
-#: beside the 72 bytes a class that the returned arrays hold.
-_PRODUCT_BLOCK = 2048
+#: Classes classified and reduced to their invariants per pass in
+#: class_spectrum; a pass spans shells, so a small spectrum is one pass.
+_CLASS_BLOCK = 2048
 
 
-def canonical_words(g: int, L: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Canonical representatives of all classes of length <= L, as codes.
+def _prenecklaces(g: int, L: int):
+    """The tree of reduced prenecklaces of length 1..L, breadth first.
 
-    Returns shells[k-1] = (codes, j) for k = 1..L: int64 arrays with one
-    entry per class of cyclically reduced length k, ascending.  A word's
-    code is its letter indices (0..2g-1 for the letters -g..-1, 1..g, so
-    index 2g-1-i is the inverse of index i) read as base-2g digits, so
-    numeric order is lexicographic order under the integer order on
-    letters, and ``_letter_indices`` recovers the letters.  j is the
-    power index.
+    A class representative is the minimal rotation of a cyclically
+    reduced word, so it and each of its prefixes are prenecklaces.  The
+    tree grows each reduced prenecklace by every letter that keeps it
+    reduced and a prenecklace (Fredricksen-Kessler-Maiorana: with p the
+    period of the longest Lyndon prefix, the next letter must be >= the
+    letter p places back, and p stays when it is equal, else becomes the
+    new length).  A prenecklace of length n is a necklace when p divides
+    n, and then j = n/p; it is a class when its first and last letters
+    are not inverse.
 
-    A representative is the minimal rotation of a cyclically reduced
-    word, so it and each of its prefixes are prenecklaces.  The shells
-    grow as the reduced prenecklaces, each extended by every letter that
-    keeps it reduced and a prenecklace (Fredricksen-Kessler-Maiorana:
-    with p the period of the longest Lyndon prefix, the next letter must
-    be >= the letter p places back, and p stays when it is equal, else
-    becomes the new length).  A prenecklace of length k is a necklace
-    when p divides k, and then j = k/p; it is a class when its first and
-    last letters are not inverse.  Parents go through in blocks of
-    ``_CLASS_BLOCK``, and only prenecklaces are kept (at rank 2 about
-    twice as many as classes), never all reduced words of a shell.
-    More than ``DEFAULT_WORD_BUDGET`` predicted classes, or codes beyond
-    int64, raise CutoffTooLarge.
+    Words are codes as in ``canonical_words``.  The prenecklaces of each
+    length are held in chunks, one per block of their parents, and each
+    chunk is expanded in blocks of at most ``_PRODUCT_BLOCK`` parents and
+    dropped once expanded.  Yields, for n = 1..L and each block,
+    ``(n, chunk, parent, letter, codes, cls, j)``: per child, the index
+    of its parent within chunk ``chunk`` of the prenecklaces of length
+    n - 1 (chunks numbered in yield order of the blocks that grew them;
+    at n = 1 the parent is the empty word, chunk 0, row 0), its last
+    letter and its code; ``cls`` marks the children that are classes
+    and ``j`` holds their power indices.  Only prenecklaces are kept (at
+    rank 2 about twice as many as classes), never all reduced words of
+    a shell.  More than ``DEFAULT_WORD_BUDGET`` predicted classes, or
+    codes beyond int64, raise CutoffTooLarge.
     """
     if g < 1 or L < 1:
         raise ValueError("need g >= 1 and L >= 1")
@@ -125,36 +127,48 @@ def canonical_words(g: int, L: int) -> List[Tuple[np.ndarray, np.ndarray]]:
         )
     letters = np.arange(base)
     powers = base ** np.arange(L, dtype=np.int64)
-    codes = letters.astype(np.int64)
-    period = np.ones(base, dtype=np.int64)
-    shells = [(codes, period)]
+    chunks = [(letters.astype(np.int64), np.ones(base, dtype=np.int64))]
+    yield (1, 0, np.zeros(base, dtype=np.intp), letters, chunks[0][0],
+           np.ones(base, dtype=bool), chunks[0][1])
     for n in range(2, L + 1):
-        kept_codes, kept_j, grown_codes, grown_period = [], [], [], []
-        for start in range(0, len(codes), _CLASS_BLOCK):
-            parent = codes[start:start + _CLASS_BLOCK, None]
-            p = period[start:start + _CLASS_BLOCK, None]
-            back = parent // powers[p - 1] % base
-            allowed = (letters >= back) & (letters != base - 1 - parent % base)
-            child = (parent * base + letters)[allowed]
-            child_p = np.where(letters == back, p, n)[allowed]
-            cls = ((n % child_p == 0)
-                   & (child // powers[n - 1] != base - 1 - child % base))
-            kept_codes.append(child[cls])
-            kept_j.append(n // child_p[cls])
-            if n < L:
-                grown_codes.append(child)
-                grown_period.append(child_p)
-        shells.append((np.concatenate(kept_codes), np.concatenate(kept_j)))
-        if n < L:
-            codes = np.concatenate(grown_codes)
-            period = np.concatenate(grown_period)
-    return shells
+        grown = []
+        for c in range(len(chunks)):
+            (codes, period), chunks[c] = chunks[c], None
+            for start in range(0, len(codes), _PRODUCT_BLOCK):
+                parent = codes[start:start + _PRODUCT_BLOCK, None]
+                p = period[start:start + _PRODUCT_BLOCK, None]
+                back = parent // powers[p - 1] % base
+                allowed = ((letters >= back)
+                           & (letters != base - 1 - parent % base))
+                rows, letter = np.nonzero(allowed)
+                child = (parent * base + letters)[allowed]
+                child_p = np.where(letters == back, p, n)[allowed]
+                cls = ((n % child_p == 0)
+                       & (child // powers[n - 1] != base - 1 - child % base))
+                yield n, c, start + rows, letter, child, cls, n // child_p[cls]
+                if n < L:
+                    grown.append((child, child_p))
+        chunks = grown
 
 
-def _letter_indices(codes: np.ndarray, k: int, g: int) -> np.ndarray:
-    """(N, k) letter indices of length-k word codes."""
-    base = 2 * g
-    return codes[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64) % base
+def canonical_words(g: int, L: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Canonical representatives of all classes of length <= L, as codes.
+
+    Returns shells[k-1] = (codes, j) for k = 1..L: int64 arrays with one
+    entry per class of cyclically reduced length k, ascending.  A word's
+    code is its letter indices (0..2g-1 for the letters -g..-1, 1..g, so
+    index 2g-1-i is the inverse of index i) read as base-2g digits, so
+    numeric order is lexicographic order under the integer order on
+    letters.  j is the power index.  The classes are the class nodes of
+    the prenecklace walk ``_prenecklaces``, which also refuses cutoffs
+    over budget.
+    """
+    shells: List[Tuple[list, list]] = [([], []) for _ in range(L)]
+    for n, _, _, _, codes, cls, j in _prenecklaces(g, L):
+        shells[n - 1][0].append(codes[cls])
+        shells[n - 1][1].append(j)
+    return [(np.concatenate(codes), np.concatenate(js))
+            for codes, js in shells]
 
 
 def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> MoebiusMap:
@@ -173,16 +187,17 @@ def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> Moebius
     return result
 
 
-# --- exact batched word products ---------------------------------------------
+# --- exact batched word products and invariants -----------------------------
 #
-# word_products repeats evaluate_word's arithmetic on whole blocks of
-# words, one letter position at a time, with real and imaginary parts in
-# separate float64 arrays: every complex product, sum, square root and
-# quotient is spelled out in the operations CPython uses, because numpy's
-# own complex loops round differently.  Entries that evaluate_word holds
-# as Python floats (real-typed generators stay real through their
-# products) are tracked, since float and complex arithmetic differ in the
-# sign of zero imaginary parts.
+# word_products takes one letter step of evaluate_word's arithmetic on a
+# whole block of prefix products, and class_invariants repeats classify
+# and geodesic_invariants on a block of class matrices, with real and
+# imaginary parts in separate float64 arrays: every complex product, sum,
+# power, square root and quotient is spelled out in the operations
+# CPython uses, because numpy's own complex loops round differently.
+# Entries that evaluate_word holds as Python floats (real-typed generators
+# stay real through their products) are tracked, since float and complex
+# arithmetic differ in the sign of zero imaginary parts.
 
 
 def _mul(xr, xi, yr, yi):
@@ -272,61 +287,138 @@ def _letter_table(generators: Sequence[MoebiusMap]):
     return table.real.copy(), table.imag.copy(), real.T.reshape(2, 2, -1)
 
 
-def word_products(generators: Sequence[MoebiusMap], words: np.ndarray):
-    """Products of a block of words, bit for bit those of ``evaluate_word``.
+def word_products(parents, letters: np.ndarray, table):
+    """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
-    ``words`` is an (N, k) array of letter indices (see
-    ``canonical_words``).  Returns ``(entries, real)``: the entries a, b,
-    c, d of each product as the rows of a (4, N) complex array, and a
-    (4, N) bool array marking the entries that ``evaluate_word`` returns
-    as Python floats.  The products are renormalized above the same
-    noise floor and refused with the same ``ValueError`` on a singular
-    or drifting determinant as ``MoebiusMap.__matmul__``, raised at the
-    earliest letter position where any word fails.
+    ``parents`` is a split product ``(re, im, real)``: real and imaginary
+    parts of the entries as (2, 2, N) float arrays, and a (2, 2, N) bool
+    array marking the entries that ``evaluate_word`` holds as Python
+    floats.  ``letters`` holds N letter indices (see ``canonical_words``)
+    and ``table`` is ``_letter_table(generators)``.  Returns the split
+    products, renormalized above the same noise floor and refused with
+    the same ``ValueError`` on a singular or drifting determinant as
+    ``MoebiusMap.__matmul__`` (the first failing column names the
+    determinant).  Applied to the prefix product of a word, this is the
+    next prefix product ``evaluate_word`` forms, bit for bit.
     """
-    tab_re, tab_im, tab_real = _letter_table(generators)
-    n = len(words)
-    eye = np.eye(2)[:, :, None]
-    re = np.repeat(eye, n, axis=2)
-    im = np.zeros_like(re)
-    real = np.ones(re.shape, dtype=bool)
-    for col in words.T:
-        m_re, m_im, m_real = (np.take(t, col, axis=2)
-                              for t in (tab_re, tab_im, tab_real))
-        # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__;
-        # it is a float when all four factors are
-        x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
-        y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
-        re, im = x[0] + y[0], x[1] + y[1]
-        real = ((real[:, 0, None] & real[:, 1, None])
-                & (m_real[None, 0] & m_real[None, 1]))
-        im[real] = 0.0
-        det_re, det_im = _split_det(re, im)
-        det_im[real.all(axis=(0, 1))] = 0.0
-        fix = _above_noise_floor(re, im, det_re, det_im)
-        if not fix.any():
-            continue
-        det_re, det_im = det_re[fix], det_im[fix]
-        if ((det_re == 0.0) & (det_im == 0.0)).any():
-            raise ValueError("singular matrix")
-        root = _sqrt(det_re, det_im)
-        re[:, :, fix], im[:, :, fix] = _divide(re[:, :, fix], im[:, :, fix],
-                                               *root)
-        real[:, :, fix] = False
-        det_re, det_im = _split_det(re[:, :, fix], im[:, :, fix])
-        drift = (np.hypot(det_re - 1.0, det_im)
-                 > 1e-6 * _exact_scale_sq(re[:, :, fix], im[:, :, fix]))
-        if drift.any():
-            first = np.argmax(drift)
-            det = complex(det_re[first], det_im[first])
-            raise ValueError(
-                f"determinant {det:.6g} too far from 1; "
-                "renormalize with MoebiusMap.normalized(...)"
-            )
-    entries = np.empty((4, n), dtype=complex)
-    entries.real = re.reshape(4, n)
-    entries.imag = im.reshape(4, n)
-    return entries, real.reshape(4, n)
+    re, im, real = parents
+    m_re, m_im, m_real = (np.take(t, letters, axis=2) for t in table)
+    # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__;
+    # it is a float when all four factors are
+    x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
+    y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
+    re, im = x[0] + y[0], x[1] + y[1]
+    real = ((real[:, 0, None] & real[:, 1, None])
+            & (m_real[None, 0] & m_real[None, 1]))
+    im[real] = 0.0
+    det_re, det_im = _split_det(re, im)
+    det_im[real.all(axis=(0, 1))] = 0.0
+    fix = _above_noise_floor(re, im, det_re, det_im)
+    if not fix.any():
+        return re, im, real
+    det_re, det_im = det_re[fix], det_im[fix]
+    if ((det_re == 0.0) & (det_im == 0.0)).any():
+        raise ValueError("singular matrix")
+    root = _sqrt(det_re, det_im)
+    re[:, :, fix], im[:, :, fix] = _divide(re[:, :, fix], im[:, :, fix],
+                                           *root)
+    real[:, :, fix] = False
+    det_re, det_im = _split_det(re[:, :, fix], im[:, :, fix])
+    drift = (np.hypot(det_re - 1.0, det_im)
+             > 1e-6 * _exact_scale_sq(re[:, :, fix], im[:, :, fix]))
+    if drift.any():
+        first = np.argmax(drift)
+        det = complex(det_re[first], det_im[first])
+        raise ValueError(
+            f"determinant {det:.6g} too far from 1; "
+            "renormalize with MoebiusMap.normalized(...)"
+        )
+    return re, im, real
+
+
+#: What ``class_invariants`` reports per product, as ``classify`` names it.
+KINDS = ("identity", "parabolic", "elliptic", "loxodromic")
+
+
+def class_invariants(products, eps_class: float):
+    """``classify`` and the multiplier invariants of a block of products.
+
+    ``products`` is a split product as in ``word_products``.  Returns
+    ``(kind, ell, theta, q, spin_phase)``: ``kind`` the ``classify`` name
+    of each product, and for the loxodromic ones the length, holonomy,
+    multiplier and spin phase, bit for bit those of
+    ``geodesic_invariants`` on the same matrix (NaN elsewhere).
+    The arithmetic is ``_classify`` and ``_multiplier_invariants`` in
+    split form: float entries and traces follow float arithmetic, ``**``
+    is C ``pow`` for a float and two complex products for a complex,
+    ``cmath.sqrt`` is ``_sqrt`` and quotients are ``_divide``; only
+    ``math.log`` and ``cmath.phase`` run per value.  Raises NotLoxodromic
+    as ``_expanding_eigenvalue`` does when a loxodromic product has no
+    eigenvalue above 1 in modulus and no product before it failed to be
+    loxodromic.
+    """
+    re, im, real = products
+    a_re, b_re, c_re, d_re = re.reshape(4, -1)
+    a_im, b_im, c_im, d_im = im.reshape(4, -1)
+    # max(|a - 1|, |b|, |c|, |d - 1|) and the same for -m, the larger
+    # entries identical in both
+    off = np.maximum(np.hypot(b_re, b_im), np.hypot(c_re, c_im))
+    near_id = np.minimum(
+        np.maximum(off, np.maximum(np.hypot(a_re - 1.0, a_im),
+                                   np.hypot(d_re - 1.0, d_im))),
+        np.maximum(off, np.maximum(np.hypot(-a_re - 1.0, a_im),
+                                   np.hypot(-d_re - 1.0, d_im))))
+    t_re, t_im = a_re + d_re, a_im + d_im
+    float_t = real[0, 0] & real[1, 1]
+    tt_re, tt_im = _mul(t_re, t_im, t_re, t_im)
+    # (a + d) ** 2: C pow for a float, c_prod(1, t * t) for a complex
+    tr2_re, tr2_im = _mul(1.0, 0.0, tt_re, tt_im)
+    if float_t.any():
+        tr2_re = np.where(float_t, np.float_power(t_re, 2.0), tr2_re)
+        tr2_im = np.where(float_t, 0.0, tr2_im)
+        tt_im = np.where(float_t, 0.0, tt_im)
+    code = np.select(
+        [near_id < eps_class,
+         np.hypot(tr2_re - 4.0, tr2_im) < eps_class,
+         (np.abs(tr2_im) < eps_class) & (-eps_class < tr2_re)
+         & (tr2_re < 4.0)],
+        [0, 1, 2], 3)
+    kind = np.array(KINDS)[code]
+    n = len(code)
+    ell, theta = np.full(n, np.nan), np.full(n, np.nan)
+    q, phase = np.full(n, np.nan + 0j), np.full(n, np.nan + 0j)
+    lox = code == 3
+    if not lox.any():
+        return kind, ell, theta, q, phase
+    rows = slice(None) if lox.all() else lox
+    t_re, t_im = t_re[rows], t_im[rows]
+    # _expanding_eigenvalue: s = sqrt(t * t - 4), aligned with t
+    s_re, s_im = _sqrt(tt_re[rows] - 4.0, tt_im[rows])
+    flip = t_re * s_re - (-t_im) * s_im < 0
+    s_re, s_im = np.where(flip, -s_re, s_re), np.where(flip, -s_im, s_im)
+    mu_re, mu_im = _mul(0.5, 0.0, t_re + s_re, t_im + s_im)
+    modulus = np.hypot(mu_re, mu_im)
+    weak = modulus <= 1.0
+    if weak.any():
+        first = np.flatnonzero(lox)[np.argmax(weak)]
+        if lox[:first].all():
+            t = complex(a_re[first] + d_re[first], a_im[first] + d_im[first])
+            if float_t[first]:
+                t = t.real
+            raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
+    # mu ** -2 = 1 / c_prod(1, mu * mu)
+    sq_re, sq_im = _mul(1.0, 0.0, *_mul(mu_re, mu_im, mu_re, mu_im))
+    q_re, q_im = _divide(np.ones_like(sq_re), np.zeros_like(sq_im),
+                         sq_re, sq_im)
+    q_lox = np.empty(len(q_re), dtype=complex)
+    q_lox.real, q_lox.imag = q_re, q_im
+    ell[rows] = 2.0 * np.array(list(map(math.log, modulus.tolist())))
+    angle = -np.array(list(map(cmath.phase, q_lox.tolist())))
+    theta[rows] = np.where(angle <= -math.pi, math.pi, angle)
+    q[rows] = q_lox
+    phase_re, phase_im = _divide(mu_re, mu_im, modulus, 0.0)
+    phase.real[rows], phase.imag[rows] = phase_re, phase_im
+    return kind, ell, theta, q, phase
 
 
 @dataclass(frozen=True)
@@ -371,51 +463,92 @@ class Spectrum:
             if isinstance(getattr(self, f.name), np.ndarray)})
 
 
+def _class_products(generators: Sequence[MoebiusMap], L: int):
+    """The split products of every class of length <= L, in blocks.
+
+    One walk of ``_prenecklaces``: each prenecklace carries its product,
+    its parent's times its last letter through ``word_products``, so the
+    product of a class is bit for bit ``evaluate_word``'s.  At length L
+    only the classes are multiplied.  Products are held in the walk's
+    chunks, and a chunk's are dropped once its children are multiplied,
+    so the shell being expanded shrinks as the next one grows.  Yields
+    ``(codes, word_length, j, products)`` for blocks of at least
+    ``_CLASS_BLOCK`` classes in class order (the last block may be
+    smaller); blocks span shells.
+    """
+    table = _letter_table(generators)
+    eye = np.eye(2)[:, :, None]
+    # the product of the empty word, MoebiusMap.identity(), in float entries
+    frontier = [(eye, np.zeros_like(eye), np.ones(eye.shape, dtype=bool))]
+    grown, shell = [], 1
+    pending: List[tuple] = []
+    count = 0
+    for n, chunk, parent, letter, codes, cls, j in _prenecklaces(
+            len(generators), L):
+        if n != shell:
+            frontier, grown, shell = grown, [], n
+        if chunk:
+            frontier[chunk - 1] = None  # expanded: its products are done
+        if n == L:
+            parent, letter, codes = parent[cls], letter[cls], codes[cls]
+        products = word_products(
+            tuple(np.take(x, parent, axis=2) for x in frontier[chunk]),
+            letter, table)
+        if n < L:
+            grown.append(products)
+            codes = codes[cls]
+            products = tuple(x[:, :, cls] for x in products)
+        pending.append((codes, np.full(len(codes), n), j, products))
+        count += len(codes)
+        if count >= _CLASS_BLOCK:
+            yield _join(pending)
+            pending, count = [], 0
+    if pending:
+        yield _join(pending)
+
+
+def _join(pending):
+    """One (codes, word_length, j, products) from a list of them."""
+    codes, lengths, js, products = zip(*pending)
+    return (np.concatenate(codes), np.concatenate(lengths),
+            np.concatenate(js),
+            tuple(np.concatenate(part, axis=2) for part in zip(*products)))
+
+
 def class_spectrum(generators: Sequence[MoebiusMap], L: int,
                    eps_class: float = EPS_CLASS) -> Spectrum:
     """The ``Spectrum`` of every class of length <= L.
 
-    Classes come from ``canonical_words``; their matrices come from
-    ``word_products`` in blocks of ``_PRODUCT_BLOCK`` words, and each is
-    classified and reduced to its multiplier with the scalar arithmetic
-    of ``classify`` and ``geodesic_invariants`` (fixed points are not
-    computed), so every value equals the one evaluate_word followed by
-    those two gives.  Raises NotLoxodromic naming the first class, in
-    that order, that is not loxodromic.
+    One walk of the prenecklace tree that ``canonical_words`` reads:
+    each prenecklace's matrix is its parent's times one letter
+    (``word_products``), so a class costs one product step, not one per
+    letter, and equals ``evaluate_word`` bit for bit.  The class
+    matrices are classified and reduced to their multipliers by
+    ``class_invariants`` in blocks of ``_CLASS_BLOCK`` classes that span
+    shells (fixed points are not computed), so every value equals the
+    one ``classify`` and ``geodesic_invariants`` give.  Raises
+    NotLoxodromic naming the first class, in class order, that is not
+    loxodromic.  A product refused on any prenecklace raises its
+    ValueError when the walk reaches it, before the classes still
+    waiting for their invariants pass are classified.
     """
     g = len(generators)
-    shells = canonical_words(g, L)
-    n = sum(len(codes) for codes, _ in shells)
-    ell, theta = np.empty(n), np.empty(n)
-    q, phase = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    lo = 0
-    for k, (codes, _) in enumerate(shells, start=1):
-        for start in range(0, len(codes), _PRODUCT_BLOCK):
-            block = codes[start:start + _PRODUCT_BLOCK]
-            entries, real = word_products(generators,
-                                          _letter_indices(block, k, g))
-            columns = [
-                [z.real if f else z for z, f in zip(e.tolist(), r.tolist())]
-                if r.any() else e.tolist()
-                for e, r in zip(entries, real)]
-            rows = []
-            for i, (a, b, c, d) in enumerate(zip(*columns)):
-                kind = _classify(a, b, c, d, eps_class)
-                if kind != "loxodromic":
-                    word = word_strings(block[i:i + 1], np.array([k]), g)[0]
-                    raise NotLoxodromic(
-                        f"word {word} is {kind}, not loxodromic")
-                rows.append(_multiplier_invariants(a + d))
-            hi = lo + len(rows)
-            _, q[lo:hi], ell[lo:hi], theta[lo:hi], phase[lo:hi] = zip(*rows)
-            lo = hi
-    return Spectrum(
-        rank=g,
-        codes=np.concatenate([codes for codes, _ in shells]),
-        word_length=np.concatenate([np.full(len(codes), k) for k, (codes, _)
-                                    in enumerate(shells, start=1)]),
-        j=np.concatenate([js for _, js in shells]),
-        ell=ell, theta=theta, q=q, spin_phase=phase)
+    columns: dict = {name: [] for name in (
+        "codes", "word_length", "j", "ell", "theta", "q", "spin_phase")}
+    for codes, lengths, j, products in _class_products(generators, L):
+        kind, ell, theta, q, phase = class_invariants(products, eps_class)
+        bad = np.flatnonzero(kind != "loxodromic")
+        if bad.size:
+            row = bad[:1]
+            word = word_strings(codes[row], lengths[row], g)[0]
+            raise NotLoxodromic(
+                f"word {word} is {kind[row[0]]}, not loxodromic")
+        for name, value in zip(columns, (codes, lengths, j, ell, theta, q,
+                                         phase)):
+            columns[name].append(value)
+    # one field at a time, so the blocks and the result overlap by one field
+    return Spectrum(rank=g, **{name: np.concatenate(columns.pop(name))
+                               for name in list(columns)})
 
 
 def word_strings(codes: np.ndarray, word_length: np.ndarray,

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
 from .moebius import MoebiusMap
 from .quadrature import integrate
-from .words import Spectrum, class_spectrum
+from .words import Spectrum, _divide, class_spectrum
 
 VARIANTS = ("signature", "spinor")
 
@@ -99,12 +99,21 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
         raise ValueError(f"variant {variant!r} not in {VARIANTS}")
     if spin_sign not in ("plus", "minus"):
         raise ValueError(f"spin_sign {spin_sign!r} not 'plus' or 'minus'")
-    weight = np.array([abs(1.0 - q) ** 2 / abs(q) for q in spectrum.q.tolist()])
+    # abs(1 - q) ** 2 / abs(q), cmath.exp(1j * theta) and sp / abs(sp) in
+    # the operations CPython uses, so each value is the scalar one
+    q = spectrum.q
+    weight = (np.float_power(np.hypot(1.0 - q.real, 0.0 - q.imag), 2.0)
+              / np.hypot(q.real, q.imag))
+    chi = np.empty(len(q), dtype=complex)
     if variant == "signature":
-        chi = [cmath.exp(1j * theta) for theta in spectrum.theta.tolist()]
+        # exp(i theta) is cos + i sin of Im(1j * theta) = 0.0 + theta
+        angle = (spectrum.theta + 0.0).tolist()
+        chi.real, chi.imag = (list(map(math.cos, angle)),
+                              list(map(math.sin, angle)))
     else:
-        chi = [sp / abs(sp) for sp in spectrum.spin_phase.tolist()]
-    chi = np.array(chi, dtype=complex)
+        sp = spectrum.spin_phase
+        chi.real, chi.imag = _divide(sp.real, sp.imag,
+                                     np.hypot(sp.real, sp.imag), 0.0)
     if spin_sign == "minus":
         chi = chi.conj()
     arrays = {field.name: getattr(spectrum, field.name)

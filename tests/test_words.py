@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oddzeta import words
 from oddzeta.errors import (
     CutoffTooLarge,
     IndexOutOfRange,
@@ -19,7 +20,7 @@ from oddzeta.moebius import (
 )
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
-    _letter_indices,
+    _class_products,
     _renormalize,
     canonical_words,
     class_spectrum,
@@ -30,7 +31,6 @@ from oddzeta.words import (
     is_cyclically_reduced,
     _log_shell_sum,
     shell_displacements,
-    word_products,
     word_strings,
     word_to_str,
 )
@@ -65,7 +65,9 @@ def power_index(w):
 
 def decode_words(codes, k, g):
     """Signed-letter tuples of length-k word codes."""
-    indices = _letter_indices(codes, k, g)
+    base = 2 * g
+    indices = (codes[:, None] // base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+               % base)
     return [tuple(w) for w in (indices - g + (indices >= g)).tolist()]
 
 
@@ -116,15 +118,21 @@ def scalar_class_spectrum(generators, L, eps_class=1e-9):
         yield rep, j, geodesic_invariants(m, eps_class)
 
 
-def letter_indices(words, g):
-    """Signed letters to the indices word_products takes (-g..-1, 1..g)."""
-    return np.array([[s + g if s < 0 else s + g - 1 for s in w]
-                     for w in words], dtype=np.int64).reshape(len(words), -1)
-
-
 def bits(x):
     """Type and repr of a Python number: equal iff bit-identical."""
     return type(x), repr(x)
+
+
+def same_spectrum(got, want):
+    """Every field of two spectra bit-identical, compared as int64."""
+    assert got.rank == want.rank
+    for field in ("codes", "word_length", "j", "ell", "theta", "q",
+                  "spin_phase"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        if x.dtype == complex:
+            x, y = x.view(np.float64), y.view(np.float64)
+        assert np.array_equal(x.view(np.int64), y.view(np.int64)), field
 
 
 def unchecked_map(a, b, c, d):
@@ -303,16 +311,25 @@ def _families():
 class TestWordProducts:
     @pytest.mark.parametrize("name", list(_families()))
     def test_bit_identical_to_evaluate_word(self, name):
+        # the walk's product of every class, each its parent's times one
+        # letter, against the class word multiplied letter by letter
         gens, L = _families()[name]
-        words = [w for w, _ in canonical_classes(len(gens), L)]
-        for k in range(1, L + 1):
-            shell = [w for w in words if len(w) == k]
-            entries, real = word_products(gens, letter_indices(shell, len(gens)))
-            for w, column, is_real in zip(shell, entries.T.tolist(),
-                                          real.T.tolist()):
-                got = [z.real if f else z for z, f in zip(column, is_real)]
-                m = evaluate_word(gens, w)
-                assert list(map(bits, got)) == list(map(bits, (m.a, m.b, m.c, m.d)))
+        g = len(gens)
+        count = 0
+        for codes, lengths, _, (re, im, real) in _class_products(gens, L):
+            for k in np.unique(lengths).tolist():
+                rows = np.flatnonzero(lengths == k)
+                words_k = decode_words(codes[rows], k, g)
+                for w, r in zip(words_k, rows.tolist()):
+                    got = [complex(x, y) if not f else x for x, y, f in zip(
+                        re[:, :, r].ravel().tolist(),
+                        im[:, :, r].ravel().tolist(),
+                        real[:, :, r].ravel().tolist())]
+                    m = evaluate_word(gens, w)
+                    assert (list(map(bits, got))
+                            == list(map(bits, (m.a, m.b, m.c, m.d))))
+            count += len(codes)
+        assert count == len(canonical_classes(g, L))
 
     def test_drifting_generators_are_renormalized(self):
         # the family above exercises the renormalization on the first
@@ -334,22 +351,26 @@ class TestWordProducts:
         with pytest.raises(ValueError, match=message) as scalar:
             evaluate_word(gens, (1, 2))
         with pytest.raises(ValueError) as batched:
-            word_products(gens, letter_indices([(1, 1), (1, 2)], 2))
+            class_spectrum(gens, 2)
         assert str(batched.value) == str(scalar.value)
 
 
 class TestClassSpectrum:
-    @pytest.mark.parametrize("name", ["g2_complex_a", "real_pair", "float"])
+    @pytest.mark.parametrize("name", [
+        "g2_complex_a", "real_pair", "float", "thick", "ring5", "det_drift"])
     def test_matches_scalar_reference(self, name):
-        if name == "float":
-            gens = _families()["float_real_pair"][0]
+        if name in ("g2_complex_a", "real_pair"):
+            gens, L = sample_group(name).generators, 6
+        elif name == "float":
+            gens, L = _families()["float_real_pair"][0], 6
         else:
-            gens = sample_group(name).generators
-        spectrum = class_spectrum(gens, 6)
-        want = list(scalar_class_spectrum(gens, 6))
-        assert [(w, j) for w, j, _ in want] == canonical_classes(2, 6)
+            gens, L = _families()[name]
+        g = len(gens)
+        spectrum = class_spectrum(gens, L)
+        want = list(scalar_class_spectrum(gens, L))
+        assert [(w, j) for w, j, _ in want] == canonical_classes(g, L)
         assert spectrum.codes.tolist() == np.concatenate(
-            [codes for codes, _ in canonical_words(2, 6)]).tolist()
+            [codes for codes, _ in canonical_words(g, L)]).tolist()
         assert spectrum.word_length.tolist() == [len(w) for w, _, _ in want]
         assert spectrum.j.tolist() == [j for _, j, _ in want]
         for field, got in (("length", spectrum.ell),
@@ -357,6 +378,75 @@ class TestClassSpectrum:
                            ("spin_phase", spectrum.spin_phase)):
             assert (list(map(bits, got.tolist()))
                     == [bits(getattr(inv, field)) for _, _, inv in want])
+
+    @pytest.mark.parametrize("name", ["thick", "ring5", "float_real_pair"])
+    def test_blocks_straddling_shells_change_nothing(self, name, monkeypatch):
+        # 7 parents a walk block and at least 7 classes an invariants pass:
+        # blocks end mid-shell and passes span shells
+        gens, L = _families()[name]
+        L = min(L, 6)
+        default = class_spectrum(gens, L)
+        monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
+        monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
+        blocks = [len(codes) for codes, *_ in _class_products(gens, L)]
+        assert len(blocks) > L and max(blocks) < len(default)
+        small = class_spectrum(gens, L)
+        same_spectrum(small, default)
+        want = list(scalar_class_spectrum(gens, L))
+        for field, got in (("length", small.ell), ("theta", small.theta),
+                           ("q", small.q), ("spin_phase", small.spin_phase)):
+            assert (list(map(bits, got.tolist()))
+                    == [bits(getattr(inv, field)) for _, _, inv in want])
+        assert canonical_classes(len(gens), L) == recursive_classes(
+            len(gens), L)
+
+    @pytest.mark.parametrize("name", ["elliptic_ab", "complex_ab", "thick"])
+    @pytest.mark.parametrize("eps_class", [0.0, 0.5, 3.0])
+    def test_refusals_match_scalar_reference(self, name, eps_class):
+        # eps_class = 0 leaves nothing elliptic, so BA reaches the
+        # eigenvalue and has none above 1; 3 makes the generators identity
+        if name == "complex_ab":
+            gens = tuple(MoebiusMap(*(complex(z) for z in (m.a, m.b, m.c, m.d)))
+                         for m in ELLIPTIC_AB)
+        else:
+            gens = _families()[name][0]
+
+        def outcome(rows):
+            try:
+                return [bits(x) for row in rows() for x in row]
+            except NotLoxodromic as exc:
+                return str(exc)
+
+        def batched():
+            s = class_spectrum(gens, 4, eps_class)
+            return zip(s.ell.tolist(), s.theta.tolist(), s.q.tolist(),
+                       s.spin_phase.tolist())
+
+        def scalar():
+            return ((inv.length, inv.theta, inv.q, inv.spin_phase)
+                    for _, _, inv in scalar_class_spectrum(gens, 4, eps_class))
+
+        assert outcome(batched) == outcome(scalar)
+
+    def test_refusal_survives_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
+        monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
+        with pytest.raises(NotLoxodromic,
+                           match="^word BA is elliptic, not loxodromic$"):
+            class_spectrum(ELLIPTIC_AB, 4)
+
+    def test_memory_ceiling(self):
+        # multiplying each class word letter by letter peaked at 3.4 MiB on
+        # this input and the walk at 3.5 MiB; 8192-class invariants passes
+        # need 6.4 MiB
+        gens = sample_group("g2_complex_a").generators
+        tracemalloc.start()
+        try:
+            class_spectrum(gens, 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20
 
     def test_first_non_loxodromic_class_refused(self):
         with pytest.raises(NotLoxodromic) as reference:

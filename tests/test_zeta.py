@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_words import ELLIPTIC_AB, scalar_class_spectrum
+from test_words import ELLIPTIC_AB, _families, scalar_class_spectrum
 from toyterms import (
     class_terms,
     conjugated_terms,
@@ -21,9 +21,14 @@ from oddzeta.errors import (
     NonPrimitiveInput,
     NotLoxodromic,
 )
-from oddzeta.moebius import MoebiusMap, geodesic_invariants
+from oddzeta.moebius import (
+    GeodesicInvariants,
+    MoebiusMap,
+    geodesic_invariants,
+)
 from oddzeta.quadrature import integrate
 from oddzeta.sample_groups import ring_group
+from oddzeta.words import class_spectrum
 from oddzeta.zeta import (
     _fsum,
     dlog_zeta_odd,
@@ -33,6 +38,7 @@ from oddzeta.zeta import (
     odd_heat_trace,
     shell_tail_bound,
     terms_from_group,
+    terms_from_spectrum,
     zeta_odd,
     zeta_odd_signature_product,
 )
@@ -315,6 +321,29 @@ class TestGroupTerms:
                 for _, _, inv in reference))
             assert terms.D.tolist() == list(weights)
             assert terms.chi.tolist() == list(characters)
+
+    @pytest.mark.parametrize("family", ["thick", "real_pair", "ring5"])
+    def test_weights_and_characters_bit_identical(self, family):
+        # the float real_pair has real multipliers, so every theta is -0.0
+        gens, L = _families()[family] if family != "real_pair" else (
+            _families()["float_real_pair"][0], 6)
+        spectrum = class_spectrum(gens, min(L, 6))
+        rows = [GeodesicInvariants(length=ell, theta=theta, q=q, mu=None,
+                                   attracting=None, repelling=None,
+                                   spin_phase=phase)
+                for ell, theta, q, phase in zip(
+                    spectrum.ell.tolist(), spectrum.theta.tolist(),
+                    spectrum.q.tolist(), spectrum.spin_phase.tolist())]
+        for variant in ("signature", "spinor"):
+            for sign in ("plus", "minus"):
+                terms = terms_from_spectrum(spectrum, variant, sign)
+                weights, characters = zip(*(
+                    reference_weight_and_character(inv, variant, sign)
+                    for inv in rows))
+                assert list(map(repr, terms.D.tolist())) == list(
+                    map(repr, weights))
+                assert list(map(repr, terms.chi.tolist())) == list(
+                    map(repr, characters))
 
     def test_first_non_loxodromic_class_refused(self):
         # ab and its inverse BA are elliptic; BA is first in class order
