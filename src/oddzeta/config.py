@@ -40,6 +40,8 @@ def parse_complex(token: str) -> complex:
         raise ValueError(f"invalid complex literal {token!r}")
     re_part = float(m.group("re"))
     im_part = float(m.group("im")) if m.group("im") else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ValueError(f"complex literal {token!r} is not finite")
     return complex(re_part, im_part)
 
 
@@ -121,7 +123,7 @@ def _parse_generators(group: Dict[str, str]) -> Optional[Tuple[MoebiusMap, ...]]
             except ValueError as exc:
                 raise ConfigError(f"[group] {name} entry {col}: {exc}") from exc
         det = entries[0] * entries[3] - entries[1] * entries[2]
-        if abs(det - 1.0) > 1e-6:
+        if not abs(det - 1.0) <= 1e-6:
             raise ConfigError(
                 f"[group] {name}: determinant {det:.8g} is not 1 "
                 "(normalize the matrix; the sign is the spin lift)"

@@ -34,7 +34,9 @@ def is_infinite(z: complex) -> bool:
 class MoebiusMap:
     """Row-major entries of a unit-determinant 2x2 complex matrix.
 
-    The determinant constraint is enforced relative to the squared entry
+    Entries are stored as Python ``complex`` whatever number type they
+    are given in, so every product follows complex arithmetic.  The
+    determinant constraint is enforced relative to the squared entry
     scale: for a matrix with entries of size K, the value a*d - b*c is
     only determined to about eps_machine * K^2 in floating point, so an
     absolute det tolerance would spuriously reject long word products of
@@ -48,7 +50,10 @@ class MoebiusMap:
     d: complex
 
     def __post_init__(self):
-        if abs(self.det() - 1.0) > 1e-6 * max(1.0, self._scale_sq()):
+        for name in "abcd":
+            object.__setattr__(self, name, complex(getattr(self, name)))
+        # written so that a NaN determinant fails too
+        if not abs(self.det() - 1.0) <= 1e-6 * max(1.0, self._scale_sq()):
             raise ValueError(
                 f"determinant {self.det():.6g} too far from 1; "
                 "renormalize with MoebiusMap.normalized(...)"

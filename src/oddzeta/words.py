@@ -195,9 +195,6 @@ def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> Moebius
 # imaginary parts in separate float64 arrays: every complex product, sum,
 # power, square root and quotient is spelled out in the operations
 # CPython uses, because numpy's own complex loops round differently.
-# Entries that evaluate_word holds as Python floats (real-typed generators
-# stay real through their products) are tracked, since float and complex
-# arithmetic differ in the sign of zero imaginary parts.
 
 
 def _mul(xr, xi, yr, yi):
@@ -276,53 +273,44 @@ def _divide(ar, ai, br, bi):
     return qr, qi
 
 
-def _letter_table(generators: Sequence[MoebiusMap]):
-    """Entries of the letter matrices by letter index, as MoebiusMap holds
-    them (inverses are the adjugates that ``inverse`` builds): real and
-    imaginary parts as (2, 2, 2g) arrays, and which entries are floats."""
+def _letter_table(generators: Sequence[MoebiusMap]) -> np.ndarray:
+    """The letter matrices by letter index (see ``canonical_words``), as
+    one complex (2, 2, 2g) array of MoebiusMap entries; an inverse is the
+    adjugate that ``MoebiusMap.inverse`` builds."""
     rows = ([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
             + [(m.a, m.b, m.c, m.d) for m in generators])
-    table = np.array(rows, dtype=complex).T.reshape(2, 2, -1)
-    real = np.array([[not isinstance(x, complex) for x in r] for r in rows])
-    return table.real.copy(), table.imag.copy(), real.T.reshape(2, 2, -1)
+    return np.array(rows, dtype=complex).T.reshape(2, 2, -1)
 
 
 def word_products(parents, letters: np.ndarray, table):
     """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
-    ``parents`` is a split product ``(re, im, real)``: real and imaginary
-    parts of the entries as (2, 2, N) float arrays, and a (2, 2, N) bool
-    array marking the entries that ``evaluate_word`` holds as Python
-    floats.  ``letters`` holds N letter indices (see ``canonical_words``)
-    and ``table`` is ``_letter_table(generators)``.  Returns the split
-    products, renormalized above the same noise floor and refused with
-    the same ``ValueError`` on a singular or drifting determinant as
+    ``parents`` is a split product ``(re, im)``: real and imaginary parts
+    of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
+    indices (see ``canonical_words``) and ``table`` is
+    ``_letter_table(generators)`` split the same way.  Returns the split
+    products, renormalized above the same noise floor and refused with the
+    same ``ValueError`` on a singular or drifting determinant as
     ``MoebiusMap.__matmul__`` (the first failing column names the
     determinant).  Applied to the prefix product of a word, this is the
     next prefix product ``evaluate_word`` forms, bit for bit.
     """
-    re, im, real = parents
-    m_re, m_im, m_real = (np.take(t, letters, axis=2) for t in table)
-    # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__;
-    # it is a float when all four factors are
+    re, im = parents
+    m_re, m_im = (np.take(t, letters, axis=2) for t in table)
+    # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__
     x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
     y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
     re, im = x[0] + y[0], x[1] + y[1]
-    real = ((real[:, 0, None] & real[:, 1, None])
-            & (m_real[None, 0] & m_real[None, 1]))
-    im[real] = 0.0
     det_re, det_im = _split_det(re, im)
-    det_im[real.all(axis=(0, 1))] = 0.0
     fix = _above_noise_floor(re, im, det_re, det_im)
     if not fix.any():
-        return re, im, real
+        return re, im
     det_re, det_im = det_re[fix], det_im[fix]
     if ((det_re == 0.0) & (det_im == 0.0)).any():
         raise ValueError("singular matrix")
     root = _sqrt(det_re, det_im)
     re[:, :, fix], im[:, :, fix] = _divide(re[:, :, fix], im[:, :, fix],
                                            *root)
-    real[:, :, fix] = False
     det_re, det_im = _split_det(re[:, :, fix], im[:, :, fix])
     drift = (np.hypot(det_re - 1.0, det_im)
              > 1e-6 * _exact_scale_sq(re[:, :, fix], im[:, :, fix]))
@@ -333,7 +321,7 @@ def word_products(parents, letters: np.ndarray, table):
             f"determinant {det:.6g} too far from 1; "
             "renormalize with MoebiusMap.normalized(...)"
         )
-    return re, im, real
+    return re, im
 
 
 #: What ``class_invariants`` reports per product, as ``classify`` names it.
@@ -349,15 +337,14 @@ def class_invariants(products, eps_class: float):
     multiplier and spin phase, bit for bit those of
     ``geodesic_invariants`` on the same matrix (NaN elsewhere).
     The arithmetic is ``_classify`` and ``_multiplier_invariants`` in
-    split form: float entries and traces follow float arithmetic, ``**``
-    is C ``pow`` for a float and two complex products for a complex,
-    ``cmath.sqrt`` is ``_sqrt`` and quotients are ``_divide``; only
+    split form: ``**`` is two complex products, ``cmath.sqrt`` is
+    ``_sqrt`` and quotients are ``_divide``; only
     ``math.log`` and ``cmath.phase`` run per value.  Raises NotLoxodromic
     as ``_expanding_eigenvalue`` does when a loxodromic product has no
     eigenvalue above 1 in modulus and no product before it failed to be
     loxodromic.
     """
-    re, im, real = products
+    re, im = products
     a_re, b_re, c_re, d_re = re.reshape(4, -1)
     a_im, b_im, c_im, d_im = im.reshape(4, -1)
     # max(|a - 1|, |b|, |c|, |d - 1|) and the same for -m, the larger
@@ -369,14 +356,9 @@ def class_invariants(products, eps_class: float):
         np.maximum(off, np.maximum(np.hypot(-a_re - 1.0, a_im),
                                    np.hypot(-d_re - 1.0, d_im))))
     t_re, t_im = a_re + d_re, a_im + d_im
-    float_t = real[0, 0] & real[1, 1]
     tt_re, tt_im = _mul(t_re, t_im, t_re, t_im)
-    # (a + d) ** 2: C pow for a float, c_prod(1, t * t) for a complex
+    # (a + d) ** 2 is c_prod(1, t * t)
     tr2_re, tr2_im = _mul(1.0, 0.0, tt_re, tt_im)
-    if float_t.any():
-        tr2_re = np.where(float_t, np.float_power(t_re, 2.0), tr2_re)
-        tr2_im = np.where(float_t, 0.0, tr2_im)
-        tt_im = np.where(float_t, 0.0, tt_im)
     code = np.select(
         [near_id < eps_class,
          np.hypot(tr2_re - 4.0, tr2_im) < eps_class,
@@ -403,8 +385,6 @@ def class_invariants(products, eps_class: float):
         first = np.flatnonzero(lox)[np.argmax(weak)]
         if lox[:first].all():
             t = complex(a_re[first] + d_re[first], a_im[first] + d_im[first])
-            if float_t[first]:
-                t = t.real
             raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
     # mu ** -2 = 1 / c_prod(1, mu * mu)
     sq_re, sq_im = _mul(1.0, 0.0, *_mul(mu_re, mu_im, mu_re, mu_im))
@@ -460,7 +440,7 @@ class Spectrum:
         or index array) of every array field."""
         return replace(self, **{
             f.name: getattr(self, f.name)[rows] for f in fields(self)
-            if isinstance(getattr(self, f.name), np.ndarray)})
+            if np.ndim(getattr(self, f.name))})
 
 
 def _class_products(generators: Sequence[MoebiusMap], L: int):
@@ -477,9 +457,10 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
     smaller); blocks span shells.
     """
     table = _letter_table(generators)
+    split = table.real, table.imag
     eye = np.eye(2)[:, :, None]
-    # the product of the empty word, MoebiusMap.identity(), in float entries
-    frontier = [(eye, np.zeros_like(eye), np.ones(eye.shape, dtype=bool))]
+    # the product of the empty word, MoebiusMap.identity()
+    frontier = [(eye, np.zeros_like(eye))]
     grown, shell = [], 1
     pending: List[tuple] = []
     count = 0
@@ -493,7 +474,7 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
             parent, letter, codes = parent[cls], letter[cls], codes[cls]
         products = word_products(
             tuple(np.take(x, parent, axis=2) for x in frontier[chunk]),
-            letter, table)
+            letter, split)
         if n < L:
             grown.append(products)
             codes = codes[cls]
@@ -584,8 +565,6 @@ class PoincareEstimate:
 
     delta_hat: float
     bracket: Tuple[float, float]
-    cutoff: int
-    method: str
 
 
 #: Parents expanded per block in shell_displacements.  At rank 2 a
@@ -668,9 +647,8 @@ def shell_displacements(generators: Sequence[MoebiusMap],
             f"about {predicted} words at L = {L} exceeds the budget "
             f"{DEFAULT_WORD_BUDGET}"
         )
-    # letters -g..-1, 1..g by index; the inverse of letter j is 2g-1-j
-    maps = [gen.inverse() for gen in reversed(generators)] + list(generators)
-    mats = np.array([[[m.a, m.b], [m.c, m.d]] for m in maps], dtype=complex)
+    # the letter matrices by index; the inverse of letter j is 2g-1-j
+    mats = _letter_table(generators).transpose(2, 0, 1)
     frontier = np.eye(2, dtype=complex)[None]
     last = np.array([-1])  # the root's "inverse letter" 2g matches no letter
     shells: List[np.ndarray] = []
@@ -764,6 +742,4 @@ def estimate_delta(generators: Sequence[MoebiusMap],
     s_prev = crossing(L - 3)
     s_last = crossing(L - 2)
     return PoincareEstimate(
-        delta_hat=s_last, bracket=(min(s_prev, s_last), max(s_prev, s_last)),
-        cutoff=L, method="shell-bisection"
-    )
+        delta_hat=s_last, bracket=(min(s_prev, s_last), max(s_prev, s_last)))

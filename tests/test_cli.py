@@ -197,6 +197,34 @@ class TestConfigBounds:
             assert not out.exists()
 
 
+#: (command, config text, the entry named) of literals that overflow to
+#: inf; before the finiteness check the first two exited 0 with NaN in
+#: their output and the third failed inside hyp2f1
+NON_FINITE = [
+    ("spectrum", CYCLIC.replace(
+        "generator1 = 2+0i 0+0i 0+0i 0.5+0i",
+        "generator1 = 1e400+0i 1e400+0i 1+0i 1+0i\n"
+        "generator2 = 2+0i 0+0i 0+0i 0.5+0i"), "[group] generator1 entry 1"),
+    ("zeta", COMPLEX_A.replace("lambda = 0+0i", "lambda = 1+0i 1+1e400i"),
+     "[grids] lambda entry 2"),
+    ("kernels", COMPLEX_A.replace("lambda = 0+0i", "lambda = 1e400+0i"),
+     "[grids] lambda entry 1"),
+]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command, text, where", NON_FINITE,
+                             ids=[c for c, _, _ in NON_FINITE])
+    def test_exits_2_naming_the_entry(self, tmp_path, capsys, command, text,
+                                      where):
+        cfg = write(tmp_path, "n.cfg", text)
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "not finite" in err
+        assert not out.exists()
+
+
 class TestZetaCommand:
     def test_real_group_values_are_one(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", REAL_PAIR)

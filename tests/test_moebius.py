@@ -1,5 +1,6 @@
 import cmath
 import math
+import struct
 
 import pytest
 
@@ -33,6 +34,23 @@ def random_sl2(rng):
         b = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         return MoebiusMap(a, b, c, (1.0 + b * c) / a)
+
+
+def entry_bits(m):
+    """The IEEE bits of the real and imaginary part of every entry."""
+    return [struct.pack("<dd", z.real, z.imag) for z in (m.a, m.b, m.c, m.d)]
+
+
+class TestEntries:
+    def test_float_entries_stored_as_complex(self):
+        m = MoebiusMap(2.0, 0.0, 0.0, 0.5)
+        assert all(type(z) is complex for z in (m.a, m.b, m.c, m.d))
+        want = MoebiusMap(2 + 0j, 0j, 0j, 0.5 + 0j)
+        assert entry_bits(m) == entry_bits(want)
+
+    def test_nan_determinant_refused(self):
+        with pytest.raises(ValueError, match="determinant"):
+            MoebiusMap(float("nan"), 0, 0, 1)
 
 
 class TestClassify:
