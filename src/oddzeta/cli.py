@@ -145,12 +145,22 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
+def _estimate_and_terms(config: RunConfig):
+    """delta_hat and the zeta terms up to ``word_cutoff``, from one
+    spectrum built at max(``word_cutoff``, ``delta_cutoff``)."""
+    terms = terms_from_group(_group_generators(config),
+                             max(config.word_cutoff, config.delta_cutoff),
+                             config.variant, config.spin_sign,
+                             eps_class=config.eps_class)
+    est = estimate_delta(terms, config.delta_cutoff)
+    if config.delta_cutoff > config.word_cutoff:
+        terms = terms.select(terms.word_length <= config.word_cutoff)
+    return est, terms
+
+
 def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
     """JSON array of truncated zeta evaluations over the lambda grid."""
-    gens = _group_generators(config)
-    est = estimate_delta(gens, config.delta_cutoff)
-    terms = terms_from_group(gens, config.word_cutoff, config.variant,
-                             config.spin_sign, eps_class=config.eps_class)
+    est, terms = _estimate_and_terms(config)
     evaluations = []
     for lam in config.lambda_grid:
         if lam.real <= est.delta_hat:
@@ -174,12 +184,9 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
 
 def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     """JSON with the three eta routes and the factorization residual."""
-    gens = _group_generators(config)
-    est = estimate_delta(gens, config.delta_cutoff)
+    est, terms = _estimate_and_terms(config)
     if est.delta_hat >= 0:
         raise DeltaNotNegative(f"delta_hat = {est.delta_hat:.6g} >= 0")
-    terms = terms_from_group(gens, config.word_cutoff, config.variant,
-                             config.spin_sign, eps_class=config.eps_class)
     routes = {
         route: eta(terms, route, delta_hat=est.delta_hat,
                    quad_tol=config.quad_tol)

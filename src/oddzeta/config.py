@@ -235,7 +235,7 @@ def parse_config(text: str) -> RunConfig:
     for where, key, value, least in (
         ("run", "word_cutoff", config.word_cutoff, 1),
         ("run", "inner_cutoff", config.inner_cutoff, 1),
-        # estimate_delta compares the growth of 4 shells
+        # the order of estimate_delta's determinant
         ("run", "delta_cutoff", config.delta_cutoff, 4),
         ("scan", "scan_cutoff", config.scan_cutoff, 1),
         ("kernels", "n", config.kernel_n, 1),

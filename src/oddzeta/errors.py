@@ -39,7 +39,7 @@ class IndexOutOfRange(OddZetaError):
 
 
 class NonConvergent(OddZetaError):
-    """Shell statistics have not stabilized enough for an exponent estimate."""
+    """No exponent estimate: too low a determinant order, or no zero."""
 
 
 # --- kernels / special functions -------------------------------------------

@@ -58,6 +58,10 @@ class MoebiusMap:
                 f"determinant {self.det():.6g} too far from 1; "
                 "renormalize with MoebiusMap.normalized(...)"
             )
+        # an infinite entry passes the check above: its tolerance is infinite
+        for name, z in zip("abcd", (self.a, self.b, self.c, self.d)):
+            if not cmath.isfinite(z):
+                raise ValueError(f"entry {name} = {z} is not finite")
 
     def _scale_sq(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2

@@ -151,14 +151,14 @@ def hyp2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
     """Gauss hypergeometric 2F1(a, b; c; z) on the closed unit disk.
 
     Raises PoleAtC for nonpositive-integer c and NoConvergence where the
-    series and its transformations cannot deliver the value (z = 1 with
-    Re(c - a - b) <= 0, |z| > 1, or parameter corners such as integral
-    c - a - b right at z = 1).
+    series and its transformations cannot deliver the value (a non-finite
+    argument, z = 1 with Re(c - a - b) <= 0, |z| > 1, or parameter
+    corners such as integral c - a - b right at z = 1).
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = complex(z)
+    a, b, c, z = map(complex, (a, b, c, z))
+    for name, value in zip("abcz", (a, b, c, z)):
+        if not cmath.isfinite(value):
+            raise NoConvergence(f"{name} = {value} is not finite")
     if is_nonpositive_integer(c):
         raise PoleAtC(f"c = {c} is a nonpositive integer")
     if z == 0:

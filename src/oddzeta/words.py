@@ -13,6 +13,9 @@ class matrices are classified and reduced to their invariants in blocks
 (``class_invariants``), and ``class_spectrum`` returns one ``Spectrum``
 of 1-D arrays.
 
+``estimate_delta`` reads the Poincare exponent off a class spectrum too,
+as the zero of a determinant whose traces are sums over its classes.
+
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
 expect.
@@ -68,12 +71,6 @@ def cyclic_reduce(w: Sequence[int]) -> GroupWord:
     return tuple(w)
 
 
-def _reduced_word_count(g: int, length: int) -> int:
-    if length == 0:
-        return 1
-    return 2 * g * (2 * g - 1) ** (length - 1)
-
-
 #: Prenecklaces expanded (and their children multiplied) per block of
 #: the walk.  At rank 2 a block's product temporaries take under a
 #: megabyte, and a shell's products are held in chunks of this many
@@ -114,7 +111,9 @@ def _prenecklaces(g: int, L: int):
     """
     if g < 1 or L < 1:
         raise ValueError("need g >= 1 and L >= 1")
-    predicted = sum(_reduced_word_count(g, k) // k for k in range(1, L + 1))
+    # 2g (2g - 1)^(k - 1) reduced words of length k, about 1/k of them classes
+    predicted = sum(2 * g * (2 * g - 1) ** (k - 1) // k
+                    for k in range(1, L + 1))
     if predicted > DEFAULT_WORD_BUDGET:
         raise CutoffTooLarge(
             f"about {predicted} classes at L = {L} exceeds the budget "
@@ -273,22 +272,13 @@ def _divide(ar, ai, br, bi):
     return qr, qi
 
 
-def _letter_table(generators: Sequence[MoebiusMap]) -> np.ndarray:
-    """The letter matrices by letter index (see ``canonical_words``), as
-    one complex (2, 2, 2g) array of MoebiusMap entries; an inverse is the
-    adjugate that ``MoebiusMap.inverse`` builds."""
-    rows = ([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
-            + [(m.a, m.b, m.c, m.d) for m in generators])
-    return np.array(rows, dtype=complex).T.reshape(2, 2, -1)
-
-
 def word_products(parents, letters: np.ndarray, table):
     """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
     ``parents`` is a split product ``(re, im)``: real and imaginary parts
     of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
-    indices (see ``canonical_words``) and ``table`` is
-    ``_letter_table(generators)`` split the same way.  Returns the split
+    indices (see ``canonical_words``) and ``table`` the (2, 2, 2g) letter
+    matrices by index, split the same way.  Returns the split
     products, renormalized above the same noise floor and refused with the
     same ``ValueError`` on a singular or drifting determinant as
     ``MoebiusMap.__matmul__`` (the first failing column names the
@@ -456,7 +446,11 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
     ``_CLASS_BLOCK`` classes in class order (the last block may be
     smaller); blocks span shells.
     """
-    table = _letter_table(generators)
+    # the letter matrices by letter index (see canonical_words); an
+    # inverse is the adjugate that MoebiusMap.inverse builds
+    table = np.array([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
+                     + [(m.a, m.b, m.c, m.d) for m in generators],
+                     dtype=complex).T.reshape(2, 2, -1)
     split = table.real, table.imag
     eye = np.eye(2)[:, :, None]
     # the product of the empty word, MoebiusMap.identity()
@@ -567,179 +561,89 @@ class PoincareEstimate:
     bracket: Tuple[float, float]
 
 
-#: Parents expanded per block in shell_displacements.  At rank 2 a
-#: block's temporaries stay within a few hundred kilobytes, so memory is
-#: the retained frontier plus the output, whatever the cutoff; larger
-#: blocks run no faster and raise the peak resident size.
-_SHELL_BLOCK = 1024
+#: Intervals of the downward grid scan, and its highest start: Z_N tends
+#: to 1 as lambda grows, so a Z_N not positive there has no usable zero.
+_SCAN_INTERVALS, _SCAN_TOP = 64, 1024.0
+
+#: Terms e^(-lambda ell) held at once when Z_N is evaluated on a grid.
+_TRACE_BLOCK = 1 << 14
 
 
-def _det(e: np.ndarray) -> np.ndarray:
-    return e[0] * e[3] - e[1] * e[2]
+def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """A zero of f in [lo, hi], f(lo) <= 0 < f(hi), by regula falsi with
+    the Illinois step: the value at an end kept twice is halved.  An exact
+    zero becomes the end hi, with value 0, and the steps close on it."""
+    kept = 0
+    while True:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:  # the bracket is down to adjacent floats
+            return lo if -f_lo <= f_hi else hi
+        fx = f(x)
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            f_hi *= 0.5 if kept == -1 else 1.0
+            kept = -1
+        else:
+            hi, f_hi = x, fx
+            f_lo *= 0.5 if kept == 1 else 1.0
+            kept = 1
 
 
-def _drifted(e: np.ndarray, det: np.ndarray, tol: float) -> np.ndarray:
-    """|det - 1| > tol * max(1, scale^2), as in MoebiusMap."""
-    a, b, c, d = np.abs(e)
-    scale = np.maximum(np.maximum(a, b), np.maximum(c, d))
-    return np.abs(det - 1.0) > tol * np.maximum(1.0, scale ** 2)
+def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
+    """delta_hat = delta - 1 as the largest real zero of the order-N
+    trivial-character determinant det(1 - L_lambda) (Ruelle 1976;
+    McMullen 1998; Jenkinson-Pollicott 2002), read off the classes of
+    ``spectrum`` of word length <= N.
 
-
-def _renormalize(e: np.ndarray) -> None:
-    """MoebiusMap.normalized and its determinant check, in place.
-
-    ``e`` holds the entries a, b, c, d of a stack of matrices as rows.
+    The shell traces are t_n = sum (n/j) e^(-lambda ell) |q| / |1 - q|^2
+    over the classes of length n; Newton's identities, c_0 = 1 and
+    n c_n = -sum_k t_k c_(n-k), give Z_N = sum_(n <= N) c_n.  Its first
+    sign change on a grid scanned down to -1 from lambda = 2 (doubled
+    while Z_N <= 0) is refined by ``_illinois``.  The zeros of Z_(N-1)
+    and Z_N bracket the estimate; a wide bracket is reported, not
+    refused.  Rank 1 gives exactly -1 (a double zero, no sign change).
+    N < 4 or no zero raise NonConvergent.
     """
-    det = _det(e)
-    fix = _drifted(e, det, 1e-12)
-    if not fix.any():
-        return
-    det = det[fix]
-    if not det.all():
-        raise ValueError("singular matrix")
-    fixed = e[:, fix] / np.sqrt(det)
-    det = _det(fixed)
-    drift = _drifted(fixed, det, 1e-6)
-    if drift.any():
+    if N < 4:
+        raise NonConvergent(f"need at least 4 shells, got N = {N}")
+    if spectrum.cutoff < N:
         raise ValueError(
-            f"determinant {complex(det[drift][0]):.6g} too far from 1; "
-            "renormalize with MoebiusMap.normalized(...)"
-        )
-    e[:, fix] = fixed
+            f"spectrum reaches word length {spectrum.cutoff}, need {N}")
+    if spectrum.rank == 1:
+        return PoincareEstimate(delta_hat=-1.0, bracket=(-1.0, -1.0))
+    # reduceat runs each shell up to the next start, so longer shells
+    # would fold into t_N
+    part = spectrum.select(spectrum.word_length <= N)
+    q = part.q
+    weight = part.word_length / part.j * np.abs(q) / np.abs(1.0 - q) ** 2
+    starts = np.searchsorted(part.word_length, np.arange(1, N + 1))
+    step = max(1, _TRACE_BLOCK // len(part))
 
+    def truncations(lam) -> np.ndarray:
+        """Z_(N-1) and Z_N at each lambda, as rows."""
+        lam = np.atleast_1d(lam)
+        t = np.concatenate([np.add.reduceat(
+            weight * np.exp(-np.multiply.outer(lam[k:k + step], part.ell)),
+            starts, axis=1) for k in range(0, len(lam), step)]).T
+        c = [np.ones(len(lam))]
+        for n in range(1, N + 1):
+            c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
+        return np.cumsum(c, axis=0)[N - 1:]
 
-def _displacements(e: np.ndarray) -> np.ndarray:
-    """d(o, g o) at o = (1, 0) per matrix, entries as rows.
-
-    2 cosh d = |a|^2 + |b|^2 + |c|^2 + |d|^2 for g in SL(2, C), so
-    cosh^2(d/2) = (sum of |entries|^2 + 2) / 4.
-    """
-    cosh2 = ((e.real ** 2 + e.imag ** 2).sum(axis=0) + 2.0) / 4.0
-    return 2.0 * np.arccosh(np.sqrt(np.maximum(cosh2, 1.0)))
-
-
-def shell_displacements(generators: Sequence[MoebiusMap],
-                        L: int) -> List[np.ndarray]:
-    """Orbit displacements d(o, w o) for all reduced words, per length shell.
-
-    The base point is o = (1, 0), the point j of the upper half-space,
-    where 2 cosh d(o, g o) = |a|^2 + |b|^2 + |c|^2 + |d|^2 for g in
-    SL(2, C) (the squared Frobenius norm of the matrix; Beardon, The
-    Geometry of Discrete Groups, 4.2), so no point is moved.
-
-    Returns shells[k-1] for k = 1..L, each a 1-D float64 array in the
-    depth-first (lexicographic) order of the words under the integer
-    order on letters.  Shells are expanded breadth-first: each parent
-    word times each letter, one batched product per letter, with the
-    inverse of the parent's last letter masked out; products are
-    renormalized above the same noise floor, and refused on the same
-    determinant drift, as in ``MoebiusMap.__matmul__``, and agree with
-    the scalar product and distance within a few ulps.  Parents are
-    expanded in blocks of ``_SHELL_BLOCK``, and the matrices of the last
-    shell are never kept, so memory is the shell-(L-1) matrices plus the
-    output.  More than ``DEFAULT_WORD_BUDGET`` words raise
-    CutoffTooLarge.
-    """
-    g = len(generators)
-    predicted = sum(_reduced_word_count(g, k) for k in range(1, L + 1))
-    if predicted > DEFAULT_WORD_BUDGET:
-        raise CutoffTooLarge(
-            f"about {predicted} words at L = {L} exceeds the budget "
-            f"{DEFAULT_WORD_BUDGET}"
-        )
-    # the letter matrices by index; the inverse of letter j is 2g-1-j
-    mats = _letter_table(generators).transpose(2, 0, 1)
-    frontier = np.eye(2, dtype=complex)[None]
-    last = np.array([-1])  # the root's "inverse letter" 2g matches no letter
-    shells: List[np.ndarray] = []
-    for depth in range(L):
-        children = 2 * g - (depth > 0)
-        out = np.empty(len(frontier) * children)
-        keep = depth + 1 < L
-        if keep:
-            next_frontier = np.empty((len(out), 2, 2), dtype=complex)
-            next_last = np.empty(len(out), dtype=np.int32)
-        for start in range(0, len(frontier), _SHELL_BLOCK):
-            block = frontier[start:start + _SHELL_BLOCK]
-            # parents[r, k] is the row of (r, k) entries across the block
-            parents = block.transpose(1, 2, 0)[:, :, None]
-            kids = np.empty((2, 2, len(block), 2 * g), dtype=complex)
-            for j, m in enumerate(mats):
-                # kid[r, col] = p[r, 0] m[0, col] + p[r, 1] m[1, col],
-                # the arithmetic of MoebiusMap.__matmul__
-                kids[..., j] = (parents[:, 0] * m[0, :, None]
-                                + parents[:, 1] * m[1, :, None])
-            inverse = 2 * g - 1 - last[start:start + _SHELL_BLOCK]
-            allowed = inverse[:, None] != np.arange(2 * g)
-            entries = kids.reshape(4, len(block), 2 * g)[:, allowed]
-            _renormalize(entries)
-            lo = start * children
-            hi = lo + entries.shape[1]
-            out[lo:hi] = _displacements(entries)
-            if keep:
-                next_frontier.reshape(-1, 4)[lo:hi] = entries.T
-                next_last[lo:hi] = np.nonzero(allowed)[1]
-        shells.append(out)
-        if keep:
-            frontier, last = next_frontier, next_last
-    return shells
-
-
-def _log_shell_sum(displacements: np.ndarray, s: float) -> float:
-    """log S_s(k) for n = 1, by log-sum-exp (plain sums underflow for
-    large s)."""
-    exps = -(s + 1.0) * displacements
-    m = exps.max()
-    exps -= m
-    return float(m + math.log(np.exp(exps, out=exps).sum()))
-
-
-def estimate_delta(generators: Sequence[MoebiusMap],
-                   L: int) -> PoincareEstimate:
-    """Shell-bisection estimate of the shifted Poincare exponent.
-
-    For each of the last two shell pairs (k, k+1) the shell growth rate
-    log(S_s(k+1)/S_s(k)) crosses zero at some s, found by bisection to
-    1e-12; the latest crossing is the estimate and the two crossings
-    bracket it.  The accuracy of this scheme is reported via the
-    bracket, not guaranteed: a wide bracket is returned, not refused.
-
-    The shells come from ``shell_displacements`` as arrays, and each
-    bisection step takes one numpy log-sum-exp per shell, so the cost is
-    the word expansion plus a few array passes per step.
-    """
-    if L < 4:
-        raise NonConvergent(f"need at least 4 shells, got L = {L}")
-    shells = shell_displacements(generators, L)
-
-    def crossing(k: int) -> float:
-        # growth rate between shells k+1 and k+2 (1-based), decreasing in s
-        def f(s: float) -> float:
-            return (_log_shell_sum(shells[k + 1], s)
-                    - _log_shell_sum(shells[k], s))
-
-        lo, hi = -4.0, 8.0
-        tries = 0
-        while f(lo) <= 0.0:
-            lo -= 4.0
-            tries += 1
-            if tries > 8:
-                raise NonConvergent("growth rate never positive; shells unusable")
-        tries = 0
-        while f(hi) >= 0.0:
-            hi += 4.0
-            tries += 1
-            if tries > 8:
-                raise NonConvergent("growth rate never negative; shells unusable")
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    s_prev = crossing(L - 3)
-    s_last = crossing(L - 2)
-    return PoincareEstimate(
-        delta_hat=s_last, bracket=(min(s_prev, s_last), max(s_prev, s_last)))
+    top = 2.0
+    while not (truncations(top) > 0.0).all():
+        top *= 2.0
+        if top > _SCAN_TOP:
+            raise NonConvergent(
+                f"Z_{N - 1} and Z_{N} not both positive up to {_SCAN_TOP:g}")
+    grid = np.linspace(top, -1.0, _SCAN_INTERVALS + 1).tolist()
+    zeros = []
+    for row, values in enumerate(truncations(grid).tolist()):
+        i = next((i for i, v in enumerate(values) if v <= 0.0), None)
+        if i is None:
+            raise NonConvergent(
+                f"Z_{N - 1 + row} has no zero on [-1, {top:g}]")
+        zeros.append(_illinois(lambda lam: truncations(lam)[row, 0].item(),
+                               grid[i], values[i], grid[i - 1], values[i - 1]))
+    return PoincareEstimate(delta_hat=zeros[1],
+                            bracket=(min(zeros), max(zeros)))

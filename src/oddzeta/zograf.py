@@ -24,7 +24,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput, NotLoxodromic
+from .errors import (DeltaNotNegative, LeftSchottkyDomain, NonConvergent,
+                     NonPrimitiveInput, NotLoxodromic)
 from .moebius import MoebiusMap, geodesic_invariants
 from .words import estimate_delta
 from .zeta import (
@@ -183,16 +184,20 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
     """params -> (eta, truncation budget) at a chart point, memoized.
 
     One function serves several ``pluriharmonicity_scan`` calls, so a
-    point they share, such as the base point, is evaluated once.
+    point they share, such as the base point, is evaluated once.  A point
+    builds one class spectrum, at max(L, delta_cutoff), for delta_hat and
+    eta; one without a negative delta_hat raises LeftSchottkyDomain.
     """
     @functools.cache
     def value(params: Tuple[complex, complex, complex]) -> Tuple[float, float]:
         try:
             point = schottky_from_params(*params)
-            terms = terms_from_group(point.generators, L, "signature")
-        except (NotLoxodromic, ValueError) as exc:
+            terms = terms_from_group(point.generators, max(L, delta_cutoff),
+                                     "signature")
+            est = estimate_delta(terms, delta_cutoff)
+        except (NotLoxodromic, NonConvergent, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
-        est = estimate_delta(point.generators, delta_cutoff)
+        terms = terms.select(terms.word_length <= L)
         if est.delta_hat >= 0:
             raise LeftSchottkyDomain(
                 f"delta_hat = {est.delta_hat:.6g} >= 0 at params {params}"

@@ -28,7 +28,7 @@ from oddzeta.transport import (
     spinor_transport,
     tau_matrix,
 )
-from oddzeta.words import estimate_delta
+from oddzeta.words import class_spectrum, estimate_delta
 from oddzeta.zeta import (
     eta,
     odd_heat_trace,
@@ -79,7 +79,7 @@ def test_criterion_01_eta_factorization_identity(complex_groups):
         for gen in point.generators:
             assert geodesic_invariants(gen).length > 6.0
         t0 = time.perf_counter()
-        identity_est = estimate_delta(point.generators, 6)
+        identity_est = estimate_delta(class_spectrum(point.generators, 6), 6)
         terms = terms_from_group(point.generators, 6, "signature")
         rep = check_eta_F_identity(terms, 40, identity_est.delta_hat)
         elapsed = time.perf_counter() - t0

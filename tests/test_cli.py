@@ -1,8 +1,10 @@
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_words import scalar_class_spectrum
 
@@ -12,7 +14,7 @@ import oddzeta.zograf as zograf
 from oddzeta.cli import main
 from oddzeta.config import format_complex, load_config, parse_complex
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.words import word_to_str
+from oddzeta.words import class_spectrum, estimate_delta, word_to_str
 from oddzeta.zograf import schottky_from_params
 
 CYCLIC = """\
@@ -269,6 +271,40 @@ class TestZetaCommand:
         assert all(math.isfinite(v) for v in ev["value"])
 
 
+class TestRunTerms:
+    def test_terms_selected_from_the_delta_spectrum(self, tmp_path):
+        # delta_cutoff = 6 > word_cutoff = 4: one spectrum, at length 6
+        config = load_config(write(tmp_path, "a.cfg", COMPLEX_A))
+        est, terms = cli._estimate_and_terms(config)
+        gens = sample_group("g2_complex_a").generators
+        want = zeta.terms_from_group(gens, 4)
+        assert len(terms) == len(want) and terms.rank == want.rank
+        assert terms.variant == want.variant
+        for field in fields(want):
+            x, y = getattr(terms, field.name), getattr(want, field.name)
+            if not np.ndim(y):
+                continue
+            if x.dtype == complex:
+                x, y = x.view(np.float64), y.view(np.float64)
+            assert x.dtype == y.dtype, field.name
+            assert np.array_equal(x.view(np.int64), y.view(np.int64)), (
+                field.name)
+        assert est == estimate_delta(class_spectrum(gens, 6), 6)
+
+    @pytest.mark.parametrize("command", ["zeta", "eta"])
+    def test_non_loxodromic_below_delta_cutoff_exits_3(self, tmp_path, capsys,
+                                                       command):
+        # BA, of length 2, is elliptic: past word_cutoff, but the
+        # estimate's spectrum reaches it
+        text = ELLIPTIC_AB.replace("word_cutoff = 3",
+                                   "word_cutoff = 1\ndelta_cutoff = 4")
+        cfg = write(tmp_path, "e.cfg", text)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "word BA is elliptic" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEtaCommand:
     def test_real_group_zero(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", REAL_PAIR)
@@ -378,13 +414,13 @@ class TestScanCommand:
     def test_base_point_evaluated_once(self, tmp_path, monkeypatch):
         # three parameters, each the base point and 8 shifted points
         points = []
-        estimate_delta = zograf.estimate_delta
+        terms_from_group = zograf.terms_from_group
 
         def counted(generators, *args, **kwargs):
             points.append(tuple(generators))
-            return estimate_delta(generators, *args, **kwargs)
+            return terms_from_group(generators, *args, **kwargs)
 
-        monkeypatch.setattr(zograf, "estimate_delta", counted)
+        monkeypatch.setattr(zograf, "terms_from_group", counted)
         cfg = str(PERFBENCH_CONFIGS / "scan.cfg")
         assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(points) == len(set(points)) == 25

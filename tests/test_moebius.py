@@ -52,6 +52,16 @@ class TestEntries:
         with pytest.raises(ValueError, match="determinant"):
             MoebiusMap(float("nan"), 0, 0, 1)
 
+    @pytest.mark.parametrize("entries, name", [
+        ((math.inf, 0, 0, 1), "a"),
+        ((1, 0, 0, complex(0.0, -math.inf)), "d"),
+    ])
+    def test_infinite_entry_refused(self, entries, name):
+        # det = inf passes the determinant check, whose tolerance is
+        # infinite too
+        with pytest.raises(ValueError, match=f"^entry {name} = .* not finite$"):
+            MoebiusMap(*entries)
+
 
 class TestClassify:
     def test_identity(self):

@@ -73,7 +73,7 @@ def test_spin_sign_minus_negates_spinor_eta(params):
 @given(chart_points())
 def test_identity_residual_within_budget(params):
     gens = schottky_from_params(*params).generators
-    est = estimate_delta(gens, 6)
+    est = estimate_delta(class_spectrum(gens, 6), 6)
     report = check_eta_F_identity(terms_from_group(gens, L), M, est.delta_hat)
     assert report.residual <= report.error_budget
     assert report.central_cross_check <= report.error_budget

@@ -43,6 +43,13 @@ class TestGamma:
 
 
 class TestHyp2F1:
+    @pytest.mark.parametrize("name", "abcz")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_argument_refused(self, name, bad):
+        args = {"a": 0.5, "b": 0.5, "c": 2.0, "z": 0.3, name: bad}
+        with pytest.raises(NoConvergence, match=f"^{name} = .* is not finite$"):
+            hyp2f1(**args)
+
     def test_at_zero(self):
         assert hyp2f1(0.3 + 0.2j, -1.1, 2.4 - 0.3j, 0.0) == 1.0
 

@@ -11,17 +11,10 @@ from oddzeta.errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from oddzeta.moebius import (
-    HalfSpacePoint,
-    MoebiusMap,
-    classify,
-    geodesic_invariants,
-    hyperbolic_distance,
-)
+from oddzeta.moebius import MoebiusMap, classify, geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
     _class_products,
-    _renormalize,
     canonical_words,
     class_spectrum,
     cyclic_reduce,
@@ -29,8 +22,6 @@ from oddzeta.words import (
     evaluate_word,
     free_reduce,
     is_cyclically_reduced,
-    _log_shell_sum,
-    shell_displacements,
     word_strings,
     word_to_str,
 )
@@ -40,9 +31,6 @@ CYCLIC_GEN = [MoebiusMap(2.0, 0.0, 0.0, 0.5)]
 
 #: The thick chart point of the benchmark (shifted exponent about -0.476).
 THICK_POINT = (0.06 + 0.05j, 0.07 - 0.03j, -0.9 + 0.6j)
-
-#: The point j of the upper half-space, the base point of the orbit walk.
-BASE_POINT = HalfSpacePoint(1.0, (0.0, 0.0))
 
 
 def canonical_rotation(w):
@@ -146,30 +134,6 @@ def unchecked_map(a, b, c, d):
 #: A real-typed family (Python float entries) whose length-2 classes ab
 #: and BA have trace 1, so are elliptic; BA comes first in class order.
 ELLIPTIC_AB = (MoebiusMap(2.0, 0.0, 0.0, 0.5), MoebiusMap(-1.0, 1.0, -7.0, 6.0))
-
-
-def scalar_shell_displacements(generators, L, base=BASE_POINT):
-    """Reference for shell_displacements: a recursive walk over reduced
-    words, one MoebiusMap product and one scalar distance per word."""
-    g = len(generators)
-    mats = {}
-    for i, gen in enumerate(generators, start=1):
-        mats[i] = gen
-        mats[-i] = gen.inverse()
-    letters = [s for s in range(-g, g + 1) if s != 0]
-    shells = [[] for _ in range(L)]
-
-    def walk(depth, last, mat):
-        for s in letters:
-            if last != 0 and s == -last:
-                continue
-            m = mat @ mats[s]
-            shells[depth].append(hyperbolic_distance(base, m.apply_h3(base)))
-            if depth + 1 < L:
-                walk(depth + 1, s, m)
-
-    walk(0, 0, MoebiusMap.identity())
-    return shells
 
 
 def brute_force_classes(g, L):
@@ -434,9 +398,6 @@ class TestClassSpectrum:
         floats, L = _families()["float_real_pair"]
         complexes, _ = _families()["complex_real_pair"]
         same_spectrum(class_spectrum(floats, L), class_spectrum(complexes, L))
-        for got, want in zip(shell_displacements(floats, L),
-                             shell_displacements(complexes, L)):
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_refusal_survives_small_blocks(self, monkeypatch):
         monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
@@ -536,98 +497,51 @@ class TestReduction:
 
 class TestPoincareEstimate:
     def test_cyclic_group_exponent(self):
-        est = estimate_delta(CYCLIC_GEN, 6)
+        # delta = 0 is a double zero of the determinant, with no sign
+        # change, so it is returned exactly
+        est = estimate_delta(class_spectrum(CYCLIC_GEN, 6), 6)
         assert est.bracket[0] - 1e-9 <= -1.0 <= est.bracket[1] + 1e-9
         assert abs(est.delta_hat + 1.0) < 1e-9
+        assert est == words.PoincareEstimate(delta_hat=-1.0,
+                                             bracket=(-1.0, -1.0))
 
     def test_well_separated_group_negative(self):
         point = sample_group("g2_complex_a")
-        est = estimate_delta(point.generators, 8)
+        est = estimate_delta(class_spectrum(point.generators, 8), 8)
         assert est.delta_hat < 0
-        # shell-sum oracle at s = 0 decays shell over shell
-        shells = shell_displacements(point.generators, 6)
-        sums = [_log_shell_sum(s, 0.0) for s in shells]
-        assert all(b < a for a, b in zip(sums, sums[1:]))
         # achieved value, frozen loosely for regression visibility
         assert -0.9 < est.delta_hat < -0.7
 
+    def test_ring_group_positive(self):
+        est = estimate_delta(class_spectrum(ring_group(), 5), 5)
+        assert est.delta_hat > 0
+
     def test_too_few_shells(self):
         with pytest.raises(NonConvergent):
-            estimate_delta(CYCLIC_GEN, 2)
+            estimate_delta(class_spectrum(CYCLIC_GEN, 2), 2)
 
-    def test_shell_sums_monotone_in_s(self):
-        point = sample_group("g2_complex_b")
-        shells = shell_displacements(point.generators, 5)
-        for k in (1, 3, 4):
-            values = [_log_shell_sum(shells[k], s)
-                      for s in (-0.5, 0.0, 0.7, 1.5)]
-            assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_budget_guard(self):
-        # about 8.6e7 reduced words at L = 16, over the default budget
-        with pytest.raises(CutoffTooLarge, match="budget"):
-            shell_displacements(sample_group("g2_complex_a").generators, 16)
-
-
-class TestArrayShells:
-    @pytest.mark.parametrize("name, L", [
-        ("g2_complex_a", 7), ("thick", 7), ("ring5", 4),
-        ("float_real_pair", 6),
-    ])
-    def test_matches_scalar_walk(self, name, L):
-        if name == "float_real_pair":
-            gens = _families()[name][0]
-        elif name == "thick":
-            gens = schottky_from_params(*THICK_POINT).generators
-        elif name == "ring5":
-            gens = ring_group()
-        else:
-            gens = sample_group(name).generators
-        shells = shell_displacements(gens, L)
-        oracle = scalar_shell_displacements(gens, L)
-        assert [len(s) for s in shells] == [len(s) for s in oracle]
-        for got, want in zip(shells, oracle):
-            assert got.dtype == np.float64 and got.ndim == 1
-            want = np.array(want)
-            # element by element, so the depth-first order is checked too
-            ulps = np.spacing(np.maximum(np.abs(want), 1.0))
-            assert np.all(np.abs(got - want) <= 2 * ulps)
-
-    def test_estimate_pinned_to_scalar_walk_values(self):
+    def test_spectrum_shorter_than_order_refused(self):
         gens = sample_group("g2_complex_a").generators
-        est = estimate_delta(gens, 8)
-        assert abs(est.delta_hat - -0.8257790299954877) < 1e-12
-        assert abs(est.bracket[0] - -0.8257790299954877) < 1e-12
-        assert abs(est.bracket[1] - -0.825779009898838) < 1e-12
-        assert abs(estimate_delta(gens, 10).delta_hat
-                   - -0.8257790283597615) < 1e-12
+        with pytest.raises(ValueError, match="word length 5"):
+            estimate_delta(class_spectrum(gens, 5), 6)
 
-    def test_memory_ceiling(self):
-        # the recursive scalar walk peaked at 11.0 MiB on this input; an
-        # expansion that is not blocked needs well over 12 MiB
+    def test_longer_spectrum_changes_nothing(self):
+        # only the shells up to N are read: folding the longer shells into
+        # the last trace would move the estimate
         gens = sample_group("g2_complex_a").generators
-        tracemalloc.start()
-        try:
-            shell_displacements(gens, 11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        long = estimate_delta(class_spectrum(gens, 10), 8)
+        short = estimate_delta(class_spectrum(gens, 8), 8)
+        assert np.array_equal(
+            np.array([long.delta_hat, *long.bracket]).view(np.int64),
+            np.array([short.delta_hat, *short.bracket]).view(np.int64))
 
-    def test_renormalize_matches_moebius_normalized(self):
-        raw = [(2.0, 1.0j, 0.5, 3.0), (1.0 + 1e-9, 0.0, 0.0, 1.0),
-               (1.0, 0.0, 0.0, 1.0)]
-        entries = np.array(raw, dtype=complex).T.copy()
-        _renormalize(entries)
-        for got, row in zip(entries.T, raw):
-            m = MoebiusMap.normalized(*row)
-            want = np.array([m.a, m.b, m.c, m.d])
-            # numpy divides through a reciprocal, so allow a few ulps
-            assert np.all(np.abs(got - want) <= 4 * np.spacing(1.0))
-        assert list(entries[:, 2]) == [1.0, 0.0, 0.0, 1.0]
-
-    def test_renormalize_refuses_singular(self):
-        with pytest.raises(ValueError, match="singular"):
-            MoebiusMap.normalized(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError, match="singular"):
-            _renormalize(np.zeros((4, 1), dtype=complex))
+    def test_estimate_pinned_to_determinant_values(self):
+        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 10)
+        est = estimate_delta(spectrum, 8)
+        assert abs(est.delta_hat - -0.8257790279463342) < 1e-12
+        assert abs(est.bracket[0] - -0.8257790279463342) < 1e-12
+        assert abs(est.bracket[1] - -0.8257790279462478) < 1e-12
+        at_10 = estimate_delta(spectrum, 10).delta_hat
+        assert abs(at_10 - -0.8257790279463342) < 1e-12
+        # orders 8 and 10 agree
+        assert abs(est.delta_hat - at_10) <= 1e-12

@@ -9,7 +9,7 @@ import oddzeta.zograf
 from oddzeta.errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput
 from oddzeta.moebius import geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.words import estimate_delta
+from oddzeta.words import class_spectrum, estimate_delta
 from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
     check_eta_F_identity,
@@ -93,7 +93,8 @@ class TestZografF:
 
 def identity_report(generators, L, M, delta_cutoff=None):
     """check_eta_F_identity on the group's signature terms at cutoff L."""
-    est = estimate_delta(generators, delta_cutoff or max(6, L))
+    delta_cutoff = delta_cutoff or max(6, L)
+    est = estimate_delta(class_spectrum(generators, delta_cutoff), delta_cutoff)
     terms = terms_from_group(generators, L, "signature")
     return check_eta_F_identity(terms, M, est.delta_hat)
 
