@@ -5,7 +5,8 @@ that produced it, and contains nothing time- or machine-dependent, so
 identical configs give byte-identical files.
 
 Exit codes: 0 ok, 2 config or I/O error, 3 precondition violation,
-4 numerical nonconvergence.
+4 numerical nonconvergence; each library error class has its code from
+its base class in ``errors``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -20,24 +22,12 @@ from . import sample_groups
 from .config import RunConfig, load_config
 from .errors import (
     AtDiagonal,
-    BoundaryPoint,
     ConfigError,
     ConvergenceViolation,
-    CutoffTooLarge,
-    DegenerateConfiguration,
-    DeltaNotNegative,
     DivergentIntegral,
-    IndexOutOfRange,
-    LeftSchottkyDomain,
-    NoConvergence,
-    NonConvergent,
-    NonPrimitiveInput,
-    NotInvertible,
-    NotLoxodromic,
-    PoleAt,
-    PoleAtC,
+    NumericalError,
     PoleOfGamma,
-    UndefinedAtCorner,
+    PreconditionError,
 )
 from .kernels import (
     KernelPoint,
@@ -49,7 +39,7 @@ from .kernels import (
     resolvent_scalar,
 )
 from .moebius import MoebiusMap, normalize_schottky
-from .words import class_spectrum, estimate_delta, word_strings
+from .words import class_spectrum, word_strings
 from .zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
 from .zograf import (
     SchottkyPoint,
@@ -58,17 +48,6 @@ from .zograf import (
     pluriharmonicity_scan,
     point_params,
 )
-
-_PRECONDITION_ERRORS = (
-    DeltaNotNegative, NotLoxodromic, DegenerateConfiguration, BoundaryPoint,
-    NonPrimitiveInput, LeftSchottkyDomain, IndexOutOfRange, CutoffTooLarge,
-    NotInvertible, UndefinedAtCorner, AtDiagonal,
-)
-_NUMERICAL_ERRORS = (
-    NonConvergent, NoConvergence, ConvergenceViolation, DivergentIntegral,
-    PoleAt, PoleAtC, PoleOfGamma, ArithmeticError,
-)
-
 
 def _group_generators(config: RunConfig) -> Sequence[MoebiusMap]:
     if config.preset is not None:
@@ -145,37 +124,26 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
-def _estimate_and_terms(config: RunConfig):
-    """delta_hat and the zeta terms up to ``word_cutoff``, from one
-    spectrum built at max(``word_cutoff``, ``delta_cutoff``)."""
-    terms = terms_from_group(_group_generators(config),
-                             max(config.word_cutoff, config.delta_cutoff),
-                             config.variant, config.spin_sign,
-                             eps_class=config.eps_class)
-    est = estimate_delta(terms, config.delta_cutoff)
-    if config.delta_cutoff > config.word_cutoff:
-        terms = terms.select(terms.word_length <= config.word_cutoff)
-    return est, terms
-
-
 def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
-    """JSON array of truncated zeta evaluations over the lambda grid."""
-    est, terms = _estimate_and_terms(config)
+    """JSON array of truncated zeta evaluations over the lambda grid,
+    ``"nonconvergent"`` where the terms refuse the sum."""
+    terms = terms_from_group(_group_generators(config), config.word_cutoff,
+                             config.delta_cutoff, config.variant,
+                             config.spin_sign, config.eps_class)
     evaluations = []
     for lam in config.lambda_grid:
-        if lam.real <= est.delta_hat:
+        try:
+            evaluations.append(zeta_odd(terms, lam).to_json_dict())
+        except ConvergenceViolation:
             evaluations.append(
                 {"lambda": [lam.real, lam.imag], "nonconvergent": True}
             )
-        else:
-            ev = zeta_odd(terms, lam, delta_hat=est.delta_hat)
-            evaluations.append(ev.to_json_dict())
     doc = {
         "config_sha256": config.sha256,
         "variant": config.variant,
         "cutoff_L": config.word_cutoff,
-        "delta_hat": est.delta_hat,
-        "delta_bracket": list(est.bracket),
+        "delta_hat": terms.estimate.delta_hat,
+        "delta_bracket": list(terms.estimate.bracket),
         "evaluations": evaluations,
     }
     return _write_text(out_dir / "zeta.json",
@@ -184,21 +152,20 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
 
 def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     """JSON with the three eta routes and the factorization residual."""
-    est, terms = _estimate_and_terms(config)
-    if est.delta_hat >= 0:
-        raise DeltaNotNegative(f"delta_hat = {est.delta_hat:.6g} >= 0")
+    terms = terms_from_group(_group_generators(config), config.word_cutoff,
+                             config.delta_cutoff, config.variant,
+                             config.spin_sign, config.eps_class)
+    est = terms.estimate
     routes = {
-        route: eta(terms, route, delta_hat=est.delta_hat,
-                   quad_tol=config.quad_tol)
+        route: eta(terms, route, quad_tol=config.quad_tol)
         for route in ("central_value", "lambda_integral", "heat_quadrature")
     }
     # the identity is stated for the signature variant under "plus"
     if (config.variant, config.spin_sign) == ("signature", "plus"):
         identity_terms = terms
     else:
-        identity_terms = terms_from_spectrum(terms)
-    report = check_eta_F_identity(identity_terms, config.inner_cutoff,
-                                  est.delta_hat)
+        identity_terms = replace(terms_from_spectrum(terms), estimate=est)
+    report = check_eta_F_identity(identity_terms, config.inner_cutoff)
     doc = {
         "config_sha256": config.sha256,
         "variant": config.variant,
@@ -358,10 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     print(out_path)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
-from .moebius import MoebiusMap
+from .moebius import EPS_CLASS, MoebiusMap
 
 _COMPLEX_RE = re.compile(
     r"^(?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -69,7 +69,7 @@ class RunConfig:
     scan_h: float = 5e-3
     scan_cutoff: int = 4
     scan_oracle: str = "none"
-    eps_class: float = 1e-9
+    eps_class: float = EPS_CLASS
     quad_tol: float = 1e-11
     sha256: str = ""
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all oddzeta modules.
 
-Every domain error raised by the library derives from ``OddZetaError`` so
-callers (in particular the CLI) can map failures onto exit codes without
-string matching.
+Every domain error raised by the library derives from ``OddZetaError``
+through the base that gives its command-line exit code: ``ConfigError``
+2, ``PreconditionError`` 3, ``NumericalError`` 4.
 """
 
 
@@ -11,86 +11,94 @@ class OddZetaError(Exception):
 
 
 class ConfigError(OddZetaError):
-    """Malformed or inconsistent run configuration."""
+    """Malformed or inconsistent run configuration (exit 2)."""
+
+
+class PreconditionError(OddZetaError):
+    """The input violates a precondition of the computation (exit 3)."""
+
+
+class NumericalError(OddZetaError):
+    """The computation does not converge or hits a singularity (exit 4)."""
 
 
 # --- moebius ---------------------------------------------------------------
 
-class NotLoxodromic(OddZetaError):
+class NotLoxodromic(PreconditionError):
     """Operation requires a loxodromic element."""
 
 
-class BoundaryPoint(OddZetaError):
+class BoundaryPoint(PreconditionError):
     """Interior half-space point required (height x > 0)."""
 
 
-class DegenerateConfiguration(OddZetaError):
-    """Anchor fixed points for normalization are not three distinct points."""
+class DegenerateConfiguration(PreconditionError):
+    """Normalization anchors are not three distinct points, or not set."""
 
 
 # --- words -----------------------------------------------------------------
 
-class CutoffTooLarge(OddZetaError):
+class CutoffTooLarge(PreconditionError):
     """Enumeration would exceed the configured memory budget."""
 
 
-class IndexOutOfRange(OddZetaError):
+class IndexOutOfRange(PreconditionError):
     """Word refers to a generator index outside the given family."""
 
 
-class NonConvergent(OddZetaError):
+class NonConvergent(NumericalError):
     """No exponent estimate: too low a determinant order, or no zero."""
 
 
 # --- kernels / special functions -------------------------------------------
 
-class PoleAtC(OddZetaError):
+class PoleAtC(NumericalError):
     """Hypergeometric series undefined: c is a nonpositive integer."""
 
 
-class NoConvergence(OddZetaError):
+class NoConvergence(NumericalError):
     """Series or transformation does not converge on the requested input."""
 
 
-class PoleAt(OddZetaError):
+class PoleAt(NumericalError):
     """Evaluation requested exactly at a pole of the function."""
 
 
-class AtDiagonal(OddZetaError):
+class AtDiagonal(PreconditionError):
     """Kernel is singular on the diagonal r = 0."""
 
 
-class PoleOfGamma(OddZetaError):
+class PoleOfGamma(NumericalError):
     """Spectral parameter sits on the excluded gamma-factor pole set."""
 
 
-class DivergentIntegral(OddZetaError):
+class DivergentIntegral(NumericalError):
     """Time integral diverges: Re(lambda^2) <= 0."""
 
 
 # --- transport --------------------------------------------------------------
 
-class UndefinedAtCorner(OddZetaError):
+class UndefinedAtCorner(PreconditionError):
     """Parallel transport undefined: both points on the boundary and equal."""
 
 
-class NotInvertible(OddZetaError):
+class NotInvertible(PreconditionError):
     """Clifford element is not an invertible versor."""
 
 
 # --- zeta / zograf ----------------------------------------------------------
 
-class ConvergenceViolation(OddZetaError):
+class ConvergenceViolation(NumericalError):
     """Zeta sum requested at Re(lambda) at or below the convergence abscissa."""
 
 
-class DeltaNotNegative(OddZetaError):
+class DeltaNotNegative(PreconditionError):
     """Operation requires the (shifted) Poincare exponent to be negative."""
 
 
-class NonPrimitiveInput(OddZetaError):
+class NonPrimitiveInput(PreconditionError):
     """Only primitive conjugacy classes (power index j = 1) are allowed."""
 
 
-class LeftSchottkyDomain(OddZetaError):
+class LeftSchottkyDomain(PreconditionError):
     """A scan step left the region where all preconditions hold."""

@@ -215,15 +215,15 @@ def _exact_scale_sq(re: np.ndarray, im: np.ndarray) -> np.ndarray:
         1.0, np.float_power(np.hypot(re, im).max(axis=(0, 1)), 2.0))
 
 
-def _above_noise_floor(re, im, det_re, det_im) -> np.ndarray:
+def _above_noise_floor(re, im, det_re, det_im, size) -> np.ndarray:
     """Where |det - 1| <= 1e-12 max(1, max|entry|^2) fails, as in
-    MoebiusMap.normalized.
+    MoebiusMap.normalized; ``size`` is max|entry|^2 from squared parts.
 
     Squared moduli settle every matrix whose |det - 1|^2 is not within a
     relative 1e-6 of the squared floor; only those near it pay for hypot
     and pow (about 20 ns an entry), which decide them exactly.
     """
-    size = np.maximum(1.0, (re * re + im * im).max(axis=(0, 1)))
+    size = np.maximum(1.0, size)
     gap = (det_re - 1.0) ** 2 + det_im ** 2
     floor = 1e-24 * size * size
     above = gap > floor * (1.0 + 1e-6)
@@ -272,6 +272,7 @@ def _divide(ar, ai, br, bi):
     return qr, qi
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def word_products(parents, letters: np.ndarray, table):
     """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
@@ -279,11 +280,12 @@ def word_products(parents, letters: np.ndarray, table):
     of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
     indices (see ``canonical_words``) and ``table`` the (2, 2, 2g) letter
     matrices by index, split the same way.  Returns the split
-    products, renormalized above the same noise floor and refused with the
-    same ``ValueError`` on a singular or drifting determinant as
-    ``MoebiusMap.__matmul__`` (the first failing column names the
-    determinant).  Applied to the prefix product of a word, this is the
-    next prefix product ``evaluate_word`` forms, bit for bit.
+    products, renormalized above the same noise floor and refused as
+    ``MoebiusMap.__matmul__`` refuses them: ``OverflowError`` when
+    max|entry| ** 2 overflows, ``ValueError`` on a singular or drifting
+    determinant (the first failing column names the determinant).
+    Applied to the prefix product of a word, this is the next prefix
+    product ``evaluate_word`` forms, bit for bit; numpy warns of nothing.
     """
     re, im = parents
     m_re, m_im = (np.take(t, letters, axis=2) for t in table)
@@ -291,8 +293,14 @@ def word_products(parents, letters: np.ndarray, table):
     x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
     y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
     re, im = x[0] + y[0], x[1] + y[1]
+    # squared moduli settle all but the matrices near the float range
+    size = (re * re + im * im).max(axis=(0, 1))
+    near = ~(size < 0.999999 * np.finfo(float).max)
+    if near.any() and not np.isfinite(
+            _exact_scale_sq(re[:, :, near], im[:, :, near])).all():
+        raise OverflowError("max|entry| ** 2 of a word product overflows")
     det_re, det_im = _split_det(re, im)
-    fix = _above_noise_floor(re, im, det_re, det_im)
+    fix = _above_noise_floor(re, im, det_re, det_im, size)
     if not fix.any():
         return re, im
     det_re, det_im = det_re[fix], det_im[fix]
@@ -466,9 +474,15 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
             frontier[chunk - 1] = None  # expanded: its products are done
         if n == L:
             parent, letter, codes = parent[cls], letter[cls], codes[cls]
-        products = word_products(
-            tuple(np.take(x, parent, axis=2) for x in frontier[chunk]),
-            letter, split)
+        try:
+            products = word_products(
+                tuple(np.take(x, parent, axis=2) for x in frontier[chunk]),
+                letter, split)
+        except (OverflowError, ValueError):
+            # the classes waiting here precede the refused product's
+            if pending:
+                yield _join(pending)
+            raise
         if n < L:
             grown.append(products)
             codes = codes[cls]
@@ -504,8 +518,9 @@ def class_spectrum(generators: Sequence[MoebiusMap], L: int,
     one ``classify`` and ``geodesic_invariants`` give.  Raises
     NotLoxodromic naming the first class, in class order, that is not
     loxodromic.  A product refused on any prenecklace raises its
-    ValueError when the walk reaches it, before the classes still
-    waiting for their invariants pass are classified.
+    OverflowError or ValueError when the walk reaches it, after the
+    classes walked before its block are classified: a class-by-class
+    ``evaluate_word`` reaches those first.
     """
     g = len(generators)
     columns: dict = {name: [] for name in (

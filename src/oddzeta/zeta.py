@@ -21,7 +21,10 @@ this one odd weight a per class.  The class data is one ``ZetaTerms``:
 the arrays and rank of a ``words.Spectrum`` plus the weight D and the
 character chi = chi_+ per class.  Every sum is one correctly rounded
 ``_fsum`` over an array expression, so its value does not depend on the
-order of the terms.
+order of the terms.  Terms from ``terms_from_group`` carry the group's
+delta_hat, and only this module refuses them: ``ConvergenceViolation``
+at Re(lambda) <= delta_hat, ``DeltaNotNegative`` for eta and the eta-F
+identity when delta_hat >= 0.
 
 The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
@@ -38,9 +41,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
-from .moebius import MoebiusMap
+from .moebius import EPS_CLASS, MoebiusMap
 from .quadrature import integrate
-from .words import Spectrum, _divide, class_spectrum
+from .words import (PoincareEstimate, Spectrum, _divide, class_spectrum,
+                    estimate_delta)
 
 VARIANTS = ("signature", "spinor")
 
@@ -50,13 +54,15 @@ class ZetaTerms(Spectrum):
     """All per-class quantities entering the zeta, eta and heat-trace sums.
 
     The arrays of the ``Spectrum``, plus the weight ``D`` = |1 - q|^2/|q|
-    and the character ``chi`` = chi_+ of each class, and the ``variant``
-    the characters belong to.
+    and the character ``chi`` = chi_+ of each class, the ``variant``
+    the characters belong to, and the ``estimate`` of delta_hat that the
+    sums are checked against (None: never refused).
     """
 
     D: np.ndarray
     chi: np.ndarray
     variant: str
+    estimate: Optional[PoincareEstimate] = None
 
 
 @dataclass(frozen=True)
@@ -122,18 +128,22 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
 
 
 def terms_from_group(generators: Sequence[MoebiusMap], L: int,
-                     variant: str = "signature", spin_sign: str = "plus",
-                     eps_class: float = 1e-9) -> ZetaTerms:
-    """Class terms for every conjugacy class of word length <= L.
+                     delta_cutoff: int, variant: str = "signature",
+                     spin_sign: str = "plus",
+                     eps_class: float = EPS_CLASS) -> ZetaTerms:
+    """Class terms for every conjugacy class of word length <= L, with
+    the group's delta_hat estimate of order ``delta_cutoff``.
 
-    Deterministic order (length, then lexicographic representative).
-    The classes and their invariants come from ``words.class_spectrum``
-    (canonical words as integer codes, exact batched word products).
-    Raises NotLoxodromic naming the offending word if the family is not
-    purely loxodromic at this cutoff.
+    One ``words.class_spectrum`` at max(L, delta_cutoff) gives both, in
+    (length, lexicographic representative) order.  Raises NotLoxodromic
+    naming the offending word if the family is not purely loxodromic.
     """
-    return terms_from_spectrum(
-        class_spectrum(generators, L, eps_class), variant, spin_sign)
+    spectrum = class_spectrum(generators, max(L, delta_cutoff), eps_class)
+    estimate = estimate_delta(spectrum, delta_cutoff)
+    if delta_cutoff > L:
+        spectrum = spectrum.select(spectrum.word_length <= L)
+    return replace(terms_from_spectrum(spectrum, variant, spin_sign),
+                   estimate=estimate)
 
 
 # --- truncation-tail model ----------------------------------------------------
@@ -193,35 +203,43 @@ def _odd_weight(terms: ZetaTerms) -> np.ndarray:
     return (terms.chi / (terms.j * terms.D)).imag
 
 
-def _check_convergence(lam: complex, delta_hat: Optional[float]):
-    if delta_hat is not None and complex(lam).real <= delta_hat:
+def _check_convergence(terms: ZetaTerms, lam: complex):
+    """Refuse a sum at Re(lambda) <= the terms' delta_hat."""
+    if terms.estimate is not None and lam.real <= terms.estimate.delta_hat:
         raise ConvergenceViolation(
-            f"Re(lambda) = {complex(lam).real:.6g} <= delta_hat = {delta_hat:.6g}"
+            f"Re(lambda) = {lam.real:.6g} <= "
+            f"delta_hat = {terms.estimate.delta_hat:.6g}"
         )
 
 
-def log_zeta_half(terms: ZetaTerms, sign: str, lam: complex,
-                  delta_hat: Optional[float] = None) -> ZetaEvaluation:
+def _check_delta_negative(terms: ZetaTerms):
+    """Refuse eta and the eta-F identity when the terms' delta_hat >= 0."""
+    if terms.estimate is not None and terms.estimate.delta_hat >= 0:
+        raise DeltaNotNegative(
+            f"delta_hat = {terms.estimate.delta_hat:.6g} >= 0")
+
+
+def log_zeta_half(terms: ZetaTerms, sign: str,
+                  lam: complex) -> ZetaEvaluation:
     """log Z(sigma_sign, lambda) = -sum chi_sign / (j D) e^(-lambda l)."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     lam = complex(lam)
-    _check_convergence(lam, delta_hat)
+    _check_convergence(terms, lam)
     chi = terms.chi if sign == "+" else terms.chi.conj()
     value = -_fsum(chi / (terms.j * terms.D) * np.exp(-lam * terms.ell))
     tail = shell_tail_bound(terms, lam.real)
     return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
 
 
-def log_zeta_odd(terms: ZetaTerms, lam: complex,
-                 delta_hat: Optional[float] = None) -> ZetaEvaluation:
+def log_zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
     """log Z_odd(lambda) = -2i sum a e^(-lambda l), a = Im(chi_+ / (j D)).
 
     Equal to log Z(sigma_+) - log Z(sigma_-) as one sum; its tail bound
     is the two halves' bounds added.
     """
     lam = complex(lam)
-    _check_convergence(lam, delta_hat)
+    _check_convergence(terms, lam)
     value = -2j * _fsum(_odd_weight(terms) * np.exp(-lam * terms.ell))
     tail = 2.0 * shell_tail_bound(terms, lam.real)
     return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
@@ -241,21 +259,19 @@ def _value_scale_tail(value: complex, log_tail: float) -> float:
         return math.inf
 
 
-def zeta_odd(terms: ZetaTerms, lam: complex,
-             delta_hat: Optional[float] = None) -> ZetaEvaluation:
+def zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
     """Z_odd(lambda) = exp(log Z_odd(lambda)), truncated.
 
     The tail bound is propagated to the value scale: |Z| expm1(log tail).
     """
-    log_odd = log_zeta_odd(terms, lam, delta_hat)
+    log_odd = log_zeta_odd(terms, lam)
     value = cmath.exp(log_odd.value)
     return replace(log_odd, value=value,
                    tail_bound=_value_scale_tail(value, log_odd.tail_bound))
 
 
 def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
-                               inner_cutoff: int,
-                               delta_hat: Optional[float] = None) -> ZetaEvaluation:
+                               inner_cutoff: int) -> ZetaEvaluation:
     """Independent route to Z_odd for the signature variant.
 
     Direct double product over primitive classes:
@@ -265,7 +281,7 @@ def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
     Must agree with the sum form within combined tail bounds.
     """
     lam = complex(lam)
-    _check_convergence(lam, delta_hat)
+    _check_convergence(terms, lam)
     powers = terms.j[terms.j != 1]
     if len(powers):
         raise NonPrimitiveInput(
@@ -298,11 +314,10 @@ def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
     return ZetaEvaluation(value, tail, terms.cutoff, "signature", lam)
 
 
-def dlog_zeta_odd(terms: ZetaTerms, lam: complex,
-                  delta_hat: Optional[float] = None) -> complex:
+def dlog_zeta_odd(terms: ZetaTerms, lam: complex) -> complex:
     """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
     lam = complex(lam)
-    _check_convergence(lam, delta_hat)
+    _check_convergence(terms, lam)
     return 2j * _fsum(terms.ell * _odd_weight(terms) * np.exp(-lam * terms.ell))
 
 
@@ -333,7 +348,7 @@ def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
 
 
 def eta(terms: ZetaTerms, route: str = "central_value",
-        delta_hat: Optional[float] = None, quad_tol: float = 1e-11) -> float:
+        quad_tol: float = 1e-11) -> float:
     """Eta invariant from the class data, by one of three routes.
 
     central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch,
@@ -344,15 +359,14 @@ def eta(terms: ZetaTerms, route: str = "central_value",
                      through u = 1/t so both halves of the split at t = 1
                      become smooth exponentially decaying integrals.
 
-    A provided ``delta_hat`` must be negative (the convergence standing
-    hypothesis); omit it only for toy term lists.
+    Terms with an estimate need delta_hat < 0 (the convergence standing
+    hypothesis); hand-built ones carry none.
     """
-    if delta_hat is not None and delta_hat >= 0:
-        raise DeltaNotNegative(f"delta_hat = {delta_hat:.6g} >= 0")
+    _check_delta_negative(terms)
     if not terms:
         return 0.0
     if route == "central_value":
-        return log_zeta_odd(terms, 0.0, delta_hat).value.imag / math.pi
+        return log_zeta_odd(terms, 0.0).value.imag / math.pi
     ell_min = float(terms.ell.min())
     if route == "lambda_integral":
         lmax = 40.0 / ell_min

@@ -24,12 +24,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import (DeltaNotNegative, LeftSchottkyDomain, NonConvergent,
-                     NonPrimitiveInput, NotLoxodromic)
+from .errors import (DegenerateConfiguration, DeltaNotNegative,
+                     LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
+                     NotLoxodromic)
 from .moebius import MoebiusMap, geodesic_invariants
-from .words import estimate_delta
 from .zeta import (
     ZetaTerms,
+    _check_delta_negative,
     _fsum,
     log_zeta_odd,
     shell_tail_bound,
@@ -77,7 +78,8 @@ def point_params(point: SchottkyPoint, tol: float = 1e-12) -> Tuple[complex, com
     if (abs(inv1.attracting) > tol or abs(inv2.attracting - 1.0) > tol
             or (math.isfinite(inv1.repelling.real)
                 and abs(inv1.repelling) < 1.0 / tol)):
-        raise ValueError("generators are not in normalized position")
+        raise DegenerateConfiguration(
+            "generators are not in normalized position")
     return inv1.q, inv2.q, inv2.repelling
 
 
@@ -123,7 +125,6 @@ class IdentityReport:
     f_value: complex
     z_central: complex
     central_cross_check: float
-    delta_hat: float
     error_budget: float
     cutoff_L: int
     inner_cutoff: int
@@ -133,24 +134,22 @@ def _wrap_angle(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def check_eta_F_identity(terms: ZetaTerms, M: int,
-                         delta_hat: float) -> IdentityReport:
+def check_eta_F_identity(terms: ZetaTerms, M: int) -> IdentityReport:
     """Residual |arg F + (pi/2) eta| mod 2 pi on a concrete group.
 
     ``terms`` are the group's signature-variant class terms with the
-    default ("plus") character convention and ``delta_hat`` its exponent
-    estimate.  eta comes from the central-value route, F from the double
-    product over the same primitive classes; the report also carries the
-    direct comparison of Z_odd(0) with conj(F)/F, which exercises two
+    default ("plus") character convention; delta_hat >= 0 is refused.
+    eta comes from the central-value route, F from the double product
+    over the same primitive classes; the report also carries the direct
+    comparison of Z_odd(0) with conj(F)/F, which exercises two
     independent code paths end to end.  eta, its budget and Z_odd(0) come
     from one odd sum, log Z_odd(0) = -2i sum Im(chi_+ / (j D)): eta is its
     imaginary part over pi, Z_odd(0) its exponential.
     """
-    if delta_hat >= 0:
-        raise DeltaNotNegative(f"delta_hat = {delta_hat:.6g} >= 0")
+    _check_delta_negative(terms)
     if terms.variant != "signature":
         raise ValueError("the eta-F identity needs signature-variant terms")
-    log_odd = log_zeta_odd(terms, 0.0, delta_hat)
+    log_odd = log_zeta_odd(terms, 0.0)
     eta_value = log_odd.value.imag / math.pi
     eta_budget = log_odd.tail_bound / math.pi
     f_eval = zograf_F(terms.select(terms.j == 1), M)
@@ -163,8 +162,7 @@ def check_eta_F_identity(terms: ZetaTerms, M: int,
               + _MACHINE_FLOOR)
     return IdentityReport(
         residual=residual, eta=eta_value, arg_f=arg_f, f_value=f_eval.value,
-        z_central=z_central, central_cross_check=cross,
-        delta_hat=delta_hat, error_budget=budget,
+        z_central=z_central, central_cross_check=cross, error_budget=budget,
         cutoff_L=log_odd.cutoff_L, inner_cutoff=M,
     )
 
@@ -192,17 +190,13 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
     def value(params: Tuple[complex, complex, complex]) -> Tuple[float, float]:
         try:
             point = schottky_from_params(*params)
-            terms = terms_from_group(point.generators, max(L, delta_cutoff),
-                                     "signature")
-            est = estimate_delta(terms, delta_cutoff)
+            terms = terms_from_group(point.generators, L, delta_cutoff)
+            _check_delta_negative(terms)
+        except DeltaNotNegative as exc:
+            raise LeftSchottkyDomain(f"{exc} at params {params}") from exc
         except (NotLoxodromic, NonConvergent, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
-        terms = terms.select(terms.word_length <= L)
-        if est.delta_hat >= 0:
-            raise LeftSchottkyDomain(
-                f"delta_hat = {est.delta_hat:.6g} >= 0 at params {params}"
-            )
-        log_odd = log_zeta_odd(terms, 0.0, est.delta_hat)
+        log_odd = log_zeta_odd(terms, 0.0)
         return log_odd.value.imag / math.pi, log_odd.tail_bound / math.pi
     return value
 

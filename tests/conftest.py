@@ -3,27 +3,25 @@ import random
 import pytest
 
 from oddzeta.sample_groups import all_complex_groups, sample_group
-from oddzeta.words import class_spectrum, estimate_delta
 from oddzeta.zeta import terms_from_group
 
 
 @pytest.fixture(scope="session")
 def complex_groups():
-    """(point, delta estimate, signature terms at L=6) per sample group."""
+    """(point, delta estimate, signature terms at L=6) per sample group;
+    the terms carry the estimate, of order 8."""
     out = {}
     for name, point in all_complex_groups().items():
-        est = estimate_delta(class_spectrum(point.generators, 8), 8)
-        terms = terms_from_group(point.generators, 6)
-        out[name] = (point, est, terms)
+        terms = terms_from_group(point.generators, 6, 8)
+        out[name] = (point, terms.estimate, terms)
     return out
 
 
 @pytest.fixture(scope="session")
 def real_group():
     point = sample_group("real_pair")
-    est = estimate_delta(class_spectrum(point.generators, 8), 8)
-    terms = terms_from_group(point.generators, 6)
-    return point, est, terms
+    terms = terms_from_group(point.generators, 6, 8)
+    return point, terms.estimate, terms
 
 
 @pytest.fixture

@@ -28,7 +28,6 @@ from oddzeta.transport import (
     spinor_transport,
     tau_matrix,
 )
-from oddzeta.words import class_spectrum, estimate_delta
 from oddzeta.zeta import (
     eta,
     odd_heat_trace,
@@ -79,9 +78,8 @@ def test_criterion_01_eta_factorization_identity(complex_groups):
         for gen in point.generators:
             assert geodesic_invariants(gen).length > 6.0
         t0 = time.perf_counter()
-        identity_est = estimate_delta(class_spectrum(point.generators, 6), 6)
-        terms = terms_from_group(point.generators, 6, "signature")
-        rep = check_eta_F_identity(terms, 40, identity_est.delta_hat)
+        terms = terms_from_group(point.generators, 6, 6, "signature")
+        rep = check_eta_F_identity(terms, 40)
         elapsed = time.perf_counter() - t0
         worst_resid = max(worst_resid, rep.residual)
         worst_budget = max(worst_budget, rep.error_budget)
@@ -97,9 +95,9 @@ def test_criterion_02_central_value_identity(complex_groups):
     worst = 0.0
     for name, (point, est, sig_terms) in complex_groups.items():
         for terms in (sig_terms,
-                      terms_from_group(point.generators, 6, "spinor")):
-            eta_int = eta(terms, "lambda_integral", delta_hat=est.delta_hat)
-            z0 = zeta_odd(terms, 0.0, delta_hat=est.delta_hat).value
+                      terms_from_group(point.generators, 6, 8, "spinor")):
+            eta_int = eta(terms, "lambda_integral")
+            z0 = zeta_odd(terms, 0.0).value
             worst = max(worst, abs(cmath.exp(1j * math.pi * eta_int) - z0))
     ok = worst < CENTRAL_VALUE_TOL
     report(2, ok, f"|e^(i pi eta) - Z_odd(0)| <= {worst:.2e} "
@@ -109,7 +107,7 @@ def test_criterion_02_central_value_identity(complex_groups):
 def test_criterion_03_route_agreement(complex_groups):
     worst_group = 0.0
     for name, (point, est, terms) in complex_groups.items():
-        values = [eta(terms, route, delta_hat=est.delta_hat)
+        values = [eta(terms, route)
                   for route in ("central_value", "lambda_integral",
                                 "heat_quadrature")]
         for i in range(3):
@@ -131,7 +129,7 @@ def test_criterion_04_unitarity_of_central_value(complex_groups):
     worst = 0.0
     for name, (point, est, terms) in complex_groups.items():
         assert est.delta_hat < 0
-        z0 = zeta_odd(terms, 0.0, delta_hat=est.delta_hat).value
+        z0 = zeta_odd(terms, 0.0).value
         worst = max(worst, abs(abs(z0) - 1.0))
     ok = worst < UNITARITY_TOL
     report(4, ok, f"||Z_odd(0)| - 1| <= {worst:.2e} on all groups")
@@ -139,7 +137,7 @@ def test_criterion_04_unitarity_of_central_value(complex_groups):
 
 def test_criterion_05_real_group_symmetry(real_group):
     point, est, terms = real_group
-    worst_eta = max(abs(eta(terms, route, delta_hat=est.delta_hat))
+    worst_eta = max(abs(eta(terms, route))
                     for route in ("central_value", "lambda_integral",
                                   "heat_quadrature"))
     f_eval = zograf_F(terms.select(terms.j == 1), 50)
@@ -257,10 +255,10 @@ def test_criterion_10_special_functions(complex_groups):
     zsum = zeta_odd(power_class_terms(base, 60), 0.0)
     zprod = zeta_odd_signature_product(base, 0.0, 80)
     toy_gap = abs(zsum.value - zprod.value)
-    _, est, terms = complex_groups["g2_complex_a"]
-    zsum_g = zeta_odd(terms, 0.0, delta_hat=est.delta_hat)
+    _, _, terms = complex_groups["g2_complex_a"]
+    zsum_g = zeta_odd(terms, 0.0)
     zprod_g = zeta_odd_signature_product(terms.select(terms.j == 1), 0.0,
-                                         60, delta_hat=est.delta_hat)
+                                         60)
     group_gap = abs(zsum_g.value - zprod_g.value)
     group_budget = zsum_g.tail_bound + zprod_g.tail_bound
     ok = (worst_contig < F1_TOL and gauss < F1_TOL and worst_clam < CLAMBDA_TOL

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import tracemalloc
@@ -9,10 +10,12 @@ import pytest
 from test_words import scalar_class_spectrum
 
 import oddzeta.cli as cli
+import oddzeta.errors as errors
 import oddzeta.zeta as zeta
 import oddzeta.zograf as zograf
 from oddzeta.cli import main
 from oddzeta.config import format_complex, load_config, parse_complex
+from oddzeta.moebius import MoebiusMap
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import class_spectrum, estimate_delta, word_to_str
 from oddzeta.zograf import schottky_from_params
@@ -64,7 +67,30 @@ generator2 = -1+0i 1+0i -7+0i 6+0i
 word_cutoff = 3
 """
 
+# products of length 6 have entries of 1e180, whose square overflows
+OVERFLOWING = """\
+[group]
+generator1 = 1e30+0i 0+0i 0+0i 1e-30+0i
+generator2 = 2+0i 1+0i 1+0i 1+0i
+
+[run]
+word_cutoff = 12
+"""
+
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+#: The exit code of every library error class
+EXIT_CODES = {
+    "ConfigError": 2,
+    **dict.fromkeys([
+        "AtDiagonal", "BoundaryPoint", "CutoffTooLarge",
+        "DegenerateConfiguration", "DeltaNotNegative", "IndexOutOfRange",
+        "LeftSchottkyDomain", "NonPrimitiveInput", "NotInvertible",
+        "NotLoxodromic", "UndefinedAtCorner"], 3),
+    **dict.fromkeys([
+        "ConvergenceViolation", "DivergentIntegral", "NoConvergence",
+        "NonConvergent", "PoleAt", "PoleAtC", "PoleOfGamma"], 4),
+}
 
 #: Half the tracemalloc peak (9 248 660 bytes) of ``cmd_spectrum`` on
 #: g2_complex_a at L = 11 when it held every CSV line and their join
@@ -75,6 +101,37 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestExitCodes:
+    def test_every_error_class_pinned(self):
+        bases = (errors.OddZetaError, errors.PreconditionError,
+                 errors.NumericalError)
+        classes = [name for name, obj in vars(errors).items()
+                   if isinstance(obj, type)
+                   and issubclass(obj, errors.OddZetaError)
+                   and obj not in bases]
+        assert sorted(classes) == sorted(EXIT_CODES)
+        assert sorted(EXIT_CODES.values()) == [2] + [3] * 11 + [4] * 7
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exit_code_from_the_base(self, tmp_path, monkeypatch, capsys,
+                                     name):
+        cls = getattr(errors, name)
+        bases = [base for base in (errors.ConfigError,
+                                   errors.PreconditionError,
+                                   errors.NumericalError)
+                 if issubclass(cls, base)]
+        assert len(bases) == 1
+
+        def refuse(config, out_dir):
+            raise cls("refused here")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", refuse)
+        cfg = write(tmp_path, "c.cfg", CYCLIC)
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path)]) == EXIT_CODES[name]
+        assert "refused here" in capsys.readouterr().err
 
 
 class TestComplexSyntax:
@@ -121,6 +178,15 @@ class TestSpectrum:
             f"{word_to_str(w)},{len(w)},{j},{int(j == 1)},{inv.length!r},"
             f"{inv.theta!r},{inv.q.real!r},{inv.q.imag!r}"
             for w, j, inv in scalar_class_spectrum(gens, L)]
+
+    def test_overflowing_products_refused_with_exit_4(self, tmp_path,
+                                                      capsys):
+        cfg = write(tmp_path, "o.cfg", OVERFLOWING)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: OverflowError: ")
+        assert not (out / "spectrum.csv").exists()
 
     def test_memory_peak_below_half_of_joined_rows(self, tmp_path):
         config = load_config(str(PERFBENCH_CONFIGS / "spectrum.cfg"))
@@ -272,12 +338,11 @@ class TestZetaCommand:
 
 
 class TestRunTerms:
-    def test_terms_selected_from_the_delta_spectrum(self, tmp_path):
-        # delta_cutoff = 6 > word_cutoff = 4: one spectrum, at length 6
-        config = load_config(write(tmp_path, "a.cfg", COMPLEX_A))
-        est, terms = cli._estimate_and_terms(config)
+    def test_terms_selected_from_the_delta_spectrum(self):
+        # delta_cutoff = 6 > L = 4: one spectrum, at length 6
         gens = sample_group("g2_complex_a").generators
-        want = zeta.terms_from_group(gens, 4)
+        terms = zeta.terms_from_group(gens, 4, 6)
+        want = zeta.terms_from_spectrum(class_spectrum(gens, 4))
         assert len(terms) == len(want) and terms.rank == want.rank
         assert terms.variant == want.variant
         for field in fields(want):
@@ -289,7 +354,7 @@ class TestRunTerms:
             assert x.dtype == y.dtype, field.name
             assert np.array_equal(x.view(np.int64), y.view(np.int64)), (
                 field.name)
-        assert est == estimate_delta(class_spectrum(gens, 6), 6)
+        assert terms.estimate == estimate_delta(class_spectrum(gens, 6), 6)
 
     @pytest.mark.parametrize("command", ["zeta", "eta"])
     def test_non_loxodromic_below_delta_cutoff_exits_3(self, tmp_path, capsys,
@@ -339,8 +404,8 @@ class TestEtaCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module, name in ((cli, "estimate_delta"), (zograf, "estimate_delta"),
-                             (cli, "class_spectrum"), (zeta, "class_spectrum")):
+        for module, name in ((zeta, "estimate_delta"), (cli, "class_spectrum"),
+                             (zeta, "class_spectrum")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
         cfg = write(tmp_path, "a.cfg",
@@ -424,6 +489,32 @@ class TestScanCommand:
         cfg = str(PERFBENCH_CONFIGS / "scan.cfg")
         assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(points) == len(set(points)) == 25
+
+
+class TestScanRefusals:
+    def test_anchor_missed_by_rounding_exits_3(self, tmp_path, capsys):
+        # normalize_schottky leaves the anchors of this pair off by more
+        # than the chart's absolute tolerance
+        def loxodromic(attracting, repelling, q):
+            root = cmath.sqrt(q)
+            frame = MoebiusMap.normalized(repelling, attracting, 1.0, 1.0)
+            return (frame @ MoebiusMap(root, 0.0, 0.0, 1.0 / root)
+                    @ frame.inverse())
+
+        gens = (loxodromic(0.3 + 0.1j, 0.301 + 0.1j, 0.01 + 0.002j),
+                loxodromic(-2 + 1j, 5 - 1j, 0.02 - 0.01j))
+        lines = ["[group]"]
+        for i, gen in enumerate(gens, start=1):
+            entries = " ".join(format_complex(z)
+                               for z in (gen.a, gen.b, gen.c, gen.d))
+            lines.append(f"generator{i} = {entries}")
+        cfg = write(tmp_path, "s.cfg", "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: DegenerateConfiguration: generators are not in "
+            "normalized position\n")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddzeta.moebius import MoebiusMap, normalize_schottky
-from oddzeta.words import class_spectrum, estimate_delta
-from oddzeta.zeta import eta, log_zeta_half, log_zeta_odd, terms_from_group
+from oddzeta.words import class_spectrum
+from oddzeta.zeta import (eta, log_zeta_half, log_zeta_odd, terms_from_group,
+                         terms_from_spectrum)
 from oddzeta.zograf import check_eta_F_identity, schottky_from_params, zograf_F
 
 L = 5
@@ -45,7 +46,8 @@ def conjugate(generators):
 
 
 def eta_and_f(generators, variant="signature", spin_sign="plus"):
-    terms = terms_from_group(generators, L, variant, spin_sign)
+    terms = terms_from_spectrum(class_spectrum(generators, L), variant,
+                                spin_sign)
     return (eta(terms, "central_value"),
             zograf_F(terms.select(terms.j == 1), M))
 
@@ -64,8 +66,11 @@ def test_conjugation_negates_eta_and_conjugates_f(params):
 @given(chart_points())
 def test_spin_sign_minus_negates_spinor_eta(params):
     gens = schottky_from_params(*params).generators
-    plus = eta(terms_from_group(gens, L, "spinor", "plus"), "central_value")
-    minus = eta(terms_from_group(gens, L, "spinor", "minus"), "central_value")
+    spectrum = class_spectrum(gens, L)
+    plus = eta(terms_from_spectrum(spectrum, "spinor", "plus"),
+               "central_value")
+    minus = eta(terms_from_spectrum(spectrum, "spinor", "minus"),
+                "central_value")
     assert abs(plus + minus) <= 1e-15
 
 
@@ -73,8 +78,7 @@ def test_spin_sign_minus_negates_spinor_eta(params):
 @given(chart_points())
 def test_identity_residual_within_budget(params):
     gens = schottky_from_params(*params).generators
-    est = estimate_delta(class_spectrum(gens, 6), 6)
-    report = check_eta_F_identity(terms_from_group(gens, L), M, est.delta_hat)
+    report = check_eta_F_identity(terms_from_group(gens, L, 6), M)
     assert report.residual <= report.error_budget
     assert report.central_cross_check <= report.error_budget
 
@@ -82,7 +86,8 @@ def test_identity_residual_within_budget(params):
 @PROPERTY
 @given(chart_points())
 def test_odd_sum_is_the_half_sum_difference(params):
-    terms = terms_from_group(schottky_from_params(*params).generators, L)
+    terms = terms_from_spectrum(
+        class_spectrum(schottky_from_params(*params).generators, L))
     for lam in (0.0, 0.3 + 0.2j):
         odd = log_zeta_odd(terms, lam).value
         halves = (log_zeta_half(terms, "+", lam).value

@@ -366,14 +366,23 @@ class TestClassSpectrum:
         assert canonical_classes(len(gens), L) == recursive_classes(
             len(gens), L)
 
-    @pytest.mark.parametrize("name", ["elliptic_ab", "complex_ab", "thick"])
+    @pytest.mark.parametrize("name", ["elliptic_ab", "complex_ab", "thick",
+                                      "overflow"])
     @pytest.mark.parametrize("eps_class", [0.0, 0.5, 3.0])
     def test_refusals_match_scalar_reference(self, name, eps_class):
         # eps_class = 0 leaves nothing elliptic, so BA reaches the
-        # eigenvalue and has none above 1; 3 makes the generators identity
+        # eigenvalue and has none above 1; 3 makes the generators identity.
+        # The overflow family's words of length 6 have entries of 1e180,
+        # whose square overflows; at eps_class = 3 its generator b is
+        # identity, and that refusal comes first
+        L = 4
         if name == "complex_ab":
             gens = tuple(MoebiusMap(*(complex(z) for z in (m.a, m.b, m.c, m.d)))
                          for m in ELLIPTIC_AB)
+        elif name == "overflow":
+            gens = (MoebiusMap(1e30, 0.0, 0.0, 1e-30),
+                    MoebiusMap(2.0, 1.0, 1.0, 1.0))
+            L = 7
         else:
             gens = _families()[name][0]
 
@@ -382,15 +391,17 @@ class TestClassSpectrum:
                 return [bits(x) for row in rows() for x in row]
             except NotLoxodromic as exc:
                 return str(exc)
+            except OverflowError:
+                return "OverflowError"
 
         def batched():
-            s = class_spectrum(gens, 4, eps_class)
+            s = class_spectrum(gens, L, eps_class)
             return zip(s.ell.tolist(), s.theta.tolist(), s.q.tolist(),
                        s.spin_phase.tolist())
 
         def scalar():
             return ((inv.length, inv.theta, inv.q, inv.spin_phase)
-                    for _, _, inv in scalar_class_spectrum(gens, 4, eps_class))
+                    for _, _, inv in scalar_class_spectrum(gens, L, eps_class))
 
         assert outcome(batched) == outcome(scalar)
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from oddzeta.moebius import (
 )
 from oddzeta.quadrature import integrate
 from oddzeta.sample_groups import ring_group
-from oddzeta.words import class_spectrum
+from oddzeta.words import PoincareEstimate, class_spectrum
 from oddzeta.zeta import (
     _fsum,
     dlog_zeta_odd,
@@ -42,6 +43,12 @@ from oddzeta.zeta import (
     zeta_odd,
     zeta_odd_signature_product,
 )
+from oddzeta.zograf import check_eta_F_identity
+
+
+def at(delta_hat):
+    """An exponent estimate of delta_hat, with a point bracket."""
+    return PoincareEstimate(delta_hat=delta_hat, bracket=(delta_hat,) * 2)
 
 
 def chi_pair(terms):
@@ -114,7 +121,8 @@ class TestLogZetaHalf:
 
     def test_convergence_guard(self):
         with pytest.raises(ConvergenceViolation):
-            log_zeta_half(primitive_term(0.1), "+", -0.5, delta_hat=-0.3)
+            log_zeta_half(replace(primitive_term(0.1), estimate=at(-0.3)),
+                          "+", -0.5)
 
     def test_json_shape(self):
         ev = log_zeta_half(primitive_term(0.1), "+", 0.25 + 0.5j)
@@ -272,7 +280,8 @@ class TestEta:
 
     def test_delta_guard(self):
         with pytest.raises(DeltaNotNegative):
-            eta(toy_list([0.25j]), "central_value", delta_hat=0.1)
+            eta(replace(toy_list([0.25j]), estimate=at(0.1)),
+                "central_value")
 
     def test_spin_sign_swap_negates(self):
         plus = toy_list([0.25j], variant="spinor", spin_sign="plus")
@@ -307,7 +316,8 @@ class TestGroupTerms:
         point, _, _ = complex_groups["g2_complex_b"]
         reference = list(scalar_class_spectrum(point.generators, 5))
         for variant, sign in (("signature", "plus"), ("spinor", "minus")):
-            terms = terms_from_group(point.generators, 5, variant, sign)
+            terms = terms_from_spectrum(
+                class_spectrum(point.generators, 5), variant, sign)
             assert terms.variant == variant
             assert terms.word_length.tolist() == [len(w) for w, _, _ in reference]
             assert terms.j.tolist() == [j for _, j, _ in reference]
@@ -350,31 +360,31 @@ class TestGroupTerms:
         with pytest.raises(NotLoxodromic) as reference:
             list(scalar_class_spectrum(ELLIPTIC_AB, 3))
         with pytest.raises(NotLoxodromic) as refused:
-            terms_from_group(ELLIPTIC_AB, 3)
+            terms_from_group(ELLIPTIC_AB, 3, 4)
         assert str(refused.value) == str(reference.value) == (
             "word BA is elliptic, not loxodromic")
 
     def test_spinor_terms_unit_characters(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]
-        spin_terms = terms_from_group(point.generators, 3, "spinor")
+        spin_terms = terms_from_spectrum(class_spectrum(point.generators, 3),
+                                         "spinor")
         assert np.all(np.abs(np.abs(spin_terms.chi) - 1.0) < 1e-12)
         assert np.all(np.abs(spin_terms.chi - spin_terms.spin_phase
                              / np.abs(spin_terms.spin_phase)) < 1e-12)
 
     def test_sums_do_not_depend_on_term_order(self, complex_groups):
         # correctly rounded sums: any permutation gives the same bits
-        _, est, terms = complex_groups["g2_complex_a"]
+        _, _, terms = complex_groups["g2_complex_a"]
         order = list(range(len(terms)))
         random.Random(6).shuffle(order)
         shuffled = terms.select(np.array(order))
         assert not np.array_equal(shuffled.ell, terms.ell)
         for sign in ("+", "-"):
             for lam in (0.0, 0.4 - 0.3j):
-                assert (log_zeta_half(shuffled, sign, lam, est.delta_hat)
-                        == log_zeta_half(terms, sign, lam, est.delta_hat))
+                assert (log_zeta_half(shuffled, sign, lam)
+                        == log_zeta_half(terms, sign, lam))
         for lam in (0.0, 0.4 - 0.3j):
-            assert (log_zeta_odd(shuffled, lam, est.delta_hat)
-                    == log_zeta_odd(terms, lam, est.delta_hat))
+            assert log_zeta_odd(shuffled, lam) == log_zeta_odd(terms, lam)
         for lam in (0.0, 1.5 + 2.0j):
             assert dlog_zeta_odd(shuffled, lam) == dlog_zeta_odd(terms, lam)
         for t in (0.05, 1.0, 30.0):
@@ -386,11 +396,13 @@ class TestGroupTerms:
         # times, while the signature variant cannot see the sign
         point, _, _ = complex_groups["g2_complex_a"]
         flipped = (-point.generators[0], point.generators[1])
-        sig_a = terms_from_group(point.generators, 4)
-        sig_b = terms_from_group(flipped, 4)
+        spectrum_a = class_spectrum(point.generators, 4)
+        spectrum_b = class_spectrum(flipped, 4)
+        sig_a = terms_from_spectrum(spectrum_a)
+        sig_b = terms_from_spectrum(spectrum_b)
         assert np.all(np.abs(sig_a.chi - sig_b.chi) < 1e-12)
-        spin_a = terms_from_group(point.generators, 4, "spinor").chi
-        spin_b = terms_from_group(flipped, 4, "spinor").chi
+        spin_a = terms_from_spectrum(spectrum_a, "spinor").chi
+        spin_b = terms_from_spectrum(spectrum_b, "spinor").chi
         flips = (np.abs(spin_a + spin_b) < 1e-12) & (np.abs(spin_a) > 0.9)
         keeps = np.abs(spin_a - spin_b) < 1e-12
         assert flips.any() and keeps.any()
@@ -400,24 +412,25 @@ class TestGroupTerms:
         point, _, _ = real_group
         bounds = []
         for cutoff in (4, 5, 6):
-            terms = terms_from_group(point.generators, cutoff)
+            terms = terms_from_spectrum(class_spectrum(point.generators,
+                                                       cutoff))
             bounds.append(shell_tail_bound(terms, 0.0))
         assert bounds[0] >= bounds[1] >= bounds[2]
         assert bounds[2] > 0.0
 
     def test_budget_with_metadata(self, complex_groups):
         point, est, terms = complex_groups["g2_complex_a"]
-        log_odd = log_zeta_odd(terms, 0.0, delta_hat=est.delta_hat)
+        log_odd = log_zeta_odd(terms, 0.0)
         assert log_odd.tail_bound > 0.0
         assert abs(log_odd.value.imag / math.pi
                    - eta(terms, "central_value")) < 1e-15
 
     def test_odd_tail_is_both_halves(self, complex_groups):
-        _, est, terms = complex_groups["g2_complex_a"]
+        _, _, terms = complex_groups["g2_complex_a"]
         for lam in (0.0, 0.3 + 0.2j):
-            halves = [log_zeta_half(terms, sign, lam, est.delta_hat).tail_bound
+            halves = [log_zeta_half(terms, sign, lam).tail_bound
                       for sign in ("+", "-")]
-            assert (log_zeta_odd(terms, lam, est.delta_hat).tail_bound
+            assert (log_zeta_odd(terms, lam).tail_bound
                     == halves[0] + halves[1] > 0.0)
 
     # bounds of the shell model with the rank given as len(generators);
@@ -435,7 +448,59 @@ class TestGroupTerms:
             gens = ring_group()
         else:
             gens = complex_groups[family][0].generators
-        assert shell_tail_bound(terms_from_group(gens, L), re_lam) == bound
+        terms = terms_from_spectrum(class_spectrum(gens, L))
+        assert shell_tail_bound(terms, re_lam) == bound
+
+
+#: The five sums over the terms, each at lambda
+SUMS = {
+    "log_zeta_half": lambda terms, lam: log_zeta_half(terms, "+", lam),
+    "log_zeta_odd": log_zeta_odd,
+    "zeta_odd": zeta_odd,
+    "zeta_odd_signature_product":
+        lambda terms, lam: zeta_odd_signature_product(terms, lam, 10),
+    "dlog_zeta_odd": dlog_zeta_odd,
+}
+
+#: The two computations that need delta_hat < 0
+NEGATIVE_DELTA = {
+    "eta": lambda terms: eta(terms, "central_value"),
+    "check_eta_F_identity": lambda terms: check_eta_F_identity(terms, 10),
+}
+
+
+class TestAbscissaGuard:
+    """The terms carry their delta_hat, and every sum checks it."""
+
+    @pytest.mark.parametrize("name", list(SUMS))
+    def test_sum_refused_at_the_abscissa(self, name):
+        delta_hat = -0.3
+        terms = replace(primitive_term(0.1), estimate=at(delta_hat))
+        with pytest.raises(ConvergenceViolation):
+            SUMS[name](terms, delta_hat + 0.5j)
+        SUMS[name](terms, delta_hat + 0.01)
+
+    @pytest.mark.parametrize("name", list(NEGATIVE_DELTA))
+    @pytest.mark.parametrize("delta_hat", [0.0, 0.1])
+    def test_refused_without_a_negative_delta(self, name, delta_hat):
+        terms = replace(primitive_term(0.1), estimate=at(delta_hat))
+        with pytest.raises(DeltaNotNegative):
+            NEGATIVE_DELTA[name](terms)
+        NEGATIVE_DELTA[name](replace(terms, estimate=at(-0.01)))
+
+    @pytest.mark.parametrize("name", list(SUMS) + list(NEGATIVE_DELTA))
+    def test_terms_without_an_estimate_never_refused(self, name):
+        terms = primitive_term(0.1)
+        assert terms.estimate is None
+        if name in SUMS:
+            SUMS[name](terms, -0.9)
+        else:
+            NEGATIVE_DELTA[name](terms)
+
+    def test_estimate_survives_select(self, complex_groups):
+        _, _, terms = complex_groups["g2_complex_a"]
+        assert terms.estimate is not None
+        assert terms.select(terms.j == 1).estimate == terms.estimate
 
 
 class TestFsum:

@@ -9,8 +9,8 @@ import oddzeta.zograf
 from oddzeta.errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput
 from oddzeta.moebius import geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.words import class_spectrum, estimate_delta
-from oddzeta.zeta import eta, terms_from_group, zeta_odd
+from oddzeta.words import class_spectrum
+from oddzeta.zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
 from oddzeta.zograf import (
     check_eta_F_identity,
     eta_on_chart,
@@ -94,9 +94,8 @@ class TestZografF:
 def identity_report(generators, L, M, delta_cutoff=None):
     """check_eta_F_identity on the group's signature terms at cutoff L."""
     delta_cutoff = delta_cutoff or max(6, L)
-    est = estimate_delta(class_spectrum(generators, delta_cutoff), delta_cutoff)
-    terms = terms_from_group(generators, L, "signature")
-    return check_eta_F_identity(terms, M, est.delta_hat)
+    terms = terms_from_group(generators, L, delta_cutoff, "signature")
+    return check_eta_F_identity(terms, M)
 
 
 class TestEtaFIdentity:
@@ -120,7 +119,7 @@ class TestEtaFIdentity:
 
     def test_central_value_evaluated_once(self, complex_groups, monkeypatch):
         # eta, its budget and Z_odd(0) all come from one odd sum at 0
-        point, est, terms = complex_groups["g2_complex_b"]
+        point, _, terms = complex_groups["g2_complex_b"]
         calls = []
         for module in (oddzeta.zeta, oddzeta.zograf):
             original = module.log_zeta_odd
@@ -130,26 +129,27 @@ class TestEtaFIdentity:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, "log_zeta_odd", counted)
-        report = check_eta_F_identity(terms, 40, est.delta_hat)
+        report = check_eta_F_identity(terms, 40)
         assert calls == [0.0]
         monkeypatch.undo()
         assert report.z_central == zeta_odd(terms, 0.0).value
         assert report.eta == eta(terms, "central_value")
 
     def test_refuses_spinor_terms(self, complex_groups):
-        point, est, _ = complex_groups["g2_complex_b"]
-        spinor = terms_from_group(point.generators, 4, "spinor")
+        point, _, _ = complex_groups["g2_complex_b"]
+        spinor = terms_from_spectrum(class_spectrum(point.generators, 4),
+                                     "spinor")
         with pytest.raises(ValueError):
-            check_eta_F_identity(spinor, 20, est.delta_hat)
+            check_eta_F_identity(spinor, 20)
 
     def test_identity_selects_character_convention(self, complex_groups):
         # with the swapped sigma assignment eta flips sign and the
         # factorization identity misses by pi * |eta|
         from oddzeta.zograf import zograf_F as f_eval
-        point, est, terms = complex_groups["g2_complex_b"]
-        flipped = terms_from_group(point.generators, 6, "signature",
+        point, _, terms = complex_groups["g2_complex_b"]
+        flipped = terms_from_group(point.generators, 6, 8, "signature",
                                    spin_sign="minus")
-        eta_flipped = eta(flipped, "central_value", delta_hat=est.delta_hat)
+        eta_flipped = eta(flipped, "central_value")
         f = f_eval(terms.select(terms.j == 1), 40)
         residual = abs(f.log_value.imag + 0.5 * math.pi * eta_flipped)
         assert residual > 1e-3  # fails decisively for the wrong choice
