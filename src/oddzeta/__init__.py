@@ -24,7 +24,7 @@ from .words import (
     estimate_delta,
     evaluate_word,
 )
-from .special import HypergeometricArgs, hyp2f1
+from .special import hyp2f1
 from .kernels import (
     KernelPoint,
     c_lambda,

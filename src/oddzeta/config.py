@@ -13,7 +13,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .errors import ConfigError
 from .moebius import EPS_CLASS, MoebiusMap
@@ -23,15 +23,8 @@ _COMPLEX_RE = re.compile(
     r"(?:(?P<im>[+-](?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)i)?$"
 )
 
-_KNOWN_KEYS = {
-    "group": {"preset"} | {f"generator{i}" for i in range(1, 27)},
-    "run": {"word_cutoff", "inner_cutoff", "delta_cutoff", "variant",
-            "spin_sign"},
-    "grids": {"lambda", "t", "r"},
-    "kernels": {"n", "m", "d"},
-    "scan": {"h", "scan_cutoff", "oracle"},
-    "tolerances": {"eps_class", "quad_tol"},
-}
+#: The keys of [group], which ``_parse_generators`` reads.
+_GROUP_KEYS = {"preset"} | {f"generator{i}" for i in range(1, 27)}
 
 
 def parse_complex(token: str) -> complex:
@@ -83,7 +76,7 @@ def _raw_sections(text: str) -> Dict[str, Dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _KNOWN_KEYS:
+            if current not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -92,7 +85,8 @@ def _raw_sections(text: str) -> Dict[str, Dict[str, str]]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS[current]:
+        if not (key in _GROUP_KEYS if current == "group"
+                else (current, key) in _KEYS):
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} in [{current}]")
@@ -132,121 +126,104 @@ def _parse_generators(group: Dict[str, str]) -> Optional[Tuple[MoebiusMap, ...]]
     return tuple(gens)
 
 
-def _typed(section: Dict[str, str], key: str, kind, where: str):
-    value = section[key]
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"[{where}] {key}: {exc}") from exc
+def _at_least(least: int) -> Callable[[str], int]:
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < least:
+            raise ValueError(f"must be >= {least}")
+        return number
+    return parse
 
 
-def _float_grid(section: Dict[str, str], key: str, where: str) -> Tuple[float, ...]:
-    values = []
-    for col, tok in enumerate(section[key].split(), start=1):
-        try:
-            values.append(float(tok))
-        except ValueError as exc:
-            raise ConfigError(f"[{where}] {key} entry {col}: {exc}") from exc
-    if sorted(values) != values:
-        raise ConfigError(f"[{where}] {key}: grid must be sorted ascending")
-    return tuple(values)
+def _positive(value: str) -> float:
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise ValueError("must be positive and finite")
+    return number
+
+
+def _one_of(*names: str) -> Callable[[str], str]:
+    def parse(value: str) -> str:
+        if value not in names:
+            raise ValueError("must be " + " or ".join(map(repr, names)))
+        return value
+    return parse
+
+
+class _EntryError(ValueError):
+    """A grid entry refused; args are its 1-based position and the error."""
+
+
+def _grid(entry: Callable[[str], object], nonempty: bool = True):
+    """A parser of a grid of ``entry`` values in ascending order, complex
+    ones by real part, then imaginary part."""
+    def parse(value: str) -> tuple:
+        grid = []
+        for col, token in enumerate(value.split(), start=1):
+            try:
+                grid.append(entry(token))
+            except ValueError as exc:
+                raise _EntryError(col, exc) from exc
+        if nonempty and not grid:
+            raise ValueError("grid must be nonempty")
+        if sorted(grid, key=lambda z: (z.real, z.imag)) != grid:
+            raise ValueError("grid must be sorted ascending")
+        return tuple(grid)
+    return parse
+
+
+#: (section, key) -> (RunConfig field, parser) of every key outside
+#: [group]; a parser raises ValueError on a value it refuses.
+_KEYS: Dict[Tuple[str, str], Tuple[str, Callable[[str], object]]] = {
+    ("run", "word_cutoff"): ("word_cutoff", _at_least(1)),
+    ("run", "inner_cutoff"): ("inner_cutoff", _at_least(1)),
+    # the order of estimate_delta's determinant
+    ("run", "delta_cutoff"): ("delta_cutoff", _at_least(4)),
+    ("run", "variant"): ("variant", _one_of("signature", "spinor")),
+    ("run", "spin_sign"): ("spin_sign", _one_of("plus", "minus")),
+    ("grids", "lambda"): ("lambda_grid", _grid(parse_complex,
+                                               nonempty=False)),
+    ("grids", "t"): ("t_grid", _grid(_positive)),
+    ("grids", "r"): ("r_grid", _grid(_positive)),
+    ("kernels", "n"): ("kernel_n", _at_least(1)),
+    ("kernels", "m"): ("kernel_m", _at_least(1)),
+    ("kernels", "d"): ("kernel_d", _at_least(1)),
+    ("scan", "h"): ("scan_h", _positive),
+    ("scan", "scan_cutoff"): ("scan_cutoff", _at_least(1)),
+    ("scan", "oracle"): ("scan_oracle",
+                         _one_of("none", "harmonic", "nonharmonic")),
+    ("tolerances", "eps_class"): ("eps_class", _positive),
+    ("tolerances", "quad_tol"): ("quad_tol", _positive),
+}
+
+_SECTIONS = {"group"} | {section for section, _ in _KEYS}
 
 
 def parse_config(text: str) -> RunConfig:
     sections = _raw_sections(text)
-    group = sections.get("group", {})
+    group = sections.pop("group", {})
     generators = _parse_generators(group)
     preset = group.get("preset")
     if preset is not None and generators is not None:
         raise ConfigError("[group] give either preset or generator matrices")
-
     values: Dict[str, object] = {}
-    run = sections.get("run", {})
-    for key, kind, target in (
-        ("word_cutoff", int, "word_cutoff"),
-        ("inner_cutoff", int, "inner_cutoff"),
-        ("delta_cutoff", int, "delta_cutoff"),
-    ):
-        if key in run:
-            values[target] = _typed(run, key, kind, "run")
-    if "variant" in run:
-        if run["variant"] not in ("signature", "spinor"):
-            raise ConfigError("[run] variant must be 'signature' or 'spinor'")
-        values["variant"] = run["variant"]
-    if "spin_sign" in run:
-        if run["spin_sign"] not in ("plus", "minus"):
-            raise ConfigError("[run] spin_sign must be 'plus' or 'minus'")
-        values["spin_sign"] = run["spin_sign"]
-
-    grids = sections.get("grids", {})
-    if "lambda" in grids:
-        lam = []
-        for col, tok in enumerate(grids["lambda"].split(), start=1):
+    for section, entries in sections.items():
+        for key, value in entries.items():
+            field, parse = _KEYS[section, key]
             try:
-                lam.append(parse_complex(tok))
+                values[field] = parse(value)
+            except _EntryError as exc:
+                col, error = exc.args
+                raise ConfigError(
+                    f"[{section}] {key} entry {col}: {error}") from exc
             except ValueError as exc:
-                raise ConfigError(f"[grids] lambda entry {col}: {exc}") from exc
-        key_fn = lambda z: (z.real, z.imag)
-        if sorted(lam, key=key_fn) != lam:
-            raise ConfigError("[grids] lambda: grid must be sorted by (re, im)")
-        values["lambda_grid"] = tuple(lam)
-    for key, target in (("t", "t_grid"), ("r", "r_grid")):
-        if key in grids:
-            grid = _float_grid(grids, key, "grids")
-            if not grid:
-                raise ConfigError(f"[grids] {key}: grid must be nonempty")
-            if not all(0 < v < math.inf for v in grid):
-                raise ConfigError(
-                    f"[grids] {key}: entries must be positive and finite")
-            values[target] = grid
-
-    kernels = sections.get("kernels", {})
-    for key, target in (("n", "kernel_n"), ("m", "kernel_m"), ("d", "kernel_d")):
-        if key in kernels:
-            values[target] = _typed(kernels, key, int, "kernels")
-
-    scan = sections.get("scan", {})
-    if "h" in scan:
-        values["scan_h"] = _typed(scan, "h", float, "scan")
-    if "scan_cutoff" in scan:
-        values["scan_cutoff"] = _typed(scan, "scan_cutoff", int, "scan")
-    if "oracle" in scan:
-        if scan["oracle"] not in ("none", "harmonic", "nonharmonic"):
-            raise ConfigError(
-                "[scan] oracle must be 'none', 'harmonic' or 'nonharmonic'"
-            )
-        values["scan_oracle"] = scan["oracle"]
-
-    tolerances = sections.get("tolerances", {})
-    for key, target in (("eps_class", "eps_class"), ("quad_tol", "quad_tol")):
-        if key in tolerances:
-            val = _typed(tolerances, key, float, "tolerances")
-            if not 0 < val < math.inf:
-                raise ConfigError(
-                    f"[tolerances] {key}: must be positive and finite")
-            values[target] = val
-
-    config = RunConfig(
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    return RunConfig(
         generators=generators,
         preset=preset,
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         **values,
     )
-    for where, key, value, least in (
-        ("run", "word_cutoff", config.word_cutoff, 1),
-        ("run", "inner_cutoff", config.inner_cutoff, 1),
-        # the order of estimate_delta's determinant
-        ("run", "delta_cutoff", config.delta_cutoff, 4),
-        ("scan", "scan_cutoff", config.scan_cutoff, 1),
-        ("kernels", "n", config.kernel_n, 1),
-        ("kernels", "m", config.kernel_m, 1),
-        ("kernels", "d", config.kernel_d, 1),
-    ):
-        if value < least:
-            raise ConfigError(f"[{where}] {key} must be >= {least}")
-    if not 0 < config.scan_h < math.inf:
-        raise ConfigError("[scan] h must be positive and finite")
-    return config
 
 
 def load_config(path: str) -> RunConfig:

@@ -252,7 +252,6 @@ def gaussian_time_integral_quadrature(lam: complex, r: float,
 
     upper = max(1.0, 40.0 / mu, 5.0 * r / (2.0 * math.sqrt(mu)))
     # pure relative control: the value can be exponentially small in r
-    value, err = integrate(integrand, 0.0, upper, tol_abs=0.0, tol_rel=tol,
-                           max_panels=4096)
+    value, err = integrate(integrand, 0.0, upper, tol_abs=0.0, tol_rel=tol)
     tail = (4.0 * math.pi * upper) ** -1.5 * math.exp(-upper * mu) / mu
     return value, err + tail

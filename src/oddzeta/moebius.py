@@ -76,8 +76,11 @@ class MoebiusMap:
 
         Below the determinant noise floor (eps * scale^2) the division is
         skipped: there the computed det is cancellation noise and dividing
-        by its square root would contaminate the entries.
+        by its square root would contaminate the entries.  A product that
+        overflowed to a non-finite entry raises OverflowError.
         """
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise OverflowError(f"entries {(a, b, c, d)} are not all finite")
         det = a * d - b * c
         floor = 1e-12 * max(1.0, max(abs(a), abs(b), abs(c), abs(d)) ** 2)
         if abs(det - 1.0) <= floor:

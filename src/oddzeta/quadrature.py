@@ -34,6 +34,9 @@ _NODES = (
     (-0.207784955007898, 0.0, 0.204432940075298),
 )
 
+#: Panels ``integrate`` may use before it gives up.
+MAX_PANELS = 4096
+
 
 def _panel(f: Callable[[float], complex], a: float, b: float) -> Tuple[complex, float]:
     half = 0.5 * (b - a)
@@ -53,13 +56,12 @@ def integrate(
     b: float,
     tol_abs: float = 1e-12,
     tol_rel: float = 1e-12,
-    max_panels: int = 512,
 ) -> Tuple[complex, float]:
     """Integrate ``f`` over [a, b]; returns (value, error_bound).
 
     Bisects the panel with the largest error estimate until the summed
     estimate meets ``tol_abs`` or ``tol_rel`` (whichever is looser), and
-    raises :class:`NoConvergence` if the panel budget runs out first.
+    raises :class:`NoConvergence` if ``MAX_PANELS`` run out first.
     """
     if a == b:
         return 0.0 + 0.0j, 0.0
@@ -71,7 +73,7 @@ def integrate(
         total_err = sum(item[5] for item in heap)
         if total_err <= max(tol_abs, tol_rel * abs(total)):
             return total, total_err
-        if count >= max_panels:
+        if count >= MAX_PANELS:
             raise NoConvergence(
                 f"quadrature did not reach tolerance: error {total_err:.3e} "
                 f"with {count} panels"

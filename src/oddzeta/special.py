@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import NoConvergence, PoleAtC
 
@@ -84,29 +83,6 @@ def gamma_quotient(numerators, denominators) -> complex:
             return 0.0 + 0.0j
         acc -= log_gamma(z)
     return cmath.exp(acc)
-
-
-@dataclass(frozen=True)
-class HypergeometricArgs:
-    """Parameters (a, b; c) and argument z of the Gauss series.
-
-    Valid when c is not a nonpositive integer and |z| <= 1, with z = 1
-    admitted only for Re(c - a - b) > 0.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    z: complex
-
-    def __post_init__(self):
-        if is_nonpositive_integer(self.c):
-            raise PoleAtC(f"c = {self.c} is a nonpositive integer")
-        if abs(self.z) > 1.0 + 1e-12:
-            raise NoConvergence(f"|z| = {abs(self.z):.6g} > 1")
-
-    def value(self) -> complex:
-        return hyp2f1(self.a, self.b, self.c, self.z)
 
 
 def _series(a: complex, b: complex, c: complex, z: complex,

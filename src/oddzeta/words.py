@@ -11,7 +11,9 @@ prenecklace, held as an integer code, carries its matrix, its parent's
 times one letter in an exact batched product (``word_products``); the
 class matrices are classified and reduced to their invariants in blocks
 (``class_invariants``), and ``class_spectrum`` returns one ``Spectrum``
-of 1-D arrays.
+of 1-D arrays.  The batched code decides only the common case: a product
+or class outside it goes through the scalar ``moebius`` code it mirrors,
+which renormalizes or refuses it.
 
 ``estimate_delta`` reads the Poincare exponent off a class spectrum too,
 as the zero of a determinant whose traces are sums over its classes.
@@ -36,7 +38,12 @@ from .errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from .moebius import EPS_CLASS, MoebiusMap
+from .moebius import (
+    EPS_CLASS,
+    MoebiusMap,
+    _classify,
+    _multiplier_invariants,
+)
 
 GroupWord = Tuple[int, ...]
 
@@ -207,35 +214,6 @@ def _split_det(re: np.ndarray, im: np.ndarray):
     return ad[0] - bc[0], ad[1] - bc[1]
 
 
-def _exact_scale_sq(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """max(1, max|entry| ** 2) per matrix, as MoebiusMap computes it."""
-    # float_power is the C pow that Python's ** calls; x * x rounds
-    # differently in about one case in a thousand
-    return np.maximum(
-        1.0, np.float_power(np.hypot(re, im).max(axis=(0, 1)), 2.0))
-
-
-def _above_noise_floor(re, im, det_re, det_im, size) -> np.ndarray:
-    """Where |det - 1| <= 1e-12 max(1, max|entry|^2) fails, as in
-    MoebiusMap.normalized; ``size`` is max|entry|^2 from squared parts.
-
-    Squared moduli settle every matrix whose |det - 1|^2 is not within a
-    relative 1e-6 of the squared floor; only those near it pay for hypot
-    and pow (about 20 ns an entry), which decide them exactly.
-    """
-    size = np.maximum(1.0, size)
-    gap = (det_re - 1.0) ** 2 + det_im ** 2
-    floor = 1e-24 * size * size
-    above = gap > floor * (1.0 + 1e-6)
-    unsure = ~above & ~(gap < floor * (1.0 - 1e-6))
-    if unsure.any():
-        rows = np.flatnonzero(unsure)
-        above[rows] = ~(np.hypot(det_re[rows] - 1.0, det_im[rows])
-                        <= 1e-12 * _exact_scale_sq(re[:, :, rows],
-                                                   im[:, :, rows]))
-    return above
-
-
 def _sqrt(re: np.ndarray, im: np.ndarray):
     """cmath.sqrt of nonzero finite values."""
     ax, ay = np.abs(re), np.abs(im)
@@ -279,13 +257,14 @@ def word_products(parents, letters: np.ndarray, table):
     ``parents`` is a split product ``(re, im)``: real and imaginary parts
     of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
     indices (see ``canonical_words``) and ``table`` the (2, 2, 2g) letter
-    matrices by index, split the same way.  Returns the split
-    products, renormalized above the same noise floor and refused as
-    ``MoebiusMap.__matmul__`` refuses them: ``OverflowError`` when
-    max|entry| ** 2 overflows, ``ValueError`` on a singular or drifting
-    determinant (the first failing column names the determinant).
+    matrices by index, split the same way.  Returns the split products.
+    Squared parts settle the common case, a product below the
+    determinant noise floor and clear of the float range, which
+    ``MoebiusMap.normalized`` keeps as it is; every other product goes
+    through ``normalized`` itself, which renormalizes or refuses it.
     Applied to the prefix product of a word, this is the next prefix
-    product ``evaluate_word`` forms, bit for bit; numpy warns of nothing.
+    product ``evaluate_word`` forms, bit for bit, refusals included;
+    numpy warns of nothing.
     """
     re, im = parents
     m_re, m_im = (np.take(t, letters, axis=2) for t in table)
@@ -293,32 +272,20 @@ def word_products(parents, letters: np.ndarray, table):
     x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
     y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
     re, im = x[0] + y[0], x[1] + y[1]
-    # squared moduli settle all but the matrices near the float range
-    size = (re * re + im * im).max(axis=(0, 1))
-    near = ~(size < 0.999999 * np.finfo(float).max)
-    if near.any() and not np.isfinite(
-            _exact_scale_sq(re[:, :, near], im[:, :, near])).all():
-        raise OverflowError("max|entry| ** 2 of a word product overflows")
     det_re, det_im = _split_det(re, im)
-    fix = _above_noise_floor(re, im, det_re, det_im, size)
-    if not fix.any():
-        return re, im
-    det_re, det_im = det_re[fix], det_im[fix]
-    if ((det_re == 0.0) & (det_im == 0.0)).any():
-        raise ValueError("singular matrix")
-    root = _sqrt(det_re, det_im)
-    re[:, :, fix], im[:, :, fix] = _divide(re[:, :, fix], im[:, :, fix],
-                                           *root)
-    det_re, det_im = _split_det(re[:, :, fix], im[:, :, fix])
-    drift = (np.hypot(det_re - 1.0, det_im)
-             > 1e-6 * _exact_scale_sq(re[:, :, fix], im[:, :, fix]))
-    if drift.any():
-        first = np.argmax(drift)
-        det = complex(det_re[first], det_im[first])
-        raise ValueError(
-            f"determinant {det:.6g} too far from 1; "
-            "renormalize with MoebiusMap.normalized(...)"
-        )
+    # normalized's |det - 1| <= 1e-12 max(1, max|entry| ** 2), squared:
+    # squared parts are within a relative 1e-6 of its hypot and pow, a
+    # finite floor keeps max|entry| ** 2 far from overflow, and NaN fails
+    size = np.maximum(1.0, (re * re + im * im).max(axis=(0, 1)))
+    floor = 1e-24 * size * size
+    settled = (((det_re - 1.0) ** 2 + det_im ** 2 < floor * (1.0 - 1e-6))
+               & (floor < np.inf))
+    for col in np.flatnonzero(~settled).tolist():
+        m = MoebiusMap.normalized(*map(
+            complex, re[:, :, col].ravel().tolist(),
+            im[:, :, col].ravel().tolist()))
+        re[:, :, col] = [[m.a.real, m.b.real], [m.c.real, m.d.real]]
+        im[:, :, col] = [[m.a.imag, m.b.imag], [m.c.imag, m.d.imag]]
     return re, im
 
 
@@ -326,6 +293,7 @@ def word_products(parents, letters: np.ndarray, table):
 KINDS = ("identity", "parabolic", "elliptic", "loxodromic")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def class_invariants(products, eps_class: float):
     """``classify`` and the multiplier invariants of a block of products.
 
@@ -337,10 +305,11 @@ def class_invariants(products, eps_class: float):
     The arithmetic is ``_classify`` and ``_multiplier_invariants`` in
     split form: ``**`` is two complex products, ``cmath.sqrt`` is
     ``_sqrt`` and quotients are ``_divide``; only
-    ``math.log`` and ``cmath.phase`` run per value.  Raises NotLoxodromic
-    as ``_expanding_eigenvalue`` does when a loxodromic product has no
-    eigenvalue above 1 in modulus and no product before it failed to be
-    loxodromic.
+    ``math.log`` and ``cmath.phase`` run per value.  A loxodromic product
+    whose t * t overflows, or with no eigenvalue above 1 in modulus, goes
+    to ``_classify`` and ``_multiplier_invariants`` themselves, which
+    refuse it as ``geodesic_invariants`` does, unless a product before it
+    is not loxodromic; numpy warns of nothing.
     """
     re, im = products
     a_re, b_re, c_re, d_re = re.reshape(4, -1)
@@ -378,12 +347,6 @@ def class_invariants(products, eps_class: float):
     s_re, s_im = np.where(flip, -s_re, s_re), np.where(flip, -s_im, s_im)
     mu_re, mu_im = _mul(0.5, 0.0, t_re + s_re, t_im + s_im)
     modulus = np.hypot(mu_re, mu_im)
-    weak = modulus <= 1.0
-    if weak.any():
-        first = np.flatnonzero(lox)[np.argmax(weak)]
-        if lox[:first].all():
-            t = complex(a_re[first] + d_re[first], a_im[first] + d_im[first])
-            raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
     # mu ** -2 = 1 / c_prod(1, mu * mu)
     sq_re, sq_im = _mul(1.0, 0.0, *_mul(mu_re, mu_im, mu_re, mu_im))
     q_re, q_im = _divide(np.ones_like(sq_re), np.zeros_like(sq_im),
@@ -396,6 +359,19 @@ def class_invariants(products, eps_class: float):
     q[rows] = q_lox
     phase_re, phase_im = _divide(mu_re, mu_im, modulus, 0.0)
     phase.real[rows], phase.imag[rows] = phase_re, phase_im
+    # outside the common case, where t * t overflows or no eigenvalue
+    # exceeds 1 in modulus, the scalar code decides: it refuses such a
+    # row unless a row before it is not loxodromic, which is refused first
+    odd = ~(np.isfinite(tt_re[rows]) & np.isfinite(tt_im[rows])) | (
+        modulus <= 1.0)
+    for row in np.flatnonzero(lox)[odd].tolist():
+        if not lox[:row].all():
+            break
+        a, b, c, d = map(complex, re[:, :, row].ravel().tolist(),
+                         im[:, :, row].ravel().tolist())
+        _classify(a, b, c, d, eps_class)
+        _, q[row], ell[row], theta[row], phase[row] = (
+            _multiplier_invariants(a + d))
     return kind, ell, theta, q, phase
 
 

@@ -375,7 +375,7 @@ def eta(terms: ZetaTerms, route: str = "central_value",
             return dlog_zeta_odd(terms, lam)
 
         body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
-                            tol_rel=quad_tol, max_panels=4096)
+                            tol_rel=quad_tol)
         tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
     if route == "heat_quadrature":
@@ -386,9 +386,9 @@ def eta(terms: ZetaTerms, route: str = "central_value",
 
         # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
         large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,
-                               tol_rel=quad_tol, max_panels=4096)
+                               tol_rel=quad_tol)
         small_t, _ = integrate(integrand_u, 1.0, u_max, tol_abs=quad_tol,
-                               tol_rel=quad_tol, max_panels=4096)
+                               tol_rel=quad_tol)
         return _require_real((large_t + small_t) / math.sqrt(math.pi),
                              "heat-quadrature eta")
     raise ValueError(f"unknown route {route!r}")

@@ -1,7 +1,9 @@
 import cmath
 import json
 import math
+import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +16,15 @@ import oddzeta.errors as errors
 import oddzeta.zeta as zeta
 import oddzeta.zograf as zograf
 from oddzeta.cli import main
-from oddzeta.config import format_complex, load_config, parse_complex
+from oddzeta.config import (
+    _KEYS,
+    RunConfig,
+    _raw_sections,
+    format_complex,
+    load_config,
+    parse_complex,
+    parse_config,
+)
 from oddzeta.moebius import MoebiusMap
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import class_spectrum, estimate_delta, word_to_str
@@ -75,6 +85,17 @@ generator2 = 2+0i 1+0i 1+0i 1+0i
 
 [run]
 word_cutoff = 12
+"""
+
+# a rank-1 group whose trace at word length 36 is 1.8e154, so (a + d) ** 2
+# overflows; before the walk deferred to the scalar code, its two rows of
+# length 36 came out with ell = inf and theta, q = nan, and exit 0
+TRACE_OVERFLOW = """\
+[group]
+generator1 = 9641.700978869623+0i 9641.700927011552+0i 9641.700927011552+0i 9641.700978869623+0i
+
+[run]
+word_cutoff = 36
 """
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -188,6 +209,16 @@ class TestSpectrum:
         assert err.startswith("error: OverflowError: ")
         assert not (out / "spectrum.csv").exists()
 
+    def test_overflowing_trace_refused_with_exit_4(self, tmp_path, capsys):
+        cfg = write(tmp_path, "t.cfg", TRACE_OVERFLOW)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: OverflowError: complex exponentiation\n"
+        assert not (out / "spectrum.csv").exists()
+
     def test_memory_peak_below_half_of_joined_rows(self, tmp_path):
         config = load_config(str(PERFBENCH_CONFIGS / "spectrum.cfg"))
         assert config.word_cutoff == 11
@@ -244,6 +275,58 @@ OUT_OF_BOUNDS = [
     ("grids", "r = nan", ("kernels",)),
     ("tolerances", "eps_class = nan", ("spectrum",)),
 ]
+
+
+#: (config text, what the refusal names) of malformed configs
+MALFORMED = {
+    "unknown_section": (COMPLEX_A + "\n[bogus]\nx = 1\n",
+                        "line 11: unknown section [bogus]"),
+    "key_outside_section": ("word_cutoff = 4\n" + COMPLEX_A,
+                            "line 1: key outside any section"),
+    "line_without_equals": (COMPLEX_A + "delta_cutoff 8\n",
+                            "line 10: expected 'key = value'"),
+    "duplicate_key": (COMPLEX_A.replace("delta_cutoff = 6",
+                                        "delta_cutoff = 6\nword_cutoff = 5"),
+                      "line 7: duplicate key 'word_cutoff' in [run]"),
+    "preset_and_generators": (COMPLEX_A.replace(
+        "preset = g2_complex_a",
+        "preset = g2_complex_a\ngenerator1 = 2+0i 0+0i 0+0i 0.5+0i"),
+        "[group] give either preset or generator matrices"),
+    "unknown_preset": (COMPLEX_A.replace("g2_complex_a", "no_such_group"),
+                       "[group] unknown preset 'no_such_group'"),
+    "generator2_alone": (COMPLEX_A.replace(
+        "preset = g2_complex_a", "generator2 = 2+0i 0+0i 0+0i 0.5+0i"),
+        "[group] generators must be numbered consecutively, "
+        "got ['generator2']"),
+    "three_entries": (COMPLEX_A.replace(
+        "preset = g2_complex_a", "generator1 = 2+0i 0+0i 0.5+0i"),
+        "[group] generator1: expected 4 complex entries, got 3"),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_exits_2_naming_the_line_or_key(self, tmp_path, capsys, name):
+        text, named = MALFORMED[name]
+        cfg = write(tmp_path, "m.cfg", text)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+
+class TestReadmeConfig:
+    def test_example_parses_to_the_defaults_and_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        got = parse_config(text)
+        assert got.lambda_grid == (0j, 0.5 + 0j, 1 + 0j)
+        # every other value the example sets is the default
+        assert got == RunConfig(generators=None, preset="g2_complex_a",
+                                lambda_grid=got.lambda_grid, sha256=got.sha256)
+        named = {(section, key) for section, keys in
+                 _raw_sections(text).items() for key in keys}
+        assert named == set(_KEYS) | {("group", "preset")}
 
 
 class TestConfigBounds:

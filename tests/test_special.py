@@ -6,7 +6,6 @@ import pytest
 from oddzeta.errors import NoConvergence, PoleAtC
 from oddzeta.special import (
     GammaPole,
-    HypergeometricArgs,
     gamma,
     hyp2f1,
     log_gamma,
@@ -113,10 +112,10 @@ class TestHyp2F1:
             scale = abs(c * hyp2f1(a, b, c, z)) + 1.0
             assert abs(residual) / scale < 1e-9
 
-    def test_args_dataclass_validates(self):
+    def test_refusals_and_closed_form(self):
         with pytest.raises(PoleAtC):
-            HypergeometricArgs(0.5, 0.5, -1.0, 0.3)
+            hyp2f1(0.5, 0.5, -1.0, 0.3)
         with pytest.raises(NoConvergence):
-            HypergeometricArgs(0.5, 0.5, 1.5, 1.5)
-        args = HypergeometricArgs(1.0, 1.0, 2.0, 0.5)
-        assert abs(args.value() - 2.0 * math.log(2.0)) < 1e-13
+            hyp2f1(0.5, 0.5, 1.5, 1.5)
+        # 2F1(1, 1; 2; z) = -log(1 - z) / z
+        assert abs(hyp2f1(1.0, 1.0, 2.0, 0.5) - 2.0 * math.log(2.0)) < 1e-13

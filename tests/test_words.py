@@ -22,6 +22,7 @@ from oddzeta.words import (
     evaluate_word,
     free_reduce,
     is_cyclically_reduced,
+    word_products,
     word_strings,
     word_to_str,
 )
@@ -129,6 +130,12 @@ def unchecked_map(a, b, c, d):
     for name, value in zip("abcd", (a, b, c, d)):
         object.__setattr__(m, name, value)
     return m
+
+
+#: A rank-1 family whose word a^36 has finite entries of 9.2e153 but a
+#: trace whose square overflows.
+TRACE_OVERFLOW = (MoebiusMap(9641.700978869623, 9641.700927011552,
+                             9641.700927011552, 9641.700978869623),)
 
 
 #: A real-typed family (Python float entries) whose length-2 classes ab
@@ -297,6 +304,20 @@ class TestWordProducts:
             count += len(codes)
         assert count == len(canonical_classes(g, L))
 
+    def test_non_finite_product_raises_overflow(self):
+        # det M = det N = 0 passes the relative determinant check, and
+        # the entries of M @ N overflow to infinity
+        A, delta = 1.3e154, 1e150
+        M = MoebiusMap(A, A, -A + delta, -A + delta)
+        N = MoebiusMap(A, -A + delta, A, -A + delta)
+        with pytest.raises(OverflowError):
+            M @ N
+        table = np.array([(m.a, m.b, m.c, m.d) for m in (M, N)],
+                         dtype=complex).T.reshape(2, 2, -1)
+        parents = (table.real[:, :, :1].copy(), table.imag[:, :, :1].copy())
+        with pytest.raises(OverflowError):
+            word_products(parents, np.array([1]), (table.real, table.imag))
+
     def test_drifting_generators_are_renormalized(self):
         # the family above exercises the renormalization on the first
         # product of every word, and the bit-identity test covers it
@@ -367,14 +388,16 @@ class TestClassSpectrum:
             len(gens), L)
 
     @pytest.mark.parametrize("name", ["elliptic_ab", "complex_ab", "thick",
-                                      "overflow"])
+                                      "overflow", "trace_overflow"])
     @pytest.mark.parametrize("eps_class", [0.0, 0.5, 3.0])
     def test_refusals_match_scalar_reference(self, name, eps_class):
         # eps_class = 0 leaves nothing elliptic, so BA reaches the
         # eigenvalue and has none above 1; 3 makes the generators identity.
         # The overflow family's words of length 6 have entries of 1e180,
         # whose square overflows; at eps_class = 3 its generator b is
-        # identity, and that refusal comes first
+        # identity, and that refusal comes first.  The trace_overflow
+        # family's entries stay finite, but the trace of a^36 squared
+        # overflows
         L = 4
         if name == "complex_ab":
             gens = tuple(MoebiusMap(*(complex(z) for z in (m.a, m.b, m.c, m.d)))
@@ -383,6 +406,8 @@ class TestClassSpectrum:
             gens = (MoebiusMap(1e30, 0.0, 0.0, 1e-30),
                     MoebiusMap(2.0, 1.0, 1.0, 1.0))
             L = 7
+        elif name == "trace_overflow":
+            gens, L = TRACE_OVERFLOW, 36
         else:
             gens = _families()[name][0]
 

@@ -233,8 +233,8 @@ class TestOddHeatTrace:
         lam = 1.0
         integrand = lambda u: (u ** -2.0 * cmath.exp(-(lam ** 2) / u)
                                * odd_heat_trace(terms, 1.0 / u))
-        left, _ = integrate(integrand, 0.0, 1.0, 1e-12, 1e-12, 2048)
-        right, _ = integrate(integrand, 1.0, 400.0, 1e-12, 1e-12, 4096)
+        left, _ = integrate(integrand, 0.0, 1.0, 1e-12, 1e-12)
+        right, _ = integrate(integrand, 1.0, 400.0, 1e-12, 1e-12)
         lhs = left + right
         rhs = 0.5j * dlog_zeta_odd(terms, lam)
         assert abs(lhs - rhs) < 1e-6
