@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,15 +39,16 @@ from .kernels import (
     heat_scalar_spinor,
     resolvent_scalar,
 )
-from .moebius import MoebiusMap, normalize_schottky
+from .moebius import MoebiusMap
 from .words import class_spectrum, word_strings
 from .zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
 from .zograf import (
     SchottkyPoint,
+    chart_params,
     check_eta_F_identity,
     eta_on_chart,
     pluriharmonicity_scan,
-    point_params,
+    schottky_from_params,
 )
 
 def _group_generators(config: RunConfig) -> Sequence[MoebiusMap]:
@@ -69,11 +71,7 @@ def _scan_point(config: RunConfig) -> SchottkyPoint:
     gens = _group_generators(config)
     if len(gens) != 2:
         raise ConfigError("[group] the scan chart needs exactly 2 generators")
-    normalized = normalize_schottky(gens)
-    point = SchottkyPoint(generators=tuple(normalized),
-                          params=(0j, 0j, 0j))
-    params = point_params(point)
-    return SchottkyPoint(generators=tuple(normalized), params=params)
+    return schottky_from_params(*chart_params(gens))
 
 
 def _metadata_lines(config: RunConfig, **extra) -> List[str]:
@@ -88,6 +86,19 @@ def _write_text(path: Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_json(path: Path, doc: dict) -> Path:
+    """Strict JSON: a non-finite number raises instead of being written
+    as Infinity or NaN."""
+    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n")
+
+
+def _bound(value: float) -> Optional[float]:
+    """A tail bound or error budget as JSON holds it: null when no finite
+    bound is known."""
+    return value if math.isfinite(value) else None
 
 
 #: spectrum.csv rows formatted and written per chunk
@@ -126,14 +137,17 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
 
 def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
     """JSON array of truncated zeta evaluations over the lambda grid,
-    ``"nonconvergent"`` where the terms refuse the sum."""
+    ``"nonconvergent"`` where the terms refuse the sum; a tail bound that
+    is not finite is null."""
     terms = terms_from_group(_group_generators(config), config.word_cutoff,
                              config.delta_cutoff, config.variant,
                              config.spin_sign, config.eps_class)
     evaluations = []
     for lam in config.lambda_grid:
         try:
-            evaluations.append(zeta_odd(terms, lam).to_json_dict())
+            evaluation = zeta_odd(terms, lam).to_json_dict()
+            evaluations.append(
+                dict(evaluation, tail_bound=_bound(evaluation["tail_bound"])))
         except ConvergenceViolation:
             evaluations.append(
                 {"lambda": [lam.real, lam.imag], "nonconvergent": True}
@@ -146,8 +160,7 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
         "delta_bracket": list(terms.estimate.bracket),
         "evaluations": evaluations,
     }
-    return _write_text(out_dir / "zeta.json",
-                       json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _write_json(out_dir / "zeta.json", doc)
 
 
 def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
@@ -175,11 +188,10 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
         "delta_bracket": list(est.bracket),
         "eta_by_route": routes,
         "residual_F_identity": report.residual,
-        "identity_error_budget": report.error_budget,
+        "identity_error_budget": _bound(report.error_budget),
         "central_cross_check": report.central_cross_check,
     }
-    return _write_text(out_dir / "eta.json",
-                       json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _write_json(out_dir / "eta.json", doc)
 
 
 #: kernels.csv columns: the row kind, where it is evaluated (t, r, lambda),
@@ -292,10 +304,10 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
         "scan_cutoff": config.scan_cutoff,
         "oracle": config.scan_oracle,
         "base_params": [[p.real, p.imag] for p in base.params],
-        "rows": rows,
+        "rows": [dict(r, error_budget=_bound(r["error_budget"]))
+                 for r in rows],
     }
-    return _write_text(out_dir / "scan.json",
-                       json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return _write_json(out_dir / "scan.json", doc)
 
 
 _COMMANDS = {

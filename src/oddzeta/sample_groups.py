@@ -53,8 +53,10 @@ def ring_group(rank: int = 5, q: float = 0.35, spread: float = 0.3):
     """Rank-``rank`` Schottky family with fixed points spread on the circle.
 
     The defaults give a discrete group whose limit set is big enough that
-    the shifted exponent estimate lands above zero; used to exercise the
-    DeltaNotNegative refusal paths.
+    the order-4 shifted exponent estimate lands above zero (0.949); used
+    with ``delta_cutoff = 4`` to exercise the DeltaNotNegative refusal
+    paths.  At order 5 its truncated determinant is not positive at
+    lambda = 2, and the estimate is refused.
     """
     gens = []
     for k in range(rank):

@@ -6,14 +6,14 @@ to cyclically reduced words up to rotation; the canonical representative
 is the lexicographically minimal rotation under the integer order on
 letters, which makes every enumeration deterministic.  The class spectrum
 is computed on arrays in one walk of the prenecklace tree
-(``_prenecklaces``, which ``canonical_words`` also reads): each
-prenecklace, held as an integer code, carries its matrix, its parent's
-times one letter in an exact batched product (``word_products``); the
-class matrices are classified and reduced to their invariants in blocks
-(``class_invariants``), and ``class_spectrum`` returns one ``Spectrum``
-of 1-D arrays.  The batched code decides only the common case: a product
-or class outside it goes through the scalar ``moebius`` code it mirrors,
-which renormalizes or refuses it.
+(``_class_products``): each prenecklace, held as an integer code,
+carries its matrix, its parent's times one letter in an exact batched
+product (``word_products``); the class matrices are classified and
+reduced to their invariants in blocks (``class_invariants``), and
+``class_spectrum`` returns one ``Spectrum`` of 1-D arrays.  The batched
+code decides only the common case: a product or class outside it goes
+through the scalar ``moebius`` code it mirrors, which renormalizes or
+refuses it.
 
 ``estimate_delta`` reads the Poincare exponent off a class spectrum too,
 as the zero of a determinant whose traces are sums over its classes.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -80,101 +81,13 @@ def cyclic_reduce(w: Sequence[int]) -> GroupWord:
 
 #: Prenecklaces expanded (and their children multiplied) per block of
 #: the walk.  At rank 2 a block's product temporaries take under a
-#: megabyte, and a shell's products are held in chunks of this many
+#: megabyte, and a shell's prenecklaces are held in chunks of this many
 #: parents' children.
 _PRODUCT_BLOCK = 1024
 
 #: Classes classified and reduced to their invariants per pass in
 #: class_spectrum; a pass spans shells, so a small spectrum is one pass.
 _CLASS_BLOCK = 2048
-
-
-def _prenecklaces(g: int, L: int):
-    """The tree of reduced prenecklaces of length 1..L, breadth first.
-
-    A class representative is the minimal rotation of a cyclically
-    reduced word, so it and each of its prefixes are prenecklaces.  The
-    tree grows each reduced prenecklace by every letter that keeps it
-    reduced and a prenecklace (Fredricksen-Kessler-Maiorana: with p the
-    period of the longest Lyndon prefix, the next letter must be >= the
-    letter p places back, and p stays when it is equal, else becomes the
-    new length).  A prenecklace of length n is a necklace when p divides
-    n, and then j = n/p; it is a class when its first and last letters
-    are not inverse.
-
-    Words are codes as in ``canonical_words``.  The prenecklaces of each
-    length are held in chunks, one per block of their parents, and each
-    chunk is expanded in blocks of at most ``_PRODUCT_BLOCK`` parents and
-    dropped once expanded.  Yields, for n = 1..L and each block,
-    ``(n, chunk, parent, letter, codes, cls, j)``: per child, the index
-    of its parent within chunk ``chunk`` of the prenecklaces of length
-    n - 1 (chunks numbered in yield order of the blocks that grew them;
-    at n = 1 the parent is the empty word, chunk 0, row 0), its last
-    letter and its code; ``cls`` marks the children that are classes
-    and ``j`` holds their power indices.  Only prenecklaces are kept (at
-    rank 2 about twice as many as classes), never all reduced words of
-    a shell.  More than ``DEFAULT_WORD_BUDGET`` predicted classes, or
-    codes beyond int64, raise CutoffTooLarge.
-    """
-    if g < 1 or L < 1:
-        raise ValueError("need g >= 1 and L >= 1")
-    # 2g (2g - 1)^(k - 1) reduced words of length k, about 1/k of them classes
-    predicted = sum(2 * g * (2 * g - 1) ** (k - 1) // k
-                    for k in range(1, L + 1))
-    if predicted > DEFAULT_WORD_BUDGET:
-        raise CutoffTooLarge(
-            f"about {predicted} classes at L = {L} exceeds the budget "
-            f"{DEFAULT_WORD_BUDGET}"
-        )
-    base = 2 * g
-    if base ** L > np.iinfo(np.int64).max:
-        raise CutoffTooLarge(
-            f"words of length {L} in {base} letters do not fit int64 codes"
-        )
-    letters = np.arange(base)
-    powers = base ** np.arange(L, dtype=np.int64)
-    chunks = [(letters.astype(np.int64), np.ones(base, dtype=np.int64))]
-    yield (1, 0, np.zeros(base, dtype=np.intp), letters, chunks[0][0],
-           np.ones(base, dtype=bool), chunks[0][1])
-    for n in range(2, L + 1):
-        grown = []
-        for c in range(len(chunks)):
-            (codes, period), chunks[c] = chunks[c], None
-            for start in range(0, len(codes), _PRODUCT_BLOCK):
-                parent = codes[start:start + _PRODUCT_BLOCK, None]
-                p = period[start:start + _PRODUCT_BLOCK, None]
-                back = parent // powers[p - 1] % base
-                allowed = ((letters >= back)
-                           & (letters != base - 1 - parent % base))
-                rows, letter = np.nonzero(allowed)
-                child = (parent * base + letters)[allowed]
-                child_p = np.where(letters == back, p, n)[allowed]
-                cls = ((n % child_p == 0)
-                       & (child // powers[n - 1] != base - 1 - child % base))
-                yield n, c, start + rows, letter, child, cls, n // child_p[cls]
-                if n < L:
-                    grown.append((child, child_p))
-        chunks = grown
-
-
-def canonical_words(g: int, L: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Canonical representatives of all classes of length <= L, as codes.
-
-    Returns shells[k-1] = (codes, j) for k = 1..L: int64 arrays with one
-    entry per class of cyclically reduced length k, ascending.  A word's
-    code is its letter indices (0..2g-1 for the letters -g..-1, 1..g, so
-    index 2g-1-i is the inverse of index i) read as base-2g digits, so
-    numeric order is lexicographic order under the integer order on
-    letters.  j is the power index.  The classes are the class nodes of
-    the prenecklace walk ``_prenecklaces``, which also refuses cutoffs
-    over budget.
-    """
-    shells: List[Tuple[list, list]] = [([], []) for _ in range(L)]
-    for n, _, _, _, codes, cls, j in _prenecklaces(g, L):
-        shells[n - 1][0].append(codes[cls])
-        shells[n - 1][1].append(j)
-    return [(np.concatenate(codes), np.concatenate(js))
-            for codes, js in shells]
 
 
 def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> MoebiusMap:
@@ -256,7 +169,7 @@ def word_products(parents, letters: np.ndarray, table):
 
     ``parents`` is a split product ``(re, im)``: real and imaginary parts
     of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
-    indices (see ``canonical_words``) and ``table`` the (2, 2, 2g) letter
+    indices (see ``_class_products``) and ``table`` the (2, 2, 2g) letter
     matrices by index, split the same way.  Returns the split products.
     Squared parts settle the common case, a product below the
     determinant noise floor and clear of the float range, which
@@ -380,7 +293,7 @@ class Spectrum:
     """The closed-geodesic spectrum up to a word cutoff, as 1-D arrays.
 
     One entry per conjugacy class, in (length, representative) order:
-    ``codes`` the representative as in ``canonical_words``,
+    ``codes`` the representative as in ``_class_products``,
     ``word_length`` its length, ``j`` its power index, and the geodesic
     invariants ``ell`` (length), ``theta`` (holonomy), ``q``
     (multiplier) and ``spin_phase`` of the class, each equal to the
@@ -420,54 +333,104 @@ class Spectrum:
 def _class_products(generators: Sequence[MoebiusMap], L: int):
     """The split products of every class of length <= L, in blocks.
 
-    One walk of ``_prenecklaces``: each prenecklace carries its product,
-    its parent's times its last letter through ``word_products``, so the
-    product of a class is bit for bit ``evaluate_word``'s.  At length L
-    only the classes are multiplied.  Products are held in the walk's
-    chunks, and a chunk's are dropped once its children are multiplied,
-    so the shell being expanded shrinks as the next one grows.  Yields
-    ``(codes, word_length, j, products)`` for blocks of at least
+    One breadth-first walk of the tree of reduced prenecklaces of length
+    1..L.  A class representative is the minimal rotation of a
+    cyclically reduced word, so it and each of its prefixes are
+    prenecklaces.  The tree grows each reduced prenecklace by every
+    letter that keeps it reduced and a prenecklace
+    (Fredricksen-Kessler-Maiorana: with p the period of the longest
+    Lyndon prefix, the next letter must be >= the letter p places back,
+    and p stays when it is equal, else becomes the new length).  A
+    prenecklace of length n is a necklace when p divides n, and then
+    j = n/p; it is a class when its first and last letters are not
+    inverse.
+
+    A word's code is its letter indices (0..2g-1 for the letters
+    -g..-1, 1..g, so index 2g-1-i is the inverse of index i) read as
+    base-2g digits, so numeric order is lexicographic order under the
+    integer order on letters.  Each prenecklace carries its product, its
+    parent's times its last letter through ``word_products``, so the
+    product of a class is bit for bit ``evaluate_word``'s; at length L
+    only the classes are multiplied.  A shell is held in chunks
+    ``(codes, period, products)``, one per block of at most
+    ``_PRODUCT_BLOCK`` parents, and a chunk is dropped once its children
+    are grown, so only prenecklaces are kept (at rank 2 about twice as
+    many as classes), never all reduced words of a shell.
+
+    Yields ``(codes, word_length, j, products)`` for blocks of at least
     ``_CLASS_BLOCK`` classes in class order (the last block may be
-    smaller); blocks span shells.
+    smaller); blocks span shells.  More than ``DEFAULT_WORD_BUDGET``
+    predicted classes, or codes beyond int64, raise CutoffTooLarge.
     """
-    # the letter matrices by letter index (see canonical_words); an
-    # inverse is the adjugate that MoebiusMap.inverse builds
+    g = len(generators)
+    if g < 1 or L < 1:
+        raise ValueError("need g >= 1 and L >= 1")
+    # 2g (2g - 1)^(k - 1) reduced words of length k, about 1/k of them classes
+    predicted = sum(2 * g * (2 * g - 1) ** (k - 1) // k
+                    for k in range(1, L + 1))
+    if predicted > DEFAULT_WORD_BUDGET:
+        raise CutoffTooLarge(
+            f"about {predicted} classes at L = {L} exceeds the budget "
+            f"{DEFAULT_WORD_BUDGET}"
+        )
+    base = 2 * g
+    if base ** L > np.iinfo(np.int64).max:
+        raise CutoffTooLarge(
+            f"words of length {L} in {base} letters do not fit int64 codes"
+        )
+    letters = np.arange(base)
+    powers = base ** np.arange(L, dtype=np.int64)
+    # the letter matrices by letter index; an inverse is the adjugate
+    # that MoebiusMap.inverse builds
     table = np.array([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
                      + [(m.a, m.b, m.c, m.d) for m in generators],
                      dtype=complex).T.reshape(2, 2, -1)
     split = table.real, table.imag
-    eye = np.eye(2)[:, :, None]
-    # the product of the empty word, MoebiusMap.identity()
-    frontier = [(eye, np.zeros_like(eye))]
-    grown, shell = [], 1
-    pending: List[tuple] = []
-    count = 0
-    for n, chunk, parent, letter, codes, cls, j in _prenecklaces(
-            len(generators), L):
-        if n != shell:
-            frontier, grown, shell = grown, [], n
-        if chunk:
-            frontier[chunk - 1] = None  # expanded: its products are done
-        if n == L:
-            parent, letter, codes = parent[cls], letter[cls], codes[cls]
-        try:
-            products = word_products(
-                tuple(np.take(x, parent, axis=2) for x in frontier[chunk]),
-                letter, split)
-        except (OverflowError, ValueError):
-            # the classes waiting here precede the refused product's
-            if pending:
-                yield _join(pending)
-            raise
-        if n < L:
-            grown.append(products)
-            codes = codes[cls]
-            products = tuple(x[:, :, cls] for x in products)
-        pending.append((codes, np.full(len(codes), n), j, products))
-        count += len(codes)
-        if count >= _CLASS_BLOCK:
-            yield _join(pending)
-            pending, count = [], 0
+    # the letters are the first shell, each MoebiusMap.identity() times it
+    eye = np.repeat(np.eye(2)[:, :, None], base, axis=2)
+    codes, ones = letters.astype(np.int64), np.ones(base, dtype=np.int64)
+    products = word_products((eye, np.zeros_like(eye)), letters, split)
+    chunks = deque([(codes, ones, products)])
+    pending = [(codes, ones, ones, products)]
+    count = base
+    for n in range(2, L + 1):
+        grown = deque()
+        while chunks:
+            codes, period, products = chunks.popleft()
+            for start in range(0, len(codes), _PRODUCT_BLOCK):
+                parent = codes[start:start + _PRODUCT_BLOCK, None]
+                p = period[start:start + _PRODUCT_BLOCK, None]
+                back = parent // powers[p - 1] % base
+                allowed = ((letters >= back)
+                           & (letters != base - 1 - parent % base))
+                rows, letter = np.nonzero(allowed)
+                child = (parent * base + letters)[allowed]
+                child_p = np.where(letters == back, p, n)[allowed]
+                cls = ((n % child_p == 0)
+                       & (child // powers[n - 1] != base - 1 - child % base))
+                if n == L:
+                    rows, letter = rows[cls], letter[cls]
+                try:
+                    child_products = word_products(
+                        tuple(np.take(x, start + rows, axis=2)
+                              for x in products), letter, split)
+                except (OverflowError, ValueError):
+                    # the classes waiting here precede the refused product's
+                    if pending:
+                        yield _join(pending)
+                    raise
+                if n < L:
+                    grown.append((child, child_p, child_products))
+                    child_products = tuple(x[:, :, cls]
+                                           for x in child_products)
+                j = n // child_p[cls]
+                pending.append((child[cls], np.full(len(j), n), j,
+                                child_products))
+                count += len(j)
+                if count >= _CLASS_BLOCK:
+                    yield _join(pending)
+                    pending, count = [], 0
+        chunks = grown
     if pending:
         yield _join(pending)
 
@@ -484,8 +447,8 @@ def class_spectrum(generators: Sequence[MoebiusMap], L: int,
                    eps_class: float = EPS_CLASS) -> Spectrum:
     """The ``Spectrum`` of every class of length <= L.
 
-    One walk of the prenecklace tree that ``canonical_words`` reads:
-    each prenecklace's matrix is its parent's times one letter
+    One walk of the prenecklace tree (``_class_products``): each
+    prenecklace's matrix is its parent's times one letter
     (``word_products``), so a class costs one product step, not one per
     letter, and equals ``evaluate_word`` bit for bit.  The class
     matrices are classified and reduced to their multipliers by
@@ -519,7 +482,7 @@ def class_spectrum(generators: Sequence[MoebiusMap], L: int,
 
 def word_strings(codes: np.ndarray, word_length: np.ndarray,
                  g: int) -> List[str]:
-    """``word_to_str`` of each word code (see ``canonical_words``)."""
+    """``word_to_str`` of each word code (see ``_class_products``)."""
     base = 2 * g
     width = int(word_length.max())
     # shift[r, p]: the power of the base of letter p, < 0 past the end
@@ -552,9 +515,10 @@ class PoincareEstimate:
     bracket: Tuple[float, float]
 
 
-#: Intervals of the downward grid scan, and its highest start: Z_N tends
-#: to 1 as lambda grows, so a Z_N not positive there has no usable zero.
-_SCAN_INTERVALS, _SCAN_TOP = 64, 1024.0
+#: Intervals of the downward grid scan from lambda = 2 to -1.  Every
+#: Kleinian group in H^3 has delta <= 2, so delta_hat <= 1, and a Z_N
+#: not positive at 2 has no zero that can be delta_hat.
+_SCAN_INTERVALS = 64
 
 #: Terms e^(-lambda ell) held at once when Z_N is evaluated on a grid.
 _TRACE_BLOCK = 1 << 14
@@ -589,11 +553,12 @@ def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
     The shell traces are t_n = sum (n/j) e^(-lambda ell) |q| / |1 - q|^2
     over the classes of length n; Newton's identities, c_0 = 1 and
     n c_n = -sum_k t_k c_(n-k), give Z_N = sum_(n <= N) c_n.  Its first
-    sign change on a grid scanned down to -1 from lambda = 2 (doubled
-    while Z_N <= 0) is refined by ``_illinois``.  The zeros of Z_(N-1)
-    and Z_N bracket the estimate; a wide bracket is reported, not
-    refused.  Rank 1 gives exactly -1 (a double zero, no sign change).
-    N < 4 or no zero raise NonConvergent.
+    sign change on a grid scanned down to -1 from lambda = 2 is refined
+    by ``_illinois``.  The zeros of Z_(N-1) and Z_N bracket the
+    estimate; a wide bracket is reported, not refused.  Rank 1 gives
+    exactly -1 (a double zero, no sign change).  N < 4, Z_(N-1) or Z_N
+    not positive at 2, no zero, or an estimate above 1 (delta <= 2 for
+    every Kleinian group in H^3) raise NonConvergent.
     """
     if N < 4:
         raise NonConvergent(f"need at least 4 shells, got N = {N}")
@@ -621,20 +586,19 @@ def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
             c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
         return np.cumsum(c, axis=0)[N - 1:]
 
-    top = 2.0
-    while not (truncations(top) > 0.0).all():
-        top *= 2.0
-        if top > _SCAN_TOP:
-            raise NonConvergent(
-                f"Z_{N - 1} and Z_{N} not both positive up to {_SCAN_TOP:g}")
-    grid = np.linspace(top, -1.0, _SCAN_INTERVALS + 1).tolist()
+    if not (truncations(2.0) > 0.0).all():
+        raise NonConvergent(f"Z_{N - 1} and Z_{N} not both positive at 2")
+    grid = np.linspace(2.0, -1.0, _SCAN_INTERVALS + 1).tolist()
     zeros = []
     for row, values in enumerate(truncations(grid).tolist()):
         i = next((i for i, v in enumerate(values) if v <= 0.0), None)
         if i is None:
-            raise NonConvergent(
-                f"Z_{N - 1 + row} has no zero on [-1, {top:g}]")
+            raise NonConvergent(f"Z_{N - 1 + row} has no zero on [-1, 2]")
         zeros.append(_illinois(lambda lam: truncations(lam)[row, 0].item(),
                                grid[i], values[i], grid[i - 1], values[i - 1]))
+    if zeros[1] > 1.0:
+        raise NonConvergent(
+            f"delta_hat = {zeros[1]!r} exceeds 1, the bound of every "
+            "Kleinian group in H^3")
     return PoincareEstimate(delta_hat=zeros[1],
                             bracket=(min(zeros), max(zeros)))

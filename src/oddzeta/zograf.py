@@ -20,14 +20,15 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DeltaNotNegative,
                      LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
                      NotLoxodromic)
-from .moebius import MoebiusMap, geodesic_invariants
+from .moebius import (MoebiusMap, _map_to_0_inf_1, _points_distinct,
+                      geodesic_invariants)
 from .zeta import (
     ZetaTerms,
     _check_delta_negative,
@@ -71,16 +72,20 @@ def schottky_from_params(q1: complex, q2: complex, b2: complex) -> SchottkyPoint
     return SchottkyPoint(generators=(gen1, gen2), params=(q1, q2, b2))
 
 
-def point_params(point: SchottkyPoint, tol: float = 1e-12) -> Tuple[complex, complex, complex]:
-    """Recover (q1, q2, b2) and verify the normalization anchors."""
-    inv1 = geodesic_invariants(point.generators[0])
-    inv2 = geodesic_invariants(point.generators[1])
-    if (abs(inv1.attracting) > tol or abs(inv2.attracting - 1.0) > tol
-            or (math.isfinite(inv1.repelling.real)
-                and abs(inv1.repelling) < 1.0 / tol)):
-        raise DegenerateConfiguration(
-            "generators are not in normalized position")
-    return inv1.q, inv2.q, inv2.repelling
+def chart_params(generators: Sequence[MoebiusMap]) -> Tuple[complex, complex, complex]:
+    """The chart point (q1, q2, b2) of a pair of loxodromic generators.
+
+    q1 and q2 are their multipliers; b2 is where the conjugation taking
+    the attracting and repelling fixed points of the first and the
+    attracting fixed point of the second to 0, inf and 1 sends the
+    repelling fixed point of the second.  Four fixed points that are not
+    distinct raise DegenerateConfiguration.
+    """
+    inv1, inv2 = (geodesic_invariants(m) for m in generators)
+    fixed = (inv1.attracting, inv1.repelling, inv2.attracting, inv2.repelling)
+    if not _points_distinct(fixed):
+        raise DegenerateConfiguration(f"fixed points {fixed} not distinct")
+    return inv1.q, inv2.q, _map_to_0_inf_1(*fixed[:3]).apply(fixed[3])
 
 
 @dataclass(frozen=True)

@@ -415,8 +415,10 @@ class TestZetaCommand:
         cfg = write(tmp_path, "thick.cfg", "\n".join(lines) + "\n")
         assert main(["zeta", "--config", cfg, "--out", str(tmp_path)]) == 0
         text = (tmp_path / "zeta.json").read_text()
-        assert '"tail_bound": Infinity' in text
+        # no finite bound is known, and strict JSON writes that as null
+        assert '"tail_bound": null' in text
         (ev,) = json.loads(text)["evaluations"]
+        assert ev["tail_bound"] is None
         assert all(math.isfinite(v) for v in ev["value"])
 
 
@@ -468,7 +470,7 @@ class TestEtaCommand:
             entries = " ".join(format_complex(z)
                                for z in (gen.a, gen.b, gen.c, gen.d))
             lines.append(f"generator{i} = {entries}")
-        lines += ["", "[run]", "word_cutoff = 2", "delta_cutoff = 5"]
+        lines += ["", "[run]", "word_cutoff = 2", "delta_cutoff = 4"]
         cfg = write(tmp_path, "ring.cfg", "\n".join(lines) + "\n")
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "DeltaNotNegative" in capsys.readouterr().err
@@ -573,11 +575,10 @@ class TestScanCommand:
         assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(points) == len(set(points)) == 25
 
-
-class TestScanRefusals:
-    def test_anchor_missed_by_rounding_exits_3(self, tmp_path, capsys):
+    def test_anchor_missed_by_rounding_scans(self, tmp_path):
         # normalize_schottky leaves the anchors of this pair off by more
-        # than the chart's absolute tolerance
+        # than 1e-12; the chart point is read off the fixed points, so the
+        # pair needs no normalized position and scans
         def loxodromic(attracting, repelling, q):
             root = cmath.sqrt(q)
             frame = MoebiusMap.normalized(repelling, attracting, 1.0, 1.0)
@@ -592,11 +593,26 @@ class TestScanRefusals:
                                for z in (gen.a, gen.b, gen.c, gen.d))
             lines.append(f"generator{i} = {entries}")
         cfg = write(tmp_path, "s.cfg", "\n".join(lines) + "\n")
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            assert abs(row["fd_laplacian"]) <= row["error_budget"]
+
+
+class TestScanRefusals:
+    def test_shared_fixed_point_exits_3(self, tmp_path, capsys):
+        # a generator and its square fix the same two points
+        gen = sample_group("scan_base").generators[1]
+        lines = ["[group]"]
+        for i, m in enumerate((gen, gen @ gen), start=1):
+            entries = " ".join(format_complex(z) for z in (m.a, m.b, m.c, m.d))
+            lines.append(f"generator{i} = {entries}")
+        cfg = write(tmp_path, "s.cfg", "\n".join(lines) + "\n")
         out = tmp_path / "out"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
-        assert capsys.readouterr().err == (
-            "error: DegenerateConfiguration: generators are not in "
-            "normalized position\n")
+        assert capsys.readouterr().err.startswith(
+            "error: DegenerateConfiguration: fixed points ")
         assert not out.exists()
 
 
@@ -610,3 +626,20 @@ class TestDeterminism:
                 assert main([command, "--config", cfg, "--out", str(out)]) == 0
         for name in ("spectrum.csv", "zeta.json", "eta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def refuse_constant(name):
+    """parse_constant for json.loads: Infinity and NaN are not JSON."""
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("command, config", [
+        ("zeta", "eta_thick"), ("eta", "eta_thick"),
+        ("zeta", "near_abscissa"), ("scan", "scan")])
+    def test_bench_outputs_are_strict_json(self, tmp_path, command, config):
+        # the check the CI smoke runs make on the same commands and configs
+        cfg = str(PERFBENCH_CONFIGS / f"{config}.cfg")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        (path,) = tmp_path.glob("*.json")
+        json.loads(path.read_text(), parse_constant=refuse_constant)

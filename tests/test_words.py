@@ -15,7 +15,6 @@ from oddzeta.moebius import MoebiusMap, classify, geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import (
     _class_products,
-    canonical_words,
     class_spectrum,
     cyclic_reduce,
     estimate_delta,
@@ -60,16 +59,25 @@ def decode_words(codes, k, g):
     return [tuple(w) for w in (indices - g + (indices >= g)).tolist()]
 
 
+def walk_spectrum(g, L):
+    """The class spectrum of a rank-g group whose classes are all
+    loxodromic, for the words and power indices of the walk."""
+    return class_spectrum(ring_group(g, 0.01), L)
+
+
 def canonical_classes(g, L):
-    """(representative, j) of every class, in order, from canonical_words."""
+    """(representative, j) of every class, in order, from the walk."""
+    spectrum = walk_spectrum(g, L)
     classes = []
-    for k, (codes, js) in enumerate(canonical_words(g, L), start=1):
-        classes.extend(zip(decode_words(codes, k, g), js.tolist()))
+    for k in range(1, L + 1):
+        rows = spectrum.word_length == k
+        classes.extend(zip(decode_words(spectrum.codes[rows], k, g),
+                           spectrum.j[rows].tolist()))
     return classes
 
 
 def recursive_classes(g, L):
-    """Reference for canonical_words: every cyclically reduced word of
+    """Reference for the walk's classes: every cyclically reduced word of
     each length by a recursive fill, reduced to its minimal rotation;
     (representative, j) per class."""
     letters = [s for s in range(-g, g + 1) if s != 0]
@@ -146,7 +154,7 @@ ELLIPTIC_AB = (MoebiusMap(2.0, 0.0, 0.0, 0.5), MoebiusMap(-1.0, 1.0, -7.0, 6.0))
 def brute_force_classes(g, L):
     """Group all reduced words of length <= L by cyclic canonical form.
 
-    Independent of canonical_words: builds every reduced word, cyclically
+    Independent of the walk: builds every reduced word, cyclically
     reduces, and counts self-rotations for the power index.
     """
     letters = [s for s in range(-g, g + 1) if s]
@@ -205,7 +213,7 @@ class TestEnumeration:
     def test_budget_guard(self):
         # about 4.3e7 classes at L = 18, over the default budget
         with pytest.raises(CutoffTooLarge, match="budget"):
-            canonical_words(2, 18)
+            walk_spectrum(2, 18)
 
     def test_deterministic_order(self):
         a = canonical_classes(2, 4)
@@ -215,10 +223,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("g, L", [(1, 4), (2, 5), (3, 3)])
     def test_word_strings(self, g, L):
-        for k, (codes, _) in enumerate(canonical_words(g, L), start=1):
+        spectrum = walk_spectrum(g, L)
+        for k in range(1, L + 1):
+            codes = spectrum.codes[spectrum.word_length == k]
             assert word_strings(codes, np.full(len(codes), k), g) == [
                 word_to_str(w) for w in decode_words(codes, k, g)]
-        spectrum = class_spectrum(ring_group(g, 0.01), L)
         assert word_strings(spectrum.codes, spectrum.word_length, g) == [
             word_to_str(w) for w, _ in canonical_classes(g, L)]
 
@@ -246,17 +255,18 @@ class TestCanonicalWords:
         assert dict(classes) == brute_force_classes(g, L)
 
     def test_codes_ascend_and_count_every_class_at_depth(self):
-        shells = canonical_words(2, 14)
-        for codes, js in shells:
-            assert codes.dtype == np.int64 and np.all(np.diff(codes) > 0)
-            assert len(js) == len(codes) and js.min() >= 1
-        assert sum(len(codes) for codes, _ in shells) == 534_444
+        spectrum = walk_spectrum(2, 14)
+        assert spectrum.codes.dtype == np.int64 and spectrum.j.min() >= 1
+        for k in range(1, 15):
+            codes = spectrum.codes[spectrum.word_length == k]
+            assert np.all(np.diff(codes) > 0)
+        assert len(spectrum) == 534_444
         assert necklace_class_count(2, 14) == 534_444
 
     def test_int64_guard(self):
         # rank 1 has 2 classes a shell, so the budget never stops it first
         with pytest.raises(CutoffTooLarge, match="int64"):
-            canonical_words(1, 63)
+            walk_spectrum(1, 63)
 
 
 def _families():
@@ -356,8 +366,7 @@ class TestClassSpectrum:
         spectrum = class_spectrum(gens, L)
         want = list(scalar_class_spectrum(gens, L))
         assert [(w, j) for w, j, _ in want] == canonical_classes(g, L)
-        assert spectrum.codes.tolist() == np.concatenate(
-            [codes for codes, _ in canonical_words(g, L)]).tolist()
+        assert spectrum.codes.tolist() == walk_spectrum(g, L).codes.tolist()
         assert spectrum.word_length.tolist() == [len(w) for w, _, _ in want]
         assert spectrum.j.tolist() == [j for _, j, _ in want]
         for field, got in (("length", spectrum.ell),
@@ -549,8 +558,24 @@ class TestPoincareEstimate:
         assert -0.9 < est.delta_hat < -0.7
 
     def test_ring_group_positive(self):
-        est = estimate_delta(class_spectrum(ring_group(), 5), 5)
-        assert est.delta_hat > 0
+        est = estimate_delta(class_spectrum(ring_group(), 4), 4)
+        assert 0 < est.delta_hat <= 1
+
+    @pytest.mark.parametrize("gens, N", [
+        # Z_5 of ring_group() has its largest zero at 2.19
+        (ring_group(), 5),
+        # q1 near the unit circle: Z_4 has its largest zero at 587.4
+        (schottky_from_params(0.985, 0.0012, -1 + 0.5j).generators, 4)])
+    def test_estimate_above_one_refused(self, gens, N):
+        # delta <= 2 for every Kleinian group in H^3, so delta_hat <= 1
+        with pytest.raises(NonConvergent, match="not both positive at 2"):
+            estimate_delta(class_spectrum(gens, N), N)
+
+    def test_zero_between_one_and_two_refused(self):
+        # Z_4 of this rank-4 ring is positive at 2 with its largest zero
+        # at 1.497
+        with pytest.raises(NonConvergent, match="exceeds 1"):
+            estimate_delta(class_spectrum(ring_group(4, 0.4), 4), 4)
 
     def test_too_few_shells(self):
         with pytest.raises(NonConvergent):

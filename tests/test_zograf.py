@@ -6,16 +6,17 @@ from toyterms import power_class_terms, primitive_term, toy_list
 
 import oddzeta.zeta
 import oddzeta.zograf
-from oddzeta.errors import DeltaNotNegative, LeftSchottkyDomain, NonPrimitiveInput
-from oddzeta.moebius import geodesic_invariants
+from oddzeta.errors import (DegenerateConfiguration, DeltaNotNegative,
+                            LeftSchottkyDomain, NonPrimitiveInput)
+from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import class_spectrum
 from oddzeta.zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
 from oddzeta.zograf import (
+    chart_params,
     check_eta_F_identity,
     eta_on_chart,
     pluriharmonicity_scan,
-    point_params,
     schottky_from_params,
     zograf_F,
 )
@@ -36,8 +37,20 @@ class TestSchottkyChart:
     def test_roundtrip_params(self):
         params = (0.0012 + 0.0004j, 0.0009 - 0.0011j, 2.0 + 1.5j)
         point = schottky_from_params(*params)
-        recovered = point_params(point)
+        recovered = chart_params(point.generators)
         assert all(abs(a - b) < 1e-10 for a, b in zip(params, recovered))
+
+    def test_chart_point_of_conjugated_generators(self):
+        # the chart point is read off the fixed points, so a conjugate of
+        # the normalized pair has the same one
+        params = (0.0012 + 0.0004j, 0.0009 - 0.0011j, 2.0 + 1.5j)
+        h = MoebiusMap.normalized(1.0 + 2j, 0.3, -0.5j, 2.0)
+        gens = tuple(h @ m @ h.inverse()
+                     for m in schottky_from_params(*params).generators)
+        recovered = chart_params(gens)
+        assert all(abs(a - b) < 1e-10 for a, b in zip(params, recovered))
+        with pytest.raises(DegenerateConfiguration):
+            chart_params((gens[0], gens[0] @ gens[0]))
 
     def test_rejects_anchor_collisions(self):
         with pytest.raises(ValueError):
@@ -115,7 +128,7 @@ class TestEtaFIdentity:
 
     def test_delta_guard(self):
         with pytest.raises(DeltaNotNegative):
-            identity_report(ring_group(), L=3, M=10, delta_cutoff=5)
+            identity_report(ring_group(), L=3, M=10, delta_cutoff=4)
 
     def test_central_value_evaluated_once(self, complex_groups, monkeypatch):
         # eta, its budget and Z_odd(0) all come from one odd sum at 0
