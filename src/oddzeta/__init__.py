@@ -14,7 +14,7 @@ from .moebius import (
     classify,
     geodesic_invariants,
     hyperbolic_distance,
-    normalize_schottky,
+    loxodromic,
     spin_phase,
 )
 from .words import (

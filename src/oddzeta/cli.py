@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -41,7 +40,7 @@ from .kernels import (
 )
 from .moebius import MoebiusMap
 from .words import class_spectrum, word_strings
-from .zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
+from .zeta import ETA_ROUTES, eta, terms_from_group, zeta_odd
 from .zograf import (
     SchottkyPoint,
     chart_params,
@@ -51,27 +50,27 @@ from .zograf import (
     schottky_from_params,
 )
 
+def _preset(config: RunConfig) -> SchottkyPoint:
+    try:
+        return sample_groups.sample_group(config.preset)
+    except KeyError as exc:
+        raise ConfigError(f"[group] unknown preset {config.preset!r}") from exc
+
+
 def _group_generators(config: RunConfig) -> Sequence[MoebiusMap]:
     if config.preset is not None:
-        try:
-            return sample_groups.sample_group(config.preset).generators
-        except KeyError as exc:
-            raise ConfigError(f"[group] unknown preset {config.preset!r}") from exc
+        return _preset(config).generators
     if config.generators is None:
         raise ConfigError("[group] needs a preset or generator matrices")
     return config.generators
 
 
 def _scan_point(config: RunConfig) -> SchottkyPoint:
+    # a preset keeps its exact chart parameters, which chart_params reads
+    # back only to rounding
     if config.preset is not None:
-        try:
-            return sample_groups.sample_group(config.preset)
-        except KeyError as exc:
-            raise ConfigError(f"[group] unknown preset {config.preset!r}") from exc
-    gens = _group_generators(config)
-    if len(gens) != 2:
-        raise ConfigError("[group] the scan chart needs exactly 2 generators")
-    return schottky_from_params(*chart_params(gens))
+        return _preset(config)
+    return schottky_from_params(*chart_params(_group_generators(config)))
 
 
 def _metadata_lines(config: RunConfig, **extra) -> List[str]:
@@ -171,14 +170,9 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     est = terms.estimate
     routes = {
         route: eta(terms, route, quad_tol=config.quad_tol)
-        for route in ("central_value", "lambda_integral", "heat_quadrature")
+        for route in ETA_ROUTES
     }
-    # the identity is stated for the signature variant under "plus"
-    if (config.variant, config.spin_sign) == ("signature", "plus"):
-        identity_terms = terms
-    else:
-        identity_terms = replace(terms_from_spectrum(terms), estimate=est)
-    report = check_eta_F_identity(identity_terms, config.inner_cutoff)
+    report = check_eta_F_identity(terms, config.inner_cutoff)
     doc = {
         "config_sha256": config.sha256,
         "variant": config.variant,

@@ -34,9 +34,10 @@ class KernelPoint:
     n: int = 1
 
     def __post_init__(self):
-        if self.r < 0:
+        # written so that NaN fails too
+        if not self.r >= 0:
             raise ValueError(f"r = {self.r} negative")
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError(f"t = {self.t} not positive")
         if self.n < 1:
             raise ValueError(f"n = {self.n} must be a positive integer")
@@ -217,15 +218,22 @@ def heat_scalar_signature(p: KernelPoint, m: int):
 # --- Gaussian time integral ---------------------------------------------------
 
 
+def _gaussian_lam2(lam: complex, r: float) -> complex:
+    """lambda^2, once Re(lambda^2) > 0 and r > 0 (a NaN r fails) hold."""
+    lam2 = lam * lam
+    if lam2.real <= 0:
+        raise DivergentIntegral(f"Re(lambda^2) = {lam2.real:.6g} <= 0")
+    if not r > 0:
+        raise ValueError(f"r = {r} must be positive")
+    return lam2
+
+
 def gaussian_time_integral(lam: complex, r: float) -> complex:
     """exp(-lambda r) / (4 pi r), the closed form of
     int_0^inf exp(-t lambda^2) (4 pi t)^(-3/2) exp(-r^2/4t) dt,
     valid for Re(lambda^2) > 0."""
     lam = complex(lam)
-    if (lam * lam).real <= 0:
-        raise DivergentIntegral(f"Re(lambda^2) = {(lam * lam).real:.6g} <= 0")
-    if r <= 0:
-        raise ValueError(f"r = {r} must be positive")
+    _gaussian_lam2(lam, r)
     return cmath.exp(-lam * r) / (4.0 * math.pi * r)
 
 
@@ -236,13 +244,8 @@ def gaussian_time_integral_quadrature(lam: complex, r: float,
     Returns (value, reported_absolute_error) where the error combines the
     quadrature estimate and the analytic bound on the truncated tail.
     """
-    lam = complex(lam)
-    mu = (lam * lam).real
-    if mu <= 0:
-        raise DivergentIntegral(f"Re(lambda^2) = {mu:.6g} <= 0")
-    if r <= 0:
-        raise ValueError(f"r = {r} must be positive")
-    lam2 = lam * lam
+    lam2 = _gaussian_lam2(complex(lam), r)
+    mu = lam2.real
 
     def integrand(t: float) -> complex:
         arg = r * r / (4.0 * t)

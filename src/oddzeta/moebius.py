@@ -13,13 +13,13 @@ package: no Schottky (Jordan curve) condition is checked.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .errors import BoundaryPoint, DegenerateConfiguration, NotLoxodromic
+from .errors import BoundaryPoint, NotLoxodromic
 
-EPS_DET = 1e-12
 EPS_CLASS = 1e-9
 
 #: Point at infinity on the Riemann sphere.
@@ -92,9 +92,6 @@ class MoebiusMap:
 
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
-
-    def trace(self) -> complex:
-        return self.a + self.d
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return MoebiusMap.normalized(
@@ -195,9 +192,9 @@ def _classify(a, b, c, d, eps_class: float) -> str:
     return "loxodromic"
 
 
-def _expanding_eigenvalue(t: complex) -> complex:
-    """Eigenvalue mu with |mu| > 1 of a loxodromic matrix of trace t, sign
-    included."""
+def _multiplier_invariants(t: complex):
+    """(mu, q, length, theta, spin phase) of a loxodromic matrix of trace t;
+    mu is the eigenvalue with |mu| > 1, sign included."""
     s = cmath.sqrt(t * t - 4.0)
     # align the root with t to avoid cancellation in t + s
     if (t.conjugate() * s).real < 0:
@@ -205,28 +202,6 @@ def _expanding_eigenvalue(t: complex) -> complex:
     mu = 0.5 * (t + s)
     if abs(mu) <= 1.0:
         raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
-    return mu
-
-
-def spin_phase(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
-    """mu/|mu| of the expanding eigenvalue; negates when m does."""
-    if classify(m, eps_class) != "loxodromic":
-        raise NotLoxodromic("spin phase defined for loxodromic maps only")
-    mu = _expanding_eigenvalue(m.trace())
-    return mu / abs(mu)
-
-
-def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> GeodesicInvariants:
-    """Multiplier, length, holonomy and fixed points of a loxodromic map."""
-    kind = classify(m, eps_class)
-    if kind != "loxodromic":
-        raise NotLoxodromic(f"classify() = {kind}")
-    return _loxodromic_invariants(m.a, m.b, m.c, m.d)
-
-
-def _multiplier_invariants(t: complex):
-    """(mu, q, length, theta, spin phase) of a loxodromic matrix of trace t."""
-    mu = _expanding_eigenvalue(t)
     q = mu ** -2
     length = 2.0 * math.log(abs(mu))
     theta = -cmath.phase(q)
@@ -235,25 +210,31 @@ def _multiplier_invariants(t: complex):
     return mu, q, length, theta, mu / abs(mu)
 
 
-def _loxodromic_invariants(a, b, c, d) -> GeodesicInvariants:
-    """geodesic_invariants on the entries of a matrix already classified
-    loxodromic, with MoebiusMap's arithmetic."""
+def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> GeodesicInvariants:
+    """Multiplier, length, holonomy and fixed points of a loxodromic map."""
+    kind = classify(m, eps_class)
+    if kind != "loxodromic":
+        raise NotLoxodromic(f"classify() = {kind}")
+    a, b, c, d = m.a, m.b, m.c, m.d
     t = a + d
     mu, q, length, theta, phase = _multiplier_invariants(t)
     mu_small = 1.0 / mu
-    if c == 0:
-        finite = b / (d - a)
-        if abs(a) > 1.0:
-            att, rep = INFINITY, finite
-        else:
-            att, rep = finite, INFINITY
-    else:
+    if c != 0:
         # roots of c z^2 + (d - a) z - b: take the large-numerator root
         # directly and recover the other from the product -b/c
         s = cmath.sqrt(t * t - 4.0)
         if ((a - d).conjugate() * s).real < 0:
             s = -s
         root1 = (a - d + s) / (2.0 * c)
+    if c == 0 or is_infinite(root1):
+        # upper triangular, or a c so small that the large root overflowed;
+        # then the other root, -b/c over it, is -2b / (a - d + s)
+        finite = b / (d - a) if c == 0 else -2.0 * b / (a - d + s)
+        if abs(a) > 1.0:
+            att, rep = INFINITY, finite
+        else:
+            att, rep = finite, INFINITY
+    else:
         if root1 != 0:
             root2 = (-b / c) / root1
         else:
@@ -267,6 +248,25 @@ def _loxodromic_invariants(a, b, c, d) -> GeodesicInvariants:
         length=length, theta=theta, q=q, mu=mu,
         attracting=att, repelling=rep, spin_phase=phase,
     )
+
+
+def spin_phase(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
+    """mu/|mu| of the expanding eigenvalue; negates when m does."""
+    return geodesic_invariants(m, eps_class).spin_phase
+
+
+def loxodromic(attracting: complex, repelling: complex,
+               q: complex) -> MoebiusMap:
+    """The map with finite, distinct fixed points ``attracting`` and
+    ``repelling`` and multiplier q, 0 < |q| < 1: the inverse of
+    ``geodesic_invariants``.  It is diag(sqrt q, 1/sqrt q), principal
+    root, conjugated by the map taking attracting to 0, repelling to inf.
+    """
+    if not 0.0 < abs(q) < 1.0:
+        raise ValueError(f"q = {q} must satisfy 0 < |q| < 1")
+    conj = MoebiusMap.normalized(1.0, -attracting, 1.0, -repelling)
+    root = cmath.sqrt(q)
+    return conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root) @ conj
 
 
 def hyperbolic_distance(m: HalfSpacePoint, mp: HalfSpacePoint) -> float:
@@ -294,36 +294,21 @@ def _map_to_0_inf_1(p1: complex, p2: complex, p3: complex) -> MoebiusMap:
     else:
         a, b = p3 - p2, -p1 * (p3 - p2)
         c, d = p3 - p1, -p2 * (p3 - p1)
-    return MoebiusMap.normalized(a, b, c, d)
+    try:
+        return MoebiusMap.normalized(a, b, c, d)
+    except OverflowError:
+        # a point so far out that the squared entries overflow: the same
+        # map, its entries scaled exactly by a power of two
+        scale = 2.0 ** -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+        return MoebiusMap.normalized(*(z * scale for z in (a, b, c, d)))
 
 
 def _points_distinct(points: Sequence[complex], tol: float = 1e-12) -> bool:
-    for i in range(len(points)):
-        for k in range(i + 1, len(points)):
-            zi, zk = points[i], points[k]
-            if is_infinite(zi) and is_infinite(zk):
-                return False
-            if is_infinite(zi) or is_infinite(zk):
-                continue
-            if abs(zi - zk) <= tol * (1.0 + abs(zi) + abs(zk)):
-                return False
+    for zi, zk in itertools.combinations(points, 2):
+        if is_infinite(zi) and is_infinite(zk):
+            return False
+        if is_infinite(zi) or is_infinite(zk):
+            continue
+        if abs(zi - zk) <= tol * (1.0 + abs(zi) + abs(zk)):
+            return False
     return True
-
-
-def normalize_schottky(generators: Sequence[MoebiusMap],
-                       eps_class: float = EPS_CLASS) -> Tuple[MoebiusMap, ...]:
-    """Conjugate the family so (att(g1), rep(g1), att(g2)) = (0, inf, 1).
-
-    Invariants (q, length, theta) of every word are unchanged; fixed
-    points move by the conjugating map.
-    """
-    if len(generators) < 2:
-        raise DegenerateConfiguration("need at least two generators")
-    inv1 = geodesic_invariants(generators[0], eps_class)
-    inv2 = geodesic_invariants(generators[1], eps_class)
-    anchors = (inv1.attracting, inv1.repelling, inv2.attracting)
-    if not _points_distinct(anchors):
-        raise DegenerateConfiguration(f"anchor points {anchors} not distinct")
-    g = _map_to_0_inf_1(*anchors)
-    g_inv = g.inverse()
-    return tuple(g @ m @ g_inv for m in generators)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .moebius import MoebiusMap
+from .moebius import loxodromic
 from .zograf import SchottkyPoint, schottky_from_params
 
 COMPLEX_POINTS = {
@@ -31,22 +31,13 @@ SCAN_BASE_POINT = (0.0012 + 0.0009j, 0.0014 - 0.0006j, -1.1 + 0.7j)
 
 
 def sample_group(name: str) -> SchottkyPoint:
-    if name == "real_pair":
-        return schottky_from_params(*REAL_POINT)
-    if name == "scan_base":
-        return schottky_from_params(*SCAN_BASE_POINT)
-    return schottky_from_params(*COMPLEX_POINTS[name])
+    points = {**COMPLEX_POINTS, "real_pair": REAL_POINT,
+              "scan_base": SCAN_BASE_POINT}
+    return schottky_from_params(*points[name])
 
 
 def all_complex_groups():
     return {name: sample_group(name) for name in COMPLEX_POINTS}
-
-
-def _loxodromic_with_fixed_points(p_att: complex, p_rep: complex,
-                                  q: complex) -> MoebiusMap:
-    conj = MoebiusMap.normalized(1.0, -p_att, 1.0, -p_rep)
-    root = cmath.sqrt(q)
-    return conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root) @ conj
 
 
 def ring_group(rank: int = 5, q: float = 0.35, spread: float = 0.3):
@@ -58,10 +49,6 @@ def ring_group(rank: int = 5, q: float = 0.35, spread: float = 0.3):
     paths.  At order 5 its truncated determinant is not positive at
     lambda = 2, and the estimate is refused.
     """
-    gens = []
-    for k in range(rank):
-        center = cmath.exp(2j * math.pi * k / rank)
-        gens.append(_loxodromic_with_fixed_points(
-            center * (1.0 - spread), center * (1.0 + spread), q
-        ))
-    return tuple(gens)
+    centers = (cmath.exp(2j * math.pi * k / rank) for k in range(rank))
+    return tuple(loxodromic(c * (1.0 - spread), c * (1.0 + spread), q)
+                 for c in centers)

@@ -254,7 +254,7 @@ def class_invariants(products, eps_class: float):
         return kind, ell, theta, q, phase
     rows = slice(None) if lox.all() else lox
     t_re, t_im = t_re[rows], t_im[rows]
-    # _expanding_eigenvalue: s = sqrt(t * t - 4), aligned with t
+    # _multiplier_invariants: s = sqrt(t * t - 4), aligned with t
     s_re, s_im = _sqrt(tt_re[rows] - 4.0, tt_im[rows])
     flip = t_re * s_re - (-t_im) * s_im < 0
     s_re, s_im = np.where(flip, -s_re, s_re), np.where(flip, -s_im, s_im)

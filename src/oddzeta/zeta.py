@@ -47,6 +47,7 @@ from .words import (PoincareEstimate, Spectrum, _divide, class_spectrum,
                     estimate_delta)
 
 VARIANTS = ("signature", "spinor")
+ETA_ROUTES = ("central_value", "lambda_integral", "heat_quadrature")
 
 
 @dataclass(frozen=True)
@@ -362,6 +363,8 @@ def eta(terms: ZetaTerms, route: str = "central_value",
     Terms with an estimate need delta_hat < 0 (the convergence standing
     hypothesis); hand-built ones carry none.
     """
+    if route not in ETA_ROUTES:
+        raise ValueError(f"unknown route {route!r} not in {ETA_ROUTES}")
     _check_delta_negative(terms)
     if not terms:
         return 0.0
@@ -378,17 +381,16 @@ def eta(terms: ZetaTerms, route: str = "central_value",
                             tol_rel=quad_tol)
         tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
-    if route == "heat_quadrature":
-        u_max = max(2.0, 170.0 / ell_min ** 2)
+    # heat_quadrature
+    u_max = max(2.0, 170.0 / ell_min ** 2)
 
-        def integrand_u(u: float) -> complex:
-            return u ** -1.5 * odd_heat_trace(terms, 1.0 / u)
+    def integrand_u(u: float) -> complex:
+        return u ** -1.5 * odd_heat_trace(terms, 1.0 / u)
 
-        # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
-        large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,
-                               tol_rel=quad_tol)
-        small_t, _ = integrate(integrand_u, 1.0, u_max, tol_abs=quad_tol,
-                               tol_rel=quad_tol)
-        return _require_real((large_t + small_t) / math.sqrt(math.pi),
-                             "heat-quadrature eta")
-    raise ValueError(f"unknown route {route!r}")
+    # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
+    large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,
+                           tol_rel=quad_tol)
+    small_t, _ = integrate(integrand_u, 1.0, u_max, tol_abs=quad_tol,
+                           tol_rel=quad_tol)
+    return _require_real((large_t + small_t) / math.sqrt(math.pi),
+                         "heat-quadrature eta")

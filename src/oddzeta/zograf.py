@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (DegenerateConfiguration, DeltaNotNegative,
                      LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
                      NotLoxodromic)
 from .moebius import (MoebiusMap, _map_to_0_inf_1, _points_distinct,
-                      geodesic_invariants)
+                      geodesic_invariants, loxodromic)
 from .zeta import (
     ZetaTerms,
     _check_delta_negative,
@@ -36,6 +36,7 @@ from .zeta import (
     log_zeta_odd,
     shell_tail_bound,
     terms_from_group,
+    terms_from_spectrum,
 )
 
 _MACHINE_FLOOR = 1e-15
@@ -60,16 +61,12 @@ def schottky_from_params(q1: complex, q2: complex, b2: complex) -> SchottkyPoint
     for name, q in (("q1", q1), ("q2", q2)):
         if not 0.0 < abs(q) < 1.0:
             raise ValueError(f"{name} = {q} must satisfy 0 < |q| < 1")
-    if abs(b2 - 1.0) < 1e-12 or abs(b2) < 1e-12 or not (
-        math.isfinite(b2.real) and math.isfinite(b2.imag)
-    ):
+    if not cmath.isfinite(b2) or abs(b2 - 1.0) < 1e-12 or abs(b2) < 1e-12:
         raise ValueError(f"b2 = {b2} collides with an anchor point")
     root1 = cmath.sqrt(q1)
     gen1 = MoebiusMap(root1, 0.0, 0.0, 1.0 / root1)
-    root2 = cmath.sqrt(q2)
-    to_0_inf = MoebiusMap.normalized(1.0, -1.0, 1.0, -b2)  # 1 -> 0, b2 -> inf
-    gen2 = to_0_inf.inverse() @ MoebiusMap(root2, 0.0, 0.0, 1.0 / root2) @ to_0_inf
-    return SchottkyPoint(generators=(gen1, gen2), params=(q1, q2, b2))
+    return SchottkyPoint(generators=(gen1, loxodromic(1.0, b2, q2)),
+                         params=(q1, q2, b2))
 
 
 def chart_params(generators: Sequence[MoebiusMap]) -> Tuple[complex, complex, complex]:
@@ -78,9 +75,12 @@ def chart_params(generators: Sequence[MoebiusMap]) -> Tuple[complex, complex, co
     q1 and q2 are their multipliers; b2 is where the conjugation taking
     the attracting and repelling fixed points of the first and the
     attracting fixed point of the second to 0, inf and 1 sends the
-    repelling fixed point of the second.  Four fixed points that are not
-    distinct raise DegenerateConfiguration.
+    repelling fixed point of the second.  Another number of generators,
+    or four fixed points not distinct, raise DegenerateConfiguration.
     """
+    if len(generators) != 2:
+        raise DegenerateConfiguration(
+            f"the chart needs exactly 2 generators, got {len(generators)}")
     inv1, inv2 = (geodesic_invariants(m) for m in generators)
     fixed = (inv1.attracting, inv1.repelling, inv2.attracting, inv2.repelling)
     if not _points_distinct(fixed):
@@ -142,8 +142,10 @@ def _wrap_angle(x: float) -> float:
 def check_eta_F_identity(terms: ZetaTerms, M: int) -> IdentityReport:
     """Residual |arg F + (pi/2) eta| mod 2 pi on a concrete group.
 
-    ``terms`` are the group's signature-variant class terms with the
-    default ("plus") character convention; delta_hat >= 0 is refused.
+    The identity is stated for the signature variant under the default
+    ("plus") character convention, so the check builds those characters
+    of the spectrum of ``terms``, whatever their variant and sign, and
+    keeps their delta_hat; delta_hat >= 0 is refused.
     eta comes from the central-value route, F from the double product
     over the same primitive classes; the report also carries the direct
     comparison of Z_odd(0) with conj(F)/F, which exercises two
@@ -152,8 +154,7 @@ def check_eta_F_identity(terms: ZetaTerms, M: int) -> IdentityReport:
     imaginary part over pi, Z_odd(0) its exponential.
     """
     _check_delta_negative(terms)
-    if terms.variant != "signature":
-        raise ValueError("the eta-F identity needs signature-variant terms")
+    terms = replace(terms_from_spectrum(terms), estimate=terms.estimate)
     log_odd = log_zeta_odd(terms, 0.0)
     eta_value = log_odd.value.imag / math.pi
     eta_budget = log_odd.tail_bound / math.pi

@@ -1,7 +1,9 @@
-import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -25,7 +27,7 @@ from oddzeta.config import (
     parse_complex,
     parse_config,
 )
-from oddzeta.moebius import MoebiusMap
+from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import class_spectrum, estimate_delta, word_to_str
 from oddzeta.zograf import schottky_from_params
@@ -98,7 +100,8 @@ generator1 = 9641.700978869623+0i 9641.700927011552+0i 9641.700927011552+0i 9641
 word_cutoff = 36
 """
 
-PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
 #: The exit code of every library error class
 EXIT_CODES = {
@@ -116,6 +119,14 @@ EXIT_CODES = {
 #: Half the tracemalloc peak (9 248 660 bytes) of ``cmd_spectrum`` on
 #: g2_complex_a at L = 11 when it held every CSV line and their join
 SPECTRUM_PEAK_BOUND = 4_624_330
+
+
+def group_lines(generators):
+    """The [group] section of a config given by its generator matrices."""
+    return ["[group]"] + [
+        f"generator{i} = " + " ".join(format_complex(z)
+                                      for z in (m.a, m.b, m.c, m.d))
+        for i, m in enumerate(generators, start=1)]
 
 
 def write(tmp_path, name, text):
@@ -405,11 +416,7 @@ class TestZetaCommand:
         # finite but beyond expm1's range
         gens = schottky_from_params(0.06 + 0.05j, 0.07 - 0.03j,
                                     -0.9 + 0.6j).generators
-        lines = ["[group]"]
-        for i, gen in enumerate(gens, start=1):
-            entries = " ".join(format_complex(z)
-                               for z in (gen.a, gen.b, gen.c, gen.d))
-            lines.append(f"generator{i} = {entries}")
+        lines = group_lines(gens)
         lines += ["", "[run]", "word_cutoff = 9", "delta_cutoff = 9",
                   "", "[grids]", "lambda = -0.4+0i"]
         cfg = write(tmp_path, "thick.cfg", "\n".join(lines) + "\n")
@@ -465,11 +472,7 @@ class TestEtaCommand:
         assert abs(doc["residual_F_identity"]) < 1e-12
 
     def test_positive_delta_refused_with_exit_3(self, tmp_path, capsys):
-        lines = ["[group]"]
-        for i, gen in enumerate(ring_group(), start=1):
-            entries = " ".join(format_complex(z)
-                               for z in (gen.a, gen.b, gen.c, gen.d))
-            lines.append(f"generator{i} = {entries}")
+        lines = group_lines(ring_group())
         lines += ["", "[run]", "word_cutoff = 2", "delta_cutoff = 4"]
         cfg = write(tmp_path, "ring.cfg", "\n".join(lines) + "\n")
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -576,23 +579,13 @@ class TestScanCommand:
         assert len(points) == len(set(points)) == 25
 
     def test_anchor_missed_by_rounding_scans(self, tmp_path):
-        # normalize_schottky leaves the anchors of this pair off by more
-        # than 1e-12; the chart point is read off the fixed points, so the
-        # pair needs no normalized position and scans
-        def loxodromic(attracting, repelling, q):
-            root = cmath.sqrt(q)
-            frame = MoebiusMap.normalized(repelling, attracting, 1.0, 1.0)
-            return (frame @ MoebiusMap(root, 0.0, 0.0, 1.0 / root)
-                    @ frame.inverse())
-
+        # conjugating this pair to normal position leaves its anchors off
+        # by more than 1e-12 (2.8e-11 for the first attracting point); the
+        # chart point is read off the fixed points, so the pair needs no
+        # normalized position and scans
         gens = (loxodromic(0.3 + 0.1j, 0.301 + 0.1j, 0.01 + 0.002j),
                 loxodromic(-2 + 1j, 5 - 1j, 0.02 - 0.01j))
-        lines = ["[group]"]
-        for i, gen in enumerate(gens, start=1):
-            entries = " ".join(format_complex(z)
-                               for z in (gen.a, gen.b, gen.c, gen.d))
-            lines.append(f"generator{i} = {entries}")
-        cfg = write(tmp_path, "s.cfg", "\n".join(lines) + "\n")
+        cfg = write(tmp_path, "s.cfg", "\n".join(group_lines(gens)) + "\n")
         assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
         assert len(rows) == 3
@@ -604,15 +597,23 @@ class TestScanRefusals:
     def test_shared_fixed_point_exits_3(self, tmp_path, capsys):
         # a generator and its square fix the same two points
         gen = sample_group("scan_base").generators[1]
-        lines = ["[group]"]
-        for i, m in enumerate((gen, gen @ gen), start=1):
-            entries = " ".join(format_complex(z) for z in (m.a, m.b, m.c, m.d))
-            lines.append(f"generator{i} = {entries}")
-        cfg = write(tmp_path, "s.cfg", "\n".join(lines) + "\n")
+        cfg = write(tmp_path, "s.cfg",
+                    "\n".join(group_lines((gen, gen @ gen))) + "\n")
         out = tmp_path / "out"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(
             "error: DegenerateConfiguration: fixed points ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_other_ranks_exit_3(self, tmp_path, capsys, count):
+        cfg = write(tmp_path, "s.cfg",
+                    "\n".join(group_lines(ring_group(count, 0.01))) + "\n")
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: DegenerateConfiguration: the chart needs exactly 2 "
+            f"generators, got {count}\n")
         assert not out.exists()
 
 
@@ -643,3 +644,31 @@ class TestStrictJson:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
         (path,) = tmp_path.glob("*.json")
         json.loads(path.read_text(), parse_constant=refuse_constant)
+
+
+#: Every subcommand in one interpreter, then the top-level names of the
+#: test and optional packages it imported
+RUN_EVERY_SUBCOMMAND = """
+import sys
+from oddzeta.cli import main
+config, out = sys.argv[1:]
+for command in ("spectrum", "zeta", "eta", "kernels", "scan"):
+    assert main([command, "--config", config, "--out", out]) == 0, command
+print(sorted({name.split(".")[0] for name in sys.modules}
+             & {"mpmath", "hypothesis", "pytest", "scipy"}))
+"""
+
+
+class TestRuntimeImports:
+    def test_subcommands_need_only_numpy(self, tmp_path):
+        # the README promises numpy as the one runtime dependency
+        cfg = write(tmp_path, "small.cfg", REAL_PAIR.replace(
+            "preset = real_pair", "preset = scan_base")
+            + "t = 1\nr = 1\n\n[scan]\nscan_cutoff = 3\n")
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_EVERY_SUBCOMMAND, cfg,
+             str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -210,6 +210,14 @@ class TestGaussianTimeIntegral:
         with pytest.raises(DivergentIntegral):
             gaussian_time_integral_quadrature(cmath.exp(0.26j * math.pi), 1.0)
 
+    @pytest.mark.parametrize("integral", [gaussian_time_integral,
+                                          gaussian_time_integral_quadrature])
+    def test_nan_distance_refused(self, integral):
+        # before, the closed form returned nan+nanj and the quadrature ran
+        # to 4 097 panels before it raised NoConvergence
+        with pytest.raises(ValueError, match="r = nan must be positive"):
+            integral(1.0, math.nan)
+
 
 class TestKernelPoint:
     def test_validation(self):
@@ -219,3 +227,10 @@ class TestKernelPoint:
             KernelPoint(r=1.0, t=0.0)
         with pytest.raises(ValueError):
             KernelPoint(r=1.0, n=0)
+
+    @pytest.mark.parametrize("field, message", [("r", "r = nan negative"),
+                                                ("t", "t = nan not positive")])
+    def test_nan_refused(self, field, message):
+        # before, both heat scalars came out nan+nanj
+        with pytest.raises(ValueError, match=message):
+            KernelPoint(**{"r": 1.0, field: math.nan})

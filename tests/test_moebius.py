@@ -1,8 +1,12 @@
 import cmath
 import math
+import re
 import struct
 
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddzeta.errors import BoundaryPoint, DegenerateConfiguration, NotLoxodromic
 from oddzeta.moebius import (
@@ -12,18 +16,26 @@ from oddzeta.moebius import (
     geodesic_invariants,
     hyperbolic_distance,
     is_infinite,
-    normalize_schottky,
+    loxodromic,
     spin_phase,
 )
+from oddzeta.zograf import chart_params, schottky_from_params
+
+EPS = 2.0 ** -52
 
 DIAG_2 = MoebiusMap(2.0, 0.0, 0.0, 0.5)
 DIAG_2I = MoebiusMap(2j, 0.0, 0.0, -0.5j)
 
 
-def lox_from_fixed_points(p_att, p_rep, q):
-    conj = MoebiusMap.normalized(1.0, -p_att, 1.0, -p_rep)
+def loxodromic_at_0_inf(q):
+    """z -> q z: attracting fixed point 0, repelling inf."""
     root = cmath.sqrt(q)
-    return conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root) @ conj
+    return MoebiusMap(root, 0.0, 0.0, 1.0 / root)
+
+
+def normal_position(generators):
+    """The family rebuilt from its chart point, as ``oddzeta scan`` does."""
+    return schottky_from_params(*chart_params(generators)).generators
 
 
 def random_sl2(rng):
@@ -109,6 +121,18 @@ class TestGeodesicInvariants:
         assert abs(plus.spin_phase + minus.spin_phase) < 1e-15
         assert abs(spin_phase(DIAG_2) + spin_phase(-DIAG_2)) < 1e-15
 
+    def test_tiny_lower_left_entry(self):
+        # conjugating z -> q z by h = [[1, u], [v, 1 + uv]] with a subnormal
+        # v leaves c so small that (a - d + s) / 2c overflows: the fixed
+        # points are still h(0) = u / (1 + uv) and h(inf) = 1 / v = inf
+        u, v = 0.00390625j, 2.225073858507e-311
+        h = MoebiusMap(1.0, u, v, 1.0 + u * v)
+        m = h @ loxodromic_at_0_inf(0.001953125) @ h.inverse()
+        assert m.c != 0
+        inv = geodesic_invariants(m)
+        assert abs(inv.attracting - u) < 1e-17
+        assert is_infinite(inv.repelling)
+
     def test_rejects_non_loxodromic(self):
         with pytest.raises(NotLoxodromic):
             geodesic_invariants(MoebiusMap(1.0, 1.0, 0.0, 1.0))
@@ -116,7 +140,7 @@ class TestGeodesicInvariants:
     def test_inverse_has_same_multiplier(self, rng):
         for _ in range(25):
             q = cmath.rect(rng.uniform(0.05, 0.8), rng.uniform(-math.pi, math.pi))
-            m = lox_from_fixed_points(
+            m = loxodromic(
                 complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                 complex(rng.uniform(3, 5), rng.uniform(-2, 2)), q
             )
@@ -125,7 +149,7 @@ class TestGeodesicInvariants:
             assert abs(inv.q - inv_of_inverse.q) < 1e-10
 
     def test_conjugation_invariance(self, rng):
-        m = lox_from_fixed_points(0.3 - 0.2j, 1.5 + 1.0j, 0.3 + 0.1j)
+        m = loxodromic(0.3 - 0.2j, 1.5 + 1.0j, 0.3 + 0.1j)
         base = geodesic_invariants(m)
         for _ in range(25):
             g = random_sl2(rng)
@@ -137,7 +161,7 @@ class TestGeodesicInvariants:
     def test_powers_scale_length_and_multiplier(self, rng):
         for _ in range(10):
             q = cmath.rect(rng.uniform(0.2, 0.7), rng.uniform(-2.0, 2.0))
-            m = lox_from_fixed_points(-1.0 + 0.5j, 2.0 - 0.3j, q)
+            m = loxodromic(-1.0 + 0.5j, 2.0 - 0.3j, q)
             inv = geodesic_invariants(m)
             power = m
             for k in (2, 3):
@@ -151,12 +175,53 @@ class TestGeodesicInvariants:
             q = cmath.rect(rng.uniform(0.1, 0.6), rng.uniform(-3.0, 3.0))
             att = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             rep = att + cmath.rect(rng.uniform(1.0, 3.0), rng.uniform(0, 6.28))
-            m = lox_from_fixed_points(att, rep, q)
+            m = loxodromic(att, rep, q)
             inv = geodesic_invariants(m)
             z = inv.repelling + 0.1 * (inv.attracting - inv.repelling)
             for _ in range(40):
                 z = m.apply(z)
             assert abs(z - inv.attracting) < 1e-6
+
+
+@st.composite
+def loxodromic_data(draw):
+    """(attracting, repelling, q) with the fixed points at least 0.5 apart."""
+    angles = st.floats(-math.pi, math.pi)
+    attracting = draw(st.complex_numbers(max_magnitude=3.0))
+    repelling = attracting + cmath.rect(draw(st.floats(0.5, 3.0)),
+                                        draw(angles))
+    return attracting, repelling, cmath.rect(draw(st.floats(0.01, 0.9)),
+                                             draw(angles))
+
+
+class TestLoxodromic:
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(loxodromic_data())
+    def test_inverts_geodesic_invariants(self, data):
+        attracting, repelling, q = data
+        m = loxodromic(attracting, repelling, q)
+        inv = geodesic_invariants(m)
+        # rounding grows with the entries of m, about scale^2 / |a - r|,
+        # and with 1 / |1 - q| near the unit circle; the bounds are about
+        # 6 times the worst of 200 000 random draws
+        scale = 1.0 + abs(attracting) + abs(repelling)
+        tol = 16.0 * EPS * scale ** 2 / abs(attracting - repelling) / abs(1 - q)
+        assert abs(inv.attracting - attracting) <= tol * scale
+        assert abs(inv.repelling - repelling) <= tol * scale
+        assert abs(inv.q - q) <= tol
+        # the other lift: everything but the spin phase is bit-identical
+        neg = geodesic_invariants(-m)
+        assert (neg.q, neg.length, neg.theta, neg.attracting,
+                neg.repelling) == (inv.q, inv.length, inv.theta,
+                                   inv.attracting, inv.repelling)
+        assert neg.spin_phase == -inv.spin_phase
+        assert spin_phase(m) == inv.spin_phase
+
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5j, complex(math.nan, 0.0)])
+    def test_multiplier_outside_unit_disc_refused(self, q):
+        with pytest.raises(ValueError, match=re.escape("0 < |q| < 1")):
+            loxodromic(0.0, 1.0, q)
 
 
 class TestHyperbolicDistance:
@@ -197,31 +262,34 @@ class TestHyperbolicDistance:
 
 
 class TestNormalizeSchottky:
+    """Normal position is the family rebuilt from its chart point."""
+
     def test_already_normalized_unchanged(self):
         # attracting point of g1 at 0 means z -> q z, i.e. diag(1/2, 2)
         g1 = MoebiusMap(0.5, 0.0, 0.0, 2.0)
-        g2 = lox_from_fixed_points(1.0, -1.0, 0.04)
-        out = normalize_schottky([g1, g2])
+        g2 = loxodromic(1.0, -1.0, 0.04)
+        out = normal_position([g1, g2])
         assert out[0].max_abs_diff(g1) < 1e-12
         assert out[1].max_abs_diff(g2) < 1e-12
 
     def test_roundtrip_through_translation(self):
         g1 = MoebiusMap(0.5, 0.0, 0.0, 2.0)
-        g2 = lox_from_fixed_points(1.0, -1.0, 0.04)
-        base = normalize_schottky([g1, g2])
+        g2 = loxodromic(1.0, -1.0, 0.04)
+        base = normal_position([g1, g2])
         t = MoebiusMap(1.0, 5.0, 0.0, 1.0)
         conjugated = [t @ g @ t.inverse() for g in (g1, g2)]
-        back = normalize_schottky(conjugated)
+        back = normal_position(conjugated)
         assert max(x.max_abs_diff(y) for x, y in zip(base, back)) < 1e-10
 
     def test_word_invariants_unchanged(self):
-        g1 = lox_from_fixed_points(0.2 + 0.1j, -3.0, 0.05 + 0.02j)
-        g2 = lox_from_fixed_points(1.0 - 0.5j, 4.0 + 1.0j, 0.03 - 0.01j)
+        g1 = loxodromic(0.2 + 0.1j, -3.0, 0.05 + 0.02j)
+        g2 = loxodromic(1.0 - 0.5j, 4.0 + 1.0j, 0.03 - 0.01j)
         before = geodesic_invariants(g1 @ g2)
-        n1, n2 = normalize_schottky([g1, g2])
+        n1, n2 = normal_position([g1, g2])
         after = geodesic_invariants(n1 @ n2)
         assert abs(before.q - after.q) < 1e-10
 
     def test_single_generator_degenerate(self):
-        with pytest.raises(DegenerateConfiguration):
-            normalize_schottky([DIAG_2])
+        with pytest.raises(DegenerateConfiguration,
+                           match="exactly 2 generators, got 1"):
+            normal_position([DIAG_2])

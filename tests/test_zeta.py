@@ -283,6 +283,11 @@ class TestEta:
             eta(replace(toy_list([0.25j]), estimate=at(0.1)),
                 "central_value")
 
+    def test_unknown_route_refused_before_the_empty_shortcut(self):
+        # empty terms used to give 0.0 whatever the route
+        with pytest.raises(ValueError, match="unknown route 'no_such_route'"):
+            eta(toy_list([]), "no_such_route")
+
     def test_spin_sign_swap_negates(self):
         plus = toy_list([0.25j], variant="spinor", spin_sign="plus")
         minus = toy_list([0.25j], variant="spinor", spin_sign="minus")

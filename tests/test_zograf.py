@@ -10,8 +10,7 @@ from oddzeta.errors import (DegenerateConfiguration, DeltaNotNegative,
                             LeftSchottkyDomain, NonPrimitiveInput)
 from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.words import class_spectrum
-from oddzeta.zeta import eta, terms_from_group, terms_from_spectrum, zeta_odd
+from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
     chart_params,
     check_eta_F_identity,
@@ -51,6 +50,18 @@ class TestSchottkyChart:
         assert all(abs(a - b) < 1e-10 for a, b in zip(params, recovered))
         with pytest.raises(DegenerateConfiguration):
             chart_params((gens[0], gens[0] @ gens[0]))
+
+    def test_far_fixed_point(self):
+        # conjugating by h = [[1, 0], [v, 1]] sends the repelling point inf
+        # of the first generator to 1/v = 2.8e176, where the squared
+        # entries of the anchoring map overflow
+        params = (0.002, 0.002, -0.4 + 0.9j)
+        v = 3.6e-177j
+        h = MoebiusMap(1.0, 0.0, v, 1.0)
+        gens = tuple(h @ m @ h.inverse()
+                     for m in schottky_from_params(*params).generators)
+        recovered = chart_params(gens)
+        assert all(abs(a - b) < 1e-12 for a, b in zip(params, recovered))
 
     def test_rejects_anchor_collisions(self):
         with pytest.raises(ValueError):
@@ -148,12 +159,18 @@ class TestEtaFIdentity:
         assert report.z_central == zeta_odd(terms, 0.0).value
         assert report.eta == eta(terms, "central_value")
 
-    def test_refuses_spinor_terms(self, complex_groups):
+    @pytest.mark.parametrize("variant, spin_sign", [("spinor", "plus"),
+                                                    ("spinor", "minus"),
+                                                    ("signature", "minus")])
+    def test_any_terms_give_the_signature_plus_report(self, complex_groups,
+                                                      variant, spin_sign):
+        # the identity's characters are the check's own: terms of another
+        # variant or sign of the same spectrum give the same report
         point, _, _ = complex_groups["g2_complex_b"]
-        spinor = terms_from_spectrum(class_spectrum(point.generators, 4),
-                                     "spinor")
-        with pytest.raises(ValueError):
-            check_eta_F_identity(spinor, 20)
+        want = terms_from_group(point.generators, 4, 6)
+        other = terms_from_group(point.generators, 4, 6, variant, spin_sign)
+        assert eta(other) != eta(want)
+        assert check_eta_F_identity(other, 20) == check_eta_F_identity(want, 20)
 
     def test_identity_selects_character_convention(self, complex_groups):
         # with the swapped sigma assignment eta flips sign and the
