@@ -21,6 +21,7 @@ from .words import (
     PoincareEstimate,
     Spectrum,
     class_spectrum,
+    cycle_expansion,
     estimate_delta,
     evaluate_word,
 )
@@ -53,7 +54,6 @@ from .zeta import (
     odd_heat_trace,
     terms_from_group,
     zeta_odd,
-    zeta_odd_signature_product,
 )
 from .zograf import (
     SchottkyPoint,

@@ -122,7 +122,11 @@ def _parse_generators(group: Dict[str, str]) -> Optional[Tuple[MoebiusMap, ...]]
                 f"[group] {name}: determinant {det:.8g} is not 1 "
                 "(normalize the matrix; the sign is the spin lift)"
             )
-        gens.append(MoebiusMap.normalized(*entries))
+        try:
+            gens.append(MoebiusMap.normalized(*entries))
+        except OverflowError as exc:
+            # the determinant scale squares the largest entry
+            raise ConfigError(f"[group] {name}: entries too large") from exc
     return tuple(gens)
 
 

@@ -16,7 +16,7 @@ through the scalar ``moebius`` code it mirrors, which renormalizes or
 refuses it.
 
 ``estimate_delta`` reads the Poincare exponent off a class spectrum too,
-as the zero of a determinant whose traces are sums over its classes.
+as the zero of a determinant whose ``cycle_expansion`` sums its classes.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -544,21 +544,49 @@ def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
             kept = 1
 
 
+def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
+                    N: int) -> np.ndarray:
+    """The coefficients c_0..c_N of the cycle expansion of a determinant
+    det(1 - L_lambda) at each lambda, as rows.
+
+    ``weight`` holds each class's trace weight, its factor n/j included:
+    the shell traces are t_n(lambda) = sum weight e^(-lambda ell) over the
+    classes of word length n, and Newton's identities give c_0 = 1 and
+    n c_n = -sum_k t_k c_(n-k).  Weights and lambda may be complex.
+    Longer classes are not read; an empty shell n <= N raises ValueError.
+    """
+    starts = np.searchsorted(spectrum.word_length, np.arange(1, N + 2))
+    full = starts[1:] > starts[:-1]
+    if not full.all():
+        raise ValueError(f"no class of word length {full.argmin() + 1}")
+    # reduceat runs the last shell to the end: drop longer classes
+    end = starts[-1]
+    ell, weight, starts = spectrum.ell[:end], weight[:end], starts[:-1]
+    lam = np.atleast_1d(lam)
+    step = max(1, _TRACE_BLOCK // end)
+    t = np.concatenate([np.add.reduceat(
+        weight * np.exp(-np.multiply.outer(lam[k:k + step], ell)),
+        starts, axis=1) for k in range(0, len(lam), step)]).T
+    c = [np.ones(len(lam))]
+    for n in range(1, N + 1):
+        c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
+    return np.array(c)
+
+
 def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
     """delta_hat = delta - 1 as the largest real zero of the order-N
     trivial-character determinant det(1 - L_lambda) (Ruelle 1976;
     McMullen 1998; Jenkinson-Pollicott 2002), read off the classes of
     ``spectrum`` of word length <= N.
 
-    The shell traces are t_n = sum (n/j) e^(-lambda ell) |q| / |1 - q|^2
-    over the classes of length n; Newton's identities, c_0 = 1 and
-    n c_n = -sum_k t_k c_(n-k), give Z_N = sum_(n <= N) c_n.  Its first
-    sign change on a grid scanned down to -1 from lambda = 2 is refined
-    by ``_illinois``.  The zeros of Z_(N-1) and Z_N bracket the
-    estimate; a wide bracket is reported, not refused.  Rank 1 gives
-    exactly -1 (a double zero, no sign change).  N < 4, Z_(N-1) or Z_N
-    not positive at 2, no zero, or an estimate above 1 (delta <= 2 for
-    every Kleinian group in H^3) raise NonConvergent.
+    Its ``cycle_expansion`` has the trace weight (n/j) |q| / |1 - q|^2,
+    and Z_N = sum_(n <= N) c_n.  The first sign change of Z_N on a grid
+    scanned down to -1 from lambda = 2 is refined by ``_illinois``.  The
+    zeros of Z_(N-1) and Z_N bracket the estimate; a wide bracket is
+    reported, not refused.  Rank 1 gives exactly -1 (a double zero, no
+    sign change).  N < 4, Z_(N-1) or Z_N not positive at 2, no zero, or
+    an estimate above 1 (delta <= 2 for every Kleinian group in H^3)
+    raise NonConvergent.
     """
     if N < 4:
         raise NonConvergent(f"need at least 4 shells, got N = {N}")
@@ -567,24 +595,14 @@ def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
             f"spectrum reaches word length {spectrum.cutoff}, need {N}")
     if spectrum.rank == 1:
         return PoincareEstimate(delta_hat=-1.0, bracket=(-1.0, -1.0))
-    # reduceat runs each shell up to the next start, so longer shells
-    # would fold into t_N
     part = spectrum.select(spectrum.word_length <= N)
     q = part.q
     weight = part.word_length / part.j * np.abs(q) / np.abs(1.0 - q) ** 2
-    starts = np.searchsorted(part.word_length, np.arange(1, N + 1))
-    step = max(1, _TRACE_BLOCK // len(part))
 
     def truncations(lam) -> np.ndarray:
         """Z_(N-1) and Z_N at each lambda, as rows."""
-        lam = np.atleast_1d(lam)
-        t = np.concatenate([np.add.reduceat(
-            weight * np.exp(-np.multiply.outer(lam[k:k + step], part.ell)),
-            starts, axis=1) for k in range(0, len(lam), step)]).T
-        c = [np.ones(len(lam))]
-        for n in range(1, N + 1):
-            c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
-        return np.cumsum(c, axis=0)[N - 1:]
+        return np.cumsum(cycle_expansion(part, weight, lam, N),
+                         axis=0)[N - 1:]
 
     if not (truncations(2.0) > 0.0).all():
         raise NonConvergent(f"Z_{N - 1} and Z_{N} not both positive at 2")

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceViolation, DeltaNotNegative, NonPrimitiveInput
+from .errors import ConvergenceViolation, DeltaNotNegative
 from .moebius import EPS_CLASS, MoebiusMap
 from .quadrature import integrate
 from .words import (PoincareEstimate, Spectrum, _divide, class_spectrum,
@@ -271,50 +271,6 @@ def zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
                    tail_bound=_value_scale_tail(value, log_odd.tail_bound))
 
 
-def zeta_odd_signature_product(terms: ZetaTerms, lam: complex,
-                               inner_cutoff: int) -> ZetaEvaluation:
-    """Independent route to Z_odd for the signature variant.
-
-    Direct double product over primitive classes:
-    prod over (k, l) in [0, K]^2 of
-        (1 - e^(i theta) q^k conj(q)^l |q|^(lambda+1))
-      / (1 - e^(-i theta) q^k conj(q)^l |q|^(lambda+1)).
-    Must agree with the sum form within combined tail bounds.
-    """
-    lam = complex(lam)
-    _check_convergence(terms, lam)
-    powers = terms.j[terms.j != 1]
-    if len(powers):
-        raise NonPrimitiveInput(
-            f"product form needs primitive classes, got j = {powers[0]}"
-        )
-    if terms.variant != "signature":
-        raise ValueError("product form applies to the signature variant")
-    log_total = 0.0 + 0.0j
-    inner_tail = 0.0
-    for q, theta in zip(terms.q.tolist(), terms.theta.tolist()):
-        aq = abs(q)
-        scale = cmath.exp((lam + 1.0) * math.log(aq))
-        phase = cmath.exp(1j * theta)
-        parts = []
-        for k in range(inner_cutoff + 1):
-            qk = q ** k
-            for l in range(inner_cutoff + 1):
-                w = qk * q.conjugate() ** l * scale
-                parts.append(cmath.log(1.0 - phase * w)
-                             - cmath.log(1.0 - w / phase))
-        log_total += math.fsum(p.real for p in parts) + 1j * math.fsum(
-            p.imag for p in parts
-        )
-        # (k, l) outside the box, both product factors
-        box = 4.0 * aq ** (inner_cutoff + 2 + lam.real) / (1.0 - aq) ** 3
-        inner_tail += box
-    value = cmath.exp(log_total)
-    outer = shell_tail_bound(terms, lam.real)
-    tail = _value_scale_tail(value, inner_tail + outer)
-    return ZetaEvaluation(value, tail, terms.cutoff, "signature", lam)
-
-
 def dlog_zeta_odd(terms: ZetaTerms, lam: complex) -> complex:
     """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
     lam = complex(lam)
@@ -360,8 +316,9 @@ def eta(terms: ZetaTerms, route: str = "central_value",
                      through u = 1/t so both halves of the split at t = 1
                      become smooth exponentially decaying integrals.
 
-    Terms with an estimate need delta_hat < 0 (the convergence standing
-    hypothesis); hand-built ones carry none.
+    The routes are equal in exact arithmetic, class by class, so their
+    spread measures the quadrature only.  Terms with an estimate need
+    delta_hat < 0 (the convergence hypothesis); hand-built ones carry none.
     """
     if route not in ETA_ROUTES:
         raise ValueError(f"unknown route {route!r} not in {ETA_ROUTES}")

@@ -146,12 +146,12 @@ def check_eta_F_identity(terms: ZetaTerms, M: int) -> IdentityReport:
     ("plus") character convention, so the check builds those characters
     of the spectrum of ``terms``, whatever their variant and sign, and
     keeps their delta_hat; delta_hat >= 0 is refused.
-    eta comes from the central-value route, F from the double product
-    over the same primitive classes; the report also carries the direct
-    comparison of Z_odd(0) with conj(F)/F, which exercises two
-    independent code paths end to end.  eta, its budget and Z_odd(0) come
-    from one odd sum, log Z_odd(0) = -2i sum Im(chi_+ / (j D)): eta is its
-    imaginary part over pi, Z_odd(0) its exponential.
+    eta, its budget and Z_odd(0) come from one odd sum, log Z_odd(0) =
+    -2i sum Im(chi_+ / (j D)): eta is its imaginary part over pi, Z_odd(0)
+    its exponential; F is the product over the primitive classes.  They
+    agree class by class, so the residual (and |Z_odd(0) - conj(F)/F|)
+    measures only the powers gamma^k, k |gamma| > L, that F has and the
+    length-L sum lacks, F's cutoff M, and rounding.
     """
     _check_delta_negative(terms)
     terms = replace(terms_from_spectrum(terms), estimate=terms.estimate)

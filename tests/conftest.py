@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
+from oddzeta.config import load_config
 from oddzeta.sample_groups import all_complex_groups, sample_group
 from oddzeta.zeta import terms_from_group
 
@@ -22,6 +24,14 @@ def real_group():
     point = sample_group("real_pair")
     terms = terms_from_group(point.generators, 6, 8)
     return point, terms.estimate, terms
+
+
+@pytest.fixture(scope="session")
+def eta_thick_config():
+    """The benchmark's seed-0 thick chart point (delta_hat about -0.473),
+    L = delta_cutoff = 9, inner_cutoff = 40."""
+    root = Path(__file__).resolve().parents[1]
+    return load_config(str(root / "perfbench" / "configs" / "eta_thick.cfg"))
 
 
 @pytest.fixture

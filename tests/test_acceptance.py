@@ -10,7 +10,12 @@ import random
 import time
 
 import numpy as np
-from toyterms import power_class_terms, primitive_term, toy_list
+from toyterms import (
+    power_class_terms,
+    primitive_term,
+    toy_list,
+    zeta_odd_signature_product,
+)
 
 from oddzeta.clifford import CliffordElement
 from oddzeta.kernels import (
@@ -33,7 +38,6 @@ from oddzeta.zeta import (
     odd_heat_trace,
     terms_from_group,
     zeta_odd,
-    zeta_odd_signature_product,
 )
 from oddzeta.zograf import (
     check_eta_F_identity,

@@ -387,6 +387,20 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestHugeEntries:
+    def test_exits_2_naming_the_generator(self, tmp_path, capsys):
+        # a valid SL(2, C) matrix whose squared entry scale overflows; it
+        # used to exit 4 with an OverflowError from inside load_config
+        text = CYCLIC.replace("generator1 = 2+0i 0+0i 0+0i 0.5+0i",
+                              "generator1 = 1e200+0i 0+0i 0+0i 1e-200+0i")
+        cfg = write(tmp_path, "h.cfg", text)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [group] generator1: entries too large\n")
+        assert not out.exists()
+
+
 class TestZetaCommand:
     def test_real_group_values_are_one(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", REAL_PAIR)

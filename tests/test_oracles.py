@@ -1,4 +1,5 @@
-"""50-digit mpmath oracles for the special values and the heat-kernel core.
+"""50-digit mpmath oracles for the special values, the heat-kernel core
+and the cycle expansion.
 
 Each oracle is an independent evaluation in mpmath at 50 digits: its
 own log-gamma, Gauss series and numerical differentiation.  Bounds are
@@ -8,10 +9,13 @@ relative to the reference unless stated otherwise.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from oddzeta.kernels import _neg_dcosh_power, c_lambda
 from oddzeta.special import hyp2f1, log_gamma
+from oddzeta.words import class_spectrum, cycle_expansion
+from oddzeta.zeta import terms_from_spectrum
 
 
 @pytest.fixture(autouse=True)
@@ -105,3 +109,34 @@ def test_hyp2f1_across_re_half():
         err = abs(mp.mpc(hyp2f1(a, b, c, z)) - ref) / abs(ref)
         worst = max(worst, float(err))
     assert worst <= 1e-13
+
+
+def newton_oracle(traces):
+    """c_0..c_N of Newton's identities, n c_n = -sum_k t_k c_(n-k), on the
+    float traces t_1..t_N, in mpmath."""
+    c = [mp.mpc(1)]
+    for n in range(1, len(traces) + 1):
+        c.append(-mp.fsum(mp.mpc(traces[k - 1]) * c[n - k]
+                          for k in range(1, n + 1)) / n)
+    return c
+
+
+def test_cycle_expansion(eta_thick_config):
+    # the real trivial weight (n/j)/D and the complex signature weight
+    # (n/j) e^(i theta)/D on 12 shells of the thick point
+    N = 12
+    terms = terms_from_spectrum(class_spectrum(eta_thick_config.generators,
+                                               N))
+    n_over_j = terms.word_length / terms.j
+    starts = np.searchsorted(terms.word_length, np.arange(1, N + 1))
+    lam = [0.0, -0.4]
+    worst = 0.0
+    for weight in (n_over_j / terms.D, n_over_j * terms.chi / terms.D):
+        got = cycle_expansion(terms, weight, lam, N)
+        assert got.shape == (N + 1, len(lam))
+        for col, x in enumerate(lam):
+            traces = np.add.reduceat(weight * np.exp(-x * terms.ell), starts)
+            ref = newton_oracle(traces.tolist())
+            worst = max(worst, *(float(abs(mp.mpc(got[n, col]) - ref[n]))
+                                 for n in range(N + 1)))
+    assert worst <= 1e-15

@@ -606,3 +606,25 @@ class TestPoincareEstimate:
         assert abs(at_10 - -0.8257790279463342) < 1e-12
         # orders 8 and 10 agree
         assert abs(est.delta_hat - at_10) <= 1e-12
+
+
+class TestCycleExpansion:
+    def test_empty_shell_refused(self):
+        # reduceat gives an empty shell the next shell's first term, not 0:
+        # the primitive classes of a cyclic group all have length 1
+        spectrum = class_spectrum(CYCLIC_GEN, 6)
+        primitive = spectrum.select(spectrum.j == 1)
+        with pytest.raises(ValueError, match="no class of word length 2"):
+            words.cycle_expansion(primitive, np.ones(len(primitive)), 0.0, 6)
+        with pytest.raises(ValueError, match="no class of word length 7"):
+            words.cycle_expansion(spectrum, np.ones(len(spectrum)), 0.0, 7)
+
+    def test_longer_classes_not_read(self):
+        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 8)
+        weight = spectrum.word_length / spectrum.j
+        lam = [0.0, 0.5 + 1j]
+        part = spectrum.select(spectrum.word_length <= 6)
+        long = words.cycle_expansion(spectrum, weight, lam, 6)
+        short = words.cycle_expansion(part, weight[:len(part)], lam, 6)
+        assert long.shape == (7, 2)
+        assert np.array_equal(long.view(np.int64), short.view(np.int64))

@@ -14,12 +14,12 @@ from toyterms import (
     power_class_terms,
     primitive_term,
     toy_list,
+    zeta_odd_signature_product,
 )
 
 from oddzeta.errors import (
     ConvergenceViolation,
     DeltaNotNegative,
-    NonPrimitiveInput,
     NotLoxodromic,
 )
 from oddzeta.moebius import (
@@ -41,7 +41,6 @@ from oddzeta.zeta import (
     terms_from_group,
     terms_from_spectrum,
     zeta_odd,
-    zeta_odd_signature_product,
 )
 from oddzeta.zograf import check_eta_F_identity
 
@@ -152,11 +151,6 @@ class TestZetaOdd:
         zprod = zeta_odd_signature_product(base, lam, 80)
         assert abs(zsum.value - zprod.value) < 1e-10
 
-    def test_product_form_rejects_powers(self):
-        with pytest.raises(NonPrimitiveInput):
-            zeta_odd_signature_product(power_class_terms(primitive_term(0.2j), 3),
-                                       0.0, 20)
-
     def test_unit_modulus_on_conjugation_closed_list(self):
         q = 0.2 * cmath.exp(1j * math.pi / 4)
         terms = toy_list([q, q.conjugate()])
@@ -164,15 +158,14 @@ class TestZetaOdd:
         assert abs(abs(value) - 1.0) < 1e-14
 
     def test_tail_above_expm1_range_is_infinite(self, monkeypatch):
-        # a finite log tail past ~709.78 overflows expm1; both zeta routes
-        # must then report no bound, as shell_tail_bound does
+        # a finite log tail past ~709.78 overflows expm1; zeta_odd must
+        # then report no bound, as shell_tail_bound does
         monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
                             lambda terms, re_lam: 750.0)
         base = primitive_term(0.2 * cmath.exp(0.8j))
-        for z in (zeta_odd(power_class_terms(base, 20), 0.3),
-                  zeta_odd_signature_product(base, 0.3, 20)):
-            assert z.tail_bound == math.inf
-            assert cmath.isfinite(z.value)
+        z = zeta_odd(power_class_terms(base, 20), 0.3)
+        assert z.tail_bound == math.inf
+        assert cmath.isfinite(z.value)
         monkeypatch.setattr("oddzeta.zeta.shell_tail_bound",
                             lambda terms, re_lam: 300.0)
         z = zeta_odd(power_class_terms(base, 20), 0.3)
@@ -308,6 +301,49 @@ class TestEta:
             prev = cur
         tracked = arg / math.pi
         assert abs(tracked - eta(terms, "central_value")) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def thick_terms(eta_thick_config):
+    """The terms `oddzeta eta` sums on the benchmark's thick point."""
+    config = eta_thick_config
+    return terms_from_group(config.generators, config.word_cutoff,
+                            config.delta_cutoff)
+
+
+class TestExactRewrites:
+    """Two reported agreements hold class by class in exact arithmetic,
+    so they measure rounding, quadrature and the missing powers, never
+    the truncation of the spectrum."""
+
+    def test_eta_routes_are_one_closed_form(self, thick_terms):
+        # per class, the t- and lambda-integrals are the central value
+        # (2/pi) (1/j) Im(q/(1 - q))
+        q = thick_terms.q
+        closed = 2.0 / math.pi * math.fsum(
+            ((q / (1.0 - q)).imag / thick_terms.j).tolist())
+        assert abs(eta(thick_terms, "central_value") - closed) <= 1e-15
+        for route in ("lambda_integral", "heat_quadrature"):
+            assert abs(eta(thick_terms, route) - closed) <= 100 * 1e-11
+
+    def test_identity_residual_is_the_missing_powers(self, thick_terms,
+                                                     eta_thick_config):
+        # arg F + (pi/2) eta_L = -sum (1/k) Im(q0^k/(1 - q0^k)) over the
+        # primitive classes gamma_0 and the powers k > L/|gamma_0| that F
+        # includes and the length-L sum does not
+        L = thick_terms.cutoff
+        report = check_eta_F_identity(thick_terms,
+                                      eta_thick_config.inner_cutoff)
+        primitive = thick_terms.select(thick_terms.j == 1)
+        missing = []
+        for q0, n in zip(primitive.q.tolist(),
+                         primitive.word_length.tolist()):
+            for k in range(L // n + 1, 60):
+                qk = q0 ** k
+                missing.append((qk / (1.0 - qk)).imag / k)
+        assert abs(report.arg_f + 0.5 * math.pi * report.eta
+                   + math.fsum(missing)) <= 1e-15
+        assert abs(math.fsum(missing)) > 1e-9  # the sum is not vacuous
 
 
 class TestGroupTerms:
@@ -457,13 +493,11 @@ class TestGroupTerms:
         assert shell_tail_bound(terms, re_lam) == bound
 
 
-#: The five sums over the terms, each at lambda
+#: The four sums over the terms, each at lambda
 SUMS = {
     "log_zeta_half": lambda terms, lam: log_zeta_half(terms, "+", lam),
     "log_zeta_odd": log_zeta_odd,
     "zeta_odd": zeta_odd,
-    "zeta_odd_signature_product":
-        lambda terms, lam: zeta_odd_signature_product(terms, lam, 10),
     "dlog_zeta_odd": dlog_zeta_odd,
 }
 

@@ -9,7 +9,12 @@ import numpy as np
 from oddzeta.errors import NonPrimitiveInput
 from oddzeta.moebius import GeodesicInvariants
 from oddzeta.words import Spectrum
-from oddzeta.zeta import terms_from_spectrum
+from oddzeta.zeta import (
+    ZetaEvaluation,
+    _value_scale_tail,
+    shell_tail_bound,
+    terms_from_spectrum,
+)
 
 
 def invariants_from_q(q: complex) -> GeodesicInvariants:
@@ -90,3 +95,46 @@ def conjugated_terms(terms):
         chi=terms.chi.conj(),
         spin_phase=terms.spin_phase.conj(),
     )
+
+
+def zeta_odd_signature_product(terms, lam: complex,
+                               inner_cutoff: int) -> ZetaEvaluation:
+    """Oracle for Z_odd of the signature variant: the double product over
+    primitive classes
+
+    prod over (k, l) in [0, K]^2 of
+        (1 - e^(i theta) q^k conj(q)^l |q|^(lambda+1))
+      / (1 - e^(-i theta) q^k conj(q)^l |q|^(lambda+1)),
+
+    with the (k, l) outside the box and the shell model's classes beyond
+    the cutoff as its tail bound.  It telescopes to the sum form over the
+    powers of the same classes, so it checks the sums' bookkeeping, not
+    their truncation.
+    """
+    lam = complex(lam)
+    if (terms.j != 1).any():
+        raise NonPrimitiveInput("the product form needs primitive classes")
+    if terms.variant != "signature":
+        raise ValueError("product form applies to the signature variant")
+    log_total = 0.0 + 0.0j
+    inner_tail = 0.0
+    for q, theta in zip(terms.q.tolist(), terms.theta.tolist()):
+        aq = abs(q)
+        scale = cmath.exp((lam + 1.0) * math.log(aq))
+        phase = cmath.exp(1j * theta)
+        parts = []
+        for k in range(inner_cutoff + 1):
+            qk = q ** k
+            for l in range(inner_cutoff + 1):
+                w = qk * q.conjugate() ** l * scale
+                parts.append(cmath.log(1.0 - phase * w)
+                             - cmath.log(1.0 - w / phase))
+        log_total += math.fsum(p.real for p in parts) + 1j * math.fsum(
+            p.imag for p in parts
+        )
+        # (k, l) outside the box, both product factors
+        inner_tail += 4.0 * aq ** (inner_cutoff + 2 + lam.real) / (1.0 - aq) ** 3
+    value = cmath.exp(log_total)
+    outer = shell_tail_bound(terms, lam.real)
+    tail = _value_scale_tail(value, inner_tail + outer)
+    return ZetaEvaluation(value, tail, terms.cutoff, "signature", lam)
