@@ -41,7 +41,8 @@ class MoebiusMap:
     only determined to about eps_machine * K^2 in floating point, so an
     absolute det tolerance would spuriously reject long word products of
     large loxodromic matrices (whose expanding eigenvalue remains
-    relatively accurate throughout).
+    relatively accurate throughout).  Entries whose squared scale is past
+    the float range are refused: their tolerance would be infinite.
     """
 
     a: complex
@@ -52,8 +53,10 @@ class MoebiusMap:
     def __post_init__(self):
         for name in "abcd":
             object.__setattr__(self, name, complex(getattr(self, name)))
-        # written so that a NaN determinant fails too
-        if not abs(self.det() - 1.0) <= 1e-6 * max(1.0, self._scale_sq()):
+        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        # a product, not ** 2: a square past the float range is inf, not an
+        # OverflowError; written so that a NaN determinant fails too
+        if not abs(self.det() - 1.0) <= 1e-6 * max(1.0, scale * scale):
             raise ValueError(
                 f"determinant {self.det():.6g} too far from 1; "
                 "renormalize with MoebiusMap.normalized(...)"
@@ -62,9 +65,11 @@ class MoebiusMap:
         for name, z in zip("abcd", (self.a, self.b, self.c, self.d)):
             if not cmath.isfinite(z):
                 raise ValueError(f"entry {name} = {z} is not finite")
-
-    def _scale_sq(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2
+        if math.isinf(scale * scale):
+            raise ValueError(
+                f"entry scale {scale:.6g} squares past the float range; "
+                "the determinant cannot be checked"
+            )
 
     @staticmethod
     def identity() -> "MoebiusMap":

@@ -21,10 +21,12 @@ this one odd weight a per class.  The class data is one ``ZetaTerms``:
 the arrays and rank of a ``words.Spectrum`` plus the weight D and the
 character chi = chi_+ per class.  Every sum is one correctly rounded
 ``_fsum`` over an array expression, so its value does not depend on the
-order of the terms.  Terms from ``terms_from_group`` carry the group's
-delta_hat, and only this module refuses them: ``ConvergenceViolation``
-at Re(lambda) <= delta_hat, ``DeltaNotNegative`` for eta and the eta-F
-identity when delta_hat >= 0.
+order of the terms, except at the nodes of eta's two quadrature routes:
+there numpy's pairwise sum, deterministic for a given numpy build, moves
+the integrand by a few ulps, far below the quadrature tolerance.  Terms
+from ``terms_from_group`` carry the group's delta_hat, and only this
+module refuses them: ``ConvergenceViolation`` at Re(lambda) <= delta_hat,
+``DeltaNotNegative`` for eta and the eta-F identity when delta_hat >= 0.
 
 The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
@@ -317,8 +319,12 @@ def eta(terms: ZetaTerms, route: str = "central_value",
                      become smooth exponentially decaying integrals.
 
     The routes are equal in exact arithmetic, class by class, so their
-    spread measures the quadrature only.  Terms with an estimate need
-    delta_hat < 0 (the convergence hypothesis); hand-built ones carry none.
+    spread measures the quadrature only.  The quadrature integrands reduce
+    each node with numpy's pairwise sum, not ``_fsum``: deterministic for a
+    given numpy build, a few ulps from the correctly rounded sum of
+    ``dlog_zeta_odd`` and ``odd_heat_trace``, far below ``quad_tol``.
+    Terms with an estimate need delta_hat < 0 (the convergence
+    hypothesis); hand-built ones carry none.
     """
     if route not in ETA_ROUTES:
         raise ValueError(f"unknown route {route!r} not in {ETA_ROUTES}")
@@ -327,22 +333,34 @@ def eta(terms: ZetaTerms, route: str = "central_value",
         return 0.0
     if route == "central_value":
         return log_zeta_odd(terms, 0.0).value.imag / math.pi
-    ell_min = float(terms.ell.min())
+    # dlog_zeta_odd and odd_heat_trace with the per-class factors built
+    # once; no node needs the abscissa check, as lambda >= 0 > delta_hat
+    ell = terms.ell
+    a = _odd_weight(terms)
+    ell_min = float(ell.min())
     if route == "lambda_integral":
         lmax = 40.0 / ell_min
+        ell_a = ell * a
 
         def integrand(lam: float) -> complex:
-            return dlog_zeta_odd(terms, lam)
+            return 2j * float((ell_a * np.exp(-lam * ell)).sum())
 
         body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
                             tol_rel=quad_tol)
-        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
+        tail = 2j * _fsum(a * np.exp(-lmax * ell))
         return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
     # heat_quadrature
     u_max = max(2.0, 170.0 / ell_min ** 2)
+    ell_sq = ell ** 2
+    ell_sq_a = ell_sq * a
 
     def integrand_u(u: float) -> complex:
-        return u ** -1.5 * odd_heat_trace(terms, 1.0 / u)
+        t = 1.0 / u
+        arg = ell_sq / (4.0 * t)
+        decay = np.exp(-arg)
+        decay[arg > 700.0] = 0.0
+        pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
+        return u ** -1.5 * (pref * 2j * float((ell_sq_a * decay).sum()))
 
     # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
     large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,

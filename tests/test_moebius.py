@@ -74,6 +74,12 @@ class TestEntries:
         with pytest.raises(ValueError, match=f"^entry {name} = .* not finite$"):
             MoebiusMap(*entries)
 
+    def test_entry_scale_past_float_range_refused(self):
+        # a valid SL(2, C) matrix whose squared entry scale, the
+        # determinant tolerance, overflows
+        with pytest.raises(ValueError, match=r"^entry scale 1e\+200 squares"):
+            MoebiusMap(1e200, 0, 0, 1e-200)
+
 
 class TestClassify:
     def test_identity(self):

@@ -325,6 +325,15 @@ class TestExactRewrites:
         assert abs(eta(thick_terms, "central_value") - closed) <= 1e-15
         for route in ("lambda_integral", "heat_quadrature"):
             assert abs(eta(thick_terms, route) - closed) <= 100 * 1e-11
+        # the quadrature integrands read only the odd weight, so a sign
+        # slip in another variant or sign shows against its central value
+        for variant, sign in (("spinor", "plus"), ("signature", "minus"),
+                              ("spinor", "minus")):
+            terms = replace(terms_from_spectrum(thick_terms, variant, sign),
+                            estimate=thick_terms.estimate)
+            central = eta(terms, "central_value")
+            for route in ("lambda_integral", "heat_quadrature"):
+                assert abs(eta(terms, route) - central) <= 100 * 1e-11
 
     def test_identity_residual_is_the_missing_powers(self, thick_terms,
                                                      eta_thick_config):
