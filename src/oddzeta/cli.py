@@ -225,6 +225,9 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
             sp, sm, mid = heat_scalar_signature(point, config.kernel_m)
             lines.append(_kernel_row(
                 "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), mid)))
+    # each Gaussian row waits for one quadrature over every convergent
+    # (lambda, r) pair: its line index, where it is evaluated, its closed form
+    gaussian, lams, rs = [], [], []
     for lam in config.lambda_grid:
         for r in config.r_grid:
             point = KernelPoint(r=r, lam=lam)
@@ -240,14 +243,21 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
                                              note=type(exc).__name__))
             try:
                 closed = gaussian_time_integral(lam, r)
-                quad, err = gaussian_time_integral_quadrature(
-                    lam, r, tol=config.quad_tol)
-                lines.append(_kernel_row(
-                    "gaussian", at, value=(closed.real, closed.imag),
-                    gaussian=(quad.real, quad.imag, abs(closed - quad), err)))
+                gaussian.append((len(lines), at, closed))
+                lams.append(lam)
+                rs.append(r)
+                lines.append(None)
             except DivergentIntegral:
                 lines.append(_kernel_row("gaussian", at,
                                          note="DivergentIntegral"))
+    quads, errs = gaussian_time_integral_quadrature(lams, rs,
+                                                   tol=config.quad_tol)
+    # Python numbers: a numpy scalar's repr is not a CSV cell
+    for (index, at, closed), quad, err in zip(gaussian, quads.tolist(),
+                                               errs.tolist()):
+        lines[index] = _kernel_row(
+            "gaussian", at, value=(closed.real, closed.imag),
+            gaussian=(quad.real, quad.imag, abs(closed - quad), err))
     return _write_text(out_dir / "kernels.csv", "\n".join(lines) + "\n")
 
 

@@ -34,6 +34,14 @@ def eta_thick_config():
     return load_config(str(root / "perfbench" / "configs" / "eta_thick.cfg"))
 
 
+@pytest.fixture(scope="session")
+def kernels_config():
+    """The benchmark's seed-0 kernels grid: 12 lambda by 32 r values,
+    r on both sides of the 0.45 series/jets switch."""
+    root = Path(__file__).resolve().parents[1]
+    return load_config(str(root / "perfbench" / "configs" / "kernels.cfg"))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250808)

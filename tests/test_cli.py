@@ -562,6 +562,31 @@ class TestKernelsCommand:
         assert not (out / "kernels.csv").exists()
 
 
+    def test_gaussian_within_reported_error_on_bench_grid(self, tmp_path):
+        # the benchmark gate's rule: |closed form - quadrature| <= reported
+        cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        gauss = [r for r in rows if r["kind"] == "gaussian"]
+        assert len(gauss) == 12 * 32
+        for r in gauss:
+            assert not r["note"]
+            assert float(r["gaussian_absdiff"]) <= float(r["reported_err"]), r
+
+    def test_underflowing_lambda_square_exits_4(self, tmp_path, capsys):
+        # lambda^2 = 1e-320 > 0 puts the quadrature's upper limit at inf
+        cfg = write(tmp_path, "k.cfg", REAL_PAIR.replace(
+            "lambda = 0+0i 0.3+0i 1+0i", "lambda = 1e-160+0i")
+            + "t = 1\nr = 1 2\n")
+        out = tmp_path / "out"
+        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 4
+        assert "panel [0.0, inf]" in capsys.readouterr().err
+        assert not (out / "kernels.csv").exists()
+
+
 class TestScanCommand:
     def test_harmonic_oracle_flag(self, tmp_path):
         for oracle, laplacian, tol in (("harmonic", 0.0, 1e-8),

@@ -1,9 +1,17 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from oddzeta.errors import AtDiagonal, DivergentIntegral, PoleAt, PoleOfGamma
+from oddzeta import kernels, quadrature
+from oddzeta.errors import (
+    AtDiagonal,
+    DivergentIntegral,
+    NoConvergence,
+    PoleAt,
+    PoleOfGamma,
+)
 from oddzeta.kernels import (
     KernelPoint,
     c_lambda,
@@ -195,6 +203,7 @@ class TestGaussianTimeIntegral:
     def test_quadrature_agrees(self):
         closed = gaussian_time_integral(1.0, 1.0)
         quad, err = gaussian_time_integral_quadrature(1.0, 1.0)
+        assert quad.shape == err.shape == ()
         assert abs(closed - quad) < 1e-8 * abs(closed)
         assert abs(closed - quad) <= err + 1e-15
 
@@ -217,6 +226,74 @@ class TestGaussianTimeIntegral:
         # to 4 097 panels before it raised NoConvergence
         with pytest.raises(ValueError, match="r = nan must be positive"):
             integral(1.0, math.nan)
+
+
+    def test_underflowing_lambda_square_refused_at_once(self):
+        # lambda^2 = 1e-320 passes Re(lambda^2) > 0, but the upper limit
+        # 40/mu is inf, so every node is NaN; before, the quadrature
+        # bisected to 4 097 panels before it raised
+        with pytest.raises(NoConvergence, match=r"panel \[0.0, inf\]"):
+            gaussian_time_integral_quadrature(1e-160, 1.0)
+
+    def test_grid_matches_the_scalar_integrand(self, kernels_config):
+        # lambda and r broadcast to the (r, lambda) grid; each value is the
+        # per-pair quadrature of the cmath/math integrand up to the ulps
+        # by which numpy's exp and power may differ from the C library's
+        tol = kernels_config.quad_tol
+        lam = np.array(kernels_config.lambda_grid)
+        r = np.array(kernels_config.r_grid)[:, None]
+        values, errors = gaussian_time_integral_quadrature(lam, r, tol=tol)
+        assert values.shape == errors.shape == (r.size, lam.size)
+        worst = 0.0
+        for (i, j), value in np.ndenumerate(values):
+            ref, _ = scalar_gaussian_quadrature(complex(lam[j]),
+                                                float(r[i, 0]), tol)
+            worst = max(worst, abs(value - ref) / abs(ref))
+        assert worst <= 1e-15
+
+    def test_batch_rows_do_not_couple(self, kernels_config, monkeypatch):
+        # the seed-0 grid plus one pair needing far more panels: each row
+        # of the lockstep call is the same integral run alone
+        calls = []
+
+        def capture(f, a, b, tol_abs, tol_rel):
+            calls.append((f, a, b, tol_abs, tol_rel))
+            return quadrature.integrate_batch(f, a, b, tol_abs, tol_rel)
+
+        monkeypatch.setattr(kernels, "integrate_batch", capture)
+        lam = [l for l in kernels_config.lambda_grid
+               for _ in kernels_config.r_grid] + [0.3 + 0.29j]
+        r = list(kernels_config.r_grid) * len(kernels_config.lambda_grid)
+        gaussian_time_integral_quadrature(lam, r + [0.02],
+                                          tol=kernels_config.quad_tol)
+        (f, a, b, tol_abs, tol_rel), = calls
+        values, errors, panels = quadrature.integrate_batch(
+            f, a, b, tol_abs, tol_rel)
+        assert sum(panels[:-1]) == 15966
+        assert panels[-1] > 2 * max(panels[:-1])
+        for i in range(len(a)):
+            alone = quadrature.integrate_batch(
+                lambda rows, x: f(rows + i, x), [a[i]], [b[i]],
+                tol_abs, tol_rel)
+            assert alone == ([values[i]], [errors[i]], [panels[i]])
+
+
+def scalar_gaussian_quadrature(lam: complex, r: float, tol: float):
+    """One pair's Gaussian time integral through ``integrate``, with the
+    integrand evaluated node by node in cmath and math."""
+    lam2 = lam * lam
+    mu = lam2.real
+
+    def integrand(t):
+        arg = r * r / (4.0 * t)
+        if arg > 700.0:
+            return 0.0 + 0.0j
+        return (cmath.exp(-t * lam2) * (4.0 * math.pi * t) ** -1.5
+                * math.exp(-arg))
+
+    upper = max(1.0, 40.0 / mu, 5.0 * r / (2.0 * math.sqrt(mu)))
+    return quadrature.integrate(integrand, 0.0, upper, tol_abs=0.0,
+                                tol_rel=tol)
 
 
 class TestKernelPoint:

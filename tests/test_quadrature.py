@@ -5,7 +5,7 @@ import pytest
 
 from oddzeta import quadrature
 from oddzeta.errors import NoConvergence
-from oddzeta.quadrature import integrate
+from oddzeta.quadrature import integrate, integrate_batch
 
 
 def test_polynomial_exact():
@@ -37,10 +37,49 @@ def test_error_estimate_bounds_true_error_on_peaked_integrand():
 
 
 def test_panel_budget_exhaustion_raises(monkeypatch):
+    # before, the message read "17 panels" against a limit of 16
     monkeypatch.setattr(quadrature, "MAX_PANELS", 16)
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="with 15 panels, limit 16"):
         integrate(lambda x: abs(x - 1.0 / math.pi) ** -0.9, 0.0, 1.0,
                   tol_abs=1e-14, tol_rel=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_panel_refused_at_once(bad):
+    # before, a NaN integrand bisected to 4 097 panels before it raised
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad
+
+    with pytest.raises(NoConvergence, match=r"panel \[0.0, 1.0\] .* not finite"):
+        integrate(f, 0.0, 1.0)
+    assert len(calls) == 15
+
+
+def _scalar_rows(fs):
+    """The batch integrand evaluating row i's scalar integrand fs[i]."""
+    def f(rows, x):
+        return [[fs[i](t) for t in panel] for i, panel in zip(rows, x.tolist())]
+    return f
+
+
+def test_batch_rows_are_the_scalar_integrals():
+    # peaks of different widths need very different panel counts; each
+    # row must be exactly the integral run alone, whatever shares its rounds
+    fs = [lambda x: x * x, lambda x: cmath.exp(1j * x),
+          lambda x: 1.0 / (1e-6 + (x - 0.3) ** 2),
+          lambda x: 1.0 / (1e-2 + (x + 0.7) ** 2) + 0.5j, lambda x: 1.0]
+    a, b = [0.0, 0.0, -1.0, -1.0, 2.0], [1.0, math.pi, 1.0, 1.0, 2.0]
+    values, errors, panels = integrate_batch(_scalar_rows(fs), a, b,
+                                             1e-12, 1e-12)
+    assert panels[2] > 10 * panels[0] and panels[4] == 0
+    for i, f in enumerate(fs):
+        assert integrate(f, a[i], b[i], 1e-12, 1e-12) == (values[i], errors[i])
+        alone = integrate_batch(_scalar_rows([f]), [a[i]], [b[i]],
+                                1e-12, 1e-12)
+        assert alone == ([values[i]], [errors[i]], [panels[i]])
 
 
 def test_empty_interval():
