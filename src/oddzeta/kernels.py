@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AtDiagonal, DivergentIntegral, PoleAt, PoleOfGamma
 from .quadrature import integrate_batch
-from .special import GammaPole, gamma_quotient, hyp2f1, is_nonpositive_integer
+from .special import gamma_quotient, hyp2f1, is_nonpositive_integer
 
 _LOG2 = math.log(2.0)
 
@@ -53,10 +53,7 @@ def c_lambda(lam: complex) -> complex:
     lam = complex(lam)
     if is_nonpositive_integer(0.5 - lam):
         raise PoleAt(f"C(lambda) pole at lambda = {lam}")
-    try:
-        ratio = gamma_quotient([0.5 - lam], [0.5 + lam])
-    except GammaPole as exc:  # pragma: no cover - caught by the check above
-        raise PoleAt(str(exc)) from exc
+    ratio = gamma_quotient([0.5 - lam], [0.5 + lam])
     return cmath.exp(-2.0 * lam * _LOG2) * ratio
 
 

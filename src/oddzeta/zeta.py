@@ -19,14 +19,16 @@ are real, so
 and Z_odd, its log-derivative, the heat trace and every eta route read
 this one odd weight a per class.  The class data is one ``ZetaTerms``:
 the arrays and rank of a ``words.Spectrum`` plus the weight D and the
-character chi = chi_+ per class.  Every sum is one correctly rounded
-``_fsum`` over an array expression, so its value does not depend on the
-order of the terms, except at the nodes of eta's two quadrature routes:
-there numpy's pairwise sum, deterministic for a given numpy build, moves
-the integrand by a few ulps, far below the quadrature tolerance.  Terms
-from ``terms_from_group`` carry the group's delta_hat, and only this
-module refuses them: ``ConvergenceViolation`` at Re(lambda) <= delta_hat,
-``DeltaNotNegative`` for eta and the eta-F identity when delta_hat >= 0.
+character chi = chi_+ per class.  The log zeta sums, Z_odd and the
+lambda-integral tail are each one correctly rounded ``_fsum``, so their
+values do not depend on the order of the terms; the eta integrands
+``dlog_zeta_odd`` and ``odd_heat_trace`` reduce each lambda or t with
+numpy's pairwise sum, deterministic for a given numpy build and a few
+ulps from the correctly rounded sum.  Terms from ``terms_from_group``
+carry the group's delta_hat, and only this module refuses them:
+``ConvergenceViolation`` at Re(lambda) <= delta_hat, ``DeltaNotNegative``
+for eta and the eta-F identity when delta_hat >= 0; a non-finite lambda
+is refused with ``ValueError``.
 
 The termwise log sums are the analytic branch that vanishes as
 Re(lambda) -> +inf, so Im(log Z_odd(0)) needs no unwinding: the sum *is*
@@ -44,7 +46,7 @@ import numpy as np
 
 from .errors import ConvergenceViolation, DeltaNotNegative
 from .moebius import EPS_CLASS, MoebiusMap
-from .quadrature import integrate
+from .quadrature import integrate_batch
 from .words import (PoincareEstimate, Spectrum, _divide, class_spectrum,
                     estimate_delta)
 
@@ -206,11 +208,17 @@ def _odd_weight(terms: ZetaTerms) -> np.ndarray:
     return (terms.chi / (terms.j * terms.D)).imag
 
 
-def _check_convergence(terms: ZetaTerms, lam: complex):
-    """Refuse a sum at Re(lambda) <= the terms' delta_hat."""
-    if terms.estimate is not None and lam.real <= terms.estimate.delta_hat:
+def _check_convergence(terms: ZetaTerms, lam):
+    """Refuse a non-finite lambda, or a sum at Re(lambda) <= the terms'
+    delta_hat: at the smallest Re(lambda) of an array."""
+    lam = np.asarray(lam)
+    finite = np.isfinite(lam)
+    if not finite.all():
+        raise ValueError(f"lambda = {lam[~finite][0].item()} is not finite")
+    re_min = float(lam.real.min()) if lam.size else math.inf
+    if terms.estimate is not None and re_min <= terms.estimate.delta_hat:
         raise ConvergenceViolation(
-            f"Re(lambda) = {lam.real:.6g} <= "
+            f"Re(lambda) = {re_min:.6g} <= "
             f"delta_hat = {terms.estimate.delta_hat:.6g}"
         )
 
@@ -273,37 +281,47 @@ def zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
                    tail_bound=_value_scale_tail(value, log_odd.tail_bound))
 
 
-def dlog_zeta_odd(terms: ZetaTerms, lam: complex) -> complex:
-    """d/dlambda log Z_odd = sum l (chi_+ - chi_-) / (j D) e^(-lambda l)."""
-    lam = complex(lam)
-    _check_convergence(terms, lam)
-    return 2j * _fsum(terms.ell * _odd_weight(terms) * np.exp(-lam * terms.ell))
+def dlog_zeta_odd(terms: ZetaTerms, lam) -> np.ndarray:
+    """d/dlambda log Z_odd = 2i sum l a e^(-lambda l) at each lambda.
 
-
-def odd_heat_trace(terms: ZetaTerms, t: float) -> complex:
-    """Geodesic heat trace
-
-        (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t).
-
-    (chi_+ - chi_-)/(j D) = 2i a is purely imaginary termwise, so the
-    value is real for any class list; terms with l^2/4t > 700 count as 0.
+    Any shape in, the same shape out (a numpy scalar for a scalar).  Each
+    lambda is one pass over l a, built once per call: the real exp for a
+    real lambda, the complex exp for a complex one, numpy's pairwise sum.
     """
-    if t <= 0:
-        raise ValueError(f"t = {t} must be positive")
-    arg = terms.ell ** 2 / (4.0 * t)
-    decay = np.exp(-arg)
-    decay[arg > 700.0] = 0.0
-    pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
-    return pref * 2j * _fsum(terms.ell ** 2 * _odd_weight(terms) * decay)
+    lam = np.asarray(lam)
+    _check_convergence(terms, lam)
+    ell = terms.ell
+    ell_a = ell * _odd_weight(terms)
+    sums = [(ell_a * np.exp(-x * ell)).sum() for x in lam.ravel().tolist()]
+    return 2j * np.reshape(sums, lam.shape)
+
+
+def odd_heat_trace(terms: ZetaTerms, t) -> np.ndarray:
+    """Geodesic heat trace at each t > 0 (any shape in, the same out),
+
+        (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t),
+
+    which is real, -2 (2 pi / (4 pi t)^{3/2}) sum l^2 a e^(-l^2/4t), as
+    (chi_+ - chi_-)/(j D) = 2i a; terms with l^2/4t > 700 count as 0.
+    Each t is one pass over l^2 a, reduced with numpy's pairwise sum.
+    """
+    t = np.asarray(t, dtype=float)
+    bad = t[~(t > 0)]
+    if bad.size:
+        raise ValueError(f"t = {bad[0]} must be positive")
+    ell_sq = terms.ell ** 2
+    ell_sq_a = ell_sq * _odd_weight(terms)
+    sums = []
+    for x in t.ravel().tolist():
+        arg = ell_sq / (4.0 * x)
+        decay = np.exp(-arg)
+        decay[arg > 700.0] = 0.0
+        sums.append((ell_sq_a * decay).sum())
+    pref = 2.0 * math.pi / np.float_power(4.0 * math.pi * t, 1.5)
+    return -2.0 * pref * np.reshape(sums, t.shape)
 
 
 # --- eta invariant ---------------------------------------------------------------
-
-
-def _require_real(z: complex, what: str, tol: float = 1e-9) -> float:
-    if abs(z.imag) > tol * (abs(z.real) + 1.0):
-        raise ArithmeticError(f"{what} unexpectedly non-real: {z}")
-    return z.real
 
 
 def eta(terms: ZetaTerms, route: str = "central_value",
@@ -312,19 +330,16 @@ def eta(terms: ZetaTerms, route: str = "central_value",
 
     central_value:   Im(log Z_odd(0)) / pi, the termwise (tracked) branch,
                      from one ``log_zeta_odd``.
-    lambda_integral: (i/pi) int_0^Lmax dlog Z_odd + termwise analytic tail,
-                     Lmax = 40 / (shortest length).
-    heat_quadrature: (1/sqrt(pi)) int_0^inf t^(-1/2) Tr-heat dt, computed
-                     through u = 1/t so both halves of the split at t = 1
+    lambda_integral: (i/pi) int_0^Lmax dlog_zeta_odd + termwise analytic
+                     tail, Lmax = 40 / (shortest length).
+    heat_quadrature: (1/sqrt(pi)) int_0^inf t^(-1/2) odd_heat_trace dt,
+                     through u = 1/t, so both halves of the split at t = 1
                      become smooth exponentially decaying integrals.
 
     The routes are equal in exact arithmetic, class by class, so their
-    spread measures the quadrature only.  The quadrature integrands reduce
-    each node with numpy's pairwise sum, not ``_fsum``: deterministic for a
-    given numpy build, a few ulps from the correctly rounded sum of
-    ``dlog_zeta_odd`` and ``odd_heat_trace``, far below ``quad_tol``.
-    Terms with an estimate need delta_hat < 0 (the convergence
-    hypothesis); hand-built ones carry none.
+    spread measures the quadrature only (and the integrands' pairwise
+    sums, a few ulps).  Terms with an estimate need delta_hat < 0 (the
+    convergence hypothesis); hand-built ones carry none.
     """
     if route not in ETA_ROUTES:
         raise ValueError(f"unknown route {route!r} not in {ETA_ROUTES}")
@@ -333,39 +348,18 @@ def eta(terms: ZetaTerms, route: str = "central_value",
         return 0.0
     if route == "central_value":
         return log_zeta_odd(terms, 0.0).value.imag / math.pi
-    # dlog_zeta_odd and odd_heat_trace with the per-class factors built
-    # once; no node needs the abscissa check, as lambda >= 0 > delta_hat
-    ell = terms.ell
-    a = _odd_weight(terms)
-    ell_min = float(ell.min())
+    ell_min = float(terms.ell.min())
     if route == "lambda_integral":
         lmax = 40.0 / ell_min
-        ell_a = ell * a
-
-        def integrand(lam: float) -> complex:
-            return 2j * float((ell_a * np.exp(-lam * ell)).sum())
-
-        body, _ = integrate(integrand, 0.0, lmax, tol_abs=quad_tol,
-                            tol_rel=quad_tol)
-        tail = 2j * _fsum(a * np.exp(-lmax * ell))
-        return _require_real(1j * (body + tail) / math.pi, "lambda-integral eta")
-    # heat_quadrature
+        (body,), _, _ = integrate_batch(
+            lambda rows, lam: dlog_zeta_odd(terms, lam), [0.0], [lmax],
+            quad_tol, quad_tol)
+        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
+        return (1j * (body + tail) / math.pi).real
+    # heat_quadrature: t in [1, inf) is u in (0, 1], t in (0, 1] is [1, u_max]
     u_max = max(2.0, 170.0 / ell_min ** 2)
-    ell_sq = ell ** 2
-    ell_sq_a = ell_sq * a
-
-    def integrand_u(u: float) -> complex:
-        t = 1.0 / u
-        arg = ell_sq / (4.0 * t)
-        decay = np.exp(-arg)
-        decay[arg > 700.0] = 0.0
-        pref = 2.0j * math.pi / (4.0 * math.pi * t) ** 1.5
-        return u ** -1.5 * (pref * 2j * float((ell_sq_a * decay).sum()))
-
-    # t in [1, inf) maps to u in (0, 1]; t in (0, 1] to u in [1, u_max]
-    large_t, _ = integrate(integrand_u, 0.0, 1.0, tol_abs=quad_tol,
-                           tol_rel=quad_tol)
-    small_t, _ = integrate(integrand_u, 1.0, u_max, tol_abs=quad_tol,
-                           tol_rel=quad_tol)
-    return _require_real((large_t + small_t) / math.sqrt(math.pi),
-                         "heat-quadrature eta")
+    (large_t, small_t), _, _ = integrate_batch(
+        lambda rows, u: (np.float_power(u, -1.5)
+                         * odd_heat_trace(terms, 1.0 / u)),
+        [0.0, 1.0], [1.0, u_max], quad_tol, quad_tol)
+    return ((large_t + small_t) / math.sqrt(math.pi)).real

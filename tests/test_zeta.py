@@ -27,11 +27,12 @@ from oddzeta.moebius import (
     MoebiusMap,
     geodesic_invariants,
 )
-from oddzeta.quadrature import integrate
+from oddzeta.quadrature import integrate, integrate_batch
 from oddzeta.sample_groups import ring_group
 from oddzeta.words import PoincareEstimate, class_spectrum
 from oddzeta.zeta import (
     _fsum,
+    _odd_weight,
     dlog_zeta_odd,
     eta,
     log_zeta_half,
@@ -204,6 +205,17 @@ class TestDlogZetaOdd:
         fd = (logz(lam + h) - logz(lam - h)) / (2 * h)
         assert abs(fd - dlog_zeta_odd(terms, lam)) < 1e-7
 
+    def test_array_in_the_same_shape_out(self):
+        terms = toy_list([0.25j, 0.1 * cmath.exp(0.3j)])
+        for lam in (np.array([[0.3, 1.0], [2.5, 0.0]]),
+                    np.array([0.2 + 0.5j, 1.0 - 2.0j, 0.7])):
+            values = dlog_zeta_odd(terms, lam)
+            assert values.shape == lam.shape
+            assert values.ravel().tolist() == [
+                dlog_zeta_odd(terms, x) for x in lam.ravel().tolist()]
+        assert np.shape(dlog_zeta_odd(terms, 0.3)) == ()
+        assert dlog_zeta_odd(terms, np.zeros((0, 15))).shape == (0, 15)
+
 
 class TestOddHeatTrace:
     def test_real_group_zero(self):
@@ -219,6 +231,15 @@ class TestOddHeatTrace:
                        ) * math.exp(-1.0 / (4 * t)) / term.D[0]
             assert abs(value - expect) < 1e-14 * abs(expect)
             assert value.imag == 0.0
+
+    def test_array_in_the_same_shape_out(self):
+        terms = toy_list([0.25j, 0.1j])
+        t = np.array([[0.05, 1.0], [30.0, 2.0]])
+        values = odd_heat_trace(terms, t)
+        assert values.shape == t.shape and values.dtype == float
+        assert values.ravel().tolist() == [
+            odd_heat_trace(terms, x) for x in t.ravel().tolist()]
+        assert np.shape(odd_heat_trace(terms, 0.5)) == ()
 
     def test_laplace_transform_matches_dlog(self):
         # int_0^inf e^{-t lam^2} Tr dt = (i/2) dlog Z_odd(lam) at lam = 1
@@ -335,6 +356,31 @@ class TestExactRewrites:
             for route in ("lambda_integral", "heat_quadrature"):
                 assert abs(eta(terms, route) - central) <= 100 * 1e-11
 
+    def test_reported_quadrature_error_bounds_the_observed_error(
+            self, thick_terms):
+        # the central value is the exact value of both routes, so
+        # |route - central| is each route's observed quadrature error
+        terms, tol = thick_terms, 1e-11
+        central = eta(terms, "central_value")
+        ell_min = float(terms.ell.min())
+        lmax = 40.0 / ell_min
+        (body,), (error,), _ = integrate_batch(
+            lambda rows, lam: dlog_zeta_odd(terms, lam), [0.0], [lmax],
+            tol, tol)
+        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
+        route = (1j * (body + tail) / math.pi).real
+        assert route == eta(terms, "lambda_integral")
+        assert abs(route - central) <= error / math.pi + 1e-15
+        u_max = max(2.0, 170.0 / ell_min ** 2)
+        halves, errors, _ = integrate_batch(
+            lambda rows, u: (np.float_power(u, -1.5)
+                             * odd_heat_trace(terms, 1.0 / u)),
+            [0.0, 1.0], [1.0, u_max], tol, tol)
+        route = ((halves[0] + halves[1]) / math.sqrt(math.pi)).real
+        assert route == eta(terms, "heat_quadrature")
+        assert (abs(route - central)
+                <= (errors[0] + errors[1]) / math.sqrt(math.pi) + 1e-15)
+
     def test_identity_residual_is_the_missing_powers(self, thick_terms,
                                                      eta_thick_config):
         # arg F + (pi/2) eta_L = -sum (1/k) Im(q0^k/(1 - q0^k)) over the
@@ -435,10 +481,24 @@ class TestGroupTerms:
                         == log_zeta_half(terms, sign, lam))
         for lam in (0.0, 0.4 - 0.3j):
             assert log_zeta_odd(shuffled, lam) == log_zeta_odd(terms, lam)
+        # the eta integrands reduce with numpy's pairwise sum: in either
+        # order within its rounding bound of the correctly rounded sum of
+        # the same per-class terms
+        ell, a = terms.ell, _odd_weight(terms)
+        steps = math.ceil(math.log2(len(terms)))
+
+        def near_fsum(values, per_class):
+            bound = 4 * steps * np.finfo(float).eps * np.abs(per_class).sum()
+            for value in values:
+                assert abs(value - _fsum(per_class)) <= bound
+
         for lam in (0.0, 1.5 + 2.0j):
-            assert dlog_zeta_odd(shuffled, lam) == dlog_zeta_odd(terms, lam)
+            near_fsum((dlog_zeta_odd(shuffled, lam), dlog_zeta_odd(terms, lam)),
+                      2j * ell * a * np.exp(-lam * ell))
         for t in (0.05, 1.0, 30.0):
-            assert odd_heat_trace(shuffled, t) == odd_heat_trace(terms, t)
+            near_fsum((odd_heat_trace(shuffled, t), odd_heat_trace(terms, t)),
+                      -4.0 * math.pi / (4.0 * math.pi * t) ** 1.5
+                      * ell ** 2 * a * np.exp(-ell ** 2 / (4.0 * t)))
 
     def test_generator_lift_sign_moves_spinor_characters_only(self, complex_groups):
         # negating one generator changes the spin structure: spinor
@@ -544,6 +604,33 @@ class TestAbscissaGuard:
             SUMS[name](terms, -0.9)
         else:
             NEGATIVE_DELTA[name](terms)
+
+    @pytest.mark.parametrize("name", list(SUMS))
+    @pytest.mark.parametrize("lam", [math.nan, complex(0.5, math.nan),
+                                     complex(0.0, math.inf), -math.inf])
+    def test_non_finite_lambda_refused(self, name, lam):
+        # NaN passes a Re(lambda) <= delta_hat test, so it is refused
+        # first, with or without an estimate
+        for estimate in (None, at(-0.3)):
+            terms = replace(primitive_term(0.1), estimate=estimate)
+            with pytest.raises(ValueError,
+                               match=r"^lambda = .* is not finite$"):
+                SUMS[name](terms, lam)
+
+    def test_array_refused_at_its_smallest_real_part(self):
+        terms = replace(primitive_term(0.1), estimate=at(-0.3))
+        with pytest.raises(ConvergenceViolation, match=r"= -0\.3 <="):
+            dlog_zeta_odd(terms, np.array([[1.0, 0.5j], [-0.3, 2.0]]))
+        with pytest.raises(ValueError, match=r"^lambda = nan is not finite$"):
+            dlog_zeta_odd(terms, np.array([1.0, math.nan]))
+        dlog_zeta_odd(terms, np.array([1.0, -0.29]))
+
+    @pytest.mark.parametrize("t", [math.nan, 0.0, -1.0])
+    def test_heat_trace_refuses_t(self, t):
+        with pytest.raises(ValueError, match=f"^t = {t} must be positive$"):
+            odd_heat_trace(primitive_term(0.1), t)
+        with pytest.raises(ValueError, match=f"^t = {t} must be positive$"):
+            odd_heat_trace(primitive_term(0.1), np.array([1.0, t]))
 
     def test_estimate_survives_select(self, complex_groups):
         _, _, terms = complex_groups["g2_complex_a"]

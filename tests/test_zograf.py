@@ -2,6 +2,7 @@ import cmath
 import math
 
 import pytest
+from test_words import THICK_POINT
 from toyterms import power_class_terms, primitive_term, toy_list
 
 import oddzeta.zeta
@@ -204,6 +205,20 @@ class TestPluriharmonicityScan:
         for idx in range(3):
             rep = pluriharmonicity_scan(base, idx, 5e-3, eta_on_chart(4, 5))
             assert abs(rep.fd_laplacian) < rep.error_budget
+
+    @pytest.mark.parametrize("point", ["thick", "scan_base"])
+    @pytest.mark.parametrize("L", [2, 4, 6])
+    def test_eta_laplacian_is_the_stencils_h2_term(self, point, L):
+        # each class adds the imaginary part of a holomorphic function of
+        # the chart point, so eta_L is pluriharmonic at every L and the
+        # reported Laplacian falls by 4 per halving of h: the O(h^2) term
+        base = (schottky_from_params(*THICK_POINT) if point == "thick"
+                else sample_group("scan_base"))
+        shared = eta_on_chart(L, 8)
+        laplacians = [pluriharmonicity_scan(base, 0, h, shared).fd_laplacian
+                      for h in (4e-3, 2e-3, 1e-3)]
+        for coarse, fine in zip(laplacians, laplacians[1:]):
+            assert abs(coarse / fine - 4.0) <= 0.05
 
     def test_shared_eta_gives_the_same_reports(self):
         base = sample_group("scan_base")
