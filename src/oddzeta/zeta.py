@@ -21,7 +21,11 @@ this one odd weight a per class.  The class data is one ``ZetaTerms``:
 the arrays and rank of a ``words.Spectrum`` plus the weight D and the
 character chi = chi_+ per class.  The log zeta sums, Z_odd and the
 lambda-integral tail are each one correctly rounded ``_fsum``, so their
-values do not depend on the order of the terms; the eta integrands
+values do not depend on the order of the terms.  ``_fsum`` sums exactly
+in numpy, binning frexp mantissa halves by exponent with
+``np.bincount`` (exact below 2^53) and rounding the folded Python int
+once by int / int division; a correctly rounded sum is unique, so its
+bits are those of ``math.fsum``.  The eta integrands
 ``dlog_zeta_odd`` and ``odd_heat_trace`` reduce each lambda or t with
 numpy's pairwise sum, deterministic for a given numpy build and a few
 ulps from the correctly rounded sum.  Terms from ``terms_from_group``
@@ -192,15 +196,61 @@ def shell_tail_bound(terms: Spectrum, re_lam: float) -> float:
 # --- zeta sums ------------------------------------------------------------------
 
 
-def _fsum(values: np.ndarray) -> complex:
-    """Correctly rounded sum of a real or complex array, part by part.
+#: Values binned per block: 2^16 mantissa halves below 2^27 sum below
+#: 2^43, exact in float64
+_SUM_BLOCK = 1 << 16
+#: 2^0 .. 2^15: 16 int64 bins below 2^44 fold into one below 2^60
+_FOLD_POWERS = np.left_shift(1, np.arange(16, dtype=np.int64))
 
-    The imaginary part is summed only when it is not all zero; fsum of
-    zeros is 0.0 whatever their signs, so the result is the same.
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The exact sum of a 1-D float64 array, rounded once.
+
+    Each value is (high + low) 2^(e - 27), from its frexp exponent e and
+    mantissa times 2^27 split into the integer high < 2^27 and the
+    fraction low, a multiple of 2^-26.  Over a block, ``np.bincount``
+    sums both per exponent exactly, from the block's smallest exponent
+    up, and the bins fold into the Python int N of the sum N 2^-1126
+    (the unit of the smallest subnormal's mantissa, 2^-1073 2^-53).  The
+    one rounding is CPython's correctly rounded int / int division,
+    subnormals included; a sum past the float range raises OverflowError,
+    even where the partial sums of ``math.fsum`` would not.  An array
+    with a non-finite value gets ``math.fsum``'s value or its ValueError.
+    """
+    total = 0
+    for start in range(0, len(x), _SUM_BLOCK):
+        mant, expo = np.frexp(x[start:start + _SUM_BLOCK])
+        low, high = np.modf(mant * 2.0 ** 27)
+        base = int(expo.min())
+        expo -= base
+        high = np.bincount(expo, high)
+        # an inf or NaN value leaves its high bin inf or NaN
+        if not np.isfinite(high).all():
+            return math.fsum(x.tolist())
+        # bin i counts units of 2^(base - 53 + i): low 2^26 at its value's
+        # exponent, high 26 bins up; padded to whole groups of 16
+        size = len(high)
+        bins = np.zeros((size + 26 + 15) // 16 * 16, np.int64)
+        bins[:size] = np.bincount(expo, low) * 2.0 ** 26
+        bins[26:26 + size] += high.astype(np.int64)
+        block = 0
+        for group in reversed((bins.reshape(-1, 16) @ _FOLD_POWERS).tolist()):
+            block = (block << 16) + group
+        total += block << (base + 1073)
+    return total / (1 << 1126)
+
+
+def _fsum(values: np.ndarray) -> complex:
+    """Correctly rounded sum of a real or complex array, part by part:
+    ``complex(math.fsum(values.real), math.fsum(values.imag))`` wherever
+    ``math.fsum`` returns (``_exact_sum``).
+
+    The imaginary part is summed only when it is not all zero; the sum
+    of zeros is 0.0 whatever their signs, so the result is the same.
     """
     imag = values.imag
-    return complex(math.fsum(values.real.tolist()),
-                   math.fsum(imag.tolist()) if imag.any() else 0.0)
+    return complex(_exact_sum(values.real),
+                   _exact_sum(imag) if imag.any() else 0.0)
 
 
 def _odd_weight(terms: ZetaTerms) -> np.ndarray:

@@ -110,9 +110,10 @@ def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int) -> FEvaluation:
         raise NonPrimitiveInput(f"term with j = {powers[0]} is not primitive")
     q = primitive_terms.q
     # q^(1+m) for m = 0..M as running products, one row per class
-    q_powers = np.cumprod(np.repeat(q[:, None], inner_cutoff + 1, axis=1),
-                          axis=1)
-    logs = np.log(1.0 - q_powers)
+    logs = np.cumprod(np.repeat(q[:, None], inner_cutoff + 1, axis=1), axis=1)
+    # log(1 - q^(1+m)), formed in place in the running-power buffer
+    np.subtract(1.0, logs, out=logs)
+    np.log(logs, out=logs)
     log_value = _fsum(logs.ravel())
     aq = np.abs(q)
     inner_tail = _fsum(aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2).real

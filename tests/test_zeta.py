@@ -1,11 +1,15 @@
 import cmath
 import math
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_words import ELLIPTIC_AB, _families, scalar_class_spectrum
 from toyterms import (
     class_terms,
@@ -31,6 +35,7 @@ from oddzeta.quadrature import integrate, integrate_batch
 from oddzeta.sample_groups import ring_group
 from oddzeta.words import PoincareEstimate, class_spectrum
 from oddzeta.zeta import (
+    _SUM_BLOCK,
     _fsum,
     _odd_weight,
     dlog_zeta_odd,
@@ -638,6 +643,46 @@ class TestAbscissaGuard:
         assert terms.select(terms.j == 1).estimate == terms.estimate
 
 
+def fraction_sum(part):
+    """The exact sum of a float array rounded once; OverflowError past
+    the float range.  Repeated values are counted, so long arrays cost
+    what their distinct values do."""
+    counts = Counter(part.tolist())
+    return float(sum(count * Fraction(value)
+                     for value, count in counts.items()))
+
+
+@st.composite
+def fsum_arrays(draw):
+    """Real or complex arrays of 0 to more than two blocks, built by
+    repeating a drawn pattern: any finite float, subnormals and signed
+    zeros included, mantissas at exponents from 2^-1074 to 2^1023,
+    cancelling pairs and half-way ties."""
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(math.ldexp, st.floats(-2.0, 2.0, exclude_min=True,
+                                        exclude_max=True),
+                  st.one_of(st.integers(-1074, 1023),
+                            st.integers(-1074, -1000),
+                            st.integers(1000, 1023))))
+    chunk = st.one_of(
+        value.map(lambda v: [v]),
+        value.map(lambda v: [v, -v]),
+        value.map(lambda v: [v, math.copysign(math.ulp(v) / 2, v)]),
+    )
+
+    def pattern():
+        return st.lists(chunk, min_size=1, max_size=6).map(
+            lambda chunks: [v for c in chunks for v in c])
+
+    size = draw(st.one_of(st.integers(0, 24), st.integers(0, 24),
+                          st.integers(2 * _SUM_BLOCK, 2 * _SUM_BLOCK + 24)))
+    values = np.resize(np.array(draw(pattern())), size)
+    if draw(st.booleans()):
+        values = values + 1j * np.resize(np.array(draw(pattern())), size)
+    return values
+
+
 class TestFsum:
     def test_correctly_rounded_over_wide_range(self):
         # terms spread over 24 decades: the sum is the exact rational sum
@@ -659,3 +704,79 @@ class TestFsum:
         assert total == complex(math.fsum([1.5, -0.25, 2.0]), 0.0)
         assert math.copysign(1.0, total.imag) == 1.0
         assert _fsum(np.array([1.0 + 2.0j, 0.5 - 3.0j])) == 1.5 - 1.0j
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              database=None)
+    @given(fsum_arrays())
+    def test_matches_math_fsum(self, values):
+        try:
+            expected = complex(math.fsum(values.real.tolist()),
+                               math.fsum(values.imag.tolist()))
+        except OverflowError:
+            # a partial sum of math.fsum left the float range: _fsum
+            # rounds the exact sum, or raises where that is out of range
+            try:
+                expected = complex(fraction_sum(values.real),
+                                   fraction_sum(values.imag))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    _fsum(values)
+                return
+        total = _fsum(values)
+        assert total == expected
+        assert (math.copysign(1.0, total.real),
+                math.copysign(1.0, total.imag)) == (
+                    math.copysign(1.0, expected.real),
+                    math.copysign(1.0, expected.imag))
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0 ** -53],                    # a tie, to even: 1.0
+        [1.0, 2.0 ** -53, 5e-324],            # just past the tie
+        [5e-324, 5e-324, -2.0 ** -1022],      # subnormal result
+        [1e300, 1.0, -1e300],                 # cancellation
+        [-0.0, -0.0],
+        [],
+    ])
+    def test_rounding_cases(self, values):
+        total = _fsum(np.array(values))
+        assert total == complex(math.fsum(values), 0.0)
+        assert math.copysign(1.0, total.real) == math.copysign(
+            1.0, math.fsum(values))
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf],
+        [math.nan, 1.0],
+        [-math.inf, 2.0, -math.inf],
+        [2.5 + 1.0j, 1.0 + complex(0.0, math.inf)],
+        [1.0] * (_SUM_BLOCK + 5) + [math.inf],   # in the second block
+    ])
+    def test_non_finite_as_math_fsum(self, values):
+        values = np.array(values)
+        total = _fsum(values)
+        expected = complex(math.fsum(values.real), math.fsum(values.imag))
+        assert (cmath.isnan(total) and cmath.isnan(expected)
+                or total == expected)
+
+    @pytest.mark.parametrize("values", [
+        [math.inf, -math.inf],
+        [1.0 + 0.0j, complex(0.0, math.inf), complex(0.0, -math.inf)],
+    ])
+    def test_inf_minus_inf_raises_as_math_fsum(self, values):
+        with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+            _fsum(np.array(values))
+
+    def test_exact_sum_past_the_float_range_raises(self):
+        top = sys.float_info.max
+        for values in ([top, top], [top, math.ulp(top) / 2],
+                       [1.0 + 1e308j, 2.0 + 1e308j]):
+            with pytest.raises(OverflowError):
+                _fsum(np.array(values))
+        assert _fsum(np.array([top, math.ulp(top) / 4])) == top
+
+    def test_exact_sum_when_partial_sums_overflow(self):
+        # math.fsum raises "intermediate overflow" here; the exact sum is
+        # in range and _fsum returns it
+        values = [1e308, 1e308, -1e308]
+        with pytest.raises(OverflowError):
+            math.fsum(values)
+        assert _fsum(np.array(values)) == 1e308 + 0j

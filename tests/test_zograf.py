@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from test_words import THICK_POINT
 from toyterms import power_class_terms, primitive_term, toy_list
@@ -114,6 +115,24 @@ class TestZografF:
         z0 = zeta_odd(sum_terms, 0.0).value
         f = zograf_F(toy_list([q, q.conjugate()], max_power=1), 90)
         assert abs(z0 - f.value.conjugate() / f.value) < 1e-10
+
+    def test_log_value_is_the_correctly_rounded_log_sum(self,
+                                                        eta_thick_config):
+        # the benchmark's seed-0 thick point at L = 9, M = 40: 143 664
+        # logs from 2^-4 down to subnormals, about half of the real parts
+        # exactly 0, built here from the same running powers, so the pin
+        # holds on any numpy build
+        config = eta_thick_config
+        terms = terms_from_group(config.generators, config.word_cutoff,
+                                 config.delta_cutoff)
+        primitive = terms.select(terms.j == 1)
+        M = config.inner_cutoff
+        powers = np.cumprod(np.repeat(primitive.q[:, None], M + 1, axis=1),
+                            axis=1)
+        logs = np.log(1.0 - powers).ravel()
+        assert len(logs) == 143664
+        expected = complex(math.fsum(logs.real), math.fsum(logs.imag))
+        assert zograf_F(primitive, M).log_value == expected
 
 
 def identity_report(generators, L, M, delta_cutoff=None):
