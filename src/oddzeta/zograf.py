@@ -7,7 +7,11 @@ F is the absolutely convergent double product over primitive classes
 defined on the locus where the shifted Poincare exponent is negative.
 Its accumulated-log argument satisfies arg F = -(pi/2) eta exactly for
 the signature-variant eta with the default character convention, and
-Z_odd(0) = conj(F)/F; both are checked numerically here.
+Z_odd(0) = conj(F)/F; both are checked numerically here.  The log of
+each class's factor, truncated at m = M, is summed as its power series
+in q, -sum_k (1/k) q^k (1 - q^(k(M+1))) / (1 - q^k), exact for the same
+M and cut after the first K with |q|^(K+1) <= 2^-70, so the work does
+not grow with M.
 
 The genus-2 chart after normalization is (q1, q2, b2): the multipliers
 of the two generators and the free repelling fixed point of the second
@@ -40,6 +44,8 @@ from .zeta import (
 )
 
 _MACHINE_FLOOR = 1e-15
+#: each class's F series is cut once |q|^(K+1) <= 2^-_SERIES_CUT_BITS
+_SERIES_CUT_BITS = 70.0
 
 
 @dataclass(frozen=True)
@@ -101,23 +107,57 @@ class FEvaluation:
 def zograf_F(primitive_terms: ZetaTerms, inner_cutoff: int) -> FEvaluation:
     """prod over primitive classes of prod_{m=0}^{M} (1 - q^(1+m)).
 
-    The inner tail is bounded by sum_{m>M} |q|^(1+m) / (1 - |q|) per
-    class; the outer (missing shells) bound reuses the zeta shell model.
-    Raises NonPrimitiveInput when a j > 1 term sneaks in.
+    The log is summed as the power series of each class, exact for the
+    same M:
+
+        sum_{m=0}^{M} log(1 - q^(m+1))
+            = -sum_{k>=1} (1/k) q^k (1 - q^(k(M+1))) / (1 - q^k).
+
+    A class is cut after its first K with |q|^(K+1) <= 2^-70, that is
+    K + 1 = ceil(70 / -log2|q|), so the work is sum K over the classes,
+    whatever M.  The classes are sorted by K, descending, the running
+    power q^k advances on the prefix still active, and all the terms are
+    one ``_fsum``.  K grows like 48.5 / (1 - |q|), so a class near
+    |q| = 1 costs many loop passes.
+
+    ``tail_bound`` adds three bounds: per class the inner tail
+    sum_{m>M} |q|^(1+m) / (1 - |q|) <= |q|^(M+2) / (1 - |q|)^2 and the
+    series cut 2 |q|^(K+1) / ((K+1) (1 - |q|)^2), and the outer (missing
+    shells) bound of the zeta shell model.  Raises NonPrimitiveInput when
+    a j > 1 term sneaks in, and ValueError for M < 0 or a multiplier
+    outside 0 < |q| < 1.
     """
+    if inner_cutoff < 0:
+        raise ValueError(f"inner_cutoff = {inner_cutoff} must be >= 0")
     powers = primitive_terms.j[primitive_terms.j != 1]
     if len(powers):
         raise NonPrimitiveInput(f"term with j = {powers[0]} is not primitive")
     q = primitive_terms.q
-    # q^(1+m) for m = 0..M as running products, one row per class
-    logs = np.cumprod(np.repeat(q[:, None], inner_cutoff + 1, axis=1), axis=1)
-    # log(1 - q^(1+m)), formed in place in the running-power buffer
-    np.subtract(1.0, logs, out=logs)
-    np.log(logs, out=logs)
-    log_value = _fsum(logs.ravel())
     aq = np.abs(q)
-    inner_tail = _fsum(aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2).real
-    tail = inner_tail + shell_tail_bound(primitive_terms, 0.0)
+    inside = (aq > 0.0) & (aq < 1.0)
+    if not inside.all():
+        raise ValueError(
+            f"multiplier {q[~inside][0]} must satisfy 0 < |q| < 1")
+    # K + 1 per class
+    cut = np.ceil(_SERIES_CUT_BITS / -np.log2(aq)).astype(np.int64)
+    q = q[np.argsort(-cut, kind="stable")]
+    # active[k - 1]: the classes with K >= k, for k = 1 .. max K, which
+    # are a prefix of the classes sorted by descending K
+    active = len(q) - np.cumsum(np.bincount(cut))[1:-1]
+    series = np.empty(active.sum(), complex)
+    power = np.ones(len(q), complex)
+    start = 0
+    for k, n in enumerate(active.tolist(), start=1):
+        power = power[:n] * q[:n]
+        # (1/k) q^k (q^(k(M+1)) - 1) / (1 - q^k), a term of the log
+        series[start:start + n] = (power * (power ** (inner_cutoff + 1) - 1.0)
+                                   / (k * (1.0 - power)))
+        start += n
+    log_value = _fsum(series)
+    inner_tail = aq ** (inner_cutoff + 2) / (1.0 - aq) ** 2
+    series_tail = 2.0 * aq ** cut / (cut * (1.0 - aq) ** 2)
+    tail = (_fsum(np.concatenate((inner_tail, series_tail))).real
+            + shell_tail_bound(primitive_terms, 0.0))
     return FEvaluation(cmath.exp(log_value), log_value, tail, inner_cutoff)
 
 
@@ -222,8 +262,8 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
     """
     if not 0 <= param_index < 3:
         raise ValueError("param_index must be 0, 1 or 2")
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"h = {h} must be positive and finite")
 
     def shifted(delta: complex) -> Tuple[complex, complex, complex]:
         params = list(base.params)

@@ -1,6 +1,9 @@
 import cmath
 import math
+import time
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from test_words import THICK_POINT
@@ -75,6 +78,7 @@ class TestSchottkyChart:
 class TestZografF:
     def test_empty_product(self):
         ev = zograf_F(toy_list([]), 10)
+        assert ev.log_value == 0.0
         assert ev.value == 1.0
         assert ev.tail_bound == 0.0
 
@@ -116,23 +120,79 @@ class TestZografF:
         f = zograf_F(toy_list([q, q.conjugate()], max_power=1), 90)
         assert abs(z0 - f.value.conjugate() / f.value) < 1e-10
 
-    def test_log_value_is_the_correctly_rounded_log_sum(self,
-                                                        eta_thick_config):
-        # the benchmark's seed-0 thick point at L = 9, M = 40: 143 664
-        # logs from 2^-4 down to subnormals, about half of the real parts
-        # exactly 0, built here from the same running powers, so the pin
-        # holds on any numpy build
+    def test_log_value_is_the_40_digit_product(self, eta_thick_config):
+        # the benchmark's seed-0 thick point at L = 9, M = 40: the log of
+        # the same M-truncated product on the same float q, at 40 digits.
+        # Every |q| < 2/3, so each class's principal log of its product is
+        # its sum of logs; a factor 1 - z with |z| < 1e-45 moves that log
+        # by below 1e-44 and is skipped
         config = eta_thick_config
         terms = terms_from_group(config.generators, config.word_cutoff,
                                  config.delta_cutoff)
         primitive = terms.select(terms.j == 1)
         M = config.inner_cutoff
-        powers = np.cumprod(np.repeat(primitive.q[:, None], M + 1, axis=1),
-                            axis=1)
-        logs = np.log(1.0 - powers).ravel()
-        assert len(logs) == 143664
-        expected = complex(math.fsum(logs.real), math.fsum(logs.imag))
-        assert zograf_F(primitive, M).log_value == expected
+        assert len(primitive) == 3504 and np.abs(primitive.q).max() < 2 / 3
+        with mpmath.workdps(40):
+            total = mpmath.mpc(0)
+            for q in primitive.q.tolist():
+                factors = min(M + 1, math.ceil(45 / -math.log10(abs(q))) + 1)
+                power, product = mpmath.mpc(1), mpmath.mpc(1)
+                for _ in range(factors):
+                    power *= q
+                    product *= 1 - power
+                total += mpmath.log(product)
+            expected = complex(total)
+        got = zograf_F(primitive, M).log_value
+        assert abs(got.real - expected.real) <= math.ulp(expected.real)
+        assert abs(got.imag - expected.imag) <= math.ulp(expected.imag)
+
+    @pytest.mark.parametrize("M", [0, 1, 40])
+    @pytest.mark.parametrize("modulus", [0.05, 0.35, 0.9])
+    @pytest.mark.parametrize("phase", [0.0, 0.7, -2.5])
+    def test_single_class_is_the_40_digit_product(self, modulus, M, phase):
+        # sum_{m <= M} log(1 - q^(m+1)) at 40 digits; the series terms are
+        # rounded one by one, which costs a few ulps of |log F|
+        q = modulus * cmath.exp(1j * phase)
+        with mpmath.workdps(40):
+            expected = mpmath.fsum(mpmath.log(1 - mpmath.mpc(q) ** (m + 1))
+                                   for m in range(M + 1))
+            got = zograf_F(primitive_term(q), M).log_value
+            error = float(abs(mpmath.mpc(got) - expected))
+        assert error <= 4 * math.ulp(abs(complex(expected)))
+        if phase == 0.0:
+            assert got.imag == 0.0
+
+    def test_cost_does_not_grow_with_inner_cutoff(self, eta_thick_config):
+        # the series has about 2 terms per class whatever M; a buffer of
+        # classes x (M + 1) would need 56 TB at M = 10^9
+        config = eta_thick_config
+        terms = terms_from_group(config.generators, config.word_cutoff,
+                                 config.delta_cutoff)
+        primitive = terms.select(terms.j == 1)
+        coarse = zograf_F(primitive, config.inner_cutoff)
+        start = time.perf_counter()
+        deep = zograf_F(primitive, 10 ** 9)
+        assert time.perf_counter() - start < 1.0
+        assert deep.inner_cutoff == 10 ** 9
+        assert abs(deep.value - coarse.value) <= coarse.tail_bound
+        assert abs(deep.log_value - coarse.log_value) <= coarse.tail_bound
+
+    def test_series_cut_is_in_the_tail_bound(self):
+        # one class, no shells: the bound is the inner tail plus the
+        # series cut, K + 1 = ceil(70 / -log2|q|) = 31 at |q| = 0.2
+        q = 0.2 * cmath.exp(0.4j)
+        ev = zograf_F(primitive_term(q), 20)
+        inner = 0.2 ** 22 / 0.8 ** 2
+        cut = 2 * 0.2 ** 31 / (31 * 0.8 ** 2)
+        assert ev.tail_bound == pytest.approx(inner + cut, rel=1e-12)
+
+    def test_rejects_negative_cutoff_and_multipliers_off_the_disc(self):
+        with pytest.raises(ValueError, match="inner_cutoff"):
+            zograf_F(primitive_term(0.2), -1)
+        for q in (1.2, 1.0, 0.0, complex(math.nan, 0.0)):
+            terms = replace(primitive_term(0.2), q=np.array([q], complex))
+            with pytest.raises(ValueError, match="multiplier"):
+                zograf_F(terms, 10)
 
 
 def identity_report(generators, L, M, delta_cutoff=None):
@@ -178,6 +238,18 @@ class TestEtaFIdentity:
         monkeypatch.undo()
         assert report.z_central == zeta_odd(terms, 0.0).value
         assert report.eta == eta(terms, "central_value")
+
+    def test_central_cross_check_is_twice_the_sine_of_the_residual(
+            self, complex_groups, eta_thick_config):
+        # |exp(i pi eta) - conj(F)/F| = |exp(2i (arg F + (pi/2) eta)) - 1|
+        config = eta_thick_config
+        cases = [(terms_from_group(config.generators, config.word_cutoff,
+                                   config.delta_cutoff), config.inner_cutoff)]
+        cases += [(terms, 40) for _, _, terms in complex_groups.values()]
+        for terms, M in cases:
+            report = check_eta_F_identity(terms, M)
+            assert abs(report.central_cross_check
+                       - 2 * abs(math.sin(report.residual))) <= 1e-15
 
     @pytest.mark.parametrize("variant, spin_sign", [("spinor", "plus"),
                                                     ("spinor", "minus"),
@@ -257,5 +329,8 @@ class TestPluriharmonicityScan:
         base = sample_group("scan_base")
         with pytest.raises(ValueError):
             pluriharmonicity_scan(base, 3, 1e-2, eta_on_chart(3, 6))
-        with pytest.raises(ValueError):
-            pluriharmonicity_scan(base, 0, -1e-2, eta_on_chart(3, 6))
+        # h = inf would give fd_laplacian 0.0 within a budget of 0.0, a
+        # false pass, and h = nan a report of NaNs
+        for h in (-1e-2, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                pluriharmonicity_scan(base, 0, h, eta_on_chart(3, 6))
