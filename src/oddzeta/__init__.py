@@ -34,6 +34,8 @@ from .kernels import (
     gaussian_time_integral_quadrature,
     heat_scalar_signature,
     heat_scalar_spinor,
+    heat_signature_batch,
+    heat_spinor_batch,
     resolvent_scalar,
 )
 from .clifford import CliffordElement

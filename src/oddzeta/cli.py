@@ -34,8 +34,8 @@ from .kernels import (
     dirac_resolvent_scalar,
     gaussian_time_integral,
     gaussian_time_integral_quadrature,
-    heat_scalar_signature,
-    heat_scalar_spinor,
+    heat_signature_batch,
+    heat_spinor_batch,
     resolvent_scalar,
 )
 from .moebius import MoebiusMap
@@ -215,16 +215,19 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     lines = _metadata_lines(config, n=config.kernel_n, m=config.kernel_m,
                             d=config.kernel_d)
     lines.append(",".join(_KERNEL_COLUMNS))
-    for t in config.t_grid:
-        for r in config.r_grid:
-            point = KernelPoint(r=r, t=t, n=config.kernel_n)
-            at = (t, r, None, None)
-            pp, pm = heat_scalar_spinor(point)
-            lines.append(_kernel_row(
-                "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
-            sp, sm, mid = heat_scalar_signature(point, config.kernel_m)
-            lines.append(_kernel_row(
-                "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), mid)))
+    # p_plus of both kinds at every (t, r), t-major, from one call per kind;
+    # tolist gives Python complex numbers, as the one-point functions do
+    heat_t = [t for t in config.t_grid for _ in config.r_grid]
+    heat_r = list(config.r_grid) * len(config.t_grid)
+    spinor = heat_spinor_batch(heat_t, heat_r, config.kernel_n).tolist()
+    signature = heat_signature_batch(heat_t, heat_r, config.kernel_m).tolist()
+    for t, r, pp, sp in zip(heat_t, heat_r, spinor, signature):
+        at = (t, r, None, None)
+        pm, sm = -pp, -sp
+        lines.append(_kernel_row(
+            "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
+        lines.append(_kernel_row(
+            "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), 0.0)))
     # each Gaussian row waits for one quadrature over every convergent
     # (lambda, r) pair: its line index, where it is evaluated, its closed form
     gaussian, lams, rs = [], [], []

@@ -9,12 +9,19 @@ The derivative operator (-d/d cosh r)^k of the heat scalars is evaluated
 by one path for every r >= 0: Taylor jets in rho = r^2, in which the
 bracket is analytic, so the removable singularity at r = 0 needs no
 special case.  No finite differences anywhere.
+
+The jets are array-valued: :func:`heat_spinor_batch` and
+:func:`heat_signature_batch` run them over a whole (t, r) grid in one
+pass, each point stopping its own series, and give every point the bits
+of its one-point value; :func:`heat_scalar_spinor` and
+:func:`heat_scalar_signature` are their one-point cases.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +48,7 @@ class KernelPoint:
             raise ValueError(f"r = {self.r} negative")
         if not self.t > 0:
             raise ValueError(f"t = {self.t} not positive")
-        if self.n < 1:
-            raise ValueError(f"n = {self.n} must be a positive integer")
+        _positive_order("n", self.n)
 
 
 def c_lambda(lam: complex) -> complex:
@@ -126,7 +132,10 @@ def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
 # In rho = r^2 the bracket is f = exp(-rho/4t) / S_s(rho) with
 # S_s(rho) = sinh(s sqrt(rho)) / sqrt(rho), and d/d cosh r = (1/g) d/drho
 # with g = S_1 / 2 = sinh r / 2r >= 1/2.  Every factor is a Taylor jet at
-# rho = r^2; the same arithmetic serves r = 0 and large r.
+# rho = r^2; the same arithmetic serves r = 0 and large r.  A jet is a list
+# of coefficient arrays, one entry per point, and every point runs the
+# float operations of its own one-point evaluation, so its value does not
+# depend on the other points of the batch.
 
 
 def _j_div(num, den):
@@ -135,7 +144,7 @@ def _j_div(num, den):
     for k in range(min(len(num), len(den))):
         acc = num[k]
         for i in range(1, k + 1):
-            acc -= den[i] * out[k - i]
+            acc = acc - den[i] * out[k - i]
         out.append(acc / den[0])
     return out
 
@@ -145,44 +154,135 @@ def _j_deriv(a):
     return [k * a[k] for k in range(1, len(a))]
 
 
-def _sinhc_jet(s: float, rho: float, order: int):
-    """Taylor jet at rho of S_s(rho) = sum_m s^(2m+1) rho^m / (2m+1)!.
+def _flat_grid(t, r):
+    """t and r broadcast against each other: flat float arrays, and the
+    broadcast shape."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    return t.ravel(), r.ravel(), t.shape
+
+
+def _sinhc_jet(s: float, rho: np.ndarray, order: int):
+    """Taylor jets at the points rho (1-d) of
+    S_s(rho) = sum_m s^(2m+1) rho^m / (2m+1)!, coefficient by coefficient.
 
     Coefficient j re-expands that series at rho,
     sum_i C(i+j, j) s^(2(i+j)+1) rho^i / (2(i+j)+1)!, whose terms are all
-    positive, so no step cancels.  Raises OverflowError where the sum
-    leaves the float range, as sinh(s r) does.
+    positive, so no step cancels.  Each point stops at its own first term
+    <= 2^-60 of its total, and only the points still summing are touched.
+    Raises OverflowError where the sum leaves the float range, as
+    sinh(s r) does.
     """
     jet = []
     lead = s  # s^(2j+1) / (2j+1)!
     for j in range(order + 1):
-        total, term, i = 0.0, lead, 0
-        while True:
-            total += term
+        total = np.empty_like(rho)
+        live = np.arange(rho.size)  # the points still summing, and their
+        acc = np.zeros_like(rho)    # running totals, terms and rho
+        term = np.full_like(rho, lead)
+        x = rho
+        i = 0
+        while live.size:
+            acc += term
             i += 1
             n = 2 * (i + j)
-            term *= (i + j) / i * s * s * rho / (n * (n + 1))
-            if not term > 2.0 ** -60 * total:  # also ends on inf and nan
-                break
-        if not math.isfinite(total):
-            raise OverflowError(
-                f"sinh({s!r} r) is not finite at r^2 = {rho!r}")
+            term *= (i + j) / i * s * s * x / (n * (n + 1))
+            go = term > 2.0 ** -60 * acc  # also ends on inf and nan
+            if not go.all():
+                done = ~go
+                total[live[done]] = acc[done]
+                live, acc, term, x = live[go], acc[go], term[go], x[go]
+        bad = ~np.isfinite(total)
+        if bad.any():
+            raise OverflowError(f"sinh({s!r} r) is not finite at "
+                                f"r^2 = {rho[bad.argmax()].item()!r}")
         jet.append(total)
         lead *= s * s / ((2 * j + 2) * (2 * j + 3))
     return jet
 
 
-def _neg_dcosh_power(inv_scale: float, t: float, k: int, r: float) -> float:
-    """(-d/d cosh r)^k [ r/sinh(r*inv_scale) e^(-r^2/4t) ] at any r >= 0."""
+def _neg_dcosh_power(inv_scale: float, t, k: int, r):
+    """(-d/d cosh r)^k [ r/sinh(r*inv_scale) e^(-r^2/4t) ] at any r >= 0.
+
+    t and r broadcast; a scalar pair gives a numpy scalar.  exp is the
+    real part of the complex exp, which calls the C library's exp as
+    math.exp does (the float64 np.exp may take a SIMD path an ulp off).
+    """
+    t, r, shape = _flat_grid(t, r)
     rho = r * r
-    g = [0.5 * c for c in _sinhc_jet(1.0, rho, k)]
-    expo = [math.exp(-0.25 * rho / t)]
-    for j in range(1, k + 1):
-        expo.append(expo[-1] * (-0.25 / t) / j)
-    f = _j_div(expo, _sinhc_jet(inv_scale, rho, k))
-    for _ in range(k):
-        f = [-c for c in _j_div(_j_deriv(f), g)]
-    return f[0]
+    # Python floats overflow to inf and nan without a word; so do these
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = [0.5 * c for c in _sinhc_jet(1.0, rho, k)]
+        expo = [np.exp(-0.25 * rho / t + 0j).real]
+        for j in range(1, k + 1):
+            expo.append(expo[-1] * (-0.25 / t) / j)
+        f = _j_div(expo, _sinhc_jet(inv_scale, rho, k))
+        for _ in range(k):
+            f = [-c for c in _j_div(_j_deriv(f), g)]
+    return f[0].reshape(shape)[()]
+
+
+def _positive_order(name: str, value) -> int:
+    """``value`` as an int >= 1; anything else, a float too, is refused."""
+    try:
+        order = operator.index(value)
+    except TypeError:
+        order = 0
+    if order < 1:
+        raise ValueError(f"{name} = {value} must be a positive integer")
+    return order
+
+
+def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
+    """unit sinh(s r) / (scale t^(3/2))
+    * (-d/d cosh r)^k [ r/sinh(s r) e^(-r^2/4t) ]
+    at every point of the broadcast (t, r) grid, as a complex array.
+
+    t^(3/2) is the C library's pow, as Python's float power calls it, and
+    its overflow is refused as there.  Python's complex arithmetic sets the
+    sign of each zero part (up to 3.13 a float factor joins as a complex
+    number with zero imaginary part), so the values are formed with it,
+    point by point.
+    """
+    t, r, shape = _flat_grid(t, r)
+    # each point is checked as KernelPoint checks it, the first bad one
+    # raising; written so that NaN fails too
+    bad = ~(r >= 0)
+    if bad.any():
+        raise ValueError(f"r = {r[bad.argmax()].item()} negative")
+    bad = ~(t > 0)
+    if bad.any():
+        raise ValueError(f"t = {t[bad.argmax()].item()} not positive")
+    core = _neg_dcosh_power(s, t, k, r)
+    with np.errstate(over="ignore"):
+        power = np.float_power(t, 1.5)
+    over = np.isinf(power) & np.isfinite(t)
+    if over.any():
+        raise OverflowError(
+            f"t ** 1.5 is not finite at t = {t[over.argmax()].item()!r}")
+    values = [unit * math.sinh(s * x) / d * c for x, d, c in
+              zip(r.tolist(), (scale * power).tolist(), core.tolist())]
+    return np.array(values, dtype=complex).reshape(shape)
+
+
+def heat_spinor_batch(t, r, n: int) -> np.ndarray:
+    """p_plus of :func:`heat_scalar_spinor` at every point of the (t, r)
+    grid, which broadcasts; p_minus = -p_plus.
+
+    One array pass of the jets over all points, each value bit for bit
+    its one-point value.  Returns a complex array in the broadcast shape.
+    """
+    n = _positive_order("n", n)
+    scale = 2.0 ** (3 * n + 1.5) * math.gamma(n + 1.5)
+    return _heat_batch(0.5, n, -1j, scale, t, r)
+
+
+def heat_signature_batch(t, r, m: int) -> np.ndarray:
+    """p_plus of :func:`heat_scalar_signature` at every point of the
+    (t, r) grid, as :func:`heat_spinor_batch` gives the spinor one."""
+    m = _positive_order("m", m)
+    scale = 2.0 ** (2 * m - 0.5) * math.pi ** (2 * m + 0.5)
+    return _heat_batch(1.0, 2 * m - 1, -1j * (4 * m - 1), scale, t, r)
 
 
 def heat_scalar_spinor(p: KernelPoint):
@@ -192,10 +292,9 @@ def heat_scalar_spinor(p: KernelPoint):
              * (-d/d cosh r)^n [ r sinh(r/2)^(-1) e^(-r^2/4t) ]
     on H^(2n+1); p_minus = -p_plus by construction.  Values are purely
     imaginary; the removable singularity at r = 0 is handled exactly.
+    The one-point case of :func:`heat_spinor_batch`.
     """
-    core = _neg_dcosh_power(0.5, p.t, p.n, p.r)
-    denom = 2.0 ** (3 * p.n + 1.5) * math.gamma(p.n + 1.5) * p.t ** 1.5
-    p_plus = -1j * math.sinh(0.5 * p.r) / denom * core
+    p_plus = heat_spinor_batch(p.t, p.r, p.n).item()
     return p_plus, -p_plus
 
 
@@ -204,13 +303,10 @@ def heat_scalar_signature(p: KernelPoint, m: int):
 
     On H^(4m-1): p_plus = (4m-1) sinh(r) / (i 2^(2m - 1/2) pi^(2m + 1/2)
     t^(3/2)) * (-d/d cosh r)^(2m-1) [ r sinh(r)^(-1) e^(-r^2/4t) ], with
-    p_middle identically zero.
+    p_middle identically zero.  The one-point case of
+    :func:`heat_signature_batch`.
     """
-    if m < 1:
-        raise ValueError(f"m = {m} must be a positive integer")
-    core = _neg_dcosh_power(1.0, p.t, 2 * m - 1, p.r)
-    denom = 2.0 ** (2 * m - 0.5) * math.pi ** (2 * m + 0.5) * p.t ** 1.5
-    p_plus = -1j * (4 * m - 1) * math.sinh(p.r) / denom * core
+    p_plus = heat_signature_batch(p.t, p.r, m).item()
     return p_plus, -p_plus, 0.0
 
 

@@ -27,6 +27,11 @@ from oddzeta.config import (
     parse_complex,
     parse_config,
 )
+from oddzeta.kernels import (
+    KernelPoint,
+    heat_scalar_signature,
+    heat_scalar_spinor,
+)
 from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import ring_group, sample_group
 from oddzeta.words import class_spectrum, estimate_delta, word_to_str
@@ -554,12 +559,45 @@ class TestKernelsCommand:
         assert all(r["note"] == "PoleOfGamma" for r in poles)
 
     def test_overflow_refused(self, tmp_path, capsys):
-        # sinh r overflows at r = 800: a refusal, never a NaN row
-        cfg = write(tmp_path, "k.cfg", REAL_PAIR + "\n[grids]\nt = 1\nr = 800\n")
-        out = tmp_path / "out"
-        assert main(["kernels", "--config", cfg, "--out", str(out)]) == 4
-        assert "OverflowError" in capsys.readouterr().err
-        assert not (out / "kernels.csv").exists()
+        # sinh r overflows at r = 800: a refusal, never a NaN row, also
+        # when the point shares its array pass with finite ones, and never
+        # a numpy warning on the way
+        for name, grid in (("one", "t = 1\nr = 800\n"),
+                           ("mixed", "t = 0.5 1\nr = 1 800\n")):
+            cfg = write(tmp_path, f"{name}.cfg",
+                        REAL_PAIR + "\n[grids]\n" + grid)
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["kernels", "--config", cfg,
+                             "--out", str(out)]) == 4
+            assert "OverflowError" in capsys.readouterr().err
+            assert not (out / "kernels.csv").exists()
+
+    def test_heat_rows_equal_one_point_functions(self, tmp_path):
+        # the rows come from one array pass per kind; each cell must be
+        # the repr of the public one-point value at its (t, r)
+        cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
+        config = load_config(cfg)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        heat = [r for r in rows if r["kind"].startswith("heat")]
+        assert len(heat) == 2 * len(config.t_grid) * len(config.r_grid)
+        for row in heat:
+            point = KernelPoint(r=float(row["r"]), t=float(row["t"]),
+                                n=config.kernel_n)
+            if row["kind"] == "heat_spinor":
+                pp, pm = heat_scalar_spinor(point)
+                mid = ""
+            else:
+                pp, pm, mid = heat_scalar_signature(point, config.kernel_m)
+                mid = repr(mid)
+            assert (row["p_plus_im"], row["p_minus_im"],
+                    row["plus_plus_minus"], row["p_middle"]) == (
+                repr(pp.imag), repr(pm.imag), repr(abs(pp + pm)), mid), row
 
 
     def test_gaussian_within_reported_error_on_bench_grid(self, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from oddzeta.kernels import (
     gaussian_time_integral_quadrature,
     heat_scalar_signature,
     heat_scalar_spinor,
+    heat_signature_batch,
+    heat_spinor_batch,
     resolvent_scalar,
 )
+from oddzeta.kernels import _neg_dcosh_power
 
 
 class TestCLambda:
@@ -191,6 +195,143 @@ class TestHeatScalars:
             return math.log(abs(pp)) + r * r / (4 * t) - (n + 2) * math.log(r)
         values = [envelope(r) for r in (5.0, 10.0, 20.0)]
         assert values[0] > values[1] > values[2]
+
+
+def bits(values):
+    """The float64 bit patterns of ``values`` (complex as two floats), so
+    that -0.0 and 0.0 differ and NaN equals itself."""
+    return np.asarray(values).view(np.int64)
+
+
+#: the (t, r) grid of the array tests: the diagonal, both sides of the
+#: r = 0.45 scale, and r far enough out that the series runs long
+HEAT_T = (0.05, 1.0, 20.0)
+HEAT_R = (0.0, 1e-3, 0.04, 0.45, 1.0, 4.0, 10.0, 30.0)
+
+
+def scalar_neg_dcosh_power(s, t, k, r):
+    """The one-point jets in Python floats and math.exp, as the kernels
+    module evaluated them before it went array-valued: the reference for
+    the array core's bits."""
+    def div(num, den):
+        out = []
+        for i in range(min(len(num), len(den))):
+            acc = num[i]
+            for j in range(1, i + 1):
+                acc -= den[j] * out[i - j]
+            out.append(acc / den[0])
+        return out
+
+    def sinhc(s, rho, order):
+        jet, lead = [], s
+        for j in range(order + 1):
+            total, term, i = 0.0, lead, 0
+            while True:
+                total += term
+                i += 1
+                n = 2 * (i + j)
+                term *= (i + j) / i * s * s * rho / (n * (n + 1))
+                if not term > 2.0 ** -60 * total:
+                    break
+            jet.append(total)
+            lead *= s * s / ((2 * j + 2) * (2 * j + 3))
+        return jet
+
+    rho = r * r
+    g = [0.5 * c for c in sinhc(1.0, rho, k)]
+    expo = [math.exp(-0.25 * rho / t)]
+    for j in range(1, k + 1):
+        expo.append(expo[-1] * (-0.25 / t) / j)
+    f = div(expo, sinhc(s, rho, k))
+    for _ in range(k):
+        f = [-c for c in div([i * f[i] for i in range(1, len(f))], g)]
+    return f[0]
+
+
+class TestHeatBatch:
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_array_core_equals_one_point_bit_for_bit(self, s, k):
+        t, r = (a.ravel() for a in np.meshgrid(HEAT_T, HEAT_R, indexing="ij"))
+        alone = [_neg_dcosh_power(s, ti, k, ri)
+                 for ti, ri in zip(t.tolist(), r.tolist())]
+        together = _neg_dcosh_power(s, t, k, r)
+        assert together.shape == t.shape
+        assert (bits(together) == bits(alone)).all()
+        reference = [scalar_neg_dcosh_power(s, ti, k, ri)
+                     for ti, ri in zip(t.tolist(), r.tolist())]
+        assert (bits(together) == bits(reference)).all()
+        # a value cannot depend on its batch neighbours
+        order = np.random.default_rng(k).permutation(t.size)
+        permuted = _neg_dcosh_power(s, t[order], k, r[order])
+        assert (bits(permuted) == bits(together[order])).all()
+
+    def test_core_broadcasts(self):
+        grid = _neg_dcosh_power(0.5, np.array(HEAT_T)[:, None], 2, HEAT_R)
+        assert grid.shape == (len(HEAT_T), len(HEAT_R))
+        flat = _neg_dcosh_power(0.5, np.repeat(HEAT_T, len(HEAT_R)), 2,
+                                np.tile(HEAT_R, len(HEAT_T)))
+        assert (bits(grid.ravel()) == bits(flat)).all()
+        assert isinstance(_neg_dcosh_power(0.5, 1.0, 2, 1.0), float)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_public_batches_equal_one_point_functions(self, order):
+        # signs of zero included: p_plus at r = 0 is +0 - 0i
+        t = np.array(HEAT_T)[:, None]
+        spinor = heat_spinor_batch(t, HEAT_R, order)
+        signature = heat_signature_batch(t, HEAT_R, order)
+        assert spinor.shape == signature.shape == (len(HEAT_T), len(HEAT_R))
+        for i, ti in enumerate(HEAT_T):
+            for j, rj in enumerate(HEAT_R):
+                pp, pm = heat_scalar_spinor(KernelPoint(r=rj, t=ti, n=order))
+                sp, sm, mid = heat_scalar_signature(KernelPoint(r=rj, t=ti),
+                                                    order)
+                assert type(pp) is complex and type(sp) is complex
+                assert (bits([pp, pm]) == bits([spinor[i, j],
+                                                 -spinor[i, j]])).all()
+                assert (bits([sp, sm]) == bits([signature[i, j],
+                                                 -signature[i, j]])).all()
+                assert mid == 0.0
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, "2", 0, -1, math.nan])
+    def test_non_integer_order_refused(self, order):
+        # 1.5 used to pass KernelPoint and die in range() with a TypeError
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            KernelPoint(r=1.0, t=1.0, n=order)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            heat_scalar_signature(KernelPoint(r=1.0, t=1.0), order)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            heat_spinor_batch(1.0, [0.5, 1.0], order)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            heat_signature_batch(1.0, [0.5, 1.0], order)
+
+    def test_integer_like_orders_accepted(self):
+        pp, _ = heat_scalar_spinor(KernelPoint(r=1.0, t=1.0, n=2))
+        assert heat_spinor_batch(1.0, 1.0, np.int64(2)).item() == pp
+        point = KernelPoint(r=1.0, t=1.0, n=np.int64(2))
+        assert heat_scalar_spinor(point)[0] == pp
+
+    @pytest.mark.parametrize("t, r, message", [
+        ([1.0, 1.0], [1.0, -1.0], "r = -1.0 negative"),
+        ([1.0, 1.0], [1.0, math.nan], "r = nan negative"),
+        ([1.0, 0.0], [1.0, 1.0], "t = 0.0 not positive"),
+        ([1.0, math.nan], [1.0, 1.0], "t = nan not positive"),
+    ])
+    def test_batch_points_checked(self, t, r, message):
+        for batch in (heat_spinor_batch, heat_signature_batch):
+            with pytest.raises(ValueError, match=message):
+                batch(t, r, 1)
+
+    @pytest.mark.parametrize("batch", [heat_spinor_batch,
+                                       heat_signature_batch])
+    def test_overflow_refused_without_warnings(self, batch):
+        # sinh r leaves the float range at r = 800, in the middle of a batch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="is not finite"):
+                batch([0.5, 1.0, 1.0], [1.0, 800.0, 2.0], 2)
+            with pytest.raises(OverflowError, match="t \\*\\* 1.5"):
+                batch([1.0, 1e300], [1.0, 1.0], 1)
 
 
 class TestGaussianTimeIntegral:

@@ -38,12 +38,19 @@ def heat_core_oracle(s, t, k, r):
 
 @pytest.mark.parametrize("s,k", [(0.5, 1), (0.5, 2), (1.0, 3), (1.0, 5)])
 def test_heat_core(s, k):
+    rs, ts = (0.04, 0.3, 0.434, 0.46, 1.0, 4.0, 10.0), (0.05, 1.0, 20.0)
+    refs = [[heat_core_oracle(s, t, k, r) for r in rs] for t in ts]
     worst = 0.0
-    for r in (0.04, 0.3, 0.434, 0.46, 1.0, 4.0, 10.0):
-        for t in (0.05, 1.0, 20.0):
-            ref = heat_core_oracle(s, t, k, r)
+    for t, row in zip(ts, refs):
+        for r, ref in zip(rs, row):
             got = _neg_dcosh_power(s, t, k, r)
             worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst <= 1e-13
+    # the same grid as one array call
+    grid = _neg_dcosh_power(s, np.array(ts)[:, None], k, rs)
+    worst = max(float(abs((mp.mpf(got) - ref) / ref))
+                for got, ref in zip(grid.ravel().tolist(),
+                                    (ref for row in refs for ref in row)))
     assert worst <= 1e-13
 
 
