@@ -20,9 +20,11 @@ from .moebius import (
 from .words import (
     PoincareEstimate,
     Spectrum,
+    class_spectra,
     class_spectrum,
     cycle_expansion,
     estimate_delta,
+    estimate_deltas,
     evaluate_word,
 )
 from .special import hyp2f1
@@ -55,6 +57,7 @@ from .zeta import (
     log_zeta_odd,
     odd_heat_trace,
     terms_from_group,
+    terms_from_groups,
     zeta_odd,
 )
 from .zograf import (

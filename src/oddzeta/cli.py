@@ -271,17 +271,20 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     oracle columns) and scan.json with the same content.
     """
     base = _scan_point(config)
-    # one memoized eta for the three parameters: they share the base point
+    # one memoized eta for the three parameters: they share the base point,
+    # so the scans evaluate 9, 8 and 8 new points, each set in one batch
     eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff)
     rows = []
     for idx in range(3):
         oracles = {
             "harmonic": pluriharmonicity_scan(
                 base, idx, config.scan_h,
-                lambda params, i=idx: ((params[i] ** 3).real, 0.0)),
+                lambda points, i=idx: [((p[i] ** 3).real, 0.0)
+                                       for p in points]),
             "nonharmonic": pluriharmonicity_scan(
                 base, idx, config.scan_h,
-                lambda params, i=idx: (abs(params[i]) ** 2, 0.0)),
+                lambda points, i=idx: [(abs(p[i]) ** 2, 0.0)
+                                       for p in points]),
         }
         if config.scan_oracle == "none":
             rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)

@@ -10,13 +10,18 @@ is computed on arrays in one walk of the prenecklace tree
 carries its matrix, its parent's times one letter in an exact batched
 product (``word_products``); the class matrices are classified and
 reduced to their invariants in blocks (``class_invariants``), and
-``class_spectrum`` returns one ``Spectrum`` of 1-D arrays.  The batched
-code decides only the common case: a product or class outside it goes
-through the scalar ``moebius`` code it mirrors, which renormalizes or
-refuses it.
+``class_spectrum`` returns one ``Spectrum`` of 1-D arrays.  The words
+do not depend on the group, so ``class_spectra`` walks the tree once
+for several groups of one rank, their matrices side by side on a
+trailing group axis, and ``class_spectrum`` is its one-group case.  The
+batched code decides only the common case: a product or class outside
+it goes through the scalar ``moebius`` code it mirrors, which
+renormalizes or refuses it.
 
 ``estimate_delta`` reads the Poincare exponent off a class spectrum too,
-as the zero of a determinant whose ``cycle_expansion`` sums its classes.
+as the zero of a determinant whose ``cycle_expansion`` sums its classes;
+``estimate_deltas`` solves for several spectra with the same words in
+lockstep, and ``estimate_delta`` is its one-spectrum case.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -46,47 +51,19 @@ from .moebius import (
     _multiplier_invariants,
 )
 
-GroupWord = Tuple[int, ...]
-
 DEFAULT_WORD_BUDGET = 10_000_000
 
 
-def free_reduce(letters: Sequence[int]) -> GroupWord:
-    """Cancel adjacent inverse pairs until none remain."""
-    out: List[int] = []
-    for s in letters:
-        if out and out[-1] == -s:
-            out.pop()
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def is_reduced(w: Sequence[int]) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
-
-
-def is_cyclically_reduced(w: Sequence[int]) -> bool:
-    if not is_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != -w[-1]
-
-
-def cyclic_reduce(w: Sequence[int]) -> GroupWord:
-    w = list(free_reduce(w))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-#: Prenecklaces expanded (and their children multiplied) per block of
-#: the walk.  At rank 2 a block's product temporaries take under a
-#: megabyte, and a shell's prenecklaces are held in chunks of this many
-#: parents' children.
+#: (prenecklace, group) products expanded (and their children
+#: multiplied) per block of the walk: a walk of G groups expands
+#: _PRODUCT_BLOCK // G prenecklaces at a time.  At rank 2 a block's
+#: product temporaries take under a megabyte, and a shell's prenecklaces
+#: are held in chunks of one block's children.
 _PRODUCT_BLOCK = 1024
 
-#: Classes classified and reduced to their invariants per pass in
-#: class_spectrum; a pass spans shells, so a small spectrum is one pass.
+#: (class, group) entries classified and reduced to their invariants per
+#: pass of class_spectra; a pass spans shells, so a small spectrum is one
+#: pass.
 _CLASS_BLOCK = 2048
 
 
@@ -168,9 +145,11 @@ def word_products(parents, letters: np.ndarray, table):
     """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
     ``parents`` is a split product ``(re, im)``: real and imaginary parts
-    of the entries as (2, 2, N) float arrays.  ``letters`` holds N letter
-    indices (see ``_class_products``) and ``table`` the (2, 2, 2g) letter
-    matrices by index, split the same way.  Returns the split products.
+    of the entries as (2, 2, N) float arrays, or (2, 2, N, G) for the
+    same words in G groups.  ``letters`` holds N letter indices (see
+    ``_class_products``) and ``table`` the (2, 2, 2g) or (2, 2, 2g, G)
+    letter matrices by index, split the same way.  Returns the split
+    products.
     Squared parts settle the common case, a product below the
     determinant noise floor and clear of the float range, which
     ``MoebiusMap.normalized`` keeps as it is; every other product goes
@@ -193,12 +172,13 @@ def word_products(parents, letters: np.ndarray, table):
     floor = 1e-24 * size * size
     settled = (((det_re - 1.0) ** 2 + det_im ** 2 < floor * (1.0 - 1e-6))
                & (floor < np.inf))
-    for col in np.flatnonzero(~settled).tolist():
-        m = MoebiusMap.normalized(*map(
-            complex, re[:, :, col].ravel().tolist(),
-            im[:, :, col].ravel().tolist()))
-        re[:, :, col] = [[m.a.real, m.b.real], [m.c.real, m.d.real]]
-        im[:, :, col] = [[m.a.imag, m.b.imag], [m.c.imag, m.d.imag]]
+    # (product,) or (product, group) indices, in product order
+    for col in map(tuple, np.argwhere(~settled).tolist()):
+        at = (Ellipsis, *col)
+        m = MoebiusMap.normalized(*map(complex, re[at].ravel().tolist(),
+                                       im[at].ravel().tolist()))
+        re[at] = [[m.a.real, m.b.real], [m.c.real, m.d.real]]
+        im[at] = [[m.a.imag, m.b.imag], [m.c.imag, m.d.imag]]
     return re, im
 
 
@@ -211,10 +191,11 @@ def class_invariants(products, eps_class: float):
     """``classify`` and the multiplier invariants of a block of products.
 
     ``products`` is a split product as in ``word_products``.  Returns
-    ``(kind, ell, theta, q, spin_phase)``: ``kind`` the ``classify`` name
-    of each product, and for the loxodromic ones the length, holonomy,
-    multiplier and spin phase, bit for bit those of
-    ``geodesic_invariants`` on the same matrix (NaN elsewhere).
+    ``(kind, ell, theta, q, spin_phase)``, each of the products' shape
+    ((N,) or (N, G)): ``kind`` the ``classify`` name of each product, and
+    for the loxodromic ones the length, holonomy, multiplier and spin
+    phase, bit for bit those of ``geodesic_invariants`` on the same
+    matrix (NaN elsewhere).
     The arithmetic is ``_classify`` and ``_multiplier_invariants`` in
     split form: ``**`` is two complex products, ``cmath.sqrt`` is
     ``_sqrt`` and quotients are ``_divide``; only
@@ -222,9 +203,10 @@ def class_invariants(products, eps_class: float):
     whose t * t overflows, or with no eigenvalue above 1 in modulus, goes
     to ``_classify`` and ``_multiplier_invariants`` themselves, which
     refuse it as ``geodesic_invariants`` does, unless a product before it
-    is not loxodromic; numpy warns of nothing.
+    (in row-major order) is not loxodromic; numpy warns of nothing.
     """
-    re, im = products
+    shape = products[0].shape[2:]
+    re, im = (x.reshape(2, 2, -1) for x in products)
     a_re, b_re, c_re, d_re = re.reshape(4, -1)
     a_im, b_im, c_im, d_im = im.reshape(4, -1)
     # max(|a - 1|, |b|, |c|, |d - 1|) and the same for -m, the larger
@@ -251,7 +233,7 @@ def class_invariants(products, eps_class: float):
     q, phase = np.full(n, np.nan + 0j), np.full(n, np.nan + 0j)
     lox = code == 3
     if not lox.any():
-        return kind, ell, theta, q, phase
+        return tuple(x.reshape(shape) for x in (kind, ell, theta, q, phase))
     rows = slice(None) if lox.all() else lox
     t_re, t_im = t_re[rows], t_im[rows]
     # _multiplier_invariants: s = sqrt(t * t - 4), aligned with t
@@ -285,7 +267,7 @@ def class_invariants(products, eps_class: float):
         _classify(a, b, c, d, eps_class)
         _, q[row], ell[row], theta[row], phase[row] = (
             _multiplier_invariants(a + d))
-    return kind, ell, theta, q, phase
+    return tuple(x.reshape(shape) for x in (kind, ell, theta, q, phase))
 
 
 @dataclass(frozen=True)
@@ -330,8 +312,10 @@ class Spectrum:
             if np.ndim(getattr(self, f.name))})
 
 
-def _class_products(generators: Sequence[MoebiusMap], L: int):
-    """The split products of every class of length <= L, in blocks.
+def _class_products(generator_sets: Sequence[Sequence[MoebiusMap]],
+                    L: int):
+    """The split products of every class of length <= L, in blocks, for
+    G groups of one rank at once.
 
     One breadth-first walk of the tree of reduced prenecklaces of length
     1..L.  A class representative is the minimal rotation of a
@@ -351,18 +335,21 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
     integer order on letters.  Each prenecklace carries its product, its
     parent's times its last letter through ``word_products``, so the
     product of a class is bit for bit ``evaluate_word``'s; at length L
-    only the classes are multiplied.  A shell is held in chunks
+    only the classes are multiplied.  The words do not depend on the
+    group: codes, periods and j are shared, and each product carries a
+    trailing group axis, (2, 2, N, G).  A shell is held in chunks
     ``(codes, period, products)``, one per block of at most
-    ``_PRODUCT_BLOCK`` parents, and a chunk is dropped once its children
-    are grown, so only prenecklaces are kept (at rank 2 about twice as
-    many as classes), never all reduced words of a shell.
+    ``_PRODUCT_BLOCK // G`` parents, and a chunk is dropped once its
+    children are grown, so only prenecklaces are kept (at rank 2 about
+    twice as many as classes), never all reduced words of a shell.
 
     Yields ``(codes, word_length, j, products)`` for blocks of at least
-    ``_CLASS_BLOCK`` classes in class order (the last block may be
+    ``_CLASS_BLOCK / G`` classes in class order (the last block may be
     smaller); blocks span shells.  More than ``DEFAULT_WORD_BUDGET``
     predicted classes, or codes beyond int64, raise CutoffTooLarge.
     """
-    g = len(generators)
+    groups = len(generator_sets)
+    g = len(generator_sets[0])
     if g < 1 or L < 1:
         raise ValueError("need g >= 1 and L >= 1")
     # 2g (2g - 1)^(k - 1) reduced words of length k, about 1/k of them classes
@@ -380,14 +367,17 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
         )
     letters = np.arange(base)
     powers = base ** np.arange(L, dtype=np.int64)
-    # the letter matrices by letter index; an inverse is the adjugate
-    # that MoebiusMap.inverse builds
-    table = np.array([(m.d, -m.b, -m.c, m.a) for m in reversed(generators)]
-                     + [(m.a, m.b, m.c, m.d) for m in generators],
-                     dtype=complex).T.reshape(2, 2, -1)
+    block = max(1, _PRODUCT_BLOCK // groups)
+    # the letter matrices by letter index and group; an inverse is the
+    # adjugate that MoebiusMap.inverse builds
+    table = np.array([[(m.d, -m.b, -m.c, m.a) for m in reversed(gens)]
+                      + [(m.a, m.b, m.c, m.d) for m in gens]
+                      for gens in generator_sets],
+                     dtype=complex).T.reshape(2, 2, base, groups)
     split = table.real, table.imag
     # the letters are the first shell, each MoebiusMap.identity() times it
-    eye = np.repeat(np.eye(2)[:, :, None], base, axis=2)
+    eye = np.zeros((2, 2, base, groups))
+    eye[0, 0] = eye[1, 1] = 1.0
     codes, ones = letters.astype(np.int64), np.ones(base, dtype=np.int64)
     products = word_products((eye, np.zeros_like(eye)), letters, split)
     chunks = deque([(codes, ones, products)])
@@ -397,9 +387,9 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
         grown = deque()
         while chunks:
             codes, period, products = chunks.popleft()
-            for start in range(0, len(codes), _PRODUCT_BLOCK):
-                parent = codes[start:start + _PRODUCT_BLOCK, None]
-                p = period[start:start + _PRODUCT_BLOCK, None]
+            for start in range(0, len(codes), block):
+                parent = codes[start:start + block, None]
+                p = period[start:start + block, None]
                 back = parent // powers[p - 1] % base
                 allowed = ((letters >= back)
                            & (letters != base - 1 - parent % base))
@@ -427,7 +417,7 @@ def _class_products(generators: Sequence[MoebiusMap], L: int):
                 pending.append((child[cls], np.full(len(j), n), j,
                                 child_products))
                 count += len(j)
-                if count >= _CLASS_BLOCK:
+                if count * groups >= _CLASS_BLOCK:
                     yield _join(pending)
                     pending, count = [], 0
         chunks = grown
@@ -443,41 +433,80 @@ def _join(pending):
             tuple(np.concatenate(part, axis=2) for part in zip(*products)))
 
 
+def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
+                  eps_class: float = EPS_CLASS) -> List[Spectrum]:
+    """The ``Spectrum`` of every class of length <= L of each of several
+    groups of one rank, from one walk of the prenecklace tree.
+
+    The walk (``_class_products``) grows the words once and multiplies
+    every group's matrices side by side: each prenecklace's matrix is its
+    parent's times one letter (``word_products``), so a class costs one
+    product step, not one per letter, and equals ``evaluate_word`` bit
+    for bit.  The class matrices are classified and reduced to their
+    multipliers by ``class_invariants`` in blocks of ``_CLASS_BLOCK``
+    (class, group) entries that span shells (fixed points are not
+    computed), so every value equals the one ``classify`` and
+    ``geodesic_invariants`` give.  The spectra share their ``codes``,
+    ``word_length`` and ``j`` arrays.
+
+    Refusals are those of a loop of ``class_spectrum`` calls: the first
+    group in order that is refused raises, so a refused batch is walked
+    again one group at a time.  One group raises NotLoxodromic naming its
+    first class, in class order, that is not loxodromic; a product
+    refused on any prenecklace raises its OverflowError or ValueError
+    when the walk reaches it, after the classes walked before its block
+    are classified: a class-by-class ``evaluate_word`` reaches those
+    first.  Generator sets of different ranks raise ValueError.
+    """
+    sets = [tuple(gens) for gens in generator_sets]
+    if len({len(gens) for gens in sets}) > 1:
+        raise ValueError("the generator sets differ in rank")
+    if len(sets) > 1:
+        try:
+            return _walk_spectra(sets, L, eps_class)
+        except (NotLoxodromic, ArithmeticError, ValueError):
+            pass
+    return [spectrum for gens in sets
+            for spectrum in _walk_spectra([gens], L, eps_class)]
+
+
+def _walk_spectra(sets: Sequence[Sequence[MoebiusMap]], L: int,
+                  eps_class: float) -> List[Spectrum]:
+    """``class_spectra`` of one or more groups of one rank, refusing the
+    first refused (class, group) entry of the walk."""
+    g = len(sets[0])
+    shared: dict = {name: [] for name in ("codes", "word_length", "j")}
+    per_group: dict = {name: [] for name in ("ell", "theta", "q",
+                                             "spin_phase")}
+    for codes, lengths, j, products in _class_products(sets, L):
+        kind, ell, theta, q, phase = class_invariants(products, eps_class)
+        bad = np.argwhere(kind != "loxodromic")
+        if bad.size:
+            row, group = bad[0].tolist()
+            word = word_strings(codes[row:row + 1], lengths[row:row + 1],
+                                g)[0]
+            raise NotLoxodromic(
+                f"word {word} is {kind[row, group]}, not loxodromic")
+        for name, value in zip(shared, (codes, lengths, j)):
+            shared[name].append(value)
+        # C-ordered group-major blocks, so each group's field is one
+        # contiguous row
+        for name, value in zip(per_group, (ell, theta, q, phase)):
+            per_group[name].append(value.T.copy())
+    # one field at a time, so the blocks and the result overlap by one field
+    arrays = {name: np.concatenate(shared.pop(name)) for name in list(shared)}
+    rows = {name: np.concatenate(per_group.pop(name), axis=1)
+            for name in list(per_group)}
+    return [Spectrum(rank=g, **arrays,
+                     **{name: field[k] for name, field in rows.items()})
+            for k in range(len(sets))]
+
+
 def class_spectrum(generators: Sequence[MoebiusMap], L: int,
                    eps_class: float = EPS_CLASS) -> Spectrum:
-    """The ``Spectrum`` of every class of length <= L.
-
-    One walk of the prenecklace tree (``_class_products``): each
-    prenecklace's matrix is its parent's times one letter
-    (``word_products``), so a class costs one product step, not one per
-    letter, and equals ``evaluate_word`` bit for bit.  The class
-    matrices are classified and reduced to their multipliers by
-    ``class_invariants`` in blocks of ``_CLASS_BLOCK`` classes that span
-    shells (fixed points are not computed), so every value equals the
-    one ``classify`` and ``geodesic_invariants`` give.  Raises
-    NotLoxodromic naming the first class, in class order, that is not
-    loxodromic.  A product refused on any prenecklace raises its
-    OverflowError or ValueError when the walk reaches it, after the
-    classes walked before its block are classified: a class-by-class
-    ``evaluate_word`` reaches those first.
-    """
-    g = len(generators)
-    columns: dict = {name: [] for name in (
-        "codes", "word_length", "j", "ell", "theta", "q", "spin_phase")}
-    for codes, lengths, j, products in _class_products(generators, L):
-        kind, ell, theta, q, phase = class_invariants(products, eps_class)
-        bad = np.flatnonzero(kind != "loxodromic")
-        if bad.size:
-            row = bad[:1]
-            word = word_strings(codes[row], lengths[row], g)[0]
-            raise NotLoxodromic(
-                f"word {word} is {kind[row[0]]}, not loxodromic")
-        for name, value in zip(columns, (codes, lengths, j, ell, theta, q,
-                                         phase)):
-            columns[name].append(value)
-    # one field at a time, so the blocks and the result overlap by one field
-    return Spectrum(rank=g, **{name: np.concatenate(columns.pop(name))
-                               for name in list(columns)})
+    """The ``Spectrum`` of every class of length <= L: the one-group case
+    of ``class_spectra``, refusals included."""
+    return class_spectra([generators], L, eps_class)[0]
 
 
 def word_strings(codes: np.ndarray, word_length: np.ndarray,
@@ -524,26 +553,6 @@ _SCAN_INTERVALS = 64
 _TRACE_BLOCK = 1 << 14
 
 
-def _illinois(f, lo: float, f_lo: float, hi: float, f_hi: float) -> float:
-    """A zero of f in [lo, hi], f(lo) <= 0 < f(hi), by regula falsi with
-    the Illinois step: the value at an end kept twice is halved.  An exact
-    zero becomes the end hi, with value 0, and the steps close on it."""
-    kept = 0
-    while True:
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        if not lo < x < hi:  # the bracket is down to adjacent floats
-            return lo if -f_lo <= f_hi else hi
-        fx = f(x)
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            f_hi *= 0.5 if kept == -1 else 1.0
-            kept = -1
-        else:
-            hi, f_hi = x, fx
-            f_lo *= 0.5 if kept == 1 else 1.0
-            kept = 1
-
-
 def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
                     N: int) -> np.ndarray:
     """The coefficients c_0..c_N of the cycle expansion of a determinant
@@ -555,17 +564,34 @@ def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
     n c_n = -sum_k t_k c_(n-k).  Weights and lambda may be complex.
     Longer classes are not read; an empty shell n <= N raises ValueError.
     """
-    starts = np.searchsorted(spectrum.word_length, np.arange(1, N + 2))
+    starts, end = _shells(spectrum.word_length, N)
+    lam = np.atleast_1d(lam)
+    return _expansion_rows(spectrum.ell[None, :end], weight[None, :end],
+                           starts, np.zeros(len(lam), dtype=np.intp), lam, N)
+
+
+def _shells(word_length: np.ndarray, N: int):
+    """The first index of each shell 1..N of sorted word lengths, and the
+    end of shell N; an empty shell raises ValueError."""
+    starts = np.searchsorted(word_length, np.arange(1, N + 2))
     full = starts[1:] > starts[:-1]
     if not full.all():
         raise ValueError(f"no class of word length {full.argmin() + 1}")
-    # reduceat runs the last shell to the end: drop longer classes
-    end = starts[-1]
-    ell, weight, starts = spectrum.ell[:end], weight[:end], starts[:-1]
-    lam = np.atleast_1d(lam)
-    step = max(1, _TRACE_BLOCK // end)
+    return starts[:-1], starts[-1]
+
+
+def _expansion_rows(ell: np.ndarray, weight: np.ndarray, starts: np.ndarray,
+                    rows: np.ndarray, lam: np.ndarray, N: int) -> np.ndarray:
+    """``cycle_expansion`` at each lam[i] of the spectrum in row rows[i]
+    of the stacked 2-D ``ell`` and ``weight`` (classes of word length
+    <= N only), with shells beginning at ``starts``.  At most
+    ``_TRACE_BLOCK`` terms e^(-lambda ell) are held at once, and each
+    lambda's traces are its own row of ``np.add.reduceat``, so a lambda
+    gets the same bits in any batch."""
+    step = max(1, _TRACE_BLOCK // ell.shape[1])
     t = np.concatenate([np.add.reduceat(
-        weight * np.exp(-np.multiply.outer(lam[k:k + step], ell)),
+        weight[rows[k:k + step]]
+        * np.exp(-(lam[k:k + step, None] * ell[rows[k:k + step]])),
         starts, axis=1) for k in range(0, len(lam), step)]).T
     c = [np.ones(len(lam))]
     for n in range(1, N + 1):
@@ -577,46 +603,125 @@ def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
     """delta_hat = delta - 1 as the largest real zero of the order-N
     trivial-character determinant det(1 - L_lambda) (Ruelle 1976;
     McMullen 1998; Jenkinson-Pollicott 2002), read off the classes of
-    ``spectrum`` of word length <= N.
+    ``spectrum`` of word length <= N: the one-spectrum case of
+    ``estimate_deltas``, refusals included.
 
     Its ``cycle_expansion`` has the trace weight (n/j) |q| / |1 - q|^2,
     and Z_N = sum_(n <= N) c_n.  The first sign change of Z_N on a grid
-    scanned down to -1 from lambda = 2 is refined by ``_illinois``.  The
-    zeros of Z_(N-1) and Z_N bracket the estimate; a wide bracket is
-    reported, not refused.  Rank 1 gives exactly -1 (a double zero, no
-    sign change).  N < 4, Z_(N-1) or Z_N not positive at 2, no zero, or
-    an estimate above 1 (delta <= 2 for every Kleinian group in H^3)
-    raise NonConvergent.
+    scanned down to -1 from lambda = 2 is refined by regula falsi with
+    the Illinois step.  The zeros of Z_(N-1) and Z_N bracket the
+    estimate; a wide bracket is reported, not refused.  Rank 1 gives
+    exactly -1 (a double zero, no sign change).  N < 4, Z_(N-1) or Z_N
+    not positive at 2, no zero, or an estimate above 1 (delta <= 2 for
+    every Kleinian group in H^3) raise NonConvergent.
     """
+    return estimate_deltas([spectrum], N)[0]
+
+
+def estimate_deltas(spectra: Sequence[Spectrum],
+                    N: int) -> List[PoincareEstimate]:
+    """``estimate_delta`` of each of several spectra with the same word
+    lengths (such as one ``class_spectra``), solved in lockstep.
+
+    Each spectrum's truncations Z_(N-1) and Z_N are two rows of one
+    solve.  One ``_expansion_rows`` call scans every row's grid, and
+    each round of regula falsi with the Illinois step (the value at an
+    end kept twice is halved) evaluates every active row's trial lambda
+    in one more.  A row keeps its own bracket, halving state and stop
+    test (the bracket down to adjacent floats; an exact zero becomes the
+    end hi, with value 0, and the steps close on it), so each estimate
+    has the bits of a solve on its own.  Refusals are those of
+    a loop of ``estimate_delta`` calls: the first spectrum in order that
+    is refused raises.  Spectra whose word lengths differ raise
+    ValueError.
+    """
+    spectra = list(spectra)
     if N < 4:
         raise NonConvergent(f"need at least 4 shells, got N = {N}")
-    if spectrum.cutoff < N:
+    if not spectra:
+        return []
+    lengths = spectra[0].word_length
+    if not all(np.array_equal(other.word_length, lengths)
+               for other in spectra[1:]):
+        raise ValueError("the spectra differ in their word lengths")
+    if spectra[0].cutoff < N:
         raise ValueError(
-            f"spectrum reaches word length {spectrum.cutoff}, need {N}")
-    if spectrum.rank == 1:
-        return PoincareEstimate(delta_hat=-1.0, bracket=(-1.0, -1.0))
-    part = spectrum.select(spectrum.word_length <= N)
-    q = part.q
-    weight = part.word_length / part.j * np.abs(q) / np.abs(1.0 - q) ** 2
+            f"spectrum reaches word length {spectra[0].cutoff}, need {N}")
+    estimates = [PoincareEstimate(delta_hat=-1.0, bracket=(-1.0, -1.0))
+                 ] * len(spectra)
+    solve = [i for i, spectrum in enumerate(spectra) if spectrum.rank != 1]
+    if not solve:
+        return estimates
+    starts, end = _shells(lengths, N)
+    ell = np.array([spectra[i].ell[:end] for i in solve])
+    weight = np.array([
+        lengths[:end] / spectra[i].j[:end] * np.abs(spectra[i].q[:end])
+        / np.abs(1.0 - spectra[i].q[:end]) ** 2 for i in solve])
 
-    def truncations(lam) -> np.ndarray:
-        """Z_(N-1) and Z_N at each lambda, as rows."""
-        return np.cumsum(cycle_expansion(part, weight, lam, N),
+    def truncations(rows, lam) -> np.ndarray:
+        """Z_(N-1) and Z_N of stacked spectrum rows[i] at lam[i], as rows."""
+        return np.cumsum(_expansion_rows(ell, weight, starts, rows, lam, N),
                          axis=0)[N - 1:]
 
-    if not (truncations(2.0) > 0.0).all():
-        raise NonConvergent(f"Z_{N - 1} and Z_{N} not both positive at 2")
-    grid = np.linspace(2.0, -1.0, _SCAN_INTERVALS + 1).tolist()
-    zeros = []
-    for row, values in enumerate(truncations(grid).tolist()):
-        i = next((i for i, v in enumerate(values) if v <= 0.0), None)
-        if i is None:
-            raise NonConvergent(f"Z_{N - 1 + row} has no zero on [-1, 2]")
-        zeros.append(_illinois(lambda lam: truncations(lam)[row, 0].item(),
-                               grid[i], values[i], grid[i - 1], values[i - 1]))
-    if zeros[1] > 1.0:
-        raise NonConvergent(
-            f"delta_hat = {zeros[1]!r} exceeds 1, the bound of every "
-            "Kleinian group in H^3")
-    return PoincareEstimate(delta_hat=zeros[1],
-                            bracket=(min(zeros), max(zeros)))
+    grid = np.linspace(2.0, -1.0, _SCAN_INTERVALS + 1)
+    scans = truncations(np.repeat(np.arange(len(solve)), len(grid)),
+                        np.tile(grid, len(solve)))
+    grid = grid.tolist()
+    errors = {}
+    # [spectrum row, truncation, lo, f(lo), hi, f(hi), the end kept last
+    # round: -1 hi, 1 lo, 0 none yet]
+    states = []
+    for r, both in enumerate(scans.reshape(2, len(solve), -1)
+                             .swapaxes(0, 1).tolist()):
+        if not (both[0][0] > 0.0 and both[1][0] > 0.0):
+            errors[r] = NonConvergent(
+                f"Z_{N - 1} and Z_{N} not both positive at 2")
+            continue
+        brackets = []
+        for k, values in enumerate(both):
+            i = next((i for i, v in enumerate(values) if v <= 0.0), None)
+            if i is None:
+                errors[r] = NonConvergent(
+                    f"Z_{N - 1 + k} has no zero on [-1, 2]")
+                break
+            brackets.append([r, k, grid[i], values[i], grid[i - 1],
+                             values[i - 1], 0])
+        else:
+            states += brackets
+    zeros = {}
+    while states:
+        trials = []
+        for state in states:
+            r, k, lo, f_lo, hi, f_hi, _ = state
+            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            if lo < x < hi:
+                trials.append((state, x))
+            else:  # the bracket is down to adjacent floats
+                zeros[r, k] = lo if -f_lo <= f_hi else hi
+        if not trials:
+            break
+        values = truncations(np.array([state[0] for state, _ in trials]),
+                             np.array([x for _, x in trials])).tolist()
+        for n, (state, x) in enumerate(trials):
+            fx, kept = values[state[1]][n], state[6]
+            if fx < 0.0:
+                state[2:4] = x, fx
+                state[5] *= 0.5 if kept == -1 else 1.0
+                state[6] = -1
+            else:
+                state[4:6] = x, fx
+                state[3] *= 0.5 if kept == 1 else 1.0
+                state[6] = 1
+        states = [state for state, _ in trials]
+    for r, i in enumerate(solve):
+        if r in errors:
+            raise errors[r]
+        low, high = zeros[r, 0], zeros[r, 1]
+        if high > 1.0:
+            raise NonConvergent(
+                f"delta_hat = {high!r} exceeds 1, the bound of every "
+                "Kleinian group in H^3")
+        estimates[i] = PoincareEstimate(delta_hat=high,
+                                        bracket=(min(low, high),
+                                                 max(low, high)))
+    return estimates

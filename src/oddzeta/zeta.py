@@ -44,15 +44,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceViolation, DeltaNotNegative
 from .moebius import EPS_CLASS, MoebiusMap
 from .quadrature import integrate_batch
-from .words import (PoincareEstimate, Spectrum, _divide, class_spectrum,
-                    estimate_delta)
+from .words import (PoincareEstimate, Spectrum, _divide, class_spectra,
+                    estimate_deltas)
 
 VARIANTS = ("signature", "spinor")
 ETA_ROUTES = ("central_value", "lambda_integral", "heat_quadrature")
@@ -141,18 +141,35 @@ def terms_from_group(generators: Sequence[MoebiusMap], L: int,
                      spin_sign: str = "plus",
                      eps_class: float = EPS_CLASS) -> ZetaTerms:
     """Class terms for every conjugacy class of word length <= L, with
-    the group's delta_hat estimate of order ``delta_cutoff``.
-
-    One ``words.class_spectrum`` at max(L, delta_cutoff) gives both, in
-    (length, lexicographic representative) order.  Raises NotLoxodromic
+    the group's delta_hat estimate of order ``delta_cutoff``: the
+    one-group case of ``terms_from_groups``.  Raises NotLoxodromic
     naming the offending word if the family is not purely loxodromic.
     """
-    spectrum = class_spectrum(generators, max(L, delta_cutoff), eps_class)
-    estimate = estimate_delta(spectrum, delta_cutoff)
-    if delta_cutoff > L:
-        spectrum = spectrum.select(spectrum.word_length <= L)
-    return replace(terms_from_spectrum(spectrum, variant, spin_sign),
-                   estimate=estimate)
+    return terms_from_groups([generators], L, delta_cutoff, variant,
+                             spin_sign, eps_class)[0]
+
+
+def terms_from_groups(generator_sets: Sequence[Sequence[MoebiusMap]],
+                      L: int, delta_cutoff: int, variant: str = "signature",
+                      spin_sign: str = "plus",
+                      eps_class: float = EPS_CLASS) -> List[ZetaTerms]:
+    """``terms_from_group`` of each of several groups of one rank.
+
+    One ``words.class_spectra`` at max(L, delta_cutoff) gives the
+    spectra, in (length, lexicographic representative) order, and one
+    ``words.estimate_deltas`` of order ``delta_cutoff`` their estimates.
+    Refusals come stage by stage: the first group whose spectrum is
+    refused raises, and only then the first whose delta_hat is.
+    """
+    spectra = class_spectra(generator_sets, max(L, delta_cutoff), eps_class)
+    estimates = estimate_deltas(spectra, delta_cutoff)
+    terms = []
+    for spectrum, estimate in zip(spectra, estimates):
+        if delta_cutoff > L:
+            spectrum = spectrum.select(spectrum.word_length <= L)
+        terms.append(replace(terms_from_spectrum(spectrum, variant, spin_sign),
+                             estimate=estimate))
+    return terms
 
 
 # --- truncation-tail model ----------------------------------------------------

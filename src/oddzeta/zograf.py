@@ -21,16 +21,15 @@ of the two generators and the free repelling fixed point of the second
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (DegenerateConfiguration, DeltaNotNegative,
                      LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
-                     NotLoxodromic)
+                     NotLoxodromic, OddZetaError)
 from .moebius import (MoebiusMap, _map_to_0_inf_1, _points_distinct,
                       geodesic_invariants, loxodromic)
 from .zeta import (
@@ -39,7 +38,7 @@ from .zeta import (
     _fsum,
     log_zeta_odd,
     shell_tail_bound,
-    terms_from_group,
+    terms_from_groups,
     terms_from_spectrum,
 )
 
@@ -222,30 +221,56 @@ class PluriharmonicityReport:
     error_budget: float
 
 
-EtaFn = Callable[[Tuple[complex, complex, complex]], Tuple[float, float]]
+ChartPoint = Tuple[complex, complex, complex]
+
+#: fn(points) -> [(value, truncation budget) per point]
+EtaFn = Callable[[Sequence[ChartPoint]], List[Tuple[float, float]]]
 
 
 def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
-    """params -> (eta, truncation budget) at a chart point, memoized.
+    """points -> [(eta, truncation budget) per chart point], memoized.
 
     One function serves several ``pluriharmonicity_scan`` calls, so a
-    point they share, such as the base point, is evaluated once.  A point
-    builds one class spectrum, at max(L, delta_cutoff), for delta_hat and
-    eta; one without a negative delta_hat raises LeftSchottkyDomain.
+    point they share, such as the base point, is evaluated once.  The
+    points a call has not seen build their class spectra, at
+    max(L, delta_cutoff), in one ``terms_from_groups``: one walk of the
+    word tree and one lockstep delta_hat solve.  A point without a
+    negative delta_hat raises LeftSchottkyDomain.  A refusal is the one
+    the first refused point, in the order given, raises on its own: a
+    refused batch is evaluated again one point at a time.
     """
-    @functools.cache
-    def value(params: Tuple[complex, complex, complex]) -> Tuple[float, float]:
+    memo: dict = {}
+
+    def evaluate(points: List[ChartPoint]) -> List[Tuple[float, float]]:
         try:
-            point = schottky_from_params(*params)
-            terms = terms_from_group(point.generators, L, delta_cutoff)
-            _check_delta_negative(terms)
-        except DeltaNotNegative as exc:
-            raise LeftSchottkyDomain(f"{exc} at params {params}") from exc
+            terms = terms_from_groups(
+                [schottky_from_params(*params).generators
+                 for params in points], L, delta_cutoff)
         except (NotLoxodromic, NonConvergent, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
-        log_odd = log_zeta_odd(terms, 0.0)
-        return log_odd.value.imag / math.pi, log_odd.tail_bound / math.pi
-    return value
+        values = []
+        for params, point_terms in zip(points, terms):
+            try:
+                _check_delta_negative(point_terms)
+            except DeltaNotNegative as exc:
+                raise LeftSchottkyDomain(f"{exc} at params {params}") from exc
+            log_odd = log_zeta_odd(point_terms, 0.0)
+            values.append((log_odd.value.imag / math.pi,
+                           log_odd.tail_bound / math.pi))
+        return values
+
+    def fn(points: Sequence[ChartPoint]) -> List[Tuple[float, float]]:
+        misses = [p for p in dict.fromkeys(points) if p not in memo]
+        if misses:
+            try:
+                values = evaluate(misses)
+            except (OddZetaError, ArithmeticError):
+                if len(misses) == 1:
+                    raise
+                values = [evaluate([params])[0] for params in misses]
+            memo.update(zip(misses, values))
+        return [memo[params] for params in points]
+    return fn
 
 
 def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
@@ -255,37 +280,39 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
     fd_laplacian = (f(p+h) + f(p-h) + f(p+ih) + f(p-ih) - 4 f(p)) / h^2
     evaluated at step h; the error budget combines the Richardson h vs h/2
     discretization estimate, the truncation budgets divided by h^2 and a
-    rounding floor.  ``fn`` maps chart params to (f, truncation budget):
-    eta is ``eta_on_chart(L, delta_cutoff)``, whose memo lets several
-    scans of one base point evaluate it once; a harness-validation oracle
-    returns (value, 0.0).
+    rounding floor.  ``fn`` maps a list of chart points to their
+    (f, truncation budget) pairs and is called once, with the nine
+    stencil points in the order p, p + h, p - h, p + ih, p - ih, then the
+    same at h/2: eta is ``eta_on_chart(L, delta_cutoff)``, whose memo
+    lets several scans of one base point evaluate it once; a
+    harness-validation oracle returns (value, 0.0) per point.
     """
     if not 0 <= param_index < 3:
         raise ValueError("param_index must be 0, 1 or 2")
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"h = {h} must be positive and finite")
 
-    def shifted(delta: complex) -> Tuple[complex, complex, complex]:
+    def shifted(delta: complex) -> ChartPoint:
         params = list(base.params)
         params[param_index] = params[param_index] + delta
         return tuple(params)
 
-    def laplacian(step: float) -> Tuple[float, float, float]:
-        values = []
-        budgets = []
-        for offset in (step, -step, 1j * step, -1j * step):
-            v, b = fn(shifted(offset))
-            values.append(v)
-            budgets.append(b)
+    steps = (h, 0.5 * h)
+    (center, center_budget), *shifts = fn(
+        [base.params] + [shifted(offset) for step in steps
+                         for offset in (step, -step, 1j * step, -1j * step)])
+
+    def laplacian(step: float, pairs) -> Tuple[float, float, float]:
+        values = [v for v, _ in pairs]
+        budgets = [b for _, b in pairs]
         lap = (sum(values) - 4.0 * center) / step ** 2
         trunc = (sum(budgets) + 4.0 * center_budget) / step ** 2
         scale = max(1.0, max(abs(v) for v in values), abs(center))
         floor = 8.0 * _MACHINE_FLOOR * scale / step ** 2
         return lap, trunc, floor
 
-    center, center_budget = fn(base.params)
-    lap_h, trunc_h, floor_h = laplacian(h)
-    lap_h2, _, _ = laplacian(0.5 * h)
+    lap_h, trunc_h, floor_h = laplacian(steps[0], shifts[:4])
+    lap_h2, _, _ = laplacian(steps[1], shifts[4:])
     discretization = 4.0 / 3.0 * abs(lap_h - lap_h2)
     return PluriharmonicityReport(
         param_index=param_index, h=h, fd_laplacian=lap_h,

@@ -276,10 +276,12 @@ def test_criterion_11_pluriharmonicity():
     base = sample_group("scan_base")
     all_ok = True
     details = []
-    harmonic = pluriharmonicity_scan(base, 0, 1e-2,
-                                     lambda p: ((p[0] ** 3).real, 0.0))
-    nonharmonic = pluriharmonicity_scan(base, 0, 1e-2,
-                                        lambda p: (abs(p[0]) ** 2, 0.0))
+    harmonic = pluriharmonicity_scan(
+        base, 0, 1e-2, lambda points: [((p[0] ** 3).real, 0.0)
+                                       for p in points])
+    nonharmonic = pluriharmonicity_scan(
+        base, 0, 1e-2, lambda points: [(abs(p[0]) ** 2, 0.0)
+                                       for p in points])
     all_ok &= abs(harmonic.fd_laplacian) < FD_ORACLE_TOL
     all_ok &= abs(nonharmonic.fd_laplacian - 4.0) < 1e-6
     for idx in range(3):

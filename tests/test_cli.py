@@ -503,7 +503,8 @@ class TestEtaCommand:
     def test_group_data_built_once(self, tmp_path, monkeypatch, run_keys):
         # the identity terms of a spinor or "minus" run come from the
         # run's own spectrum, not from a second class-spectrum build
-        calls = {"estimate_delta": 0, "class_spectrum": 0}
+        calls = {"estimate_deltas": 0, "class_spectra": 0,
+                 "class_spectrum": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -511,14 +512,16 @@ class TestEtaCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module, name in ((zeta, "estimate_delta"), (cli, "class_spectrum"),
-                             (zeta, "class_spectrum")):
+        for module, name in ((zeta, "estimate_deltas"),
+                             (cli, "class_spectrum"),
+                             (zeta, "class_spectra")):
             monkeypatch.setattr(module, name,
                                 counted(name, getattr(module, name)))
         cfg = write(tmp_path, "a.cfg",
                     COMPLEX_A.replace("[grids]", run_keys + "\n\n[grids]"))
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls == {"estimate_delta": 1, "class_spectrum": 1}
+        assert calls == {"estimate_deltas": 1, "class_spectra": 1,
+                         "class_spectrum": 0}
 
     @pytest.mark.parametrize("run_keys", ["variant = spinor",
                                           "spin_sign = minus"])
@@ -641,18 +644,23 @@ class TestScanCommand:
                 assert abs(row["oracle_harmonic"]) < 1e-8
                 assert abs(row["oracle_nonharmonic"] - 4.0) < 1e-6
 
-    def test_base_point_evaluated_once(self, tmp_path, monkeypatch):
-        # three parameters, each the base point and 8 shifted points
-        points = []
-        terms_from_group = zograf.terms_from_group
+    def test_scan_points_evaluated_once_in_three_batches(self, tmp_path,
+                                                         monkeypatch):
+        # three parameters, each the base point and 8 shifted points: the
+        # base point is shared, so the scans evaluate 9, 8 and 8 new
+        # points, each set in one batched call
+        batches = []
+        terms_from_groups = zograf.terms_from_groups
 
-        def counted(generators, *args, **kwargs):
-            points.append(tuple(generators))
-            return terms_from_group(generators, *args, **kwargs)
+        def counted(generator_sets, *args, **kwargs):
+            batches.append([tuple(gens) for gens in generator_sets])
+            return terms_from_groups(generator_sets, *args, **kwargs)
 
-        monkeypatch.setattr(zograf, "terms_from_group", counted)
+        monkeypatch.setattr(zograf, "terms_from_groups", counted)
         cfg = str(PERFBENCH_CONFIGS / "scan.cfg")
         assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert [len(batch) for batch in batches] == [9, 8, 8]
+        points = [gens for batch in batches for gens in batch]
         assert len(points) == len(set(points)) == 25
 
     def test_anchor_missed_by_rounding_scans(self, tmp_path):

@@ -63,12 +63,13 @@ def test_traced_run_matches_plain_run(tmp_path, subcommand):
     assert "trace" not in plain
     assert plain_files and traced_files == plain_files
     layers = traced["trace"]["layers"]
-    # the products run inside the class_spectrum span, so its time is
-    # the spectrum's, not only a call's set-up
-    assert layers["words.class_spectrum"]["total_s"] > 0
+    # the products run inside the class_spectra span, the walk behind
+    # every class spectrum, so its time is the spectrum's, not only a
+    # call's set-up
+    assert layers["words.class_spectra"]["total_s"] > 0
     products = [edge for edge in traced["trace"]["edges"]
                 if edge[1] == "words.word_products"]
-    assert products and all(edge[0] == "words.class_spectrum"
+    assert products and all(edge[0] == "words.class_spectra"
                             for edge in products)
     if subcommand == "eta":
         # the terms are read off one spectrum, at max(word_cutoff,

@@ -1,8 +1,15 @@
+import functools
+import importlib.util
+import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddzeta import words
 from oddzeta.errors import (
@@ -13,24 +20,55 @@ from oddzeta.errors import (
 )
 from oddzeta.moebius import MoebiusMap, classify, geodesic_invariants
 from oddzeta.sample_groups import ring_group, sample_group
+from oddzeta.config import load_config
 from oddzeta.words import (
     _class_products,
+    class_spectra,
     class_spectrum,
-    cyclic_reduce,
     estimate_delta,
+    estimate_deltas,
     evaluate_word,
-    free_reduce,
-    is_cyclically_reduced,
     word_products,
     word_strings,
     word_to_str,
 )
-from oddzeta.zograf import schottky_from_params
+from oddzeta.zograf import (chart_params, pluriharmonicity_scan,
+                            schottky_from_params)
 
 CYCLIC_GEN = [MoebiusMap(2.0, 0.0, 0.0, 0.5)]
 
+ROOT = Path(__file__).resolve().parents[1]
+
 #: The thick chart point of the benchmark (shifted exponent about -0.476).
 THICK_POINT = (0.06 + 0.05j, 0.07 - 0.03j, -0.9 + 0.6j)
+
+
+def free_reduce(letters):
+    """Cancel adjacent inverse pairs until none remain."""
+    out = []
+    for s in letters:
+        if out and out[-1] == -s:
+            out.pop()
+        else:
+            out.append(s)
+    return tuple(out)
+
+
+def is_reduced(w):
+    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+
+
+def is_cyclically_reduced(w):
+    if not is_reduced(w):
+        return False
+    return len(w) < 2 or w[0] != -w[-1]
+
+
+def cyclic_reduce(w):
+    w = list(free_reduce(w))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
 
 
 def canonical_rotation(w):
@@ -300,14 +338,14 @@ class TestWordProducts:
         gens, L = _families()[name]
         g = len(gens)
         count = 0
-        for codes, lengths, _, (re, im) in _class_products(gens, L):
+        for codes, lengths, _, (re, im) in _class_products([gens], L):
             for k in np.unique(lengths).tolist():
                 rows = np.flatnonzero(lengths == k)
                 words_k = decode_words(codes[rows], k, g)
                 for w, r in zip(words_k, rows.tolist()):
                     got = [complex(x, y) for x, y in zip(
-                        re[:, :, r].ravel().tolist(),
-                        im[:, :, r].ravel().tolist())]
+                        re[:, :, r, 0].ravel().tolist(),
+                        im[:, :, r, 0].ravel().tolist())]
                     m = evaluate_word(gens, w)
                     assert (list(map(bits, got))
                             == list(map(bits, (m.a, m.b, m.c, m.d))))
@@ -384,7 +422,7 @@ class TestClassSpectrum:
         default = class_spectrum(gens, L)
         monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
         monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
-        blocks = [len(codes) for codes, *_ in _class_products(gens, L)]
+        blocks = [len(codes) for codes, *_ in _class_products([gens], L)]
         assert len(blocks) > L and max(blocks) < len(default)
         small = class_spectrum(gens, L)
         same_spectrum(small, default)
@@ -490,6 +528,159 @@ class TestClassSpectrum:
         spectrum = class_spectrum(gens, L)
         assert spectrum.rank == len(gens) == rank
         assert spectrum.select(spectrum.j == 1).rank == rank
+
+
+#: A rank-2 family whose words of length 6 have entries of 1e180, whose
+#: squares overflow: at L = 7 its walk is refused partway.
+OVERFLOW_AB = (MoebiusMap(1e30, 0.0, 0.0, 1e-30),
+               MoebiusMap(2.0, 1.0, 1.0, 1.0))
+
+
+def outcome(call):
+    """What a call gives: its value, or its exception's type and message."""
+    try:
+        return "ok", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+#: Genus-2 chart points (q1, q2, b2) of small multipliers, b2 clear of
+#: the anchors 0 and 1.
+small_q = st.builds(complex, st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)
+                    ).filter(lambda q: 1e-4 < abs(q) < 0.05)
+chart_points = st.tuples(small_q, small_q,
+                         st.builds(complex, st.floats(-2.0, -0.5),
+                                   st.floats(0.3, 1.0)))
+
+
+class TestClassSpectra:
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([1, 2, 9]).flatmap(
+        lambda G: st.lists(chart_points, min_size=G, max_size=G)))
+    def test_equals_a_loop_of_class_spectrum(self, points):
+        sets = [schottky_from_params(*p).generators for p in points]
+        batch = class_spectra(sets, 5)
+        assert len(batch) == len(sets)
+        for got, gens in zip(batch, sets):
+            same_spectrum(got, class_spectrum(gens, 5))
+            assert got.ell.flags.c_contiguous and got.q.flags.c_contiguous
+
+    def test_small_blocks_change_nothing(self, monkeypatch):
+        # 9 groups and blocks of 7 entries: one parent a walk block, and
+        # passes of a single class span shells
+        sets = [schottky_from_params(THICK_POINT[0] * (1 + 0.1 * k),
+                                     *THICK_POINT[1:]).generators
+                for k in range(9)]
+        want = [class_spectrum(gens, 6) for gens in sets]
+        monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
+        monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
+        for got, spectrum in zip(class_spectra(sets, 6), want):
+            same_spectrum(got, spectrum)
+
+    @pytest.mark.parametrize("names", [
+        ("thick", "elliptic", "thick"),
+        ("thick", "overflow"),
+        # the walk meets BA, elliptic, at length 2, long before the
+        # overflow family's products at length 6: the loop refuses the
+        # overflow first
+        ("thick", "overflow", "elliptic"),
+        ("elliptic", "overflow"),
+    ])
+    def test_refusals_match_the_loop(self, names):
+        families = {"thick": schottky_from_params(*THICK_POINT).generators,
+                    "elliptic": ELLIPTIC_AB, "overflow": OVERFLOW_AB}
+        sets = [families[name] for name in names]
+        batched = outcome(lambda: class_spectra(sets, 7))
+        looped = outcome(lambda: [class_spectrum(gens, 7) for gens in sets])
+        assert batched == looped
+        assert batched[0] in (NotLoxodromic, OverflowError)
+
+    def test_ranks_must_agree(self):
+        with pytest.raises(ValueError, match="differ in rank"):
+            class_spectra([CYCLIC_GEN, ELLIPTIC_AB], 3)
+        assert class_spectra([], 3) == []
+
+
+@functools.cache
+def _workloads():
+    """The benchmark's seeded config generator, ``perfbench/workloads.py``."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "perfbench" / "workloads.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _scan_stencils(seed, tmp_path):
+    """The chart points of the benchmark's scan at ``seed``, one list per
+    chart parameter, in the order the scan asks for them."""
+    path = tmp_path / f"scan{seed}.cfg"
+    path.write_text(_workloads().generate(seed)["scan.cfg"])
+    config = load_config(str(path))
+    base = schottky_from_params(*chart_params(config.generators))
+    stencils = []
+
+    def record(points):
+        stencils.append(list(points))
+        return [(0.0, 0.0)] * len(points)
+
+    for idx in range(3):
+        pluriharmonicity_scan(base, idx, config.scan_h, record)
+    return stencils, config.delta_cutoff
+
+
+
+def estimate_bits(estimate):
+    return [bits(x) for x in (estimate.delta_hat, *estimate.bracket)]
+
+
+class TestEstimateDeltas:
+    @pytest.mark.parametrize("seed", range(11))
+    def test_scan_stencils_match_one_at_a_time(self, seed, tmp_path):
+        stencils, N = _scan_stencils(seed, tmp_path)
+        assert [len(points) for points in stencils] == [9, 9, 9]
+        for points in stencils:
+            spectra = class_spectra(
+                [schottky_from_params(*p).generators for p in points], N)
+            batch = estimate_deltas(spectra, N)
+            assert ([estimate_bits(e) for e in batch]
+                    == [estimate_bits(estimate_delta(s, N)) for s in spectra])
+            assert all(e.delta_hat < 0 for e in batch)
+
+    def test_rank_one_is_minus_one(self):
+        spectra = [class_spectrum(gens, 6) for gens in (
+            CYCLIC_GEN, [MoebiusMap(3.0, 0.0, 0.0, 1.0 / 3.0)])]
+        minus_one = words.PoincareEstimate(delta_hat=-1.0,
+                                           bracket=(-1.0, -1.0))
+        assert estimate_deltas(spectra, 6) == [minus_one, minus_one]
+        assert [estimate_delta(s, 6) for s in spectra] == [minus_one] * 2
+
+    def test_refusals_match_the_loop(self):
+        # rank-4 rings at N = 4: an estimate, one above 1, one whose Z_3
+        # and Z_4 are not positive at 2, and one whose Z_4 has no zero
+        # though Z_3 has; in every order the first refused spectrum raises
+        rings = {"ok": (0.3, 0.4), "above one": (0.4, 0.3),
+                 "not positive": (0.45, 0.2), "no zero": (0.3, 0.2)}
+        spectra = {name: class_spectrum(ring_group(4, q, spread), 4)
+                   for name, (q, spread) in rings.items()}
+        messages = set()
+        for order in itertools.permutations(spectra):
+            batch = [spectra[name] for name in order]
+            got = outcome(lambda: estimate_deltas(batch, 4))
+            want = outcome(lambda: [estimate_delta(s, 4) for s in batch])
+            assert got == want and got[0] is NonConvergent
+            messages.add(got[1])
+        assert len(messages) == 3
+        ok = estimate_deltas([spectra["ok"]] * 2, 4)
+        assert ok == [estimate_delta(spectra["ok"], 4)] * 2
+
+    def test_word_lengths_must_agree(self):
+        gens = sample_group("g2_complex_a").generators
+        with pytest.raises(ValueError, match="differ in their word lengths"):
+            estimate_deltas([class_spectrum(gens, 6), class_spectrum(gens, 7)],
+                            6)
+        assert estimate_deltas([], 6) == []
 
 
 class TestEvaluateWord:

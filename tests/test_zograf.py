@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -280,15 +281,17 @@ class TestEtaFIdentity:
 class TestPluriharmonicityScan:
     def test_harmonic_oracle(self):
         base = sample_group("scan_base")
-        rep = pluriharmonicity_scan(base, 2, 1e-2,
-                                    lambda p: ((p[2] ** 3).real, 0.0))
+        rep = pluriharmonicity_scan(
+            base, 2, 1e-2, lambda points: [((p[2] ** 3).real, 0.0)
+                                           for p in points])
         assert abs(rep.fd_laplacian) < 1e-8
         assert rep.error_budget > 0.0
 
     def test_nonharmonic_oracle(self):
         base = sample_group("scan_base")
-        rep = pluriharmonicity_scan(base, 1, 1e-2,
-                                    lambda p: (abs(p[1]) ** 2, 0.0))
+        rep = pluriharmonicity_scan(
+            base, 1, 1e-2, lambda points: [(abs(p[1]) ** 2, 0.0)
+                                           for p in points])
         assert abs(rep.fd_laplacian - 4.0) < 1e-7
 
     def test_eta_is_pluriharmonic_at_base_point(self):
@@ -318,6 +321,72 @@ class TestPluriharmonicityScan:
             assert (pluriharmonicity_scan(base, idx, 5e-3, shared)
                     == pluriharmonicity_scan(base, idx, 5e-3,
                                              eta_on_chart(4, 5)))
+
+    def test_stencil_asked_for_in_one_call(self):
+        base = sample_group("scan_base")
+        calls = []
+
+        def oracle(points):
+            calls.append(list(points))
+            return [((p[0] ** 3).real, 0.0) for p in points]
+
+        pluriharmonicity_scan(base, 0, 1e-2, oracle)
+        (points,) = calls
+        q1 = base.params[0]
+        assert points[0] == base.params
+        assert [p[0] - q1 for p in points[1:]] == pytest.approx(
+            [1e-2, -1e-2, 1e-2j, -1e-2j, 5e-3, -5e-3, 5e-3j, -5e-3j])
+        assert all(p[1:] == base.params[1:] for p in points)
+
+    def test_batch_values_are_each_points_own(self):
+        # one batch of points, and each point alone, give the same bits
+        points = [sample_group(name).params for name in (
+            "scan_base", "g2_complex_a", "g2_complex_b", "g2_complex_c")]
+        batch = eta_on_chart(4, 6)(points)
+        alone = [eta_on_chart(4, 6)([p])[0] for p in points]
+        assert list(map(repr, batch)) == list(map(repr, alone))
+
+    def test_memo_evaluates_each_point_once(self, monkeypatch):
+        seen = []
+        terms_from_groups = oddzeta.zograf.terms_from_groups
+
+        def counted(generator_sets, *args):
+            seen.append(len(generator_sets))
+            return terms_from_groups(generator_sets, *args)
+
+        monkeypatch.setattr(oddzeta.zograf, "terms_from_groups", counted)
+        fn = eta_on_chart(3, 5)
+        a, b = (sample_group(name).params
+                for name in ("scan_base", "g2_complex_a"))
+        first = fn([a, a])
+        assert first == fn([a]) * 2
+        assert fn([b, a, b])[1] == first[0]
+        assert seen == [1, 1]
+
+    def test_refusal_is_the_first_failing_points(self):
+        # a point with delta_hat >= 0 (refused after the solve), one with
+        # q1 outside the unit disk (refused before the walk) and one with
+        # q1 near the unit circle (refused in the solve): in every order
+        # the refusal is the first failing point's, as each point alone
+        # gives
+        points = {"ok": sample_group("scan_base").params,
+                  "delta": (0.16 + 0.128j, 0.176 - 0.08j, -0.9 + 0.6j),
+                  "chart": (1.2, 0.0012, -1.0 + 0.5j),
+                  "solve": (0.985, 0.0012, -1.0 + 0.5j)}
+
+        def refusal(call):
+            with pytest.raises(LeftSchottkyDomain) as exc:
+                call()
+            return str(exc.value)
+
+        alone = {name: refusal(lambda: eta_on_chart(3, 5)([p]))
+                 for name, p in points.items() if name != "ok"}
+        assert len(set(alone.values())) == 3
+        for order in itertools.permutations(points):
+            first = next(name for name in order if name != "ok")
+            got = refusal(lambda: eta_on_chart(3, 5)(
+                [points[name] for name in order]))
+            assert got == alone[first]
 
     def test_leaving_domain_raises(self):
         # q1 + h crosses |q| = 1
