@@ -13,17 +13,13 @@ from .moebius import (
     MoebiusMap,
     classify,
     geodesic_invariants,
-    hyperbolic_distance,
     loxodromic,
-    spin_phase,
 )
 from .words import (
     PoincareEstimate,
     Spectrum,
     class_spectra,
-    class_spectrum,
     cycle_expansion,
-    estimate_delta,
     estimate_deltas,
     evaluate_word,
 )
@@ -34,8 +30,6 @@ from .kernels import (
     dirac_resolvent_scalar,
     gaussian_time_integral,
     gaussian_time_integral_quadrature,
-    heat_scalar_signature,
-    heat_scalar_spinor,
     heat_signature_batch,
     heat_spinor_batch,
     resolvent_scalar,

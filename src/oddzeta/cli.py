@@ -39,8 +39,8 @@ from .kernels import (
     resolvent_scalar,
 )
 from .moebius import MoebiusMap
-from .words import class_spectrum, word_strings
-from .zeta import ETA_ROUTES, eta, terms_from_group, zeta_odd
+from .words import class_spectra, word_strings
+from .zeta import ETA_ROUTES, ZetaTerms, eta, terms_from_group, zeta_odd
 from .zograf import (
     SchottkyPoint,
     chart_params,
@@ -108,13 +108,13 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
     """CSV table of conjugacy classes with their geodesic invariants.
 
     One row per class in (length, representative) order, from the
-    arrays of ``words.class_spectrum``, whose invariants equal those of
+    arrays of ``words.class_spectra``, whose invariants equal those of
     ``evaluate_word`` plus ``geodesic_invariants``.  The spectrum is
     complete (or refused) before the file is opened, and the rows are
     written ``_SPECTRUM_CHUNK`` at a time.
     """
     gens = _group_generators(config)
-    spectrum = class_spectrum(gens, config.word_cutoff, config.eps_class)
+    (spectrum,) = class_spectra([gens], config.word_cutoff, config.eps_class)
     lines = _metadata_lines(config, cutoff_L=config.word_cutoff)
     lines.append("word,length,j,primitive,ell,theta,q_re,q_im")
     path = out_dir / "spectrum.csv"
@@ -134,13 +134,18 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> Path:
     return path
 
 
+def _terms(config: RunConfig) -> ZetaTerms:
+    """The run's class terms, with its delta_hat estimate."""
+    return terms_from_group(_group_generators(config), config.word_cutoff,
+                            config.delta_cutoff, config.variant,
+                            config.spin_sign, config.eps_class)
+
+
 def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
     """JSON array of truncated zeta evaluations over the lambda grid,
     ``"nonconvergent"`` where the terms refuse the sum; a tail bound that
     is not finite is null."""
-    terms = terms_from_group(_group_generators(config), config.word_cutoff,
-                             config.delta_cutoff, config.variant,
-                             config.spin_sign, config.eps_class)
+    terms = _terms(config)
     evaluations = []
     for lam in config.lambda_grid:
         try:
@@ -164,9 +169,7 @@ def cmd_zeta(config: RunConfig, out_dir: Path) -> Path:
 
 def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     """JSON with the three eta routes and the factorization residual."""
-    terms = terms_from_group(_group_generators(config), config.word_cutoff,
-                             config.delta_cutoff, config.variant,
-                             config.spin_sign, config.eps_class)
+    terms = _terms(config)
     est = terms.estimate
     routes = {
         route: eta(terms, route, quad_tol=config.quad_tol)

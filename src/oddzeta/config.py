@@ -38,10 +38,6 @@ def parse_complex(token: str) -> complex:
     return complex(re_part, im_part)
 
 
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated configuration with the raw text hash for output stamping."""
@@ -181,7 +177,7 @@ def _grid(entry: Callable[[str], object], nonempty: bool = True):
 _KEYS: Dict[Tuple[str, str], Tuple[str, Callable[[str], object]]] = {
     ("run", "word_cutoff"): ("word_cutoff", _at_least(1)),
     ("run", "inner_cutoff"): ("inner_cutoff", _at_least(1)),
-    # the order of estimate_delta's determinant
+    # the order of estimate_deltas' determinant
     ("run", "delta_cutoff"): ("delta_cutoff", _at_least(4)),
     ("run", "variant"): ("variant", _one_of("signature", "spinor")),
     ("run", "spin_sign"): ("spin_sign", _one_of("plus", "minus")),

@@ -33,7 +33,8 @@ class BoundaryPoint(PreconditionError):
 
 
 class DegenerateConfiguration(PreconditionError):
-    """Normalization anchors are not three distinct points, or not set."""
+    """Points that must be distinct are not (normalization anchors, a
+    scan stencil), or anchors are not set."""
 
 
 # --- words -----------------------------------------------------------------

@@ -12,9 +12,8 @@ special case.  No finite differences anywhere.
 
 The jets are array-valued: :func:`heat_spinor_batch` and
 :func:`heat_signature_batch` run them over a whole (t, r) grid in one
-pass, each point stopping its own series, and give every point the bits
-of its one-point value; :func:`heat_scalar_spinor` and
-:func:`heat_scalar_signature` are their one-point cases.
+pass, each point stopping its own series, so a point's value does not
+depend on the grid it is evaluated in; a scalar (t, r) is a 0-d grid.
 """
 
 from __future__ import annotations
@@ -35,20 +34,15 @@ _LOG2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class KernelPoint:
-    """Evaluation point: geodesic distance r, spectral lambda, heat time t, n."""
+    """Evaluation point: geodesic distance r and spectral lambda."""
 
     r: float
     lam: complex = 0.0
-    t: float = 1.0
-    n: int = 1
 
     def __post_init__(self):
         # written so that NaN fails too
         if not self.r >= 0:
             raise ValueError(f"r = {self.r} negative")
-        if not self.t > 0:
-            raise ValueError(f"t = {self.t} not positive")
-        _positive_order("n", self.n)
 
 
 def c_lambda(lam: complex) -> complex:
@@ -134,8 +128,8 @@ def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
 # with g = S_1 / 2 = sinh r / 2r >= 1/2.  Every factor is a Taylor jet at
 # rho = r^2; the same arithmetic serves r = 0 and large r.  A jet is a list
 # of coefficient arrays, one entry per point, and every point runs the
-# float operations of its own one-point evaluation, so its value does not
-# depend on the other points of the batch.
+# float operations it would run alone, so its value does not depend on
+# the other points of the batch.
 
 
 def _j_div(num, den):
@@ -245,8 +239,7 @@ def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
     point by point.
     """
     t, r, shape = _flat_grid(t, r)
-    # each point is checked as KernelPoint checks it, the first bad one
-    # raising; written so that NaN fails too
+    # the first bad point raises; written so that NaN fails too
     bad = ~(r >= 0)
     if bad.any():
         raise ValueError(f"r = {r[bad.argmax()].item()} negative")
@@ -266,11 +259,16 @@ def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
 
 
 def heat_spinor_batch(t, r, n: int) -> np.ndarray:
-    """p_plus of :func:`heat_scalar_spinor` at every point of the (t, r)
-    grid, which broadcasts; p_minus = -p_plus.
+    """Half-spin scalar p_plus of the odd heat kernel on H^(2n+1),
 
-    One array pass of the jets over all points, each value bit for bit
-    its one-point value.  Returns a complex array in the broadcast shape.
+    p_plus = sinh(r/2) / (i 2^(3n + 3/2) Gamma(n + 3/2) t^(3/2))
+             * (-d/d cosh r)^n [ r sinh(r/2)^(-1) e^(-r^2/4t) ],
+
+    at every point of the (t, r) grid, which broadcasts; p_minus = -p_plus
+    by construction.  Values are purely imaginary; the removable
+    singularity at r = 0 is handled exactly.  One array pass of the jets
+    over all points; returns a complex array in the broadcast shape, 0-d
+    for a scalar pair.
     """
     n = _positive_order("n", n)
     scale = 2.0 ** (3 * n + 1.5) * math.gamma(n + 1.5)
@@ -278,36 +276,17 @@ def heat_spinor_batch(t, r, n: int) -> np.ndarray:
 
 
 def heat_signature_batch(t, r, m: int) -> np.ndarray:
-    """p_plus of :func:`heat_scalar_signature` at every point of the
-    (t, r) grid, as :func:`heat_spinor_batch` gives the spinor one."""
+    """Signature-operator scalar p_plus on H^(4m-1),
+
+    p_plus = (4m-1) sinh(r) / (i 2^(2m - 1/2) pi^(2m + 1/2) t^(3/2))
+             * (-d/d cosh r)^(2m-1) [ r sinh(r)^(-1) e^(-r^2/4t) ],
+
+    at every point of the (t, r) grid, as :func:`heat_spinor_batch` gives
+    the spinor one; p_minus = -p_plus and p_middle is identically zero.
+    """
     m = _positive_order("m", m)
     scale = 2.0 ** (2 * m - 0.5) * math.pi ** (2 * m + 0.5)
     return _heat_batch(1.0, 2 * m - 1, -1j * (4 * m - 1), scale, t, r)
-
-
-def heat_scalar_spinor(p: KernelPoint):
-    """Half-spin scalar components (p_plus, p_minus) of the odd heat kernel.
-
-    p_plus = sinh(r/2) / (i 2^(3n + 3/2) Gamma(n + 3/2) t^(3/2))
-             * (-d/d cosh r)^n [ r sinh(r/2)^(-1) e^(-r^2/4t) ]
-    on H^(2n+1); p_minus = -p_plus by construction.  Values are purely
-    imaginary; the removable singularity at r = 0 is handled exactly.
-    The one-point case of :func:`heat_spinor_batch`.
-    """
-    p_plus = heat_spinor_batch(p.t, p.r, p.n).item()
-    return p_plus, -p_plus
-
-
-def heat_scalar_signature(p: KernelPoint, m: int):
-    """Signature-operator scalar components (p_plus, p_minus, p_middle).
-
-    On H^(4m-1): p_plus = (4m-1) sinh(r) / (i 2^(2m - 1/2) pi^(2m + 1/2)
-    t^(3/2)) * (-d/d cosh r)^(2m-1) [ r sinh(r)^(-1) e^(-r^2/4t) ], with
-    p_middle identically zero.  The one-point case of
-    :func:`heat_signature_batch`.
-    """
-    p_plus = heat_signature_batch(p.t, p.r, m).item()
-    return p_plus, -p_plus, 0.0
 
 
 # --- Gaussian time integral ---------------------------------------------------

@@ -4,7 +4,7 @@ Matrices are kept in SL(2, C), not PSL(2, C): the overall sign is preserved
 through products, inverses and conjugation, because it carries the spin
 lift that the spinor zeta variant needs.  Geodesic invariants themselves
 (multiplier q, length, holonomy angle) are sign-blind; the sign surfaces
-only through ``spin_phase``.
+only through the ``spin_phase`` invariant.
 
 Discreteness of generator families is trusted input everywhere in this
 package: no Schottky (Jordan curve) condition is checked.
@@ -121,22 +121,6 @@ class MoebiusMap:
         if den == 0:
             return INFINITY
         return (self.a * z + self.b) / den
-
-    def apply_h3(self, m: "HalfSpacePoint") -> "HalfSpacePoint":
-        """Isometric action on upper half-space H^3 (boundary dimension 2)."""
-        if len(m.y) != 2:
-            raise ValueError("H^3 action needs 2-dimensional boundary points")
-        z = complex(m.y[0], m.y[1])
-        t = m.x
-        cz_d = self.c * z + self.d
-        den = abs(cz_d) ** 2 + abs(self.c) ** 2 * t * t
-        z_new = ((self.a * z + self.b) * cz_d.conjugate()
-                 + self.a * self.c.conjugate() * t * t) / den
-        return HalfSpacePoint(t / den, (z_new.real, z_new.imag))
-
-    def max_abs_diff(self, other: "MoebiusMap") -> float:
-        return max(abs(self.a - other.a), abs(self.b - other.b),
-                   abs(self.c - other.c), abs(self.d - other.d))
 
 
 @dataclass(frozen=True)
@@ -255,11 +239,6 @@ def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> Geodesic
     )
 
 
-def spin_phase(m: MoebiusMap, eps_class: float = EPS_CLASS) -> complex:
-    """mu/|mu| of the expanding eigenvalue; negates when m does."""
-    return geodesic_invariants(m, eps_class).spin_phase
-
-
 def loxodromic(attracting: complex, repelling: complex,
                q: complex) -> MoebiusMap:
     """The map with finite, distinct fixed points ``attracting`` and
@@ -272,20 +251,6 @@ def loxodromic(attracting: complex, repelling: complex,
     conj = MoebiusMap.normalized(1.0, -attracting, 1.0, -repelling)
     root = cmath.sqrt(q)
     return conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root) @ conj
-
-
-def hyperbolic_distance(m: HalfSpacePoint, mp: HalfSpacePoint) -> float:
-    """Geodesic distance in the half-space model, any boundary dimension.
-
-    Uses cosh^2(d/2) = (|y - y'|^2 + (x + x')^2) / (4 x x').
-    """
-    if m.x <= 0 or mp.x <= 0:
-        raise BoundaryPoint("distance needs interior points (x > 0)")
-    if len(m.y) != len(mp.y):
-        raise ValueError("boundary dimensions differ")
-    dy2 = sum((u - v) ** 2 for u, v in zip(m.y, mp.y))
-    val = (dy2 + (m.x + mp.x) ** 2) / (4.0 * m.x * mp.x)
-    return 2.0 * math.acosh(math.sqrt(max(val, 1.0)))
 
 
 def _map_to_0_inf_1(p1: complex, p2: complex, p3: complex) -> MoebiusMap:

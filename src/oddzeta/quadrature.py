@@ -13,8 +13,7 @@ panel evaluated on its own with Python complex arithmetic; the estimate
 uses ``np.hypot``, as ``abs`` of a Python complex uses the C ``hypot``.
 An integral's subdivision order therefore depends only on its own
 integrand values: batching changes how many integrals share a numpy call,
-never which panels an integral splits.  :func:`integrate` is the one-row
-case for a scalar integrand.
+never which panels an integral splits.
 
 Single-threaded and deterministic.  The integrand may be real- or
 complex-valued; the error estimate is the sum of per-panel |K15 - G7|
@@ -146,22 +145,3 @@ def integrate_batch(
         active = still
     return values, errors, panels
 
-
-def integrate(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol_abs: float = 1e-12,
-    tol_rel: float = 1e-12,
-) -> Tuple[complex, float]:
-    """Integrate ``f`` over [a, b]; returns (value, error_bound).
-
-    The one-row case of :func:`integrate_batch`, with its stopping test
-    and refusals: ``f`` is called once per node with a Python float,
-    panel by panel.
-    """
-    def lifted(rows, x):
-        return [[f(t) for t in panel] for panel in x.tolist()]
-
-    values, errors, _ = integrate_batch(lifted, [a], [b], tol_abs, tol_rel)
-    return values[0], errors[0]

@@ -9,19 +9,17 @@ is computed on arrays in one walk of the prenecklace tree
 (``_class_products``): each prenecklace, held as an integer code,
 carries its matrix, its parent's times one letter in an exact batched
 product (``word_products``); the class matrices are classified and
-reduced to their invariants in blocks (``class_invariants``), and
-``class_spectrum`` returns one ``Spectrum`` of 1-D arrays.  The words
-do not depend on the group, so ``class_spectra`` walks the tree once
-for several groups of one rank, their matrices side by side on a
-trailing group axis, and ``class_spectrum`` is its one-group case.  The
-batched code decides only the common case: a product or class outside
-it goes through the scalar ``moebius`` code it mirrors, which
-renormalizes or refuses it.
+reduced to their invariants in blocks (``class_invariants``), and each
+group gets one ``Spectrum`` of 1-D arrays.  The words do not depend on
+the group, so ``class_spectra`` walks the tree once for one or more
+groups of one rank, their matrices side by side on a trailing group
+axis.  The batched code decides only the common case: a product or
+class outside it goes through the scalar ``moebius`` code it mirrors,
+which renormalizes or refuses it.
 
-``estimate_delta`` reads the Poincare exponent off a class spectrum too,
-as the zero of a determinant whose ``cycle_expansion`` sums its classes;
-``estimate_deltas`` solves for several spectra with the same words in
-lockstep, and ``estimate_delta`` is its one-spectrum case.
+``estimate_deltas`` reads the Poincare exponent off a class spectrum too,
+as the zero of a determinant whose ``cycle_expansion`` sums its classes,
+solving for one or more spectra with the same words in lockstep.
 
 gamma and gamma^(-1) are distinct classes in a free group and both are
 enumerated; they carry identical multipliers, which is what the zeta sums
@@ -449,9 +447,9 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
     ``geodesic_invariants`` give.  The spectra share their ``codes``,
     ``word_length`` and ``j`` arrays.
 
-    Refusals are those of a loop of ``class_spectrum`` calls: the first
-    group in order that is refused raises, so a refused batch is walked
-    again one group at a time.  One group raises NotLoxodromic naming its
+    Refusals are those of a loop of one-group calls: the first group in
+    order that is refused raises, so a refused batch is walked again one
+    group at a time.  One group raises NotLoxodromic naming its
     first class, in class order, that is not loxodromic; a product
     refused on any prenecklace raises its OverflowError or ValueError
     when the walk reaches it, after the classes walked before its block
@@ -500,13 +498,6 @@ def _walk_spectra(sets: Sequence[Sequence[MoebiusMap]], L: int,
     return [Spectrum(rank=g, **arrays,
                      **{name: field[k] for name, field in rows.items()})
             for k in range(len(sets))]
-
-
-def class_spectrum(generators: Sequence[MoebiusMap], L: int,
-                   eps_class: float = EPS_CLASS) -> Spectrum:
-    """The ``Spectrum`` of every class of length <= L: the one-group case
-    of ``class_spectra``, refusals included."""
-    return class_spectra([generators], L, eps_class)[0]
 
 
 def word_strings(codes: np.ndarray, word_length: np.ndarray,
@@ -599,29 +590,23 @@ def _expansion_rows(ell: np.ndarray, weight: np.ndarray, starts: np.ndarray,
     return np.array(c)
 
 
-def estimate_delta(spectrum: Spectrum, N: int) -> PoincareEstimate:
-    """delta_hat = delta - 1 as the largest real zero of the order-N
-    trivial-character determinant det(1 - L_lambda) (Ruelle 1976;
-    McMullen 1998; Jenkinson-Pollicott 2002), read off the classes of
-    ``spectrum`` of word length <= N: the one-spectrum case of
-    ``estimate_deltas``, refusals included.
-
-    Its ``cycle_expansion`` has the trace weight (n/j) |q| / |1 - q|^2,
-    and Z_N = sum_(n <= N) c_n.  The first sign change of Z_N on a grid
-    scanned down to -1 from lambda = 2 is refined by regula falsi with
-    the Illinois step.  The zeros of Z_(N-1) and Z_N bracket the
-    estimate; a wide bracket is reported, not refused.  Rank 1 gives
-    exactly -1 (a double zero, no sign change).  N < 4, Z_(N-1) or Z_N
-    not positive at 2, no zero, or an estimate above 1 (delta <= 2 for
-    every Kleinian group in H^3) raise NonConvergent.
-    """
-    return estimate_deltas([spectrum], N)[0]
-
-
 def estimate_deltas(spectra: Sequence[Spectrum],
                     N: int) -> List[PoincareEstimate]:
-    """``estimate_delta`` of each of several spectra with the same word
-    lengths (such as one ``class_spectra``), solved in lockstep.
+    """delta_hat = delta - 1 of each of one or more spectra with the same
+    word lengths (such as one ``class_spectra``), solved in lockstep.
+
+    Each estimate is the largest real zero of the order-N
+    trivial-character determinant det(1 - L_lambda) (Ruelle 1976;
+    McMullen 1998; Jenkinson-Pollicott 2002), read off the classes of its
+    spectrum of word length <= N.  Its ``cycle_expansion`` has the trace
+    weight (n/j) |q| / |1 - q|^2, and Z_N = sum_(n <= N) c_n.  The first
+    sign change of Z_N on a grid scanned down to -1 from lambda = 2 is
+    refined by regula falsi with the Illinois step.  The zeros of Z_(N-1)
+    and Z_N bracket the estimate; a wide bracket is reported, not
+    refused.  Rank 1 gives exactly -1 (a double zero, no sign change).
+    N < 4, Z_(N-1) or Z_N not positive at 2, no zero, or an estimate
+    above 1 (delta <= 2 for every Kleinian group in H^3) raise
+    NonConvergent.
 
     Each spectrum's truncations Z_(N-1) and Z_N are two rows of one
     solve.  One ``_expansion_rows`` call scans every row's grid, and
@@ -630,10 +615,9 @@ def estimate_deltas(spectra: Sequence[Spectrum],
     in one more.  A row keeps its own bracket, halving state and stop
     test (the bracket down to adjacent floats; an exact zero becomes the
     end hi, with value 0, and the steps close on it), so each estimate
-    has the bits of a solve on its own.  Refusals are those of
-    a loop of ``estimate_delta`` calls: the first spectrum in order that
-    is refused raises.  Spectra whose word lengths differ raise
-    ValueError.
+    has the bits of a solve on its own.  Refusals are those of a loop of
+    one-spectrum calls: the first spectrum in order that is refused
+    raises.  Spectra whose word lengths differ raise ValueError.
     """
     spectra = list(spectra)
     if N < 4:

@@ -285,7 +285,10 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
     stencil points in the order p, p + h, p - h, p + ih, p - ih, then the
     same at h/2: eta is ``eta_on_chart(L, delta_cutoff)``, whose memo
     lets several scans of one base point evaluate it once; a
-    harness-validation oracle returns (value, 0.0) per point.
+    harness-validation oracle returns (value, 0.0) per point.  An h whose
+    square, or whose half's square, leaves (0, inf), or that leaves some
+    stencil point equal to p in floating point, raises
+    DegenerateConfiguration before ``fn`` is called.
     """
     if not 0 <= param_index < 3:
         raise ValueError("param_index must be 0, 1 or 2")
@@ -298,9 +301,17 @@ def pluriharmonicity_scan(base: SchottkyPoint, param_index: int, h: float,
         return tuple(params)
 
     steps = (h, 0.5 * h)
-    (center, center_budget), *shifts = fn(
-        [base.params] + [shifted(offset) for step in steps
-                         for offset in (step, -step, 1j * step, -1j * step)])
+    stencil = [shifted(offset) for step in steps
+               for offset in (step, -step, 1j * step, -1j * step)]
+    if not all(0.0 < step * step < math.inf for step in steps):
+        raise DegenerateConfiguration(
+            f"h = {h!r}: the squared stencil step in chart parameter "
+            f"{param_index} is not positive and finite")
+    if base.params in stencil:
+        raise DegenerateConfiguration(
+            f"h = {h!r}: a stencil point equals chart parameter "
+            f"{param_index} = {base.params[param_index]!r} in floating point")
+    (center, center_budget), *shifts = fn([base.params] + stencil)
 
     def laplacian(step: float, pairs) -> Tuple[float, float, float]:
         values = [v for v, _ in pairs]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from test_words import scalar_class_spectrum
 
+import oddzeta
 import oddzeta.cli as cli
 import oddzeta.errors as errors
 import oddzeta.zeta as zeta
@@ -22,19 +23,14 @@ from oddzeta.config import (
     _KEYS,
     RunConfig,
     _raw_sections,
-    format_complex,
     load_config,
     parse_complex,
     parse_config,
 )
-from oddzeta.kernels import (
-    KernelPoint,
-    heat_scalar_signature,
-    heat_scalar_spinor,
-)
+from oddzeta.kernels import heat_signature_batch, heat_spinor_batch
 from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import ring_group, sample_group
-from oddzeta.words import class_spectrum, estimate_delta, word_to_str
+from oddzeta.words import class_spectra, estimate_deltas, word_to_str
 from oddzeta.zograf import schottky_from_params
 
 CYCLIC = """\
@@ -124,6 +120,11 @@ EXIT_CODES = {
 #: Half the tracemalloc peak (9 248 660 bytes) of ``cmd_spectrum`` on
 #: g2_complex_a at L = 11 when it held every CSV line and their join
 SPECTRUM_PEAK_BOUND = 4_624_330
+
+
+def format_complex(z: complex) -> str:
+    """The config syntax of a complex number, every bit kept."""
+    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def group_lines(generators):
@@ -453,7 +454,7 @@ class TestRunTerms:
         # delta_cutoff = 6 > L = 4: one spectrum, at length 6
         gens = sample_group("g2_complex_a").generators
         terms = zeta.terms_from_group(gens, 4, 6)
-        want = zeta.terms_from_spectrum(class_spectrum(gens, 4))
+        want = zeta.terms_from_spectrum(class_spectra([gens], 4)[0])
         assert len(terms) == len(want) and terms.rank == want.rank
         assert terms.variant == want.variant
         for field in fields(want):
@@ -465,7 +466,8 @@ class TestRunTerms:
             assert x.dtype == y.dtype, field.name
             assert np.array_equal(x.view(np.int64), y.view(np.int64)), (
                 field.name)
-        assert terms.estimate == estimate_delta(class_spectrum(gens, 6), 6)
+        (spectrum,) = class_spectra([gens], 6)
+        assert [terms.estimate] == estimate_deltas([spectrum], 6)
 
     @pytest.mark.parametrize("command", ["zeta", "eta"])
     def test_non_loxodromic_below_delta_cutoff_exits_3(self, tmp_path, capsys,
@@ -503,25 +505,26 @@ class TestEtaCommand:
     def test_group_data_built_once(self, tmp_path, monkeypatch, run_keys):
         # the identity terms of a spinor or "minus" run come from the
         # run's own spectrum, not from a second class-spectrum build
-        calls = {"estimate_deltas": 0, "class_spectra": 0,
-                 "class_spectrum": 0}
+        calls = {"zeta.estimate_deltas": 0, "zeta.class_spectra": 0,
+                 "cli.class_spectra": 0}
 
-        def counted(name, fn):
+        def counted(key, fn):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
         for module, name in ((zeta, "estimate_deltas"),
-                             (cli, "class_spectrum"),
+                             (cli, "class_spectra"),
                              (zeta, "class_spectra")):
+            key = f"{module.__name__.split('.')[-1]}.{name}"
             monkeypatch.setattr(module, name,
-                                counted(name, getattr(module, name)))
+                                counted(key, getattr(module, name)))
         cfg = write(tmp_path, "a.cfg",
                     COMPLEX_A.replace("[grids]", run_keys + "\n\n[grids]"))
         assert main(["eta", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls == {"estimate_deltas": 1, "class_spectra": 1,
-                         "class_spectrum": 0}
+        assert calls == {"zeta.estimate_deltas": 1, "zeta.class_spectra": 1,
+                         "cli.class_spectra": 0}
 
     @pytest.mark.parametrize("run_keys", ["variant = spinor",
                                           "spin_sign = minus"])
@@ -579,7 +582,7 @@ class TestKernelsCommand:
 
     def test_heat_rows_equal_one_point_functions(self, tmp_path):
         # the rows come from one array pass per kind; each cell must be
-        # the repr of the public one-point value at its (t, r)
+        # the repr of a 0-d call at its (t, r)
         cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
         config = load_config(cfg)
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -590,14 +593,14 @@ class TestKernelsCommand:
         heat = [r for r in rows if r["kind"].startswith("heat")]
         assert len(heat) == 2 * len(config.t_grid) * len(config.r_grid)
         for row in heat:
-            point = KernelPoint(r=float(row["r"]), t=float(row["t"]),
-                                n=config.kernel_n)
+            t, r = float(row["t"]), float(row["r"])
             if row["kind"] == "heat_spinor":
-                pp, pm = heat_scalar_spinor(point)
+                pp = heat_spinor_batch(t, r, config.kernel_n).item()
                 mid = ""
             else:
-                pp, pm, mid = heat_scalar_signature(point, config.kernel_m)
-                mid = repr(mid)
+                pp = heat_signature_batch(t, r, config.kernel_m).item()
+                mid = repr(0.0)
+            pm = -pp
             assert (row["p_plus_im"], row["p_minus_im"],
                     row["plus_plus_minus"], row["p_middle"]) == (
                 repr(pp.imag), repr(pm.imag), repr(abs(pp + pm)), mid), row
@@ -702,6 +705,56 @@ class TestScanRefusals:
         assert not out.exists()
 
 
+#: ``oddzeta scan`` on scan_base: ``h = {h}`` is the only free value
+SCAN_STEP = """\
+[group]
+preset = scan_base
+
+[run]
+delta_cutoff = 4
+
+[scan]
+h = {h}
+scan_cutoff = 3
+"""
+
+
+class TestScanStep:
+    @pytest.mark.parametrize("h", ["1e-150", "1e-160", "1e-200", "1e300"])
+    def test_collapsed_stencil_exits_3(self, tmp_path, capsys, h):
+        # p + h rounds to p at 1e-150 and 1e-160, which reads as a
+        # Laplacian of 0, also for the |p|^2 oracle; h^2 is 0 at 1e-200
+        # and inf at 1e300
+        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h=h))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error: DegenerateConfiguration: h = {float(h)!r}: ")
+        assert not (out / "scan.json").exists()
+
+    def test_usual_step_unchanged(self, tmp_path):
+        # (fd_laplacian, error_budget, harmonic oracle, |p|^2 oracle) per
+        # parameter, frozen; the step check must not move them
+        frozen = [
+            (4.8389203581578055e-06, 0.058852005343545795,
+             -1.6874484496081765e-18, 3.9999999999999996),
+            (7.5838748302137216e-06, 0.057843165579078176,
+             1.1911400820763599e-18, 4.0),
+            (-1.2598429244281562e-10, 0.004492658456641827,
+             0.0, 4.000000000026205),
+        ]
+        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h="5e-3"))
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
+        for row, (lap, budget, harmonic, nonharmonic) in zip(rows, frozen):
+            assert row["h"] == 5e-3
+            assert abs(row["fd_laplacian"] - lap) < 1e-10
+            assert abs(row["error_budget"] - budget) < 1e-9 * budget
+            assert abs(row["oracle_harmonic"] - harmonic) < 1e-15
+            assert abs(row["oracle_nonharmonic"] - nonharmonic) < 1e-9
+        assert len(rows) == 3
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         cfg = write(tmp_path, "d.cfg", REAL_PAIR)
@@ -757,3 +810,25 @@ class TestRuntimeImports:
             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_public_surface():
+    # a name added to or dropped from the package is a deliberate edit here
+    assert sorted(oddzeta.__all__) == [
+        "CliffordElement", "GeodesicInvariants", "HalfSpacePoint",
+        "KernelPoint", "MoebiusMap", "OddZetaError", "PoincareEstimate",
+        "SchottkyPoint", "Spectrum", "TransportPair", "ZetaEvaluation",
+        "ZetaTerms", "adjoint_action", "boundary_limit_transport",
+        "c_lambda", "check_eta_F_identity", "class_spectra", "classify",
+        "clifford", "cycle_expansion", "dirac_resolvent_scalar",
+        "dlog_zeta_odd", "errors", "estimate_deltas", "eta",
+        "evaluate_word", "gaussian_time_integral",
+        "gaussian_time_integral_quadrature", "geodesic_invariants",
+        "heat_signature_batch", "heat_spinor_batch", "hyp2f1", "kernels",
+        "log_zeta_half", "log_zeta_odd", "loxodromic", "moebius",
+        "odd_heat_trace", "pluriharmonicity_scan", "quadrature",
+        "resolvent_scalar", "schottky_from_params", "special",
+        "spinor_transport", "tau_matrix", "terms_from_group",
+        "terms_from_groups", "transport", "words", "zeta", "zeta_odd",
+        "zograf", "zograf_F",
+    ]

@@ -14,7 +14,7 @@ import pytest
 
 from oddzeta.kernels import _neg_dcosh_power, c_lambda
 from oddzeta.special import hyp2f1, log_gamma
-from oddzeta.words import class_spectrum, cycle_expansion
+from oddzeta.words import class_spectra, cycle_expansion
 from oddzeta.zeta import terms_from_spectrum
 
 
@@ -132,8 +132,8 @@ def test_cycle_expansion(eta_thick_config):
     # the real trivial weight (n/j)/D and the complex signature weight
     # (n/j) e^(i theta)/D on 12 shells of the thick point
     N = 12
-    terms = terms_from_spectrum(class_spectrum(eta_thick_config.generators,
-                                               N))
+    terms = terms_from_spectrum(class_spectra([eta_thick_config.generators],
+                                               N)[0])
     n_over_j = terms.word_length / terms.j
     starts = np.searchsorted(terms.word_length, np.arange(1, N + 1))
     lam = [0.0, -0.4]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddzeta.moebius import MoebiusMap
-from oddzeta.words import class_spectrum
+from oddzeta.words import class_spectra
 from oddzeta.zeta import (eta, log_zeta_half, log_zeta_odd, terms_from_group,
                          terms_from_spectrum)
 from oddzeta.zograf import (chart_params, check_eta_F_identity,
@@ -47,7 +47,7 @@ def conjugate(generators):
 
 
 def eta_and_f(generators, variant="signature", spin_sign="plus"):
-    terms = terms_from_spectrum(class_spectrum(generators, L), variant,
+    terms = terms_from_spectrum(class_spectra([generators], L)[0], variant,
                                 spin_sign)
     return (eta(terms, "central_value"),
             zograf_F(terms.select(terms.j == 1), M))
@@ -67,7 +67,7 @@ def test_conjugation_negates_eta_and_conjugates_f(params):
 @given(chart_points())
 def test_spin_sign_minus_negates_spinor_eta(params):
     gens = schottky_from_params(*params).generators
-    spectrum = class_spectrum(gens, L)
+    spectrum = class_spectra([gens], L)[0]
     plus = eta(terms_from_spectrum(spectrum, "spinor", "plus"),
                "central_value")
     minus = eta(terms_from_spectrum(spectrum, "spinor", "minus"),
@@ -88,7 +88,7 @@ def test_identity_residual_within_budget(params):
 @given(chart_points())
 def test_odd_sum_is_the_half_sum_difference(params):
     terms = terms_from_spectrum(
-        class_spectrum(schottky_from_params(*params).generators, L))
+        class_spectra([schottky_from_params(*params).generators], L)[0])
     for lam in (0.0, 0.3 + 0.2j):
         odd = log_zeta_odd(terms, lam).value
         halves = (log_zeta_half(terms, "+", lam).value
@@ -114,9 +114,9 @@ def test_normalize_schottky_keeps_the_spectrum(params, shift):
     h = MoebiusMap(1.0, u, v, 1.0 + u * v)
     gens = schottky_from_params(*params).generators
     moved = tuple(h @ m @ h.inverse() for m in gens)
-    want = class_spectrum(gens, L)
+    want = class_spectra([gens], L)[0]
     for family in (moved, schottky_from_params(*chart_params(moved)).generators):
-        got = class_spectrum(family, L)
+        got = class_spectra([family], L)[0]
         assert got.j.tolist() == want.j.tolist()
         assert max(abs(got.ell - want.ell)) <= 1e-12
         # holonomy angles are compared modulo 2 pi (theta = pi may wrap)

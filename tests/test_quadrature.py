@@ -5,7 +5,21 @@ import pytest
 
 from oddzeta import quadrature
 from oddzeta.errors import NoConvergence
-from oddzeta.quadrature import integrate, integrate_batch
+from oddzeta.quadrature import integrate_batch
+
+
+def _scalar_rows(fs):
+    """The batch integrand evaluating row i's scalar integrand fs[i]."""
+    def f(rows, x):
+        return [[fs[i](t) for t in panel] for i, panel in zip(rows, x.tolist())]
+    return f
+
+
+def integrate(f, a, b, tol_abs=1e-12, tol_rel=1e-12):
+    """(value, error bound) of one scalar integrand: a one-row batch."""
+    values, errors, _ = integrate_batch(_scalar_rows([f]), [a], [b],
+                                        tol_abs, tol_rel)
+    return values[0], errors[0]
 
 
 def test_polynomial_exact():
@@ -58,13 +72,6 @@ def test_non_finite_panel_refused_at_once(bad):
     assert len(calls) == 15
 
 
-def _scalar_rows(fs):
-    """The batch integrand evaluating row i's scalar integrand fs[i]."""
-    def f(rows, x):
-        return [[fs[i](t) for t in panel] for i, panel in zip(rows, x.tolist())]
-    return f
-
-
 def test_batch_rows_are_the_scalar_integrals():
     # peaks of different widths need very different panel counts; each
     # row must be exactly the integral run alone, whatever shares its rounds
@@ -76,7 +83,6 @@ def test_batch_rows_are_the_scalar_integrals():
                                              1e-12, 1e-12)
     assert panels[2] > 10 * panels[0] and panels[4] == 0
     for i, f in enumerate(fs):
-        assert integrate(f, a[i], b[i], 1e-12, 1e-12) == (values[i], errors[i])
         alone = integrate_batch(_scalar_rows([f]), [a[i]], [b[i]],
                                 1e-12, 1e-12)
         assert alone == ([values[i]], [errors[i]], [panels[i]])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from oddzeta.sample_groups import sample_group
-from oddzeta.words import class_spectrum
+from oddzeta.words import class_spectra
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -75,7 +75,8 @@ def test_traced_run_matches_plain_run(tmp_path, subcommand):
         # the terms are read off one spectrum, at max(word_cutoff,
         # delta_cutoff) = 6, up to word_cutoff = 4, and F takes their
         # primitive classes
-        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 6)
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 6)
         assert layers["zeta.terms_from_group"]["terms"] == int(
             (spectrum.word_length <= 4).sum())
         primitives = int(((spectrum.j == 1) & (spectrum.word_length <= 4)).sum())

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from test_moebius import apply_h3
 
 from oddzeta.clifford import CliffordElement
 from oddzeta.errors import NotInvertible, UndefinedAtCorner
@@ -122,7 +123,7 @@ class TestTauMatrix:
                                      - np.eye(3))) < 1e-15
         # half-circle geodesic: image of the vertical line under an isometry
         g = MoebiusMap.normalized(1.0, 0.0, 1.0, 1.0)
-        imgs = [g.apply_h3(p) for p in pts]
+        imgs = [apply_h3(g, p) for p in pts]
         t12 = tau_matrix(TransportPair(imgs[0], imgs[1]))
         t23 = tau_matrix(TransportPair(imgs[1], imgs[2]))
         t13 = tau_matrix(TransportPair(imgs[0], imgs[2]))

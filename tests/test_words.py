@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_moebius import max_abs_diff
 
 from oddzeta import words
 from oddzeta.errors import (
@@ -24,8 +25,6 @@ from oddzeta.config import load_config
 from oddzeta.words import (
     _class_products,
     class_spectra,
-    class_spectrum,
-    estimate_delta,
     estimate_deltas,
     evaluate_word,
     word_products,
@@ -100,7 +99,7 @@ def decode_words(codes, k, g):
 def walk_spectrum(g, L):
     """The class spectrum of a rank-g group whose classes are all
     loxodromic, for the words and power indices of the walk."""
-    return class_spectrum(ring_group(g, 0.01), L)
+    return class_spectra([ring_group(g, 0.01)], L)[0]
 
 
 def canonical_classes(g, L):
@@ -142,7 +141,7 @@ def recursive_classes(g, L):
 
 
 def scalar_class_spectrum(generators, L, eps_class=1e-9):
-    """Reference for class_spectrum: the recursive enumeration, then
+    """Reference for class_spectra: the recursive enumeration, then
     evaluate_word, classify and geodesic_invariants class by class."""
     for rep, j in recursive_classes(len(generators), L):
         m = evaluate_word(generators, rep)
@@ -386,7 +385,7 @@ class TestWordProducts:
         with pytest.raises(ValueError, match=message) as scalar:
             evaluate_word(gens, (1, 2))
         with pytest.raises(ValueError) as batched:
-            class_spectrum(gens, 2)
+            class_spectra([gens], 2)[0]
         assert str(batched.value) == str(scalar.value)
 
 
@@ -401,7 +400,7 @@ class TestClassSpectrum:
         else:
             gens, L = _families()[name]
         g = len(gens)
-        spectrum = class_spectrum(gens, L)
+        spectrum = class_spectra([gens], L)[0]
         want = list(scalar_class_spectrum(gens, L))
         assert [(w, j) for w, j, _ in want] == canonical_classes(g, L)
         assert spectrum.codes.tolist() == walk_spectrum(g, L).codes.tolist()
@@ -419,12 +418,12 @@ class TestClassSpectrum:
         # blocks end mid-shell and passes span shells
         gens, L = _families()[name]
         L = min(L, 6)
-        default = class_spectrum(gens, L)
+        default = class_spectra([gens], L)[0]
         monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
         monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
         blocks = [len(codes) for codes, *_ in _class_products([gens], L)]
         assert len(blocks) > L and max(blocks) < len(default)
-        small = class_spectrum(gens, L)
+        small = class_spectra([gens], L)[0]
         same_spectrum(small, default)
         want = list(scalar_class_spectrum(gens, L))
         for field, got in (("length", small.ell), ("theta", small.theta),
@@ -467,7 +466,7 @@ class TestClassSpectrum:
                 return "OverflowError"
 
         def batched():
-            s = class_spectrum(gens, L, eps_class)
+            s = class_spectra([gens], L, eps_class)[0]
             return zip(s.ell.tolist(), s.theta.tolist(), s.q.tolist(),
                        s.spin_phase.tolist())
 
@@ -480,14 +479,15 @@ class TestClassSpectrum:
     def test_float_entries_change_nothing(self):
         floats, L = _families()["float_real_pair"]
         complexes, _ = _families()["complex_real_pair"]
-        same_spectrum(class_spectrum(floats, L), class_spectrum(complexes, L))
+        same_spectrum(*class_spectra([floats], L),
+                      *class_spectra([complexes], L))
 
     def test_refusal_survives_small_blocks(self, monkeypatch):
         monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
         monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
         with pytest.raises(NotLoxodromic,
                            match="^word BA is elliptic, not loxodromic$"):
-            class_spectrum(ELLIPTIC_AB, 4)
+            class_spectra([ELLIPTIC_AB], 4)[0]
 
     def test_memory_ceiling(self):
         # multiplying each class word letter by letter peaked at 3.4 MiB on
@@ -496,7 +496,7 @@ class TestClassSpectrum:
         gens = sample_group("g2_complex_a").generators
         tracemalloc.start()
         try:
-            class_spectrum(gens, 11)
+            class_spectra([gens], 11)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,12 +506,13 @@ class TestClassSpectrum:
         with pytest.raises(NotLoxodromic) as reference:
             list(scalar_class_spectrum(ELLIPTIC_AB, 3))
         with pytest.raises(NotLoxodromic) as batched:
-            class_spectrum(ELLIPTIC_AB, 3)
+            class_spectra([ELLIPTIC_AB], 3)[0]
         assert str(batched.value) == str(reference.value) == (
             "word BA is elliptic, not loxodromic")
 
     def test_select_keeps_every_field(self):
-        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 4)
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 4)
         primitive = spectrum.select(spectrum.j == 1)
         assert len(primitive) == int((spectrum.j == 1).sum())
         assert primitive.cutoff == spectrum.cutoff == 4
@@ -525,7 +526,7 @@ class TestClassSpectrum:
         gens = {"cyclic": CYCLIC_GEN, "ring": ring_group()}.get(family)
         if gens is None:
             gens = sample_group(family).generators
-        spectrum = class_spectrum(gens, L)
+        spectrum = class_spectra([gens], L)[0]
         assert spectrum.rank == len(gens) == rank
         assert spectrum.select(spectrum.j == 1).rank == rank
 
@@ -562,7 +563,7 @@ class TestClassSpectra:
         batch = class_spectra(sets, 5)
         assert len(batch) == len(sets)
         for got, gens in zip(batch, sets):
-            same_spectrum(got, class_spectrum(gens, 5))
+            same_spectrum(got, class_spectra([gens], 5)[0])
             assert got.ell.flags.c_contiguous and got.q.flags.c_contiguous
 
     def test_small_blocks_change_nothing(self, monkeypatch):
@@ -571,7 +572,7 @@ class TestClassSpectra:
         sets = [schottky_from_params(THICK_POINT[0] * (1 + 0.1 * k),
                                      *THICK_POINT[1:]).generators
                 for k in range(9)]
-        want = [class_spectrum(gens, 6) for gens in sets]
+        want = [class_spectra([gens], 6)[0] for gens in sets]
         monkeypatch.setattr(words, "_PRODUCT_BLOCK", 7)
         monkeypatch.setattr(words, "_CLASS_BLOCK", 7)
         for got, spectrum in zip(class_spectra(sets, 6), want):
@@ -591,7 +592,8 @@ class TestClassSpectra:
                     "elliptic": ELLIPTIC_AB, "overflow": OVERFLOW_AB}
         sets = [families[name] for name in names]
         batched = outcome(lambda: class_spectra(sets, 7))
-        looped = outcome(lambda: [class_spectrum(gens, 7) for gens in sets])
+        looped = outcome(
+            lambda: [class_spectra([gens], 7)[0] for gens in sets])
         assert batched == looped
         assert batched[0] in (NotLoxodromic, OverflowError)
 
@@ -645,16 +647,17 @@ class TestEstimateDeltas:
                 [schottky_from_params(*p).generators for p in points], N)
             batch = estimate_deltas(spectra, N)
             assert ([estimate_bits(e) for e in batch]
-                    == [estimate_bits(estimate_delta(s, N)) for s in spectra])
+                    == [estimate_bits(estimate_deltas([s], N)[0])
+                        for s in spectra])
             assert all(e.delta_hat < 0 for e in batch)
 
     def test_rank_one_is_minus_one(self):
-        spectra = [class_spectrum(gens, 6) for gens in (
+        spectra = [class_spectra([gens], 6)[0] for gens in (
             CYCLIC_GEN, [MoebiusMap(3.0, 0.0, 0.0, 1.0 / 3.0)])]
         minus_one = words.PoincareEstimate(delta_hat=-1.0,
                                            bracket=(-1.0, -1.0))
         assert estimate_deltas(spectra, 6) == [minus_one, minus_one]
-        assert [estimate_delta(s, 6) for s in spectra] == [minus_one] * 2
+        assert [estimate_deltas([s], 6)[0] for s in spectra] == [minus_one] * 2
 
     def test_refusals_match_the_loop(self):
         # rank-4 rings at N = 4: an estimate, one above 1, one whose Z_3
@@ -662,40 +665,40 @@ class TestEstimateDeltas:
         # though Z_3 has; in every order the first refused spectrum raises
         rings = {"ok": (0.3, 0.4), "above one": (0.4, 0.3),
                  "not positive": (0.45, 0.2), "no zero": (0.3, 0.2)}
-        spectra = {name: class_spectrum(ring_group(4, q, spread), 4)
+        spectra = {name: class_spectra([ring_group(4, q, spread)], 4)[0]
                    for name, (q, spread) in rings.items()}
         messages = set()
         for order in itertools.permutations(spectra):
             batch = [spectra[name] for name in order]
             got = outcome(lambda: estimate_deltas(batch, 4))
-            want = outcome(lambda: [estimate_delta(s, 4) for s in batch])
+            want = outcome(lambda: [estimate_deltas([s], 4)[0] for s in batch])
             assert got == want and got[0] is NonConvergent
             messages.add(got[1])
         assert len(messages) == 3
         ok = estimate_deltas([spectra["ok"]] * 2, 4)
-        assert ok == [estimate_delta(spectra["ok"], 4)] * 2
+        assert ok == [estimate_deltas([spectra["ok"]], 4)[0]] * 2
 
     def test_word_lengths_must_agree(self):
         gens = sample_group("g2_complex_a").generators
         with pytest.raises(ValueError, match="differ in their word lengths"):
-            estimate_deltas([class_spectrum(gens, 6), class_spectrum(gens, 7)],
-                            6)
+            estimate_deltas([*class_spectra([gens], 6),
+                             *class_spectra([gens], 7)], 6)
         assert estimate_deltas([], 6) == []
 
 
 class TestEvaluateWord:
     def test_empty_is_identity(self):
         m = evaluate_word(CYCLIC_GEN, ())
-        assert m.max_abs_diff(MoebiusMap.identity()) == 0.0
+        assert max_abs_diff(m, MoebiusMap.identity()) == 0.0
 
     def test_cancelling_pair_is_identity(self):
         m = evaluate_word(CYCLIC_GEN, (1, -1))
-        assert m.max_abs_diff(MoebiusMap.identity()) < 1e-15
+        assert max_abs_diff(m, MoebiusMap.identity()) < 1e-15
 
     def test_square(self):
         gens = [MoebiusMap(2.0, 0.0, 0.0, 0.5), MoebiusMap(1.0, 1.0, 0.5, 1.5)]
         m = evaluate_word(gens, (1, 1))
-        assert m.max_abs_diff(MoebiusMap(4.0, 0.0, 0.0, 0.25)) < 1e-14
+        assert max_abs_diff(m, MoebiusMap(4.0, 0.0, 0.0, 0.25)) < 1e-14
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -735,7 +738,7 @@ class TestPoincareEstimate:
     def test_cyclic_group_exponent(self):
         # delta = 0 is a double zero of the determinant, with no sign
         # change, so it is returned exactly
-        est = estimate_delta(class_spectrum(CYCLIC_GEN, 6), 6)
+        est = estimate_deltas([class_spectra([CYCLIC_GEN], 6)[0]], 6)[0]
         assert est.bracket[0] - 1e-9 <= -1.0 <= est.bracket[1] + 1e-9
         assert abs(est.delta_hat + 1.0) < 1e-9
         assert est == words.PoincareEstimate(delta_hat=-1.0,
@@ -743,13 +746,13 @@ class TestPoincareEstimate:
 
     def test_well_separated_group_negative(self):
         point = sample_group("g2_complex_a")
-        est = estimate_delta(class_spectrum(point.generators, 8), 8)
+        est = estimate_deltas([class_spectra([point.generators], 8)[0]], 8)[0]
         assert est.delta_hat < 0
         # achieved value, frozen loosely for regression visibility
         assert -0.9 < est.delta_hat < -0.7
 
     def test_ring_group_positive(self):
-        est = estimate_delta(class_spectrum(ring_group(), 4), 4)
+        est = estimate_deltas([class_spectra([ring_group()], 4)[0]], 4)[0]
         assert 0 < est.delta_hat <= 1
 
     @pytest.mark.parametrize("gens, N", [
@@ -760,40 +763,41 @@ class TestPoincareEstimate:
     def test_estimate_above_one_refused(self, gens, N):
         # delta <= 2 for every Kleinian group in H^3, so delta_hat <= 1
         with pytest.raises(NonConvergent, match="not both positive at 2"):
-            estimate_delta(class_spectrum(gens, N), N)
+            estimate_deltas([class_spectra([gens], N)[0]], N)[0]
 
     def test_zero_between_one_and_two_refused(self):
         # Z_4 of this rank-4 ring is positive at 2 with its largest zero
         # at 1.497
         with pytest.raises(NonConvergent, match="exceeds 1"):
-            estimate_delta(class_spectrum(ring_group(4, 0.4), 4), 4)
+            estimate_deltas([class_spectra([ring_group(4, 0.4)], 4)[0]], 4)[0]
 
     def test_too_few_shells(self):
         with pytest.raises(NonConvergent):
-            estimate_delta(class_spectrum(CYCLIC_GEN, 2), 2)
+            estimate_deltas([class_spectra([CYCLIC_GEN], 2)[0]], 2)[0]
 
     def test_spectrum_shorter_than_order_refused(self):
         gens = sample_group("g2_complex_a").generators
         with pytest.raises(ValueError, match="word length 5"):
-            estimate_delta(class_spectrum(gens, 5), 6)
+            estimate_deltas([class_spectra([gens], 5)[0]], 6)[0]
 
     def test_longer_spectrum_changes_nothing(self):
         # only the shells up to N are read: folding the longer shells into
         # the last trace would move the estimate
         gens = sample_group("g2_complex_a").generators
-        long = estimate_delta(class_spectrum(gens, 10), 8)
-        short = estimate_delta(class_spectrum(gens, 8), 8)
+        long = estimate_deltas([class_spectra([gens], 10)[0]], 8)[0]
+        short = estimate_deltas([class_spectra([gens], 8)[0]], 8)[0]
         assert np.array_equal(
             np.array([long.delta_hat, *long.bracket]).view(np.int64),
             np.array([short.delta_hat, *short.bracket]).view(np.int64))
 
     def test_estimate_pinned_to_determinant_values(self):
-        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 10)
-        est = estimate_delta(spectrum, 8)
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 10)
+        est = estimate_deltas([spectrum], 8)[0]
         assert abs(est.delta_hat - -0.8257790279463342) < 1e-12
         assert abs(est.bracket[0] - -0.8257790279463342) < 1e-12
         assert abs(est.bracket[1] - -0.8257790279462478) < 1e-12
-        at_10 = estimate_delta(spectrum, 10).delta_hat
+        at_10 = estimate_deltas([spectrum], 10)[0].delta_hat
         assert abs(at_10 - -0.8257790279463342) < 1e-12
         # orders 8 and 10 agree
         assert abs(est.delta_hat - at_10) <= 1e-12
@@ -803,7 +807,7 @@ class TestCycleExpansion:
     def test_empty_shell_refused(self):
         # reduceat gives an empty shell the next shell's first term, not 0:
         # the primitive classes of a cyclic group all have length 1
-        spectrum = class_spectrum(CYCLIC_GEN, 6)
+        spectrum = class_spectra([CYCLIC_GEN], 6)[0]
         primitive = spectrum.select(spectrum.j == 1)
         with pytest.raises(ValueError, match="no class of word length 2"):
             words.cycle_expansion(primitive, np.ones(len(primitive)), 0.0, 6)
@@ -811,7 +815,8 @@ class TestCycleExpansion:
             words.cycle_expansion(spectrum, np.ones(len(spectrum)), 0.0, 7)
 
     def test_longer_classes_not_read(self):
-        spectrum = class_spectrum(sample_group("g2_complex_a").generators, 8)
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 8)
         weight = spectrum.word_length / spectrum.j
         lam = [0.0, 0.5 + 1j]
         part = spectrum.select(spectrum.word_length <= 6)

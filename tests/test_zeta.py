@@ -31,9 +31,9 @@ from oddzeta.moebius import (
     MoebiusMap,
     geodesic_invariants,
 )
-from oddzeta.quadrature import integrate, integrate_batch
+from oddzeta.quadrature import integrate_batch
 from oddzeta.sample_groups import ring_group
-from oddzeta.words import PoincareEstimate, class_spectrum
+from oddzeta.words import PoincareEstimate, class_spectra
 from oddzeta.zeta import (
     _SUM_BLOCK,
     _fsum,
@@ -252,8 +252,11 @@ class TestOddHeatTrace:
         lam = 1.0
         integrand = lambda u: (u ** -2.0 * cmath.exp(-(lam ** 2) / u)
                                * odd_heat_trace(terms, 1.0 / u))
-        left, _ = integrate(integrand, 0.0, 1.0, 1e-12, 1e-12)
-        right, _ = integrate(integrand, 1.0, 400.0, 1e-12, 1e-12)
+        # node by node, one row per piece of [0, 400]
+        (left, right), _, _ = integrate_batch(
+            lambda rows, x: [[integrand(u) for u in panel]
+                             for panel in x.tolist()],
+            [0.0, 1.0], [1.0, 400.0], 1e-12, 1e-12)
         lhs = left + right
         rhs = 0.5j * dlog_zeta_odd(terms, lam)
         assert abs(lhs - rhs) < 1e-6
@@ -418,7 +421,7 @@ class TestGroupTerms:
         reference = list(scalar_class_spectrum(point.generators, 5))
         for variant, sign in (("signature", "plus"), ("spinor", "minus")):
             terms = terms_from_spectrum(
-                class_spectrum(point.generators, 5), variant, sign)
+                class_spectra([point.generators], 5)[0], variant, sign)
             assert terms.variant == variant
             assert terms.word_length.tolist() == [len(w) for w, _, _ in reference]
             assert terms.j.tolist() == [j for _, j, _ in reference]
@@ -438,7 +441,7 @@ class TestGroupTerms:
         # the float real_pair has real multipliers, so every theta is -0.0
         gens, L = _families()[family] if family != "real_pair" else (
             _families()["float_real_pair"][0], 6)
-        spectrum = class_spectrum(gens, min(L, 6))
+        spectrum = class_spectra([gens], min(L, 6))[0]
         rows = [GeodesicInvariants(length=ell, theta=theta, q=q, mu=None,
                                    attracting=None, repelling=None,
                                    spin_phase=phase)
@@ -467,7 +470,8 @@ class TestGroupTerms:
 
     def test_spinor_terms_unit_characters(self, complex_groups):
         point, _, _ = complex_groups["g2_complex_b"]
-        spin_terms = terms_from_spectrum(class_spectrum(point.generators, 3),
+        spin_terms = terms_from_spectrum(
+            class_spectra([point.generators], 3)[0],
                                          "spinor")
         assert np.all(np.abs(np.abs(spin_terms.chi) - 1.0) < 1e-12)
         assert np.all(np.abs(spin_terms.chi - spin_terms.spin_phase
@@ -511,8 +515,8 @@ class TestGroupTerms:
         # times, while the signature variant cannot see the sign
         point, _, _ = complex_groups["g2_complex_a"]
         flipped = (-point.generators[0], point.generators[1])
-        spectrum_a = class_spectrum(point.generators, 4)
-        spectrum_b = class_spectrum(flipped, 4)
+        spectrum_a = class_spectra([point.generators], 4)[0]
+        spectrum_b = class_spectra([flipped], 4)[0]
         sig_a = terms_from_spectrum(spectrum_a)
         sig_b = terms_from_spectrum(spectrum_b)
         assert np.all(np.abs(sig_a.chi - sig_b.chi) < 1e-12)
@@ -527,8 +531,8 @@ class TestGroupTerms:
         point, _, _ = real_group
         bounds = []
         for cutoff in (4, 5, 6):
-            terms = terms_from_spectrum(class_spectrum(point.generators,
-                                                       cutoff))
+            terms = terms_from_spectrum(class_spectra([point.generators],
+                                                       cutoff)[0])
             bounds.append(shell_tail_bound(terms, 0.0))
         assert bounds[0] >= bounds[1] >= bounds[2]
         assert bounds[2] > 0.0
@@ -563,7 +567,7 @@ class TestGroupTerms:
             gens = ring_group()
         else:
             gens = complex_groups[family][0].generators
-        terms = terms_from_spectrum(class_spectrum(gens, L))
+        terms = terms_from_spectrum(class_spectra([gens], L)[0])
         assert shell_tail_bound(terms, re_lam) == bound
 
 
