@@ -25,7 +25,6 @@ from .words import (
 )
 from .special import hyp2f1
 from .kernels import (
-    KernelPoint,
     c_lambda,
     dirac_resolvent_scalar,
     gaussian_time_integral,

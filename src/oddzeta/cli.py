@@ -30,7 +30,6 @@ from .errors import (
     PreconditionError,
 )
 from .kernels import (
-    KernelPoint,
     dirac_resolvent_scalar,
     gaussian_time_integral,
     gaussian_time_integral_quadrature,
@@ -236,12 +235,11 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     gaussian, lams, rs = [], [], []
     for lam in config.lambda_grid:
         for r in config.r_grid:
-            point = KernelPoint(r=r, lam=lam)
             at = (None, r, lam.real, lam.imag)
             for kind, kernel in (("resolvent", resolvent_scalar),
                                  ("dirac_resolvent", dirac_resolvent_scalar)):
                 try:
-                    val = kernel(point, config.kernel_d)
+                    val = kernel(lam, r, config.kernel_d)
                     lines.append(_kernel_row(kind, at,
                                              value=(val.real, val.imag)))
                 except (PoleOfGamma, AtDiagonal) as exc:
@@ -279,6 +277,10 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff)
     rows = []
     for idx in range(3):
+        # the eta scan first: a step that leaves the Schottky domain is
+        # refused before an oracle can overflow on it
+        if config.scan_oracle == "none":
+            rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)
         oracles = {
             "harmonic": pluriharmonicity_scan(
                 base, idx, config.scan_h,
@@ -289,9 +291,7 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
                 lambda points, i=idx: [(abs(p[i]) ** 2, 0.0)
                                        for p in points]),
         }
-        if config.scan_oracle == "none":
-            rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)
-        else:
+        if config.scan_oracle != "none":
             rep = oracles[config.scan_oracle]
         rows.append({
             "param_index": idx,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +29,6 @@ from .quadrature import integrate_batch
 from .special import gamma_quotient, hyp2f1, is_nonpositive_integer
 
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class KernelPoint:
-    """Evaluation point: geodesic distance r and spectral lambda."""
-
-    r: float
-    lam: complex = 0.0
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not self.r >= 0:
-            raise ValueError(f"r = {self.r} negative")
 
 
 def c_lambda(lam: complex) -> complex:
@@ -72,16 +58,20 @@ def _sech2_half(r: float) -> float:
     return math.exp(-2.0 * _log_cosh_half(r))
 
 
-def resolvent_scalar(p: KernelPoint, d: int) -> complex:
-    """Scalar prefactor of the squared-Dirac resolvent kernel on H^(d+1).
+def resolvent_scalar(lam: complex, r: float, d: int) -> complex:
+    """Scalar prefactor of the squared-Dirac resolvent kernel on H^(d+1)
+    at spectral parameter lambda and geodesic distance r.
 
     2^-(d+1) pi^-(d+1)/2 G((d+1)/2+l) G(l) / G(2l+1)
         * cosh(r/2)^-(d+2l) * 2F1((d+1)/2+l, l; 2l+1; sech^2(r/2)).
 
     Excluded lambda: {0} u (-N/2) and poles of Gamma((d+1)/2 + lambda).
+    A negative or NaN r raises ValueError, and r = 0 AtDiagonal.
     """
-    lam = complex(p.lam)
-    if p.r <= 0:
+    lam = complex(lam)
+    if not r >= 0:  # NaN fails too
+        raise ValueError(f"r = {r} negative")
+    if r == 0:
         raise AtDiagonal("resolvent scalar is singular at r = 0")
     if is_nonpositive_integer(2.0 * lam, tol=2e-12):
         raise PoleOfGamma(f"lambda = {lam} in the excluded set {{0}} u (-N/2)")
@@ -89,14 +79,15 @@ def resolvent_scalar(p: KernelPoint, d: int) -> complex:
         raise PoleOfGamma(f"Gamma((d+1)/2 + lambda) pole at lambda = {lam}")
     pref = (2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
     gam = gamma_quotient([0.5 * (d + 1) + lam, lam], [2.0 * lam + 1.0])
-    power = cmath.exp(-(d + 2.0 * lam) * _log_cosh_half(p.r))
+    power = cmath.exp(-(d + 2.0 * lam) * _log_cosh_half(r))
     return pref * gam * power * hyp2f1(
-        0.5 * (d + 1) + lam, lam, 2.0 * lam + 1.0, _sech2_half(p.r)
+        0.5 * (d + 1) + lam, lam, 2.0 * lam + 1.0, _sech2_half(r)
     )
 
 
-def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
-    """Scalar prefactor of the Dirac-times-resolvent kernel on H^(d+1).
+def dirac_resolvent_scalar(lam: complex, r: float, d: int) -> complex:
+    """Scalar prefactor of the Dirac-times-resolvent kernel on H^(d+1),
+    refusing r as ``resolvent_scalar`` does.
 
     -2^-(d+1) pi^-(d+1)/2 G((d+1)/2+l) G(l+1) / G(2l+1)
         * cosh(r/2)^-(d+1+2l) sinh(r/2)
@@ -104,8 +95,10 @@ def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
     with the cl(v) U(m, m') endomorphism stripped.  Analytic at lambda = 0;
     the formula's gamma factors still exclude (-N/2).
     """
-    lam = complex(p.lam)
-    if p.r <= 0:
+    lam = complex(lam)
+    if not r >= 0:  # NaN fails too
+        raise ValueError(f"r = {r} negative")
+    if r == 0:
         raise AtDiagonal("Dirac resolvent scalar is singular at r = 0")
     if lam != 0 and is_nonpositive_integer(2.0 * lam, tol=2e-12):
         raise PoleOfGamma(f"lambda = {lam} in the excluded set (-N/2)")
@@ -114,10 +107,10 @@ def dirac_resolvent_scalar(p: KernelPoint, d: int) -> complex:
     pref = -(2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
     gam = gamma_quotient([0.5 * (d + 1) + lam, lam + 1.0], [2.0 * lam + 1.0])
     power = cmath.exp(
-        -(d + 1 + 2.0 * lam) * _log_cosh_half(p.r) + _log_sinh_half(p.r)
+        -(d + 1 + 2.0 * lam) * _log_cosh_half(r) + _log_sinh_half(r)
     )
     return pref * gam * power * hyp2f1(
-        0.5 * (d + 1) + lam, lam + 1.0, 2.0 * lam + 1.0, _sech2_half(p.r)
+        0.5 * (d + 1) + lam, lam + 1.0, 2.0 * lam + 1.0, _sech2_half(r)
     )
 
 

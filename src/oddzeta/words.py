@@ -447,31 +447,22 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
     ``geodesic_invariants`` give.  The spectra share their ``codes``,
     ``word_length`` and ``j`` arrays.
 
-    Refusals are those of a loop of one-group calls: the first group in
-    order that is refused raises, so a refused batch is walked again one
-    group at a time.  One group raises NotLoxodromic naming its
-    first class, in class order, that is not loxodromic; a product
-    refused on any prenecklace raises its OverflowError or ValueError
-    when the walk reaches it, after the classes walked before its block
-    are classified: a class-by-class ``evaluate_word`` reaches those
-    first.  Generator sets of different ranks raise ValueError.
+    Refusals: one group raises NotLoxodromic naming its first class, in
+    class order, that is not loxodromic; a product refused on any
+    prenecklace raises its OverflowError or ValueError when the walk
+    reaches it, after the classes walked before its block are
+    classified: a class-by-class ``evaluate_word`` reaches those first.
+    A batch raises the refusal of its first refused (class, group)
+    entry in the walk, which that group raises on its own unless it has
+    both a refused product and a refused class: which comes first can
+    depend on the walk's blocks, smaller in a batch.
+    Generator sets of different ranks raise ValueError.
     """
     sets = [tuple(gens) for gens in generator_sets]
     if len({len(gens) for gens in sets}) > 1:
         raise ValueError("the generator sets differ in rank")
-    if len(sets) > 1:
-        try:
-            return _walk_spectra(sets, L, eps_class)
-        except (NotLoxodromic, ArithmeticError, ValueError):
-            pass
-    return [spectrum for gens in sets
-            for spectrum in _walk_spectra([gens], L, eps_class)]
-
-
-def _walk_spectra(sets: Sequence[Sequence[MoebiusMap]], L: int,
-                  eps_class: float) -> List[Spectrum]:
-    """``class_spectra`` of one or more groups of one rank, refusing the
-    first refused (class, group) entry of the walk."""
+    if not sets:
+        return []
     g = len(sets[0])
     shared: dict = {name: [] for name in ("codes", "word_length", "j")}
     per_group: dict = {name: [] for name in ("ell", "theta", "q",
@@ -615,9 +606,10 @@ def estimate_deltas(spectra: Sequence[Spectrum],
     in one more.  A row keeps its own bracket, halving state and stop
     test (the bracket down to adjacent floats; an exact zero becomes the
     end hi, with value 0, and the steps close on it), so each estimate
-    has the bits of a solve on its own.  Refusals are those of a loop of
-    one-spectrum calls: the first spectrum in order that is refused
-    raises.  Spectra whose word lengths differ raise ValueError.
+    has the bits of a solve on its own.  A batch raises a refusal that
+    one of its spectra raises on its own: the first row whose grid scan
+    fails, else the first estimate above 1.  Spectra whose word lengths
+    differ raise ValueError.
     """
     spectra = list(spectra)
     if N < 4:
@@ -651,27 +643,19 @@ def estimate_deltas(spectra: Sequence[Spectrum],
     scans = truncations(np.repeat(np.arange(len(solve)), len(grid)),
                         np.tile(grid, len(solve)))
     grid = grid.tolist()
-    errors = {}
     # [spectrum row, truncation, lo, f(lo), hi, f(hi), the end kept last
     # round: -1 hi, 1 lo, 0 none yet]
     states = []
     for r, both in enumerate(scans.reshape(2, len(solve), -1)
                              .swapaxes(0, 1).tolist()):
         if not (both[0][0] > 0.0 and both[1][0] > 0.0):
-            errors[r] = NonConvergent(
-                f"Z_{N - 1} and Z_{N} not both positive at 2")
-            continue
-        brackets = []
+            raise NonConvergent(f"Z_{N - 1} and Z_{N} not both positive at 2")
         for k, values in enumerate(both):
             i = next((i for i, v in enumerate(values) if v <= 0.0), None)
             if i is None:
-                errors[r] = NonConvergent(
-                    f"Z_{N - 1 + k} has no zero on [-1, 2]")
-                break
-            brackets.append([r, k, grid[i], values[i], grid[i - 1],
-                             values[i - 1], 0])
-        else:
-            states += brackets
+                raise NonConvergent(f"Z_{N - 1 + k} has no zero on [-1, 2]")
+            states.append([r, k, grid[i], values[i], grid[i - 1],
+                           values[i - 1], 0])
     zeros = {}
     while states:
         trials = []
@@ -698,8 +682,6 @@ def estimate_deltas(spectra: Sequence[Spectrum],
                 state[6] = 1
         states = [state for state, _ in trials]
     for r, i in enumerate(solve):
-        if r in errors:
-            raise errors[r]
         low, high = zeros[r, 0], zeros[r, 1]
         if high > 1.0:
             raise NonConvergent(

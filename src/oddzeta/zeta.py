@@ -158,8 +158,10 @@ def terms_from_groups(generator_sets: Sequence[Sequence[MoebiusMap]],
     One ``words.class_spectra`` at max(L, delta_cutoff) gives the
     spectra, in (length, lexicographic representative) order, and one
     ``words.estimate_deltas`` of order ``delta_cutoff`` their estimates.
-    Refusals come stage by stage: the first group whose spectrum is
-    refused raises, and only then the first whose delta_hat is.
+    Refusals come stage by stage, the spectra's before any delta_hat's.
+    One group's are unchanged; a batch raises a refusal that one of its
+    groups raises on its own, with the exception ``class_spectra``
+    states.
     """
     spectra = class_spectra(generator_sets, max(L, delta_cutoff), eps_class)
     estimates = estimate_deltas(spectra, delta_cutoff)

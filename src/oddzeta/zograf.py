@@ -237,7 +237,8 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
     word tree and one lockstep delta_hat solve.  A point without a
     negative delta_hat raises LeftSchottkyDomain.  A refusal is the one
     the first refused point, in the order given, raises on its own: a
-    refused batch is evaluated again one point at a time.
+    refused batch, whose refusal is only some point's, is evaluated
+    again one point at a time.
     """
     memo: dict = {}
 

@@ -732,6 +732,16 @@ class TestScanStep:
             f"error: DegenerateConfiguration: h = {float(h)!r}: ")
         assert not (out / "scan.json").exists()
 
+    def test_huge_step_leaves_the_domain(self, tmp_path, capsys):
+        # q1 + h leaves the unit disk: the eta scan refuses it before the
+        # harmonic oracle's p ** 3 can overflow
+        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h="1e150"))
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: LeftSchottkyDomain: q1 = (1e+150+")
+        assert not (out / "scan.json").exists()
+
     def test_usual_step_unchanged(self, tmp_path):
         # (fd_laplacian, error_budget, harmonic oracle, |p|^2 oracle) per
         # parameter, frozen; the step check must not move them
@@ -816,7 +826,7 @@ def test_public_surface():
     # a name added to or dropped from the package is a deliberate edit here
     assert sorted(oddzeta.__all__) == [
         "CliffordElement", "GeodesicInvariants", "HalfSpacePoint",
-        "KernelPoint", "MoebiusMap", "OddZetaError", "PoincareEstimate",
+        "MoebiusMap", "OddZetaError", "PoincareEstimate",
         "SchottkyPoint", "Spectrum", "TransportPair", "ZetaEvaluation",
         "ZetaTerms", "adjoint_action", "boundary_limit_transport",
         "c_lambda", "check_eta_F_identity", "class_spectra", "classify",

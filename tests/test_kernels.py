@@ -14,7 +14,6 @@ from oddzeta.errors import (
     PoleOfGamma,
 )
 from oddzeta.kernels import (
-    KernelPoint,
     c_lambda,
     dirac_resolvent_scalar,
     gaussian_time_integral,
@@ -66,7 +65,7 @@ def resolvent_series_oracle(lam, r, d, n=5000):
 
 class TestResolventScalars:
     def test_against_series_oracle(self):
-        mine = resolvent_scalar(KernelPoint(r=1.0, lam=1.0), 2)
+        mine = resolvent_scalar(1.0, 1.0, 2)
         oracle = resolvent_series_oracle(1.0, 1.0, 2)
         assert abs(mine - oracle) < 1e-10 * abs(oracle)
         # frozen from the oracle
@@ -75,21 +74,34 @@ class TestResolventScalars:
     def test_decay_exponent(self):
         # |value| ~ e^{-(d/2 + lam) r}; slope between r = 8 and r = 10
         lam, d = 1.0, 2
-        v8 = abs(resolvent_scalar(KernelPoint(r=8.0, lam=lam), d))
-        v10 = abs(resolvent_scalar(KernelPoint(r=10.0, lam=lam), d))
+        v8 = abs(resolvent_scalar(lam, 8.0, d))
+        v10 = abs(resolvent_scalar(lam, 10.0, d))
         slope = -(math.log(v10) - math.log(v8)) / 2.0
         assert abs(slope - (0.5 * d + lam)) < 0.02 * (0.5 * d + lam)
 
     def test_pole_set(self):
         with pytest.raises(PoleOfGamma):
-            resolvent_scalar(KernelPoint(r=1.0, lam=0.0), 2)
+            resolvent_scalar(0.0, 1.0, 2)
         with pytest.raises(PoleOfGamma):
-            resolvent_scalar(KernelPoint(r=1.0, lam=-0.5), 2)
+            resolvent_scalar(-0.5, 1.0, 2)
         with pytest.raises(AtDiagonal):
-            resolvent_scalar(KernelPoint(r=0.0, lam=1.0), 2)
+            resolvent_scalar(1.0, 0.0, 2)
+
+    def test_r_validation(self):
+        # a negative r is refused as a value, r = 0 as the diagonal
+        for kernel in (resolvent_scalar, dirac_resolvent_scalar):
+            with pytest.raises(ValueError, match="r = -1.0 negative"):
+                kernel(1.0, -1.0, 2)
+            with pytest.raises(AtDiagonal, match="singular at r = 0"):
+                kernel(1.0, 0.0, 2)
+
+    def test_nan_r_refused(self):
+        for kernel in (resolvent_scalar, dirac_resolvent_scalar):
+            with pytest.raises(ValueError, match="r = nan negative"):
+                kernel(1.0, math.nan, 2)
 
     def test_dirac_variant_regular_at_zero(self):
-        value = dirac_resolvent_scalar(KernelPoint(r=1.0, lam=0.0), 2)
+        value = dirac_resolvent_scalar(0.0, 1.0, 2)
         assert value.imag == pytest.approx(0.0, abs=1e-14)
         assert value.real < 0  # overall minus sign of the formula
 
@@ -99,8 +111,8 @@ class TestResolventScalars:
         lam = 0.3
         diffs = []
         for r in (1e-2, 3e-3, 1e-3):
-            plus = resolvent_scalar(KernelPoint(r=r, lam=lam), 2)
-            minus = resolvent_scalar(KernelPoint(r=r, lam=-lam), 2)
+            plus = resolvent_scalar(lam, r, 2)
+            minus = resolvent_scalar(-lam, r, 2)
             assert abs(plus) > 0.5 / (4.0 * math.pi * r)  # singular side
             diffs.append(plus - minus)
         assert abs(diffs[-1] - 0.0848826164) < 1e-6
@@ -120,7 +132,7 @@ class TestResolventScalars:
                  * math.gamma(a) * math.gamma(b) / math.gamma(c))
         oracle = (pref * math.cosh(0.5 * r) ** (-(d + 1 + 2 * lam))
                   * math.sinh(0.5 * r) * total)
-        mine = dirac_resolvent_scalar(KernelPoint(r=r, lam=lam), d)
+        mine = dirac_resolvent_scalar(lam, r, d)
         assert abs(mine - oracle) < 1e-10 * abs(oracle)
 
 
@@ -441,15 +453,3 @@ def scalar_gaussian_quadrature(lam: complex, r: float, tol: float):
                          for panel in x.tolist()],
         [0.0], [upper], tol_abs=0.0, tol_rel=tol)
     return values[0], errors[0]
-
-
-class TestKernelPoint:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelPoint(r=-1.0)
-        assert KernelPoint(r=0.0, lam=1.0).lam == 1.0
-
-    @pytest.mark.parametrize("field, message", [("r", "r = nan negative")])
-    def test_nan_refused(self, field, message):
-        with pytest.raises(ValueError, match=message):
-            KernelPoint(**{"r": 1.0, field: math.nan})

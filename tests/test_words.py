@@ -582,20 +582,25 @@ class TestClassSpectra:
         ("thick", "elliptic", "thick"),
         ("thick", "overflow"),
         # the walk meets BA, elliptic, at length 2, long before the
-        # overflow family's products at length 6: the loop refuses the
-        # overflow first
+        # overflow family's products at length 6: in any order the batch
+        # refuses the elliptic family, a loop the first refused one
         ("thick", "overflow", "elliptic"),
         ("elliptic", "overflow"),
     ])
     def test_refusals_match_the_loop(self, names):
+        # in every order the batch raises the refusal of one of its
+        # families on its own
         families = {"thick": schottky_from_params(*THICK_POINT).generators,
                     "elliptic": ELLIPTIC_AB, "overflow": OVERFLOW_AB}
-        sets = [families[name] for name in names]
-        batched = outcome(lambda: class_spectra(sets, 7))
-        looped = outcome(
-            lambda: [class_spectra([gens], 7)[0] for gens in sets])
-        assert batched == looped
-        assert batched[0] in (NotLoxodromic, OverflowError)
+        alone = {name: outcome(lambda: class_spectra([families[name]], 7))
+                 for name in names}
+        refusals = [got for got in alone.values() if got[0] != "ok"]
+        assert refusals
+        for order in itertools.permutations(names):
+            batched = outcome(
+                lambda: class_spectra([families[name] for name in order], 7))
+            assert batched in refusals
+            assert batched[0] in (NotLoxodromic, OverflowError)
 
     def test_ranks_must_agree(self):
         with pytest.raises(ValueError, match="differ in rank"):
@@ -662,18 +667,22 @@ class TestEstimateDeltas:
     def test_refusals_match_the_loop(self):
         # rank-4 rings at N = 4: an estimate, one above 1, one whose Z_3
         # and Z_4 are not positive at 2, and one whose Z_4 has no zero
-        # though Z_3 has; in every order the first refused spectrum raises
+        # though Z_3 has; in every order of two or more of them the batch
+        # raises the refusal of one of its spectra on its own
         rings = {"ok": (0.3, 0.4), "above one": (0.4, 0.3),
                  "not positive": (0.45, 0.2), "no zero": (0.3, 0.2)}
         spectra = {name: class_spectra([ring_group(4, q, spread)], 4)[0]
                    for name, (q, spread) in rings.items()}
+        alone = {name: outcome(lambda: estimate_deltas([spectrum], 4))
+                 for name, spectrum in spectra.items()}
         messages = set()
-        for order in itertools.permutations(spectra):
-            batch = [spectra[name] for name in order]
-            got = outcome(lambda: estimate_deltas(batch, 4))
-            want = outcome(lambda: [estimate_deltas([s], 4)[0] for s in batch])
-            assert got == want and got[0] is NonConvergent
-            messages.add(got[1])
+        for k in range(2, len(spectra) + 1):
+            for order in itertools.permutations(spectra, k):
+                got = outcome(lambda: estimate_deltas(
+                    [spectra[name] for name in order], 4))
+                assert got in [alone[name] for name in order if name != "ok"]
+                assert got[0] is NonConvergent
+                messages.add(got[1])
         assert len(messages) == 3
         ok = estimate_deltas([spectra["ok"]] * 2, 4)
         assert ok == [estimate_deltas([spectra["ok"]], 4)[0]] * 2

@@ -10,6 +10,7 @@ import pytest
 from test_words import THICK_POINT
 from toyterms import power_class_terms, primitive_term, toy_list
 
+import oddzeta.words
 import oddzeta.zeta
 import oddzeta.zograf
 from oddzeta.errors import (DegenerateConfiguration, DeltaNotNegative,
@@ -387,6 +388,26 @@ class TestPluriharmonicityScan:
             got = refusal(lambda: eta_on_chart(3, 5)(
                 [points[name] for name in order]))
             assert got == alone[first]
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_refused_batch_walks_once_per_point_to_the_first_failing(
+            self, monkeypatch, k):
+        # a point whose class Baaaa is elliptic at index k of nine: the
+        # batch walk is refused, then points 0..k are walked one at a time
+        base = sample_group("scan_base").params
+        good = [(base[0] * (1 + 0.01 * n), *base[1:]) for n in range(8)]
+        points = good[:k] + [(0.9j, 0.9, 2.0)] + good[k:]
+        walks = []
+        walk = oddzeta.words._class_products
+
+        def counted(generator_sets, L):
+            walks.append(len(generator_sets))
+            return walk(generator_sets, L)
+
+        monkeypatch.setattr(oddzeta.words, "_class_products", counted)
+        with pytest.raises(LeftSchottkyDomain, match="Baaaa is elliptic"):
+            eta_on_chart(3, 5)(points)
+        assert walks == [9] + [1] * (k + 1)
 
     def test_leaving_domain_raises(self):
         # q1 + h crosses |q| = 1
