@@ -279,8 +279,7 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     for idx in range(3):
         # the eta scan first: a step that leaves the Schottky domain is
         # refused before an oracle can overflow on it
-        if config.scan_oracle == "none":
-            rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)
+        rep = pluriharmonicity_scan(base, idx, config.scan_h, eta_fn)
         oracles = {
             "harmonic": pluriharmonicity_scan(
                 base, idx, config.scan_h,

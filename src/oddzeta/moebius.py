@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .errors import BoundaryPoint, NotLoxodromic
 
 EPS_CLASS = 1e-9
@@ -155,6 +157,63 @@ class GeodesicInvariants:
     spin_phase: complex
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def class_invariants(entries, eps_class: float = EPS_CLASS):
+    """The kind and multiplier invariants of a block of matrices.
+
+    ``entries`` is a complex array of shape (2, 2, ...): the row-major
+    entries of each matrix on the first two axes.  This is the one
+    definition of both: ``classify``, ``geodesic_invariants`` and the
+    class spectrum all call it.  Returns ``(kind, mu, q, length, theta,
+    spin_phase)``, each of the trailing shape: ``kind`` the ``classify``
+    name of each matrix, and for the loxodromic ones mu, the eigenvalue
+    with |mu| > 1, sign included, q = mu^(-2), length = 2 log|mu|,
+    theta = -arg q in (-pi, pi] and the spin phase mu/|mu| (NaN
+    elsewhere).
+    The first matrix, in row-major order, that tr^2 calls loxodromic but
+    that has no eigenvalue above 1 in modulus raises NotLoxodromic, and
+    one whose squared trace overflows raises OverflowError, unless a
+    matrix before it is not loxodromic: the caller refuses that one.
+    numpy warns of nothing.
+    """
+    entries = np.asarray(entries, dtype=complex)
+    shape = entries.shape[2:]
+    a, b, c, d = entries.reshape(4, -1)
+    # min(max(|a - 1|, |b|, |c|, |d - 1|), the same for -m)
+    off = np.maximum(np.abs(b), np.abs(c))
+    near_id = np.maximum(off, np.minimum(
+        np.maximum(np.abs(a - 1.0), np.abs(d - 1.0)),
+        np.maximum(np.abs(a + 1.0), np.abs(d + 1.0))))
+    t = a + d
+    tr2 = t * t
+    kind = np.select(
+        [near_id < eps_class, np.abs(tr2 - 4.0) < eps_class,
+         (np.abs(tr2.imag) < eps_class) & (-eps_class < tr2.real)
+         & (tr2.real < 4.0)],
+        ["identity", "parabolic", "elliptic"], "loxodromic")
+    lox = kind == "loxodromic"
+    s = np.sqrt(tr2 - 4.0)
+    # align the root with t to avoid cancellation in t + s
+    s = np.where(t.real * s.real + t.imag * s.imag < 0, -s, s)
+    mu = 0.5 * (t + s)
+    modulus = np.abs(mu)
+    refused = np.flatnonzero(lox & (~np.isfinite(tr2) | (modulus <= 1.0)))
+    if refused.size and lox[:refused[0]].all():
+        first = refused[0]
+        if not np.isfinite(tr2[first]):
+            raise OverflowError("complex exponentiation")
+        raise NotLoxodromic(
+            f"no expanding eigenvalue, trace {complex(t[first])}")
+    q = 1.0 / (mu * mu)
+    theta = -np.angle(q)
+    theta[theta <= -math.pi] = math.pi
+    phase = np.empty_like(mu)
+    phase.real, phase.imag = mu.real / modulus, mu.imag / modulus
+    return (kind.reshape(shape),
+            *(np.where(lox, x, np.nan).reshape(shape)
+              for x in (mu, q, 2.0 * np.log(modulus), theta, phase)))
+
+
 def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     """One of 'identity' | 'parabolic' | 'elliptic' | 'loxodromic'.
 
@@ -162,51 +221,27 @@ def classify(m: MoebiusMap, eps_class: float = EPS_CLASS) -> str:
     otherwise, elliptic iff tr^2 real in [0, 4), loxodromic otherwise.
     Near-boundary cases are resolved by ``eps_class``, which is a
     documented limitation: there is no exact classification threshold
-    in floating point.
+    in floating point.  The 0-d case of ``class_invariants``, so a
+    matrix it calls loxodromic with no eigenvalue above 1 in modulus
+    (possible at eps_class = 0) raises NotLoxodromic, and one whose
+    squared trace overflows OverflowError.
     """
-    return _classify(m.a, m.b, m.c, m.d, eps_class)
-
-
-def _classify(a, b, c, d, eps_class: float) -> str:
-    """classify on the entries of a matrix, with MoebiusMap's arithmetic."""
-    if min(max(abs(a - 1.0), abs(b - 0.0), abs(c - 0.0), abs(d - 1.0)),
-           max(abs(-a - 1.0), abs(-b - 0.0), abs(-c - 0.0),
-               abs(-d - 1.0))) < eps_class:
-        return "identity"
-    tr2 = (a + d) ** 2
-    if abs(tr2 - 4.0) < eps_class:
-        return "parabolic"
-    if abs(tr2.imag) < eps_class and -eps_class < tr2.real < 4.0:
-        return "elliptic"
-    return "loxodromic"
-
-
-def _multiplier_invariants(t: complex):
-    """(mu, q, length, theta, spin phase) of a loxodromic matrix of trace t;
-    mu is the eigenvalue with |mu| > 1, sign included."""
-    s = cmath.sqrt(t * t - 4.0)
-    # align the root with t to avoid cancellation in t + s
-    if (t.conjugate() * s).real < 0:
-        s = -s
-    mu = 0.5 * (t + s)
-    if abs(mu) <= 1.0:
-        raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
-    q = mu ** -2
-    length = 2.0 * math.log(abs(mu))
-    theta = -cmath.phase(q)
-    if theta <= -math.pi:
-        theta = math.pi
-    return mu, q, length, theta, mu / abs(mu)
+    return class_invariants([[m.a, m.b], [m.c, m.d]], eps_class)[0].item()
 
 
 def geodesic_invariants(m: MoebiusMap, eps_class: float = EPS_CLASS) -> GeodesicInvariants:
-    """Multiplier, length, holonomy and fixed points of a loxodromic map."""
-    kind = classify(m, eps_class)
+    """Multiplier, length, holonomy and fixed points of a loxodromic map.
+
+    The multiplier invariants are the 0-d case of ``class_invariants``;
+    the fixed points are computed here.
+    """
+    kind, mu, q, length, theta, phase = (
+        x.item()
+        for x in class_invariants([[m.a, m.b], [m.c, m.d]], eps_class))
     if kind != "loxodromic":
         raise NotLoxodromic(f"classify() = {kind}")
     a, b, c, d = m.a, m.b, m.c, m.d
     t = a + d
-    mu, q, length, theta, phase = _multiplier_invariants(t)
     mu_small = 1.0 / mu
     if c != 0:
         # roots of c z^2 + (d - a) z - b: take the large-numerator root

@@ -9,13 +9,14 @@ is computed on arrays in one walk of the prenecklace tree
 (``_class_products``): each prenecklace, held as an integer code,
 carries its matrix, its parent's times one letter in an exact batched
 product (``word_products``); the class matrices are classified and
-reduced to their invariants in blocks (``class_invariants``), and each
-group gets one ``Spectrum`` of 1-D arrays.  The words do not depend on
-the group, so ``class_spectra`` walks the tree once for one or more
-groups of one rank, their matrices side by side on a trailing group
-axis.  The batched code decides only the common case: a product or
-class outside it goes through the scalar ``moebius`` code it mirrors,
-which renormalizes or refuses it.
+reduced to their invariants in blocks by ``moebius.class_invariants``,
+the one array definition of both, whose 0-d case is ``classify`` and
+``geodesic_invariants``, and each group gets one ``Spectrum`` of 1-D
+arrays.  The words do not depend on the group, so ``class_spectra``
+walks the tree once for one or more groups of one rank, their matrices
+side by side on a trailing group axis.  The batched product decides
+only the common case: a product outside it goes through
+``MoebiusMap.normalized``, which renormalizes or refuses it.
 
 ``estimate_deltas`` reads the Poincare exponent off a class spectrum too,
 as the zero of a determinant whose ``cycle_expansion`` sums its classes,
@@ -28,8 +29,6 @@ expect.
 
 from __future__ import annotations
 
-import cmath
-import math
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
@@ -42,12 +41,7 @@ from .errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from .moebius import (
-    EPS_CLASS,
-    MoebiusMap,
-    _classify,
-    _multiplier_invariants,
-)
+from .moebius import EPS_CLASS, MoebiusMap, class_invariants
 
 DEFAULT_WORD_BUDGET = 10_000_000
 
@@ -81,14 +75,13 @@ def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> Moebius
     return result
 
 
-# --- exact batched word products and invariants -----------------------------
+# --- exact batched word products -------------------------------------------
 #
 # word_products takes one letter step of evaluate_word's arithmetic on a
-# whole block of prefix products, and class_invariants repeats classify
-# and geodesic_invariants on a block of class matrices, with real and
-# imaginary parts in separate float64 arrays: every complex product, sum,
-# power, square root and quotient is spelled out in the operations
-# CPython uses, because numpy's own complex loops round differently.
+# whole block of prefix products, with real and imaginary parts in
+# separate float64 arrays: every complex product and sum is spelled out
+# in the operations CPython uses, because numpy's own complex loops round
+# differently, so the class matrices are evaluate_word's bit for bit.
 
 
 def _mul(xr, xi, yr, yi):
@@ -100,42 +93,6 @@ def _split_det(re: np.ndarray, im: np.ndarray):
     ad = _mul(re[0, 0], im[0, 0], re[1, 1], im[1, 1])
     bc = _mul(re[0, 1], im[0, 1], re[1, 0], im[1, 0])
     return ad[0] - bc[0], ad[1] - bc[1]
-
-
-def _sqrt(re: np.ndarray, im: np.ndarray):
-    """cmath.sqrt of nonzero finite values."""
-    ax, ay = np.abs(re), np.abs(im)
-    tiny = (ax < np.finfo(float).tiny) & (ay < np.finfo(float).tiny)
-    s = np.empty_like(ax)
-    # subnormal moduli: scale up by 2^53, back down by 2^-27
-    up = np.ldexp(ax[tiny], 53)
-    s[tiny] = np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay[tiny], 53))),
-                       -27)
-    ax8 = ax[~tiny] / 8.0
-    s[~tiny] = 2.0 * np.sqrt(ax8 + np.hypot(ax8, ay[~tiny] / 8.0))
-    d = ay / (2.0 * s)
-    pos = re >= 0.0
-    return np.where(pos, s, d), np.copysign(np.where(pos, d, s), im)
-
-
-def _divide(ar, ai, br, bi):
-    """Python's complex quotient (ar + i ai) / (br + i bi), br + i bi != 0:
-    both parts are divided by the larger part of the divisor."""
-    br, bi = np.broadcast_to(br, ar.shape), np.broadcast_to(bi, ar.shape)
-    qr, qi = np.empty_like(ar), np.empty_like(ar)
-    rows = np.abs(br) >= np.abs(bi)
-    xr, xi, yr, yi = ar[rows], ai[rows], br[rows], bi[rows]
-    ratio = yi / yr
-    denom = yr + yi * ratio
-    qr[rows] = (xr + xi * ratio) / denom
-    qi[rows] = (xi - xr * ratio) / denom
-    rows = ~rows
-    xr, xi, yr, yi = ar[rows], ai[rows], br[rows], bi[rows]
-    ratio = yr / yi
-    denom = yr * ratio + yi
-    qr[rows] = (xr * ratio + xi) / denom
-    qi[rows] = (xi * ratio - xr) / denom
-    return qr, qi
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -178,94 +135,6 @@ def word_products(parents, letters: np.ndarray, table):
         re[at] = [[m.a.real, m.b.real], [m.c.real, m.d.real]]
         im[at] = [[m.a.imag, m.b.imag], [m.c.imag, m.d.imag]]
     return re, im
-
-
-#: What ``class_invariants`` reports per product, as ``classify`` names it.
-KINDS = ("identity", "parabolic", "elliptic", "loxodromic")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def class_invariants(products, eps_class: float):
-    """``classify`` and the multiplier invariants of a block of products.
-
-    ``products`` is a split product as in ``word_products``.  Returns
-    ``(kind, ell, theta, q, spin_phase)``, each of the products' shape
-    ((N,) or (N, G)): ``kind`` the ``classify`` name of each product, and
-    for the loxodromic ones the length, holonomy, multiplier and spin
-    phase, bit for bit those of ``geodesic_invariants`` on the same
-    matrix (NaN elsewhere).
-    The arithmetic is ``_classify`` and ``_multiplier_invariants`` in
-    split form: ``**`` is two complex products, ``cmath.sqrt`` is
-    ``_sqrt`` and quotients are ``_divide``; only
-    ``math.log`` and ``cmath.phase`` run per value.  A loxodromic product
-    whose t * t overflows, or with no eigenvalue above 1 in modulus, goes
-    to ``_classify`` and ``_multiplier_invariants`` themselves, which
-    refuse it as ``geodesic_invariants`` does, unless a product before it
-    (in row-major order) is not loxodromic; numpy warns of nothing.
-    """
-    shape = products[0].shape[2:]
-    re, im = (x.reshape(2, 2, -1) for x in products)
-    a_re, b_re, c_re, d_re = re.reshape(4, -1)
-    a_im, b_im, c_im, d_im = im.reshape(4, -1)
-    # max(|a - 1|, |b|, |c|, |d - 1|) and the same for -m, the larger
-    # entries identical in both
-    off = np.maximum(np.hypot(b_re, b_im), np.hypot(c_re, c_im))
-    near_id = np.minimum(
-        np.maximum(off, np.maximum(np.hypot(a_re - 1.0, a_im),
-                                   np.hypot(d_re - 1.0, d_im))),
-        np.maximum(off, np.maximum(np.hypot(-a_re - 1.0, a_im),
-                                   np.hypot(-d_re - 1.0, d_im))))
-    t_re, t_im = a_re + d_re, a_im + d_im
-    tt_re, tt_im = _mul(t_re, t_im, t_re, t_im)
-    # (a + d) ** 2 is c_prod(1, t * t)
-    tr2_re, tr2_im = _mul(1.0, 0.0, tt_re, tt_im)
-    code = np.select(
-        [near_id < eps_class,
-         np.hypot(tr2_re - 4.0, tr2_im) < eps_class,
-         (np.abs(tr2_im) < eps_class) & (-eps_class < tr2_re)
-         & (tr2_re < 4.0)],
-        [0, 1, 2], 3)
-    kind = np.array(KINDS)[code]
-    n = len(code)
-    ell, theta = np.full(n, np.nan), np.full(n, np.nan)
-    q, phase = np.full(n, np.nan + 0j), np.full(n, np.nan + 0j)
-    lox = code == 3
-    if not lox.any():
-        return tuple(x.reshape(shape) for x in (kind, ell, theta, q, phase))
-    rows = slice(None) if lox.all() else lox
-    t_re, t_im = t_re[rows], t_im[rows]
-    # _multiplier_invariants: s = sqrt(t * t - 4), aligned with t
-    s_re, s_im = _sqrt(tt_re[rows] - 4.0, tt_im[rows])
-    flip = t_re * s_re - (-t_im) * s_im < 0
-    s_re, s_im = np.where(flip, -s_re, s_re), np.where(flip, -s_im, s_im)
-    mu_re, mu_im = _mul(0.5, 0.0, t_re + s_re, t_im + s_im)
-    modulus = np.hypot(mu_re, mu_im)
-    # mu ** -2 = 1 / c_prod(1, mu * mu)
-    sq_re, sq_im = _mul(1.0, 0.0, *_mul(mu_re, mu_im, mu_re, mu_im))
-    q_re, q_im = _divide(np.ones_like(sq_re), np.zeros_like(sq_im),
-                         sq_re, sq_im)
-    q_lox = np.empty(len(q_re), dtype=complex)
-    q_lox.real, q_lox.imag = q_re, q_im
-    ell[rows] = 2.0 * np.array(list(map(math.log, modulus.tolist())))
-    angle = -np.array(list(map(cmath.phase, q_lox.tolist())))
-    theta[rows] = np.where(angle <= -math.pi, math.pi, angle)
-    q[rows] = q_lox
-    phase_re, phase_im = _divide(mu_re, mu_im, modulus, 0.0)
-    phase.real[rows], phase.imag[rows] = phase_re, phase_im
-    # outside the common case, where t * t overflows or no eigenvalue
-    # exceeds 1 in modulus, the scalar code decides: it refuses such a
-    # row unless a row before it is not loxodromic, which is refused first
-    odd = ~(np.isfinite(tt_re[rows]) & np.isfinite(tt_im[rows])) | (
-        modulus <= 1.0)
-    for row in np.flatnonzero(lox)[odd].tolist():
-        if not lox[:row].all():
-            break
-        a, b, c, d = map(complex, re[:, :, row].ravel().tolist(),
-                         im[:, :, row].ravel().tolist())
-        _classify(a, b, c, d, eps_class)
-        _, q[row], ell[row], theta[row], phase[row] = (
-            _multiplier_invariants(a + d))
-    return tuple(x.reshape(shape) for x in (kind, ell, theta, q, phase))
 
 
 @dataclass(frozen=True)
@@ -441,10 +310,10 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
     parent's times one letter (``word_products``), so a class costs one
     product step, not one per letter, and equals ``evaluate_word`` bit
     for bit.  The class matrices are classified and reduced to their
-    multipliers by ``class_invariants`` in blocks of ``_CLASS_BLOCK``
-    (class, group) entries that span shells (fixed points are not
-    computed), so every value equals the one ``classify`` and
-    ``geodesic_invariants`` give.  The spectra share their ``codes``,
+    multipliers by ``moebius.class_invariants`` in blocks of
+    ``_CLASS_BLOCK`` (class, group) entries that span shells (fixed
+    points are not computed); ``classify`` and ``geodesic_invariants``
+    are its 0-d case, so every value equals the one they give.  The spectra share their ``codes``,
     ``word_length`` and ``j`` arrays.
 
     Refusals: one group raises NotLoxodromic naming its first class, in
@@ -467,8 +336,10 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
     shared: dict = {name: [] for name in ("codes", "word_length", "j")}
     per_group: dict = {name: [] for name in ("ell", "theta", "q",
                                              "spin_phase")}
-    for codes, lengths, j, products in _class_products(sets, L):
-        kind, ell, theta, q, phase = class_invariants(products, eps_class)
+    for codes, lengths, j, (re, im) in _class_products(sets, L):
+        entries = re.astype(complex)
+        entries.imag = im
+        kind, _, q, ell, theta, phase = class_invariants(entries, eps_class)
         bad = np.argwhere(kind != "loxodromic")
         if bad.size:
             row, group = bad[0].tolist()

@@ -51,8 +51,7 @@ import numpy as np
 from .errors import ConvergenceViolation, DeltaNotNegative
 from .moebius import EPS_CLASS, MoebiusMap
 from .quadrature import integrate_batch
-from .words import (PoincareEstimate, Spectrum, _divide, class_spectra,
-                    estimate_deltas)
+from .words import PoincareEstimate, Spectrum, class_spectra, estimate_deltas
 
 VARIANTS = ("signature", "spinor")
 ETA_ROUTES = ("central_value", "lambda_integral", "heat_quadrature")
@@ -114,21 +113,12 @@ def terms_from_spectrum(spectrum: Spectrum, variant: str = "signature",
         raise ValueError(f"variant {variant!r} not in {VARIANTS}")
     if spin_sign not in ("plus", "minus"):
         raise ValueError(f"spin_sign {spin_sign!r} not 'plus' or 'minus'")
-    # abs(1 - q) ** 2 / abs(q), cmath.exp(1j * theta) and sp / abs(sp) in
-    # the operations CPython uses, so each value is the scalar one
     q = spectrum.q
-    weight = (np.float_power(np.hypot(1.0 - q.real, 0.0 - q.imag), 2.0)
-              / np.hypot(q.real, q.imag))
-    chi = np.empty(len(q), dtype=complex)
+    weight = np.abs(1.0 - q) ** 2 / np.abs(q)
     if variant == "signature":
-        # exp(i theta) is cos + i sin of Im(1j * theta) = 0.0 + theta
-        angle = (spectrum.theta + 0.0).tolist()
-        chi.real, chi.imag = (list(map(math.cos, angle)),
-                              list(map(math.sin, angle)))
+        chi = np.exp(1j * spectrum.theta)
     else:
-        sp = spectrum.spin_phase
-        chi.real, chi.imag = _divide(sp.real, sp.imag,
-                                     np.hypot(sp.real, sp.imag), 0.0)
+        chi = spectrum.spin_phase / np.abs(spectrum.spin_phase)
     if spin_sign == "minus":
         chi = chi.conj()
     arrays = {field.name: getattr(spectrum, field.name)

@@ -732,10 +732,12 @@ class TestScanStep:
             f"error: DegenerateConfiguration: h = {float(h)!r}: ")
         assert not (out / "scan.json").exists()
 
-    def test_huge_step_leaves_the_domain(self, tmp_path, capsys):
+    @pytest.mark.parametrize("oracle", ["none", "harmonic", "nonharmonic"])
+    def test_huge_step_leaves_the_domain(self, tmp_path, capsys, oracle):
         # q1 + h leaves the unit disk: the eta scan refuses it before the
-        # harmonic oracle's p ** 3 can overflow
-        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h="1e150"))
+        # harmonic oracle's p ** 3 can overflow, whichever oracle is asked
+        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h="1e150")
+                    + f"oracle = {oracle}\n")
         out = tmp_path / "out"
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith(

@@ -1,3 +1,4 @@
+import cmath
 import functools
 import importlib.util
 import itertools
@@ -150,6 +151,66 @@ def scalar_class_spectrum(generators, L, eps_class=1e-9):
             raise NotLoxodromic(f"word {word_to_str(rep)} "
                                 f"is {kind}, not loxodromic")
         yield rep, j, geodesic_invariants(m, eps_class)
+
+
+def cmath_invariants(m, eps_class=1e-9):
+    """Reference for ``moebius.class_invariants`` on one matrix, entries
+    (a, b, c, d), in CPython's scalar complex arithmetic: its kind, and
+    (length, theta, q, spin_phase) if it is loxodromic, else None.  A
+    squared trace that overflows raises OverflowError from ``**``."""
+    a, b, c, d = m
+    if min(max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)),
+           max(abs(-a - 1.0), abs(b), abs(c), abs(-d - 1.0))) < eps_class:
+        return "identity", None
+    t = a + d
+    tr2 = t ** 2
+    if abs(tr2 - 4.0) < eps_class:
+        return "parabolic", None
+    if abs(tr2.imag) < eps_class and -eps_class < tr2.real < 4.0:
+        return "elliptic", None
+    s = cmath.sqrt(t * t - 4.0)
+    if (t.conjugate() * s).real < 0:
+        s = -s
+    mu = 0.5 * (t + s)
+    if abs(mu) <= 1.0:
+        raise NotLoxodromic(f"no expanding eigenvalue, trace {t}")
+    q = mu ** -2
+    theta = -cmath.phase(q)
+    if theta <= -math.pi:
+        theta = math.pi
+    return "loxodromic", (2.0 * math.log(abs(mu)), theta, q, mu / abs(mu))
+
+
+def cmath_spectrum(generators, L, eps_class=1e-9):
+    """Reference for class_spectra: ``cmath_invariants`` class by class
+    on the walk's class matrices, which are ``evaluate_word``'s; a dict
+    of the fields ell, theta, q and spin_phase.  Refusals as
+    class_spectra states them, the first refused class's."""
+    rows = []
+    for codes, lengths, _, (re, im) in _class_products([generators], L):
+        for k, entries in enumerate(zip(re.reshape(4, -1).T.tolist(),
+                                        im.reshape(4, -1).T.tolist())):
+            kind, inv = cmath_invariants(
+                [complex(*z) for z in zip(*entries)], eps_class)
+            if inv is None:
+                word = word_strings(codes[k:k + 1], lengths[k:k + 1],
+                                    len(generators))[0]
+                raise NotLoxodromic(f"word {word} is {kind}, not loxodromic")
+            rows.append(inv)
+    return {field: np.array(column) for field, column in
+            zip(("ell", "theta", "q", "spin_phase"), zip(*rows))}
+
+
+def ulps(got, want):
+    """|got - want| in units of the float spacing at |want|, per value."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+#: How far each field of class_spectra may lie from ``cmath_spectrum``,
+#: in ``ulps``.  Measured at most 1, 6, 6.3 and 3.2 on the families of
+#: TestClassSpectrum and the eta_thick box (numpy 2.4, x86-64 AVX-512);
+#: the bounds leave an ulp or two for other numpy builds.
+ULP_BOUNDS = {"ell": 2, "theta": 8, "q": 8, "spin_phase": 4}
 
 
 def bits(x):
@@ -475,6 +536,39 @@ class TestClassSpectrum:
                     for _, _, inv in scalar_class_spectrum(gens, L, eps_class))
 
         assert outcome(batched) == outcome(scalar)
+
+    @pytest.mark.parametrize("name", [
+        "g2_complex_a", "thick", "ring5", "float_real_pair",
+        "complex_real_pair", "det_drift",
+        *(f"eta_thick-{seed}" for seed in range(11))])
+    def test_within_ulps_of_cmath_reference(self, name, tmp_path):
+        if name.startswith("eta_thick"):
+            # the benchmark's eta_thick box at the seed after the dash
+            seed = int(name.split("-")[1])
+            path = tmp_path / "eta_thick.cfg"
+            path.write_text(_workloads().generate(seed)["eta_thick.cfg"])
+            gens, L = load_config(str(path)).generators, 9
+        else:
+            gens, L = _families()[name]
+        spectrum = class_spectra([gens], L)[0]
+        want = cmath_spectrum(gens, L)
+        for field, bound in ULP_BOUNDS.items():
+            assert ulps(getattr(spectrum, field), want[field]).max() <= bound, (
+                field)
+
+    @pytest.mark.parametrize("name", ["elliptic_ab", "trace_overflow"])
+    @pytest.mark.parametrize("eps_class", [0.0, 0.5, 3.0])
+    def test_refusals_match_cmath_reference(self, name, eps_class):
+        gens, L = ((TRACE_OVERFLOW, 36) if name == "trace_overflow"
+                   else (ELLIPTIC_AB, 4))
+
+        def refusal(call):
+            with pytest.raises((NotLoxodromic, OverflowError)) as exc:
+                call()
+            return type(exc.value), str(exc.value)
+
+        assert (refusal(lambda: class_spectra([gens], L, eps_class))
+                == refusal(lambda: cmath_spectrum(gens, L, eps_class)))
 
     def test_float_entries_change_nothing(self):
         floats, L = _families()["float_real_pair"]

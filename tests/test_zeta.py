@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_words import ELLIPTIC_AB, _families, scalar_class_spectrum
+from test_words import ELLIPTIC_AB, _families, scalar_class_spectrum, ulps
 from toyterms import (
     class_terms,
     conjugated_terms,
@@ -60,6 +60,23 @@ def chi_pair(terms):
     """(chi_+, chi_-) of a one-class term set."""
     chi = complex(terms.chi[0])
     return chi, chi.conjugate()
+
+
+#: How far D and chi may lie from ``reference_weight_and_character``, in
+#: ``ulps``: measured at most 6 and 2.2 (the signature chi bit-equal) on
+#: the families of test_words and the eta_thick box (numpy 2.4, x86-64
+#: AVX-512), for D = np.abs(1 - q) ** 2 / np.abs(q)
+TERM_ULP_BOUNDS = {"D": 8, "chi": 3}
+
+
+def within_term_bounds(terms, rows, variant, sign):
+    """D and chi of ``terms`` within TERM_ULP_BOUNDS of the scalar
+    expressions on the invariants ``rows``."""
+    weights, characters = zip(*(
+        reference_weight_and_character(inv, variant, sign) for inv in rows))
+    assert ulps(terms.D, np.array(weights)).max() <= TERM_ULP_BOUNDS["D"]
+    assert (ulps(terms.chi, np.array(characters)).max()
+            <= TERM_ULP_BOUNDS["chi"])
 
 
 def reference_weight_and_character(inv, variant, spin_sign):
@@ -430,14 +447,11 @@ class TestGroupTerms:
                                ("spin_phase", terms.spin_phase)):
                 assert got.tolist() == [getattr(inv, field)
                                         for _, _, inv in reference]
-            weights, characters = zip(*(
-                reference_weight_and_character(inv, variant, sign)
-                for _, _, inv in reference))
-            assert terms.D.tolist() == list(weights)
-            assert terms.chi.tolist() == list(characters)
+            within_term_bounds(terms, [inv for _, _, inv in reference],
+                               variant, sign)
 
     @pytest.mark.parametrize("family", ["thick", "real_pair", "ring5"])
-    def test_weights_and_characters_bit_identical(self, family):
+    def test_weights_and_characters_within_ulps(self, family):
         # the float real_pair has real multipliers, so every theta is -0.0
         gens, L = _families()[family] if family != "real_pair" else (
             _families()["float_real_pair"][0], 6)
@@ -450,14 +464,8 @@ class TestGroupTerms:
                     spectrum.q.tolist(), spectrum.spin_phase.tolist())]
         for variant in ("signature", "spinor"):
             for sign in ("plus", "minus"):
-                terms = terms_from_spectrum(spectrum, variant, sign)
-                weights, characters = zip(*(
-                    reference_weight_and_character(inv, variant, sign)
-                    for inv in rows))
-                assert list(map(repr, terms.D.tolist())) == list(
-                    map(repr, weights))
-                assert list(map(repr, terms.chi.tolist())) == list(
-                    map(repr, characters))
+                within_term_bounds(terms_from_spectrum(spectrum, variant, sign),
+                                   rows, variant, sign)
 
     def test_first_non_loxodromic_class_refused(self):
         # ab and its inverse BA are elliptic; BA is first in class order
@@ -509,23 +517,30 @@ class TestGroupTerms:
                       -4.0 * math.pi / (4.0 * math.pi * t) ** 1.5
                       * ell ** 2 * a * np.exp(-ell ** 2 / (4.0 * t)))
 
-    def test_generator_lift_sign_moves_spinor_characters_only(self, complex_groups):
-        # negating one generator changes the spin structure: spinor
-        # characters flip on words using that letter an odd number of
-        # times, while the signature variant cannot see the sign
-        point, _, _ = complex_groups["g2_complex_a"]
-        flipped = (-point.generators[0], point.generators[1])
-        spectrum_a = class_spectra([point.generators], 4)[0]
-        spectrum_b = class_spectra([flipped], 4)[0]
-        sig_a = terms_from_spectrum(spectrum_a)
-        sig_b = terms_from_spectrum(spectrum_b)
-        assert np.all(np.abs(sig_a.chi - sig_b.chi) < 1e-12)
-        spin_a = terms_from_spectrum(spectrum_a, "spinor").chi
-        spin_b = terms_from_spectrum(spectrum_b, "spinor").chi
-        flips = (np.abs(spin_a + spin_b) < 1e-12) & (np.abs(spin_a) > 0.9)
-        keeps = np.abs(spin_a - spin_b) < 1e-12
-        assert flips.any() and keeps.any()
-        assert np.all(flips | keeps)
+    def test_generator_lift_sign_moves_spinor_characters_only(
+            self, eta_thick_config):
+        # negating generator i changes the spin structure: it negates each
+        # class matrix whose word has n_i letters i or i^-1 by (-1)^n_i,
+        # exactly, so the spin phase flips by (-1)^n_i bit for bit and
+        # length, holonomy and multiplier, which the signature variant
+        # reads, stay bit for bit
+        gens = eta_thick_config.generators
+        g, L = len(gens), eta_thick_config.word_cutoff
+        flips = [tuple(-m if k == i else m for k, m in enumerate(gens))
+                 for i in range(g)]
+        base, *flipped = class_spectra([gens, *flips], L)
+        # letter index g + i - 1 is generator i, g - i its inverse
+        digits = base.codes[:, None] // (2 * g) ** np.arange(L) % (2 * g)
+        inside = np.arange(L) < base.word_length[:, None]
+        for i, spectrum in enumerate(flipped, start=1):
+            n_i = (inside & ((digits == g + i - 1) | (digits == g - i))).sum(1)
+            assert 0 < (n_i % 2).sum() < len(base)
+            want = np.where(n_i % 2 == 1, -base.spin_phase, base.spin_phase)
+            assert np.array_equal(spectrum.spin_phase.view(np.int64),
+                                  want.view(np.int64))
+            for field in ("ell", "theta", "q"):
+                x, y = getattr(spectrum, field), getattr(base, field)
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
     def test_tail_bound_monotone_in_cutoff(self, real_group):
         point, _, _ = real_group
