@@ -269,7 +269,8 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     """Pluriharmonicity scan over the three chart parameters.
 
     Writes scan.csv (one row per parameter, with harness-validation
-    oracle columns) and scan.json with the same content.
+    oracle columns and each oracle's error budget) and scan.json with the
+    same content.
     """
     base = _scan_point(config)
     # one memoized eta for the three parameters: they share the base point,
@@ -297,27 +298,23 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
             "h": rep.h,
             "fd_laplacian": rep.fd_laplacian,
             "error_budget": rep.error_budget,
-            "oracle_harmonic": oracles["harmonic"].fd_laplacian,
-            "oracle_nonharmonic": oracles["nonharmonic"].fd_laplacian,
+            **{f"oracle_{name}": report.fd_laplacian
+               for name, report in oracles.items()},
+            **{f"oracle_{name}_budget": report.error_budget
+               for name, report in oracles.items()},
         })
     lines = _metadata_lines(config, scan_cutoff=config.scan_cutoff,
                             oracle=config.scan_oracle)
-    lines.append("param_index,h,fd_laplacian,error_budget,"
-                 "oracle_harmonic,oracle_nonharmonic")
-    for r in rows:
-        lines.append(
-            f"{r['param_index']},{r['h']!r},{r['fd_laplacian']!r},"
-            f"{r['error_budget']!r},{r['oracle_harmonic']!r},"
-            f"{r['oracle_nonharmonic']!r}"
-        )
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(map(repr, r.values())) for r in rows)
     _write_text(out_dir / "scan.csv", "\n".join(lines) + "\n")
     doc = {
         "config_sha256": config.sha256,
         "scan_cutoff": config.scan_cutoff,
         "oracle": config.scan_oracle,
         "base_params": [[p.real, p.imag] for p in base.params],
-        "rows": [dict(r, error_budget=_bound(r["error_budget"]))
-                 for r in rows],
+        "rows": [{key: _bound(value) if key.endswith("budget") else value
+                  for key, value in r.items()} for r in rows],
     }
     return _write_json(out_dir / "scan.json", doc)
 

@@ -191,16 +191,14 @@ def _sinhc_jet(s: float, rho: np.ndarray, order: int):
 def _neg_dcosh_power(inv_scale: float, t, k: int, r):
     """(-d/d cosh r)^k [ r/sinh(r*inv_scale) e^(-r^2/4t) ] at any r >= 0.
 
-    t and r broadcast; a scalar pair gives a numpy scalar.  exp is the
-    real part of the complex exp, which calls the C library's exp as
-    math.exp does (the float64 np.exp may take a SIMD path an ulp off).
+    t and r broadcast; a scalar pair gives a numpy scalar.
     """
     t, r, shape = _flat_grid(t, r)
     rho = r * r
     # Python floats overflow to inf and nan without a word; so do these
     with np.errstate(over="ignore", invalid="ignore"):
         g = [0.5 * c for c in _sinhc_jet(1.0, rho, k)]
-        expo = [np.exp(-0.25 * rho / t + 0j).real]
+        expo = [np.exp(-0.25 * rho / t)]
         for j in range(1, k + 1):
             expo.append(expo[-1] * (-0.25 / t) / j)
         f = _j_div(expo, _sinhc_jet(inv_scale, rho, k))
@@ -225,11 +223,8 @@ def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
     * (-d/d cosh r)^k [ r/sinh(s r) e^(-r^2/4t) ]
     at every point of the broadcast (t, r) grid, as a complex array.
 
-    t^(3/2) is the C library's pow, as Python's float power calls it, and
-    its overflow is refused as there.  Python's complex arithmetic sets the
-    sign of each zero part (up to 3.13 a float factor joins as a complex
-    number with zero imaginary part), so the values are formed with it,
-    point by point.
+    A t whose t^(3/2) overflows is refused.  ``unit`` times the real
+    magnitude scales each part of ``unit`` exactly.
     """
     t, r, shape = _flat_grid(t, r)
     # the first bad point raises; written so that NaN fails too
@@ -241,14 +236,18 @@ def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
         raise ValueError(f"t = {t[bad.argmax()].item()} not positive")
     core = _neg_dcosh_power(s, t, k, r)
     with np.errstate(over="ignore"):
-        power = np.float_power(t, 1.5)
+        power, sinh = np.float_power(t, 1.5), np.sinh(s * r)
     over = np.isinf(power) & np.isfinite(t)
     if over.any():
         raise OverflowError(
             f"t ** 1.5 is not finite at t = {t[over.argmax()].item()!r}")
-    values = [unit * math.sinh(s * x) / d * c for x, d, c in
-              zip(r.tolist(), (scale * power).tolist(), core.tolist())]
-    return np.array(values, dtype=complex).reshape(shape)
+    # the jets refuse a sinh(s r) / r past the float range; sinh(s r)
+    # itself may be just past it
+    over = np.isinf(sinh)
+    if over.any():
+        raise OverflowError(
+            f"sinh({s!r} r) is not finite at r = {r[over.argmax()].item()!r}")
+    return (unit * (sinh / (scale * power) * core)).reshape(shape)
 
 
 def heat_spinor_batch(t, r, n: int) -> np.ndarray:
@@ -325,14 +324,9 @@ def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
     r_sq = np.array([d * d for d in rs])
 
     def integrand(rows, t):
-        # cmath.exp(-t lam^2) (4 pi t)^(-3/2) math.exp(-arg), node by node:
-        # the float64 loops of np.exp and ** may take SIMD paths an ulp
-        # off the C library's, while float_power and the complex exp
-        # (whose real part is exp(x) at x + 0i) call it
         arg = r_sq[rows, None] / (4.0 * t)
         value = (np.exp(-t * lam2_a[rows, None])
-                 * np.float_power(4.0 * math.pi * t, -1.5)
-                 * np.exp(-arg + 0j).real)
+                 * np.float_power(4.0 * math.pi * t, -1.5) * np.exp(-arg))
         value[arg > 700.0] = 0.0
         return value
 

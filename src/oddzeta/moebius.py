@@ -101,12 +101,12 @@ class MoebiusMap:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
-        return MoebiusMap.normalized(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        """The one-block case of ``_products``."""
+        (a, b), (c, d) = _products(
+            np.array([[[self.a], [self.b]], [[self.c], [self.d]]]),
+            np.array([[[other.a], [other.b]], [[other.c], [other.d]]]),
+        )[..., 0].tolist()
+        return MoebiusMap(a, b, c, d)
 
     def inverse(self) -> "MoebiusMap":
         # adjugate equals inverse at det = 1 and preserves the sign lift
@@ -123,6 +123,37 @@ class MoebiusMap:
         if den == 0:
             return INFINITY
         return (self.a * z + self.b) / den
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ right of each pair of matrices, renormalized as
+    ``MoebiusMap.normalized`` does it: the one definition of a product.
+
+    ``left`` and ``right`` are complex arrays of shape (2, 2, ...) with
+    the row-major entries of each matrix on the first two axes; the
+    product is formed in numpy complex arithmetic.  Squared parts settle
+    the common case, a product below the determinant noise floor and
+    clear of the float range, which ``normalized`` keeps as it is; every
+    other product goes through ``normalized`` itself, in row-major order
+    of the trailing axes, which renormalizes it or raises its refusal.
+    numpy warns of nothing.
+    """
+    # new[r, c] = left[r, 0] right[0, c] + left[r, 1] right[1, c]
+    prod = left[:, 0, None] * right[None, 0] + left[:, 1, None] * right[None, 1]
+    off = prod[0, 0] * prod[1, 1] - prod[0, 1] * prod[1, 0] - 1.0
+    # normalized's |det - 1| <= 1e-12 max(1, max|entry| ** 2), squared:
+    # squared parts are within a relative 1e-6 of its hypot and pow, a
+    # finite floor keeps max|entry| ** 2 far from overflow, and NaN fails
+    size = np.maximum(1.0, (prod.real ** 2 + prod.imag ** 2).max(axis=(0, 1)))
+    floor = 1e-24 * size * size
+    settled = ((off.real ** 2 + off.imag ** 2 < floor * (1.0 - 1e-6))
+               & (floor < np.inf))
+    for col in map(tuple, np.argwhere(~settled).tolist()):
+        at = (Ellipsis, *col)
+        m = MoebiusMap.normalized(*prod[at].ravel().tolist())
+        prod[at] = [[m.a, m.b], [m.c, m.d]]
+    return prod
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,6 @@ Fuchsian-symmetric manifold with vanishing eta.
 
 from __future__ import annotations
 
-import cmath
-import math
-
-from .moebius import loxodromic
 from .zograf import SchottkyPoint, schottky_from_params
 
 COMPLEX_POINTS = {
@@ -35,20 +31,3 @@ def sample_group(name: str) -> SchottkyPoint:
               "scan_base": SCAN_BASE_POINT}
     return schottky_from_params(*points[name])
 
-
-def all_complex_groups():
-    return {name: sample_group(name) for name in COMPLEX_POINTS}
-
-
-def ring_group(rank: int = 5, q: float = 0.35, spread: float = 0.3):
-    """Rank-``rank`` Schottky family with fixed points spread on the circle.
-
-    The defaults give a discrete group whose limit set is big enough that
-    the order-4 shifted exponent estimate lands above zero (0.949); used
-    with ``delta_cutoff = 4`` to exercise the DeltaNotNegative refusal
-    paths.  At order 5 its truncated determinant is not positive at
-    lambda = 2, and the estimate is refused.
-    """
-    centers = (cmath.exp(2j * math.pi * k / rank) for k in range(rank))
-    return tuple(loxodromic(c * (1.0 - spread), c * (1.0 + spread), q)
-                 for c in centers)

@@ -7,16 +7,15 @@ is the lexicographically minimal rotation under the integer order on
 letters, which makes every enumeration deterministic.  The class spectrum
 is computed on arrays in one walk of the prenecklace tree
 (``_class_products``): each prenecklace, held as an integer code,
-carries its matrix, its parent's times one letter in an exact batched
-product (``word_products``); the class matrices are classified and
-reduced to their invariants in blocks by ``moebius.class_invariants``,
-the one array definition of both, whose 0-d case is ``classify`` and
-``geodesic_invariants``, and each group gets one ``Spectrum`` of 1-D
-arrays.  The words do not depend on the group, so ``class_spectra``
+carries its matrix, its parent's times one letter (``word_products``,
+one call of ``moebius._products``, the one array definition of a
+product, whose one-block case is ``MoebiusMap.__matmul__``); the class
+matrices are classified and reduced to their invariants in blocks by
+``moebius.class_invariants``, the one array definition of both, whose
+0-d case is ``classify`` and ``geodesic_invariants``, and each group
+gets one ``Spectrum`` of 1-D arrays.  The words do not depend on the group, so ``class_spectra``
 walks the tree once for one or more groups of one rank, their matrices
-side by side on a trailing group axis.  The batched product decides
-only the common case: a product outside it goes through
-``MoebiusMap.normalized``, which renormalizes or refuses it.
+side by side on a trailing group axis.
 
 ``estimate_deltas`` reads the Poincare exponent off a class spectrum too,
 as the zero of a determinant whose ``cycle_expansion`` sums its classes,
@@ -41,7 +40,7 @@ from .errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from .moebius import EPS_CLASS, MoebiusMap, class_invariants
+from .moebius import EPS_CLASS, MoebiusMap, _products, class_invariants
 
 DEFAULT_WORD_BUDGET = 10_000_000
 
@@ -75,66 +74,19 @@ def evaluate_word(generators: Sequence[MoebiusMap], w: Sequence[int]) -> Moebius
     return result
 
 
-# --- exact batched word products -------------------------------------------
-#
-# word_products takes one letter step of evaluate_word's arithmetic on a
-# whole block of prefix products, with real and imaginary parts in
-# separate float64 arrays: every complex product and sum is spelled out
-# in the operations CPython uses, because numpy's own complex loops round
-# differently, so the class matrices are evaluate_word's bit for bit.
-
-
-def _mul(xr, xi, yr, yi):
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _split_det(re: np.ndarray, im: np.ndarray):
-    """a d - b c of (2, 2, N) matrices."""
-    ad = _mul(re[0, 0], im[0, 0], re[1, 1], im[1, 1])
-    bc = _mul(re[0, 1], im[0, 1], re[1, 0], im[1, 0])
-    return ad[0] - bc[0], ad[1] - bc[1]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def word_products(parents, letters: np.ndarray, table):
+def word_products(parents: np.ndarray, letters: np.ndarray,
+                  table: np.ndarray) -> np.ndarray:
     """Each parent product times one letter, as ``MoebiusMap.__matmul__``.
 
-    ``parents`` is a split product ``(re, im)``: real and imaginary parts
-    of the entries as (2, 2, N) float arrays, or (2, 2, N, G) for the
-    same words in G groups.  ``letters`` holds N letter indices (see
-    ``_class_products``) and ``table`` the (2, 2, 2g) or (2, 2, 2g, G)
-    letter matrices by index, split the same way.  Returns the split
-    products.
-    Squared parts settle the common case, a product below the
-    determinant noise floor and clear of the float range, which
-    ``MoebiusMap.normalized`` keeps as it is; every other product goes
-    through ``normalized`` itself, which renormalizes or refuses it.
-    Applied to the prefix product of a word, this is the next prefix
-    product ``evaluate_word`` forms, bit for bit, refusals included;
-    numpy warns of nothing.
+    ``parents`` holds the entries of N products, a complex (2, 2, N)
+    array, or (2, 2, N, G) for the same words in G groups; ``letters``
+    holds N letter indices (see ``_class_products``) and ``table`` the
+    (2, 2, 2g) or (2, 2, 2g, G) letter matrices by index.  One
+    ``moebius._products`` call, whose one-block case is ``__matmul__``:
+    applied to the prefix product of a word, this is the next prefix
+    product ``evaluate_word`` forms, bit for bit, refusals included.
     """
-    re, im = parents
-    m_re, m_im = (np.take(t, letters, axis=2) for t in table)
-    # new[r, c] = p[r, 0] m[0, c] + p[r, 1] m[1, c], as in __matmul__
-    x = _mul(re[:, 0, None], im[:, 0, None], m_re[None, 0], m_im[None, 0])
-    y = _mul(re[:, 1, None], im[:, 1, None], m_re[None, 1], m_im[None, 1])
-    re, im = x[0] + y[0], x[1] + y[1]
-    det_re, det_im = _split_det(re, im)
-    # normalized's |det - 1| <= 1e-12 max(1, max|entry| ** 2), squared:
-    # squared parts are within a relative 1e-6 of its hypot and pow, a
-    # finite floor keeps max|entry| ** 2 far from overflow, and NaN fails
-    size = np.maximum(1.0, (re * re + im * im).max(axis=(0, 1)))
-    floor = 1e-24 * size * size
-    settled = (((det_re - 1.0) ** 2 + det_im ** 2 < floor * (1.0 - 1e-6))
-               & (floor < np.inf))
-    # (product,) or (product, group) indices, in product order
-    for col in map(tuple, np.argwhere(~settled).tolist()):
-        at = (Ellipsis, *col)
-        m = MoebiusMap.normalized(*map(complex, re[at].ravel().tolist(),
-                                       im[at].ravel().tolist()))
-        re[at] = [[m.a.real, m.b.real], [m.c.real, m.d.real]]
-        im[at] = [[m.a.imag, m.b.imag], [m.c.imag, m.d.imag]]
-    return re, im
+    return _products(parents, np.take(table, letters, axis=2))
 
 
 @dataclass(frozen=True)
@@ -181,7 +133,7 @@ class Spectrum:
 
 def _class_products(generator_sets: Sequence[Sequence[MoebiusMap]],
                     L: int):
-    """The split products of every class of length <= L, in blocks, for
+    """The products of every class of length <= L, in blocks, for
     G groups of one rank at once.
 
     One breadth-first walk of the tree of reduced prenecklaces of length
@@ -241,12 +193,11 @@ def _class_products(generator_sets: Sequence[Sequence[MoebiusMap]],
                       + [(m.a, m.b, m.c, m.d) for m in gens]
                       for gens in generator_sets],
                      dtype=complex).T.reshape(2, 2, base, groups)
-    split = table.real, table.imag
     # the letters are the first shell, each MoebiusMap.identity() times it
-    eye = np.zeros((2, 2, base, groups))
+    eye = np.zeros((2, 2, base, groups), dtype=complex)
     eye[0, 0] = eye[1, 1] = 1.0
     codes, ones = letters.astype(np.int64), np.ones(base, dtype=np.int64)
-    products = word_products((eye, np.zeros_like(eye)), letters, split)
+    products = word_products(eye, letters, table)
     chunks = deque([(codes, ones, products)])
     pending = [(codes, ones, ones, products)]
     count = base
@@ -269,8 +220,8 @@ def _class_products(generator_sets: Sequence[Sequence[MoebiusMap]],
                     rows, letter = rows[cls], letter[cls]
                 try:
                     child_products = word_products(
-                        tuple(np.take(x, start + rows, axis=2)
-                              for x in products), letter, split)
+                        np.take(products, start + rows, axis=2), letter,
+                        table)
                 except (OverflowError, ValueError):
                     # the classes waiting here precede the refused product's
                     if pending:
@@ -278,8 +229,7 @@ def _class_products(generator_sets: Sequence[Sequence[MoebiusMap]],
                     raise
                 if n < L:
                     grown.append((child, child_p, child_products))
-                    child_products = tuple(x[:, :, cls]
-                                           for x in child_products)
+                    child_products = child_products[:, :, cls]
                 j = n // child_p[cls]
                 pending.append((child[cls], np.full(len(j), n), j,
                                 child_products))
@@ -297,7 +247,7 @@ def _join(pending):
     codes, lengths, js, products = zip(*pending)
     return (np.concatenate(codes), np.concatenate(lengths),
             np.concatenate(js),
-            tuple(np.concatenate(part, axis=2) for part in zip(*products)))
+            np.concatenate(products, axis=2))
 
 
 def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
@@ -336,9 +286,7 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
     shared: dict = {name: [] for name in ("codes", "word_length", "j")}
     per_group: dict = {name: [] for name in ("ell", "theta", "q",
                                              "spin_phase")}
-    for codes, lengths, j, (re, im) in _class_products(sets, L):
-        entries = re.astype(complex)
-        entries.imag = im
+    for codes, lengths, j, entries in _class_products(sets, L):
         kind, _, q, ell, theta, phase = class_invariants(entries, eps_class)
         bad = np.argwhere(kind != "loxodromic")
         if bad.size:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from oddzeta.config import load_config
-from oddzeta.sample_groups import all_complex_groups, sample_group
+from oddzeta.sample_groups import COMPLEX_POINTS, sample_group
 from oddzeta.zeta import terms_from_group
 
 
@@ -13,7 +13,8 @@ def complex_groups():
     """(point, delta estimate, signature terms at L=6) per sample group;
     the terms carry the estimate, of order 8."""
     out = {}
-    for name, point in all_complex_groups().items():
+    for name in COMPLEX_POINTS:
+        point = sample_group(name)
         terms = terms_from_group(point.generators, 6, 8)
         out[name] = (point, terms.estimate, terms)
     return out

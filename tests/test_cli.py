@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_words import scalar_class_spectrum
+from test_words import ring_group, scalar_class_spectrum
 
 import oddzeta
 import oddzeta.cli as cli
@@ -29,7 +29,7 @@ from oddzeta.config import (
 )
 from oddzeta.kernels import heat_signature_batch, heat_spinor_batch
 from oddzeta.moebius import loxodromic
-from oddzeta.sample_groups import ring_group, sample_group
+from oddzeta.sample_groups import sample_group
 from oddzeta.words import class_spectra, estimate_deltas, word_to_str
 from oddzeta.zograf import schottky_from_params
 
@@ -743,6 +743,20 @@ class TestScanStep:
         assert capsys.readouterr().err.startswith(
             "error: LeftSchottkyDomain: q1 = (1e+150+")
         assert not (out / "scan.json").exists()
+
+    @pytest.mark.parametrize("h", ["1e-4", "1e-8"])
+    def test_oracles_within_their_budgets(self, tmp_path, h):
+        # small steps show rounding: at 1e-8 the |p|^2 oracle of parameter
+        # 2 reads 8.88, not 4, and at 1e-4 the harmonic oracle 2.2e-8, not
+        # 0; each oracle's budget must cover its error
+        cfg = write(tmp_path, "s.cfg", SCAN_STEP.format(h=h))
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "scan.json").read_text())["rows"]
+        assert len(rows) == 3
+        for row in rows:
+            for name, exact in (("harmonic", 0.0), ("nonharmonic", 4.0)):
+                assert (abs(row[f"oracle_{name}"] - exact)
+                        <= row[f"oracle_{name}_budget"]), (name, row)
 
     def test_usual_step_unchanged(self, tmp_path):
         # (fd_laplacian, error_budget, harmonic oracle, |p|^2 oracle) per

@@ -20,8 +20,9 @@ from oddzeta.errors import (
     NonConvergent,
     NotLoxodromic,
 )
-from oddzeta.moebius import MoebiusMap, classify, geodesic_invariants
-from oddzeta.sample_groups import ring_group, sample_group
+from oddzeta.moebius import (MoebiusMap, classify, geodesic_invariants,
+                             loxodromic)
+from oddzeta.sample_groups import sample_group
 from oddzeta.config import load_config
 from oddzeta.words import (
     _class_products,
@@ -41,6 +42,20 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: The thick chart point of the benchmark (shifted exponent about -0.476).
 THICK_POINT = (0.06 + 0.05j, 0.07 - 0.03j, -0.9 + 0.6j)
+
+
+def ring_group(rank: int = 5, q: float = 0.35, spread: float = 0.3):
+    """Rank-``rank`` Schottky family with fixed points spread on the circle.
+
+    The defaults give a discrete group whose limit set is big enough that
+    the order-4 shifted exponent estimate lands above zero (0.949); used
+    with ``delta_cutoff = 4`` to exercise the DeltaNotNegative refusal
+    paths.  At order 5 its truncated determinant is not positive at
+    lambda = 2, and the estimate is refused.
+    """
+    centers = (cmath.exp(2j * math.pi * k / rank) for k in range(rank))
+    return tuple(loxodromic(c * (1.0 - spread), c * (1.0 + spread), q)
+                 for c in centers)
 
 
 def free_reduce(letters):
@@ -187,11 +202,9 @@ def cmath_spectrum(generators, L, eps_class=1e-9):
     of the fields ell, theta, q and spin_phase.  Refusals as
     class_spectra states them, the first refused class's."""
     rows = []
-    for codes, lengths, _, (re, im) in _class_products([generators], L):
-        for k, entries in enumerate(zip(re.reshape(4, -1).T.tolist(),
-                                        im.reshape(4, -1).T.tolist())):
-            kind, inv = cmath_invariants(
-                [complex(*z) for z in zip(*entries)], eps_class)
+    for codes, lengths, _, entries in _class_products([generators], L):
+        for k, matrix in enumerate(entries.reshape(4, -1).T.tolist()):
+            kind, inv = cmath_invariants(matrix, eps_class)
             if inv is None:
                 word = word_strings(codes[k:k + 1], lengths[k:k + 1],
                                     len(generators))[0]
@@ -199,6 +212,40 @@ def cmath_spectrum(generators, L, eps_class=1e-9):
             rows.append(inv)
     return {field: np.array(column) for field, column in
             zip(("ell", "theta", "q", "spin_phase"), zip(*rows))}
+
+
+def python_product(x, y):
+    """x @ y in Python complex arithmetic, renormalized by
+    ``MoebiusMap.normalized``: the arithmetic ``MoebiusMap.__matmul__``
+    had before it became the one-block case of the array product."""
+    return MoebiusMap.normalized(
+        x.a * y.a + x.b * y.c, x.a * y.b + x.b * y.d,
+        x.c * y.a + x.d * y.c, x.c * y.b + x.d * y.d)
+
+
+def python_words(generators):
+    """``evaluate_word`` with ``python_product``, memoized by prefix: the
+    reference for the array products."""
+    @functools.lru_cache(maxsize=None)
+    def word(w):
+        if not w:
+            return MoebiusMap.identity()
+        gen = generators[abs(w[-1]) - 1]
+        return python_product(word(w[:-1]),
+                              gen if w[-1] > 0 else gen.inverse())
+    return word
+
+
+#: How far a class matrix of the walk may lie from ``python_words``: per
+#: letter, in eps times its largest entry, times max(1, 1e12 D) for
+#: generators whose determinants are off 1 by up to D.  A step that
+#: renormalizes divides by the square root of a determinant whose
+#: rounding grows as the entries squared, and a product is renormalized
+#: only while |det - 1| > 1e-12 max|entry|^2, so only while that square
+#: is below about 1e12 D.  Measured at most 0.69 per letter (ring5) on
+#: the families of TestWordProducts and seeds 0-10 of the eta_thick box,
+#: and 0.18 on det_drift (numpy 2.4, x86-64 AVX-512).
+PRODUCT_EPS_PER_LETTER = 2.0
 
 
 def ulps(got, want):
@@ -390,6 +437,17 @@ def _families():
     }
 
 
+def _family_or_box(name, tmp_path):
+    """(generators, L) of a family of ``_families``, or of the benchmark's
+    eta_thick box at L = 9 for a name ``eta_thick-<seed>``."""
+    if not name.startswith("eta_thick"):
+        return _families()[name]
+    path = tmp_path / "eta_thick.cfg"
+    seed = int(name.split("-")[1])
+    path.write_text(_workloads().generate(seed)["eta_thick.cfg"])
+    return load_config(str(path)).generators, 9
+
+
 class TestWordProducts:
     @pytest.mark.parametrize("name", list(_families()))
     def test_bit_identical_to_evaluate_word(self, name):
@@ -398,14 +456,12 @@ class TestWordProducts:
         gens, L = _families()[name]
         g = len(gens)
         count = 0
-        for codes, lengths, _, (re, im) in _class_products([gens], L):
+        for codes, lengths, _, entries in _class_products([gens], L):
             for k in np.unique(lengths).tolist():
                 rows = np.flatnonzero(lengths == k)
                 words_k = decode_words(codes[rows], k, g)
                 for w, r in zip(words_k, rows.tolist()):
-                    got = [complex(x, y) for x, y in zip(
-                        re[:, :, r, 0].ravel().tolist(),
-                        im[:, :, r, 0].ravel().tolist())]
+                    got = entries[:, :, r, 0].ravel().tolist()
                     m = evaluate_word(gens, w)
                     assert (list(map(bits, got))
                             == list(map(bits, (m.a, m.b, m.c, m.d))))
@@ -422,9 +478,26 @@ class TestWordProducts:
             M @ N
         table = np.array([(m.a, m.b, m.c, m.d) for m in (M, N)],
                          dtype=complex).T.reshape(2, 2, -1)
-        parents = (table.real[:, :, :1].copy(), table.imag[:, :, :1].copy())
         with pytest.raises(OverflowError):
-            word_products(parents, np.array([1]), (table.real, table.imag))
+            word_products(table[:, :, :1], np.array([1]), table)
+
+    @pytest.mark.parametrize("name", [
+        *_families(), *(f"eta_thick-{seed}" for seed in range(11))])
+    def test_within_eps_of_python_products(self, name, tmp_path):
+        gens, L = _family_or_box(name, tmp_path)
+        g = len(gens)
+        drift = max(abs(m.det() - 1.0) for m in gens)
+        scale = PRODUCT_EPS_PER_LETTER * np.finfo(float).eps * max(
+            1.0, 1e12 * drift)
+        word = python_words(gens)
+        for codes, lengths, _, entries in _class_products([gens], L):
+            got = entries[..., 0].reshape(4, -1).T
+            for k in np.unique(lengths).tolist():
+                rows = np.flatnonzero(lengths == k)
+                want = np.array([(m.a, m.b, m.c, m.d) for m in
+                                 map(word, decode_words(codes[rows], k, g))])
+                error = np.abs(got[rows] - want).max(axis=1)
+                assert (error <= scale * k * np.abs(want).max(axis=1)).all()
 
     def test_drifting_generators_are_renormalized(self):
         # the family above exercises the renormalization on the first
@@ -542,14 +615,7 @@ class TestClassSpectrum:
         "complex_real_pair", "det_drift",
         *(f"eta_thick-{seed}" for seed in range(11))])
     def test_within_ulps_of_cmath_reference(self, name, tmp_path):
-        if name.startswith("eta_thick"):
-            # the benchmark's eta_thick box at the seed after the dash
-            seed = int(name.split("-")[1])
-            path = tmp_path / "eta_thick.cfg"
-            path.write_text(_workloads().generate(seed)["eta_thick.cfg"])
-            gens, L = load_config(str(path)).generators, 9
-        else:
-            gens, L = _families()[name]
+        gens, L = _family_or_box(name, tmp_path)
         spectrum = class_spectra([gens], L)[0]
         want = cmath_spectrum(gens, L)
         for field, bound in ULP_BOUNDS.items():

@@ -7,16 +7,17 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from test_words import THICK_POINT
+from test_words import THICK_POINT, _workloads, ring_group
 from toyterms import power_class_terms, primitive_term, toy_list
 
 import oddzeta.words
 import oddzeta.zeta
 import oddzeta.zograf
+from oddzeta.config import load_config
 from oddzeta.errors import (DegenerateConfiguration, DeltaNotNegative,
                             LeftSchottkyDomain, NonPrimitiveInput)
 from oddzeta.moebius import MoebiusMap, geodesic_invariants
-from oddzeta.sample_groups import ring_group, sample_group
+from oddzeta.sample_groups import sample_group
 from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
     chart_params,
@@ -77,6 +78,21 @@ class TestSchottkyChart:
             schottky_from_params(1.2, 0.001, -1.0)
 
 
+def fixed_point_product(q: complex, factors: int, bits: int = 160):
+    """prod_(m < factors) (1 - q^(m+1)) in Python integers scaled by
+    2^bits, each product truncated, as an mpmath number: every step is
+    off by below 2^-bits."""
+    one = 1 << bits
+    q_re, q_im = (int(math.ldexp(x, bits)) for x in (q.real, q.imag))
+    p_re, p_im, re, im = one, 0, one, 0
+    for _ in range(factors):
+        p_re, p_im = ((p_re * q_re - p_im * q_im) >> bits,
+                      (p_re * q_im + p_im * q_re) >> bits)
+        re, im = (((re * (one - p_re) + im * p_im) >> bits),
+                  ((im * (one - p_re) - re * p_im) >> bits))
+    return mpmath.mpc(mpmath.ldexp(re, -bits), mpmath.ldexp(im, -bits))
+
+
 class TestZografF:
     def test_empty_product(self):
         ev = zograf_F(toy_list([]), 10)
@@ -122,31 +138,44 @@ class TestZografF:
         f = zograf_F(toy_list([q, q.conjugate()], max_power=1), 90)
         assert abs(z0 - f.value.conjugate() / f.value) < 1e-10
 
-    def test_log_value_is_the_40_digit_product(self, eta_thick_config):
-        # the benchmark's seed-0 thick point at L = 9, M = 40: the log of
-        # the same M-truncated product on the same float q, at 40 digits.
-        # Every |q| < 2/3, so each class's principal log of its product is
-        # its sum of logs; a factor 1 - z with |z| < 1e-45 moves that log
-        # by below 1e-44 and is skipped
-        config = eta_thick_config
-        terms = terms_from_group(config.generators, config.word_cutoff,
-                                 config.delta_cutoff)
-        primitive = terms.select(terms.j == 1)
-        M = config.inner_cutoff
-        assert len(primitive) == 3504 and np.abs(primitive.q).max() < 2 / 3
-        with mpmath.workdps(40):
-            total = mpmath.mpc(0)
-            for q in primitive.q.tolist():
-                factors = min(M + 1, math.ceil(45 / -math.log10(abs(q))) + 1)
-                power, product = mpmath.mpc(1), mpmath.mpc(1)
-                for _ in range(factors):
-                    power *= q
-                    product *= 1 - power
-                total += mpmath.log(product)
-            expected = complex(total)
-        got = zograf_F(primitive, M).log_value
-        assert abs(got.real - expected.real) <= math.ulp(expected.real)
-        assert abs(got.imag - expected.imag) <= math.ulp(expected.imag)
+    def test_log_value_is_the_40_digit_product(self, tmp_path):
+        # the benchmark's thick point at seeds 0-10, L = 9, M = 40: the log
+        # of the same M-truncated product on the same float q, at 40
+        # digits (the products in 160-bit fixed point).  Every |q| < 2/3, so each class's principal log of its
+        # product is its sum of logs; a factor 1 - z with |z| < 1e-45
+        # moves that log by below 1e-44 and is skipped.
+        # The bound is the rounding of the series terms: the term k of a
+        # class, of size at most 2 |q|^k / (k (1 - |q|)), takes about k + 5
+        # roundings, so is off by at most (2k + 6) eps of its size; summed
+        # over k that is 4 eps / (1 - |q|) (|q| / (1 - |q|) - 3 log(1 - |q|))
+        # per class.  The correctly rounded sum and the rounding of the
+        # 40-digit value add an ulp.  Measured at most 3 ulps (5.6e-17),
+        # under 4% of the rounding bound (numpy 2.4, x86-64)
+        eps = np.finfo(float).eps
+        for seed in range(11):
+            path = tmp_path / f"eta_thick{seed}.cfg"
+            path.write_text(_workloads().generate(seed)["eta_thick.cfg"])
+            config = load_config(str(path))
+            terms = terms_from_group(config.generators, config.word_cutoff,
+                                     config.delta_cutoff)
+            primitive = terms.select(terms.j == 1)
+            M = config.inner_cutoff
+            aq = np.abs(primitive.q)
+            assert len(primitive) == 3504 and aq.max() < 2 / 3
+            with mpmath.workdps(40):
+                total = mpmath.mpc(0)
+                for q in primitive.q.tolist():
+                    factors = min(M + 1,
+                                  math.ceil(45 / -math.log10(abs(q))) + 1)
+                    total += mpmath.log(fixed_point_product(q, factors))
+                expected = complex(total)
+            rounding = float((4 * eps / (1 - aq)
+                              * (aq / (1 - aq) - 3 * np.log1p(-aq))).sum())
+            got = zograf_F(primitive, M).log_value
+            for part in ("real", "imag"):
+                want = getattr(expected, part)
+                assert (abs(getattr(got, part) - want)
+                        <= math.ulp(want) + rounding), (seed, part)
 
     @pytest.mark.parametrize("M", [0, 1, 40])
     @pytest.mark.parametrize("modulus", [0.05, 0.35, 0.9])
