@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import sample_groups
 from .config import RunConfig, load_config
 from .errors import (
@@ -25,6 +27,7 @@ from .errors import (
     ConfigError,
     ConvergenceViolation,
     DivergentIntegral,
+    NoConvergence,
     NumericalError,
     PoleOfGamma,
     PreconditionError,
@@ -37,6 +40,7 @@ from .kernels import (
     heat_spinor_batch,
     resolvent_scalar,
 )
+from .kernels import _refusals as _kernel_refusals
 from .moebius import MoebiusMap
 from .words import class_spectra, word_strings
 from .zeta import ETA_ROUTES, ZetaTerms, eta, terms_from_group, zeta_odd
@@ -212,6 +216,44 @@ def _kernel_row(kind: str, at, heat=(None,) * 4, value=(None,) * 2,
                     for c in cells)
 
 
+#: the refusals a resolvent row of kernels.csv records as its note
+_RESOLVENT_NOTES = (PoleOfGamma, AtDiagonal, NoConvergence)
+
+
+def _resolvent_rows(lams, rs, d: int):
+    """The resolvent and Dirac resolvent rows of kernels.csv at each
+    (lambda, r) pair: a pair either kind refuses with one of
+    ``_RESOLVENT_NOTES`` gets a note row, and every other pair of a kind
+    its value from one kernel call.  Any other refusal raises, the first
+    in row order."""
+    kinds = (("resolvent", resolvent_scalar, False),
+             ("dirac_resolvent", dirac_resolvent_scalar, True))
+    refusals = [_kernel_refusals(lams, rs, d, dirac) for _, _, dirac in kinds]
+    for pair in zip(*refusals):
+        for refusal in pair:
+            if refusal is not None and not isinstance(refusal,
+                                                      _RESOLVENT_NOTES):
+                raise refusal
+    columns = []
+    for (kind, kernel, _), refused in zip(kinds, refusals):
+        ok = np.equal(refused, None)
+        # tolist gives Python complex numbers: a numpy scalar's repr is not
+        # a CSV cell
+        values = iter(kernel(np.asarray(lams)[ok], np.asarray(rs)[ok],
+                             d).tolist())
+        rows = []
+        for lam, r, refusal in zip(lams, rs, refused):
+            at = (None, r, lam.real, lam.imag)
+            if refusal is None:
+                val = next(values)
+                rows.append(_kernel_row(kind, at, value=(val.real, val.imag)))
+            else:
+                rows.append(_kernel_row(kind, at,
+                                        note=type(refusal).__name__))
+        columns.append(rows)
+    return list(zip(*columns))
+
+
 def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     """CSV of kernel scalar values over the (t, r) and (lambda, r) grids."""
     lines = _metadata_lines(config, n=config.kernel_n, m=config.kernel_m,
@@ -230,30 +272,25 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
             "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
         lines.append(_kernel_row(
             "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), 0.0)))
-    # each Gaussian row waits for one quadrature over every convergent
-    # (lambda, r) pair: its line index, where it is evaluated, its closed form
+    # every (lambda, r) pair, lambda-major: its two resolvent rows, then its
+    # Gaussian row, which waits for one quadrature over every convergent
+    # pair (its line index, where it is evaluated, its closed form)
+    pair_lam = [lam for lam in config.lambda_grid for _ in config.r_grid]
+    pair_r = list(config.r_grid) * len(config.lambda_grid)
+    resolvent = _resolvent_rows(pair_lam, pair_r, config.kernel_d)
     gaussian, lams, rs = [], [], []
-    for lam in config.lambda_grid:
-        for r in config.r_grid:
-            at = (None, r, lam.real, lam.imag)
-            for kind, kernel in (("resolvent", resolvent_scalar),
-                                 ("dirac_resolvent", dirac_resolvent_scalar)):
-                try:
-                    val = kernel(lam, r, config.kernel_d)
-                    lines.append(_kernel_row(kind, at,
-                                             value=(val.real, val.imag)))
-                except (PoleOfGamma, AtDiagonal) as exc:
-                    lines.append(_kernel_row(kind, at,
-                                             note=type(exc).__name__))
-            try:
-                closed = gaussian_time_integral(lam, r)
-                gaussian.append((len(lines), at, closed))
-                lams.append(lam)
-                rs.append(r)
-                lines.append(None)
-            except DivergentIntegral:
-                lines.append(_kernel_row("gaussian", at,
-                                         note="DivergentIntegral"))
+    for lam, r, rows in zip(pair_lam, pair_r, resolvent):
+        at = (None, r, lam.real, lam.imag)
+        lines.extend(rows)
+        try:
+            closed = gaussian_time_integral(lam, r)
+            gaussian.append((len(lines), at, closed))
+            lams.append(lam)
+            rs.append(r)
+            lines.append(None)
+        except DivergentIntegral:
+            lines.append(_kernel_row("gaussian", at,
+                                     note="DivergentIntegral"))
     quads, errs = gaussian_time_integral_quadrature(lams, rs,
                                                    tol=config.quad_tol)
     # Python numbers: a numpy scalar's repr is not a CSV cell

@@ -14,6 +14,9 @@ The jets are array-valued: :func:`heat_spinor_batch` and
 :func:`heat_signature_batch` run them over a whole (t, r) grid in one
 pass, each point stopping its own series, so a point's value does not
 depend on the grid it is evaluated in; a scalar (t, r) is a 0-d grid.
+So are the resolvent scalars and ``c_lambda``: a (lambda, r) grid takes
+one ``gamma_quotient`` and one ``hyp2f1`` call, whose points do not
+depend on each other either.
 """
 
 from __future__ import annotations
@@ -26,68 +29,133 @@ import numpy as np
 
 from .errors import AtDiagonal, DivergentIntegral, PoleAt, PoleOfGamma
 from .quadrature import integrate_batch
-from .special import gamma_quotient, hyp2f1, is_nonpositive_integer
+from .special import _exp, gamma_quotient, hyp2f1, is_nonpositive_integer
+from .special import _refusals as _hyp2f1_refusals
 
 _LOG2 = math.log(2.0)
 
 
-def c_lambda(lam: complex) -> complex:
-    """C(lambda) = 2^(-2 lambda) Gamma(1/2 - lambda) / Gamma(1/2 + lambda).
+def c_lambda(lam):
+    """C(lambda) = 2^(-2 lambda) Gamma(1/2 - lambda) / Gamma(1/2 + lambda)
+    at every point of lam.
 
-    Satisfies C(lambda) C(-lambda) = 1; first-order poles at 1/2 + N0.
+    Satisfies C(lambda) C(-lambda) = 1; first-order poles at 1/2 + N0,
+    where the first pole point raises.
     """
-    lam = complex(lam)
-    if is_nonpositive_integer(0.5 - lam):
-        raise PoleAt(f"C(lambda) pole at lambda = {lam}")
+    lam = np.asarray(lam, dtype=complex)
+    shape, lam = lam.shape, lam.ravel()  # flat: see ``special._flat``
+    pole = is_nonpositive_integer(0.5 - lam)
+    if pole.any():
+        raise PoleAt(f"C(lambda) pole at lambda = {lam[pole][0].item()}")
     ratio = gamma_quotient([0.5 - lam], [0.5 + lam])
-    return cmath.exp(-2.0 * lam * _LOG2) * ratio
+    return (_exp(-2.0 * lam * _LOG2) * ratio).reshape(shape)[()]
 
 
-def _log_cosh_half(r: float) -> float:
+def _log_cosh_half(r):
     # log cosh(r/2), overflow-safe
     x = 0.5 * r
-    return x + math.log1p(math.exp(-2.0 * x)) - _LOG2
+    return x + np.log1p(np.exp(-2.0 * x)) - _LOG2
 
 
-def _log_sinh_half(r: float) -> float:
+def _log_sinh_half(r):
     x = 0.5 * r
-    return x + math.log1p(-math.exp(-2.0 * x)) - _LOG2
+    return x + np.log1p(-np.exp(-2.0 * x)) - _LOG2
 
 
-def _sech2_half(r: float) -> float:
-    return math.exp(-2.0 * _log_cosh_half(r))
+def _sech2_half(r):
+    return np.exp(-2.0 * _log_cosh_half(r))
 
 
-def resolvent_scalar(lam: complex, r: float, d: int) -> complex:
+def _hyp2f1_arguments(lam, d: int, dirac: bool):
+    """a, b, c of the resolvent's 2F1 at each lambda: (d+1)/2 + lambda,
+    lambda (lambda + 1 for the Dirac kernel) and 2 lambda + 1."""
+    return (0.5 * (d + 1) + lam, lam + 1.0 if dirac else lam,
+            2.0 * lam + 1.0)
+
+
+def _pairs(lam, r):
+    """lam and r broadcast against each other: flat arrays (see
+    ``special._flat``), and the broadcast shape."""
+    lam, r = np.broadcast_arrays(np.asarray(lam, dtype=complex),
+                                 np.asarray(r, dtype=float))
+    return lam.ravel(), r.ravel(), lam.shape
+
+
+def _refusals(lam, r, d: int, dirac: bool):
+    """The refusal of each (lambda, r) pair of a resolvent kernel on
+    H^(d+1), None where it has a value: an object array in the broadcast
+    shape.  A pair's refusal is its first failed check, in the kernel's
+    order: r (a negative or NaN r, then r = 0), the gamma poles in lambda,
+    then ``hyp2f1``'s own refusal at z = sech^2(r/2)."""
+    lam, r, shape = _pairs(lam, r)
+    kernel = "Dirac resolvent" if dirac else "resolvent"
+    excluded = "(-N/2)" if dirac else "{0} u (-N/2)"
+    a, b, c = _hyp2f1_arguments(lam, d, dirac)
+    pole = is_nonpositive_integer(2.0 * lam, tol=2e-12)
+    if dirac:
+        pole &= lam != 0  # the Dirac kernel is analytic at lambda = 0
+    checks = (
+        (~(r >= 0), lambda i: ValueError(f"r = {r[i]} negative")),
+        (r == 0, lambda i: AtDiagonal(f"{kernel} scalar is singular at r = 0")),
+        (pole, lambda i: PoleOfGamma(
+            f"lambda = {lam[i].item()} in the excluded set {excluded}")),
+        (is_nonpositive_integer(a),
+         lambda i: PoleOfGamma(f"Gamma((d+1)/2 + lambda) pole at "
+                               f"lambda = {lam[i].item()}")),
+    )
+    out = np.full(lam.size, None, dtype=object)
+    free = np.ones(lam.size, dtype=bool)
+    for failed, refusal in checks:
+        for i in np.flatnonzero(failed & free):
+            out[i] = refusal(i)
+        free &= ~failed
+    out[free] = _hyp2f1_refusals(a[free], b[free], c[free],
+                                 _sech2_half(r[free]))
+    return out.reshape(shape)
+
+
+def _resolvent(lam, r, d: int, dirac: bool):
+    """A resolvent kernel at every pair of the broadcast (lambda, r) grid;
+    the first refused pair raises."""
+    for refusal in _refusals(lam, r, d, dirac).flat:
+        if refusal is not None:
+            raise refusal
+    lam, r, shape = _pairs(lam, r)
+    a, b, c = _hyp2f1_arguments(lam, d, dirac)
+    sign = -1.0 if dirac else 1.0
+    pref = sign * (2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
+    gam = gamma_quotient([a, b], [c])
+    if dirac:
+        power = _exp(-(d + 1 + 2.0 * lam) * _log_cosh_half(r)
+                     + _log_sinh_half(r))
+    else:
+        power = _exp(-(d + 2.0 * lam) * _log_cosh_half(r))
+    value = pref * gam * power * hyp2f1(a, b, c, _sech2_half(r))
+    return value.reshape(shape)[()]
+
+
+def resolvent_scalar(lam, r, d: int):
     """Scalar prefactor of the squared-Dirac resolvent kernel on H^(d+1)
-    at spectral parameter lambda and geodesic distance r.
+    at spectral parameter lambda and geodesic distance r,
 
     2^-(d+1) pi^-(d+1)/2 G((d+1)/2+l) G(l) / G(2l+1)
-        * cosh(r/2)^-(d+2l) * 2F1((d+1)/2+l, l; 2l+1; sech^2(r/2)).
+        * cosh(r/2)^-(d+2l) * 2F1((d+1)/2+l, l; 2l+1; sech^2(r/2)),
 
-    Excluded lambda: {0} u (-N/2) and poles of Gamma((d+1)/2 + lambda).
-    A negative or NaN r raises ValueError, and r = 0 AtDiagonal.
+    at every pair of the broadcast (lam, r) grid, in one ``hyp2f1`` call;
+    a scalar pair gives a numpy scalar.
+
+    Excluded lambda: {0} u (-N/2) and poles of Gamma((d+1)/2 + lambda)
+    (``PoleOfGamma``).  A negative or NaN r raises ValueError, and r = 0
+    AtDiagonal; ``hyp2f1`` refuses a z = sech^2(r/2) within 1e-3 of 1 for
+    odd d, where c - a - b is integral.  The first refused pair raises.
     """
-    lam = complex(lam)
-    if not r >= 0:  # NaN fails too
-        raise ValueError(f"r = {r} negative")
-    if r == 0:
-        raise AtDiagonal("resolvent scalar is singular at r = 0")
-    if is_nonpositive_integer(2.0 * lam, tol=2e-12):
-        raise PoleOfGamma(f"lambda = {lam} in the excluded set {{0}} u (-N/2)")
-    if is_nonpositive_integer(0.5 * (d + 1) + lam):
-        raise PoleOfGamma(f"Gamma((d+1)/2 + lambda) pole at lambda = {lam}")
-    pref = (2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
-    gam = gamma_quotient([0.5 * (d + 1) + lam, lam], [2.0 * lam + 1.0])
-    power = cmath.exp(-(d + 2.0 * lam) * _log_cosh_half(r))
-    return pref * gam * power * hyp2f1(
-        0.5 * (d + 1) + lam, lam, 2.0 * lam + 1.0, _sech2_half(r)
-    )
+    return _resolvent(lam, r, d, dirac=False)
 
 
-def dirac_resolvent_scalar(lam: complex, r: float, d: int) -> complex:
+def dirac_resolvent_scalar(lam, r, d: int):
     """Scalar prefactor of the Dirac-times-resolvent kernel on H^(d+1),
-    refusing r as ``resolvent_scalar`` does.
+    on a broadcast (lam, r) grid, refusing pairs as ``resolvent_scalar``
+    does.
 
     -2^-(d+1) pi^-(d+1)/2 G((d+1)/2+l) G(l+1) / G(2l+1)
         * cosh(r/2)^-(d+1+2l) sinh(r/2)
@@ -95,23 +163,7 @@ def dirac_resolvent_scalar(lam: complex, r: float, d: int) -> complex:
     with the cl(v) U(m, m') endomorphism stripped.  Analytic at lambda = 0;
     the formula's gamma factors still exclude (-N/2).
     """
-    lam = complex(lam)
-    if not r >= 0:  # NaN fails too
-        raise ValueError(f"r = {r} negative")
-    if r == 0:
-        raise AtDiagonal("Dirac resolvent scalar is singular at r = 0")
-    if lam != 0 and is_nonpositive_integer(2.0 * lam, tol=2e-12):
-        raise PoleOfGamma(f"lambda = {lam} in the excluded set (-N/2)")
-    if is_nonpositive_integer(0.5 * (d + 1) + lam):
-        raise PoleOfGamma(f"Gamma((d+1)/2 + lambda) pole at lambda = {lam}")
-    pref = -(2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
-    gam = gamma_quotient([0.5 * (d + 1) + lam, lam + 1.0], [2.0 * lam + 1.0])
-    power = cmath.exp(
-        -(d + 1 + 2.0 * lam) * _log_cosh_half(r) + _log_sinh_half(r)
-    )
-    return pref * gam * power * hyp2f1(
-        0.5 * (d + 1) + lam, lam + 1.0, 2.0 * lam + 1.0, _sech2_half(r)
-    )
+    return _resolvent(lam, r, d, dirac=True)
 
 
 # --- (-d/d cosh r)^k of r / sinh(s r) * exp(-r^2 / 4t) ------------------------

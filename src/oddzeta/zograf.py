@@ -45,6 +45,9 @@ from .zeta import (
 _MACHINE_FLOOR = 1e-15
 #: each class's F series is cut once |q|^(K+1) <= 2^-_SERIES_CUT_BITS
 _SERIES_CUT_BITS = 70.0
+#: the most chart points ``eta_on_chart`` walks at once; a scan stencil's
+#: 9 points are one walk
+_WALK_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -233,12 +236,13 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
     One function serves several ``pluriharmonicity_scan`` calls, so a
     point they share, such as the base point, is evaluated once.  The
     points a call has not seen build their class spectra, at
-    max(L, delta_cutoff), in one ``terms_from_groups``: one walk of the
-    word tree and one lockstep delta_hat solve.  A point without a
-    negative delta_hat raises LeftSchottkyDomain.  A refusal is the one
-    the first refused point, in the order given, raises on its own: a
-    refused batch, whose refusal is only some point's, is evaluated
-    again one point at a time.
+    max(L, delta_cutoff), ``_WALK_POINTS`` at a time in the order given,
+    each chunk in one ``terms_from_groups``: one walk of the word tree
+    and one lockstep delta_hat solve, whose memory grows with the chunk.
+    A point without a negative delta_hat raises LeftSchottkyDomain.  A
+    refusal is the one the first refused point, in the order given,
+    raises on its own: a refused chunk, whose refusal is only some
+    point's, is evaluated again one point at a time.
     """
     memo: dict = {}
 
@@ -262,14 +266,15 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
 
     def fn(points: Sequence[ChartPoint]) -> List[Tuple[float, float]]:
         misses = [p for p in dict.fromkeys(points) if p not in memo]
-        if misses:
+        for start in range(0, len(misses), _WALK_POINTS):
+            chunk = misses[start:start + _WALK_POINTS]
             try:
-                values = evaluate(misses)
+                values = evaluate(chunk)
             except (OddZetaError, ArithmeticError):
-                if len(misses) == 1:
+                if len(chunk) == 1:
                     raise
-                values = [evaluate([params])[0] for params in misses]
-            memo.update(zip(misses, values))
+                values = [evaluate([params])[0] for params in chunk]
+            memo.update(zip(chunk, values))
         return [memo[params] for params in points]
     return fn
 

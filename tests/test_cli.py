@@ -27,7 +27,8 @@ from oddzeta.config import (
     parse_complex,
     parse_config,
 )
-from oddzeta.kernels import heat_signature_batch, heat_spinor_batch
+from oddzeta.kernels import (dirac_resolvent_scalar, heat_signature_batch,
+                             heat_spinor_batch, resolvent_scalar)
 from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import sample_group
 from oddzeta.words import class_spectra, estimate_deltas, word_to_str
@@ -605,6 +606,69 @@ class TestKernelsCommand:
                     row["plus_plus_minus"], row["p_middle"]) == (
                 repr(pp.imag), repr(pm.imag), repr(abs(pp + pm)), mid), row
 
+
+    def test_resolvent_rows_equal_one_point_functions(self, tmp_path):
+        # each kind's rows come from one call over every pair; each cell
+        # must be the repr of a 0-d call at its (lambda, r), checked on
+        # every 7th row, which meets both kinds and every r
+        cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
+        config = load_config(cfg)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        kernels = {"resolvent": resolvent_scalar,
+                   "dirac_resolvent": dirac_resolvent_scalar}
+        resolvent = [r for r in rows if r["kind"] in kernels]
+        assert len(resolvent) == 2 * 12 * 32
+        for row in resolvent[::7]:
+            lam = complex(float(row["lam_re"]), float(row["lam_im"]))
+            value = kernels[row["kind"]](lam, float(row["r"]),
+                                         config.kernel_d).item()
+            assert (row["value_re"], row["value_im"], row["note"]) == (
+                repr(value.real), repr(value.imag), ""), row
+
+    def test_odd_d_near_the_diagonal_gets_a_note(self, tmp_path):
+        # with d odd, c - a - b of the resolvent's 2F1 is an integer, and
+        # hyp2f1 refuses z = sech^2(r/2) > 0.999 (r below about 0.063):
+        # those rows name the refusal, as a gamma pole's do, and the run
+        # exits 0; it used to exit 4 and lose every row
+        import mpmath as mp
+        cfg = write(tmp_path, "k.cfg", REAL_PAIR.replace(
+            "lambda = 0+0i 0.3+0i 1+0i", "lambda = 1+0.2i")
+            + "t = 1\nr = 0.04 0.5 2.0\n[kernels]\nd = 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernels", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
+        resolvent = {(r["kind"], r["r"]): r for r in rows
+                     if r["kind"] in ("resolvent", "dirac_resolvent")}
+        assert len(resolvent) == 6
+        for kind in ("resolvent", "dirac_resolvent"):
+            near = resolvent[kind, "0.04"]
+            assert (near["value_re"], near["value_im"], near["note"]) == (
+                "", "", "NoConvergence")
+            assert resolvent[kind, "2.0"]["value_re"]
+            row = resolvent[kind, "0.5"]
+            assert row["note"] == ""
+            with mp.workdps(40):
+                lam, r, d = mp.mpc(1, 0.2), mp.mpf(0.5), 3
+                a, c = mp.mpf(d + 1) / 2 + lam, 2 * lam + 1
+                b = lam + 1 if kind == "dirac_resolvent" else lam
+                exact = (mp.mpf(2) ** -(d + 1) * mp.pi ** (-mp.mpf(d + 1) / 2)
+                         * mp.gamma(a) * mp.gamma(b) / mp.gamma(c)
+                         * mp.hyp2f1(a, b, c, mp.sech(r / 2) ** 2))
+                if kind == "dirac_resolvent":
+                    exact *= -mp.cosh(r / 2) ** -(d + 1 + 2 * lam) * mp.sinh(r / 2)
+                else:
+                    exact *= mp.cosh(r / 2) ** -(d + 2 * lam)
+                got = mp.mpc(float(row["value_re"]), float(row["value_im"]))
+                assert abs(got - exact) <= 1e-12 * abs(exact)
 
     def test_gaussian_within_reported_error_on_bench_grid(self, tmp_path):
         # the benchmark gate's rule: |closed form - quadrature| <= reported

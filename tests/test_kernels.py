@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import scalar_special
 from oddzeta import kernels, quadrature
 from oddzeta.errors import (
     AtDiagonal,
@@ -134,6 +135,64 @@ class TestResolventScalars:
                   * math.sinh(0.5 * r) * total)
         mine = dirac_resolvent_scalar(lam, r, d)
         assert abs(mine - oracle) < 1e-10 * abs(oracle)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_values_are_each_pairs_own(self, d):
+        # a lambda column by an r row, and the same pairs flat and
+        # reversed: every value is its 0-d call's, bit for bit; the r run
+        # through the direct series, the connection formula and, for odd
+        # d, the series at integral c - a - b
+        lam = np.array([0.3 + 0.1j, 1.0, 2.5 - 0.8j])[:, None]
+        # for odd d, the series at z = sech^2(r/2) near 0.999 runs 10^4
+        # terms; r = 0.2 keeps it to a few thousand
+        r = np.array([0.07 if d % 2 == 0 else 0.2, 0.3, 0.5, 1.2, 4.0])
+        for kernel in (resolvent_scalar, dirac_resolvent_scalar):
+            grid = kernel(lam, r, d)
+            assert grid.shape == (3, 5)
+            flat_lam, flat_r = (np.broadcast_to(x, grid.shape).ravel()[::-1]
+                                for x in (lam, r))
+            back = np.ascontiguousarray(
+                kernel(flat_lam, flat_r, d)[::-1].reshape(grid.shape))
+            assert (bits(back) == bits(grid)).all()
+            for i in range(3):
+                for j in range(5):
+                    assert (bits([kernel(lam[i, 0], r[j], d)])
+                            == bits([grid[i, j]])).all()
+        values = c_lambda(lam)
+        assert all((bits([c_lambda(lam[i, 0])]) == bits([values[i, 0]])).all()
+                   for i in range(3))
+
+    def test_first_refused_pair_raises(self):
+        # of r = 0 and the pole at lambda = -1/2, the first in flat order
+        with pytest.raises(AtDiagonal):
+            resolvent_scalar([1.0, 1.0, -0.5], [1.0, 0.0, 1.0], 2)
+        with pytest.raises(PoleOfGamma):
+            resolvent_scalar([1.0, -0.5, 1.0], [1.0, 1.0, 0.0], 2)
+
+    def test_odd_d_near_the_diagonal_refused(self):
+        # with d odd, c - a - b is an integer: hyp2f1 refuses
+        # z = sech^2(r/2) above 0.999, r below about 0.063
+        for kernel in (resolvent_scalar, dirac_resolvent_scalar):
+            with pytest.raises(NoConvergence, match="integral c - a - b"):
+                kernel(1 + 0.2j, [0.5, 0.04], 3)
+            assert np.isfinite(kernel(1 + 0.2j, 0.07, 3))
+
+    def test_within_bound_of_scalar_reference(self, kernels_config):
+        # the benchmark's seed-0 grid against the one-point reference: the
+        # two round z = sech^2(r/2) apart, and the connection formula
+        # carries that into a relative change of about eps / (1 - z); the
+        # bound is 64 eps / (1 - z), measured at most 33 on seeds 0-10
+        lam = np.array(kernels_config.lambda_grid)[:, None]
+        r = np.array(kernels_config.r_grid)
+        slack = 64 * 2.0 ** -52 / (1.0 - np.cosh(0.5 * r) ** -2)
+        for kernel, reference in (
+                (resolvent_scalar, scalar_special.resolvent),
+                (dirac_resolvent_scalar, scalar_special.dirac_resolvent)):
+            grid = kernel(lam, r, 2)
+            for i in range(lam.shape[0]):
+                for j in range(r.size):
+                    ref = reference(lam[i, 0], r[j], 2)
+                    assert abs(grid[i, j] - ref) <= slack[j] * abs(ref)
 
 
 def spinor_heat_oracle_n1(t, r):

@@ -12,10 +12,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oddzeta.kernels import _neg_dcosh_power, c_lambda
+import scalar_special
+from oddzeta.config import load_config
+from oddzeta.kernels import (_neg_dcosh_power, c_lambda,
+                             dirac_resolvent_scalar, resolvent_scalar)
 from oddzeta.special import hyp2f1, log_gamma
 from oddzeta.words import class_spectra, cycle_expansion
 from oddzeta.zeta import terms_from_spectrum
+from test_words import _workloads
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +120,68 @@ def test_hyp2f1_across_re_half():
         err = abs(mp.mpc(hyp2f1(a, b, c, z)) - ref) / abs(ref)
         worst = max(worst, float(err))
     assert worst <= 1e-13
+
+
+def test_direct_series_compensation():
+    # the direct series just below |z| = 0.9, where it runs longest, at
+    # resolvent parameters: the compensated sum stays near the rounding
+    # of its terms; the reference's compensation, subtracted where it
+    # belongs added, leaves it about three times as far off
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(0.3, 3.0, 60) + 1j * rng.uniform(-1.0, 1.0, 60)
+    z = rng.uniform(0.5, 0.9, 60)
+    a, b, c = 1.5 + lam, lam, 2 * lam + 1
+    values = hyp2f1(a, b, c, z)
+    worst = reference = 0.0
+    for i in range(60):
+        ref = mp.hyp2f1(mp.mpc(a[i]), mp.mpc(b[i]), mp.mpc(c[i]),
+                        mp.mpf(z[i]))
+        worst = max(worst, float(abs(mp.mpc(values[i]) - ref) / abs(ref)))
+        scalar = scalar_special.hyp2f1(a[i], b[i], c[i], z[i])
+        reference = max(reference, float(abs(mp.mpc(scalar) - ref) / abs(ref)))
+    assert worst <= 2e-15 < reference
+
+
+def resolvent_oracle(lam, r, d, dirac):
+    """A resolvent scalar from mpmath's gamma, cosh and 2F1 at exact
+    (lambda, r)."""
+    lam, r = mp.mpc(lam), mp.mpf(r)
+    a, c = mp.mpf(d + 1) / 2 + lam, 2 * lam + 1
+    b = lam + 1 if dirac else lam
+    z = mp.sech(r / 2) ** 2
+    value = (mp.mpf(2) ** -(d + 1) * mp.pi ** (-mp.mpf(d + 1) / 2)
+             * mp.gamma(a) * mp.gamma(b) / mp.gamma(c) * mp.hyp2f1(a, b, c, z))
+    if dirac:
+        return -value * mp.cosh(r / 2) ** -(d + 1 + 2 * lam) * mp.sinh(r / 2)
+    return value * mp.cosh(r / 2) ** -(d + 2 * lam)
+
+
+@pytest.mark.parametrize("seed", range(11))
+def test_resolvent_ladder(seed, tmp_path):
+    # every 7th (lambda, r, kind) of the benchmark's kernel grid at this
+    # seed, both kinds and every r among them: the array kernels' worst
+    # error is at most 1.1 times the one-point reference's, which is
+    # set by the rounding of z = sech^2(r/2) near 1
+    path = tmp_path / "kernels.cfg"
+    path.write_text(_workloads().generate(seed)["kernels.cfg"])
+    config = load_config(str(path))
+    points = [(lam, r, dirac) for lam in config.lambda_grid
+              for r in config.r_grid for dirac in (False, True)][::7]
+    worst = {}
+    for dirac, kernel, reference in (
+            (False, resolvent_scalar, scalar_special.resolvent),
+            (True, dirac_resolvent_scalar, scalar_special.dirac_resolvent)):
+        lam, r = (np.array(column) for column in zip(
+            *[(lam, r) for lam, r, kind in points if kind == dirac]))
+        values = kernel(lam, r, config.kernel_d)
+        for i in range(lam.size):
+            ref = resolvent_oracle(lam[i], r[i], config.kernel_d, dirac)
+            for path_name, value in (
+                    ("array", values[i]),
+                    ("reference", reference(lam[i], r[i], config.kernel_d))):
+                err = float(abs(mp.mpc(value) - ref) / abs(ref))
+                worst[path_name] = max(worst.get(path_name, 0.0), err)
+    assert worst["array"] <= 1.1 * worst["reference"]
 
 
 def newton_oracle(traces):

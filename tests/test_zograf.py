@@ -438,6 +438,50 @@ class TestPluriharmonicityScan:
             eta_on_chart(3, 5)(points)
         assert walks == [9] + [1] * (k + 1)
 
+    def test_batch_past_the_cap_walks_in_chunks(self, monkeypatch):
+        # four points more than a walk may take: a full walk, then one of
+        # four, and every value is the point's own, bit for bit
+        cap = oddzeta.zograf._WALK_POINTS
+        assert cap >= 16  # a scan stencil's 9 points stay one walk
+        base = sample_group("scan_base").params
+        points = [(base[0] * (1 + 0.01 * n), *base[1:])
+                  for n in range(cap + 4)]
+        walks = []
+        walk = oddzeta.words._class_products
+
+        def counted(generator_sets, L):
+            walks.append(len(generator_sets))
+            return walk(generator_sets, L)
+
+        monkeypatch.setattr(oddzeta.words, "_class_products", counted)
+        batch = eta_on_chart(3, 5)(points)
+        assert walks == [cap, 4]
+        alone = [eta_on_chart(3, 5)([p])[0] for p in points]
+        assert list(map(repr, batch)) == list(map(repr, alone))
+
+    @pytest.mark.parametrize("first", ["first chunk", "second chunk"])
+    def test_refusal_past_the_cap_is_a_loops(self, first):
+        # a point whose class Baaaa is elliptic, in the first or the
+        # second chunk, and a point with delta_hat >= 0 last: the refusal
+        # is the one a point-by-point loop meets first
+        cap = oddzeta.zograf._WALK_POINTS
+        base = sample_group("scan_base").params
+        good = [(base[0] * (1 + 0.01 * n), *base[1:]) for n in range(cap + 4)]
+        k = 3 if first == "first chunk" else cap + 2
+        points = (good[:k] + [(0.9j, 0.9, 2.0)] + good[k:]
+                  + [(0.16 + 0.128j, 0.176 - 0.08j, -0.9 + 0.6j)])
+        loop = eta_on_chart(3, 5)
+        for point in points:
+            try:
+                loop([point])
+            except LeftSchottkyDomain as exc:
+                expected = str(exc)
+                break
+        assert "Baaaa is elliptic" in expected
+        with pytest.raises(LeftSchottkyDomain) as exc:
+            eta_on_chart(3, 5)(points)
+        assert str(exc.value) == expected
+
     def test_leaving_domain_raises(self):
         # q1 + h crosses |q| = 1
         base = schottky_from_params(0.995, 0.0012, -1.0 + 0.5j)
