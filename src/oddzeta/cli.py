@@ -174,11 +174,14 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
     """JSON with the three eta routes and the factorization residual."""
     terms = _terms(config)
     est = terms.estimate
+    # the identity check first: its F product is the command's memory
+    # peak, and the routes' per-class factors, cached on the terms, need
+    # not sit under it
+    report = check_eta_F_identity(terms, config.inner_cutoff)
     routes = {
         route: eta(terms, route, quad_tol=config.quad_tol)
         for route in ETA_ROUTES
     }
-    report = check_eta_F_identity(terms, config.inner_cutoff)
     doc = {
         "config_sha256": config.sha256,
         "variant": config.variant,

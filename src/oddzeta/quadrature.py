@@ -1,19 +1,23 @@
 """Adaptive Gauss-Kronrod (G7/K15) quadrature with a reported error bound.
 
-One adaptive core, :func:`integrate_batch`, runs m integrals in lockstep.
-Each integral keeps its own heap of panels, keyed on the panel's error
-estimate with its own insertion counter as the tie-breaker, its own
-stopping test and its own ``MAX_PANELS`` budget.  A round pops the worst
-panel of every integral that has not converged, bisects it, and evaluates
-the 2 x 15 Kronrod nodes of all those halves in one call of a vectorised
-integrand ``f(rows, x)``.  The G7 and K15 sums run over the nodes in
+One adaptive core, :func:`integrate_batch`, runs m integrals in lockstep,
+each with its own stopping test and its own ``MAX_PANELS`` budget.  A
+numpy store holds one row per integral that has not converged: its
+panels' endpoints, K15 values and |K15 - G7| estimates, one slot a panel
+in creation order.  A round takes every row's worst panel by ``argmax``
+(its first maximum is the oldest panel, so ties split the oldest),
+zeroes that slot in place, bisects the panel, and evaluates the 2 x 15
+Kronrod nodes of all those halves in one call of a vectorised integrand
+``f(rows, x)``.  A row's totals are a sequential sum over its own slots
+in creation order (``np.add.accumulate`` along the row), and a row leaves
+the store once it converges.  The G7 and K15 sums run over the nodes in
 ``_NODES`` order, one node column at a time, with the real and imaginary
 parts kept apart, so each panel gets the same value and estimate as a
 panel evaluated on its own with Python complex arithmetic; the estimate
 uses ``np.hypot``, as ``abs`` of a Python complex uses the C ``hypot``.
-An integral's subdivision order therefore depends only on its own
-integrand values: batching changes how many integrals share a numpy call,
-never which panels an integral splits.
+An integral's panels, totals and panel count therefore depend only on
+its own integrand values: batching changes how many integrals share a
+numpy call, never a bit of an integral's result.
 
 Single-threaded and deterministic.  The integrand may be real- or
 complex-valued; the error estimate is the sum of per-panel |K15 - G7|
@@ -24,9 +28,6 @@ finite is refused at once: no subdivision can make the sum finite.
 
 from __future__ import annotations
 
-import cmath
-import heapq
-import math
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -65,14 +66,16 @@ BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _panels(f: BatchIntegrand, rows: np.ndarray, a: np.ndarray,
-            b: np.ndarray) -> Tuple[list, list]:
-    """K15 values and |K15 - G7| estimates of the panels [a_i, b_i].
+            b: np.ndarray) -> np.ndarray:
+    """(|K15 - G7| estimate, K15 value's real part, its imaginary part)
+    of each panel [a_i, b_i], an array of shape (k, 3).
 
     numpy's floating-point warnings are off: a panel that meets an
     overflow or an invalid operation is not finite, and the caller
     refuses it."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    out = np.empty((len(rows), 3))
     with np.errstate(all="ignore"):
         fx = np.ascontiguousarray(f(rows, mid[:, None] + half[:, None] * _X),
                                   dtype=complex)
@@ -83,9 +86,9 @@ def _panels(f: BatchIntegrand, rows: np.ndarray, a: np.ndarray,
         sums = np.add.accumulate(parts * _W, axis=1)[:, -1]
         g7, k15 = sums[:, 0], sums[:, 1]
         diff = k15 - g7
-        err = np.hypot(diff[:, 0], diff[:, 1]) * np.abs(half)
-        value = k15 * half[:, None]
-    return value.view(complex).ravel().tolist(), err.tolist()
+        out[:, 0] = np.hypot(diff[:, 0], diff[:, 1]) * np.abs(half)
+        out[:, 1:] = k15 * half[:, None]
+    return out
 
 
 def integrate_batch(
@@ -105,43 +108,58 @@ def integrate_batch(
     than ``MAX_PANELS`` panels, or at once for a panel whose value or
     estimate is not finite.
     """
-    a, b = [float(x) for x in a], [float(x) for x in b]
-    m = len(a)
-    values: List[complex] = [0.0 + 0.0j] * m
-    errors = [0.0] * m
-    panels = [0] * m
-    heaps: List[list] = [[] for _ in range(m)]
-    active = [i for i in range(m) if a[i] != b[i]]
-    pending = [(i, a[i], b[i]) for i in active]
-    while active:
-        rows, lo, hi = zip(*pending)
-        vals, errs = _panels(f, np.array(rows), np.array(lo), np.array(hi))
-        for (i, pa, pb), value, err in zip(pending, vals, errs):
-            if not (math.isfinite(err) and cmath.isfinite(value)):
-                raise NoConvergence(
-                    f"quadrature over [{a[i]!r}, {b[i]!r}]: panel "
-                    f"[{pa!r}, {pb!r}] has value {value!r} and error "
-                    f"estimate {err!r}, not finite")
-            heapq.heappush(heaps[i], (-err, panels[i], pa, pb, value, err))
-            panels[i] += 1
-        pending = []
-        still = []
-        for i in active:
-            heap = heaps[i]
-            total = sum(item[4] for item in heap)
-            total_err = sum(item[5] for item in heap)
-            if total_err <= max(tol_abs, tol_rel * abs(total)):
-                values[i], errors[i] = total, total_err
-                continue
-            if panels[i] + 2 > MAX_PANELS:
-                raise NoConvergence(
-                    f"quadrature over [{a[i]!r}, {b[i]!r}] did not reach "
-                    f"tolerance: error {total_err:.3e} with {panels[i]} "
-                    f"panels, limit {MAX_PANELS}")
-            _, _, pa, pb, _, _ = heapq.heappop(heap)
-            pm = 0.5 * (pa + pb)
-            pending += [(i, pa, pm), (i, pm, pb)]
-            still.append(i)
-        active = still
-    return values, errors, panels
-
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    # per integral: (error bound, re value, im value) and its panel count
+    totals = np.zeros((len(a), 3))
+    panels = np.zeros(len(a), dtype=int)
+    # the integrals still running, and the panels (lo, hi) they evaluate
+    # next, the same number for each, in row order
+    rows = np.flatnonzero(a != b)
+    ends = np.stack([a[rows], b[rows]], axis=1)
+    # each running integral's panels in creation order, one slot a panel:
+    # (error estimate, re value, im value, lo, hi); a bisected panel's
+    # slot is zeroed in place
+    store = np.empty((len(rows), 0, 5))
+    while len(rows):
+        k = len(ends) // len(rows)
+        est = _panels(f, rows.repeat(k), ends[:, 0], ends[:, 1])
+        if not np.isfinite(est).all():
+            j = int(np.argmin(np.isfinite(est).all(axis=1)))
+            i = rows[j // k]
+            err, re, im = est[j].tolist()
+            raise NoConvergence(
+                f"quadrature over [{a[i].item()!r}, {b[i].item()!r}]: panel "
+                f"[{ends[j, 0].item()!r}, {ends[j, 1].item()!r}] has value "
+                f"{complex(re, im)!r} and error estimate {err!r}, not finite")
+        new = np.concatenate([est, ends], axis=1).reshape(len(rows), k, 5)
+        store = np.concatenate([store, new], axis=1)
+        # each row's sums run over its own slots in creation order, so
+        # neither other rows nor zeroed slots can move a bit of them
+        sums = np.add.accumulate(store[:, :, :3], axis=1)[:, -1]
+        done = sums[:, 0] <= np.maximum(
+            tol_abs, tol_rel * np.hypot(sums[:, 1], sums[:, 2]))
+        if done.any():
+            finished = rows[done]
+            totals[finished] = sums[done]
+            panels[finished] = store.shape[1]
+            rows, store, sums = rows[~done], store[~done], sums[~done]
+            if not len(rows):
+                break
+        if store.shape[1] + 2 > MAX_PANELS:
+            i = rows[0]
+            raise NoConvergence(
+                f"quadrature over [{a[i].item()!r}, {b[i].item()!r}] did not "
+                f"reach tolerance: error {sums[0, 0].item():.3e} with "
+                f"{store.shape[1]} panels, limit {MAX_PANELS}")
+        # bisect each row's worst panel: argmax takes the first maximum,
+        # so a tie splits the oldest panel
+        worst = (np.arange(len(rows)), store[:, :, 0].argmax(axis=1))
+        span = store[worst][:, 3:]
+        store[worst] = 0.0
+        mid = 0.5 * (span[:, 0] + span[:, 1])
+        ends = span.repeat(2, axis=0)
+        ends[0::2, 1] = mid
+        ends[1::2, 0] = mid
+    values = totals[:, 1:].copy().view(complex).ravel()
+    return values.tolist(), totals[:, 0].tolist(), panels.tolist()

@@ -44,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -71,6 +72,23 @@ class ZetaTerms(Spectrum):
     chi: np.ndarray
     variant: str
     estimate: Optional[PoincareEstimate] = None
+
+    # the per-class factors of the eta integrands, built on first use:
+    # the quadratures read them every round
+    @cached_property
+    def _ell_a(self) -> np.ndarray:
+        """l a per class, the weights of ``dlog_zeta_odd``."""
+        return self.ell * _odd_weight(self)
+
+    @cached_property
+    def _ell_sq(self) -> np.ndarray:
+        """l^2 per class."""
+        return self.ell ** 2
+
+    @cached_property
+    def _ell_sq_a(self) -> np.ndarray:
+        """l^2 a per class, the weights of ``odd_heat_trace``."""
+        return self._ell_sq * _odd_weight(self)
 
 
 @dataclass(frozen=True)
@@ -344,13 +362,12 @@ def dlog_zeta_odd(terms: ZetaTerms, lam) -> np.ndarray:
     """d/dlambda log Z_odd = 2i sum l a e^(-lambda l) at each lambda.
 
     Any shape in, the same shape out (a numpy scalar for a scalar).  Each
-    lambda is one pass over l a, built once per call: the real exp for a
+    lambda is one pass over l a, built once per terms: the real exp for a
     real lambda, the complex exp for a complex one, numpy's pairwise sum.
     """
     lam = np.asarray(lam)
     _check_convergence(terms, lam)
-    ell = terms.ell
-    ell_a = ell * _odd_weight(terms)
+    ell, ell_a = terms.ell, terms._ell_a
     sums = [(ell_a * np.exp(-x * ell)).sum() for x in lam.ravel().tolist()]
     return 2j * np.reshape(sums, lam.shape)
 
@@ -368,8 +385,7 @@ def odd_heat_trace(terms: ZetaTerms, t) -> np.ndarray:
     bad = t[~(t > 0)]
     if bad.size:
         raise ValueError(f"t = {bad[0]} must be positive")
-    ell_sq = terms.ell ** 2
-    ell_sq_a = ell_sq * _odd_weight(terms)
+    ell_sq, ell_sq_a = terms._ell_sq, terms._ell_sq_a
     sums = []
     for x in t.ravel().tolist():
         arg = ell_sq / (4.0 * x)
