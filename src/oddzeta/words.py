@@ -350,7 +350,7 @@ class PoincareEstimate:
 #: not positive at 2 has no zero that can be delta_hat.
 _SCAN_INTERVALS = 64
 
-#: Terms e^(-lambda ell) held at once when Z_N is evaluated on a grid.
+#: Terms w e^(-x y) that ``_traces`` holds at once.
 _TRACE_BLOCK = 1 << 14
 
 
@@ -364,11 +364,12 @@ def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
     classes of word length n, and Newton's identities give c_0 = 1 and
     n c_n = -sum_k t_k c_(n-k).  Weights and lambda may be complex.
     Longer classes are not read; an empty shell n <= N raises ValueError.
+    An empty lam gives shape (N + 1, 0).
     """
     starts, end = _shells(spectrum.word_length, N)
     lam = np.atleast_1d(lam)
     return _expansion_rows(spectrum.ell[None, :end], weight[None, :end],
-                           starts, np.zeros(len(lam), dtype=np.intp), lam, N)
+                           starts, None, lam, N)
 
 
 def _shells(word_length: np.ndarray, N: int):
@@ -381,19 +382,31 @@ def _shells(word_length: np.ndarray, N: int):
     return starts[:-1], starts[-1]
 
 
+def _traces(y: np.ndarray, weight: np.ndarray, starts, rows,
+            x: np.ndarray) -> np.ndarray:
+    """Sums of weight e^(-x[i] y) over row rows[i] of the stacked 2-D
+    ``y`` and ``weight`` (one row: broadcast, rows unread), one per run
+    beginning at ``starts``, shape (len(x), len(starts)): the shell
+    traces and both eta integrands.  Each x is its own row of
+    ``np.add.reduceat``, in blocks of at most ``_TRACE_BLOCK`` terms, so
+    its bits depend on no batch or block size; no x or no term gives 0."""
+    t = np.zeros((len(x), len(starts)), np.result_type(weight, x, y))
+    if y.shape[1]:
+        step = max(1, _TRACE_BLOCK // y.shape[1])
+        for k in range(0, len(x), step):
+            block = rows[k:k + step] if len(y) > 1 else 0
+            t[k:k + step] = np.add.reduceat(
+                weight[block] * np.exp(-x[k:k + step, None] * y[block]),
+                starts, axis=1)
+    return t
+
+
 def _expansion_rows(ell: np.ndarray, weight: np.ndarray, starts: np.ndarray,
-                    rows: np.ndarray, lam: np.ndarray, N: int) -> np.ndarray:
+                    rows, lam: np.ndarray, N: int) -> np.ndarray:
     """``cycle_expansion`` at each lam[i] of the spectrum in row rows[i]
-    of the stacked 2-D ``ell`` and ``weight`` (classes of word length
-    <= N only), with shells beginning at ``starts``.  At most
-    ``_TRACE_BLOCK`` terms e^(-lambda ell) are held at once, and each
-    lambda's traces are its own row of ``np.add.reduceat``, so a lambda
-    gets the same bits in any batch."""
-    step = max(1, _TRACE_BLOCK // ell.shape[1])
-    t = np.concatenate([np.add.reduceat(
-        weight[rows[k:k + step]]
-        * np.exp(-(lam[k:k + step, None] * ell[rows[k:k + step]])),
-        starts, axis=1) for k in range(0, len(lam), step)]).T
+    of the stacked 2-D ``ell`` and ``weight`` (word lengths <= N), with
+    shells beginning at ``starts``: Newton's identities on ``_traces``."""
+    t = _traces(ell, weight, starts, rows, lam).T
     c = [np.ones(len(lam))]
     for n in range(1, N + 1):
         c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)

@@ -26,8 +26,7 @@ in numpy, binning frexp mantissa halves by exponent with
 ``np.bincount`` (exact below 2^53) and rounding the folded Python int
 once by int / int division; a correctly rounded sum is unique, so its
 bits are those of ``math.fsum``.  The eta integrands
-``dlog_zeta_odd`` and ``odd_heat_trace`` reduce each lambda or t with
-numpy's pairwise sum, deterministic for a given numpy build and a few
+``dlog_zeta_odd`` and ``odd_heat_trace`` are ``words._traces``, a few
 ulps from the correctly rounded sum.  Terms from ``terms_from_group``
 carry the group's delta_hat, and only this module refuses them:
 ``ConvergenceViolation`` at Re(lambda) <= delta_hat, ``DeltaNotNegative``
@@ -52,7 +51,8 @@ import numpy as np
 from .errors import ConvergenceViolation, DeltaNotNegative
 from .moebius import EPS_CLASS, MoebiusMap
 from .quadrature import integrate_batch
-from .words import PoincareEstimate, Spectrum, class_spectra, estimate_deltas
+from .words import (PoincareEstimate, Spectrum, _traces, class_spectra,
+                    estimate_deltas)
 
 VARIANTS = ("signature", "spinor")
 ETA_ROUTES = ("central_value", "lambda_integral", "heat_quadrature")
@@ -73,22 +73,21 @@ class ZetaTerms(Spectrum):
     variant: str
     estimate: Optional[PoincareEstimate] = None
 
-    # the per-class factors of the eta integrands, built on first use:
-    # the quadratures read them every round
+    # per-class factors of the odd sums, built on first use
     @cached_property
-    def _ell_a(self) -> np.ndarray:
-        """l a per class, the weights of ``dlog_zeta_odd``."""
-        return self.ell * _odd_weight(self)
+    def _odd_weight(self) -> np.ndarray:
+        """a = Im(chi_+ / (j D)) per class: (chi_+ - chi_-) / (j D) = 2i a."""
+        return (self.chi / (self.j * self.D)).imag
 
     @cached_property
-    def _ell_sq(self) -> np.ndarray:
-        """l^2 per class."""
-        return self.ell ** 2
+    def _ell_a(self) -> np.ndarray:
+        """l a per class, the weights of ``dlog_zeta_odd``, as one row."""
+        return (self.ell * self._odd_weight)[None]
 
     @cached_property
     def _ell_sq_a(self) -> np.ndarray:
-        """l^2 a per class, the weights of ``odd_heat_trace``."""
-        return self._ell_sq * _odd_weight(self)
+        """l^2 a per class, the weights of ``odd_heat_trace``, as one row."""
+        return (self.ell ** 2 * self._odd_weight)[None]
 
 
 @dataclass(frozen=True)
@@ -280,11 +279,6 @@ def _fsum(values: np.ndarray) -> complex:
                    _exact_sum(imag) if imag.any() else 0.0)
 
 
-def _odd_weight(terms: ZetaTerms) -> np.ndarray:
-    """a = Im(chi_+ / (j D)) per class: (chi_+ - chi_-) / (j D) = 2i a."""
-    return (terms.chi / (terms.j * terms.D)).imag
-
-
 def _check_convergence(terms: ZetaTerms, lam):
     """Refuse a non-finite lambda, or a sum at Re(lambda) <= the terms'
     delta_hat: at the smallest Re(lambda) of an array."""
@@ -328,7 +322,7 @@ def log_zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
     """
     lam = complex(lam)
     _check_convergence(terms, lam)
-    value = -2j * _fsum(_odd_weight(terms) * np.exp(-lam * terms.ell))
+    value = -2j * _fsum(terms._odd_weight * np.exp(-lam * terms.ell))
     tail = 2.0 * shell_tail_bound(terms, lam.real)
     return ZetaEvaluation(value, tail, terms.cutoff, terms.variant, lam)
 
@@ -361,15 +355,14 @@ def zeta_odd(terms: ZetaTerms, lam: complex) -> ZetaEvaluation:
 def dlog_zeta_odd(terms: ZetaTerms, lam) -> np.ndarray:
     """d/dlambda log Z_odd = 2i sum l a e^(-lambda l) at each lambda.
 
-    Any shape in, the same shape out (a numpy scalar for a scalar).  Each
-    lambda is one pass over l a, built once per terms: the real exp for a
-    real lambda, the complex exp for a complex one, numpy's pairwise sum.
+    Any shape in, the same shape out (a numpy scalar for a scalar).  All
+    lambdas are one ``words._traces`` call over l a, built once per terms:
+    the real exp for real lambdas, the complex exp for complex ones.
     """
     lam = np.asarray(lam)
     _check_convergence(terms, lam)
-    ell, ell_a = terms.ell, terms._ell_a
-    sums = [(ell_a * np.exp(-x * ell)).sum() for x in lam.ravel().tolist()]
-    return 2j * np.reshape(sums, lam.shape)
+    sums = _traces(terms.ell[None], terms._ell_a, [0], None, lam.ravel())
+    return 2j * sums.reshape(lam.shape)
 
 
 def odd_heat_trace(terms: ZetaTerms, t) -> np.ndarray:
@@ -378,22 +371,16 @@ def odd_heat_trace(terms: ZetaTerms, t) -> np.ndarray:
         (2 pi i / (4 pi t)^{3/2}) sum l^2 (chi_+ - chi_-)/(j D) e^(-l^2/4t),
 
     which is real, -2 (2 pi / (4 pi t)^{3/2}) sum l^2 a e^(-l^2/4t), as
-    (chi_+ - chi_-)/(j D) = 2i a; terms with l^2/4t > 700 count as 0.
-    Each t is one pass over l^2 a, reduced with numpy's pairwise sum.
+    (chi_+ - chi_-)/(j D) = 2i a; all t are one ``words._traces`` call.
     """
     t = np.asarray(t, dtype=float)
     bad = t[~(t > 0)]
     if bad.size:
         raise ValueError(f"t = {bad[0]} must be positive")
-    ell_sq, ell_sq_a = terms._ell_sq, terms._ell_sq_a
-    sums = []
-    for x in t.ravel().tolist():
-        arg = ell_sq / (4.0 * x)
-        decay = np.exp(-arg)
-        decay[arg > 700.0] = 0.0
-        sums.append((ell_sq_a * decay).sum())
+    sums = _traces(terms.ell[None] ** 2, terms._ell_sq_a, [0], None,
+                   0.25 / t.ravel())
     pref = 2.0 * math.pi / np.float_power(4.0 * math.pi * t, 1.5)
-    return -2.0 * pref * np.reshape(sums, t.shape)
+    return -2.0 * pref * sums.reshape(t.shape)
 
 
 # --- eta invariant ---------------------------------------------------------------
@@ -412,8 +399,8 @@ def eta(terms: ZetaTerms, route: str = "central_value",
                      become smooth exponentially decaying integrals.
 
     The routes are equal in exact arithmetic, class by class, so their
-    spread measures the quadrature only (and the integrands' pairwise
-    sums, a few ulps).  Terms with an estimate need delta_hat < 0 (the
+    spread measures the quadrature only (and the integrands' rounding, a
+    few ulps).  Terms with an estimate need delta_hat < 0 (the
     convergence hypothesis); hand-built ones carry none.
     """
     if route not in ETA_ROUTES:
@@ -429,7 +416,7 @@ def eta(terms: ZetaTerms, route: str = "central_value",
         (body,), _, _ = integrate_batch(
             lambda rows, lam: dlog_zeta_odd(terms, lam), [0.0], [lmax],
             quad_tol, quad_tol)
-        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
+        tail = 2j * _fsum(terms._odd_weight * np.exp(-lmax * terms.ell))
         return (1j * (body + tail) / math.pi).real
     # heat_quadrature: t in [1, inf) is u in (0, 1], t in (0, 1] is [1, u_max]
     u_max = max(2.0, 170.0 / ell_min ** 2)

@@ -983,6 +983,15 @@ class TestCycleExpansion:
         with pytest.raises(ValueError, match="no class of word length 7"):
             words.cycle_expansion(spectrum, np.ones(len(spectrum)), 0.0, 7)
 
+    def test_empty_lambda_gives_no_columns(self):
+        # as the eta integrands give shape-(0, ...) arrays for no nodes
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 5)
+        for weight in (spectrum.word_length / spectrum.j,
+                       spectrum.word_length * spectrum.q):
+            got = words.cycle_expansion(spectrum, weight, np.zeros(0), 5)
+            assert got.shape == (6, 0) and got.dtype == weight.dtype
+
     def test_longer_classes_not_read(self):
         (spectrum,) = class_spectra(
             [sample_group("g2_complex_a").generators], 8)

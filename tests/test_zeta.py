@@ -33,11 +33,12 @@ from oddzeta.moebius import (
     geodesic_invariants,
 )
 from oddzeta.quadrature import integrate_batch
-from oddzeta.words import PoincareEstimate, class_spectra
+from oddzeta import words
+from oddzeta.words import (PoincareEstimate, class_spectra, cycle_expansion,
+                           estimate_deltas)
 from oddzeta.zeta import (
     _SUM_BLOCK,
     _fsum,
-    _odd_weight,
     dlog_zeta_odd,
     eta,
     log_zeta_half,
@@ -357,6 +358,33 @@ def thick_terms(eta_thick_config):
                             config.delta_cutoff)
 
 
+class TestTraceBlock:
+    def test_block_size_moves_no_bits(self, thick_terms, monkeypatch):
+        # each lambda, t or node is its own row of np.add.reduceat, so the
+        # number of rows per block of _TRACE_BLOCK terms moves no bit
+        terms, N = thick_terms, thick_terms.cutoff
+        lam = np.linspace(0.0, 40.0 / terms.ell.min(), 31)
+        t = 1.0 / np.linspace(1e-3, 170.0 / terms.ell.min() ** 2, 31)
+        weight = terms.word_length / terms.j * terms.chi / terms.D
+
+        def values():
+            # one spectrum is a one-row stack; two are stacked rows
+            estimates = (estimate_deltas([terms], N)
+                         + estimate_deltas([terms, terms], N))
+            arrays = (dlog_zeta_odd(terms, lam),
+                      dlog_zeta_odd(terms, lam + 0.5j),
+                      odd_heat_trace(terms, t),
+                      cycle_expansion(terms, weight, lam - 0.4, N),
+                      np.array([[e.delta_hat, *e.bracket] for e in estimates]))
+            return [a.view(np.int64).tolist() for a in arrays]
+
+        default = values()
+        assert 1 < len(terms) < words._TRACE_BLOCK
+        for block in (1, 1 << 22):
+            monkeypatch.setattr(words, "_TRACE_BLOCK", block)
+            assert values() == default
+
+
 class TestExactRewrites:
     """Two reported agreements hold class by class in exact arithmetic,
     so they measure rounding, quadrature and the missing powers, never
@@ -392,7 +420,7 @@ class TestExactRewrites:
         (body,), (error,), _ = integrate_batch(
             lambda rows, lam: dlog_zeta_odd(terms, lam), [0.0], [lmax],
             tol, tol)
-        tail = 2j * _fsum(_odd_weight(terms) * np.exp(-lmax * terms.ell))
+        tail = 2j * _fsum(terms._odd_weight * np.exp(-lmax * terms.ell))
         route = (1j * (body + tail) / math.pi).real
         assert route == eta(terms, "lambda_integral")
         assert abs(route - central) <= error / math.pi + 1e-15
@@ -498,10 +526,10 @@ class TestGroupTerms:
                         == log_zeta_half(terms, sign, lam))
         for lam in (0.0, 0.4 - 0.3j):
             assert log_zeta_odd(shuffled, lam) == log_zeta_odd(terms, lam)
-        # the eta integrands reduce with numpy's pairwise sum: in either
-        # order within its rounding bound of the correctly rounded sum of
-        # the same per-class terms
-        ell, a = terms.ell, _odd_weight(terms)
+        # the eta integrands are np.add.reduceat rows (words._traces): in
+        # either order within a pairwise sum's rounding bound of the
+        # correctly rounded sum of the same per-class terms
+        ell, a = terms.ell, terms._odd_weight
         steps = math.ceil(math.log2(len(terms)))
 
         def near_fsum(values, per_class):
