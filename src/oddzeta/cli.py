@@ -199,7 +199,9 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
 
 #: kernels.csv columns: the row kind, where it is evaluated (t, r, lambda),
 #: the heat-kernel parts, the kernel value, the Gaussian quadrature check
-#: and a note naming a refusal
+#: and a note naming a refusal.  Each row kind is written from its own
+#: template, an empty cell where the kind has no value and a number's
+#: repr where it has one.
 _KERNEL_COLUMNS = (
     "kind", "t", "r", "lam_re", "lam_im",
     "p_plus_im", "p_minus_im", "plus_plus_minus", "p_middle",
@@ -209,26 +211,16 @@ _KERNEL_COLUMNS = (
 )
 
 
-def _kernel_row(kind: str, at, heat=(None,) * 4, value=(None,) * 2,
-                gaussian=(None,) * 4, note: Optional[str] = None) -> str:
-    """One kernels.csv line from the ordered cells of ``_KERNEL_COLUMNS``
-    (``at`` is t, r, lam_re, lam_im): None is an empty cell, a number its
-    repr."""
-    cells = [kind, *at, *heat, *value, *gaussian, note]
-    return ",".join("" if c is None else c if isinstance(c, str) else repr(c)
-                    for c in cells)
-
-
 #: the refusals a resolvent row of kernels.csv records as its note
 _RESOLVENT_NOTES = (PoleOfGamma, AtDiagonal, NoConvergence)
 
 
-def _resolvent_rows(lams, rs, d: int):
+def _resolvent_rows(lams, rs, at, d: int):
     """The resolvent and Dirac resolvent rows of kernels.csv at each
-    (lambda, r) pair: a pair either kind refuses with one of
-    ``_RESOLVENT_NOTES`` gets a note row, and every other pair of a kind
-    its value from one kernel call.  Any other refusal raises, the first
-    in row order."""
+    (lambda, r) pair, whose formatted r, lam_re and lam_im cells ``at``
+    holds: a pair either kind refuses with one of ``_RESOLVENT_NOTES``
+    gets a note row, and every other pair of a kind its value from one
+    kernel call.  Any other refusal raises, the first in row order."""
     kinds = (("resolvent", resolvent_scalar, False),
              ("dirac_resolvent", dirac_resolvent_scalar, True))
     refusals = [_kernel_refusals(lams, rs, d, dirac) for _, _, dirac in kinds]
@@ -245,14 +237,14 @@ def _resolvent_rows(lams, rs, d: int):
         values = iter(kernel(np.asarray(lams)[ok], np.asarray(rs)[ok],
                              d).tolist())
         rows = []
-        for lam, r, refusal in zip(lams, rs, refused):
-            at = (None, r, lam.real, lam.imag)
+        for where, refusal in zip(at, refused):
             if refusal is None:
                 val = next(values)
-                rows.append(_kernel_row(kind, at, value=(val.real, val.imag)))
+                rows.append(f"{kind},,{where},,,,,{val.real!r},{val.imag!r}"
+                            ",,,,,")
             else:
-                rows.append(_kernel_row(kind, at,
-                                        note=type(refusal).__name__))
+                rows.append(f"{kind},,{where},,,,,,,,,,,"
+                            f"{type(refusal).__name__}")
         columns.append(rows)
     return list(zip(*columns))
 
@@ -262,28 +254,32 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     lines = _metadata_lines(config, n=config.kernel_n, m=config.kernel_m,
                             d=config.kernel_d)
     lines.append(",".join(_KERNEL_COLUMNS))
+    # each grid coordinate's cell, formatted once
+    t_cells = [repr(t) for t in config.t_grid]
+    r_cells = [repr(r) for r in config.r_grid]
+    lam_cells = [f"{lam.real!r},{lam.imag!r}" for lam in config.lambda_grid]
     # p_plus of both kinds at every (t, r), t-major, from one call per kind;
     # tolist gives Python complex numbers, as the one-point functions do
     heat_t = [t for t in config.t_grid for _ in config.r_grid]
     heat_r = list(config.r_grid) * len(config.t_grid)
     spinor = heat_spinor_batch(heat_t, heat_r, config.kernel_n).tolist()
     signature = heat_signature_batch(heat_t, heat_r, config.kernel_m).tolist()
-    for t, r, pp, sp in zip(heat_t, heat_r, spinor, signature):
-        at = (t, r, None, None)
+    heat_at = [f"{t},{r}" for t in t_cells for r in r_cells]
+    for at, pp, sp in zip(heat_at, spinor, signature):
         pm, sm = -pp, -sp
-        lines.append(_kernel_row(
-            "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
-        lines.append(_kernel_row(
-            "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), 0.0)))
+        lines.append(f"heat_spinor,{at},,,{pp.imag!r},{pm.imag!r},"
+                     f"{abs(pp + pm)!r},,,,,,,,")
+        lines.append(f"heat_signature,{at},,,{sp.imag!r},{sm.imag!r},"
+                     f"{abs(sp + sm)!r},0.0,,,,,,,")
     # every (lambda, r) pair, lambda-major: its two resolvent rows, then its
     # Gaussian row, which waits for one quadrature over every convergent
     # pair (its line index, where it is evaluated, its closed form)
     pair_lam = [lam for lam in config.lambda_grid for _ in config.r_grid]
     pair_r = list(config.r_grid) * len(config.lambda_grid)
-    resolvent = _resolvent_rows(pair_lam, pair_r, config.kernel_d)
+    pair_at = [f"{r},{lam}" for lam in lam_cells for r in r_cells]
+    resolvent = _resolvent_rows(pair_lam, pair_r, pair_at, config.kernel_d)
     gaussian, lams, rs = [], [], []
-    for lam, r, rows in zip(pair_lam, pair_r, resolvent):
-        at = (None, r, lam.real, lam.imag)
+    for lam, r, at, rows in zip(pair_lam, pair_r, pair_at, resolvent):
         lines.extend(rows)
         try:
             closed = gaussian_time_integral(lam, r)
@@ -292,16 +288,15 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
             rs.append(r)
             lines.append(None)
         except DivergentIntegral:
-            lines.append(_kernel_row("gaussian", at,
-                                     note="DivergentIntegral"))
+            lines.append(f"gaussian,,{at},,,,,,,,,,,DivergentIntegral")
     quads, errs = gaussian_time_integral_quadrature(lams, rs,
                                                    tol=config.quad_tol)
     # Python numbers: a numpy scalar's repr is not a CSV cell
     for (index, at, closed), quad, err in zip(gaussian, quads.tolist(),
                                                errs.tolist()):
-        lines[index] = _kernel_row(
-            "gaussian", at, value=(closed.real, closed.imag),
-            gaussian=(quad.real, quad.imag, abs(closed - quad), err))
+        lines[index] = (f"gaussian,,{at},,,,,{closed.real!r},"
+                        f"{closed.imag!r},{quad.real!r},{quad.imag!r},"
+                        f"{abs(closed - quad)!r},{err!r},")
     return _write_text(out_dir / "kernels.csv", "\n".join(lines) + "\n")
 
 

@@ -33,6 +33,11 @@ from .special import _exp, gamma_quotient, hyp2f1, is_nonpositive_integer
 from .special import _refusals as _hyp2f1_refusals
 
 _LOG2 = math.log(2.0)
+#: log(2800): the Gaussian quadrature starts where r^2/4t = 700
+_LOG_2800 = math.log(2800.0)
+_LOG4 = math.log(4.0)
+#: (4 pi)^(-3/2), the Gaussian integrand's constant
+_FOUR_PI_POW = (4.0 * math.pi) ** -1.5
 
 
 def c_lambda(lam):
@@ -130,7 +135,10 @@ def _resolvent(lam, r, d: int, dirac: bool):
                      + _log_sinh_half(r))
     else:
         power = _exp(-(d + 2.0 * lam) * _log_cosh_half(r))
-    value = pref * gam * power * hyp2f1(a, b, c, _sech2_half(r))
+    # 1 - z = tanh^2(r/2) directly: near the diagonal, 1 - sech^2(r/2)
+    # would lose its digits to cancellation
+    value = pref * gam * power * hyp2f1(a, b, c, _sech2_half(r),
+                                        np.tanh(0.5 * r) ** 2)
     return value.reshape(shape)[()]
 
 
@@ -361,9 +369,20 @@ def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
     ``lam`` and ``r`` broadcast against each other; every pair is checked
     as by :func:`gaussian_time_integral`, the first bad one raising.
     Returns (values, reported_absolute_errors) in the broadcast shape
-    (0-d arrays for scalar inputs), where each error combines the
-    quadrature estimate and the analytic bound on the truncated tail.
-    All pairs are integrated in one lockstep ``integrate_batch`` call.
+    (0-d arrays for scalar inputs).  All pairs are integrated in one
+    lockstep ``integrate_batch`` call.
+
+    The integral runs in u = log t, over f(e^u) e^u du from
+    u = 2 log r - log 2800, where r^2/4t = 700, to log ``upper``: in u the
+    Gaussian onset near t ~ r^2 is one scale like any other, so no
+    bisection cascade is needed to reach it.  The mass below the lower
+    end, int_0^(r^2/2800) |f| dt <= erfc(sqrt 700) / (4 pi r), about
+    1e-306 / r, is left out; the analytic bound on the tail above
+    ``upper`` is added to each reported error.  An integral stops once
+    its error estimate is below ``tol`` times the larger of |value| and
+    int_0^inf |f| dt = exp(-r sqrt(mu)) / (4 pi r), mu = Re(lambda^2):
+    the absolute floor lets a value that cancels far below its
+    integrand converge.
     """
     lam_b, r_b = np.broadcast_arrays(np.asarray(lam, dtype=complex),
                                      np.asarray(r, dtype=float))
@@ -372,19 +391,24 @@ def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
     mu = [l2.real for l2 in lam2]
     upper = [max(1.0, 40.0 / m, 5.0 * d / (2.0 * math.sqrt(m)))
              for m, d in zip(mu, rs)]
+    log_r = [math.log(d) for d in rs]
+    lower = [2.0 * x - _LOG_2800 for x in log_r]
+    floor = [tol * math.exp(-d * math.sqrt(m)) / (4.0 * math.pi * d)
+             for m, d in zip(mu, rs)]
     lam2_a = np.array(lam2, dtype=complex)
-    r_sq = np.array([d * d for d in rs])
+    # log(r^2/4): r^2/4t = exp(log(r^2/4) - u) holds no r^2 or t that
+    # could underflow
+    log_quarter_r_sq = np.array([2.0 * x - _LOG4 for x in log_r])
 
-    def integrand(rows, t):
-        arg = r_sq[rows, None] / (4.0 * t)
-        value = (np.exp(-t * lam2_a[rows, None])
-                 * np.float_power(4.0 * math.pi * t, -1.5) * np.exp(-arg))
-        value[arg > 700.0] = 0.0
-        return value
+    def integrand(rows, u):
+        # f(t) t = (4 pi)^(-3/2) exp(-t lambda^2 - r^2/4t - u/2), t = e^u
+        return _FOUR_PI_POW * np.exp(
+            -np.exp(u) * lam2_a[rows, None]
+            - np.exp(log_quarter_r_sq[rows, None] - u) - 0.5 * u)
 
-    # pure relative control: the value can be exponentially small in r
-    values, errors, _ = integrate_batch(integrand, [0.0] * len(rs), upper,
-                                        tol_abs=0.0, tol_rel=tol)
+    values, errors, _ = integrate_batch(integrand, lower,
+                                        np.log(upper).tolist(),
+                                        tol_abs=floor, tol_rel=tol)
     reported = [err + (4.0 * math.pi * up) ** -1.5 * math.exp(-up * m) / m
                 for err, up, m in zip(errors, upper, mu)]
     return (np.array(values, dtype=complex).reshape(lam_b.shape),

@@ -28,7 +28,7 @@ finite is refused at once: no subdivision can make the sum finite.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def integrate_batch(
     f: BatchIntegrand,
     a: Sequence[float],
     b: Sequence[float],
-    tol_abs: float = 1e-12,
+    tol_abs: Union[float, Sequence[float]] = 1e-12,
     tol_rel: float = 1e-12,
 ) -> Tuple[List[complex], List[float], List[int]]:
     """Integrate m integrals over [a_i, b_i] in lockstep; returns lists
@@ -104,12 +104,14 @@ def integrate_batch(
 
     Each integral bisects its panel with the largest error estimate until
     its summed estimate meets ``tol_abs`` or ``tol_rel`` (whichever is
-    looser).  Raises :class:`NoConvergence` if an integral would need more
+    looser); ``tol_abs`` is one value for every integral or one value
+    each.  Raises :class:`NoConvergence` if an integral would need more
     than ``MAX_PANELS`` panels, or at once for a panel whose value or
     estimate is not finite.
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
+    floor = np.broadcast_to(np.asarray(tol_abs, dtype=float), a.shape)
     # per integral: (error bound, re value, im value) and its panel count
     totals = np.zeros((len(a), 3))
     panels = np.zeros(len(a), dtype=int)
@@ -138,7 +140,7 @@ def integrate_batch(
         # neither other rows nor zeroed slots can move a bit of them
         sums = np.add.accumulate(store[:, :, :3], axis=1)[:, -1]
         done = sums[:, 0] <= np.maximum(
-            tol_abs, tol_rel * np.hypot(sums[:, 1], sums[:, 2]))
+            floor[rows], tol_rel * np.hypot(sums[:, 1], sums[:, 2]))
         if done.any():
             finished = rows[done]
             totals[finished] = sums[done]

@@ -238,9 +238,13 @@ def _refusals(a, b, c, z):
     return out
 
 
-def hyp2f1(a, b, c, z):
+def hyp2f1(a, b, c, z, one_minus_z=None):
     """Gauss hypergeometric 2F1(a, b; c; z) on the closed unit disk, at
     every point of the broadcast arguments.
+
+    ``one_minus_z``, when given, is 1 - z at every point, computed by the
+    caller without the cancellation of 1 - z near z = 1: the connection
+    formula's series and power run in it instead of in 1 - z.
 
     Raises PoleAtC for nonpositive-integer c and NoConvergence where the
     series and its transformations cannot deliver the value (a non-finite
@@ -248,7 +252,9 @@ def hyp2f1(a, b, c, z):
     corners such as integral c - a - b right at z = 1); of several such
     points, the first raises.
     """
-    (a, b, c, z), shape = _flat(a, b, c, z)
+    if one_minus_z is None:
+        one_minus_z = 1.0 - np.asarray(z, dtype=complex)
+    (a, b, c, z, w), shape = _flat(a, b, c, z, one_minus_z)
     branch = _branches(a, b, c, z)
     refused = branch < _ZERO
     if refused.any():
@@ -261,7 +267,7 @@ def hyp2f1(a, b, c, z):
         for code in (_SERIES, _PFAFF, _CONNECT, _AT_ONE))
     ap, bp, cp, zp = a[pfaff], b[pfaff], c[pfaff], z[pfaff]
     ac, bc, cc = a[connect], b[connect], c[connect]
-    s, u = cc - ac - bc, 1.0 - z[connect]
+    s, u = cc - ac - bc, w[connect]
     with np.errstate(over="raise"):
         # every branch's series in one lockstep pass: the direct one, the
         # Pfaff one in z/(z - 1) and the two connection series in 1 - z

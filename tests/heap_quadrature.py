@@ -51,7 +51,7 @@ def integrate_batch(
     f: BatchIntegrand,
     a: Sequence[float],
     b: Sequence[float],
-    tol_abs: float = 1e-12,
+    tol_abs=1e-12,
     tol_rel: float = 1e-12,
 ) -> Tuple[List[complex], List[float], List[int]]:
     """Integrate m integrals over [a_i, b_i] in lockstep; returns lists
@@ -60,13 +60,15 @@ def integrate_batch(
 
     Each integral bisects its panel with the largest error estimate until
     its summed estimate meets ``tol_abs`` or ``tol_rel`` (whichever is
-    looser).  Raises :class:`NoConvergence` if an integral would need more
+    looser); ``tol_abs`` is one value for every integral or one value
+    each.  Raises :class:`NoConvergence` if an integral would need more
     than ``MAX_PANELS`` panels, or at once for a panel whose value or
     estimate is not finite.
     """
     MAX_PANELS = quadrature.MAX_PANELS
     a, b = [float(x) for x in a], [float(x) for x in b]
     m = len(a)
+    floors = np.broadcast_to(np.asarray(tol_abs, dtype=float), m).tolist()
     values: List[complex] = [0.0 + 0.0j] * m
     errors = [0.0] * m
     panels = [0] * m
@@ -90,7 +92,7 @@ def integrate_batch(
             heap = heaps[i]
             total = sum(item[4] for item in heap)
             total_err = sum(item[5] for item in heap)
-            if total_err <= max(tol_abs, tol_rel * abs(total)):
+            if total_err <= max(floors[i], tol_rel * abs(total)):
                 values[i], errors[i] = total, total_err
                 continue
             if panels[i] + 2 > MAX_PANELS:

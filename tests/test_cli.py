@@ -27,8 +27,11 @@ from oddzeta.config import (
     parse_complex,
     parse_config,
 )
-from oddzeta.kernels import (dirac_resolvent_scalar, heat_signature_batch,
-                             heat_spinor_batch, resolvent_scalar)
+from oddzeta.kernels import (dirac_resolvent_scalar, gaussian_time_integral,
+                             gaussian_time_integral_quadrature,
+                             heat_signature_batch, heat_spinor_batch,
+                             resolvent_scalar)
+from oddzeta.kernels import _refusals as _kernel_refusals
 from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import sample_group
 from oddzeta.words import class_spectra, estimate_deltas, word_to_str
@@ -685,14 +688,115 @@ class TestKernelsCommand:
             assert float(r["gaussian_absdiff"]) <= float(r["reported_err"]), r
 
     def test_underflowing_lambda_square_exits_4(self, tmp_path, capsys):
-        # lambda^2 = 1e-320 > 0 puts the quadrature's upper limit at inf
+        # lambda^2 = 1e-320 > 0 puts the quadrature's upper limit at inf;
+        # in u = log t the first panel starts where r^2/4t = 700, at r = 1
         cfg = write(tmp_path, "k.cfg", REAL_PAIR.replace(
             "lambda = 0+0i 0.3+0i 1+0i", "lambda = 1e-160+0i")
             + "t = 1\nr = 1 2\n")
         out = tmp_path / "out"
         assert main(["kernels", "--config", cfg, "--out", str(out)]) == 4
-        assert "panel [0.0, inf]" in capsys.readouterr().err
+        assert (f"panel [{-math.log(2800.0)!r}, inf]"
+                in capsys.readouterr().err)
         assert not (out / "kernels.csv").exists()
+
+    def test_cancelling_gaussian_pair_exits_0(self, tmp_path):
+        # lambda = 3+2.9i at r = 20, whose value cancels far below its
+        # integrand, converges on the absolute floor; under pure relative
+        # control the run exited 4 with NoConvergence at 4 095 panels
+        cfg = write(tmp_path, "k.cfg", REAL_PAIR.replace(
+            "lambda = 0+0i 0.3+0i 1+0i", "lambda = 3+2.9i")
+            + "t = 1\nr = 20\n")
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        header = lines[0].split(",")
+        (row,) = [dict(zip(header, l.split(","))) for l in lines[1:]
+                  if l.startswith("gaussian,")]
+        assert not row["note"]
+        assert float(row["gaussian_absdiff"]) <= float(row["reported_err"])
+
+    @pytest.mark.parametrize("grids", [
+        None,  # the bench config
+        # gamma poles, odd-d near-diagonal refusals, divergent Gaussians
+        "lambda = -0.5+0i 0+0i 0.2+0.5i 0.3+0i 1+1.2i\n"
+        "t = 0.5 1\nr = 0.04 0.5 2.0\n[kernels]\nd = 3\n",
+        # negative zeros, a heat row past the Gaussian's underflow
+        "lambda = 0.5-0.1i 2+0i\nt = 0.01 3\nr = 1e-300 0.1 30\n",
+    ])
+    def test_rows_equal_the_reference_writer(self, tmp_path, grids):
+        # each row kind's template against the per-cell writer it
+        # replaced, byte for byte
+        if grids is None:
+            cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
+        else:
+            cfg = write(tmp_path, "k.cfg", REAL_PAIR.split("[grids]")[0]
+                        + "[grids]\n" + grids)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert ((tmp_path / "kernels.csv").read_text()
+                == reference_kernels_csv(load_config(cfg)))
+
+
+def _kernel_row(kind: str, at, heat=(None,) * 4, value=(None,) * 2,
+                gaussian=(None,) * 4, note=None) -> str:
+    """One kernels.csv line from the ordered cells of
+    ``cli._KERNEL_COLUMNS`` (``at`` is t, r, lam_re, lam_im): None is an
+    empty cell, a number its repr.  The per-cell writer the CLI's row
+    templates replaced, kept as their reference."""
+    cells = [kind, *at, *heat, *value, *gaussian, note]
+    return ",".join("" if c is None else c if isinstance(c, str) else repr(c)
+                    for c in cells)
+
+
+def reference_kernels_csv(config) -> str:
+    """kernels.csv as ``oddzeta kernels`` wrote it cell by cell through
+    ``_kernel_row``, from the same kernel calls."""
+    lines = cli._metadata_lines(config, n=config.kernel_n,
+                                m=config.kernel_m, d=config.kernel_d)
+    lines.append(",".join(cli._KERNEL_COLUMNS))
+    heat_t = [t for t in config.t_grid for _ in config.r_grid]
+    heat_r = list(config.r_grid) * len(config.t_grid)
+    spinor = heat_spinor_batch(heat_t, heat_r, config.kernel_n).tolist()
+    signature = heat_signature_batch(heat_t, heat_r, config.kernel_m).tolist()
+    for t, r, pp, sp in zip(heat_t, heat_r, spinor, signature):
+        at = (t, r, None, None)
+        pm, sm = -pp, -sp
+        lines.append(_kernel_row(
+            "heat_spinor", at, (pp.imag, pm.imag, abs(pp + pm), None)))
+        lines.append(_kernel_row(
+            "heat_signature", at, (sp.imag, sm.imag, abs(sp + sm), 0.0)))
+    pairs = [(lam, r) for lam in config.lambda_grid for r in config.r_grid]
+    kinds = (("resolvent", resolvent_scalar, False),
+             ("dirac_resolvent", dirac_resolvent_scalar, True))
+    gaussian, lams, rs = [], [], []
+    for lam, r in pairs:
+        at = (None, r, lam.real, lam.imag)
+        for kind, kernel, dirac in kinds:
+            (refusal,) = _kernel_refusals([lam], [r], config.kernel_d, dirac)
+            if refusal is None:
+                val = kernel(lam, r, config.kernel_d).item()
+                lines.append(_kernel_row(kind, at,
+                                         value=(val.real, val.imag)))
+            else:
+                lines.append(_kernel_row(kind, at,
+                                         note=type(refusal).__name__))
+        try:
+            closed = gaussian_time_integral(lam, r)
+        except errors.DivergentIntegral:
+            lines.append(_kernel_row("gaussian", at,
+                                     note="DivergentIntegral"))
+            continue
+        gaussian.append((len(lines), at, closed))
+        lams.append(lam)
+        rs.append(r)
+        lines.append(None)
+    quads, errs = gaussian_time_integral_quadrature(lams, rs,
+                                                   tol=config.quad_tol)
+    for (index, at, closed), quad, err in zip(gaussian, quads.tolist(),
+                                               errs.tolist()):
+        lines[index] = _kernel_row(
+            "gaussian", at, value=(closed.real, closed.imag),
+            gaussian=(quad.real, quad.imag, abs(closed - quad), err))
+    return "\n".join(lines) + "\n"
 
 
 class TestScanCommand:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import scalar_special
 from oddzeta import kernels, quadrature
+from oddzeta.config import load_config
 from oddzeta.errors import (
     AtDiagonal,
     DivergentIntegral,
@@ -24,6 +26,7 @@ from oddzeta.kernels import (
     resolvent_scalar,
 )
 from oddzeta.kernels import _neg_dcosh_power
+from test_words import _workloads
 
 
 class TestCLambda:
@@ -179,9 +182,11 @@ class TestResolventScalars:
 
     def test_within_bound_of_scalar_reference(self, kernels_config):
         # the benchmark's seed-0 grid against the one-point reference: the
-        # two round z = sech^2(r/2) apart, and the connection formula
-        # carries that into a relative change of about eps / (1 - z); the
-        # bound is 64 eps / (1 - z), measured at most 33 on seeds 0-10
+        # reference forms 1 - z from the rounded z = sech^2(r/2), the array
+        # kernels take tanh^2(r/2), and the connection formula carries the
+        # reference's rounding into a relative error of about
+        # eps / (1 - z); the bound is 64 eps / (1 - z), measured at most 33
+        # on seeds 0-10
         lam = np.array(kernels_config.lambda_grid)[:, None]
         r = np.array(kernels_config.r_grid)
         slack = 64 * 2.0 ** -52 / (1.0 - np.cosh(0.5 * r) ** -2)
@@ -450,6 +455,14 @@ class TestGaussianTimeIntegral:
         with pytest.raises(DivergentIntegral):
             gaussian_time_integral_quadrature(cmath.exp(0.26j * math.pi), 1.0)
 
+    def test_tiny_distance_converges(self):
+        # in u = log t no node forms r^2 or t, so r^2 underflowing to 0
+        # costs nothing; in t the quadrature met 0/0 at r <= 1e-150
+        for r in (1e-150, 1e-300):
+            closed = gaussian_time_integral(0.5 - 0.1j, r)
+            quad, err = gaussian_time_integral_quadrature(0.5 - 0.1j, r)
+            assert abs(closed - quad) <= err <= 2e-11 * abs(closed)
+
     @pytest.mark.parametrize("integral", [gaussian_time_integral,
                                           gaussian_time_integral_quadrature])
     def test_nan_distance_refused(self, integral):
@@ -462,9 +475,37 @@ class TestGaussianTimeIntegral:
     def test_underflowing_lambda_square_refused_at_once(self):
         # lambda^2 = 1e-320 passes Re(lambda^2) > 0, but the upper limit
         # 40/mu is inf, so every node is NaN; before, the quadrature
-        # bisected to 4 097 panels before it raised
-        with pytest.raises(NoConvergence, match=r"panel \[0.0, inf\]"):
+        # bisected to 4 097 panels before it raised.  In u = log t the
+        # panel runs from log(1/2800), where r^2/4t = 700 at r = 1
+        lower = -math.log(2800.0)
+        with pytest.raises(NoConvergence,
+                           match=re.escape(f"panel [{lower!r}, inf]")):
             gaussian_time_integral_quadrature(1e-160, 1.0)
+
+    def test_cancelling_pair_converges_on_the_absolute_floor(self,
+                                                               monkeypatch):
+        # at lambda = 3+2.9i, r = 20 the value, about 3.5e-29, is far
+        # below int |f| dt = e^(-r sqrt(mu)) / (4 pi r), about 8.6e-10:
+        # under pure relative control the estimate stalled near 3.4e-24
+        # and the quadrature ran out of panels; the floor tol int |f|
+        # stops it, and the closed form lies within the reported error
+        panels = []
+
+        def count(*args, **kwargs):
+            result = quadrature.integrate_batch(*args, **kwargs)
+            panels.extend(result[2])
+            return result
+
+        monkeypatch.setattr(kernels, "integrate_batch", count)
+        lam, r, tol = 3 + 2.9j, 20.0, 1e-11
+        value, err = gaussian_time_integral_quadrature(lam, r, tol=tol)
+        mu = (lam * lam).real
+        floor = tol * math.exp(-r * math.sqrt(mu)) / (4.0 * math.pi * r)
+        upper = 40.0 / mu
+        tail = (4.0 * math.pi * upper) ** -1.5 * math.exp(-upper * mu) / mu
+        assert panels == [437]
+        assert abs(gaussian_time_integral(lam, r) - value) <= err
+        assert err <= floor + tail
 
     def test_grid_matches_the_scalar_integrand(self, kernels_config):
         # lambda and r broadcast to the (r, lambda) grid; each value is the
@@ -500,32 +541,81 @@ class TestGaussianTimeIntegral:
         (f, a, b, tol_abs, tol_rel), = calls
         values, errors, panels = quadrature.integrate_batch(
             f, a, b, tol_abs, tol_rel)
-        assert sum(panels[:-1]) == 15966
+        assert sum(panels[:-1]) == 9120
         assert panels[-1] > 2 * max(panels[:-1])
         for i in range(len(a)):
             alone = quadrature.integrate_batch(
                 lambda rows, x: f(rows + i, x), [a[i]], [b[i]],
-                tol_abs, tol_rel)
+                [tol_abs[i]], tol_rel)
             assert alone == ([values[i]], [errors[i]], [panels[i]])
+
+    @pytest.mark.parametrize("seed", range(11))
+    def test_within_both_errors_of_the_time_space_quadrature(self, seed,
+                                                             tmp_path):
+        # the log-time values against the t-space quadrature they
+        # replaced, on each seed's bench grid: the two differ by no more
+        # than the sum of their reported errors
+        path = tmp_path / "kernels.cfg"
+        path.write_text(_workloads().generate(seed)["kernels.cfg"])
+        config = load_config(str(path))
+        lam = np.array(config.lambda_grid)
+        r = np.array(config.r_grid)[:, None]
+        values, errors = gaussian_time_integral_quadrature(
+            lam, r, tol=config.quad_tol)
+        old, old_errors = time_space_gaussian_quadrature(
+            lam, r, config.quad_tol)
+        assert (np.abs(values - old) <= errors + old_errors).all()
 
 
 def scalar_gaussian_quadrature(lam: complex, r: float, tol: float):
     """One pair's Gaussian time integral through a one-row
-    ``integrate_batch``, with the integrand evaluated node by node in
-    cmath and math."""
+    ``integrate_batch`` in u = log t, with the integrand evaluated node
+    by node in cmath and math."""
     lam2 = lam * lam
     mu = lam2.real
+    log_quarter_r_sq = 2.0 * math.log(r) - math.log(4.0)
 
-    def integrand(t):
-        arg = r * r / (4.0 * t)
-        if arg > 700.0:
-            return 0.0 + 0.0j
-        return (cmath.exp(-t * lam2) * (4.0 * math.pi * t) ** -1.5
-                * math.exp(-arg))
+    def integrand(u):
+        # r^2/4t as exp(log(r^2/4) - u), t = e^u
+        return ((4.0 * math.pi) ** -1.5
+                * cmath.exp(-math.exp(u) * lam2
+                            - math.exp(log_quarter_r_sq - u) - 0.5 * u))
 
     upper = max(1.0, 40.0 / mu, 5.0 * r / (2.0 * math.sqrt(mu)))
+    floor = tol * math.exp(-r * math.sqrt(mu)) / (4.0 * math.pi * r)
     values, errors, _ = quadrature.integrate_batch(
-        lambda rows, x: [[integrand(t) for t in panel]
+        lambda rows, x: [[integrand(u) for u in panel]
                          for panel in x.tolist()],
-        [0.0], [upper], tol_abs=0.0, tol_rel=tol)
+        [2.0 * math.log(r) - math.log(2800.0)], [math.log(upper)],
+        tol_abs=floor, tol_rel=tol)
     return values[0], errors[0]
+
+
+def time_space_gaussian_quadrature(lam, r, tol: float):
+    """The Gaussian time integral as ``kernels`` computed it before it
+    moved to u = log t: one lockstep quadrature in t over [0, upper] of
+    e^(-t lambda^2) (4 pi t)^(-3/2) e^(-r^2/4t), zeroed where
+    r^2/4t > 700, under pure relative control.  Returns (values,
+    reported errors, the tail bound included) in the broadcast shape."""
+    lam, r = np.broadcast_arrays(np.asarray(lam, dtype=complex),
+                                 np.asarray(r, dtype=float))
+    lam2 = lam.ravel() ** 2
+    mu = lam2.real
+    r_sq = r.ravel() ** 2
+    upper = np.maximum(np.maximum(1.0, 40.0 / mu),
+                       5.0 * r.ravel() / (2.0 * np.sqrt(mu)))
+
+    def integrand(rows, t):
+        arg = r_sq[rows, None] / (4.0 * t)
+        value = (np.exp(-t * lam2[rows, None])
+                 * np.float_power(4.0 * math.pi * t, -1.5) * np.exp(-arg))
+        value[arg > 700.0] = 0.0
+        return value
+
+    values, errors, _ = quadrature.integrate_batch(
+        integrand, [0.0] * lam2.size, upper.tolist(), tol_abs=0.0,
+        tol_rel=tol)
+    reported = (np.array(errors) + (4.0 * math.pi * upper) ** -1.5
+                * np.exp(-upper * mu) / mu)
+    return (np.array(values).reshape(lam.shape),
+            reported.reshape(lam.shape))

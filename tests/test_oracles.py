@@ -187,6 +187,20 @@ def test_resolvent_ladder(seed, tmp_path):
     assert worst["array"] <= 1.1 * worst["reference"]
 
 
+def test_resolvent_near_the_diagonal():
+    # the seed-10 bench pair nearest the diagonal: hyp2f1's connection
+    # formula runs in 1 - z = tanh^2(r/2), computed directly; from
+    # 1 - the rounded sech^2(r/2) the values were 2942 eps (Dirac,
+    # 6.5e-13) and 1110 eps off, now 9.9 and 5.3 eps
+    lam, r, d = (3.001206581659285 + 1.1252800753610543j,
+                 0.04670133967442327, 2)
+    for kernel, dirac in ((dirac_resolvent_scalar, True),
+                          (resolvent_scalar, False)):
+        ref = resolvent_oracle(lam, r, d, dirac)
+        error = abs(mp.mpc(kernel(lam, r, d).item()) - ref) / abs(ref)
+        assert error <= 32 * np.finfo(float).eps
+
+
 def newton_oracle(traces):
     """c_0..c_N of Newton's identities, n c_n = -sum_k t_k c_(n-k), on the
     float traces t_1..t_N, in mpmath."""

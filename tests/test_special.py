@@ -185,6 +185,21 @@ class TestArrayValues:
                 assert bits(grid[i, j]) == bits(
                     hyp2f1(a[i, 0], b[i, 0], c[i, 0], z[j]))
 
+    def test_one_minus_z_feeds_the_connection_formula(self):
+        # 1 - z given as 1 - z leaves every branch's bits alone; given
+        # exactly, it moves only the connection branch's value, which then
+        # no longer inherits the rounding of z near 1
+        points = list(BRANCH_POINTS.values())
+        a, b, c, z = map(np.array, zip(*points))
+        z = z.astype(complex)
+        plain = hyp2f1(a, b, c, z)
+        assert bits(hyp2f1(a, b, c, z, 1.0 - z)) == bits(plain)
+        shifted = hyp2f1(a, b, c, z, (1.0 - z) * (1.0 + 2.0 ** -40))
+        branch = special._branches(a, b, c, z)
+        moved = np.array([bits(x) != bits(y)
+                          for x, y in zip(shifted, plain)])
+        assert (moved == (branch == special._CONNECT)).all()
+
     def test_first_refused_point_raises(self):
         ok, outside, pole = ((0.5, 0.5, 2.0, 0.3), (0.5, 0.5, 1.5, 1.5),
                              (0.5, 0.5, -2.0, 0.3))

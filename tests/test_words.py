@@ -1002,3 +1002,39 @@ class TestCycleExpansion:
         short = words.cycle_expansion(part, weight[:len(part)], lam, 6)
         assert long.shape == (7, 2)
         assert np.array_equal(long.view(np.int64), short.view(np.int64))
+
+
+class TestTraces:
+    @pytest.mark.parametrize("complex_x", [False, True])
+    @pytest.mark.parametrize("rows", [
+        # runs of one row, as the grid scan stacks them: each block
+        # broadcasts its row
+        [0] * 7 + [1] * 7 + [2] * 7,
+        # a trial or two per row, as the root-finding rounds stack them:
+        # the blocks gather their rows
+        [0, 0, 1, 2, 2, 1, 0],
+        [2],
+        [],
+    ])
+    def test_stacked_call_equals_per_row_calls(self, rows, complex_x,
+                                               monkeypatch):
+        # three rows of 40 terms in shells of 3, 7, 10 and 20, three x to
+        # a block: every x of a stacked call gets the bits of a one-row
+        # call at that x alone
+        (spectrum,) = class_spectra(
+            [sample_group("g2_complex_a").generators], 6)
+        rng = np.random.default_rng(7)
+        y = np.abs(spectrum.ell[None, :40] + rng.random((3, 40)))
+        weight = (spectrum.word_length[None, :40] * rng.random((3, 40))
+                  * (1.0 + 0.5j))
+        starts = np.array([0, 3, 10, 20])
+        rows = np.array(rows, dtype=int)
+        x = rng.random(len(rows)) + (0.3j if complex_x else 0.0)
+        monkeypatch.setattr(words, "_TRACE_BLOCK", 3 * 40)
+        stacked = words._traces(y, weight, starts, rows, x)
+        assert stacked.shape == (len(rows), len(starts))
+        for i, row in enumerate(rows.tolist()):
+            alone = words._traces(y[row:row + 1], weight[row:row + 1],
+                                  starts, None, x[i:i + 1])
+            assert np.array_equal(stacked[i:i + 1].view(np.int64),
+                                  alone.view(np.int64))
