@@ -199,9 +199,10 @@ def cmd_eta(config: RunConfig, out_dir: Path) -> Path:
 
 #: kernels.csv columns: the row kind, where it is evaluated (t, r, lambda),
 #: the heat-kernel parts, the kernel value, the Gaussian quadrature check
-#: and a note naming a refusal.  Each row kind is written from its own
-#: template, an empty cell where the kind has no value and a number's
-#: repr where it has one.
+#: and a note naming a refusal, or ``AbsoluteFloor`` on a Gaussian row
+#: whose reported_err exceeds |value| and so verifies no digit of the
+#: closed form.  Each row kind is written from its own template, an empty
+#: cell where the kind has no value and a number's repr where it has one.
 _KERNEL_COLUMNS = (
     "kind", "t", "r", "lam_re", "lam_im",
     "p_plus_im", "p_minus_im", "plus_plus_minus", "p_middle",
@@ -294,9 +295,10 @@ def cmd_kernels(config: RunConfig, out_dir: Path) -> Path:
     # Python numbers: a numpy scalar's repr is not a CSV cell
     for (index, at, closed), quad, err in zip(gaussian, quads.tolist(),
                                                errs.tolist()):
+        note = "AbsoluteFloor" if err > abs(closed) else ""
         lines[index] = (f"gaussian,,{at},,,,,{closed.real!r},"
                         f"{closed.imag!r},{quad.real!r},{quad.imag!r},"
-                        f"{abs(closed - quad)!r},{err!r},")
+                        f"{abs(closed - quad)!r},{err!r},{note}")
     return _write_text(out_dir / "kernels.csv", "\n".join(lines) + "\n")
 
 

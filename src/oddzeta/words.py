@@ -385,34 +385,19 @@ def _shells(word_length: np.ndarray, N: int):
 def _traces(y: np.ndarray, weight: np.ndarray, starts, rows,
             x: np.ndarray) -> np.ndarray:
     """Sums of weight e^(-x[i] y) over row rows[i] of the stacked 2-D
-    ``y`` and ``weight`` (one row: rows unread), one per run beginning at
-    ``starts``, shape (len(x), len(starts)): the shell traces and both
-    eta integrands.  Each x is its own row of ``np.add.reduceat``, in
-    blocks of at most ``_TRACE_BLOCK`` terms, so its bits depend on no
-    batch or block size; no x or no term gives 0.
-
-    A block takes the x of one run of equal rows and broadcasts that
-    row's ``y`` and ``weight`` against them.  Where a stack has more
-    runs than blocks (the lockstep root-finding rounds, a trial or two
-    per row), per-run blocks would multiply the numpy calls, and each
-    block gathers the rows of its x instead."""
+    ``y`` and ``weight`` (one row: broadcast, rows unread), one per run
+    beginning at ``starts``, shape (len(x), len(starts)): the shell
+    traces and both eta integrands.  Each x is its own row of
+    ``np.add.reduceat``, in blocks of at most ``_TRACE_BLOCK`` terms, so
+    its bits depend on no batch or block size; no x or no term gives 0."""
     t = np.zeros((len(x), len(starts)), np.result_type(weight, x, y))
-    if not y.shape[1]:
-        return t
-    step = max(1, _TRACE_BLOCK // y.shape[1])
-    cuts, gather = [0, len(x)], False
-    if len(y) > 1:
-        changes = (np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist()
-        gather = len(changes) >= -(-len(x) // step)  # more runs than blocks
-        if not gather:
-            cuts[1:1] = changes
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        for k in range(lo, hi, step):
-            end = min(k + step, hi)
-            row = rows[k:end] if gather else rows[k] if len(y) > 1 else 0
-            t[k:end] = np.add.reduceat(
-                weight[row] * np.exp(-x[k:end, None] * y[row]), starts,
-                axis=1)
+    if y.shape[1]:
+        step = max(1, _TRACE_BLOCK // y.shape[1])
+        for k in range(0, len(x), step):
+            block = rows[k:k + step] if len(y) > 1 else 0
+            t[k:k + step] = np.add.reduceat(
+                weight[block] * np.exp(-x[k:k + step, None] * y[block]),
+                starts, axis=1)
     return t
 
 

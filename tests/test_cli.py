@@ -702,18 +702,26 @@ class TestKernelsCommand:
     def test_cancelling_gaussian_pair_exits_0(self, tmp_path):
         # lambda = 3+2.9i at r = 20, whose value cancels far below its
         # integrand, converges on the absolute floor; under pure relative
-        # control the run exited 4 with NoConvergence at 4 095 panels
+        # control the run exited 4 with NoConvergence at 4 095 panels.
+        # Its reported_err exceeds the value, so the row says it verifies
+        # nothing; the r = 0.5 row's error is far below its value
         cfg = write(tmp_path, "k.cfg", REAL_PAIR.replace(
             "lambda = 0+0i 0.3+0i 1+0i", "lambda = 3+2.9i")
-            + "t = 1\nr = 20\n")
+            + "t = 1\nr = 0.5 20\n")
         assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
                  if not l.startswith("#")]
         header = lines[0].split(",")
-        (row,) = [dict(zip(header, l.split(","))) for l in lines[1:]
-                  if l.startswith("gaussian,")]
-        assert not row["note"]
-        assert float(row["gaussian_absdiff"]) <= float(row["reported_err"])
+        near, far = [dict(zip(header, l.split(","))) for l in lines[1:]
+                     if l.startswith("gaussian,")]
+        assert (near["r"], far["r"]) == ("0.5", "20.0")
+        value = abs(complex(float(far["value_re"]), float(far["value_im"])))
+        assert float(far["reported_err"]) > value
+        assert far["note"] == "AbsoluteFloor"
+        assert not near["note"]
+        for row in near, far:
+            assert (float(row["gaussian_absdiff"])
+                    <= float(row["reported_err"]))
 
     @pytest.mark.parametrize("grids", [
         None,  # the bench config
@@ -722,6 +730,8 @@ class TestKernelsCommand:
         "t = 0.5 1\nr = 0.04 0.5 2.0\n[kernels]\nd = 3\n",
         # negative zeros, a heat row past the Gaussian's underflow
         "lambda = 0.5-0.1i 2+0i\nt = 0.01 3\nr = 1e-300 0.1 30\n",
+        # a Gaussian row stopped on the absolute floor: AbsoluteFloor
+        "lambda = 3+2.9i\nt = 1\nr = 0.5 20\n",
     ])
     def test_rows_equal_the_reference_writer(self, tmp_path, grids):
         # each row kind's template against the per-cell writer it
@@ -795,7 +805,8 @@ def reference_kernels_csv(config) -> str:
                                                errs.tolist()):
         lines[index] = _kernel_row(
             "gaussian", at, value=(closed.real, closed.imag),
-            gaussian=(quad.real, quad.imag, abs(closed - quad), err))
+            gaussian=(quad.real, quad.imag, abs(closed - quad), err),
+            note="AbsoluteFloor" if err > abs(closed) else None)
     return "\n".join(lines) + "\n"
 
 

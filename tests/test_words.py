@@ -1007,11 +1007,9 @@ class TestCycleExpansion:
 class TestTraces:
     @pytest.mark.parametrize("complex_x", [False, True])
     @pytest.mark.parametrize("rows", [
-        # runs of one row, as the grid scan stacks them: each block
-        # broadcasts its row
+        # runs of one row, as the grid scan stacks them
         [0] * 7 + [1] * 7 + [2] * 7,
-        # a trial or two per row, as the root-finding rounds stack them:
-        # the blocks gather their rows
+        # a trial or two per row, as the root-finding rounds stack them
         [0, 0, 1, 2, 2, 1, 0],
         [2],
         [],
