@@ -1,7 +1,7 @@
 """Odd-type Selberg zeta functions, eta invariants and the holomorphic
 factorization function for Schottky hyperbolic 3-manifolds, computed from
 SL(2, C) generator data, together with the explicit hyperbolic-space
-Dirac kernel scalars and spinor parallel transport.
+Dirac and heat kernel scalars.
 
 Discreteness of input generator families is trusted, never verified.
 """
@@ -9,7 +9,6 @@ Discreteness of input generator families is trusted, never verified.
 from .errors import OddZetaError
 from .moebius import (
     GeodesicInvariants,
-    HalfSpacePoint,
     MoebiusMap,
     classify,
     geodesic_invariants,
@@ -32,14 +31,6 @@ from .kernels import (
     heat_signature_batch,
     heat_spinor_batch,
     resolvent_scalar,
-)
-from .clifford import CliffordElement
-from .transport import (
-    TransportPair,
-    adjoint_action,
-    boundary_limit_transport,
-    spinor_transport,
-    tau_matrix,
 )
 from .zeta import (
     ZetaEvaluation,

@@ -312,7 +312,8 @@ def cmd_scan(config: RunConfig, out_dir: Path) -> Path:
     base = _scan_point(config)
     # one memoized eta for the three parameters: they share the base point,
     # so the scans evaluate 9, 8 and 8 new points, each set in one batch
-    eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff)
+    eta_fn = eta_on_chart(config.scan_cutoff, config.delta_cutoff,
+                          config.eps_class)
     rows = []
     for idx in range(3):
         # the eta scan first: a step that leaves the Schottky domain is

@@ -28,10 +28,6 @@ class NotLoxodromic(PreconditionError):
     """Operation requires a loxodromic element."""
 
 
-class BoundaryPoint(PreconditionError):
-    """Interior half-space point required (height x > 0)."""
-
-
 class DegenerateConfiguration(PreconditionError):
     """Points that must be distinct are not (normalization anchors, a
     scan stencil), or anchors are not set."""
@@ -75,16 +71,6 @@ class PoleOfGamma(NumericalError):
 
 class DivergentIntegral(NumericalError):
     """Time integral diverges: Re(lambda^2) <= 0."""
-
-
-# --- transport --------------------------------------------------------------
-
-class UndefinedAtCorner(PreconditionError):
-    """Parallel transport undefined: both points on the boundary and equal."""
-
-
-class NotInvertible(PreconditionError):
-    """Clifford element is not an invertible versor."""
 
 
 # --- zeta / zograf ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Explicit hyperbolic-space kernel scalars and related special values.
 
-Everything here is the scalar (Schur) component of a kernel: endomorphism
-factors such as parallel transport and Clifford multiplication live in the
-transport module.  Dimension bookkeeping: the space is H^(d+1); the spinor
+Everything here is the scalar (Schur) component of a kernel; the package
+computes none of the endomorphism factors, parallel transport and Clifford
+multiplication (the tests keep both in closed form, as the oracle of the
+spin phase).  Dimension bookkeeping: the space is H^(d+1); the spinor
 heat scalars use d + 1 = 2n + 1, the signature heat scalars d + 1 = 4m - 1.
 
 The derivative operator (-d/d cosh r)^k of the heat scalars is evaluated
@@ -63,12 +64,19 @@ def _log_cosh_half(r):
 
 
 def _log_sinh_half(r):
+    # log sinh(r/2); expm1, since 1 - exp(-r) cancels at small r
     x = 0.5 * r
-    return x + np.log1p(-np.exp(-2.0 * x)) - _LOG2
+    return x + np.log(-np.expm1(-2.0 * x)) - _LOG2
 
 
 def _sech2_half(r):
     return np.exp(-2.0 * _log_cosh_half(r))
+
+
+def _tanh2_half(r):
+    """1 - sech^2(r/2) = tanh^2(r/2), formed directly: near the diagonal,
+    1 - sech^2(r/2) would lose its digits to cancellation."""
+    return np.tanh(0.5 * r) ** 2
 
 
 def _hyp2f1_arguments(lam, d: int, dirac: bool):
@@ -91,7 +99,8 @@ def _refusals(lam, r, d: int, dirac: bool):
     H^(d+1), None where it has a value: an object array in the broadcast
     shape.  A pair's refusal is its first failed check, in the kernel's
     order: r (a negative or NaN r, then r = 0), the gamma poles in lambda,
-    then ``hyp2f1``'s own refusal at z = sech^2(r/2)."""
+    then ``hyp2f1``'s own refusal at z = sech^2(r/2), given 1 - z as
+    ``_resolvent`` gives it."""
     lam, r, shape = _pairs(lam, r)
     kernel = "Dirac resolvent" if dirac else "resolvent"
     excluded = "(-N/2)" if dirac else "{0} u (-N/2)"
@@ -115,7 +124,7 @@ def _refusals(lam, r, d: int, dirac: bool):
             out[i] = refusal(i)
         free &= ~failed
     out[free] = _hyp2f1_refusals(a[free], b[free], c[free],
-                                 _sech2_half(r[free]))
+                                 _sech2_half(r[free]), _tanh2_half(r[free]))
     return out.reshape(shape)
 
 
@@ -135,10 +144,8 @@ def _resolvent(lam, r, d: int, dirac: bool):
                      + _log_sinh_half(r))
     else:
         power = _exp(-(d + 2.0 * lam) * _log_cosh_half(r))
-    # 1 - z = tanh^2(r/2) directly: near the diagonal, 1 - sech^2(r/2)
-    # would lose its digits to cancellation
     value = pref * gam * power * hyp2f1(a, b, c, _sech2_half(r),
-                                        np.tanh(0.5 * r) ** 2)
+                                        _tanh2_half(r))
     return value.reshape(shape)[()]
 
 

@@ -1,4 +1,4 @@
-"""SL(2, C) Moebius maps: classification, geodesic data, half-space geometry.
+"""SL(2, C) Moebius maps: classification and geodesic data.
 
 Matrices are kept in SL(2, C), not PSL(2, C): the overall sign is preserved
 through products, inverses and conjugation, because it carries the spin
@@ -16,11 +16,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundaryPoint, NotLoxodromic
+from .errors import NotLoxodromic
 
 EPS_CLASS = 1e-9
 
@@ -154,19 +154,6 @@ def _products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         m = MoebiusMap.normalized(*prod[at].ravel().tolist())
         prod[at] = [[m.a, m.b], [m.c, m.d]]
     return prod
-
-
-@dataclass(frozen=True)
-class HalfSpacePoint:
-    """Point (x, y) of the half-space model, x the height, y in R^d."""
-
-    x: float
-    y: Tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        if self.x < 0:
-            raise BoundaryPoint(f"height x = {self.x} negative")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import NoConvergence, PoleAtC
+from .errors import NoConvergence, PoleAtC, PoleOfGamma
 
 _LANCZOS_G = 7.0
 _LANCZOS = (
@@ -61,10 +61,6 @@ def _flat(*args):
     return [x.ravel() for x in arrays], arrays[0].shape
 
 
-class GammaPole(Exception):
-    """Internal marker: gamma evaluated at a nonpositive integer."""
-
-
 def is_nonpositive_integer(z, tol: float = 1e-12):
     """Whether each point of z lies within tol of 0, -1, -2, ..."""
     z = np.asarray(z, dtype=complex)
@@ -82,11 +78,11 @@ def _exp(x):
 
 def log_gamma(z):
     """Principal-ish Lanczos log Gamma at every point of z; raises
-    GammaPole if any point is a nonpositive integer."""
+    PoleOfGamma if any point is a nonpositive integer."""
     (z,), shape = _flat(z)
     pole = is_nonpositive_integer(z)
     if pole.any():
-        raise GammaPole(f"gamma pole at z = {z[pole][0].item()}")
+        raise PoleOfGamma(f"gamma pole at z = {z[pole][0].item()}")
     # reflection, Gamma(z) Gamma(1 - z) = pi / sin(pi z), left of 1/2;
     # possible 2*pi*i offsets cancel in exponentiated ratios
     reflect = z.real < 0.5
@@ -103,16 +99,11 @@ def log_gamma(z):
     return out.reshape(shape)[()]
 
 
-def gamma(z):
-    (z,), shape = _flat(z)
-    return _exp(log_gamma(z)).reshape(shape)[()]
-
-
 def gamma_quotient(numerators, denominators):
     """exp(sum log Gamma(numerators) - sum log Gamma(denominators)) at
     every point of the broadcast arguments.
 
-    A pole in a numerator raises GammaPole; a pole in a denominator makes
+    A pole in a numerator raises PoleOfGamma; a pole in a denominator makes
     the quotient vanish at that point.
     """
     args, shape = _flat(*numerators, *denominators)
@@ -184,12 +175,17 @@ def _series(a, b, c, z, max_terms: int = 200_000, tol: float = 5e-17):
  _ZERO, _SERIES, _AT_ONE, _PFAFF, _CONNECT) = range(10)
 
 
-def _branches(a, b, c, z):
-    """Each point's hyp2f1 branch (flat arrays): the first that applies."""
+def _branches(a, b, c, z, one_minus_z=None):
+    """Each point's hyp2f1 branch (flat arrays): the first that applies.
+
+    z is at one where the given exact ``one_minus_z`` is 0; without it,
+    where the rounded z lies within 1e-15 of 1.
+    """
     size = np.abs(z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = c - a - b
-        at_one = np.abs(z - 1.0) < 1e-15
+        at_one = (np.abs(z - 1.0) < 1e-15 if one_minus_z is None
+                  else one_minus_z == 0)
         # Pfaff; on Re z = 1/2, |w| = 1 and the 1 - z series is the one
         # that converges
         pfaff = np.abs(z / (z - 1.0)) <= np.abs(1.0 - z)
@@ -227,10 +223,10 @@ def _refusal(branch: int, a: complex, b: complex, c: complex, z: complex):
         "z near 1 with integral c - a - b is outside the supported domain")
 
 
-def _refusals(a, b, c, z):
+def _refusals(a, b, c, z, one_minus_z=None):
     """hyp2f1's refusal of each point of the flat arrays, None where it
     has a value: an object array."""
-    branch = _branches(a, b, c, z)
+    branch = _branches(a, b, c, z, one_minus_z)
     out = np.full(z.shape, None, dtype=object)
     for i in np.flatnonzero(branch < _ZERO):
         out[i] = _refusal(branch[i], a[i].item(), b[i].item(), c[i].item(),
@@ -244,7 +240,9 @@ def hyp2f1(a, b, c, z, one_minus_z=None):
 
     ``one_minus_z``, when given, is 1 - z at every point, computed by the
     caller without the cancellation of 1 - z near z = 1: the connection
-    formula's series and power run in it instead of in 1 - z.
+    formula's series and power run in it instead of in 1 - z, and a point
+    is at z = 1 only where it is 0, not where the rounded z is within
+    1e-15 of 1.
 
     Raises PoleAtC for nonpositive-integer c and NoConvergence where the
     series and its transformations cannot deliver the value (a non-finite
@@ -252,10 +250,11 @@ def hyp2f1(a, b, c, z, one_minus_z=None):
     corners such as integral c - a - b right at z = 1); of several such
     points, the first raises.
     """
-    if one_minus_z is None:
+    exact = one_minus_z is not None
+    if not exact:
         one_minus_z = 1.0 - np.asarray(z, dtype=complex)
     (a, b, c, z, w), shape = _flat(a, b, c, z, one_minus_z)
-    branch = _branches(a, b, c, z)
+    branch = _branches(a, b, c, z, w if exact else None)
     refused = branch < _ZERO
     if refused.any():
         i = refused.argmax()

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (DegenerateConfiguration, DeltaNotNegative,
                      LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
                      NotLoxodromic, OddZetaError)
-from .moebius import (MoebiusMap, _map_to_0_inf_1, _points_distinct,
-                      geodesic_invariants, loxodromic)
+from .moebius import (EPS_CLASS, MoebiusMap, _map_to_0_inf_1,
+                      _points_distinct, geodesic_invariants, loxodromic)
 from .zeta import (
     ZetaTerms,
     _check_delta_negative,
@@ -230,7 +230,8 @@ ChartPoint = Tuple[complex, complex, complex]
 EtaFn = Callable[[Sequence[ChartPoint]], List[Tuple[float, float]]]
 
 
-def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
+def eta_on_chart(L: int, delta_cutoff: int,
+                 eps_class: float = EPS_CLASS) -> EtaFn:
     """points -> [(eta, truncation budget) per chart point], memoized.
 
     One function serves several ``pluriharmonicity_scan`` calls, so a
@@ -239,7 +240,9 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
     max(L, delta_cutoff), ``_WALK_POINTS`` at a time in the order given,
     each chunk in one ``terms_from_groups``: one walk of the word tree
     and one lockstep delta_hat solve, whose memory grows with the chunk.
-    A point without a negative delta_hat raises LeftSchottkyDomain.  A
+    ``eps_class`` classifies the words, as in ``moebius.classify``.
+    A point without a negative delta_hat, or with a word that is not
+    loxodromic, raises LeftSchottkyDomain.  A
     refusal is the one the first refused point, in the order given,
     raises on its own: a refused chunk, whose refusal is only some
     point's, is evaluated again one point at a time.
@@ -250,7 +253,7 @@ def eta_on_chart(L: int, delta_cutoff: int) -> EtaFn:
         try:
             terms = terms_from_groups(
                 [schottky_from_params(*params).generators
-                 for params in points], L, delta_cutoff)
+                 for params in points], L, delta_cutoff, eps_class=eps_class)
         except (NotLoxodromic, NonConvergent, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
         values = []

@@ -10,6 +10,15 @@ import random
 import time
 
 import numpy as np
+from clifford_transport import (
+    CliffordElement,
+    HalfSpacePoint,
+    TransportPair,
+    adjoint_action,
+    boundary_limit_transport,
+    spinor_transport,
+    tau_matrix,
+)
 from toyterms import (
     power_class_terms,
     primitive_term,
@@ -17,22 +26,13 @@ from toyterms import (
     zeta_odd_signature_product,
 )
 
-from oddzeta.clifford import CliffordElement
 from oddzeta.kernels import (
     c_lambda,
     gaussian_time_integral,
     gaussian_time_integral_quadrature,
 )
-from oddzeta.moebius import HalfSpacePoint
 from oddzeta.sample_groups import sample_group
 from oddzeta.special import hyp2f1
-from oddzeta.transport import (
-    TransportPair,
-    adjoint_action,
-    boundary_limit_transport,
-    spinor_transport,
-    tau_matrix,
-)
 from oddzeta.zeta import (
     eta,
     odd_heat_trace,

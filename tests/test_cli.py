@@ -112,10 +112,9 @@ PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
 EXIT_CODES = {
     "ConfigError": 2,
     **dict.fromkeys([
-        "AtDiagonal", "BoundaryPoint", "CutoffTooLarge",
-        "DegenerateConfiguration", "DeltaNotNegative", "IndexOutOfRange",
-        "LeftSchottkyDomain", "NonPrimitiveInput", "NotInvertible",
-        "NotLoxodromic", "UndefinedAtCorner"], 3),
+        "AtDiagonal", "CutoffTooLarge", "DegenerateConfiguration",
+        "DeltaNotNegative", "IndexOutOfRange", "LeftSchottkyDomain",
+        "NonPrimitiveInput", "NotLoxodromic"], 3),
     **dict.fromkeys([
         "ConvergenceViolation", "DivergentIntegral", "NoConvergence",
         "NonConvergent", "PoleAt", "PoleAtC", "PoleOfGamma"], 4),
@@ -154,7 +153,7 @@ class TestExitCodes:
                    and issubclass(obj, errors.OddZetaError)
                    and obj not in bases]
         assert sorted(classes) == sorted(EXIT_CODES)
-        assert sorted(EXIT_CODES.values()) == [2] + [3] * 11 + [4] * 7
+        assert sorted(EXIT_CODES.values()) == [2] + [3] * 8 + [4] * 7
 
     @pytest.mark.parametrize("name", sorted(EXIT_CODES))
     def test_exit_code_from_the_base(self, tmp_path, monkeypatch, capsys,
@@ -883,6 +882,18 @@ class TestScanRefusals:
             f"generators, got {count}\n")
         assert not out.exists()
 
+    def test_eps_class_classifies_the_scan_words(self, tmp_path, capsys):
+        # at eps_class = 1e6 every word reads as the identity, as it does
+        # for ``oddzeta eta``; the scan once ignored the key and exited 0
+        cfg = write(tmp_path, "s.cfg",
+                    (PERFBENCH_CONFIGS / "scan.cfg").read_text()
+                    + "[tolerances]\neps_class = 1e6\n")
+        out = tmp_path / "out"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: LeftSchottkyDomain: word ")
+        assert not (out / "scan.json").exists()
+
 
 #: ``oddzeta scan`` on scan_base: ``h = {h}`` is the only free value
 SCAN_STEP = """\
@@ -990,7 +1001,8 @@ class TestStrictJson:
 
 
 #: Every subcommand in one interpreter, then the top-level names of the
-#: test and optional packages it imported
+#: test and optional packages it imported, the tests' Clifford algebra and
+#: transport oracle among them
 RUN_EVERY_SUBCOMMAND = """
 import sys
 from oddzeta.cli import main
@@ -998,7 +1010,8 @@ config, out = sys.argv[1:]
 for command in ("spectrum", "zeta", "eta", "kernels", "scan"):
     assert main([command, "--config", config, "--out", out]) == 0, command
 print(sorted({name.split(".")[0] for name in sys.modules}
-             & {"mpmath", "hypothesis", "pytest", "scipy"}))
+             & {"mpmath", "hypothesis", "pytest", "scipy",
+                "clifford_transport"}))
 """
 
 
@@ -1020,12 +1033,10 @@ class TestRuntimeImports:
 def test_public_surface():
     # a name added to or dropped from the package is a deliberate edit here
     assert sorted(oddzeta.__all__) == [
-        "CliffordElement", "GeodesicInvariants", "HalfSpacePoint",
-        "MoebiusMap", "OddZetaError", "PoincareEstimate",
-        "SchottkyPoint", "Spectrum", "TransportPair", "ZetaEvaluation",
-        "ZetaTerms", "adjoint_action", "boundary_limit_transport",
-        "c_lambda", "check_eta_F_identity", "class_spectra", "classify",
-        "clifford", "cycle_expansion", "dirac_resolvent_scalar",
+        "GeodesicInvariants", "MoebiusMap", "OddZetaError",
+        "PoincareEstimate", "SchottkyPoint", "Spectrum", "ZetaEvaluation",
+        "ZetaTerms", "c_lambda", "check_eta_F_identity", "class_spectra",
+        "classify", "cycle_expansion", "dirac_resolvent_scalar",
         "dlog_zeta_odd", "errors", "estimate_deltas", "eta",
         "evaluate_word", "gaussian_time_integral",
         "gaussian_time_integral_quadrature", "geodesic_invariants",
@@ -1033,7 +1044,6 @@ def test_public_surface():
         "log_zeta_half", "log_zeta_odd", "loxodromic", "moebius",
         "odd_heat_trace", "pluriharmonicity_scan", "quadrature",
         "resolvent_scalar", "schottky_from_params", "special",
-        "spinor_transport", "tau_matrix", "terms_from_group",
-        "terms_from_groups", "transport", "words", "zeta", "zeta_odd",
+        "terms_from_group", "terms_from_groups", "words", "zeta", "zeta_odd",
         "zograf", "zograf_F",
     ]

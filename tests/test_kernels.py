@@ -199,6 +199,29 @@ class TestResolventScalars:
                     ref = reference(lam[i, 0], r[j], 2)
                     assert abs(grid[i, j] - ref) <= slack[j] * abs(ref)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_refusal_and_value_agree_near_the_diagonal(self, d):
+        # the refusals read the exact 1 - z = tanh^2(r/2) that the values
+        # get, so each pair has a note or a finite value, never both or
+        # neither; z = sech^2(r/2) rounds to within 1e-15 of 1 below
+        # r = 6e-8 and to 1 itself below 2e-8, which at even d once read
+        # as z = 1 and refused every such pair with NoConvergence
+        lam = np.array([1 + 0.2j, 0.3 + 0.1j, 2.5 - 0.8j])[:, None]
+        r = np.array([0.04, 1e-3, 1e-6, 6e-8, 3e-8, 1e-8, 1e-10, 1e-12])
+        for dirac, kernel in ((False, resolvent_scalar),
+                              (True, dirac_resolvent_scalar)):
+            refusals = kernels._refusals(lam, r, d, dirac)
+            for i in range(lam.shape[0]):
+                for j in range(r.size):
+                    if refusals[i, j] is None:
+                        assert np.isfinite(kernel(lam[i, 0], r[j], d))
+                    else:
+                        with pytest.raises(type(refusals[i, j])):
+                            kernel(lam[i, 0], r[j], d)
+            # at even d every pair has a value; at odd d, where c - a - b
+            # is an integer, the pairs below r = 0.063 are refused
+            assert all(x is None for x in refusals.flat) == (d % 2 == 0)
+
 
 def spinor_heat_oracle_n1(t, r):
     """Hand-differentiated n = 1 scalar: -(f'(r)/sinh r) with

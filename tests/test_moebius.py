@@ -5,12 +5,12 @@ import struct
 
 import pytest
 
+from clifford_transport import BoundaryPoint, HalfSpacePoint
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddzeta.errors import BoundaryPoint, DegenerateConfiguration, NotLoxodromic
+from oddzeta.errors import DegenerateConfiguration, NotLoxodromic
 from oddzeta.moebius import (
-    HalfSpacePoint,
     MoebiusMap,
     classify,
     geodesic_invariants,

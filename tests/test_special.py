@@ -6,10 +6,8 @@ import pytest
 
 import scalar_special
 from oddzeta import special
-from oddzeta.errors import NoConvergence, PoleAtC
+from oddzeta.errors import NoConvergence, PoleAtC, PoleOfGamma
 from oddzeta.special import (
-    GammaPole,
-    gamma,
     gamma_quotient,
     hyp2f1,
     log_gamma,
@@ -25,6 +23,11 @@ def brute_series(a, b, c, z, n=4000):
     return total
 
 
+def gamma(z):
+    """Gamma as the tests take it: exp of ``log_gamma``."""
+    return np.exp(log_gamma(z))
+
+
 class TestGamma:
     def test_against_stdlib_on_reals(self):
         for x in (0.5, 1.0, 2.5, 7.3, 11.0, 0.01):
@@ -35,9 +38,9 @@ class TestGamma:
         assert abs(gamma(-1.5) - 4.0 * math.sqrt(math.pi) / 3.0) < 1e-13
 
     def test_pole_raises(self):
-        with pytest.raises(GammaPole):
+        with pytest.raises(PoleOfGamma):
             log_gamma(0.0)
-        with pytest.raises(GammaPole):
+        with pytest.raises(PoleOfGamma):
             log_gamma(-3.0)
 
     def test_complex_conjugate_symmetry(self):
@@ -217,7 +220,7 @@ class TestArrayValues:
         assert grid.shape == (6, 4)
         assert all(bits(grid.flat[i]) == bits(log_gamma(z.flat[i]))
                    for i in range(z.size))
-        with pytest.raises(GammaPole):
+        with pytest.raises(PoleOfGamma):
             log_gamma(np.array([1.5, -2.0]))
 
     def test_gamma_quotient_vanishes_pointwise(self):
@@ -225,7 +228,7 @@ class TestArrayValues:
         got = gamma_quotient([np.array([2.5, 3.5])], [np.array([-1.0, 2.0])])
         assert got[0] == 0
         assert abs(got[1] - math.gamma(3.5) / math.gamma(2.0)) < 1e-13 * got[1]
-        with pytest.raises(GammaPole):
+        with pytest.raises(PoleOfGamma):
             gamma_quotient([np.array([2.5, -3.0])], [1.5])
 
 

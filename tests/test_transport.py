@@ -3,18 +3,20 @@ import random
 
 import numpy as np
 import pytest
-from test_moebius import apply_h3
-
-from oddzeta.clifford import CliffordElement
-from oddzeta.errors import NotInvertible, UndefinedAtCorner
-from oddzeta.moebius import HalfSpacePoint, MoebiusMap
-from oddzeta.transport import (
+from clifford_transport import (
+    CliffordElement,
+    HalfSpacePoint,
+    NotInvertible,
     TransportPair,
+    UndefinedAtCorner,
     adjoint_action,
     boundary_limit_transport,
     spinor_transport,
     tau_matrix,
 )
+from test_moebius import apply_h3
+
+from oddzeta.moebius import MoebiusMap
 
 
 def pair(x, y, xp, yp):

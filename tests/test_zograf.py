@@ -380,9 +380,9 @@ class TestPluriharmonicityScan:
         seen = []
         terms_from_groups = oddzeta.zograf.terms_from_groups
 
-        def counted(generator_sets, *args):
+        def counted(generator_sets, *args, **kwargs):
             seen.append(len(generator_sets))
-            return terms_from_groups(generator_sets, *args)
+            return terms_from_groups(generator_sets, *args, **kwargs)
 
         monkeypatch.setattr(oddzeta.zograf, "terms_from_groups", counted)
         fn = eta_on_chart(3, 5)
