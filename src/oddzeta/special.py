@@ -281,7 +281,12 @@ def hyp2f1(a, b, c, z, one_minus_z=None):
         # s is nonintegral here, so neither coefficient meets a pole
         coef_a = gamma_quotient([cc, s], [cc - ac, cc - bc])
         coef_b = gamma_quotient([cc, -s], [ac, bc])
-        out[connect] = coef_a * parts[2] + coef_b * u ** s * parts[3]
+        # numpy's complex power is off by about |s log u| eps/2; a real
+        # positive u (every resolvent's tanh^2(r/2)) takes the real power
+        real = (u.imag == 0.0) & (u.real > 0.0)
+        power, x, y = u ** s, u.real[real], s[real]
+        power[real] = np.power(x, y.real) * np.exp(1j * y.imag * np.log(x))
+        out[connect] = coef_a * parts[2] + coef_b * power * parts[3]
     a1, b1, c1 = a[at_one], b[at_one], c[at_one]
     out[at_one] = gamma_quotient([c1, c1 - a1 - b1], [c1 - a1, c1 - b1])
     return out.reshape(shape)[()]

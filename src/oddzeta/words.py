@@ -367,9 +367,8 @@ def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
     An empty lam gives shape (N + 1, 0).
     """
     starts, end = _shells(spectrum.word_length, N)
-    lam = np.atleast_1d(lam)
     return _expansion_rows(spectrum.ell[None, :end], weight[None, :end],
-                           starts, None, lam, N)
+                           starts, np.atleast_1d(lam)[None], N)[:, 0]
 
 
 def _shells(word_length: np.ndarray, N: int):
@@ -382,32 +381,38 @@ def _shells(word_length: np.ndarray, N: int):
     return starts[:-1], starts[-1]
 
 
-def _traces(y: np.ndarray, weight: np.ndarray, starts, rows,
+def _traces(y: np.ndarray, weight: np.ndarray, starts,
             x: np.ndarray) -> np.ndarray:
-    """Sums of weight e^(-x[i] y) over row rows[i] of the stacked 2-D
-    ``y`` and ``weight`` (one row: broadcast, rows unread), one per run
-    beginning at ``starts``, shape (len(x), len(starts)): the shell
-    traces and both eta integrands.  Each x is its own row of
-    ``np.add.reduceat``, in blocks of at most ``_TRACE_BLOCK`` terms, so
+    """Sums of weight[r] e^(-x[r, k] y[r]) over the runs of row r of the
+    stacked (R, n) ``y`` and ``weight`` that begin at ``starts``, for an
+    (R, K) ``x``: shape (R, K, len(starts)).  Each x is its own row of
+    ``np.add.reduceat`` over views of its row, in blocks of at most
+    ``_TRACE_BLOCK`` terms (whole rows of x, or chunks of one row's), so
     its bits depend on no batch or block size; no x or no term gives 0."""
-    t = np.zeros((len(x), len(starts)), np.result_type(weight, x, y))
-    if y.shape[1]:
+    rows, count = x.shape
+    t = np.zeros((rows, count, len(starts)), np.result_type(weight, x, y))
+    if y.shape[1] and count:
         step = max(1, _TRACE_BLOCK // y.shape[1])
-        for k in range(0, len(x), step):
-            block = rows[k:k + step] if len(y) > 1 else 0
-            t[k:k + step] = np.add.reduceat(
-                weight[block] * np.exp(-x[k:k + step, None] * y[block]),
-                starts, axis=1)
+        slab, chunk = max(1, step // count), min(step, count)
+        for r in range(0, rows, slab):
+            for k in range(0, count, chunk):
+                t[r:r + slab, k:k + chunk] = np.add.reduceat(
+                    weight[r:r + slab, None]
+                    * np.exp(-x[r:r + slab, k:k + chunk, None]
+                             * y[r:r + slab, None]),
+                    starts, axis=2)
     return t
 
 
 def _expansion_rows(ell: np.ndarray, weight: np.ndarray, starts: np.ndarray,
-                    rows, lam: np.ndarray, N: int) -> np.ndarray:
-    """``cycle_expansion`` at each lam[i] of the spectrum in row rows[i]
-    of the stacked 2-D ``ell`` and ``weight`` (word lengths <= N), with
-    shells beginning at ``starts``: Newton's identities on ``_traces``."""
-    t = _traces(ell, weight, starts, rows, lam).T
-    c = [np.ones(len(lam))]
+                    lam: np.ndarray, N: int) -> np.ndarray:
+    """``cycle_expansion`` at each lam[r, k] of the spectrum in row r of
+    the stacked (R, n) ``ell`` and ``weight`` (word lengths <= N), with
+    shells beginning at ``starts``: Newton's identities on ``_traces``,
+    shape (N + 1, R, K).  The traces are copied shell-major, so each
+    product of Newton's identities runs on contiguous rows."""
+    t = _traces(ell, weight, starts, lam).transpose(2, 0, 1).copy()
+    c = [np.ones(lam.shape)]
     for n in range(1, N + 1):
         c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
     return np.array(c)
@@ -431,16 +436,17 @@ def estimate_deltas(spectra: Sequence[Spectrum],
     above 1 (delta <= 2 for every Kleinian group in H^3) raise
     NonConvergent.
 
-    Each spectrum's truncations Z_(N-1) and Z_N are two rows of one
-    solve.  One ``_expansion_rows`` call scans every row's grid, and
-    each round of regula falsi with the Illinois step (the value at an
-    end kept twice is halved) evaluates every active row's trial lambda
-    in one more.  A row keeps its own bracket, halving state and stop
-    test (the bracket down to adjacent floats; an exact zero becomes the
-    end hi, with value 0, and the steps close on it), so each estimate
-    has the bits of a solve on its own.  A batch raises a refusal that
-    one of its spectra raises on its own: the first row whose grid scan
-    fails, else the first estimate above 1.  Spectra whose word lengths
+    Each spectrum's truncations Z_(N-1) and Z_N are the two entries of
+    its row of one solve, held in (R, 2) arrays.  One ``_expansion_rows``
+    call scans every row's grid, and each round of regula falsi with the
+    Illinois step (the value at an end kept twice is halved) evaluates
+    every entry in one more, a finished one at its lo, value ignored.  An
+    entry keeps its own bracket, halving state and stop test (the
+    bracket down to adjacent floats; an exact zero becomes the end hi,
+    with value 0, and the steps close on it), so each estimate has the
+    bits of a solve on its own.  A batch raises the refusal of its first
+    spectrum whose grid scan fails (not positive at 2, else no zero),
+    else that of its first estimate above 1.  Spectra whose word lengths
     differ raise ValueError.
     """
     spectra = list(spectra)
@@ -466,55 +472,42 @@ def estimate_deltas(spectra: Sequence[Spectrum],
         lengths[:end] / spectra[i].j[:end] * np.abs(spectra[i].q[:end])
         / np.abs(1.0 - spectra[i].q[:end]) ** 2 for i in solve])
 
-    def truncations(rows, lam) -> np.ndarray:
-        """Z_(N-1) and Z_N of stacked spectrum rows[i] at lam[i], as rows."""
-        return np.cumsum(_expansion_rows(ell, weight, starts, rows, lam, N),
-                         axis=0)[N - 1:]
+    def truncations(lam) -> np.ndarray:
+        """Z_(N-1) and Z_N of stacked spectrum r at lam[r, k]: (R, 2, K)."""
+        return np.cumsum(_expansion_rows(ell, weight, starts, lam, N),
+                         axis=0)[N - 1:].swapaxes(0, 1)
 
     grid = np.linspace(2.0, -1.0, _SCAN_INTERVALS + 1)
-    scans = truncations(np.repeat(np.arange(len(solve)), len(grid)),
-                        np.tile(grid, len(solve)))
-    grid = grid.tolist()
-    # [spectrum row, truncation, lo, f(lo), hi, f(hi), the end kept last
-    # round: -1 hi, 1 lo, 0 none yet]
-    states = []
-    for r, both in enumerate(scans.reshape(2, len(solve), -1)
-                             .swapaxes(0, 1).tolist()):
-        if not (both[0][0] > 0.0 and both[1][0] > 0.0):
+    scans = truncations(np.tile(grid, (len(solve), 1)))
+    crossed = scans <= 0.0
+    for positive, zero in zip((scans[:, :, 0] > 0.0).all(axis=1).tolist(),
+                              crossed.any(axis=2).tolist()):
+        if not positive:
             raise NonConvergent(f"Z_{N - 1} and Z_{N} not both positive at 2")
-        for k, values in enumerate(both):
-            i = next((i for i, v in enumerate(values) if v <= 0.0), None)
-            if i is None:
-                raise NonConvergent(f"Z_{N - 1 + k} has no zero on [-1, 2]")
-            states.append([r, k, grid[i], values[i], grid[i - 1],
-                           values[i - 1], 0])
-    zeros = {}
-    while states:
-        trials = []
-        for state in states:
-            r, k, lo, f_lo, hi, f_hi, _ = state
-            x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if lo < x < hi:
-                trials.append((state, x))
-            else:  # the bracket is down to adjacent floats
-                zeros[r, k] = lo if -f_lo <= f_hi else hi
-        if not trials:
+        if not all(zero):
+            raise NonConvergent(
+                f"Z_{N - 1 + zero.index(False)} has no zero on [-1, 2]")
+    # entry [r, k] is Z_(N-1+k) of spectrum r: its bracket, the values
+    # there, the end kept last round (-1 hi, 1 lo, 0 none), whether live
+    at = crossed.argmax(axis=2)[..., None] - np.arange(2)
+    lo, hi = grid[at].transpose(2, 0, 1)
+    f_lo, f_hi = np.take_along_axis(scans, at, axis=2).transpose(2, 0, 1)
+    kept, live = np.zeros(lo.shape, dtype=int), np.ones(lo.shape, dtype=bool)
+    while True:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        # a trial outside its bracket: the bracket is down to adjacent floats
+        live &= (lo < x) & (x < hi)
+        if not live.any():
             break
-        values = truncations(np.array([state[0] for state, _ in trials]),
-                             np.array([x for _, x in trials])).tolist()
-        for n, (state, x) in enumerate(trials):
-            fx, kept = values[state[1]][n], state[6]
-            if fx < 0.0:
-                state[2:4] = x, fx
-                state[5] *= 0.5 if kept == -1 else 1.0
-                state[6] = -1
-            else:
-                state[4:6] = x, fx
-                state[3] *= 0.5 if kept == 1 else 1.0
-                state[6] = 1
-        states = [state for state, _ in trials]
-    for r, i in enumerate(solve):
-        low, high = zeros[r, 0], zeros[r, 1]
+        # a finished entry is evaluated at its lo, and the value ignored
+        fx = np.diagonal(truncations(np.where(live, x, lo)), axis1=1, axis2=2)
+        below, above = live & (fx < 0.0), live & ~(fx < 0.0)
+        f_hi[below & (kept == -1)] *= 0.5
+        f_lo[above & (kept == 1)] *= 0.5
+        lo[below], f_lo[below], kept[below] = x[below], fx[below], -1
+        hi[above], f_hi[above], kept[above] = x[above], fx[above], 1
+    roots = np.where(-f_lo <= f_hi, lo, hi).tolist()
+    for (low, high), i in zip(roots, solve):
         if high > 1.0:
             raise NonConvergent(
                 f"delta_hat = {high!r} exceeds 1, the bound of every "

@@ -361,7 +361,7 @@ def dlog_zeta_odd(terms: ZetaTerms, lam) -> np.ndarray:
     """
     lam = np.asarray(lam)
     _check_convergence(terms, lam)
-    sums = _traces(terms.ell[None], terms._ell_a, [0], None, lam.ravel())
+    sums = _traces(terms.ell[None], terms._ell_a, [0], lam.reshape(1, -1))
     return 2j * sums.reshape(lam.shape)
 
 
@@ -377,8 +377,8 @@ def odd_heat_trace(terms: ZetaTerms, t) -> np.ndarray:
     bad = t[~(t > 0)]
     if bad.size:
         raise ValueError(f"t = {bad[0]} must be positive")
-    sums = _traces(terms.ell[None] ** 2, terms._ell_sq_a, [0], None,
-                   0.25 / t.ravel())
+    sums = _traces(terms.ell[None] ** 2, terms._ell_sq_a, [0],
+                   0.25 / t.reshape(1, -1))
     pref = 2.0 * math.pi / np.float_power(4.0 * math.pi * t, 1.5)
     return -2.0 * pref * sums.reshape(t.shape)
 

@@ -824,28 +824,55 @@ class TestEstimateDeltas:
         assert estimate_deltas(spectra, 6) == [minus_one, minus_one]
         assert [estimate_deltas([s], 6)[0] for s in spectra] == [minus_one] * 2
 
-    def test_refusals_match_the_loop(self):
-        # rank-4 rings at N = 4: an estimate, one above 1, one whose Z_3
-        # and Z_4 are not positive at 2, and one whose Z_4 has no zero
-        # though Z_3 has; in every order of two or more of them the batch
-        # raises the refusal of one of its spectra on its own
+    @pytest.fixture(scope="class")
+    def rings(self):
+        """Rank-4 rings at N = 4: an estimate, one above 1, one whose Z_3
+        and Z_4 are not positive at 2, and one whose Z_4 has no zero
+        though Z_3 has."""
         rings = {"ok": (0.3, 0.4), "above one": (0.4, 0.3),
                  "not positive": (0.45, 0.2), "no zero": (0.3, 0.2)}
-        spectra = {name: class_spectra([ring_group(4, q, spread)], 4)[0]
-                   for name, (q, spread) in rings.items()}
+        return {name: class_spectra([ring_group(4, q, spread)], 4)[0]
+                for name, (q, spread) in rings.items()}
+
+    def test_refusals_match_the_loop(self, rings):
+        # in every order of two or more of them the batch raises the
+        # refusal of one of its spectra on its own
         alone = {name: outcome(lambda: estimate_deltas([spectrum], 4))
-                 for name, spectrum in spectra.items()}
+                 for name, spectrum in rings.items()}
         messages = set()
-        for k in range(2, len(spectra) + 1):
-            for order in itertools.permutations(spectra, k):
+        for k in range(2, len(rings) + 1):
+            for order in itertools.permutations(rings, k):
                 got = outcome(lambda: estimate_deltas(
-                    [spectra[name] for name in order], 4))
+                    [rings[name] for name in order], 4))
                 assert got in [alone[name] for name in order if name != "ok"]
                 assert got[0] is NonConvergent
                 messages.add(got[1])
         assert len(messages) == 3
-        ok = estimate_deltas([spectra["ok"]] * 2, 4)
-        assert ok == [estimate_deltas([spectra["ok"]], 4)[0]] * 2
+        ok = estimate_deltas([rings["ok"]] * 2, 4)
+        assert ok == [estimate_deltas([rings["ok"]], 4)[0]] * 2
+
+    def test_refusal_order(self, rings):
+        # a batch raises the refusal of its first spectrum whose grid
+        # scan fails (not positive at 2, or no zero), else that of its
+        # first estimate above 1, whatever the order
+        alone = {name: outcome(lambda: estimate_deltas([spectrum], 4))
+                 for name, spectrum in rings.items()}
+        assert alone["not positive"][1] == "Z_3 and Z_4 not both positive at 2"
+        assert alone["no zero"][1] == "Z_4 has no zero on [-1, 2]"
+        assert alone["above one"][1].endswith("exceeds 1, the bound of "
+                                              "every Kleinian group in H^3")
+        for k in range(1, len(rings) + 1):
+            for order in itertools.permutations(rings, k):
+                scan_fails = [name for name in order
+                              if name in ("not positive", "no zero")]
+                first = (scan_fails or [name for name in order
+                                        if name == "above one"] or ["ok"])[0]
+                got = outcome(lambda: estimate_deltas(
+                    [rings[name] for name in order], 4))
+                if first == "ok":
+                    assert got == ("ok", alone["ok"][1] * k)
+                else:
+                    assert got == alone[first]
 
     def test_word_lengths_must_agree(self):
         gens = sample_group("g2_complex_a").generators
@@ -1007,32 +1034,38 @@ class TestCycleExpansion:
 class TestTraces:
     @pytest.mark.parametrize("complex_x", [False, True])
     @pytest.mark.parametrize("rows", [
-        # runs of one row, as the grid scan stacks them
-        [0] * 7 + [1] * 7 + [2] * 7,
-        # a trial or two per row, as the root-finding rounds stack them
-        [0, 0, 1, 2, 2, 1, 0],
-        [2],
-        [],
+        # (stacked rows, x per row): a run of x per row, as the grid scan
+        # stacks them
+        (3, 7),
+        # two x per row, as the root-finding rounds stack them
+        (3, 2),
+        (1, 1),
+        (3, 0),
     ])
     def test_stacked_call_equals_per_row_calls(self, rows, complex_x,
                                                monkeypatch):
-        # three rows of 40 terms in shells of 3, 7, 10 and 20, three x to
-        # a block: every x of a stacked call gets the bits of a one-row
-        # call at that x alone
+        # three rows of 40 terms in shells of 3, 7, 10 and 20: every x of
+        # a stacked call gets the bits of a one-row call at that x alone,
+        # whether a row's x are split across blocks or several rows share
+        # one
         (spectrum,) = class_spectra(
             [sample_group("g2_complex_a").generators], 6)
         rng = np.random.default_rng(7)
-        y = np.abs(spectrum.ell[None, :40] + rng.random((3, 40)))
-        weight = (spectrum.word_length[None, :40] * rng.random((3, 40))
+        R, K = rows
+        y = np.abs(spectrum.ell[None, :40] + rng.random((R, 40)))
+        weight = (spectrum.word_length[None, :40] * rng.random((R, 40))
                   * (1.0 + 0.5j))
         starts = np.array([0, 3, 10, 20])
-        rows = np.array(rows, dtype=int)
-        x = rng.random(len(rows)) + (0.3j if complex_x else 0.0)
-        monkeypatch.setattr(words, "_TRACE_BLOCK", 3 * 40)
-        stacked = words._traces(y, weight, starts, rows, x)
-        assert stacked.shape == (len(rows), len(starts))
-        for i, row in enumerate(rows.tolist()):
-            alone = words._traces(y[row:row + 1], weight[row:row + 1],
-                                  starts, None, x[i:i + 1])
-            assert np.array_equal(stacked[i:i + 1].view(np.int64),
-                                  alone.view(np.int64))
+        x = rng.random((R, K)) + (0.3j if complex_x else 0.0)
+        alone = [[words._traces(y[r:r + 1], weight[r:r + 1], starts,
+                                x[r:r + 1, k:k + 1])[0, 0]
+                  for k in range(K)] for r in range(R)]
+        # one x to a block, then two whole rows of x to a block
+        for block in (40, 2 * max(K, 1) * 40):
+            monkeypatch.setattr(words, "_TRACE_BLOCK", block)
+            stacked = words._traces(y, weight, starts, x)
+            assert stacked.shape == (R, K, len(starts))
+            for r in range(R):
+                for k in range(K):
+                    assert np.array_equal(stacked[r, k].view(np.int64),
+                                          alone[r][k].view(np.int64))
