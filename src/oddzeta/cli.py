@@ -18,8 +18,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import sample_groups
 from .config import RunConfig, load_config
 from .errors import (
@@ -33,14 +31,12 @@ from .errors import (
     PreconditionError,
 )
 from .kernels import (
-    dirac_resolvent_scalar,
+    _resolvent,
     gaussian_time_integral,
     gaussian_time_integral_quadrature,
     heat_signature_batch,
     heat_spinor_batch,
-    resolvent_scalar,
 )
-from .kernels import _refusals as _kernel_refusals
 from .moebius import MoebiusMap
 from .words import class_spectra, word_strings
 from .zeta import ETA_ROUTES, ZetaTerms, eta, terms_from_group, zeta_odd
@@ -219,28 +215,19 @@ _RESOLVENT_NOTES = (PoleOfGamma, AtDiagonal, NoConvergence)
 def _resolvent_rows(lams, rs, at, d: int):
     """The resolvent and Dirac resolvent rows of kernels.csv at each
     (lambda, r) pair, whose formatted r, lam_re and lam_im cells ``at``
-    holds: a pair either kind refuses with one of ``_RESOLVENT_NOTES``
-    gets a note row, and every other pair of a kind its value from one
-    kernel call.  Any other refusal raises, the first in row order."""
-    kinds = (("resolvent", resolvent_scalar, False),
-             ("dirac_resolvent", dirac_resolvent_scalar, True))
-    refusals = [_kernel_refusals(lams, rs, d, dirac) for _, _, dirac in kinds]
-    for pair in zip(*refusals):
-        for refusal in pair:
-            if refusal is not None and not isinstance(refusal,
-                                                      _RESOLVENT_NOTES):
-                raise refusal
+    holds, from one kernel pass per kind: a pair the kind refuses with
+    one of ``_RESOLVENT_NOTES`` gets a note row, every other pair its
+    value.  Any other refusal raises, the first in row order: only the r
+    checks give one, and both kinds make them alike."""
     columns = []
-    for (kind, kernel, _), refused in zip(kinds, refusals):
-        ok = np.equal(refused, None)
+    for kind, dirac in (("resolvent", False), ("dirac_resolvent", True)):
+        values, refusals = _resolvent(lams, rs, d, dirac,
+                                      keep=_RESOLVENT_NOTES)
+        rows = []
         # tolist gives Python complex numbers: a numpy scalar's repr is not
         # a CSV cell
-        values = iter(kernel(np.asarray(lams)[ok], np.asarray(rs)[ok],
-                             d).tolist())
-        rows = []
-        for where, refusal in zip(at, refused):
+        for where, val, refusal in zip(at, values.tolist(), refusals):
             if refusal is None:
-                val = next(values)
                 rows.append(f"{kind},,{where},,,,,{val.real!r},{val.imag!r}"
                             ",,,,,")
             else:

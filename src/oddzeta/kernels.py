@@ -16,8 +16,8 @@ The jets are array-valued: :func:`heat_spinor_batch` and
 pass, each point stopping its own series, so a point's value does not
 depend on the grid it is evaluated in; a scalar (t, r) is a 0-d grid.
 So are the resolvent scalars and ``c_lambda``: a (lambda, r) grid takes
-one ``gamma_quotient`` and one ``hyp2f1`` call, whose points do not
-depend on each other either.
+one ``gamma_quotient`` call and one pass of ``hyp2f1``'s branch choice
+and arithmetic, whose points do not depend on each other either.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import AtDiagonal, DivergentIntegral, PoleAt, PoleOfGamma
 from .quadrature import integrate_batch
-from .special import _exp, gamma_quotient, hyp2f1, is_nonpositive_integer
-from .special import _refusals as _hyp2f1_refusals
+from .special import (_ZERO, _branches, _exp, _refusal, _values,
+                      gamma_quotient, is_nonpositive_integer)
 
 _LOG2 = math.log(2.0)
 #: log(2800): the Gaussian quadrature starts where r^2/4t = 700
@@ -86,22 +86,28 @@ def _hyp2f1_arguments(lam, d: int, dirac: bool):
             2.0 * lam + 1.0)
 
 
-def _pairs(lam, r):
-    """lam and r broadcast against each other: flat arrays (see
-    ``special._flat``), and the broadcast shape."""
-    lam, r = np.broadcast_arrays(np.asarray(lam, dtype=complex),
-                                 np.asarray(r, dtype=float))
-    return lam.ravel(), r.ravel(), lam.shape
+def _grid(x, r, dtype):
+    """x as ``dtype`` and r as float broadcast against each other: flat
+    arrays (see ``special._flat``), and the broadcast shape."""
+    x, r = np.broadcast_arrays(np.asarray(x, dtype=dtype),
+                               np.asarray(r, dtype=float))
+    return x.ravel(), r.ravel(), x.shape
 
 
-def _refusals(lam, r, d: int, dirac: bool):
-    """The refusal of each (lambda, r) pair of a resolvent kernel on
-    H^(d+1), None where it has a value: an object array in the broadcast
-    shape.  A pair's refusal is its first failed check, in the kernel's
-    order: r (a negative or NaN r, then r = 0), the gamma poles in lambda,
-    then ``hyp2f1``'s own refusal at z = sech^2(r/2), given 1 - z as
-    ``_resolvent`` gives it."""
-    lam, r, shape = _pairs(lam, r)
+def _resolvent(lam, r, d: int, dirac: bool, keep=()):
+    """A resolvent kernel on H^(d+1) at every pair of the broadcast
+    (lambda, r) grid, and each pair's refusal: (values, refusals) in the
+    broadcast shape, a refused pair's value NaN and an unrefused pair's
+    refusal None.
+
+    A pair's refusal is its first failed check, in the kernel's order: r
+    (a negative or NaN r, then r = 0), the gamma poles in lambda, then
+    ``hyp2f1``'s branch at z = sech^2(r/2), given 1 - z = tanh^2(r/2).
+    Every pair's refusal is decided before any arithmetic, and the first
+    that is not an instance of ``keep`` raises; then the pairs with no
+    refusal are evaluated, each branch decided once.
+    """
+    lam, r, shape = _grid(lam, r, complex)
     kernel = "Dirac resolvent" if dirac else "resolvent"
     excluded = "(-N/2)" if dirac else "{0} u (-N/2)"
     a, b, c = _hyp2f1_arguments(lam, d, dirac)
@@ -117,36 +123,37 @@ def _refusals(lam, r, d: int, dirac: bool):
          lambda i: PoleOfGamma(f"Gamma((d+1)/2 + lambda) pole at "
                                f"lambda = {lam[i].item()}")),
     )
-    out = np.full(lam.size, None, dtype=object)
+    refusals = np.full(lam.size, None, dtype=object)
     free = np.ones(lam.size, dtype=bool)
     for failed, refusal in checks:
         for i in np.flatnonzero(failed & free):
-            out[i] = refusal(i)
+            refusals[i] = refusal(i)
         free &= ~failed
-    out[free] = _hyp2f1_refusals(a[free], b[free], c[free],
-                                 _sech2_half(r[free]), _tanh2_half(r[free]))
-    return out.reshape(shape)
-
-
-def _resolvent(lam, r, d: int, dirac: bool):
-    """A resolvent kernel at every pair of the broadcast (lambda, r) grid;
-    the first refused pair raises."""
-    for refusal in _refusals(lam, r, d, dirac).flat:
-        if refusal is not None:
+    at = np.flatnonzero(free)
+    a, b, c, r = a[at], b[at], c[at], r[at]
+    # complex, as hyp2f1 takes them
+    z = _sech2_half(r).astype(complex)
+    w = _tanh2_half(r).astype(complex)
+    branch = _branches(a, b, c, z, w)
+    for i in np.flatnonzero(branch < _ZERO):
+        refusals[at[i]] = _refusal(i, branch, a, b, c, z)
+    for refusal in refusals:
+        if refusal is not None and not isinstance(refusal, keep):
             raise refusal
-    lam, r, shape = _pairs(lam, r)
-    a, b, c = _hyp2f1_arguments(lam, d, dirac)
+    ok = branch >= _ZERO
+    at, a, b, c, r = at[ok], a[ok], b[ok], c[ok], r[ok]
     sign = -1.0 if dirac else 1.0
     pref = sign * (2.0 ** -(d + 1)) * math.pi ** (-0.5 * (d + 1))
     gam = gamma_quotient([a, b], [c])
     if dirac:
-        power = _exp(-(d + 1 + 2.0 * lam) * _log_cosh_half(r)
+        power = _exp(-(d + 1 + 2.0 * lam[at]) * _log_cosh_half(r)
                      + _log_sinh_half(r))
     else:
-        power = _exp(-(d + 2.0 * lam) * _log_cosh_half(r))
-    value = pref * gam * power * hyp2f1(a, b, c, _sech2_half(r),
-                                        _tanh2_half(r))
-    return value.reshape(shape)[()]
+        power = _exp(-(d + 2.0 * lam[at]) * _log_cosh_half(r))
+    values = np.full(lam.size, np.nan, dtype=complex)
+    values[at] = pref * gam * power * _values(a, b, c, z[ok], w[ok],
+                                               branch[ok])
+    return values.reshape(shape), refusals.reshape(shape)
 
 
 def resolvent_scalar(lam, r, d: int):
@@ -156,15 +163,16 @@ def resolvent_scalar(lam, r, d: int):
     2^-(d+1) pi^-(d+1)/2 G((d+1)/2+l) G(l) / G(2l+1)
         * cosh(r/2)^-(d+2l) * 2F1((d+1)/2+l, l; 2l+1; sech^2(r/2)),
 
-    at every pair of the broadcast (lam, r) grid, in one ``hyp2f1`` call;
-    a scalar pair gives a numpy scalar.
+    at every pair of the broadcast (lam, r) grid, in one pass of
+    ``hyp2f1``'s arithmetic; a scalar pair gives a numpy scalar.
 
     Excluded lambda: {0} u (-N/2) and poles of Gamma((d+1)/2 + lambda)
     (``PoleOfGamma``).  A negative or NaN r raises ValueError, and r = 0
     AtDiagonal; ``hyp2f1`` refuses a z = sech^2(r/2) within 1e-3 of 1 for
-    odd d, where c - a - b is integral.  The first refused pair raises.
+    odd d, where c - a - b is integral.  The first refused pair raises,
+    before any pair is evaluated.
     """
-    return _resolvent(lam, r, d, dirac=False)
+    return _resolvent(lam, r, d, dirac=False)[0][()]
 
 
 def dirac_resolvent_scalar(lam, r, d: int):
@@ -178,7 +186,7 @@ def dirac_resolvent_scalar(lam, r, d: int):
     with the cl(v) U(m, m') endomorphism stripped.  Analytic at lambda = 0;
     the formula's gamma factors still exclude (-N/2).
     """
-    return _resolvent(lam, r, d, dirac=True)
+    return _resolvent(lam, r, d, dirac=True)[0][()]
 
 
 # --- (-d/d cosh r)^k of r / sinh(s r) * exp(-r^2 / 4t) ------------------------
@@ -206,14 +214,6 @@ def _j_div(num, den):
 def _j_deriv(a):
     """d/drho of a jet; shortens it by one order."""
     return [k * a[k] for k in range(1, len(a))]
-
-
-def _flat_grid(t, r):
-    """t and r broadcast against each other: flat float arrays, and the
-    broadcast shape."""
-    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(r, dtype=float))
-    return t.ravel(), r.ravel(), t.shape
 
 
 def _sinhc_jet(s: float, rho: np.ndarray, order: int):
@@ -260,7 +260,7 @@ def _neg_dcosh_power(inv_scale: float, t, k: int, r):
 
     t and r broadcast; a scalar pair gives a numpy scalar.
     """
-    t, r, shape = _flat_grid(t, r)
+    t, r, shape = _grid(t, r, float)
     rho = r * r
     # Python floats overflow to inf and nan without a word; so do these
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,7 +293,7 @@ def _heat_batch(s: float, k: int, unit: complex, scale: float, t, r):
     A t whose t^(3/2) overflows is refused.  ``unit`` times the real
     magnitude scales each part of ``unit`` exactly.
     """
-    t, r, shape = _flat_grid(t, r)
+    t, r, shape = _grid(t, r, float)
     # the first bad point raises; written so that NaN fails too
     bad = ~(r >= 0)
     if bad.any():
@@ -362,12 +362,14 @@ def _gaussian_lam2(lam: complex, r: float) -> complex:
 
 
 def gaussian_time_integral(lam: complex, r: float) -> complex:
-    """exp(-lambda r) / (4 pi r), the closed form of
+    """exp(-k r) / (4 pi r), the closed form of
     int_0^inf exp(-t lambda^2) (4 pi t)^(-3/2) exp(-r^2/4t) dt,
-    valid for Re(lambda^2) > 0."""
+    valid for Re(lambda^2) > 0, where k = +-lambda is the root of
+    lambda^2 with Re k > 0: the integral sees lambda^2 alone."""
     lam = complex(lam)
     _gaussian_lam2(lam, r)
-    return cmath.exp(-lam * r) / (4.0 * math.pi * r)
+    k = lam if lam.real > 0 else -lam
+    return cmath.exp(-k * r) / (4.0 * math.pi * r)
 
 
 def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
@@ -391,9 +393,8 @@ def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
     the absolute floor lets a value that cancels far below its
     integrand converge.
     """
-    lam_b, r_b = np.broadcast_arrays(np.asarray(lam, dtype=complex),
-                                     np.asarray(r, dtype=float))
-    lams, rs = lam_b.ravel().tolist(), r_b.ravel().tolist()
+    lams, rs, shape = _grid(lam, r, complex)
+    lams, rs = lams.tolist(), rs.tolist()
     lam2 = [_gaussian_lam2(l, d) for l, d in zip(lams, rs)]
     mu = [l2.real for l2 in lam2]
     upper = [max(1.0, 40.0 / m, 5.0 * d / (2.0 * math.sqrt(m)))
@@ -418,5 +419,5 @@ def gaussian_time_integral_quadrature(lam, r, tol: float = 1e-11):
                                         tol_abs=floor, tol_rel=tol)
     reported = [err + (4.0 * math.pi * up) ** -1.5 * math.exp(-up * m) / m
                 for err, up, m in zip(errors, upper, mu)]
-    return (np.array(values, dtype=complex).reshape(lam_b.shape),
-            np.array(reported).reshape(lam_b.shape))
+    return (np.array(values, dtype=complex).reshape(shape),
+            np.array(reported).reshape(shape))

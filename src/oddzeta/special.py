@@ -205,33 +205,23 @@ def _branches(a, b, c, z, one_minus_z=None):
         default=_CONNECT)
 
 
-def _refusal(branch: int, a: complex, b: complex, c: complex, z: complex):
-    """The error of one point of a refusing branch."""
-    if branch == _NONFINITE:
+def _refusal(i: int, branch, a, b, c, z):
+    """The error of point i of the flat arrays, whose branch refuses it."""
+    a, b, c, z = a[i].item(), b[i].item(), c[i].item(), z[i].item()
+    if branch[i] == _NONFINITE:
         name, value = next((name, value) for name, value
                            in zip("abcz", (a, b, c, z))
                            if not np.isfinite(value))
         return NoConvergence(f"{name} = {value} is not finite")
-    if branch == _POLE_C:
+    if branch[i] == _POLE_C:
         return PoleAtC(f"c = {c} is a nonpositive integer")
-    if branch == _OUTSIDE:
+    if branch[i] == _OUTSIDE:
         return NoConvergence(f"|z| = {abs(z):.6g} > 1")
-    if branch == _GAP_AT_ONE:
+    if branch[i] == _GAP_AT_ONE:
         return NoConvergence(
             f"2F1 at z = 1 requires Re(c - a - b) > 0, got {(c - a - b).real}")
     return NoConvergence(
         "z near 1 with integral c - a - b is outside the supported domain")
-
-
-def _refusals(a, b, c, z, one_minus_z=None):
-    """hyp2f1's refusal of each point of the flat arrays, None where it
-    has a value: an object array."""
-    branch = _branches(a, b, c, z, one_minus_z)
-    out = np.full(z.shape, None, dtype=object)
-    for i in np.flatnonzero(branch < _ZERO):
-        out[i] = _refusal(branch[i], a[i].item(), b[i].item(), c[i].item(),
-                          z[i].item())
-    return out
 
 
 def hyp2f1(a, b, c, z, one_minus_z=None):
@@ -257,9 +247,13 @@ def hyp2f1(a, b, c, z, one_minus_z=None):
     branch = _branches(a, b, c, z, w if exact else None)
     refused = branch < _ZERO
     if refused.any():
-        i = refused.argmax()
-        raise _refusal(branch[i], a[i].item(), b[i].item(), c[i].item(),
-                       z[i].item())
+        raise _refusal(refused.argmax(), branch, a, b, c, z)
+    return _values(a, b, c, z, w, branch).reshape(shape)[()]
+
+
+def _values(a, b, c, z, w, branch):
+    """hyp2f1 at every point of the flat complex arrays, w = 1 - z, whose
+    ``_branches`` are ``branch``, none of them refusing."""
     out = np.ones(z.shape, dtype=complex)  # z = 0
     series, pfaff, connect, at_one = (
         np.flatnonzero(branch == code)
@@ -289,4 +283,4 @@ def hyp2f1(a, b, c, z, one_minus_z=None):
         out[connect] = coef_a * parts[2] + coef_b * power * parts[3]
     a1, b1, c1 = a[at_one], b[at_one], c[at_one]
     out[at_one] = gamma_quotient([c1, c1 - a1 - b1], [c1 - a1, c1 - b1])
-    return out.reshape(shape)[()]
+    return out

@@ -16,6 +16,7 @@ from test_words import ring_group, scalar_class_spectrum
 import oddzeta
 import oddzeta.cli as cli
 import oddzeta.errors as errors
+import oddzeta.special as special
 import oddzeta.zeta as zeta
 import oddzeta.zograf as zograf
 from oddzeta.cli import main
@@ -31,7 +32,7 @@ from oddzeta.kernels import (dirac_resolvent_scalar, gaussian_time_integral,
                              gaussian_time_integral_quadrature,
                              heat_signature_batch, heat_spinor_batch,
                              resolvent_scalar)
-from oddzeta.kernels import _refusals as _kernel_refusals
+from oddzeta.kernels import _resolvent
 from oddzeta.moebius import loxodromic
 from oddzeta.sample_groups import sample_group
 from oddzeta.words import class_spectra, estimate_deltas, word_to_str
@@ -142,6 +143,25 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def write_note_config(tmp_path):
+    """The bench kernels.cfg with r = 1e-9 prepended, lambda = -0.5 and
+    0.2+0.5i added and d = 3: gamma poles, odd-d near-diagonal refusals
+    and divergent Gaussians, so every note a config can give."""
+    lines = []
+    for line in (PERFBENCH_CONFIGS / "kernels.cfg").read_text().splitlines():
+        if line.startswith("r = "):
+            line = "r = 1e-9 " + line[len("r = "):]
+        elif line.startswith("lambda = "):
+            grid = line.split()[2:] + ["-0.5+0i", "0.2+0.5i"]
+            grid.sort(key=lambda z: (parse_complex(z).real,
+                                     parse_complex(z).imag))
+            line = "lambda = " + " ".join(grid)
+        lines.append(line)
+        if line == "[kernels]":
+            lines.append("d = 3")
+    return write(tmp_path, "notes.cfg", "\n".join(lines) + "\n")
 
 
 class TestExitCodes:
@@ -631,6 +651,40 @@ class TestKernelsCommand:
             assert (row["value_re"], row["value_im"], row["note"]) == (
                 repr(value.real), repr(value.imag), ""), row
 
+    @pytest.mark.parametrize("notes", [False, True], ids=["bench", "notes"])
+    def test_hyp2f1_branches_decided_once_per_kind(self, tmp_path, notes):
+        # each resolvent kind decides every pair's refusal, hyp2f1's
+        # branch included, in one pass and evaluates the rest from it:
+        # one special._branches call per kind, however it is imported
+        cfg = (write_note_config(tmp_path) if notes
+               else str(PERFBENCH_CONFIGS / "kernels.cfg"))
+        code, calls = special._branches.__code__, []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(event)
+
+        sys.setprofile(profile)
+        try:
+            status = main(["kernels", "--config", cfg,
+                           "--out", str(tmp_path)])
+        finally:
+            sys.setprofile(None)
+        assert status == 0
+        assert len(calls) == 2
+
+    def test_note_config_gives_every_note(self, tmp_path):
+        # at d = 3 the 5 r below 0.063 are refused by hyp2f1 for the 13
+        # lambdas off the pole, lambda = -1/2 is a gamma pole at every r,
+        # and lambda = 0.2+0.5i has Re(lambda^2) < 0
+        cfg = write_note_config(tmp_path)
+        assert main(["kernels", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = [l for l in (tmp_path / "kernels.csv").read_text().splitlines()
+                 if not l.startswith("#")]
+        notes = [l.split(",")[-1] for l in lines[1:]]
+        assert {note: notes.count(note) for note in set(notes) if note} == {
+            "NoConvergence": 130, "PoleOfGamma": 66, "DivergentIntegral": 33}
+
     def test_odd_d_near_the_diagonal_gets_a_note(self, tmp_path):
         # with d odd, c - a - b of the resolvent's 2F1 is an integer, and
         # hyp2f1 refuses z = sech^2(r/2) > 0.999 (r below about 0.063):
@@ -731,12 +785,16 @@ class TestKernelsCommand:
         "lambda = 0.5-0.1i 2+0i\nt = 0.01 3\nr = 1e-300 0.1 30\n",
         # a Gaussian row stopped on the absolute floor: AbsoluteFloor
         "lambda = 3+2.9i\nt = 1\nr = 0.5 20\n",
+        # the bench config with every note
+        pytest.param("notes", id="notes"),
     ])
     def test_rows_equal_the_reference_writer(self, tmp_path, grids):
         # each row kind's template against the per-cell writer it
         # replaced, byte for byte
         if grids is None:
             cfg = str(PERFBENCH_CONFIGS / "kernels.cfg")
+        elif grids == "notes":
+            cfg = write_note_config(tmp_path)
         else:
             cfg = write(tmp_path, "k.cfg", REAL_PAIR.split("[grids]")[0]
                         + "[grids]\n" + grids)
@@ -780,7 +838,8 @@ def reference_kernels_csv(config) -> str:
     for lam, r in pairs:
         at = (None, r, lam.real, lam.imag)
         for kind, kernel, dirac in kinds:
-            (refusal,) = _kernel_refusals([lam], [r], config.kernel_d, dirac)
+            _, (refusal,) = _resolvent([lam], [r], config.kernel_d, dirac,
+                                       keep=Exception)
             if refusal is None:
                 val = kernel(lam, r, config.kernel_d).item()
                 lines.append(_kernel_row(kind, at,

@@ -172,6 +172,18 @@ class TestResolventScalars:
         with pytest.raises(PoleOfGamma):
             resolvent_scalar([1.0, -0.5, 1.0], [1.0, 1.0, 0.0], 2)
 
+    def test_refusal_raises_before_any_arithmetic(self):
+        # lambda = -5.25 at r = 400 overflows exp on its own; a later
+        # refused pair of the same call still raises its own refusal,
+        # since every refusal is decided before any pair is evaluated
+        for kernel in (resolvent_scalar, dirac_resolvent_scalar):
+            with pytest.raises(FloatingPointError):
+                kernel(-5.25, 400.0, 2)
+            with pytest.raises(PoleOfGamma):
+                kernel([-5.25, -0.5], [400.0, 1.0], 2)
+            with pytest.raises(AtDiagonal):
+                kernel([-5.25, 1 + 0.2j], [400.0, 0.0], 2)
+
     def test_odd_d_near_the_diagonal_refused(self):
         # with d odd, c - a - b is an integer: hyp2f1 refuses
         # z = sech^2(r/2) above 0.999, r below about 0.063
@@ -202,20 +214,27 @@ class TestResolventScalars:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_refusal_and_value_agree_near_the_diagonal(self, d):
         # the refusals read the exact 1 - z = tanh^2(r/2) that the values
-        # get, so each pair has a note or a finite value, never both or
+        # get, so each pair has a refusal or a finite value, never both or
         # neither; z = sech^2(r/2) rounds to within 1e-15 of 1 below
         # r = 6e-8 and to 1 itself below 2e-8, which at even d once read
-        # as z = 1 and refused every such pair with NoConvergence
+        # as z = 1 and refused every such pair with NoConvergence.  The
+        # pass that keeps every refusal gives each unrefused pair its 0-d
+        # call's value, bit for bit, and each refused pair NaN
         lam = np.array([1 + 0.2j, 0.3 + 0.1j, 2.5 - 0.8j])[:, None]
         r = np.array([0.04, 1e-3, 1e-6, 6e-8, 3e-8, 1e-8, 1e-10, 1e-12])
         for dirac, kernel in ((False, resolvent_scalar),
                               (True, dirac_resolvent_scalar)):
-            refusals = kernels._refusals(lam, r, d, dirac)
+            values, refusals = kernels._resolvent(lam, r, d, dirac,
+                                                  keep=Exception)
+            assert values.shape == refusals.shape == (3, 8)
             for i in range(lam.shape[0]):
                 for j in range(r.size):
                     if refusals[i, j] is None:
-                        assert np.isfinite(kernel(lam[i, 0], r[j], d))
+                        value = kernel(lam[i, 0], r[j], d)
+                        assert np.isfinite(value)
+                        assert (bits([value]) == bits([values[i, j]])).all()
                     else:
+                        assert np.isnan(values[i, j])
                         with pytest.raises(type(refusals[i, j])):
                             kernel(lam[i, 0], r[j], d)
             # at even d every pair has a value; at odd d, where c - a - b
@@ -471,6 +490,18 @@ class TestGaussianTimeIntegral:
         closed = gaussian_time_integral(lam, 2.0)
         quad, err = gaussian_time_integral_quadrature(lam, 2.0)
         assert abs(closed - quad) < 1e-9 * abs(closed)
+
+    @pytest.mark.parametrize("lam", [-0.5, -1.3 + 0.4j, -1.3 - 0.4j])
+    def test_negative_real_part_takes_the_decaying_root(self, lam):
+        # the integral depends on lambda^2 alone, so -lambda gives the
+        # same value, bit for bit: exp(-|Re lambda| r) decays; the closed
+        # form once took exp(-lambda r), which grows, and lay 1/(4 pi)
+        # off the quadrature at small r
+        for r in (1e-9, 0.04, 2.0):
+            closed = gaussian_time_integral(lam, r)
+            assert closed == gaussian_time_integral(-lam, r)
+            quad, err = gaussian_time_integral_quadrature(lam, r)
+            assert abs(closed - quad) <= err
 
     def test_divergent(self):
         with pytest.raises(DivergentIntegral):
