@@ -11,13 +11,14 @@ Kronrod nodes of all those halves in one call of a vectorised integrand
 ``f(rows, x)``.  A row's totals are a sequential sum over its own slots
 in creation order (``np.add.accumulate`` along the row), and a row leaves
 the store once it converges.  The G7 and K15 sums run over the nodes in
-``_NODES`` order, one node column at a time, with the real and imaginary
-parts kept apart, so each panel gets the same value and estimate as a
-panel evaluated on its own with Python complex arithmetic; the estimate
-uses ``np.hypot``, as ``abs`` of a Python complex uses the C ``hypot``.
-An integral's panels, totals and panel count therefore depend only on
-its own integrand values: batching changes how many integrals share a
-numpy call, never a bit of an integral's result.
+``_NODES`` order, one node at a time, on the node values laid out
+node-major, with the real and imaginary parts kept apart, so each panel
+gets the same value and estimate as a panel evaluated on its own with
+Python complex arithmetic; the estimate uses ``np.hypot``, as ``abs`` of
+a Python complex uses the C ``hypot``.  An integral's panels, totals and
+panel count therefore depend only on its own integrand values: batching
+changes how many integrals share a numpy call, never a bit of an
+integral's result.
 
 Single-threaded and deterministic.  The integrand may be real- or
 complex-valued; the error estimate is the sum of per-panel |K15 - G7|
@@ -60,6 +61,11 @@ _W = np.array([[[wg], [wk]] for _, wg, wk in _NODES])
 #: Panels one integral may evaluate before it gives up.
 MAX_PANELS = 4096
 
+#: Up to this many panels, ``_panels`` sums the node terms with one
+#: ``np.add.accumulate`` over the node axis; above it, where that
+#: accumulate costs more than 14 array additions, with one per node
+_FEW_PANELS = 32
+
 #: ``f(rows, x)``: integrand values at the nodes ``x`` (shape (k, 15)) of k
 #: panels, where ``rows[i]`` is the integral that panel i belongs to.
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -77,14 +83,19 @@ def _panels(f: BatchIntegrand, rows: np.ndarray, a: np.ndarray,
     mid = 0.5 * (a + b)
     out = np.empty((len(rows), 3))
     with np.errstate(all="ignore"):
-        fx = np.ascontiguousarray(f(rows, mid[:, None] + half[:, None] * _X),
-                                  dtype=complex)
-        # (panel, node, 1, re/im) times (node, rule, 1): each product is a
-        # part of the Python product weight * f(x), and the running sum
-        # over the node axis adds in _NODES order, one node at a time
-        parts = fx.view(np.float64).reshape(len(rows), len(_X), 1, 2)
-        sums = np.add.accumulate(parts * _W, axis=1)[:, -1]
-        g7, k15 = sums[:, 0], sums[:, 1]
+        fx = np.asarray(f(rows, mid[:, None] + half[:, None] * _X),
+                        dtype=complex)
+        # node-major (node, 1, panel re/im) times (node, rule, 1): each
+        # product is a part of the Python product weight * f(x), and the
+        # sums add the node terms in _NODES order, one node at a time
+        terms = np.ascontiguousarray(fx.T).view(np.float64)[:, None] * _W
+        if len(rows) <= _FEW_PANELS:
+            sums = np.add.accumulate(terms)[-1]
+        else:
+            sums = terms[0]
+            for term in terms[1:]:
+                sums += term
+        g7, k15 = sums.reshape(2, len(rows), 2)
         diff = k15 - g7
         out[:, 0] = np.hypot(diff[:, 0], diff[:, 1]) * np.abs(half)
         out[:, 1:] = k15 * half[:, None]

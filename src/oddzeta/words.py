@@ -28,6 +28,8 @@ expect.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Sequence, Tuple
@@ -353,6 +355,11 @@ _SCAN_INTERVALS = 64
 #: Terms w e^(-x y) that ``_traces`` holds at once.
 _TRACE_BLOCK = 1 << 14
 
+#: log(DBL_MIN), 2.7e-14 above the exact value: a float exponent below it
+#: is below log(2^-1022), where numpy's exp turns subnormal or zero and
+#: takes its slow paths
+_LOG_TINY = math.log(sys.float_info.min)
+
 
 def cycle_expansion(spectrum: Spectrum, weight: np.ndarray, lam,
                     N: int) -> np.ndarray:
@@ -388,20 +395,54 @@ def _traces(y: np.ndarray, weight: np.ndarray, starts,
     (R, K) ``x``: shape (R, K, len(starts)).  Each x is its own row of
     ``np.add.reduceat`` over views of its row, in blocks of at most
     ``_TRACE_BLOCK`` terms (whole rows of x, or chunks of one row's), so
-    its bits depend on no batch or block size; no x or no term gives 0."""
+    its bits depend on no batch or block size; no x or no term gives 0.
+
+    For real x and y, a term whose exponent -x y is below log(DBL_MIN)
+    is weight * 0, with no call of ``exp``: the term is below
+    2^-1022 |weight|, and ``exp`` is 15 to 150 times slower on such an
+    exponent than in range.  Only a block holding an x whose exponent
+    can fall that low at its row's largest y compares its exponents.
+    Complex terms are left to numpy's complex ``exp``, whose zeros carry
+    the signs of cos and sin.
+    """
     rows, count = x.shape
     t = np.zeros((rows, count, len(starts)), np.result_type(weight, x, y))
     if y.shape[1] and count:
+        neg = -x
+        # the x whose exponents can fall below _LOG_TINY at their row's
+        # largest y, if x and y are real and any x can
+        masked = "c" not in (x.dtype.kind, y.dtype.kind)
+        if masked:
+            deep = neg * y.max(axis=1, keepdims=True) < _LOG_TINY
+            masked = np.count_nonzero(deep)
         step = max(1, _TRACE_BLOCK // y.shape[1])
         slab, chunk = max(1, step // count), min(step, count)
+        # a block's exponents are a temporary, which its exps and, where
+        # the dtype allows, its terms overwrite
+        in_place = t.dtype == np.result_type(x, y)
         for r in range(0, rows, slab):
             for k in range(0, count, chunk):
+                e = _exps(neg[r:r + slab, k:k + chunk, None]
+                          * y[r:r + slab, None],
+                          masked and np.count_nonzero(
+                              deep[r:r + slab, k:k + chunk]))
                 t[r:r + slab, k:k + chunk] = np.add.reduceat(
-                    weight[r:r + slab, None]
-                    * np.exp(-x[r:r + slab, k:k + chunk, None]
-                             * y[r:r + slab, None]),
+                    np.multiply(weight[r:r + slab, None], e,
+                                out=e if in_place else None),
                     starts, axis=2)
     return t
+
+
+def _exps(e: np.ndarray, guarded) -> np.ndarray:
+    """exp(e), written over e; ``guarded``, 0 wherever e is below
+    ``_LOG_TINY``, with no call of exp there (a NaN is not below, and
+    keeps its exp)."""
+    if guarded:
+        low = e < _LOG_TINY
+        np.exp(e, out=e, where=~low)
+        e[low] = 0.0
+        return e
+    return np.exp(e, out=e)
 
 
 def _expansion_rows(ell: np.ndarray, weight: np.ndarray, starts: np.ndarray,

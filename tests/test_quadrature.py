@@ -250,3 +250,68 @@ def test_eta_routes_match_the_heap_core(seed, tmp_path, monkeypatch):
             monkeypatch.setattr(zeta, "integrate_batch", count)
             runs[core] = (eta(terms, route, config.quad_tol), panels)
         assert runs[quadrature] == runs[heap_quadrature]
+
+
+# --- the node and slot sums ---------------------------------------------------
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 15, quadrature._FEW_PANELS + 1, 600])
+def test_panels_equal_the_accumulate_form(k):
+    # the node sums, by one accumulate or one addition per node, against
+    # the heap core's running sum over the (panel, node) axis: the same
+    # value and estimate bit for bit, an inf and a NaN node included
+    rng = np.random.default_rng(k)
+    a = rng.uniform(-2.0, 2.0, k)
+    b = a + rng.uniform(-1e-3, 3.0, k)
+    rows = np.arange(k) % 3
+
+    def f(rows, x):
+        fx = np.exp(-x * x) * (1.0 + 0.5j * rows[:, None]) + np.sin(7.0 * x)
+        fx[0, 7] = complex(np.inf, 0.0)
+        fx[-1, 3] = np.nan
+        return fx
+
+    got = quadrature._panels(f, rows, a, b)
+    values, errors = heap_quadrature._panels(f, rows, a, b)
+    assert _float_bits(got[:, 0]) == _float_bits(errors)
+    values = np.array(values, dtype=complex)
+    assert _float_bits(got[:, 1]) == _float_bits(values.real)
+    assert _float_bits(got[:, 2]) == _float_bits(values.imag)
+    assert not np.isfinite(got[0]).all() and np.isnan(got[-1, 1])
+
+
+def test_totals_are_the_slot_sums_in_creation_order(monkeypatch):
+    # each row's totals are the running sum of its panels in the order
+    # they were made, a bisected panel's slot counting +0.0: two rows
+    # with more slots than numpy's pairwise sum adds one by one, and a
+    # reversed interval whose imaginary parts are all -0.0
+    fs = [lambda x: cmath.exp(1j * x) / (0.01 + x * x), _peak,
+          lambda x: -x * x, lambda x: 1.0]
+    a, b = [-1.0, 0.0, 0.0, 0.0], [2.0, 1.0, -1.0, 3.0]
+    seen = []
+    panels = quadrature._panels
+
+    def spy(f, rows, lo, hi):
+        est = panels(f, rows, lo, hi)
+        seen.extend(zip(rows.tolist(), lo.tolist(), hi.tolist(),
+                        est.tolist()))
+        return est
+
+    monkeypatch.setattr(quadrature, "_panels", spy)
+    values, errors, counts = integrate_batch(_scalar_rows(fs), a, b,
+                                             1e-11, 1e-11)
+    made = {(i, lo, hi) for i, lo, hi, _ in seen}
+    assert counts[0] > 8 and counts[1] > 8
+    for i in range(len(fs)):
+        slots = [est if (i, lo, 0.5 * (lo + hi)) not in made else [0.0] * 3
+                 for row, lo, hi, est in seen if row == i]
+        assert len(slots) == counts[i]
+        total = slots[0]
+        for slot in slots[1:]:
+            total = [s + v for s, v in zip(total, slot)]
+        assert _float_bits(total) == _float_bits(
+            [errors[i], values[i].real, values[i].imag])

@@ -1069,3 +1069,124 @@ class TestTraces:
                 for k in range(K):
                     assert np.array_equal(stacked[r, k].view(np.int64),
                                           alone[r][k].view(np.int64))
+
+
+def unguarded_traces(y, weight, starts, x):
+    """``words._traces`` with every term through ``exp``: the reference
+    for the guard that makes a term below log(DBL_MIN) weight * 0."""
+    rows, count = x.shape
+    t = np.zeros((rows, count, len(starts)), np.result_type(weight, x, y))
+    if y.shape[1] and count:
+        step = max(1, words._TRACE_BLOCK // y.shape[1])
+        slab, chunk = max(1, step // count), min(step, count)
+        for r in range(0, rows, slab):
+            for k in range(0, count, chunk):
+                t[r:r + slab, k:k + chunk] = np.add.reduceat(
+                    weight[r:r + slab, None]
+                    * np.exp(-x[r:r + slab, k:k + chunk, None]
+                             * y[r:r + slab, None]),
+                    starts, axis=2)
+    return t
+
+
+def same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+@functools.cache
+def _thick_terms(L):
+    """The benchmark's seed-0 thick point's terms at word cutoff L."""
+    from oddzeta.zeta import terms_from_group
+    config = load_config(str(ROOT / "perfbench" / "configs" / "eta_thick.cfg"))
+    return terms_from_group(config.generators, L, config.delta_cutoff)
+
+
+def _route_calls(terms, route, monkeypatch):
+    """The (y, weight, starts, x) of each ``_traces`` call of an eta route."""
+    from oddzeta import zeta
+    calls = []
+
+    def record(y, weight, starts, x):
+        calls.append((y, weight, starts, x))
+        return words._traces(y, weight, starts, x)
+
+    monkeypatch.setattr(zeta, "_traces", record)
+    zeta.eta(terms, route)
+    monkeypatch.undo()
+    return calls
+
+
+class TestUnderflowGuard:
+    @pytest.mark.parametrize("L", [9, 11])
+    @pytest.mark.parametrize("route", ["lambda_integral", "heat_quadrature"])
+    def test_route_nodes_equal_the_unguarded_kernel(self, L, route,
+                                                    monkeypatch):
+        # the seed-0 thick point: at L = 9 and 11 the heat route's deepest
+        # nodes lose 13 % and 20 % of their terms below log(DBL_MIN), the
+        # lambda route's none, and every sum keeps its bits
+        calls = _route_calls(_thick_terms(L), route, monkeypatch)
+        deep = 0
+        for y, weight, starts, x in calls:
+            deep += np.count_nonzero(-x * y.max() < words._LOG_TINY)
+            assert same_bits(words._traces(y, weight, starts, x),
+                             unguarded_traces(y, weight, starts, x))
+        assert (deep > 0) == (route == "heat_quadrature")
+
+    def test_row_of_only_underflowing_terms(self):
+        # every term's exp is 0: each shell sums to the zero of the
+        # unguarded kernel, -0 where every weight is negative
+        y = np.linspace(1.0, 2.0, 12)[None]
+        weight = np.array([[-1.0, -2.0, -3.0, 1.0, 2.0, 3.0,
+                            -1.0, 2.0, -3.0, 4.0, -5.0, 6.0]])
+        x = np.array([[800.0, 1e4, np.inf]])
+        got = words._traces(y, weight, [0, 3, 6], x)
+        assert same_bits(got, unguarded_traces(y, weight, [0, 3, 6], x))
+        assert np.signbit(got[0, :, 0]).all()
+        assert not np.signbit(got[0, :, 1:]).any()
+
+    def test_masked_terms_lie_below_the_stated_bound(self):
+        # exponents from -715 to -766 give subnormal or zero exp values,
+        # which the guard drops: each sum moves by at most
+        # 2^-1022 sum |weight|; at x = 600 no term is dropped
+        y = np.linspace(1.0, 1.05, 50)[None]
+        weight = np.linspace(0.5, 5.0, 50)[None]
+        x = np.array([[600.0, 715.0, 730.0]])
+        got = words._traces(y, weight, [0], x)
+        want = unguarded_traces(y, weight, [0], x)
+        assert want[0, 1:, 0].all() and not got[0, 1:, 0].any()
+        bound = 2.0 ** -1022 * np.abs(weight).sum()
+        assert np.all(np.abs(got - want) <= bound)
+        assert same_bits(got[:, :1], want[:, :1])
+
+    @pytest.mark.parametrize("x", [
+        # complex x: the complex exp, never masked
+        np.array([[0.5 + 1.0j, 400.0 - 2.0j, 900.0 + 0.3j, 1e4 + 1e3j]]),
+        # negative and zero x beside deep ones
+        np.array([[-0.75, 0.0, -3.0, 650.0, 2e3]]),
+    ])
+    def test_complex_and_negative_x(self, x):
+        spectrum = class_spectra([sample_group("g2_complex_a").generators],
+                                 6)[0]
+        y = spectrum.ell[None]
+        weight = spectrum.word_length[None] * (1.0 - 0.5j)
+        starts = np.searchsorted(spectrum.word_length, np.arange(1, 7))
+        assert same_bits(words._traces(y, weight, starts, x),
+                         unguarded_traces(y, weight, starts, x))
+
+    def test_deep_and_shallow_x_share_a_block(self, monkeypatch):
+        # a block holding an x that can underflow and one that cannot:
+        # both keep the unguarded bits, real and complex weights alike,
+        # and a NaN x beside them stays NaN
+        y = np.linspace(0.5, 30.0, 40)[None]
+        x = np.array([[0.25, 40.0, 3.0, 60.0, np.nan, 45.0]])
+        deep = -x * y.max() < words._LOG_TINY
+        assert deep.any() and not deep.all()
+        for weight in (np.sin(np.arange(40.0))[None],
+                       np.exp(1j * np.arange(40.0))[None]):
+            for block in (2 * 40, 6 * 40):
+                monkeypatch.setattr(words, "_TRACE_BLOCK", block)
+                got = words._traces(y, weight, [0, 7, 19], x)
+                assert same_bits(got, unguarded_traces(y, weight, [0, 7, 19],
+                                                       x))
+                assert np.isnan(got[0, 4]).all()

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_words import (ELLIPTIC_AB, _families, ring_group,
-                        scalar_class_spectrum, ulps)
+from test_words import (ELLIPTIC_AB, _families, _thick_terms, ring_group,
+                        scalar_class_spectrum, ulps, unguarded_traces)
 from toyterms import (
     class_terms,
     conjugated_terms,
@@ -33,10 +33,11 @@ from oddzeta.moebius import (
     geodesic_invariants,
 )
 from oddzeta.quadrature import integrate_batch
-from oddzeta import words
+from oddzeta import words, zeta
 from oddzeta.words import (PoincareEstimate, class_spectra, cycle_expansion,
                            estimate_deltas)
 from oddzeta.zeta import (
+    ETA_ROUTES,
     _SUM_BLOCK,
     _fsum,
     dlog_zeta_odd,
@@ -831,3 +832,16 @@ class TestFsum:
         with pytest.raises(OverflowError):
             math.fsum(values)
         assert _fsum(np.array(values)) == 1e308 + 0j
+
+
+def test_eta_routes_at_depth(monkeypatch):
+    # the bench's seed-0 thick point at L = 11 (25 626 classes), where a
+    # fifth of the heat route's terms fall below log(DBL_MIN): the three
+    # routes agree, and the heat route has the bits of the unguarded
+    # exponential sums
+    terms = _thick_terms(11)
+    assert len(terms) == 25626
+    routes = {route: eta(terms, route) for route in ETA_ROUTES}
+    assert max(routes.values()) - min(routes.values()) <= 1e-9
+    monkeypatch.setattr(zeta, "_traces", unguarded_traces)
+    assert eta(terms, "heat_quadrature") == routes["heat_quadrature"]
