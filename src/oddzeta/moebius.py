@@ -16,7 +16,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,7 +102,11 @@ class MoebiusMap:
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         """The one-block case of ``_products``."""
-        return _maps(_products(_entries([self]), _entries([other])))[0]
+        (a, b), (c, d) = _products(
+            np.array([[[self.a], [self.b]], [[self.c], [self.d]]]),
+            np.array([[[other.a], [other.b]], [[other.c], [other.d]]]),
+        )[..., 0].tolist()
+        return MoebiusMap(a, b, c, d)
 
     def inverse(self) -> "MoebiusMap":
         # adjugate equals inverse at det = 1 and preserves the sign lift
@@ -119,18 +123,6 @@ class MoebiusMap:
         if den == 0:
             return INFINITY
         return (self.a * z + self.b) / den
-
-
-def _entries(maps: Sequence[MoebiusMap]) -> np.ndarray:
-    """The entries of the maps as a complex array of shape (2, 2, n)."""
-    return np.array([[m.a, m.b, m.c, m.d] for m in maps],
-                    dtype=complex).reshape(-1, 2, 2).transpose(1, 2, 0)
-
-
-def _maps(entries: np.ndarray) -> List[MoebiusMap]:
-    """The maps of a complex array of shape (2, 2, n), as ``_entries``
-    lays them out."""
-    return [MoebiusMap(*m) for m in entries.reshape(4, -1).T.tolist()]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -305,31 +297,13 @@ def loxodromic(attracting: complex, repelling: complex,
     """The map with finite, distinct fixed points ``attracting`` and
     ``repelling`` and multiplier q, 0 < |q| < 1: the inverse of
     ``geodesic_invariants``.  It is diag(sqrt q, 1/sqrt q), principal
-    root, conjugated by the map taking attracting to 0, repelling to inf:
-    the one-map case of ``_loxodromics``.
+    root, conjugated by the map taking attracting to 0, repelling to inf.
     """
-    return _loxodromics([attracting], [repelling], [q])[0]
-
-
-def _loxodromics(attracting: Sequence[complex], repelling: Sequence[complex],
-                 q: Sequence[complex]) -> List[MoebiusMap]:
-    """``loxodromic`` of each (attracting[i], repelling[i], q[i]).
-
-    Each map's two products are those of all the maps at once, one
-    ``_products`` call per factor, so a map's bits do not depend on the
-    others; a refusal is one that some map raises on its own.
-    """
-    conj, diag = [], []
-    for att, rep, mult in zip(attracting, repelling, q):
-        if not 0.0 < abs(mult) < 1.0:
-            raise ValueError(f"q = {mult} must satisfy 0 < |q| < 1")
-        conj.append(MoebiusMap.normalized(1.0, -att, 1.0, -rep))
-        root = cmath.sqrt(mult)
-        diag.append(MoebiusMap(root, 0.0, 0.0, 1.0 / root))
-    # a product of _products passes MoebiusMap's checks, so the inner one
-    # need not be built as a map
-    inner = _products(_entries([m.inverse() for m in conj]), _entries(diag))
-    return _maps(_products(inner, _entries(conj)))
+    if not 0.0 < abs(q) < 1.0:
+        raise ValueError(f"q = {q} must satisfy 0 < |q| < 1")
+    conj = MoebiusMap.normalized(1.0, -attracting, 1.0, -repelling)
+    root = cmath.sqrt(q)
+    return conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root) @ conj
 
 
 def _map_to_0_inf_1(p1: complex, p2: complex, p3: complex) -> MoebiusMap:

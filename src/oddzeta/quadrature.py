@@ -61,11 +61,6 @@ _W = np.array([[[wg], [wk]] for _, wg, wk in _NODES])
 #: Panels one integral may evaluate before it gives up.
 MAX_PANELS = 4096
 
-#: Up to this many panels, ``_panels`` sums the node terms with one
-#: ``np.add.accumulate`` over the node axis; above it, where that
-#: accumulate costs more than 14 array additions, with one per node
-_FEW_PANELS = 32
-
 #: ``f(rows, x)``: integrand values at the nodes ``x`` (shape (k, 15)) of k
 #: panels, where ``rows[i]`` is the integral that panel i belongs to.
 BatchIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -89,12 +84,9 @@ def _panels(f: BatchIntegrand, rows: np.ndarray, a: np.ndarray,
         # product is a part of the Python product weight * f(x), and the
         # sums add the node terms in _NODES order, one node at a time
         terms = np.ascontiguousarray(fx.T).view(np.float64)[:, None] * _W
-        if len(rows) <= _FEW_PANELS:
-            sums = np.add.accumulate(terms)[-1]
-        else:
-            sums = terms[0]
-            for term in terms[1:]:
-                sums += term
+        sums = terms[0]
+        for term in terms[1:]:
+            sums += term
         g7, k15 = sums.reshape(2, len(rows), 2)
         diff = k15 - g7
         out[:, 0] = np.hypot(diff[:, 0], diff[:, 1]) * np.abs(half)

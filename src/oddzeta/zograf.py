@@ -30,8 +30,8 @@ import numpy as np
 from .errors import (DegenerateConfiguration, DeltaNotNegative,
                      LeftSchottkyDomain, NonConvergent, NonPrimitiveInput,
                      NotLoxodromic, OddZetaError)
-from .moebius import (EPS_CLASS, MoebiusMap, _loxodromics, _map_to_0_inf_1,
-                      _points_distinct, geodesic_invariants)
+from .moebius import (EPS_CLASS, MoebiusMap, _map_to_0_inf_1,
+                      _points_distinct, geodesic_invariants, loxodromic)
 from .zeta import (
     ZetaTerms,
     _check_delta_negative,
@@ -63,42 +63,18 @@ def schottky_from_params(q1: complex, q2: complex, b2: complex) -> SchottkyPoint
 
     Generator 1 fixes (0, inf) with multiplier q1; generator 2 fixes
     (1, b2) with multiplier q2.  Whether the result is actually free and
-    discrete is trusted input, as everywhere in this package.  The
-    one-point case of ``_schottky_points``.
+    discrete is trusted input, as everywhere in this package.
     """
-    return _schottky_points([(q1, q2, b2)])[0]
-
-
-def _schottky_points(points: Sequence[Tuple[complex, complex, complex]]
-                     ) -> List[SchottkyPoint]:
-    """``schottky_from_params`` of each chart point: the second
-    generators are one ``moebius._loxodromics`` call, so each point's
-    bits are its own call's.  A batch that raises is redone one point at
-    a time, so it raises the first refused point's own error."""
-    try:
-        params, first = [], []
-        for q1, q2, b2 in points:
-            q1, q2, b2 = complex(q1), complex(q2), complex(b2)
-            for name, q in (("q1", q1), ("q2", q2)):
-                if not 0.0 < abs(q) < 1.0:
-                    raise ValueError(f"{name} = {q} must satisfy 0 < |q| < 1")
-            if (not cmath.isfinite(b2) or abs(b2 - 1.0) < 1e-12
-                    or abs(b2) < 1e-12):
-                raise ValueError(f"b2 = {b2} collides with an anchor point")
-            root1 = cmath.sqrt(q1)
-            first.append(MoebiusMap(root1, 0.0, 0.0, 1.0 / root1))
-            params.append((q1, q2, b2))
-        second = _loxodromics([1.0] * len(params), [p[2] for p in params],
-                              [p[1] for p in params])
-    except (ValueError, ArithmeticError):
-        # the products run after all the points' checks, so a refusal
-        # of an earlier point may come second
-        if len(points) > 1:
-            for point in points:
-                _schottky_points([point])
-        raise
-    return [SchottkyPoint(generators=pair, params=p)
-            for pair, p in zip(zip(first, second), params)]
+    q1, q2, b2 = complex(q1), complex(q2), complex(b2)
+    for name, q in (("q1", q1), ("q2", q2)):
+        if not 0.0 < abs(q) < 1.0:
+            raise ValueError(f"{name} = {q} must satisfy 0 < |q| < 1")
+    if not cmath.isfinite(b2) or abs(b2 - 1.0) < 1e-12 or abs(b2) < 1e-12:
+        raise ValueError(f"b2 = {b2} collides with an anchor point")
+    root1 = cmath.sqrt(q1)
+    gen1 = MoebiusMap(root1, 0.0, 0.0, 1.0 / root1)
+    return SchottkyPoint(generators=(gen1, loxodromic(1.0, b2, q2)),
+                         params=(q1, q2, b2))
 
 
 def chart_params(generators: Sequence[MoebiusMap]) -> Tuple[complex, complex, complex]:
@@ -276,8 +252,8 @@ def eta_on_chart(L: int, delta_cutoff: int,
     def evaluate(points: List[ChartPoint]) -> List[Tuple[float, float]]:
         try:
             terms = terms_from_groups(
-                [point.generators for point in _schottky_points(points)],
-                L, delta_cutoff, eps_class=eps_class)
+                [schottky_from_params(*params).generators
+                 for params in points], L, delta_cutoff, eps_class=eps_class)
         except (NotLoxodromic, NonConvergent, ValueError) as exc:
             raise LeftSchottkyDomain(str(exc)) from exc
         values = []

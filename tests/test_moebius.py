@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oddzeta.errors import DegenerateConfiguration, NotLoxodromic
 from oddzeta.moebius import (
     MoebiusMap,
-    _loxodromics,
     classify,
     geodesic_invariants,
     is_infinite,
@@ -257,25 +256,6 @@ class TestLoxodromic:
     def test_multiplier_outside_unit_disc_refused(self, q):
         with pytest.raises(ValueError, match=re.escape("0 < |q| < 1")):
             loxodromic(0.0, 1.0, q)
-
-    def test_batch_is_the_one_block_products(self):
-        # all the maps' products, one _products call per factor, are the
-        # two one-block products conj^-1 @ diag(sqrt q, 1/sqrt q) @ conj
-        # that built each map on its own
-        fixed = [(0.3 - 0.2j, 1.5 + 1.0j, 0.3 + 0.1j),
-                 (-1.0 + 0.5j, 2.0 - 0.3j, 1e-9j),
-                 (1.0, -0.9 + 0.6j, 0.07 - 0.03j),
-                 (1.0, 4e7 + 1.0j, 1e-150),
-                 (0.0, -2.0, -0.5)]
-        batch = _loxodromics(*zip(*fixed))
-        assert len(batch) == len(fixed)
-        for (att, rep, q), m in zip(fixed, batch):
-            conj = MoebiusMap.normalized(1.0, -att, 1.0, -rep)
-            root = cmath.sqrt(q)
-            want = (conj.inverse() @ MoebiusMap(root, 0.0, 0.0, 1.0 / root)
-                    @ conj)
-            assert repr(m) == repr(want) == repr(loxodromic(att, rep, q))
-        assert _loxodromics([], [], []) == []
 
 
 class TestHyperbolicDistance:

@@ -20,7 +20,6 @@ from oddzeta.moebius import MoebiusMap, geodesic_invariants
 from oddzeta.sample_groups import sample_group
 from oddzeta.zeta import eta, terms_from_group, zeta_odd
 from oddzeta.zograf import (
-    _schottky_points,
     chart_params,
     check_eta_F_identity,
     eta_on_chart,
@@ -71,48 +70,6 @@ class TestSchottkyChart:
                      for m in schottky_from_params(*params).generators)
         recovered = chart_params(gens)
         assert all(abs(a - b) < 1e-12 for a, b in zip(params, recovered))
-
-    def test_batch_is_each_points_own(self):
-        # a walk chunk's generators come from one moebius._products call
-        # per factor: each point's are the bits of its one-point call and
-        # of the one-block products that built it before
-        points = [THICK_POINT, sample_group("scan_base").params,
-                  (0.3 - 0.2j, 1e-150, 4e7 + 1.0j), (0.5, -0.25, -3.0)]
-        batch = _schottky_points(points)
-        for params, point in zip(points, batch):
-            q1, q2, b2 = map(complex, params)
-            conj = MoebiusMap.normalized(1.0, -1.0, 1.0, -b2)
-            root1, root2 = cmath.sqrt(q1), cmath.sqrt(q2)
-            want = (MoebiusMap(root1, 0.0, 0.0, 1.0 / root1),
-                    conj.inverse() @ MoebiusMap(root2, 0.0, 0.0, 1.0 / root2)
-                    @ conj)
-            assert point.params == (q1, q2, b2)
-            assert repr(point.generators) == repr(want)
-            assert repr(point) == repr(schottky_from_params(*params))
-
-    def test_first_refused_point_in_order(self):
-        # three points the chart refuses, each with its own ValueError,
-        # one of them in the second generator's products: a walk chunk
-        # of any order raises the first one's, as it does alone, and
-        # eta_on_chart turns it into LeftSchottkyDomain
-        ok = sample_group("scan_base").params
-        bad = {"q1": (1.2, 0.0012, -1.0 + 0.5j), "anchor": (0.001, 0.001, 1.0),
-               "scale": (0.5, 5e-324, -1.0)}
-        alone = {}
-        for name, params in bad.items():
-            with pytest.raises(ValueError) as exc:
-                schottky_from_params(*params)
-            alone[name] = str(exc.value)
-        assert len(set(alone.values())) == 3
-        assert "squares past the float range" in alone["scale"]
-        for order in itertools.permutations(bad):
-            points = [ok] + [bad[name] for name in order]
-            with pytest.raises(ValueError) as exc:
-                _schottky_points(points)
-            assert str(exc.value) == alone[order[0]]
-            with pytest.raises(LeftSchottkyDomain) as exc:
-                eta_on_chart(3, 5)(points)
-            assert str(exc.value) == alone[order[0]]
 
     def test_rejects_anchor_collisions(self):
         with pytest.raises(ValueError):
