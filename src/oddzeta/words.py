@@ -312,18 +312,27 @@ def class_spectra(generator_sets: Sequence[Sequence[MoebiusMap]], L: int,
             for k in range(len(sets))]
 
 
-def word_strings(codes: np.ndarray, word_length: np.ndarray,
-                 g: int) -> List[str]:
-    """``word_to_str`` of each word code (see ``_class_products``)."""
+def word_letters(codes: np.ndarray, word_length: np.ndarray,
+                 g: int) -> np.ndarray:
+    """``word_to_str`` of each word code (see ``_class_products``) as
+    ASCII bytes: a uint8 matrix with one row per word, NUL past its end."""
     base = 2 * g
     width = int(word_length.max())
     # shift[r, p]: the power of the base of letter p, < 0 past the end
     shift = word_length[:, None] - 1 - np.arange(width)
     digits = codes[:, None] // base ** np.maximum(shift, 0) % base
-    alphabet = np.array([word_to_str((s,)) for s in range(-g, g + 1) if s])
-    letters = np.where(shift >= 0, alphabet[digits], "")
-    # numpy drops trailing empty characters, so each row is its word
-    return letters.view(f"U{width}").ravel().tolist()
+    alphabet = np.frombuffer("".join(
+        word_to_str((s,)) for s in range(-g, g + 1) if s).encode(), np.uint8)
+    return np.where(shift >= 0, alphabet[digits], 0)
+
+
+def word_strings(codes: np.ndarray, word_length: np.ndarray,
+                 g: int) -> List[str]:
+    """``word_to_str`` of each word code (see ``_class_products``)."""
+    letters = word_letters(codes, word_length, g)
+    # numpy drops trailing NULs, so each row is its word
+    return (letters.view(f"S{letters.shape[1]}").ravel().astype(str)
+            .tolist())
 
 
 def word_to_str(w: Sequence[int]) -> str:

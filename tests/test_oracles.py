@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import scalar_special
-from oddzeta.config import load_config
+from oddzeta.config import load_config, parse_config
 from oddzeta.kernels import (_neg_dcosh_power, c_lambda,
                              dirac_resolvent_scalar, resolvent_scalar)
 from oddzeta.special import hyp2f1, log_gamma
@@ -260,3 +260,67 @@ def test_cycle_expansion(eta_thick_config):
             worst = max(worst, *(float(abs(mp.mpc(got[n, col]) - ref[n]))
                                  for n in range(N + 1)))
     assert worst <= 1e-15
+
+
+def closed_form_resolvents(lam, r):
+    """Both resolvent scalars at d = 2 in elementary functions, as arrays
+    broadcast over (lambda, r):
+
+    R = e^(-lambda r)/(4 pi sinh r) (1 + tanh(r/2)/(2 lambda)),
+    D = -e^(-lambda r)/(4 pi sinh r) (lambda + coth(r/2)/2).
+
+    Past r = 1 the prefactor is one exp of -lambda r - log(4 pi sinh r),
+    log sinh r = r - log 2 + log1p(-e^(-2r)), so it is not lost to
+    underflow before the value is."""
+    lam, r = np.asarray(lam, complex), np.asarray(r, float)
+    far = np.maximum(r, 1)
+    scale = np.where(
+        r > 1, np.exp(-lam * far - math.log(2 * math.pi) - far
+                      - np.log1p(-np.exp(-2 * far))),
+        np.exp(-lam * r) / (4 * math.pi * np.sinh(np.minimum(r, 1))))
+    return (scale * (1 + np.tanh(r / 2) / (2 * lam)),
+            -scale * (lam + 0.5 / np.tanh(r / 2)))
+
+
+#: How far the d = 2 resolvents may lie from their closed forms,
+#: relative, in units of epsilon: CLOSED_FORM_EPS plus 2 (|lambda| + 1) r,
+#: since both round e^(-lambda r) and sinh r, whose relative error grows
+#: with the size of the exponent.  The worst measured on the grids below:
+#: 336 eps (the resolvent at lambda = 2.77+0.25i, r = 0.585, where hyp2f1
+#: sums its connection formula; 340 eps off 50-digit mpmath, where the
+#: closed form is 1.1 eps off), 131 eps at r = 1e-12 and 470 eps at r =
+#: 300, lambda = 1.29-0.05i.  A branch, sign or Gamma argument gone wrong
+#: moves a value by O(1).  Below DBL_MIN the bound is absolute, 256 units
+#: of the smallest subnormal (159 measured at r = 700).
+CLOSED_FORM_EPS = 384
+
+
+@pytest.mark.parametrize("where", ["bench", "ladder"])
+def test_resolvents_equal_their_d2_closed_forms(where):
+    # "bench": every (lambda, r) of the benchmark's kernel grids of seeds
+    # 0-10; "ladder": the seed-0 lambdas and two small ones, whose values
+    # stay above DBL_MIN further out, at r from 1e-12 to 700, with the
+    # seed-10 pair nearest the diagonal
+    if where == "bench":
+        pairs = []
+        for seed in range(11):
+            config = parse_config(_workloads().generate(seed)["kernels.cfg"])
+            assert config.kernel_d == 2
+            pairs += [(lam, r) for lam in config.lambda_grid
+                      for r in config.r_grid]
+        lam, r = (np.array(column) for column in zip(*pairs))
+    else:
+        config = parse_config(_workloads().generate(0)["kernels.cfg"])
+        lams = np.array(list(config.lambda_grid) + [0.05 + 0.02j, 0.01])
+        rs = np.array([m * 10.0 ** k for k in range(-12, 3) for m in (1, 3)]
+                      + [700.0])
+        lam = np.append(np.repeat(lams, rs.size), 3.001206581659285
+                        + 1.1252800753610543j)
+        r = np.append(np.tile(rs, lams.size), 0.04670133967442327)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    bound = eps * (CLOSED_FORM_EPS + 2 * (np.abs(lam) + 1) * r)
+    for value, ref in zip((resolvent_scalar(lam, r, 2),
+                           dirac_resolvent_scalar(lam, r, 2)),
+                          closed_form_resolvents(lam, r)):
+        assert np.all(np.abs(value - ref)
+                      <= np.maximum(bound * np.abs(ref), 256 * tiny * eps))
